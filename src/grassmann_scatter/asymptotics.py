@@ -36,9 +36,9 @@ import numpy as np
 
 from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, fixed_point_solve
-from .grassmann import Empirical, Gaussian, Measure
+from .grassmann import Empirical, Gaussian, Measure, _gaussian_bases, _projectors, _whiten
 from .likelihood import _materialize
-from .manifold import _congruence_inv, check_scatter, distance, manifold_dim, sym_sqrt
+from .manifold import _congruence_inv, _distance, _sym_sqrt, check_scatter, manifold_dim
 
 PINV_CUTOFF = 1e-10     # relative eigenvalue cutoff for the pseudo-inverse
 
@@ -76,6 +76,11 @@ def tangent_vec_projector(m: int) -> np.ndarray:
     return 0.5 * (np.eye(m * m) + K) - np.outer(v, v) / m
 
 
+def _whiten_normalize(Sigma_hat: np.ndarray, g: np.ndarray) -> np.ndarray:
+    A = _congruence_inv(g, Sigma_hat)
+    return Sigma_hat.shape[0] * A / np.trace(A)
+
+
 def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
     """Whiten an estimate by the true scatter and normalize its trace to m.
 
@@ -83,32 +88,24 @@ def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
     equals Id exactly when Sigma_hat = Sigma.
     """
     Sigma_hat = check_scatter(Sigma_hat, name="Sigma_hat")
-    Sigma = check_scatter(Sigma)
-    A = _congruence_inv(sym_sqrt(Sigma), Sigma_hat)
-    return Sigma_hat.shape[0] * A / np.trace(A)
+    return _whiten_normalize(Sigma_hat, _sym_sqrt(check_scatter(Sigma)))
 
 
-def _whitened_projectors(emp: Empirical, Sigma: np.ndarray) -> np.ndarray:
-    """Pi_j = g^-1 X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T g^-1 for every atom, batched."""
-    g = sym_sqrt(Sigma)
-    Th = np.linalg.solve(g[None], emp.points)                   # (n, m, r)
-    G = np.einsum("nir,nis->nrs", Th, Th)
-    H = np.linalg.solve(0.5 * (G + np.transpose(G, (0, 2, 1))), np.transpose(Th, (0, 2, 1)))
-    P = np.einsum("nir,nrj->nij", Th, H)
-    return 0.5 * (P + np.transpose(P, (0, 2, 1)))
+def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
+    """(score_covariance, projector_kron_mean), projectors whitened by sym_sqrt(Sigma).
 
-
-def _resolve_sigma(meas: Measure, Sigma) -> np.ndarray:
+    Sigma defaults to the scatter of a Gaussian measure; empirical measures
+    need it explicitly.
+    """
     if Sigma is not None:
-        return check_scatter(Sigma)
-    if isinstance(meas, Gaussian):
-        return meas.sigma
-    raise UsageError("empirical measures need an explicit Sigma (evaluation point)")
-
-
-def _moment_pieces(P: np.ndarray, w: np.ndarray, r: int):
-    """(score_covariance, projector_kron_mean) from whitened projectors."""
-    n, m, _ = P.shape
+        Sigma = check_scatter(Sigma)
+    elif isinstance(meas, Gaussian):
+        Sigma = meas.sigma
+    else:
+        raise UsageError("empirical measures need an explicit Sigma (evaluation point)")
+    emp = _materialize(meas, mc_n, rng, op)
+    P = _projectors(*_whiten(emp.points, _sym_sqrt(Sigma)))
+    n, m, r, w = emp.n, emp.m, emp.r, emp.weights
     D = P - (r / m) * np.eye(m)
     V = np.transpose(D, (0, 2, 1)).reshape(n, -1)   # column-major vec of each D_j
     sigma2 = np.einsum("n,ni,nj->ij", w, V, V)
@@ -122,20 +119,12 @@ def score_covariance(meas: Measure, Sigma=None, mc_n: int | None = None, rng=Non
     Gaussian measures are sampled with ``mc_n`` draws (Sigma defaults to the
     measure's own scatter); empirical measures are exact weighted sums.
     """
-    Sig = _resolve_sigma(meas, Sigma)
-    emp = _materialize(meas, mc_n, rng, "score_covariance")
-    P = _whitened_projectors(emp, Sig)
-    sigma2, _ = _moment_pieces(P, emp.weights, emp.r)
-    return sigma2
+    return _moments(meas, Sigma, mc_n, rng, "score_covariance")[0]
 
 
 def projector_kron_mean(meas: Measure, Sigma=None, mc_n: int | None = None, rng=None) -> np.ndarray:
     """E[Pi kron Pi] at the evaluation scatter; trace equals r^2 exactly."""
-    Sig = _resolve_sigma(meas, Sigma)
-    emp = _materialize(meas, mc_n, rng, "projector_kron_mean")
-    P = _whitened_projectors(emp, Sig)
-    _, S0 = _moment_pieces(P, emp.weights, emp.r)
-    return S0
+    return _moments(meas, Sigma, mc_n, rng, "projector_kron_mean")[1]
 
 
 def limiting_covariance(
@@ -152,11 +141,8 @@ def limiting_covariance(
     and returns A^+ sigma2 A^+T.  Raises DegeneracyError when A is
     rank-deficient on the tangent space (support too degenerate for a CLT).
     """
-    Sig = _resolve_sigma(meas, Sigma)
-    emp = _materialize(meas, mc_n, rng, "limiting_covariance")
-    m, r = emp.m, emp.r
-    P = _whitened_projectors(emp, Sig)
-    sigma2, S0 = _moment_pieces(P, emp.weights, emp.r)
+    sigma2, S0 = _moments(meas, Sigma, mc_n, rng, "limiting_covariance")
+    m, r = meas.m, meas.r
     L0 = (r / m) * np.eye(m * m) - S0
     Q = tangent_vec_projector(m)
     A = Q @ L0 @ Q
@@ -178,32 +164,25 @@ def limiting_covariance(
 # Monte Carlo experiments
 
 
-def _sample_empirical(sigma: np.ndarray, r: int, n: int, rng) -> Empirical:
-    """n i.i.d. subspace draws from the Gaussian family with scatter sigma."""
-    L = np.linalg.cholesky(sigma)
-    N = rng.standard_normal((n, sigma.shape[0], r))
-    return Empirical(np.einsum("ij,njr->nir", L, N))
-
-
 def _rep_rng(seed: int, grid: int, rep: int) -> np.random.Generator:
     """Counter-based child stream: identical for any scheduling of workers."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(grid, rep)))
 
 
-def _lln_task(args) -> float:
-    sigma, r, n, grid, rep, seed, opts = args
+def _replicate(sigma, r, n, grid, rep, seed, opts) -> np.ndarray:
+    """Estimate from n draws of the Gaussian family at sigma (one replication)."""
     rng = _rep_rng(seed, grid, rep)
-    emp = _sample_empirical(sigma, r, n, rng)
-    result = fixed_point_solve(emp, options=opts)
-    return distance(result.estimate, sigma)
+    emp = Empirical(_gaussian_bases(np.linalg.cholesky(sigma), r, n, rng))
+    return fixed_point_solve(emp, options=opts).estimate
+
+
+def _lln_task(args) -> float:
+    return _distance(_replicate(*args), args[0])
 
 
 def _clt_task(args) -> np.ndarray:
-    sigma, r, n, grid, rep, seed, opts = args
-    rng = _rep_rng(seed, grid, rep)
-    emp = _sample_empirical(sigma, r, n, rng)
-    result = fixed_point_solve(emp, options=opts)
-    C = whiten_normalize(result.estimate, sigma)
+    sigma, n = args[0], args[2]
+    C = _whiten_normalize(_replicate(*args), _sym_sqrt(sigma))
     return math.sqrt(n) * vec(C - np.eye(sigma.shape[0]))
 
 

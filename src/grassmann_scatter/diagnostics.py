@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyFlagError, UsageError
 from .grassmann import Empirical, dim_intersection, orthonormalize
-from .manifold import check_scatter, distance, log_map, norm, sym_sqrt
+from .manifold import _congruence_inv, _distance, _eig_apply, _sym_sqrt, check_scatter, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
@@ -287,31 +287,23 @@ def decompose_velocity(Sigma, w, gap_tol: float = GAP_TOL) -> VelocityFlag:
         raise UsageError("velocity is not self-adjoint with respect to Sigma")
     if abs(np.trace(w)) > 1e-10 * max(1.0, np.abs(np.diag(w)).sum()):
         raise UsageError("velocity is not trace-free")
-    g = sym_sqrt(Sigma)
-    v = np.linalg.solve(g, w @ g)
-    v = 0.5 * (v + v.T)
+    g = _sym_sqrt(Sigma)
+    return _flag(g, sym(np.linalg.solve(g, w @ g)), gap_tol)
+
+
+def _flag(g: np.ndarray, v: np.ndarray, gap_tol: float) -> VelocityFlag:
+    """Flag of the whitened velocity v = g^-1 w g (symmetric) at Sigma = g g."""
+    m = g.shape[0]
     lam, E = np.linalg.eigh(v)
     lam, E = lam[::-1], E[:, ::-1]           # descending
     spread = lam[0] - lam[-1]
     if spread <= 1e-14 * max(1.0, np.abs(lam).max()):
         return VelocityFlag([])
     # cluster boundaries at relative gaps above gap_tol
-    cuts = [i for i in range(m - 1) if lam[i] - lam[i + 1] > gap_tol * spread]
-    means = []
-    sizes = []
-    startpos = 0
-    for cut in cuts + [m - 1]:
-        means.append(float(lam[startpos : cut + 1].mean()))
-        sizes.append(cut + 1 - startpos)
-        startpos = cut + 1
-    pairs = []
-    filled = 0
-    for k in range(len(means) - 1):
-        filled += sizes[k]
-        alpha = means[k] - means[k + 1]
-        basis = orthonormalize(g @ E[:, :filled])
-        pairs.append((alpha, basis))
-    return VelocityFlag(pairs)
+    ends = [i + 1 for i in range(m - 1) if lam[i] - lam[i + 1] > gap_tol * spread] + [m]
+    means = [float(lam[a:b].mean()) for a, b in zip([0] + ends, ends)]
+    return VelocityFlag([(means[k] - means[k + 1], orthonormalize(g @ E[:, : ends[k]]))
+                         for k in range(len(means) - 1)])
 
 
 def asymptotic_slope(meas: Empirical, Sigma, w, gap_tol: float = GAP_TOL) -> float:
@@ -336,14 +328,19 @@ def boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
     iterates are given or the run is stationary (converged runs have no
     escape direction).
     """
+    return _boundary_flag([check_scatter(S, name="iterate") for S in iterates], gap_tol)
+
+
+def _boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
     if len(iterates) < 2:
         raise EmptyFlagError("need at least two iterates to extract an escape direction")
-    first, last = np.asarray(iterates[0], float), np.asarray(iterates[-1], float)
-    first_step = distance(iterates[0], iterates[1])
-    last_step = distance(iterates[-2], iterates[-1])
+    first_step = _distance(iterates[0], iterates[1])
+    last_step = _distance(iterates[-2], iterates[-1])
     if last_step <= max(1e-8, 0.5 * first_step):
         raise EmptyFlagError("iterates are stationary; no escape direction")
-    W = log_map(first, last)
-    W = W / norm(first, W)
-    w = np.linalg.solve(first, W.T).T      # w = W Sigma0^-1, so w Sigma0 = W
-    return decompose_velocity(first, w, gap_tol=gap_tol)
+    # log-map W from the first iterate to the last, whitened (v = g^-1 W g^-1),
+    # projected onto the tangent space (trace removed), scaled to unit norm
+    g = _sym_sqrt(iterates[0])
+    v = _eig_apply(_congruence_inv(g, iterates[-1]), np.log)
+    v -= (np.trace(v) / v.shape[0]) * np.eye(v.shape[0])
+    return _flag(g, v / np.linalg.norm(v), gap_tol)

@@ -27,6 +27,13 @@ distance from the start has grown by at least ``divergence_growth`` over the
 last ``divergence_window`` iterations while the residual is still above
 tolerance.  The returned result then carries a boundary flag describing the
 escape direction (see ``diagnostics.boundary_flag``).
+
+Both solvers evaluate the data through one core, ``likelihood._weighted_kernel_sum``
+(built on the whitened-Gram kernel of ``grassmann``).  The residual is
+whitening-invariant, || M - (r/m) Id ||_F^2 is the same for M whitened by
+any factor of Sigma, so it is computed with the Cholesky factor.  Inputs are
+validated once on entry; the iterations run on unchecked cores, and the only
+conditioning decision is the solver's own COND_MAX guard on each iterate.
 """
 
 from __future__ import annotations
@@ -35,21 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import VelocityFlag, boundary_flag
+from .diagnostics import VelocityFlag, _boundary_flag
 from .errors import EmptyFlagError, ExistenceError, UsageError
-from .grassmann import Empirical, Measure
-from .likelihood import _materialize, _weighted_kernel_sum, grad, loglik
-from .manifold import (
-    COND_MAX,
-    _congruence_inv,
-    check_scatter,
-    distance,
-    geodesic,
-    inner,
-    log_map,
-    normalize_det,
-    sym_sqrt,
-)
+from .grassmann import Empirical, Measure, _columns, _logdet_ratio
+from .likelihood import _defect, _materialize, _weighted_kernel_sum
+from .manifold import COND_MAX, _distance, _geodesic, _log_map, check_scatter
 
 
 @dataclass
@@ -105,33 +102,24 @@ class GEResult:
 
 
 def residual(meas: Measure, Sigma, mc_n: int | None = None, rng=None) -> float:
-    """Squared Frobenius defect of the estimating equation (= 4x grad norm^2)."""
-    Sigma = check_scatter(Sigma)
+    """Squared Frobenius defect of the estimating equation (= 4x grad norm^2).
+
+    Whitening-invariant, so it is computed with the Cholesky factor of Sigma.
+    """
+    F = np.linalg.cholesky(check_scatter(Sigma))
     emp = _materialize(meas, mc_n, rng, "residual")
-    S = _weighted_kernel_sum(emp.points, emp.weights, Sigma)
-    M = _congruence_inv(sym_sqrt(Sigma), S)
-    D = M - (emp.r / emp.m) * np.eye(emp.m)
-    return float(np.sum(D * D))
-
-
-def _span_witness(points: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis of the joint span if it is a proper subspace, else None."""
-    n, m, r = points.shape
-    stacked = np.concatenate([points[j] for j in range(n)], axis=1)
-    U, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    if rank < m:
-        return U[:, :rank]
-    return None
+    return _defect(_weighted_kernel_sum(emp.points, emp.weights, F)[0], emp.r)
 
 
 def _check_span(emp: Empirical) -> None:
-    W = _span_witness(emp.points)
-    if W is not None:
+    """Raise ExistenceError, with a basis of the joint span, if the atoms miss a direction."""
+    U, s, _ = np.linalg.svd(_columns(emp.points), full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    if rank < emp.m:
         raise ExistenceError(
             "atoms are contained in a proper subspace (dimension "
-            f"{W.shape[1]} of {emp.m}); no estimate of scatter exists",
-            witness=W,
+            f"{rank} of {emp.m}); no estimate of scatter exists",
+            witness=U[:, :rank],
         )
 
 
@@ -144,10 +132,21 @@ def _diverged(trace, opts: SolverOptions) -> bool:
 
 def _escape_result(Sigma, res, k, trace, iterates) -> GEResult:
     try:
-        flag = boundary_flag(iterates)
+        flag = _boundary_flag(iterates)
     except EmptyFlagError:
         flag = None
     return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag)
+
+
+def _unimodular_or_none(T: np.ndarray) -> np.ndarray | None:
+    """T rescaled to determinant one, or None past the solvers' one conditioning guard.
+
+    The guard: every eigenvalue positive, and their ratio at most COND_MAX.
+    """
+    lam = np.linalg.eigvalsh(T)
+    if lam[0] <= 0.0 or lam[-1] > COND_MAX * lam[0]:
+        return None
+    return T * np.exp(-np.log(lam).mean())
 
 
 def fixed_point_solve(
@@ -167,36 +166,29 @@ def fixed_point_solve(
         raise UsageError("fixed_point_solve needs an empirical measure; sample first")
     opts = options or SolverOptions()
     _check_span(meas)
-    m, r = meas.m, meas.r
-    Sigma = np.eye(m) if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
-    start = Sigma
-    rm_eye = (r / m) * np.eye(m)
+    start = np.eye(meas.m) if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
 
-    iterates = [Sigma]
+    T = start
+    iterates: list[np.ndarray] = []
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
-        lam = np.linalg.eigvalsh(Sigma)
-        if lam[0] <= 0.0 or lam[-1] > COND_MAX * lam[0]:
+        Sigma = _unimodular_or_none(T)
+        if Sigma is None:
             # conditioning breached before the distance test fired; the run
-            # is escaping and the current iterate is numerically unusable
-            return _escape_result(iterates[-2], trace[-1][1], k, trace, iterates[:-1])
-        S = _weighted_kernel_sum(meas.points, meas.weights, Sigma)
-        M = _congruence_inv(sym_sqrt(Sigma), S)
-        D = M - rm_eye
-        res = float(np.sum(D * D))
-        trace.append((k, res, distance(start, Sigma)))
+            # is escaping and the new iterate is numerically unusable
+            return _escape_result(iterates[-1], trace[-1][1], k, trace, iterates)
+        iterates.append(Sigma)
+        M, S = _weighted_kernel_sum(meas.points, meas.weights, np.linalg.cholesky(Sigma))
+        res = _defect(M, meas.r)
+        trace.append((k, res, _distance(start, Sigma)))
         if res <= opts.tol:
             return GEResult(Sigma, res, k, "converged", trace)
         if _diverged(trace, opts):
             return _escape_result(Sigma, res, k, trace, iterates)
         if k == opts.max_iter:
             break
-        T = normalize_det((m / r) * S)
-        if opts.damping >= 1.0:
-            Sigma = T
-        else:
-            Sigma = geodesic(Sigma, log_map(Sigma, T), opts.damping)
-        iterates.append(Sigma)
+        # S is the update target up to scale; the next check normalizes it
+        T = S if opts.damping >= 1.0 else _geodesic(Sigma, _log_map(Sigma, S), opts.damping)
     return GEResult(Sigma, res, opts.max_iter, "max_iterations", trace)
 
 
@@ -222,16 +214,20 @@ def riemannian_descent(
     Sigma = np.eye(m) if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
     start = Sigma
 
+    def objective(S):
+        return 0.5 * float(emp.weights @ _logdet_ratio(emp.points, np.linalg.cholesky(S)))
+
     step0 = 2.0 * m / r  # undamped fixed-point step, linearized
     step = step0
-    f = loglik(emp, Sigma)
+    f = objective(Sigma)
     iterates = [Sigma]
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
-        G = grad(emp, Sigma)
-        gn2 = inner(Sigma, G, G)
-        res = 4.0 * gn2
-        trace.append((k, res, distance(start, Sigma)))
+        M, S = _weighted_kernel_sum(emp.points, emp.weights, np.linalg.cholesky(Sigma))
+        G = (0.5 * r / m) * Sigma - 0.5 * S
+        res = _defect(M, r)
+        gn2 = 0.25 * res                                  # <G, G>_Sigma
+        trace.append((k, res, _distance(start, Sigma)))
         if res <= opts.tol:
             return GEResult(Sigma, res, k, "converged", trace)
         if _diverged(trace, opts):
@@ -239,15 +235,12 @@ def riemannian_descent(
         if k == opts.max_iter:
             break
         t = step
-        accepted = False
         for _ in range(60):
-            cand = geodesic(Sigma, -G, t)
-            f_new = loglik(emp, cand)
-            if f_new <= f - 1e-4 * t * gn2:
-                accepted = True
+            cand = _unimodular_or_none(_geodesic(Sigma, -G, t))
+            if cand is not None and (f_new := objective(cand)) <= f - 1e-4 * t * gn2:
                 break
             t *= 0.5
-        if not accepted:
+        else:
             return GEResult(Sigma, res, k, "max_iterations", trace)
         Sigma, f = cand, f_new
         step = min(2.0 * t, 8.0 * step0)

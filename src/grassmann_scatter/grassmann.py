@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .manifold import COND_MAX, check_scatter, normalize_det, sym
+from .errors import DomainError
+from .manifold import check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
@@ -134,6 +134,15 @@ class Gaussian:
 Measure = Empirical | Gaussian
 
 
+def _gaussian_bases(chol: np.ndarray, r: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. m x r bases with N(0, chol chol^T) columns, (n, m, r): the one sampler.
+
+    Bit-identical whether drawn in one batch or one at a time from the same
+    generator.  Ranks are checked by ``Empirical``, not here.
+    """
+    return np.einsum("ij,njr->nir", chol, rng.standard_normal((n, chol.shape[0], r)))
+
+
 def sample(meas: Measure, rng: np.random.Generator) -> np.ndarray:
     """Draw one subspace (an m x r basis matrix) from the measure.
 
@@ -146,7 +155,7 @@ def sample(meas: Measure, rng: np.random.Generator) -> np.ndarray:
         return meas.points[j]
     L = np.linalg.cholesky(meas.sigma)
     while True:
-        X = L @ rng.standard_normal((meas.m, meas.r))
+        X = _gaussian_bases(L, meas.r, 1, rng)[0]
         sv = np.linalg.svd(X, compute_uv=False)
         if sv[-1] > RANK_TOL * sv[0]:
             return X
@@ -176,15 +185,61 @@ def act_measure(A, meas: Measure) -> Measure:
     return Gaussian(normalize_det(A @ meas.sigma @ np.asarray(A, float).T), meas.r)
 
 
-def _gram_pieces(X: np.ndarray, Sigma: np.ndarray):
-    """Orthonormalized basis Q, whitened W = Sigma^-1 Q and Gram G = Q^T Sigma^-1 Q."""
-    Q = orthonormalize(check_basis(X))
-    W = np.linalg.solve(Sigma, Q)
-    G = Q.T @ W
-    lam = np.linalg.eigvalsh(sym(G))
-    if lam[0] <= 0 or lam[-1] / lam[0] > COND_MAX:
-        raise DomainError("basis Gram matrix against Sigma is numerically singular")
-    return Q, W, sym(G)
+# ---------------------------------------------------------------------------
+# The whitened-Gram kernel (unchecked cores): every per-atom quantity comes from
+# Theta_j = F^-1 X_j and G_j = Theta_j^T Theta_j = X_j^T Sigma^-1 X_j, F F^T = Sigma.
+
+
+def _columns(points: np.ndarray) -> np.ndarray:
+    """The (n, m, r) atoms side by side: one m x (n r) matrix, atom j in block j."""
+    n, m, r = points.shape
+    return points.transpose(1, 0, 2).reshape(m, n * r)
+
+
+def _solve_atoms(F: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """F^-1 X_j for every atom, (n, m, r): one solve on the (m, n r) layout."""
+    n, m, r = points.shape
+    return np.linalg.solve(F, _columns(points)).reshape(m, n, r).transpose(1, 0, 2)
+
+
+def _whiten(points: np.ndarray, F: np.ndarray):
+    """(Theta, G): whitened atoms Theta_j = F^-1 X_j and their Grams G_j, (n, r, r)."""
+    Th = _solve_atoms(F, points)
+    return Th, np.einsum("nir,nis->nrs", Th, Th)
+
+
+def _gram_solve(G: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """G_j^-1 A_j^T for every atom, (n, r, m); closed form for lines."""
+    At = A.transpose(0, 2, 1)
+    return At / G if G.shape[-1] == 1 else np.linalg.solve(G, At)
+
+
+def _projectors(A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """A_j G_j^-1 A_j^T for every atom, (n, m, m); A = Theta gives Pi_j."""
+    P = A @ _gram_solve(G, A)
+    return 0.5 * (P + P.transpose(0, 2, 1))
+
+
+def _pi_matrices(points: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """pi_j = Sigma^-1 X_j G_j^-1 X_j^T Sigma^-1 = F^-T Pi_j F^-1 for every atom."""
+    Th, G = _whiten(points, F)
+    return _projectors(_solve_atoms(F.T, Th), G)
+
+
+def _logdet_ratio(points: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """log det(X_j^T Sigma^-1 X_j) - log det(X_j^T X_j) for every atom."""
+    gram = np.einsum("nir,nis->nrs", points, points)
+    return np.linalg.slogdet(_whiten(points, F)[1])[1] - np.linalg.slogdet(gram)[1]
+
+
+def _atom_pi(X, Sigma: np.ndarray) -> np.ndarray:
+    """pi of one validated, orthonormalized basis X at an already validated Sigma."""
+    return _pi_matrices(orthonormalize(check_basis(X))[None], np.linalg.cholesky(Sigma))[0]
+
+
+def _atom_logdet_ratio(X, Sigma) -> float:
+    """Validated single-atom log-det ratio, with the Cholesky factor of Sigma."""
+    return float(_logdet_ratio(check_basis(X)[None], np.linalg.cholesky(check_scatter(Sigma)))[0])
 
 
 def projector(X, Sigma) -> np.ndarray:
@@ -194,8 +249,7 @@ def projector(X, Sigma) -> np.ndarray:
     product: Sigma P^T Sigma^-1 = P.  Basis-independent.
     """
     Sigma = check_scatter(Sigma)
-    Q, W, G = _gram_pieces(X, Sigma)
-    return Q @ np.linalg.solve(G, W.T)
+    return Sigma @ _atom_pi(X, Sigma)
 
 
 def pi_matrix(X, Sigma) -> np.ndarray:
@@ -203,9 +257,7 @@ def pi_matrix(X, Sigma) -> np.ndarray:
 
     Satisfies Sigma @ pi_matrix(X, Sigma) == projector(X, Sigma).
     """
-    Sigma = check_scatter(Sigma)
-    _, W, G = _gram_pieces(X, Sigma)
-    return sym(W @ np.linalg.solve(G, W.T))
+    return _atom_pi(X, check_scatter(Sigma))
 
 
 def density_ratio(X, Sigma) -> float:
@@ -214,15 +266,8 @@ def density_ratio(X, Sigma) -> float:
     Equals (det(X^T X) / det(X^T Sigma^-1 X))^(m/2); positive, equal to one at
     Sigma = Id, and independent of the chosen basis of the subspace.
     """
-    Sigma = check_scatter(Sigma)
-    X = check_basis(X)
-    m = X.shape[0]
-    _, ld_plain = np.linalg.slogdet(X.T @ X)
-    G = X.T @ np.linalg.solve(Sigma, X)
-    sign, ld_white = np.linalg.slogdet(sym(G))
-    if sign <= 0:
-        raise DomainError("Gram matrix against Sigma is not positive definite")
-    return float(np.exp(0.5 * m * (ld_plain - ld_white)))
+    ld = _atom_logdet_ratio(X, Sigma)
+    return float(np.exp(-0.5 * np.shape(X)[0] * ld))
 
 
 def dim_intersection(XU, XV, tol: float = RANK_TOL) -> int:
@@ -244,14 +289,9 @@ def busemann(X, Sigma) -> float:
     lam_r = sqrt((m-r)/(m r)) and beta_r = sqrt(r/(m (m-r))), when the
     subspace is spanned by the first r coordinate vectors.
     """
-    Sigma = check_scatter(Sigma)
-    X = check_basis(X)
-    m, r = X.shape
-    _, ld_plain = np.linalg.slogdet(X.T @ X)
-    sign, ld_white = np.linalg.slogdet(sym(X.T @ np.linalg.solve(Sigma, X)))
-    if sign <= 0:
-        raise DomainError("Gram matrix against Sigma is not positive definite")
-    return float(np.sqrt(m / ((m - r) * r)) * (ld_white - ld_plain))
+    ld = _atom_logdet_ratio(X, Sigma)
+    m, r = np.shape(X)
+    return float(np.sqrt(m / ((m - r) * r)) * ld)
 
 
 def distinguished_ray_direction(m: int, r: int) -> np.ndarray:
@@ -282,13 +322,8 @@ def cocycle(h, r: int) -> float:
     sign, logdet = np.linalg.slogdet(h)
     if sign == 0 or abs(logdet) > 1e-8:
         raise DomainError(f"group element must have |det| = 1, got log|det| = {logdet:.3e}")
-    K = h @ h.T
-    B = np.linalg.solve(K, np.eye(m, r))
-    G = sym(B[:r, :])
-    sign, ld = np.linalg.slogdet(G)
-    if sign <= 0:
-        raise DomainError("leading block of (h h^T)^-1 is not positive definite")
-    return float(np.exp(-0.5 * m * ld))
+    X0 = np.eye(m, r)[None]                  # h is a factor of h h^T
+    return float(np.exp(-0.5 * m * _logdet_ratio(X0, h)[0]))
 
 
 def modular_parabolic(lam1: float, m: int, r: int) -> float:

@@ -28,6 +28,12 @@ weights) is grad_norm_sq_grad.
 Gaussian (parametric) measures are evaluated by plain Monte Carlo with a
 caller-supplied sample size and RNG; empirical measures are exact weighted
 sums, batched over atoms.
+
+Everything here comes from the single whitened-Gram core ``grassmann._whiten``
+(one solve against a factor F F^T = Sigma gives every G_j = X_j^T Sigma^-1 X_j),
+summed over atoms by ``_weighted_kernel_sum``.  Whitening-invariant quantities
+(log-likelihood, gradient, pi, gradient norm, residual) use the Cholesky factor
+of Sigma; ``mean_projector``, defined through g = sym_sqrt(Gamma), uses g.
 """
 
 from __future__ import annotations
@@ -37,8 +43,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError
-from .grassmann import Empirical, Gaussian, Measure, check_basis, pi_matrix, sample
-from .manifold import _congruence_inv, check_scatter, check_tangent, sym, sym_sqrt
+from .grassmann import (
+    Empirical,
+    Measure,
+    _atom_logdet_ratio,
+    _atom_pi,
+    _columns,
+    _gaussian_bases,
+    _gram_solve,
+    _logdet_ratio,
+    _pi_matrices,
+    _whiten,
+    check_basis,
+)
+from .manifold import _sym_sqrt, check_scatter, check_tangent, sym
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -54,31 +72,25 @@ def _materialize(meas: Measure, mc_n: int | None, rng, op: str) -> Empirical:
         return meas
     if mc_n is None or rng is None:
         raise UsageError(f"{op} on a Gaussian measure needs mc_n and rng (Monte Carlo evaluation)")
-    pts = np.stack([sample(meas, rng) for _ in range(int(mc_n))])
-    return Empirical(pts)
+    return Empirical(_gaussian_bases(np.linalg.cholesky(meas.sigma), meas.r, int(mc_n), rng))
 
 
-def _batched_terms(points: np.ndarray, Sigma: np.ndarray):
-    """Per-atom pieces W_j = Sigma^-1 X_j and G_j = X_j^T Sigma^-1 X_j, batched."""
-    W = np.linalg.solve(Sigma[None], points)                    # (n, m, r)
-    G = np.einsum("nir,nis->nrs", points, W)                    # (n, r, r)
-    return W, 0.5 * (G + np.transpose(G, (0, 2, 1)))
+def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray):
+    """(M, S): the mean projector M = sum_j w_j Pi_j whitened by F, and S = F M F^T.
+
+    S = sum_j w_j X_j G_j^-1 X_j^T is the same for every factor F F^T = Sigma.
+    """
+    n, m, r = points.shape
+    Th, G = _whiten(points, F)
+    H = _gram_solve(G, Th) * weights[:, None, None]        # w_j G_j^-1 Theta_j^T
+    M = sym(_columns(Th) @ H.reshape(n * r, m))
+    return M, sym(F @ M @ F.T)
 
 
-def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    """sum_j w_j X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T  (symmetric PSD, m x m)."""
-    _, G = _batched_terms(points, Sigma)
-    H = np.linalg.solve(G, np.transpose(points, (0, 2, 1)))     # (n, r, m)
-    return sym(np.einsum("n,nir,nrj->ij", weights, points, H))
-
-
-def _batched_loglik(points: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    """Per-atom log-likelihood values, batched over atoms."""
-    _, G = _batched_terms(points, Sigma)
-    _, ld_white = np.linalg.slogdet(G)
-    gram = np.einsum("nir,nis->nrs", points, points)
-    _, ld_plain = np.linalg.slogdet(gram)
-    return 0.5 * (ld_white - ld_plain)
+def _defect(M: np.ndarray, r: int) -> float:
+    """|| M - (r/m) Id ||_F^2 for a whitened mean projector M."""
+    D = M - (r / M.shape[0]) * np.eye(M.shape[0])
+    return float(np.sum(D * D))
 
 
 def loglik_point(X, Sigma) -> float:
@@ -86,9 +98,7 @@ def loglik_point(X, Sigma) -> float:
 
     Vanishes at Sigma = Id and equals -(1/m) log density_ratio(U, Sigma).
     """
-    Sigma = check_scatter(Sigma)
-    X = check_basis(X)
-    return float(_batched_loglik(X[None], Sigma)[0])
+    return 0.5 * _atom_logdet_ratio(X, Sigma)
 
 
 def loglik(meas: Measure, Sigma, mc_n: int | None = None, rng=None):
@@ -98,15 +108,20 @@ def loglik(meas: Measure, Sigma, mc_n: int | None = None, rng=None):
     measures: Monte Carlo with ``mc_n`` draws, returned as a
     MonteCarloEstimate (value, stderr); mc_n=None raises UsageError.
     """
-    Sigma = check_scatter(Sigma)
-    if isinstance(meas, Empirical):
-        vals = _batched_loglik(meas.points, Sigma)
-        return float(meas.weights @ vals)
+    F = np.linalg.cholesky(check_scatter(Sigma))
     emp = _materialize(meas, mc_n, rng, "loglik")
-    vals = _batched_loglik(emp.points, Sigma)
+    vals = 0.5 * _logdet_ratio(emp.points, F)
+    if isinstance(meas, Empirical):
+        return float(meas.weights @ vals)
     n = len(vals)
     stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
     return MonteCarloEstimate(float(vals.mean()), stderr)
+
+
+def _grad(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
+    _, S = _weighted_kernel_sum(points, weights, np.linalg.cholesky(Sigma))
+    _, m, r = points.shape
+    return sym((0.5 * r / m) * Sigma - 0.5 * S)
 
 
 def grad_point(X, Sigma) -> np.ndarray:
@@ -115,20 +130,14 @@ def grad_point(X, Sigma) -> np.ndarray:
     A tangent vector at Sigma; its inner product against any tangent W
     equals the derivative of loglik_point along the geodesic with velocity W.
     """
-    Sigma = check_scatter(Sigma)
-    X = check_basis(X)
-    m, r = X.shape
-    S = _weighted_kernel_sum(X[None], np.ones(1), Sigma)
-    return sym((0.5 * r / m) * Sigma - 0.5 * S)
+    return _grad(check_basis(X)[None], np.ones(1), check_scatter(Sigma))
 
 
 def grad(meas: Measure, Sigma, mc_n: int | None = None, rng=None) -> np.ndarray:
     """Measure-averaged gradient; vanishes exactly at an estimate of scatter."""
     Sigma = check_scatter(Sigma)
     emp = _materialize(meas, mc_n, rng, "grad")
-    m, r = emp.m, emp.r
-    S = _weighted_kernel_sum(emp.points, emp.weights, Sigma)
-    return sym((0.5 * r / m) * Sigma - 0.5 * S)
+    return _grad(emp.points, emp.weights, Sigma)
 
 
 def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
@@ -139,17 +148,9 @@ def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
     """
     Sigma = check_scatter(Sigma)
     Z = check_tangent(Sigma, Z)
-    pi = pi_matrix(X, Sigma)
+    pi = _atom_pi(X, Sigma)
     ZpS = Z @ pi @ Sigma
     return sym(0.25 * (ZpS + ZpS.T) - 0.5 * (Sigma @ pi @ Z @ pi @ Sigma))
-
-
-def _batched_pi(points: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    """pi_matrix for every atom, batched: (n, m, m)."""
-    W, G = _batched_terms(points, Sigma)
-    H = np.linalg.solve(G, np.transpose(W, (0, 2, 1)))          # (n, r, m)
-    P = np.einsum("nir,nrj->nij", W, H)
-    return 0.5 * (P + np.transpose(P, (0, 2, 1)))
 
 
 def hess_quadform(meas: Measure, Sigma, Z, mc_n: int | None = None, rng=None) -> float:
@@ -161,7 +162,7 @@ def hess_quadform(meas: Measure, Sigma, Z, mc_n: int | None = None, rng=None) ->
     Sigma = check_scatter(Sigma)
     Z = check_tangent(Sigma, Z)
     emp = _materialize(meas, mc_n, rng, "hess_quadform")
-    pi = _batched_pi(emp.points, Sigma)
+    pi = _pi_matrices(emp.points, np.linalg.cholesky(Sigma))
     A = np.linalg.solve(Sigma, Z)                               # Sigma^-1 Z
     B = np.einsum("nij,jk->nik", pi, Z)                         # pi_j Z
     t1 = np.einsum("ij,nji->n", A, B)                           # tr(Sigma^-1 Z pi Z)
@@ -176,23 +177,20 @@ def mean_projector(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> n
     the lower bound attained iff M = (r/m) Id, i.e. iff Gamma solves the
     estimating equation.
     """
-    Gamma = check_scatter(Gamma)
+    g = _sym_sqrt(check_scatter(Gamma))
     emp = _materialize(meas, mc_n, rng, "mean_projector")
-    g = sym_sqrt(Gamma)
-    S = _weighted_kernel_sum(emp.points, emp.weights, Gamma)
-    return _congruence_inv(g, S)
+    return _weighted_kernel_sum(emp.points, emp.weights, g)[0]
 
 
 def grad_norm_sq(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> float:
     """Squared metric norm of the gradient, 1/4 || M - (r/m) Id ||_F^2.
 
-    Nonnegative; zero exactly at critical points of the objective.
+    Nonnegative; zero exactly at critical points of the objective.  The norm
+    is whitening-invariant, so M is whitened by the Cholesky factor.
     """
+    F = np.linalg.cholesky(check_scatter(Gamma))
     emp = _materialize(meas, mc_n, rng, "grad_norm_sq")
-    M = mean_projector(emp, Gamma)
-    m, r = emp.m, emp.r
-    D = M - (r / m) * np.eye(m)
-    return float(0.25 * np.sum(D * D))
+    return 0.25 * _defect(_weighted_kernel_sum(emp.points, emp.weights, F)[0], emp.r)
 
 
 def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
@@ -213,7 +211,7 @@ def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
         raise UsageError("grad_norm_sq_grad requires uniform weights")
     Gamma = check_scatter(Gamma)
     n = meas.n
-    pi = _batched_pi(meas.points, Gamma)
+    pi = _pi_matrices(meas.points, np.linalg.cholesky(Gamma))
     S = pi.sum(axis=0)
     inner_mat = Gamma @ S @ Gamma
     K = np.einsum("nij,jk,nkl->il", pi, inner_mat, pi)

@@ -19,6 +19,12 @@ All matrix exponentials/logarithms go through symmetric eigendecompositions
 (inputs are symmetric after congruence), never Pade approximations.
 Everything here is a pure function of its inputs; random draws take an
 explicit numpy Generator owned by the caller.
+
+Validation contract (package-wide): public functions validate their arguments
+once (``check_scatter``, ``check_tangent``), then call unchecked ``_`` cores.
+Cores assume validated input and run no symmetry, determinant, tangency or
+conditioning checks; internal callers only hand them matrices the library
+computed itself.  Solver iterates answer to the solvers' COND_MAX guard.
 """
 
 from __future__ import annotations
@@ -52,18 +58,6 @@ def _as_square(M, name: str) -> np.ndarray:
     return M
 
 
-def _eigh_spd(M: np.ndarray, name: str = "matrix"):
-    """Eigendecomposition with positive-definiteness and conditioning guards."""
-    lam, Q = np.linalg.eigh(M)
-    if lam[0] <= 0.0:
-        raise DomainError(f"{name} is not positive definite (min eigenvalue {lam[0]:.3e})")
-    if lam[-1] / lam[0] > COND_MAX:
-        raise DomainError(
-            f"{name} too ill-conditioned (eigenvalue ratio {lam[-1] / lam[0]:.3e} > {COND_MAX:.0e})"
-        )
-    return lam, Q
-
-
 def check_scatter(M, name: str = "scatter matrix") -> np.ndarray:
     """Validate a point of the manifold; return the symmetrized array.
 
@@ -79,7 +73,13 @@ def check_scatter(M, name: str = "scatter matrix") -> np.ndarray:
     if np.abs(M - M.T).max() > SYMMETRY_TOL * scale:
         raise DomainError(f"{name} is not symmetric")
     M = sym(M)
-    lam, _ = _eigh_spd(M, name)
+    lam = np.linalg.eigvalsh(M)
+    if lam[0] <= 0.0:
+        raise DomainError(f"{name} is not positive definite (min eigenvalue {lam[0]:.3e})")
+    if lam[-1] / lam[0] > COND_MAX:
+        raise DomainError(
+            f"{name} too ill-conditioned (eigenvalue ratio {lam[-1] / lam[0]:.3e} > {COND_MAX:.0e})"
+        )
     logdet = float(np.log(lam).sum())
     # the determinant of a kappa-conditioned matrix is only determined to
     # ~eps*kappa in floats, so the tolerance carries that slack
@@ -122,29 +122,23 @@ def check_tangent(Sigma: np.ndarray, V, tol: float = TANGENT_TOL) -> np.ndarray:
     return V
 
 
+def _eig_apply(S: np.ndarray, f) -> np.ndarray:
+    """Q f(lam) Q^T for a symmetric S = Q diag(lam) Q^T (unchecked)."""
+    lam, Q = np.linalg.eigh(S)
+    return sym((Q * f(lam)) @ Q.T)
+
+
+def _sym_sqrt(Sigma: np.ndarray) -> np.ndarray:
+    return _eig_apply(Sigma, np.sqrt)
+
+
 def sym_sqrt(Sigma) -> np.ndarray:
     """Unique symmetric positive-definite square root g with g g = Sigma.
 
     Computed from the eigendecomposition Sigma = Q diag(lam) Q^T as
     g = Q diag(sqrt(lam)) Q^T; inherits determinant one from Sigma.
     """
-    Sigma = check_scatter(Sigma)
-    lam, Q = _eigh_spd(Sigma)
-    return sym((Q * np.sqrt(lam)) @ Q.T)
-
-
-def expm_sym(S: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix via eigendecomposition."""
-    S = sym(_as_square(S, "matrix"))
-    lam, Q = np.linalg.eigh(S)
-    return sym((Q * np.exp(lam)) @ Q.T)
-
-
-def logm_spd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Matrix logarithm of a symmetric positive-definite matrix."""
-    M = sym(_as_square(M, name))
-    lam, Q = _eigh_spd(M, name)
-    return sym((Q * np.log(lam)) @ Q.T)
+    return _sym_sqrt(check_scatter(Sigma))
 
 
 def _congruence_inv(g: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -168,6 +162,13 @@ def norm(Sigma, A) -> float:
     return float(np.sqrt(max(inner(Sigma, A, A), 0.0)))
 
 
+def _geodesic(Sigma: np.ndarray, W: np.ndarray, t: float) -> np.ndarray:
+    g = _sym_sqrt(Sigma)
+    V = _congruence_inv(g, W)
+    V = V - (np.trace(V) / V.shape[0]) * np.eye(V.shape[0])  # exact trace-zero
+    return sym(g @ _eig_apply(t * V, np.exp) @ g)      # det 1 up to rounding
+
+
 def geodesic(Sigma, W, t: float) -> np.ndarray:
     """Point gamma(t) of the geodesic with gamma(0) = Sigma, gamma'(0) = W.
 
@@ -175,12 +176,12 @@ def geodesic(Sigma, W, t: float) -> np.ndarray:
     result is renormalized to determinant one to remove rounding drift.
     """
     Sigma = check_scatter(Sigma)
-    W = check_tangent(Sigma, W)
-    g = sym_sqrt(Sigma)
-    V = _congruence_inv(g, W)
-    V = V - (np.trace(V) / V.shape[0]) * np.eye(V.shape[0])  # exact trace-zero
-    E = expm_sym(t * V)
-    return normalize_det(g @ E @ g)
+    return normalize_det(_geodesic(Sigma, check_tangent(Sigma, W), t))
+
+
+def _log_map(Sigma0: np.ndarray, Sigma1: np.ndarray) -> np.ndarray:
+    g = _sym_sqrt(Sigma0)
+    return sym(g @ _eig_apply(_congruence_inv(g, Sigma1), np.log) @ g)
 
 
 def log_map(Sigma0, Sigma1) -> np.ndarray:
@@ -188,11 +189,12 @@ def log_map(Sigma0, Sigma1) -> np.ndarray:
 
     Inverse of ``geodesic(Sigma0, ., 1)``:  W = g logm(g^-1 Sigma1 g^-1) g.
     """
-    Sigma0 = check_scatter(Sigma0)
-    Sigma1 = check_scatter(Sigma1)
-    g = sym_sqrt(Sigma0)
-    A = _congruence_inv(g, Sigma1)
-    return sym(g @ logm_spd(A, "whitened target") @ g)
+    return _log_map(check_scatter(Sigma0), check_scatter(Sigma1))
+
+
+def _distance(Sigma0: np.ndarray, Sigma1: np.ndarray) -> float:
+    lam = scipy.linalg.eigvalsh(Sigma1, Sigma0)
+    return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
 def distance(Sigma0, Sigma1) -> float:
@@ -202,10 +204,7 @@ def distance(Sigma0, Sigma1) -> float:
     (Sigma1, Sigma0); invariant under simultaneous congruence by any
     invertible matrix.
     """
-    Sigma0 = check_scatter(Sigma0)
-    Sigma1 = check_scatter(Sigma1)
-    lam = scipy.linalg.eigvalsh(Sigma1, Sigma0)
-    return float(np.sqrt(np.sum(np.log(lam) ** 2)))
+    return _distance(check_scatter(Sigma0), check_scatter(Sigma1))
 
 
 def tangent_project(Sigma, S) -> np.ndarray:
@@ -220,6 +219,16 @@ def tangent_project(Sigma, S) -> np.ndarray:
     return S - c * Sigma
 
 
+def _random_direction(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Trace-free symmetric Gaussian matrix scaled to unit Frobenius norm."""
+    while True:
+        S = sym(rng.standard_normal((m, m)))
+        S -= (np.trace(S) / m) * np.eye(m)
+        nrm = np.linalg.norm(S)
+        if nrm > 1e-12:
+            return S / nrm
+
+
 def random_unit_tangent(Sigma, rng: np.random.Generator) -> np.ndarray:
     """Random tangent vector at Sigma with unit metric norm.
 
@@ -228,16 +237,8 @@ def random_unit_tangent(Sigma, rng: np.random.Generator) -> np.ndarray:
     the square root of Sigma, so the law is invariant under the stabilizer
     of Sigma.
     """
-    Sigma = check_scatter(Sigma)
-    m = Sigma.shape[0]
     g = sym_sqrt(Sigma)
-    while True:
-        S = sym(rng.standard_normal((m, m)))
-        S -= (np.trace(S) / m) * np.eye(m)
-        nrm = np.linalg.norm(S)
-        if nrm > 1e-12:
-            break
-    return sym(g @ (S / nrm) @ g)
+    return sym(g @ _random_direction(g.shape[0], rng) @ g)
 
 
 def random_scatter(m: int, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:
@@ -248,9 +249,4 @@ def random_scatter(m: int, rng: np.random.Generator, spread: float = 1.0) -> np.
     """
     if m < 2:
         raise DomainError("dimension must be at least 2")
-    V = sym(rng.standard_normal((m, m)))
-    V -= (np.trace(V) / m) * np.eye(m)
-    nrm = np.linalg.norm(V)
-    if nrm > 0:
-        V *= spread / max(nrm, 1e-12)
-    return expm_sym(V)
+    return _eig_apply(spread * _random_direction(m, rng), np.exp)

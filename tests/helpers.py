@@ -165,3 +165,91 @@ def exact_ray_instance(rng, m: int, n_clusters: int | None = None, spread: float
         "sizes": sizes,
         "slope": slope,
     }
+
+
+# ---------------------------------------------------------------------------
+# reference per-atom loop formulas for the whitened-Gram kernel
+
+
+def ref_logdet_ratios(points: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
+    """log det(X_j^T Sigma^-1 X_j) - log det(X_j^T X_j), one atom at a time."""
+    out = []
+    for X in points:
+        G = X.T @ np.linalg.solve(Sigma, X)
+        out.append(np.linalg.slogdet(G)[1] - np.linalg.slogdet(X.T @ X)[1])
+    return np.array(out)
+
+
+def ref_kernel_sum(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
+    """sum_j w_j X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T, one atom at a time."""
+    S = np.zeros((points.shape[1], points.shape[1]))
+    for w, X in zip(weights, points):
+        G = X.T @ np.linalg.solve(Sigma, X)
+        S += w * (X @ np.linalg.solve(G, X.T))
+    return 0.5 * (S + S.T)
+
+
+def ref_pi_matrices(points: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
+    """Sigma^-1 X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T Sigma^-1, one atom at a time."""
+    out = []
+    for X in points:
+        W = np.linalg.solve(Sigma, X)
+        P = W @ np.linalg.solve(X.T @ W, W.T)
+        out.append(0.5 * (P + P.T))
+    return np.stack(out)
+
+
+def ref_whitened_projectors(points: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Theta_j (Theta_j^T Theta_j)^-1 Theta_j^T with Theta_j = F^-1 X_j, one atom at a time."""
+    out = []
+    for X in points:
+        T = np.linalg.solve(F, X)
+        P = T @ np.linalg.solve(T.T @ T, T.T)
+        out.append(0.5 * (P + P.T))
+    return np.stack(out)
+
+
+def ref_residual(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> float:
+    """|| g^-1 S g^-1 - (r/m) Id ||_F^2 with g = sym_sqrt(Sigma) and S the kernel sum."""
+    _, m, r = points.shape
+    g = sym_sqrt(Sigma)
+    S = ref_kernel_sum(points, weights, Sigma)
+    M = np.linalg.solve(g, np.linalg.solve(g, S).T).T
+    D = M - (r / m) * np.eye(m)
+    return float(np.sum(D * D))
+
+
+def max_mixed_err(value: np.ndarray, reference: np.ndarray) -> float:
+    """Largest entrywise mixed_err between two arrays of the same shape."""
+    value, reference = np.asarray(value), np.asarray(reference)
+    return float(np.max(np.abs(value - reference) / np.maximum(1.0, np.abs(reference))))
+
+
+def scatter_with_condition(rng, m: int, cond: float) -> np.ndarray:
+    """Det-1 SPD matrix with eigenvalue ratio `cond` (geometric spectrum, random eigenbasis)."""
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = np.geomspace(cond ** -0.5, cond ** 0.5, m)
+    S = (Q * lam) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+def conditioned_atoms(rng, n: int, m: int, r: int) -> np.ndarray:
+    """n bases Q_j C_j: orthonormal Q_j times an r x r mix with singular values in [0.5, 2]."""
+    out = []
+    for _ in range(n):
+        Q, _ = np.linalg.qr(rng.standard_normal((m, r)))
+        U, _, Vt = np.linalg.svd(rng.standard_normal((r, r)))
+        out.append(Q @ ((U * rng.uniform(0.5, 2.0, r)) @ Vt))
+    return np.stack(out)
+
+
+def no_ge_lines(seed: int, n: int) -> Empirical:
+    """n lines in R^3 spanning it, all but one inside a random plane (no estimate exists).
+
+    The plane carries mass (n-1)/n > 2/3, so its existence index is negative.
+    """
+    rng = np.random.default_rng(seed)
+    P, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    in_plane = P @ rng.standard_normal((2, n - 1))
+    cols = np.concatenate([in_plane, rng.standard_normal((3, 1))], axis=1)
+    return Empirical(cols.T[:, :, None])

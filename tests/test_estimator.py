@@ -23,8 +23,11 @@ from grassmann_scatter import (
     residual,
     riemannian_descent,
 )
+from grassmann_scatter.cli import main
+from grassmann_scatter.io import write_measure_json
 from helpers import (
     gaussian_points,
+    no_ge_lines,
     orthogonal_lines,
     planar_lines_in_3d,
     random_measure,
@@ -149,6 +152,30 @@ def test_fixed_point_divergence_to_boundary():
     v = V[:, 0] / np.linalg.norm(V[:, 0])
     assert abs(v[0]) > 1 - 1e-6
     assert existence_index(meas, V) == pytest.approx(-0.2, abs=1e-12)
+
+
+def test_no_ge_line_sets_diverge_without_raising(tmp_path):
+    # (3,1) line sets with all but one line in a plane: the boundary flag of
+    # these escapes used to raise (a computed log-map failing the user-input
+    # tangency check, or a revalidated iterate past the conditioning guard)
+    statuses = set()
+    for n in (4, 6, 9, 16):
+        for seed in range(40):
+            meas = no_ge_lines(seed, n)
+            statuses.add(fixed_point_solve(meas).status)
+            path = tmp_path / f"lines_{n}_{seed}.json"
+            write_measure_json(path, meas)
+            out = tmp_path / f"out_{n}_{seed}"
+            assert main(["estimate", "--input", str(path), "--out", str(out)]) == 2
+    assert statuses == {"diverged_to_boundary"}
+
+
+def test_descent_on_no_ge_line_sets_never_raises():
+    # a line-search candidate past the conditioning guard is rejected, not raised
+    for n in (4, 9):
+        for seed in range(5):
+            res = riemannian_descent(no_ge_lines(seed, n))
+            assert res.status in ("diverged_to_boundary", "max_iterations")
 
 
 def test_descent_agrees_on_three_lines():
