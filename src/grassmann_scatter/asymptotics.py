@@ -29,6 +29,7 @@ so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,7 +39,14 @@ from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, fixed_point_solve
 from .grassmann import Empirical, Gaussian, Measure, _gaussian_bases, _projectors, _whiten
 from .likelihood import _materialize
-from .manifold import _congruence_inv, _distance, _sym_sqrt, check_scatter, manifold_dim
+from .manifold import (
+    _congruence_inv,
+    _distance,
+    _sqrt_pair,
+    _sym_sqrt,
+    check_scatter,
+    manifold_dim,
+)
 
 PINV_CUTOFF = 1e-10     # relative eigenvalue cutoff for the pseudo-inverse
 
@@ -104,7 +112,7 @@ def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
     else:
         raise UsageError("empirical measures need an explicit Sigma (evaluation point)")
     emp = _materialize(meas, mc_n, rng, op)
-    P = _projectors(*_whiten(emp.points, _sym_sqrt(Sigma)))
+    P = _projectors(*_whiten(emp.points, _sqrt_pair(Sigma)[1]))
     n, m, r, w = emp.n, emp.m, emp.r, emp.weights
     D = P - (r / m) * np.eye(m)
     V = np.transpose(D, (0, 2, 1)).reshape(n, -1)   # column-major vec of each D_j
@@ -169,21 +177,28 @@ def _rep_rng(seed: int, grid: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(grid, rep)))
 
 
-def _replicate(sigma, r, n, grid, rep, seed, opts) -> np.ndarray:
-    """Estimate from n draws of the Gaussian family at sigma (one replication)."""
+def _replicate(sigma, r, n, grid, rep, seed, opts):
+    """Solver result from n draws of the Gaussian family at sigma (one replication)."""
     rng = _rep_rng(seed, grid, rep)
     emp = Empirical(_gaussian_bases(np.linalg.cholesky(sigma), r, n, rng))
-    return fixed_point_solve(emp, options=opts).estimate
+    return fixed_point_solve(emp, options=opts)
 
 
-def _lln_task(args) -> float:
-    return _distance(_replicate(*args), args[0])
+def _lln_task(args) -> tuple[float, str]:
+    result = _replicate(*args)
+    return _distance(result.estimate, args[0]), result.status
 
 
-def _clt_task(args) -> np.ndarray:
+def _clt_task(args) -> tuple[np.ndarray, str]:
     sigma, n = args[0], args[2]
-    C = _whiten_normalize(_replicate(*args), _sym_sqrt(sigma))
-    return math.sqrt(n) * vec(C - np.eye(sigma.shape[0]))
+    result = _replicate(*args)
+    C = _whiten_normalize(result.estimate, _sym_sqrt(sigma))
+    return math.sqrt(n) * vec(C - np.eye(sigma.shape[0])), result.status
+
+
+def _status_counts(statuses) -> dict[str, int]:
+    """Solver statuses of a batch of replications, counted, keys sorted."""
+    return dict(sorted(Counter(statuses).items()))
 
 
 def _run_tasks(task, args_list, threads: int):
@@ -200,7 +215,9 @@ class LLNReport:
 
     distances has shape (len(ns), reps); quartiles[i] = (q25, q75) of the
     distances for ns[i]; slope is the log-log fit of the medians against n
-    (about -1/2 at the parametric rate).
+    (about -1/2 at the parametric rate).  status_counts[i] counts the solver
+    statuses of the replications for ns[i]; every estimate, converged or not,
+    enters the distances.
     """
 
     ns: list[int]
@@ -210,6 +227,7 @@ class LLNReport:
     quartiles: list[tuple[float, float]]
     slope: float
     distances: np.ndarray = field(repr=False)
+    status_counts: list[dict[str, int]]
 
 
 def lln_experiment(
@@ -235,7 +253,9 @@ def lln_experiment(
         for rep in range(reps)
     ]
     flat = _run_tasks(_lln_task, args, threads)
-    dists = np.array(flat).reshape(len(ns), reps)
+    dists = np.array([d for d, _ in flat]).reshape(len(ns), reps)
+    statuses = [s for _, s in flat]
+    status_counts = [_status_counts(statuses[i * reps:(i + 1) * reps]) for i in range(len(ns))]
     medians = np.median(dists, axis=1)
     q = np.percentile(dists, [25.0, 75.0], axis=1)
     quartiles = [(float(a), float(b)) for a, b in zip(q[0], q[1])]
@@ -243,7 +263,8 @@ def lln_experiment(
         slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
     else:
         slope = float("nan")
-    return LLNReport(ns, reps, seed, [float(x) for x in medians], quartiles, slope, dists)
+    return LLNReport(ns, reps, seed, [float(x) for x in medians], quartiles, slope, dists,
+                     status_counts)
 
 
 @dataclass
@@ -256,6 +277,8 @@ class CLTReport:
                    (vec(Id) and antisymmetric matrices); structural, ~0
     rel_frobenius  ||cov - ref||_F / ||ref||_F
     max_skew       largest |coordinate skewness| (should -> 0 by normality)
+    status_counts  solver statuses of the replications; every estimate,
+                   converged or not, enters cov
     """
 
     n: int
@@ -266,6 +289,7 @@ class CLTReport:
     annihilation: float
     rel_frobenius: float
     max_skew: float
+    status_counts: dict[str, int]
 
 
 def clt_experiment(
@@ -289,7 +313,8 @@ def clt_experiment(
     sigma = check_scatter(sigma, name="sigma")
     opts = options or SolverOptions()
     args = [(sigma, r, n, 0, rep, seed, opts) for rep in range(reps)]
-    Z = np.array(_run_tasks(_clt_task, args, threads))           # (reps, m^2)
+    flat = _run_tasks(_clt_task, args, threads)
+    Z = np.array([z for z, _ in flat])                           # (reps, m^2)
     cov = Z.T @ Z / reps
     if ref is None:
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
@@ -303,4 +328,5 @@ def clt_experiment(
     live = sd > 1e-9 * max(sd.max(), 1e-300)
     skew = (Zc[:, live] ** 3).mean(axis=0) / sd[live] ** 3
     max_skew = float(np.abs(skew).max()) if live.any() else 0.0
-    return CLTReport(n, reps, seed, cov, ref, annihilation, rel_frob, max_skew)
+    return CLTReport(n, reps, seed, cov, ref, annihilation, rel_frob, max_skew,
+                     _status_counts(s for _, s in flat))

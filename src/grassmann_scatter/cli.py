@@ -7,7 +7,9 @@ Subcommands
     clt         fluctuation experiment against the predicted covariance
     gradcheck   finite-difference validation of the exact derivatives
 
-Exit codes: 0 success (estimate found / verdict "unique" / experiment done),
+Exit codes: 0 success (estimate found / verdict "unique" / experiment done,
+also when some replications did not converge: lln/clt then warn and count the
+solver statuses in their report),
 1 boundary case (verdict "limit"), 2 no estimate (verdict "no_ge", diverging
 run, deficient span, degenerate limit law), 3 input or I/O problem,
 4 inconclusive (verdict "inconclusive", iteration budget exhausted, failed
@@ -108,6 +110,13 @@ def _flag_jsonable(flag):
     ]
 
 
+def _non_converged_warning(status_counts) -> list[str]:
+    """``WARN`` line when some replications did not converge (one status count per grid)."""
+    total = sum(sum(c.values()) for c in status_counts)
+    bad = total - sum(c.get("converged", 0) for c in status_counts)
+    return [f"WARN: {bad} of {total} replications did not converge"] if bad else []
+
+
 def _cmd_estimate(args) -> int:
     meas = read_measure_json(args.input)
     start = read_scatter_csv(args.start) if args.start else None
@@ -199,6 +208,7 @@ def _cmd_lln(args) -> int:
         warnings.append(f"LOW_POWER: {args.reps} replications (need {LOW_POWER_REPS['lln']}+)")
     if any(b >= a for a, b in zip(report.medians, report.medians[1:])):
         warnings.append("WARN: median distances are not strictly decreasing across sample sizes")
+    warnings += _non_converged_warning(report.status_counts)
     doc = {
         "ns": report.ns,
         "reps": report.reps,
@@ -206,6 +216,7 @@ def _cmd_lln(args) -> int:
         "medians": report.medians,
         "quartiles": report.quartiles,
         "slope": report.slope,
+        "status_counts": report.status_counts,
         "threads": threads,
         "warnings": warnings,
     }
@@ -230,6 +241,7 @@ def _cmd_clt(args) -> int:
     warnings = []
     if args.reps < LOW_POWER_REPS["clt"]:
         warnings.append(f"LOW_POWER: {args.reps} replications (need {LOW_POWER_REPS['clt']}+)")
+    warnings += _non_converged_warning([report.status_counts])
     doc = {
         "n": report.n,
         "reps": report.reps,
@@ -237,6 +249,7 @@ def _cmd_clt(args) -> int:
         "annihilation": report.annihilation,
         "rel_frobenius": report.rel_frobenius,
         "max_skew": report.max_skew,
+        "status_counts": report.status_counts,
         "threads": threads,
         "warnings": warnings,
     }

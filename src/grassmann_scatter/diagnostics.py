@@ -323,10 +323,11 @@ def asymptotic_slope(meas: Empirical, Sigma, w, gap_tol: float = GAP_TOL) -> flo
 def boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
     """Escape-direction flag of a diverging solver run.
 
-    Normalizes the log-map from the first iterate to the last into a unit
-    velocity and decomposes it.  Raises EmptyFlagError when fewer than two
-    iterates are given or the run is stationary (converged runs have no
-    escape direction).
+    Normalizes the log-map of the last step (second-to-last iterate to the
+    last) into a unit velocity and decomposes it.  Raises EmptyFlagError when
+    fewer than two iterates are given or the run is stationary: its last step
+    is at most half the mean step from the first iterate to the last
+    (converged runs have no escape direction).
     """
     return _boundary_flag([check_scatter(S, name="iterate") for S in iterates], gap_tol)
 
@@ -334,13 +335,15 @@ def boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
 def _boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
     if len(iterates) < 2:
         raise EmptyFlagError("need at least two iterates to extract an escape direction")
-    first_step = _distance(iterates[0], iterates[1])
+    # an escape is a ray, so its steps are steady; the first step from the
+    # start can be several steady steps long, hence the mean step as reference
+    mean_step = _distance(iterates[0], iterates[-1]) / (len(iterates) - 1)
     last_step = _distance(iterates[-2], iterates[-1])
-    if last_step <= max(1e-8, 0.5 * first_step):
+    if last_step <= max(1e-8, 0.5 * mean_step):
         raise EmptyFlagError("iterates are stationary; no escape direction")
-    # log-map W from the first iterate to the last, whitened (v = g^-1 W g^-1),
+    # log-map W of the last step, whitened at its base (v = g^-1 W g^-1),
     # projected onto the tangent space (trace removed), scaled to unit norm
-    g = _sym_sqrt(iterates[0])
+    g = _sym_sqrt(iterates[-2])
     v = _eig_apply(_congruence_inv(g, iterates[-1]), np.log)
     v -= (np.trace(v) / v.shape[0]) * np.eye(v.shape[0])
     return _flag(g, v / np.linalg.norm(v), gap_tol)

@@ -29,16 +29,33 @@ tolerance.  The returned result then carries a boundary flag describing the
 escape direction (see ``diagnostics.boundary_flag``).
 
 Both solvers evaluate the data through one core, ``likelihood._weighted_kernel_sum``
-(built on the whitened-Gram kernel of ``grassmann``).  The residual is
-whitening-invariant, || M - (r/m) Id ||_F^2 is the same for M whitened by
-any factor of Sigma, so it is computed with the Cholesky factor.  Inputs are
-validated once on entry; the iterations run on unchecked cores, and the only
-conditioning decision is the solver's own COND_MAX guard on each iterate.
+(built on the whitened-Gram kernel of ``grassmann``).  Inputs are validated once
+on entry; the iterations run on unchecked cores, and the only conditioning
+decision is the solvers' own COND_MAX guard on each iterate.
+
+Per-iteration budget.  Every iterate comes out of one symmetric eigendecomposition
+T = Q diag(lam) Q^T of the unnormalized update (``_guarded_iterate``), and the
+same eigenvalues serve four purposes: the COND_MAX guard, the determinant-one
+scaling Sigma = T exp(-mean log lam), the factor F = Q diag(sqrt(lam~)) with its
+inverse W = diag(1/sqrt(lam~)) Q^T (lam~ the normalized eigenvalues, which are
+the eigenvalues of Sigma), and the distance from the start.  From the identity,
+the default start, that distance is || log lam~ ||, so no second eigensolve is
+needed; a user start is whitened by its inverse Cholesky factor, taken once per
+solve, and adds one symmetric eigvalsh of the whitened iterate per iteration.
+The kernel whitens all atoms by one product with W and solves one batch of
+r x r Grams (closed form for lines).  An undamped fixed-point iteration from
+the identity therefore makes exactly one eigh and one batched r x r solve.
+The residual is whitening-invariant, || M - (r/m) Id ||_F^2 is the same for M
+whitened by any factor of Sigma, so the solvers use W and ``residual`` uses the
+inverse Cholesky factor.  Moving along a geodesic (damping < 1, descent line
+search) costs one more eigh per iteration: the ray t -> F expm(t V) F^T is
+written in the eigenbasis of the whitened velocity V.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +63,7 @@ from .diagnostics import VelocityFlag, _boundary_flag
 from .errors import EmptyFlagError, ExistenceError, UsageError
 from .grassmann import Empirical, Measure, _columns, _logdet_ratio
 from .likelihood import _defect, _materialize, _weighted_kernel_sum
-from .manifold import COND_MAX, _distance, _geodesic, _log_map, check_scatter
+from .manifold import COND_MAX, _cholesky_pair, check_scatter, sym
 
 
 @dataclass
@@ -106,9 +123,9 @@ def residual(meas: Measure, Sigma, mc_n: int | None = None, rng=None) -> float:
 
     Whitening-invariant, so it is computed with the Cholesky factor of Sigma.
     """
-    F = np.linalg.cholesky(check_scatter(Sigma))
+    L, L_inv = _cholesky_pair(check_scatter(Sigma))
     emp = _materialize(meas, mc_n, rng, "residual")
-    return _defect(_weighted_kernel_sum(emp.points, emp.weights, F)[0], emp.r)
+    return _defect(_weighted_kernel_sum(emp.points, emp.weights, L, L_inv)[0], emp.r)
 
 
 def _check_span(emp: Empirical) -> None:
@@ -138,15 +155,54 @@ def _escape_result(Sigma, res, k, trace, iterates) -> GEResult:
     return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag)
 
 
-def _unimodular_or_none(T: np.ndarray) -> np.ndarray | None:
-    """T rescaled to determinant one, or None past the solvers' one conditioning guard.
+class _Iterate(NamedTuple):
+    """A guarded solver iterate Sigma = F F^T (det 1), W = F^-1, and log eig(Sigma)."""
 
-    The guard: every eigenvalue positive, and their ratio at most COND_MAX.
+    sigma: np.ndarray
+    F: np.ndarray
+    W: np.ndarray
+    loglam: np.ndarray
+
+
+def _guarded_iterate(T: np.ndarray) -> _Iterate | None:
+    """T rescaled to determinant one with its factors, or None past the solvers' guard.
+
+    One eigh of T supplies everything.  The guard: every eigenvalue positive,
+    and their ratio at most COND_MAX.
     """
-    lam = np.linalg.eigvalsh(T)
+    lam, Q = np.linalg.eigh(T)
     if lam[0] <= 0.0 or lam[-1] > COND_MAX * lam[0]:
         return None
-    return T * np.exp(-np.log(lam).mean())
+    loglam = np.log(lam)
+    shift = loglam.mean()
+    loglam -= shift
+    root = np.exp(0.5 * loglam)
+    return _Iterate(T * np.exp(-shift), Q * root, Q.T / root[:, None], loglam)
+
+
+def _distance_from(start: np.ndarray | None):
+    """it -> d(start, it.sigma), the distance the divergence test watches.
+
+    From the identity (start None) it is || log eig(Sigma) ||, read off the
+    guard's eigenvalues.  Any other start whitens the iterate by its inverse
+    Cholesky factor, taken here once, and costs one symmetric eigvalsh per call.
+    """
+    if start is None:
+        return lambda it: float(np.sqrt(it.loglam @ it.loglam))
+
+    W0 = _cholesky_pair(start)[1]
+
+    def from_start(it: _Iterate) -> float:
+        lam = np.log(np.linalg.eigvalsh(W0 @ it.sigma @ W0.T))
+        return float(np.sqrt(lam @ lam))
+
+    return from_start
+
+
+def _ray(it: _Iterate, lam: np.ndarray, Q: np.ndarray):
+    """t -> F expm(t V) F^T: the geodesic from it.sigma with whitened velocity V = Q diag(lam) Q^T."""
+    B = it.F @ Q
+    return lambda t: sym((B * np.exp(t * lam)) @ B.T)
 
 
 def fixed_point_solve(
@@ -166,29 +222,36 @@ def fixed_point_solve(
         raise UsageError("fixed_point_solve needs an empirical measure; sample first")
     opts = options or SolverOptions()
     _check_span(meas)
-    start = np.eye(meas.m) if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
+    start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
+    distance_from_start = _distance_from(start)
 
-    T = start
+    T = np.eye(meas.m) if start is None else start
     iterates: list[np.ndarray] = []
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
-        Sigma = _unimodular_or_none(T)
-        if Sigma is None:
+        it = _guarded_iterate(T)
+        if it is None:
             # conditioning breached before the distance test fired; the run
             # is escaping and the new iterate is numerically unusable
             return _escape_result(iterates[-1], trace[-1][1], k, trace, iterates)
+        Sigma = it.sigma
         iterates.append(Sigma)
-        M, S = _weighted_kernel_sum(meas.points, meas.weights, np.linalg.cholesky(Sigma))
+        M, S = _weighted_kernel_sum(meas.points, meas.weights, it.F, it.W)
         res = _defect(M, meas.r)
-        trace.append((k, res, _distance(start, Sigma)))
+        trace.append((k, res, distance_from_start(it)))
         if res <= opts.tol:
             return GEResult(Sigma, res, k, "converged", trace)
         if _diverged(trace, opts):
             return _escape_result(Sigma, res, k, trace, iterates)
         if k == opts.max_iter:
             break
-        # S is the update target up to scale; the next check normalizes it
-        T = S if opts.damping >= 1.0 else _geodesic(Sigma, _log_map(Sigma, S), opts.damping)
+        # S is the update target up to scale (M = W S W^T, whitened); the next
+        # guard normalizes it.  Damping moves to F M^damping F^T on the geodesic.
+        if opts.damping >= 1.0:
+            T = S
+        else:
+            lam, Q = np.linalg.eigh(M)
+            T = _ray(it, np.log(lam), Q)(opts.damping)
     return GEResult(Sigma, res, opts.max_iter, "max_iterations", trace)
 
 
@@ -211,38 +274,41 @@ def riemannian_descent(
     emp = _materialize(meas, mc_n, rng, "riemannian_descent")
     _check_span(emp)
     m, r = emp.m, emp.r
-    Sigma = np.eye(m) if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
-    start = Sigma
+    start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
+    distance_from_start = _distance_from(start)
 
-    def objective(S):
-        return 0.5 * float(emp.weights @ _logdet_ratio(emp.points, np.linalg.cholesky(S)))
+    def objective(it: _Iterate) -> float:
+        return 0.5 * float(emp.weights @ _logdet_ratio(emp.points, it.W))
 
     step0 = 2.0 * m / r  # undamped fixed-point step, linearized
     step = step0
-    f = objective(Sigma)
-    iterates = [Sigma]
+    it = _guarded_iterate(np.eye(m) if start is None else start)
+    f = objective(it)
+    iterates = [it.sigma]
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
-        M, S = _weighted_kernel_sum(emp.points, emp.weights, np.linalg.cholesky(Sigma))
-        G = (0.5 * r / m) * Sigma - 0.5 * S
+        M, _ = _weighted_kernel_sum(emp.points, emp.weights, it.F, it.W)
         res = _defect(M, r)
         gn2 = 0.25 * res                                  # <G, G>_Sigma
-        trace.append((k, res, _distance(start, Sigma)))
+        trace.append((k, res, distance_from_start(it)))
         if res <= opts.tol:
-            return GEResult(Sigma, res, k, "converged", trace)
+            return GEResult(it.sigma, res, k, "converged", trace)
         if _diverged(trace, opts):
-            return _escape_result(Sigma, res, k, trace, iterates)
+            return _escape_result(it.sigma, res, k, trace, iterates)
         if k == opts.max_iter:
             break
+        # the gradient G = (r/2m) Sigma - S/2 whitened by W is (r/2m) Id - M/2
+        lam, Q = np.linalg.eigh(M)
+        ray = _ray(it, 0.5 * lam - 0.5 * r / m, Q)
         t = step
         for _ in range(60):
-            cand = _unimodular_or_none(_geodesic(Sigma, -G, t))
+            cand = _guarded_iterate(ray(t))
             if cand is not None and (f_new := objective(cand)) <= f - 1e-4 * t * gn2:
                 break
             t *= 0.5
         else:
-            return GEResult(Sigma, res, k, "max_iterations", trace)
-        Sigma, f = cand, f_new
+            return GEResult(it.sigma, res, k, "max_iterations", trace)
+        it, f = cand, f_new
         step = min(2.0 * t, 8.0 * step0)
-        iterates.append(Sigma)
-    return GEResult(Sigma, res, opts.max_iter, "max_iterations", trace)
+        iterates.append(it.sigma)
+    return GEResult(it.sigma, res, opts.max_iter, "max_iterations", trace)

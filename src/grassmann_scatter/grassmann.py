@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .manifold import check_scatter, normalize_det
+from .manifold import _cholesky_pair, check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
@@ -187,7 +187,10 @@ def act_measure(A, meas: Measure) -> Measure:
 
 # ---------------------------------------------------------------------------
 # The whitened-Gram kernel (unchecked cores): every per-atom quantity comes from
-# Theta_j = F^-1 X_j and G_j = Theta_j^T Theta_j = X_j^T Sigma^-1 X_j, F F^T = Sigma.
+# Theta_j = W X_j and G_j = Theta_j^T Theta_j = X_j^T Sigma^-1 X_j, where W = F^-1 is the
+# inverse of a factor F F^T = Sigma.  The core whitens by one product with W; the
+# caller supplies W from the factorization it already has (the solvers' eigh,
+# a Cholesky factor inverted once, or g^-1 from the eigendecomposition behind g).
 
 
 def _columns(points: np.ndarray) -> np.ndarray:
@@ -196,15 +199,15 @@ def _columns(points: np.ndarray) -> np.ndarray:
     return points.transpose(1, 0, 2).reshape(m, n * r)
 
 
-def _solve_atoms(F: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """F^-1 X_j for every atom, (n, m, r): one solve on the (m, n r) layout."""
+def _map_atoms(A: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """A X_j for every atom, (n, m, r): one product on the (m, n r) layout."""
     n, m, r = points.shape
-    return np.linalg.solve(F, _columns(points)).reshape(m, n, r).transpose(1, 0, 2)
+    return (A @ _columns(points)).reshape(m, n, r).transpose(1, 0, 2)
 
 
-def _whiten(points: np.ndarray, F: np.ndarray):
-    """(Theta, G): whitened atoms Theta_j = F^-1 X_j and their Grams G_j, (n, r, r)."""
-    Th = _solve_atoms(F, points)
+def _whiten(points: np.ndarray, W: np.ndarray):
+    """(Theta, G): whitened atoms Theta_j = W X_j and their Grams G_j, (n, r, r)."""
+    Th = _map_atoms(W, points)
     return Th, np.einsum("nir,nis->nrs", Th, Th)
 
 
@@ -220,26 +223,27 @@ def _projectors(A: np.ndarray, G: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.transpose(0, 2, 1))
 
 
-def _pi_matrices(points: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """pi_j = Sigma^-1 X_j G_j^-1 X_j^T Sigma^-1 = F^-T Pi_j F^-1 for every atom."""
-    Th, G = _whiten(points, F)
-    return _projectors(_solve_atoms(F.T, Th), G)
+def _pi_matrices(points: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """pi_j = Sigma^-1 X_j G_j^-1 X_j^T Sigma^-1 = W^T Pi_j W for every atom."""
+    Th, G = _whiten(points, W)
+    return _projectors(_map_atoms(W.T, Th), G)
 
 
-def _logdet_ratio(points: np.ndarray, F: np.ndarray) -> np.ndarray:
+def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
     """log det(X_j^T Sigma^-1 X_j) - log det(X_j^T X_j) for every atom."""
     gram = np.einsum("nir,nis->nrs", points, points)
-    return np.linalg.slogdet(_whiten(points, F)[1])[1] - np.linalg.slogdet(gram)[1]
+    return np.linalg.slogdet(_whiten(points, W)[1])[1] - np.linalg.slogdet(gram)[1]
 
 
 def _atom_pi(X, Sigma: np.ndarray) -> np.ndarray:
     """pi of one validated, orthonormalized basis X at an already validated Sigma."""
-    return _pi_matrices(orthonormalize(check_basis(X))[None], np.linalg.cholesky(Sigma))[0]
+    return _pi_matrices(orthonormalize(check_basis(X))[None], _cholesky_pair(Sigma)[1])[0]
 
 
 def _atom_logdet_ratio(X, Sigma) -> float:
-    """Validated single-atom log-det ratio, with the Cholesky factor of Sigma."""
-    return float(_logdet_ratio(check_basis(X)[None], np.linalg.cholesky(check_scatter(Sigma)))[0])
+    """Validated single-atom log-det ratio, whitened by the inverse Cholesky factor of Sigma."""
+    W = _cholesky_pair(check_scatter(Sigma))[1]
+    return float(_logdet_ratio(check_basis(X)[None], W)[0])
 
 
 def projector(X, Sigma) -> np.ndarray:
@@ -322,8 +326,8 @@ def cocycle(h, r: int) -> float:
     sign, logdet = np.linalg.slogdet(h)
     if sign == 0 or abs(logdet) > 1e-8:
         raise DomainError(f"group element must have |det| = 1, got log|det| = {logdet:.3e}")
-    X0 = np.eye(m, r)[None]                  # h is a factor of h h^T
-    return float(np.exp(-0.5 * m * _logdet_ratio(X0, h)[0]))
+    X0 = np.eye(m, r)[None]                  # h is a factor of h h^T, h^-1 whitens
+    return float(np.exp(-0.5 * m * _logdet_ratio(X0, np.linalg.inv(h))[0]))
 
 
 def modular_parabolic(lam1: float, m: int, r: int) -> float:

@@ -30,10 +30,11 @@ caller-supplied sample size and RNG; empirical measures are exact weighted
 sums, batched over atoms.
 
 Everything here comes from the single whitened-Gram core ``grassmann._whiten``
-(one solve against a factor F F^T = Sigma gives every G_j = X_j^T Sigma^-1 X_j),
-summed over atoms by ``_weighted_kernel_sum``.  Whitening-invariant quantities
-(log-likelihood, gradient, pi, gradient norm, residual) use the Cholesky factor
-of Sigma; ``mean_projector``, defined through g = sym_sqrt(Gamma), uses g.
+(one product with the inverse W = F^-1 of a factor F F^T = Sigma gives every
+G_j = X_j^T Sigma^-1 X_j), summed over atoms by ``_weighted_kernel_sum``.
+Whitening-invariant quantities (log-likelihood, gradient, pi, gradient norm,
+residual) use the Cholesky factor of Sigma and its inverse; ``mean_projector``,
+defined through g = sym_sqrt(Gamma), uses g and g^-1.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .grassmann import (
     _whiten,
     check_basis,
 )
-from .manifold import _sym_sqrt, check_scatter, check_tangent, sym
+from .manifold import _cholesky_pair, _sqrt_pair, check_scatter, check_tangent, sym
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -75,13 +76,14 @@ def _materialize(meas: Measure, mc_n: int | None, rng, op: str) -> Empirical:
     return Empirical(_gaussian_bases(np.linalg.cholesky(meas.sigma), meas.r, int(mc_n), rng))
 
 
-def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray):
-    """(M, S): the mean projector M = sum_j w_j Pi_j whitened by F, and S = F M F^T.
+def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
+                         W: np.ndarray):
+    """(M, S): the mean projector M = sum_j w_j Pi_j whitened by W = F^-1, and S = F M F^T.
 
     S = sum_j w_j X_j G_j^-1 X_j^T is the same for every factor F F^T = Sigma.
     """
     n, m, r = points.shape
-    Th, G = _whiten(points, F)
+    Th, G = _whiten(points, W)
     H = _gram_solve(G, Th) * weights[:, None, None]        # w_j G_j^-1 Theta_j^T
     M = sym(_columns(Th) @ H.reshape(n * r, m))
     return M, sym(F @ M @ F.T)
@@ -108,9 +110,9 @@ def loglik(meas: Measure, Sigma, mc_n: int | None = None, rng=None):
     measures: Monte Carlo with ``mc_n`` draws, returned as a
     MonteCarloEstimate (value, stderr); mc_n=None raises UsageError.
     """
-    F = np.linalg.cholesky(check_scatter(Sigma))
+    W = _cholesky_pair(check_scatter(Sigma))[1]
     emp = _materialize(meas, mc_n, rng, "loglik")
-    vals = 0.5 * _logdet_ratio(emp.points, F)
+    vals = 0.5 * _logdet_ratio(emp.points, W)
     if isinstance(meas, Empirical):
         return float(meas.weights @ vals)
     n = len(vals)
@@ -119,7 +121,7 @@ def loglik(meas: Measure, Sigma, mc_n: int | None = None, rng=None):
 
 
 def _grad(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    _, S = _weighted_kernel_sum(points, weights, np.linalg.cholesky(Sigma))
+    _, S = _weighted_kernel_sum(points, weights, *_cholesky_pair(Sigma))
     _, m, r = points.shape
     return sym((0.5 * r / m) * Sigma - 0.5 * S)
 
@@ -162,7 +164,7 @@ def hess_quadform(meas: Measure, Sigma, Z, mc_n: int | None = None, rng=None) ->
     Sigma = check_scatter(Sigma)
     Z = check_tangent(Sigma, Z)
     emp = _materialize(meas, mc_n, rng, "hess_quadform")
-    pi = _pi_matrices(emp.points, np.linalg.cholesky(Sigma))
+    pi = _pi_matrices(emp.points, _cholesky_pair(Sigma)[1])
     A = np.linalg.solve(Sigma, Z)                               # Sigma^-1 Z
     B = np.einsum("nij,jk->nik", pi, Z)                         # pi_j Z
     t1 = np.einsum("ij,nji->n", A, B)                           # tr(Sigma^-1 Z pi Z)
@@ -177,9 +179,9 @@ def mean_projector(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> n
     the lower bound attained iff M = (r/m) Id, i.e. iff Gamma solves the
     estimating equation.
     """
-    g = _sym_sqrt(check_scatter(Gamma))
+    g, g_inv = _sqrt_pair(check_scatter(Gamma))
     emp = _materialize(meas, mc_n, rng, "mean_projector")
-    return _weighted_kernel_sum(emp.points, emp.weights, g)[0]
+    return _weighted_kernel_sum(emp.points, emp.weights, g, g_inv)[0]
 
 
 def grad_norm_sq(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> float:
@@ -188,9 +190,9 @@ def grad_norm_sq(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> flo
     Nonnegative; zero exactly at critical points of the objective.  The norm
     is whitening-invariant, so M is whitened by the Cholesky factor.
     """
-    F = np.linalg.cholesky(check_scatter(Gamma))
+    L, L_inv = _cholesky_pair(check_scatter(Gamma))
     emp = _materialize(meas, mc_n, rng, "grad_norm_sq")
-    return 0.25 * _defect(_weighted_kernel_sum(emp.points, emp.weights, F)[0], emp.r)
+    return 0.25 * _defect(_weighted_kernel_sum(emp.points, emp.weights, L, L_inv)[0], emp.r)
 
 
 def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
@@ -211,7 +213,7 @@ def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
         raise UsageError("grad_norm_sq_grad requires uniform weights")
     Gamma = check_scatter(Gamma)
     n = meas.n
-    pi = _pi_matrices(meas.points, np.linalg.cholesky(Gamma))
+    pi = _pi_matrices(meas.points, _cholesky_pair(Gamma)[1])
     S = pi.sum(axis=0)
     inner_mat = Gamma @ S @ Gamma
     K = np.einsum("nij,jk,nkl->il", pi, inner_mat, pi)

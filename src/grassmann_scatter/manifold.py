@@ -132,6 +132,19 @@ def _sym_sqrt(Sigma: np.ndarray) -> np.ndarray:
     return _eig_apply(Sigma, np.sqrt)
 
 
+def _sqrt_pair(Sigma: np.ndarray):
+    """(g, g^-1) for g = sym_sqrt(Sigma), from one eigendecomposition."""
+    lam, Q = np.linalg.eigh(Sigma)
+    root = np.sqrt(lam)
+    return sym((Q * root) @ Q.T), sym((Q / root) @ Q.T)
+
+
+def _cholesky_pair(Sigma: np.ndarray):
+    """(L, L^-1) for the Cholesky factor L L^T = Sigma: a factor and the inverse that whitens."""
+    L = np.linalg.cholesky(Sigma)
+    return L, np.linalg.inv(L)
+
+
 def sym_sqrt(Sigma) -> np.ndarray:
     """Unique symmetric positive-definite square root g with g g = Sigma.
 

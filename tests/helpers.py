@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from grassmann_scatter import Empirical, sym_sqrt
 
@@ -253,3 +254,52 @@ def no_ge_lines(seed: int, n: int) -> Empirical:
     in_plane = P @ rng.standard_normal((2, n - 1))
     cols = np.concatenate([in_plane, rng.standard_normal((3, 1))], axis=1)
     return Empirical(cols.T[:, :, None])
+
+
+# ---------------------------------------------------------------------------
+# reference fixed-point loop: four factorizations of each iterate
+
+
+def ref_fixed_point(meas: Empirical, Sigma0=None, options=None):
+    """The fixed-point loop with a separate factorization for each use of the iterate.
+
+    Per iteration: an eigvalsh for the COND_MAX guard, a Cholesky factor, an LU
+    solve against it to whiten the atoms, and a generalized symmetric-definite
+    eigvalsh for the distance from the start; damping moves along the geodesic
+    through the library's square-root cores.  Returns (status, iterations,
+    trace, estimate) with the solver's status names and trace layout.
+    """
+    from grassmann_scatter import SolverOptions
+    from grassmann_scatter.manifold import COND_MAX, _geodesic, _log_map
+
+    opts = options or SolverOptions()
+    n, m, r = meas.points.shape
+    start = np.eye(m) if Sigma0 is None else np.asarray(Sigma0, dtype=float)
+    cols = meas.points.transpose(1, 0, 2).reshape(m, n * r)
+    T, Sigma, trace = start, None, []
+    for k in range(opts.max_iter + 1):
+        lam = np.linalg.eigvalsh(T)
+        if lam[0] <= 0.0 or lam[-1] > COND_MAX * lam[0]:
+            return "diverged_to_boundary", k, trace, Sigma
+        Sigma = T * np.exp(-np.log(lam).mean())
+        F = np.linalg.cholesky(Sigma)
+        Th = np.linalg.solve(F, cols).reshape(m, n, r).transpose(1, 0, 2)
+        G = np.einsum("nir,nis->nrs", Th, Th)
+        At = Th.transpose(0, 2, 1)
+        H = (At / G if r == 1 else np.linalg.solve(G, At)) * meas.weights[:, None, None]
+        M = Th.transpose(1, 0, 2).reshape(m, n * r) @ H.reshape(n * r, m)
+        M = 0.5 * (M + M.T)
+        S = F @ M @ F.T
+        S = 0.5 * (S + S.T)
+        D = M - (r / m) * np.eye(m)
+        dist = float(np.sqrt(np.sum(np.log(scipy.linalg.eigvalsh(Sigma, start)) ** 2)))
+        trace.append((k, float(np.sum(D * D)), dist))
+        if trace[-1][1] <= opts.tol:
+            return "converged", k, trace, Sigma
+        w = opts.divergence_window
+        if k >= w and dist - trace[k - w][2] >= opts.divergence_growth:
+            return "diverged_to_boundary", k, trace, Sigma
+        if k == opts.max_iter:
+            break
+        T = S if opts.damping >= 1.0 else _geodesic(Sigma, _log_map(Sigma, S), opts.damping)
+    return "max_iterations", opts.max_iter, trace, Sigma

@@ -162,7 +162,12 @@ def test_no_ge_line_sets_diverge_without_raising(tmp_path):
     for n in (4, 6, 9, 16):
         for seed in range(40):
             meas = no_ge_lines(seed, n)
-            statuses.add(fixed_point_solve(meas).status)
+            result = fixed_point_solve(meas)
+            statuses.add(result.status)
+            # every escape names its flag, and the flag explains the escape
+            assert result.boundary is not None and result.boundary.pairs, (n, seed)
+            slope = sum(a * existence_index(meas, V) for a, V in result.boundary.pairs)
+            assert slope < 0.0, (n, seed)
             path = tmp_path / f"lines_{n}_{seed}.json"
             write_measure_json(path, meas)
             out = tmp_path / f"out_{n}_{seed}"

@@ -246,6 +246,8 @@ def test_cli_lln_low_power_and_non_monotone_warn(tmp_path):
     assert any(w.startswith("WARN") for w in doc["warnings"])
     assert doc["ns"] == [40, 41] and doc["threads"] == 1
     assert len(doc["medians"]) == 2 and len(doc["quartiles"]) == 2
+    assert doc["status_counts"] == [{"converged": 2}, {"converged": 2}]
+    assert not any("did not converge" in w for w in doc["warnings"])
     assert read_matrix_csv(out / "distances.csv").shape == (2, 2)  # replicate rows
 
 
@@ -260,6 +262,25 @@ def test_cli_clt_low_power_smoke(tmp_path):
     assert read_matrix_csv(out / "cov.csv").shape == (4, 4)
     assert read_matrix_csv(out / "ref.csv").shape == (4, 4)
     assert (out / "replay.json").exists()
+
+
+def test_cli_experiments_count_non_converged_replications(tmp_path):
+    # one iteration converges no replication: each is counted and the run warns
+    out = tmp_path / "lln"
+    code = main(["lln", "--m", "2", "--r", "1", "--ns", "30,40", "--reps", "3",
+                 "--seed", "2", "--max-iter", "1", "--out", str(out)])
+    assert code == 0
+    doc = load_json(out / "lln.json")
+    assert doc["status_counts"] == [{"max_iterations": 3}, {"max_iterations": 3}]
+    assert "WARN: 6 of 6 replications did not converge" in doc["warnings"]
+
+    out = tmp_path / "clt"
+    code = main(["clt", "--m", "2", "--r", "1", "--n", "80", "--reps", "4", "--seed", "3",
+                 "--ref-mc", "2000", "--max-iter", "1", "--out", str(out)])
+    assert code == 0
+    doc = load_json(out / "clt.json")
+    assert doc["status_counts"] == {"max_iterations": 4}
+    assert "WARN: 4 of 4 replications did not converge" in doc["warnings"]
 
 
 def test_cli_gradcheck_default_seed_passes(tmp_path):

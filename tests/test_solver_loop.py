@@ -1,0 +1,135 @@
+"""The single-eigh fixed-point loop against the four-factorization reference loop,
+its trace distances against the public distance, and its LAPACK budget."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from grassmann_scatter import Empirical, SolverOptions, distance, fixed_point_solve, random_scatter
+from helpers import max_mixed_err, mixed_err, no_ge_lines, ref_fixed_point
+
+TRACE_TOL = 1e-10       # mixed error of trace distances against the reference loop
+DISTANCE_TOL = 1e-12    # trace distance against public distance(start, Sigma_k)
+EPS = np.finfo(float).eps
+SEEDS = range(6)
+
+
+def _datasets(seed):
+    """Generic, threshold+1 (5,2,5) and (4,1,6), and no-GE line sets."""
+    rng = np.random.default_rng(seed)
+    return {
+        "generic(3,2,25)": Empirical(rng.standard_normal((25, 3, 2))),
+        "threshold(5,2,5)": Empirical(rng.standard_normal((5, 5, 2))),
+        "threshold(4,1,6)": Empirical(rng.standard_normal((6, 4, 1))),
+        "no_ge(3,1,9)": no_ge_lines(seed, 9),
+    }
+
+
+def _variants(m, seed):
+    start = random_scatter(m, np.random.default_rng(seed + 1000), spread=1.0)
+    return {
+        "identity": (None, SolverOptions()),
+        "Sigma0": (start, SolverOptions()),
+        "damping": (None, SolverOptions(damping=0.5)),
+    }
+
+
+def test_loop_matches_reference_loop():
+    statuses = Counter()
+    for seed in SEEDS:
+        for name, meas in _datasets(seed).items():
+            for label, (start, opts) in _variants(meas.m, seed).items():
+                new = fixed_point_solve(meas, Sigma0=start, options=opts)
+                status, iterations, trace, _ = ref_fixed_point(meas, Sigma0=start, options=opts)
+                case = (name, seed, label)
+                assert (new.status, new.iterations) == (status, iterations), case
+                assert len(new.trace) == len(trace), case
+                statuses[new.status] += 1
+                if status == "diverged_to_boundary":
+                    continue
+                err = max(mixed_err(a[2], b[2]) for a, b in zip(new.trace, trace))
+                assert err <= TRACE_TOL, case
+                assert max_mixed_err([a[1] for a in new.trace], [b[1] for b in trace]) <= TRACE_TOL
+    # every exit is exercised: seeds 1, 2 and 5 run out of budget when damped
+    assert set(statuses) == {"converged", "max_iterations", "diverged_to_boundary"}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_guard_alone_stops_no_ge_run_on_the_same_iteration(seed):
+    # with the distance test out of reach only the COND_MAX guard can end the escape
+    meas = no_ge_lines(seed, 9)
+    opts = SolverOptions(divergence_growth=1e6, max_iter=3000)
+    new = fixed_point_solve(meas, options=opts)
+    status, iterations, trace, _ = ref_fixed_point(meas, options=opts)
+    assert new.status == status == "diverged_to_boundary"
+    assert new.iterations == iterations < opts.max_iter
+    assert new.trace[-1][2] < 1e6
+
+
+def _iterate(meas, start, k):
+    """Sigma_k of the run: the estimate returned when the budget ends at k."""
+    return fixed_point_solve(meas, Sigma0=start, options=SolverOptions(max_iter=k)).estimate
+
+
+@pytest.mark.parametrize("case", ["generic", "generic-Sigma0", "no_ge", "no_ge-Sigma0"])
+def test_trace_distance_is_public_distance_from_start(case):
+    rng = np.random.default_rng(7)
+    meas = Empirical(rng.standard_normal((25, 3, 2))) if case.startswith("generic") \
+        else no_ge_lines(4, 9)
+    start = random_scatter(3, rng, spread=1.0) if case.endswith("Sigma0") else None
+    result = fixed_point_solve(meas, Sigma0=start)
+    origin = np.eye(3) if start is None else start
+    checked = 0
+    for k, _, d_k in result.trace[1:]:
+        Sigma_k = _iterate(meas, start, k)
+        cond = np.linalg.cond(Sigma_k)
+        if cond > 1e6:
+            break
+        # the smallest eigenvalue of a cond-conditioned matrix is only determined
+        # to eps * cond relative, so two backward-stable eigensolvers may differ
+        # by that much (seen up to 0.57 eps cond); below cond 4.5e3 it is 1e-12
+        tol = max(DISTANCE_TOL, EPS * cond)
+        assert mixed_err(d_k, distance(origin, Sigma_k)) <= tol, k
+        checked += 1
+    assert checked >= 5         # a no-GE escape passes condition 1e6 after 6 iterations
+
+
+def _record_linalg(monkeypatch):
+    """Count every numpy.linalg and scipy.linalg call as (module, name, shape of arg 0)."""
+    calls = []
+
+    def recording(module, name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((module, name, np.shape(args[0]) if args else None))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, label in ((np.linalg, "numpy"), (scipy.linalg, "scipy")):
+        for name in module.__all__:
+            fn = getattr(module, name, None)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(module, name, recording(label, name, fn))
+    return calls
+
+
+@pytest.mark.parametrize("with_start", [False, True])
+def test_lapack_budget_per_iteration(monkeypatch, with_start):
+    rng = np.random.default_rng(12)
+    meas = Empirical(rng.standard_normal((25, 3, 2)))
+    start = random_scatter(3, rng) if with_start else None
+    calls = _record_linalg(monkeypatch)
+    result = fixed_point_solve(meas, Sigma0=start, options=SolverOptions(tol=1e-14))
+    assert result.converged and result.iterations >= 30
+    evaluations = len(result.trace)             # iterations + 1: the start is evaluated too
+    assert not [c for c in calls if c[0] == "scipy"]
+    assert not [c for c in calls if c[1] == "solve" and c[2] == (3, 3)]
+    names = Counter(name for _, name, _ in calls)
+    expected = {"svd": 1, "eigh": evaluations, "solve": evaluations}   # span check once
+    assert all(c[2] == (25, 2, 2) for c in calls if c[1] == "solve")
+    if with_start:
+        # validation, then the start's inverse Cholesky factor once per solve,
+        # then one eigvalsh of the start-whitened iterate per evaluation
+        expected.update(eigvalsh=1 + evaluations, cholesky=1, inv=1)
+    assert names == Counter(expected)
