@@ -10,8 +10,8 @@ times one ``fixed_point_solve`` per configuration with ``iters`` iterations
 (tol 1e-300, so no run stops early) and reports wall time / iterations.  The
 record gives the median and quartiles over repeats per tree and configuration,
 plus nproc, the BLAS thread variables, the numpy/scipy versions and the git
-commit of each tree.  With --out, the record is appended to that file's
-"entries" list.  Only the standard library and numpy are imported here; the
+commit of each tree: one entry per tree.  With --out, the entries are
+appended to that file's "entries" list.  Only the standard library and numpy are imported here; the
 package itself is imported by the workers.
 """
 
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
                         help="a source tree to time (repeatable; default: this repo's src)")
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--iters", type=int, default=30)
-    parser.add_argument("--out", default=None, help="JSON file whose 'entries' list gets the record")
+    parser.add_argument("--out", default=None, help="JSON file whose 'entries' list gets one entry per tree")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -106,8 +106,9 @@ def main(argv=None) -> int:
                                   env=env, capture_output=True, text=True, check=True)
             for key, us in json.loads(proc.stdout).items():
                 samples[label][key].append(us)
-    record = {
+    common = {
         "what": "us per fixed-point iteration (wall / iterations), one solve per repeat",
+        "interleaved_with": list(trees),
         "repeats": args.repeats,
         "iterations": args.iters,
         "seed": SEED,
@@ -116,17 +117,17 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": version("numpy"),
         "scipy": version("scipy"),
-        "trees": {
-            label: {"commit": _git_commit(src),
-                    "us_per_iter": {key: _quartiles(v) for key, v in samples[label].items()}}
-            for label, src in trees.items()
-        },
     }
-    print(json.dumps(record, indent=2))
+    entries = [
+        {"tree": label, "commit": _git_commit(src), **common,
+         "us_per_iter": {key: _quartiles(v) for key, v in samples[label].items()}}
+        for label, src in trees.items()
+    ]
+    print(json.dumps(entries, indent=2))
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {"entries": []}
-        doc["entries"].append(record)
+        doc["entries"].extend(entries)
         path.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

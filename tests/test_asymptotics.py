@@ -7,7 +7,6 @@ from grassmann_scatter import (
     DegeneracyError,
     Empirical,
     Gaussian,
-    SolverOptions,
     UsageError,
     clt_experiment,
     commutation_matrix,
@@ -313,12 +312,6 @@ def test_lln_report_summaries_match_raw_distances():
         assert lo <= report.medians[i] <= hi
     slope = np.polyfit(np.log(report.ns), np.log(report.medians), 1)[0]
     assert report.slope == pytest.approx(slope)
-
-
-def test_lln_report_counts_solver_statuses_per_sample_size():
-    report = lln_experiment(np.eye(2), 1, [30, 60], 4, 3, options=SolverOptions(max_iter=1))
-    assert report.status_counts == [{"max_iterations": 4}, {"max_iterations": 4}]
-    assert lln_experiment(np.eye(2), 1, [30], 3, 3).status_counts == [{"converged": 3}]
 
 
 def test_lln_worker_count_does_not_change_results():
