@@ -42,7 +42,7 @@ from .likelihood import _materialize
 from .manifold import (
     _congruence_inv,
     _distance,
-    _sqrt_pair,
+    _eig_apply,
     _sym_sqrt,
     check_scatter,
     manifold_dim,
@@ -112,7 +112,7 @@ def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
     else:
         raise UsageError("empirical measures need an explicit Sigma (evaluation point)")
     emp = _materialize(meas, mc_n, rng, op)
-    P = _projectors(*_whiten(emp.points, _sqrt_pair(Sigma)[1]))
+    P = _projectors(*_whiten(emp.points, _eig_apply(Sigma, lambda lam: 1.0 / np.sqrt(lam))))
     n, m, r, w = emp.n, emp.m, emp.r, emp.weights
     D = P - (r / m) * np.eye(m)
     V = np.transpose(D, (0, 2, 1)).reshape(n, -1)   # column-major vec of each D_j

@@ -48,8 +48,8 @@ the identity therefore makes exactly one eigh and one batched r x r solve.
 The residual is whitening-invariant, || M - (r/m) Id ||_F^2 is the same for M
 whitened by any factor of Sigma, so the solvers use W and ``residual`` uses the
 inverse Cholesky factor.  Moving along a geodesic (damping < 1, descent line
-search) costs one more eigh per iteration: the ray t -> F expm(t V) F^T is
-written in the eigenbasis of the whitened velocity V.
+search) goes through ``manifold._geodesic``/``_log_map`` and costs their
+factorizations on top.
 """
 
 from __future__ import annotations
@@ -63,7 +63,14 @@ from .diagnostics import VelocityFlag, _boundary_flag
 from .errors import EmptyFlagError, ExistenceError, UsageError
 from .grassmann import Empirical, Measure, _columns, _logdet_ratio
 from .likelihood import _defect, _materialize, _weighted_kernel_sum
-from .manifold import COND_MAX, _cholesky_pair, check_scatter, sym
+from .manifold import (
+    COND_MAX,
+    _cholesky_pair,
+    _geodesic,
+    _inv_cholesky,
+    _log_map,
+    check_scatter,
+)
 
 
 @dataclass
@@ -190,19 +197,13 @@ def _distance_from(start: np.ndarray | None):
     if start is None:
         return lambda it: float(np.sqrt(it.loglam @ it.loglam))
 
-    W0 = _cholesky_pair(start)[1]
+    W0 = _inv_cholesky(start)
 
     def from_start(it: _Iterate) -> float:
         lam = np.log(np.linalg.eigvalsh(W0 @ it.sigma @ W0.T))
         return float(np.sqrt(lam @ lam))
 
     return from_start
-
-
-def _ray(it: _Iterate, lam: np.ndarray, Q: np.ndarray):
-    """t -> F expm(t V) F^T: the geodesic from it.sigma with whitened velocity V = Q diag(lam) Q^T."""
-    B = it.F @ Q
-    return lambda t: sym((B * np.exp(t * lam)) @ B.T)
 
 
 def fixed_point_solve(
@@ -245,13 +246,8 @@ def fixed_point_solve(
             return _escape_result(Sigma, res, k, trace, iterates)
         if k == opts.max_iter:
             break
-        # S is the update target up to scale (M = W S W^T, whitened); the next
-        # guard normalizes it.  Damping moves to F M^damping F^T on the geodesic.
-        if opts.damping >= 1.0:
-            T = S
-        else:
-            lam, Q = np.linalg.eigh(M)
-            T = _ray(it, np.log(lam), Q)(opts.damping)
+        # S is the update target up to scale; the next guard normalizes it
+        T = S if opts.damping >= 1.0 else _geodesic(Sigma, _log_map(Sigma, S), opts.damping)
     return GEResult(Sigma, res, opts.max_iter, "max_iterations", trace)
 
 
@@ -287,7 +283,8 @@ def riemannian_descent(
     iterates = [it.sigma]
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
-        M, _ = _weighted_kernel_sum(emp.points, emp.weights, it.F, it.W)
+        M, S = _weighted_kernel_sum(emp.points, emp.weights, it.F, it.W)
+        G = (0.5 * r / m) * it.sigma - 0.5 * S
         res = _defect(M, r)
         gn2 = 0.25 * res                                  # <G, G>_Sigma
         trace.append((k, res, distance_from_start(it)))
@@ -297,12 +294,9 @@ def riemannian_descent(
             return _escape_result(it.sigma, res, k, trace, iterates)
         if k == opts.max_iter:
             break
-        # the gradient G = (r/2m) Sigma - S/2 whitened by W is (r/2m) Id - M/2
-        lam, Q = np.linalg.eigh(M)
-        ray = _ray(it, 0.5 * lam - 0.5 * r / m, Q)
         t = step
         for _ in range(60):
-            cand = _guarded_iterate(ray(t))
+            cand = _guarded_iterate(_geodesic(it.sigma, -G, t))
             if cand is not None and (f_new := objective(cand)) <= f - 1e-4 * t * gn2:
                 break
             t *= 0.5

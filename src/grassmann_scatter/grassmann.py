@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .manifold import _cholesky_pair, check_scatter, normalize_det
+from .manifold import _inv_cholesky, check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
@@ -237,12 +237,12 @@ def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _atom_pi(X, Sigma: np.ndarray) -> np.ndarray:
     """pi of one validated, orthonormalized basis X at an already validated Sigma."""
-    return _pi_matrices(orthonormalize(check_basis(X))[None], _cholesky_pair(Sigma)[1])[0]
+    return _pi_matrices(orthonormalize(check_basis(X))[None], _inv_cholesky(Sigma))[0]
 
 
 def _atom_logdet_ratio(X, Sigma) -> float:
     """Validated single-atom log-det ratio, whitened by the inverse Cholesky factor of Sigma."""
-    W = _cholesky_pair(check_scatter(Sigma))[1]
+    W = _inv_cholesky(check_scatter(Sigma))
     return float(_logdet_ratio(check_basis(X)[None], W)[0])
 
 

@@ -57,7 +57,14 @@ from .grassmann import (
     _whiten,
     check_basis,
 )
-from .manifold import _cholesky_pair, _sqrt_pair, check_scatter, check_tangent, sym
+from .manifold import (
+    _cholesky_pair,
+    _inv_cholesky,
+    _sqrt_pair,
+    check_scatter,
+    check_tangent,
+    sym,
+)
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -110,7 +117,7 @@ def loglik(meas: Measure, Sigma, mc_n: int | None = None, rng=None):
     measures: Monte Carlo with ``mc_n`` draws, returned as a
     MonteCarloEstimate (value, stderr); mc_n=None raises UsageError.
     """
-    W = _cholesky_pair(check_scatter(Sigma))[1]
+    W = _inv_cholesky(check_scatter(Sigma))
     emp = _materialize(meas, mc_n, rng, "loglik")
     vals = 0.5 * _logdet_ratio(emp.points, W)
     if isinstance(meas, Empirical):
@@ -164,7 +171,7 @@ def hess_quadform(meas: Measure, Sigma, Z, mc_n: int | None = None, rng=None) ->
     Sigma = check_scatter(Sigma)
     Z = check_tangent(Sigma, Z)
     emp = _materialize(meas, mc_n, rng, "hess_quadform")
-    pi = _pi_matrices(emp.points, _cholesky_pair(Sigma)[1])
+    pi = _pi_matrices(emp.points, _inv_cholesky(Sigma))
     A = np.linalg.solve(Sigma, Z)                               # Sigma^-1 Z
     B = np.einsum("nij,jk->nik", pi, Z)                         # pi_j Z
     t1 = np.einsum("ij,nji->n", A, B)                           # tr(Sigma^-1 Z pi Z)
@@ -213,7 +220,7 @@ def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
         raise UsageError("grad_norm_sq_grad requires uniform weights")
     Gamma = check_scatter(Gamma)
     n = meas.n
-    pi = _pi_matrices(meas.points, _cholesky_pair(Gamma)[1])
+    pi = _pi_matrices(meas.points, _inv_cholesky(Gamma))
     S = pi.sum(axis=0)
     inner_mat = Gamma @ S @ Gamma
     K = np.einsum("nij,jk,nkl->il", pi, inner_mat, pi)

@@ -145,6 +145,11 @@ def _cholesky_pair(Sigma: np.ndarray):
     return L, np.linalg.inv(L)
 
 
+def _inv_cholesky(Sigma: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L L^T = Sigma, for callers that only whiten."""
+    return np.linalg.inv(np.linalg.cholesky(Sigma))
+
+
 def sym_sqrt(Sigma) -> np.ndarray:
     """Unique symmetric positive-definite square root g with g g = Sigma.
 

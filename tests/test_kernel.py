@@ -127,5 +127,7 @@ def test_kernel_sum_factors_no_batch_of_m_by_m_matrices(monkeypatch, m, r):
     _weighted_kernel_sum(points, np.full(50, 0.02), L, L_inv)
     if r == 1:
         assert seen == []       # lines: closed-form Grams, no factorization at all
+    else:
+        assert seen, "the kernel made no numpy.linalg call"
     batched_square = [s for s in seen if len(s) >= 3 and s[-2:] == (m, m)]
     assert batched_square == []
