@@ -39,14 +39,7 @@ from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, fixed_point_solve
 from .grassmann import Empirical, Gaussian, Measure, _gaussian_bases, _projectors, _whiten
 from .likelihood import _materialize
-from .manifold import (
-    _congruence_inv,
-    _distance,
-    _eig_apply,
-    _sym_sqrt,
-    check_scatter,
-    manifold_dim,
-)
+from .manifold import _congruence_inv, _distance, _sqrt_pair, check_scatter, manifold_dim
 
 PINV_CUTOFF = 1e-10     # relative eigenvalue cutoff for the pseudo-inverse
 
@@ -96,7 +89,7 @@ def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
     equals Id exactly when Sigma_hat = Sigma.
     """
     Sigma_hat = check_scatter(Sigma_hat, name="Sigma_hat")
-    return _whiten_normalize(Sigma_hat, _sym_sqrt(check_scatter(Sigma)))
+    return _whiten_normalize(Sigma_hat, _sqrt_pair(check_scatter(Sigma))[0])
 
 
 def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
@@ -112,7 +105,7 @@ def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
     else:
         raise UsageError("empirical measures need an explicit Sigma (evaluation point)")
     emp = _materialize(meas, mc_n, rng, op)
-    P = _projectors(*_whiten(emp.points, _eig_apply(Sigma, lambda lam: 1.0 / np.sqrt(lam))))
+    P = _projectors(*_whiten(emp.points, _sqrt_pair(Sigma)[1]))
     n, m, r, w = emp.n, emp.m, emp.r, emp.weights
     D = P - (r / m) * np.eye(m)
     V = np.transpose(D, (0, 2, 1)).reshape(n, -1)   # column-major vec of each D_j
@@ -184,21 +177,23 @@ def _replicate(sigma, r, n, grid, rep, seed, opts):
     return fixed_point_solve(emp, options=opts)
 
 
-def _lln_task(args) -> tuple[float, str]:
+def _lln_task(args) -> tuple[float, str, int]:
     result = _replicate(*args)
-    return _distance(result.estimate, args[0]), result.status
+    return _distance(result.estimate, args[0]), result.status, result.iterations
 
 
-def _clt_task(args) -> tuple[np.ndarray, str]:
+def _clt_task(args) -> tuple[np.ndarray, str, int]:
     sigma, n = args[0], args[2]
     result = _replicate(*args)
-    C = _whiten_normalize(result.estimate, _sym_sqrt(sigma))
-    return math.sqrt(n) * vec(C - np.eye(sigma.shape[0])), result.status
+    C = _whiten_normalize(result.estimate, _sqrt_pair(sigma)[0])
+    return math.sqrt(n) * vec(C - np.eye(sigma.shape[0])), result.status, result.iterations
 
 
-def _status_counts(statuses) -> dict[str, int]:
-    """Solver statuses of a batch of replications, counted, keys sorted."""
-    return dict(sorted(Counter(statuses).items()))
+def _outcomes(flat) -> tuple[dict[str, int], tuple[float, float, float]]:
+    """Status counts (keys sorted) and iteration (median, q90, max) of a batch of replications."""
+    counts = dict(sorted(Counter(status for _, status, _ in flat).items()))
+    median, q90, top = np.percentile([k for _, _, k in flat], [50.0, 90.0, 100.0])
+    return counts, (float(median), float(q90), float(top))
 
 
 def _run_tasks(task, args_list, threads: int):
@@ -216,8 +211,9 @@ class LLNReport:
     distances has shape (len(ns), reps); quartiles[i] = (q25, q75) of the
     distances for ns[i]; slope is the log-log fit of the medians against n
     (about -1/2 at the parametric rate).  status_counts[i] counts the solver
-    statuses of the replications for ns[i]; every estimate, converged or not,
-    enters the distances.
+    statuses of the replications for ns[i] and iteration_quantiles[i] gives
+    the (median, q90, max) of their iteration counts; every estimate,
+    converged or not, enters the distances.
     """
 
     ns: list[int]
@@ -228,6 +224,7 @@ class LLNReport:
     slope: float
     distances: np.ndarray = field(repr=False)
     status_counts: list[dict[str, int]]
+    iteration_quantiles: list[tuple[float, float, float]]
 
 
 def lln_experiment(
@@ -253,9 +250,8 @@ def lln_experiment(
         for rep in range(reps)
     ]
     flat = _run_tasks(_lln_task, args, threads)
-    dists = np.array([d for d, _ in flat]).reshape(len(ns), reps)
-    statuses = [s for _, s in flat]
-    status_counts = [_status_counts(statuses[i * reps:(i + 1) * reps]) for i in range(len(ns))]
+    dists = np.array([d for d, _, _ in flat]).reshape(len(ns), reps)
+    outcomes = [_outcomes(flat[i * reps:(i + 1) * reps]) for i in range(len(ns))]
     medians = np.median(dists, axis=1)
     q = np.percentile(dists, [25.0, 75.0], axis=1)
     quartiles = [(float(a), float(b)) for a, b in zip(q[0], q[1])]
@@ -264,7 +260,7 @@ def lln_experiment(
     else:
         slope = float("nan")
     return LLNReport(ns, reps, seed, [float(x) for x in medians], quartiles, slope, dists,
-                     status_counts)
+                     [c for c, _ in outcomes], [q for _, q in outcomes])
 
 
 @dataclass
@@ -279,6 +275,7 @@ class CLTReport:
     max_skew       largest |coordinate skewness| (should -> 0 by normality)
     status_counts  solver statuses of the replications; every estimate,
                    converged or not, enters cov
+    iteration_quantiles  (median, q90, max) of the replications' iterations
     """
 
     n: int
@@ -290,6 +287,7 @@ class CLTReport:
     rel_frobenius: float
     max_skew: float
     status_counts: dict[str, int]
+    iteration_quantiles: tuple[float, float, float]
 
 
 def clt_experiment(
@@ -314,7 +312,7 @@ def clt_experiment(
     opts = options or SolverOptions()
     args = [(sigma, r, n, 0, rep, seed, opts) for rep in range(reps)]
     flat = _run_tasks(_clt_task, args, threads)
-    Z = np.array([z for z, _ in flat])                           # (reps, m^2)
+    Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)
     cov = Z.T @ Z / reps
     if ref is None:
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
@@ -328,5 +326,4 @@ def clt_experiment(
     live = sd > 1e-9 * max(sd.max(), 1e-300)
     skew = (Zc[:, live] ** 3).mean(axis=0) / sd[live] ** 3
     max_skew = float(np.abs(skew).max()) if live.any() else 0.0
-    return CLTReport(n, reps, seed, cov, ref, annihilation, rel_frob, max_skew,
-                     _status_counts(s for _, s in flat))
+    return CLTReport(n, reps, seed, cov, ref, annihilation, rel_frob, max_skew, *_outcomes(flat))

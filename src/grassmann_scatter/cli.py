@@ -217,6 +217,7 @@ def _cmd_lln(args) -> int:
         "quartiles": report.quartiles,
         "slope": report.slope,
         "status_counts": report.status_counts,
+        "iteration_quantiles": report.iteration_quantiles,
         "threads": threads,
         "warnings": warnings,
     }
@@ -250,6 +251,7 @@ def _cmd_clt(args) -> int:
         "rel_frobenius": report.rel_frobenius,
         "max_skew": report.max_skew,
         "status_counts": report.status_counts,
+        "iteration_quantiles": report.iteration_quantiles,
         "threads": threads,
         "warnings": warnings,
     }

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyFlagError, UsageError
 from .grassmann import Empirical, dim_intersection, orthonormalize
-from .manifold import _congruence_inv, _distance, _eig_apply, _sym_sqrt, check_scatter, sym
+from .manifold import _congruence_inv, _distance, _eig_apply, _sqrt_pair, check_scatter, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
@@ -195,7 +195,7 @@ class ExistenceReport:
     truncated: bool
 
 
-def _complementary(meas: Empirical, V: Candidate, others: list[Candidate], tol: float) -> bool:
+def _complementary(meas: Empirical, V: Candidate, others: list[Candidate]) -> bool:
     """Is there a zero-index candidate V' with V + V' = R^m splitting every atom rank?"""
     m, r = meas.m, meas.r
     for W in others:
@@ -243,8 +243,7 @@ def classify_existence(
         return ExistenceReport(
             "unique", min_index, None, zeros, False, len(values), scan.truncated
         )
-    zero_pool = zeros
-    complement_ok = all(_complementary(meas, V, zero_pool, tol) for V in zeros)
+    complement_ok = all(_complementary(meas, V, zeros) for V in zeros)
     verdict = "limit" if complement_ok else "inconclusive"
     return ExistenceReport(
         verdict, min_index, scan.candidates[order], zeros, complement_ok,
@@ -287,7 +286,7 @@ def decompose_velocity(Sigma, w, gap_tol: float = GAP_TOL) -> VelocityFlag:
         raise UsageError("velocity is not self-adjoint with respect to Sigma")
     if abs(np.trace(w)) > 1e-10 * max(1.0, np.abs(np.diag(w)).sum()):
         raise UsageError("velocity is not trace-free")
-    g = _sym_sqrt(Sigma)
+    g = _sqrt_pair(Sigma)[0]
     return _flag(g, sym(np.linalg.solve(g, w @ g)), gap_tol)
 
 
@@ -343,7 +342,7 @@ def _boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
         raise EmptyFlagError("iterates are stationary; no escape direction")
     # log-map W of the last step, whitened at its base (v = g^-1 W g^-1),
     # projected onto the tangent space (trace removed), scaled to unit norm
-    g = _sym_sqrt(iterates[-2])
+    g = _sqrt_pair(iterates[-2])[0]
     v = _eig_apply(_congruence_inv(g, iterates[-1]), np.log)
     v -= (np.trace(v) / v.shape[0]) * np.eye(v.shape[0])
     return _flag(g, v / np.linalg.norm(v), gap_tol)

@@ -45,11 +45,8 @@ solve, and adds one symmetric eigvalsh of the whitened iterate per iteration.
 The kernel whitens all atoms by one product with W and solves one batch of
 r x r Grams (closed form for lines).  An undamped fixed-point iteration from
 the identity therefore makes exactly one eigh and one batched r x r solve.
-The residual is whitening-invariant, || M - (r/m) Id ||_F^2 is the same for M
-whitened by any factor of Sigma, so the solvers use W and ``residual`` uses the
-inverse Cholesky factor.  Moving along a geodesic (damping < 1, descent line
-search) goes through ``manifold._geodesic``/``_log_map`` and costs their
-factorizations on top.
+Moving along a geodesic (damping < 1, descent line search) goes through
+``manifold._geodesic``/``_log_map`` and costs their factorizations on top.
 """
 
 from __future__ import annotations
@@ -67,8 +64,8 @@ from .manifold import (
     COND_MAX,
     _cholesky_pair,
     _geodesic,
-    _inv_cholesky,
     _log_map,
+    _whitened_distance,
     check_scatter,
 )
 
@@ -126,10 +123,7 @@ class GEResult:
 
 
 def residual(meas: Measure, Sigma, mc_n: int | None = None, rng=None) -> float:
-    """Squared Frobenius defect of the estimating equation (= 4x grad norm^2).
-
-    Whitening-invariant, so it is computed with the Cholesky factor of Sigma.
-    """
+    """Squared Frobenius defect of the estimating equation (= 4x grad norm^2)."""
     L, L_inv = _cholesky_pair(check_scatter(Sigma))
     emp = _materialize(meas, mc_n, rng, "residual")
     return _defect(_weighted_kernel_sum(emp.points, emp.weights, L, L_inv)[0], emp.r)
@@ -196,14 +190,8 @@ def _distance_from(start: np.ndarray | None):
     """
     if start is None:
         return lambda it: float(np.sqrt(it.loglam @ it.loglam))
-
-    W0 = _inv_cholesky(start)
-
-    def from_start(it: _Iterate) -> float:
-        lam = np.log(np.linalg.eigvalsh(W0 @ it.sigma @ W0.T))
-        return float(np.sqrt(lam @ lam))
-
-    return from_start
+    W0 = _cholesky_pair(start)[1]
+    return lambda it: _whitened_distance(W0, it.sigma)
 
 
 def fixed_point_solve(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .manifold import _inv_cholesky, check_scatter, normalize_det
+from .manifold import _cholesky_pair, check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
@@ -39,6 +39,8 @@ def check_basis(X, name: str = "basis") -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DomainError(f"{name} must be a 2-d array, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DomainError(f"{name} has non-finite entries")
     m, r = X.shape
     if not 0 < r < m:
         raise DomainError(f"{name} must be m x r with 0 < r < m, got {m} x {r}")
@@ -79,6 +81,8 @@ class Empirical:
         n, m, r = pts.shape
         if not 0 < r < m:
             raise DomainError(f"atoms must be m x r with 0 < r < m, got {m} x {r}")
+        if not np.isfinite(pts).all():
+            raise DomainError("atoms have non-finite entries")
         sv = np.linalg.svd(pts, compute_uv=False)
         bad = sv[:, -1] <= RANK_TOL * sv[:, 0]
         if bad.any():
@@ -89,6 +93,8 @@ class Empirical:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (n,):
                 raise DomainError(f"weights shape {w.shape} does not match {n} atoms")
+            if not np.isfinite(w).all():
+                raise DomainError("weights have non-finite entries")
             if (w < 0).any():
                 raise DomainError("weights must be nonnegative")
             if abs(w.sum() - 1.0) > WEIGHT_TOL:
@@ -237,12 +243,12 @@ def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _atom_pi(X, Sigma: np.ndarray) -> np.ndarray:
     """pi of one validated, orthonormalized basis X at an already validated Sigma."""
-    return _pi_matrices(orthonormalize(check_basis(X))[None], _inv_cholesky(Sigma))[0]
+    return _pi_matrices(orthonormalize(check_basis(X))[None], _cholesky_pair(Sigma)[1])[0]
 
 
 def _atom_logdet_ratio(X, Sigma) -> float:
     """Validated single-atom log-det ratio, whitened by the inverse Cholesky factor of Sigma."""
-    W = _inv_cholesky(check_scatter(Sigma))
+    W = _cholesky_pair(check_scatter(Sigma))[1]
     return float(_logdet_ratio(check_basis(X)[None], W)[0])
 
 

@@ -31,10 +31,8 @@ sums, batched over atoms.
 
 Everything here comes from the single whitened-Gram core ``grassmann._whiten``
 (one product with the inverse W = F^-1 of a factor F F^T = Sigma gives every
-G_j = X_j^T Sigma^-1 X_j), summed over atoms by ``_weighted_kernel_sum``.
-Whitening-invariant quantities (log-likelihood, gradient, pi, gradient norm,
-residual) use the Cholesky factor of Sigma and its inverse; ``mean_projector``,
-defined through g = sym_sqrt(Gamma), uses g and g^-1.
+G_j = X_j^T Sigma^-1 X_j), summed over atoms by ``_weighted_kernel_sum``; the
+whitening factor follows the factor rule in ``manifold``.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from .grassmann import (
 )
 from .manifold import (
     _cholesky_pair,
-    _inv_cholesky,
     _sqrt_pair,
     check_scatter,
     check_tangent,
@@ -117,7 +114,7 @@ def loglik(meas: Measure, Sigma, mc_n: int | None = None, rng=None):
     measures: Monte Carlo with ``mc_n`` draws, returned as a
     MonteCarloEstimate (value, stderr); mc_n=None raises UsageError.
     """
-    W = _inv_cholesky(check_scatter(Sigma))
+    W = _cholesky_pair(check_scatter(Sigma))[1]
     emp = _materialize(meas, mc_n, rng, "loglik")
     vals = 0.5 * _logdet_ratio(emp.points, W)
     if isinstance(meas, Empirical):
@@ -171,7 +168,7 @@ def hess_quadform(meas: Measure, Sigma, Z, mc_n: int | None = None, rng=None) ->
     Sigma = check_scatter(Sigma)
     Z = check_tangent(Sigma, Z)
     emp = _materialize(meas, mc_n, rng, "hess_quadform")
-    pi = _pi_matrices(emp.points, _inv_cholesky(Sigma))
+    pi = _pi_matrices(emp.points, _cholesky_pair(Sigma)[1])
     A = np.linalg.solve(Sigma, Z)                               # Sigma^-1 Z
     B = np.einsum("nij,jk->nik", pi, Z)                         # pi_j Z
     t1 = np.einsum("ij,nji->n", A, B)                           # tr(Sigma^-1 Z pi Z)
@@ -194,8 +191,7 @@ def mean_projector(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> n
 def grad_norm_sq(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> float:
     """Squared metric norm of the gradient, 1/4 || M - (r/m) Id ||_F^2.
 
-    Nonnegative; zero exactly at critical points of the objective.  The norm
-    is whitening-invariant, so M is whitened by the Cholesky factor.
+    Nonnegative; zero exactly at critical points of the objective.
     """
     L, L_inv = _cholesky_pair(check_scatter(Gamma))
     emp = _materialize(meas, mc_n, rng, "grad_norm_sq")
@@ -220,7 +216,7 @@ def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
         raise UsageError("grad_norm_sq_grad requires uniform weights")
     Gamma = check_scatter(Gamma)
     n = meas.n
-    pi = _pi_matrices(meas.points, _inv_cholesky(Gamma))
+    pi = _pi_matrices(meas.points, _cholesky_pair(Gamma)[1])
     S = pi.sum(axis=0)
     inner_mat = Gamma @ S @ Gamma
     K = np.einsum("nij,jk,nkl->il", pi, inner_mat, pi)

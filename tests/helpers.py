@@ -220,6 +220,12 @@ def ref_residual(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> 
     return float(np.sum(D * D))
 
 
+def ref_distance(Sigma0: np.ndarray, Sigma1: np.ndarray) -> float:
+    """||log lam|| over the generalized symmetric-definite eigenvalues of (Sigma1, Sigma0)."""
+    lam = scipy.linalg.eigvalsh(Sigma1, Sigma0)
+    return float(np.sqrt(np.sum(np.log(lam) ** 2)))
+
+
 def max_mixed_err(value: np.ndarray, reference: np.ndarray) -> float:
     """Largest entrywise mixed_err between two arrays of the same shape."""
     value, reference = np.asarray(value), np.asarray(reference)
@@ -292,7 +298,7 @@ def ref_fixed_point(meas: Empirical, Sigma0=None, options=None):
         S = F @ M @ F.T
         S = 0.5 * (S + S.T)
         D = M - (r / m) * np.eye(m)
-        dist = float(np.sqrt(np.sum(np.log(scipy.linalg.eigvalsh(Sigma, start)) ** 2)))
+        dist = ref_distance(start, Sigma)
         trace.append((k, float(np.sum(D * D)), dist))
         if trace[-1][1] <= opts.tol:
             return "converged", k, trace, Sigma

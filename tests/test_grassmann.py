@@ -42,6 +42,27 @@ def test_check_basis_validations():
         check_basis(np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]))  # rank 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_basis_rejects_non_finite_entries(bad):
+    X = np.eye(3)[:, :2]
+    X[2, 1] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        check_basis(X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_empirical_rejects_non_finite_points_and_weights(bad):
+    pts = np.stack([np.eye(3)[:, :1], np.eye(3)[:, 1:2], np.eye(3)[:, 2:]])
+    broken = pts.copy()
+    broken[1, 0, 0] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        Empirical(broken)
+    with pytest.raises(DomainError, match="non-finite"):
+        Empirical([p for p in broken])
+    with pytest.raises(DomainError, match="non-finite"):
+        Empirical(pts, np.array([0.5, 0.5, bad]))
+
+
 def test_empirical_constructor():
     meas = Empirical([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert (meas.n, meas.m, meas.r) == (2, 2, 1)

@@ -1,12 +1,15 @@
 """File formats and the command-line front end (exit codes, reports, replay)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grassmann_scatter
 from grassmann_scatter import DomainError, Empirical
 from grassmann_scatter.cli import main
 from grassmann_scatter.io import (
@@ -195,6 +198,32 @@ def test_cli_estimate_malformed_inputs_exit_3(tmp_path, capsys):
     assert main(["estimate", "--input", str(missing), "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_cli_non_finite_inputs_exit_3(tmp_path, capsys, bad):
+    # json and np.loadtxt both parse these spellings into non-finite floats
+    doc = load_json(write_dataset(tmp_path / "lines.json", three_symmetric_lines()))
+    out = str(tmp_path / "out")
+    bad_point = json.loads(json.dumps(doc))
+    bad_point["points"][1][0][0] = bad
+    bad_weight = json.loads(json.dumps(doc))
+    bad_weight["weights"][2] = bad
+    for k, variant in enumerate([bad_point, bad_weight]):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(variant).replace(f'"{bad}"', bad))
+        assert main(["estimate", "--input", str(path), "--out", out]) == 3
+        assert main(["diagnose", "--input", str(path), "--out", out]) == 3
+
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text(f"1.0,0.0\n0.0,{bad}\n")
+    good = write_dataset(tmp_path / "good.json", three_symmetric_lines())
+    assert main(["estimate", "--input", good, "--start", str(bad_csv), "--out", out]) == 3
+    assert main(["lln", "--sigma", str(bad_csv), "--r", "1", "--ns", "20", "--reps", "1",
+                 "--out", out]) == 3
+    assert main(["clt", "--sigma", str(bad_csv), "--r", "1", "--n", "20", "--reps", "1",
+                 "--out", out]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # diagnose command
 
@@ -272,6 +301,7 @@ def test_cli_experiments_count_non_converged_replications(tmp_path):
     assert code == 0
     doc = load_json(out / "lln.json")
     assert doc["status_counts"] == [{"max_iterations": 3}, {"max_iterations": 3}]
+    assert doc["iteration_quantiles"] == [[1, 1, 1], [1, 1, 1]]
     assert "WARN: 6 of 6 replications did not converge" in doc["warnings"]
 
     out = tmp_path / "clt"
@@ -280,6 +310,7 @@ def test_cli_experiments_count_non_converged_replications(tmp_path):
     assert code == 0
     doc = load_json(out / "clt.json")
     assert doc["status_counts"] == {"max_iterations": 4}
+    assert doc["iteration_quantiles"] == [1, 1, 1]
     assert "WARN: 4 of 4 replications did not converge" in doc["warnings"]
 
 
@@ -363,3 +394,14 @@ def test_cli_module_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 1
     assert "limit" in proc.stdout
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = str(Path(grassmann_scatter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, grassmann_scatter, grassmann_scatter.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -21,7 +21,15 @@ from grassmann_scatter import (
     sym_sqrt,
     tangent_project,
 )
-from helpers import random_special_linear, random_tangent
+from helpers import (
+    mixed_err,
+    random_special_linear,
+    random_tangent,
+    ref_distance,
+    scatter_with_condition,
+)
+
+EPS = np.finfo(float).eps
 
 
 def test_manifold_dim():
@@ -59,6 +67,15 @@ def test_check_scatter_rejections():
         check_scatter(np.diag([2.0, 1.0]))
     with pytest.raises(DomainError):
         check_scatter(np.diag([1e8, 1e-8]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_scatter_rejects_non_finite_entries(bad):
+    for i, j in [(0, 0), (0, 1), (1, 0)]:
+        M = np.eye(3)
+        M[i, j] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            check_scatter(M)
 
 
 def test_normalize_det():
@@ -179,6 +196,19 @@ def test_distance_congruence_invariance():
         lhs = distance(A @ S0 @ A.T, A @ S1 @ A.T)
         rhs = distance(S0, S1)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e3])
+@pytest.mark.parametrize("m", [2, 3, 5, 10])
+def test_distance_matches_generalized_eigen_reference(m, cond):
+    # an independent eigensolver on the same eigenvalues; 64 eps cond is the slack
+    # check_scatter grants the determinant of a cond-conditioned matrix
+    rng = np.random.default_rng(1000 * m + int(cond))
+    for _ in range(20):
+        S0 = scatter_with_condition(rng, m, cond)
+        S1 = scatter_with_condition(rng, m, cond)
+        err = mixed_err(distance(S0, S1), ref_distance(S0, S1))
+        assert err <= max(1e-13, 64 * EPS * cond)
 
 
 def test_log_map_inverts_geodesic():
