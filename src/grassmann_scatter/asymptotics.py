@@ -39,7 +39,7 @@ from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, fixed_point_solve
 from .grassmann import Empirical, Gaussian, Measure, _gaussian_bases, _projectors, _whiten
 from .likelihood import _materialize
-from .manifold import _congruence_inv, _distance, _sqrt_pair, check_scatter, manifold_dim
+from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, manifold_dim, sym
 
 PINV_CUTOFF = 1e-10     # relative eigenvalue cutoff for the pseudo-inverse
 
@@ -77,8 +77,8 @@ def tangent_vec_projector(m: int) -> np.ndarray:
     return 0.5 * (np.eye(m * m) + K) - np.outer(v, v) / m
 
 
-def _whiten_normalize(Sigma_hat: np.ndarray, g: np.ndarray) -> np.ndarray:
-    A = _congruence_inv(g, Sigma_hat)
+def _whiten_normalize(Sigma_hat: np.ndarray, c: _Chart) -> np.ndarray:
+    A = sym(c.Q @ _whitened(c, Sigma_hat) @ c.Q.T)       # g^-1 Sigma_hat g^-1, g^-1 = Q W
     return Sigma_hat.shape[0] * A / np.trace(A)
 
 
@@ -89,7 +89,7 @@ def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
     equals Id exactly when Sigma_hat = Sigma.
     """
     Sigma_hat = check_scatter(Sigma_hat, name="Sigma_hat")
-    return _whiten_normalize(Sigma_hat, _sqrt_pair(check_scatter(Sigma))[0])
+    return _whiten_normalize(Sigma_hat, _chart(check_scatter(Sigma)))
 
 
 def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
@@ -105,7 +105,8 @@ def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
     else:
         raise UsageError("empirical measures need an explicit Sigma (evaluation point)")
     emp = _materialize(meas, mc_n, rng, op)
-    P = _projectors(*_whiten(emp.points, _sqrt_pair(Sigma)[1]))
+    c = _chart(Sigma)
+    P = _projectors(*_whiten(emp.points, c.Q @ c.W))
     n, m, r, w = emp.n, emp.m, emp.r, emp.weights
     D = P - (r / m) * np.eye(m)
     V = np.transpose(D, (0, 2, 1)).reshape(n, -1)   # column-major vec of each D_j
@@ -185,7 +186,7 @@ def _lln_task(args) -> tuple[float, str, int]:
 def _clt_task(args) -> tuple[np.ndarray, str, int]:
     sigma, n = args[0], args[2]
     result = _replicate(*args)
-    C = _whiten_normalize(result.estimate, _sqrt_pair(sigma)[0])
+    C = _whiten_normalize(result.estimate, _chart(sigma))
     return math.sqrt(n) * vec(C - np.eye(sigma.shape[0])), result.status, result.iterations
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyFlagError, UsageError
 from .grassmann import Empirical, dim_intersection, orthonormalize
-from .manifold import _congruence_inv, _distance, _eig_apply, _sqrt_pair, check_scatter, sym
+from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
@@ -286,13 +286,13 @@ def decompose_velocity(Sigma, w, gap_tol: float = GAP_TOL) -> VelocityFlag:
         raise UsageError("velocity is not self-adjoint with respect to Sigma")
     if abs(np.trace(w)) > 1e-10 * max(1.0, np.abs(np.diag(w)).sum()):
         raise UsageError("velocity is not trace-free")
-    g = _sqrt_pair(Sigma)[0]
-    return _flag(g, sym(np.linalg.solve(g, w @ g)), gap_tol)
+    c = _chart(Sigma)
+    return _flag(c, sym(c.W @ w @ c.F), gap_tol)
 
 
-def _flag(g: np.ndarray, v: np.ndarray, gap_tol: float) -> VelocityFlag:
-    """Flag of the whitened velocity v = g^-1 w g (symmetric) at Sigma = g g."""
-    m = g.shape[0]
+def _flag(c: _Chart, v: np.ndarray, gap_tol: float) -> VelocityFlag:
+    """Flag of the whitened velocity v = W w F (symmetric) in the chart c of Sigma."""
+    m = v.shape[0]
     lam, E = np.linalg.eigh(v)
     lam, E = lam[::-1], E[:, ::-1]           # descending
     spread = lam[0] - lam[-1]
@@ -301,7 +301,7 @@ def _flag(g: np.ndarray, v: np.ndarray, gap_tol: float) -> VelocityFlag:
     # cluster boundaries at relative gaps above gap_tol
     ends = [i + 1 for i in range(m - 1) if lam[i] - lam[i + 1] > gap_tol * spread] + [m]
     means = [float(lam[a:b].mean()) for a, b in zip([0] + ends, ends)]
-    return VelocityFlag([(means[k] - means[k + 1], orthonormalize(g @ E[:, : ends[k]]))
+    return VelocityFlag([(means[k] - means[k + 1], orthonormalize(c.F @ E[:, : ends[k]]))
                          for k in range(len(means) - 1)])
 
 
@@ -337,12 +337,13 @@ def _boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
     # an escape is a ray, so its steps are steady; the first step from the
     # start can be several steady steps long, hence the mean step as reference
     mean_step = _distance(iterates[0], iterates[-1]) / (len(iterates) - 1)
-    last_step = _distance(iterates[-2], iterates[-1])
-    if last_step <= max(1e-8, 0.5 * mean_step):
+    # the last step in the chart of its base: its length, and its log-map
+    # whitened there (v), projected onto the tangent space (trace removed)
+    c = _chart(iterates[-2])
+    lam, E = np.linalg.eigh(_whitened(c, iterates[-1]))
+    loglam = np.log(lam)
+    if np.sqrt(loglam @ loglam) <= max(1e-8, 0.5 * mean_step):
         raise EmptyFlagError("iterates are stationary; no escape direction")
-    # log-map W of the last step, whitened at its base (v = g^-1 W g^-1),
-    # projected onto the tangent space (trace removed), scaled to unit norm
-    g = _sqrt_pair(iterates[-2])[0]
-    v = _eig_apply(_congruence_inv(g, iterates[-1]), np.log)
-    v -= (np.trace(v) / v.shape[0]) * np.eye(v.shape[0])
-    return _flag(g, v / np.linalg.norm(v), gap_tol)
+    loglam -= loglam.mean()
+    v = sym((E * loglam) @ E.T)
+    return _flag(c, v / np.linalg.norm(v), gap_tol)

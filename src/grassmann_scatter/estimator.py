@@ -24,45 +24,45 @@ eigenvalues split and the distance from the starting point grows without
 bound (linearly in the iteration count, since the escape is along a ray).
 Divergence is therefore detected *additively*: the run is flagged once the
 distance from the start has grown by at least ``divergence_growth`` over the
-last ``divergence_window`` iterations while the residual is still above
-tolerance.  The returned result then carries a boundary flag describing the
-escape direction (see ``diagnostics.boundary_flag``).
+last ``divergence_window`` iterations with a steady last step (at least half
+the window's mean step; a run converging to a far estimate slows down), while
+the residual is still above tolerance.  The returned result then carries a
+boundary flag describing the escape direction (see ``diagnostics.boundary_flag``).
 
 Both solvers evaluate the data through one core, ``likelihood._weighted_kernel_sum``
 (built on the whitened-Gram kernel of ``grassmann``).  Inputs are validated once
 on entry; the iterations run on unchecked cores, and the only conditioning
 decision is the solvers' own COND_MAX guard on each iterate.
 
-Per-iteration budget.  Every iterate comes out of one symmetric eigendecomposition
-T = Q diag(lam) Q^T of the unnormalized update (``_guarded_iterate``), and the
-same eigenvalues serve four purposes: the COND_MAX guard, the determinant-one
-scaling Sigma = T exp(-mean log lam), the factor F = Q diag(sqrt(lam~)) with its
-inverse W = diag(1/sqrt(lam~)) Q^T (lam~ the normalized eigenvalues, which are
-the eigenvalues of Sigma), and the distance from the start.  From the identity,
-the default start, that distance is || log lam~ ||, so no second eigensolve is
-needed; a user start is whitened by its inverse Cholesky factor, taken once per
-solve, and adds one symmetric eigvalsh of the whitened iterate per iteration.
-The kernel whitens all atoms by one product with W and solves one batch of
-r x r Grams (closed form for lines).  An undamped fixed-point iteration from
-the identity therefore makes exactly one eigh and one batched r x r solve.
-Moving along a geodesic (damping < 1, descent line search) goes through
-``manifold._geodesic``/``_log_map`` and costs their factorizations on top.
+Per-iteration budget.  Every iterate is the eigen chart (``manifold._chart``)
+of one eigh T = Q diag(lam) Q^T of the unnormalized update (``_guarded_iterate``):
+the eigenvalues give the COND_MAX guard, the scaling Sigma = T exp(-mean log lam),
+F = Q diag(sqrt(lam~)), W = F^-1 (lam~ the eigenvalues of Sigma) and the
+distance from the start, || log lam~ || from the identity (the default).  A
+user start is charted once per solve and adds one eigvalsh of the whitened
+iterate per iteration.  The kernel whitens all atoms by one product with W and
+solves one batch of r x r Grams (closed form for lines).  So an undamped
+iteration makes one eigh and one batched r x r solve; a damped one adds the
+log-map's and the exponential's eigh in the iterate's chart (three in all); a
+descent iteration makes one batched solve and, per line-search trial, one eigh
+for the exponential and one for the candidate's chart.  No iteration solves an
+m x m system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import VelocityFlag, _boundary_flag
 from .errors import EmptyFlagError, ExistenceError, UsageError
 from .grassmann import Empirical, Measure, _columns, _logdet_ratio
-from .likelihood import _defect, _materialize, _weighted_kernel_sum
+from .likelihood import _defect, _materialize, _weighted_kernel_sum, grad_norm_sq
 from .manifold import (
     COND_MAX,
-    _cholesky_pair,
+    _Chart,
+    _chart,
     _geodesic,
     _log_map,
     _whitened_distance,
@@ -124,9 +124,7 @@ class GEResult:
 
 def residual(meas: Measure, Sigma, mc_n: int | None = None, rng=None) -> float:
     """Squared Frobenius defect of the estimating equation (= 4x grad norm^2)."""
-    L, L_inv = _cholesky_pair(check_scatter(Sigma))
-    emp = _materialize(meas, mc_n, rng, "residual")
-    return _defect(_weighted_kernel_sum(emp.points, emp.weights, L, L_inv)[0], emp.r)
+    return 4.0 * grad_norm_sq(meas, Sigma, mc_n, rng)
 
 
 def _check_span(emp: Empirical) -> None:
@@ -142,10 +140,13 @@ def _check_span(emp: Empirical) -> None:
 
 
 def _diverged(trace, opts: SolverOptions) -> bool:
-    k = len(trace) - 1
-    if k < opts.divergence_window:
+    # an escape is a ray, so its last step is steady: at least half the mean
+    # step of the window; a run converging to a far estimate slows down instead
+    k, w = len(trace) - 1, opts.divergence_window
+    if k < w:
         return False
-    return trace[k][2] - trace[k - opts.divergence_window][2] >= opts.divergence_growth
+    growth = trace[k][2] - trace[k - w][2]
+    return growth >= opts.divergence_growth and trace[k][2] - trace[k - 1][2] >= 0.5 * growth / w
 
 
 def _escape_result(Sigma, res, k, trace, iterates) -> GEResult:
@@ -156,17 +157,8 @@ def _escape_result(Sigma, res, k, trace, iterates) -> GEResult:
     return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag)
 
 
-class _Iterate(NamedTuple):
-    """A guarded solver iterate Sigma = F F^T (det 1), W = F^-1, and log eig(Sigma)."""
-
-    sigma: np.ndarray
-    F: np.ndarray
-    W: np.ndarray
-    loglam: np.ndarray
-
-
-def _guarded_iterate(T: np.ndarray) -> _Iterate | None:
-    """T rescaled to determinant one with its factors, or None past the solvers' guard.
+def _guarded_iterate(T: np.ndarray) -> _Chart | None:
+    """The chart of T rescaled to determinant one, or None past the solvers' guard.
 
     One eigh of T supplies everything.  The guard: every eigenvalue positive,
     and their ratio at most COND_MAX.
@@ -176,21 +168,19 @@ def _guarded_iterate(T: np.ndarray) -> _Iterate | None:
         return None
     loglam = np.log(lam)
     shift = loglam.mean()
-    loglam -= shift
-    root = np.exp(0.5 * loglam)
-    return _Iterate(T * np.exp(-shift), Q * root, Q.T / root[:, None], loglam)
+    return _chart(T * np.exp(-shift), loglam - shift, Q)
 
 
 def _distance_from(start: np.ndarray | None):
     """it -> d(start, it.sigma), the distance the divergence test watches.
 
     From the identity (start None) it is || log eig(Sigma) ||, read off the
-    guard's eigenvalues.  Any other start whitens the iterate by its inverse
-    Cholesky factor, taken here once, and costs one symmetric eigvalsh per call.
+    guard's eigenvalues.  Any other start whitens the iterate in its own chart,
+    taken here once, and costs one symmetric eigvalsh per call.
     """
     if start is None:
         return lambda it: float(np.sqrt(it.loglam @ it.loglam))
-    W0 = _cholesky_pair(start)[1]
+    W0 = _chart(start).W
     return lambda it: _whitened_distance(W0, it.sigma)
 
 
@@ -235,7 +225,7 @@ def fixed_point_solve(
         if k == opts.max_iter:
             break
         # S is the update target up to scale; the next guard normalizes it
-        T = S if opts.damping >= 1.0 else _geodesic(Sigma, _log_map(Sigma, S), opts.damping)
+        T = S if opts.damping >= 1.0 else _geodesic(it, _log_map(it, S), opts.damping)
     return GEResult(Sigma, res, opts.max_iter, "max_iterations", trace)
 
 
@@ -261,7 +251,7 @@ def riemannian_descent(
     start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
     distance_from_start = _distance_from(start)
 
-    def objective(it: _Iterate) -> float:
+    def objective(it: _Chart) -> float:
         return 0.5 * float(emp.weights @ _logdet_ratio(emp.points, it.W))
 
     step0 = 2.0 * m / r  # undamped fixed-point step, linearized
@@ -284,7 +274,7 @@ def riemannian_descent(
             break
         t = step
         for _ in range(60):
-            cand = _guarded_iterate(_geodesic(it.sigma, -G, t))
+            cand = _guarded_iterate(_geodesic(it, -G, t))
             if cand is not None and (f_new := objective(cand)) <= f - 1e-4 * t * gn2:
                 break
             t *= 0.5

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .manifold import _cholesky_pair, check_scatter, normalize_det
+from .manifold import _chart, check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
@@ -173,6 +173,8 @@ def act(A, X) -> np.ndarray:
     X = check_basis(X)
     if A.shape != (X.shape[0], X.shape[0]):
         raise DomainError(f"matrix shape {A.shape} does not match ambient dimension {X.shape[0]}")
+    if not np.isfinite(A).all():
+        raise DomainError("transformation matrix has non-finite entries")
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= 1e-14 * sv[0]:
         raise DomainError("transformation matrix is singular")
@@ -195,8 +197,8 @@ def act_measure(A, meas: Measure) -> Measure:
 # The whitened-Gram kernel (unchecked cores): every per-atom quantity comes from
 # Theta_j = W X_j and G_j = Theta_j^T Theta_j = X_j^T Sigma^-1 X_j, where W = F^-1 is the
 # inverse of a factor F F^T = Sigma.  The core whitens by one product with W; the
-# caller supplies W from the factorization it already has (the solvers' eigh,
-# a Cholesky factor inverted once, or g^-1 from the eigendecomposition behind g).
+# caller supplies W from the eigen chart of Sigma it already has (the solvers'
+# iterates are charts), or g^-1 = Q W where the symmetric root is the definition.
 
 
 def _columns(points: np.ndarray) -> np.ndarray:
@@ -243,12 +245,12 @@ def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _atom_pi(X, Sigma: np.ndarray) -> np.ndarray:
     """pi of one validated, orthonormalized basis X at an already validated Sigma."""
-    return _pi_matrices(orthonormalize(check_basis(X))[None], _cholesky_pair(Sigma)[1])[0]
+    return _pi_matrices(orthonormalize(check_basis(X))[None], _chart(Sigma).W)[0]
 
 
 def _atom_logdet_ratio(X, Sigma) -> float:
-    """Validated single-atom log-det ratio, whitened by the inverse Cholesky factor of Sigma."""
-    W = _cholesky_pair(check_scatter(Sigma))[1]
+    """Validated single-atom log-det ratio, whitened in the eigen chart of Sigma."""
+    W = _chart(check_scatter(Sigma)).W
     return float(_logdet_ratio(check_basis(X)[None], W)[0])
 
 
@@ -326,6 +328,8 @@ def cocycle(h, r: int) -> float:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DomainError(f"group element must be square, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise DomainError("group element has non-finite entries")
     m = h.shape[0]
     if not 0 < r < m:
         raise DomainError(f"need 0 < r < m, got r={r}, m={m}")

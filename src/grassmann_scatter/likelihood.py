@@ -32,7 +32,7 @@ sums, batched over atoms.
 Everything here comes from the single whitened-Gram core ``grassmann._whiten``
 (one product with the inverse W = F^-1 of a factor F F^T = Sigma gives every
 G_j = X_j^T Sigma^-1 X_j), summed over atoms by ``_weighted_kernel_sum``; the
-whitening factor follows the factor rule in ``manifold``.
+whitening factor comes from the eigen chart of ``manifold``.
 """
 
 from __future__ import annotations
@@ -55,13 +55,7 @@ from .grassmann import (
     _whiten,
     check_basis,
 )
-from .manifold import (
-    _cholesky_pair,
-    _sqrt_pair,
-    check_scatter,
-    check_tangent,
-    sym,
-)
+from .manifold import _chart, check_scatter, check_tangent, sym
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -114,7 +108,7 @@ def loglik(meas: Measure, Sigma, mc_n: int | None = None, rng=None):
     measures: Monte Carlo with ``mc_n`` draws, returned as a
     MonteCarloEstimate (value, stderr); mc_n=None raises UsageError.
     """
-    W = _cholesky_pair(check_scatter(Sigma))[1]
+    W = _chart(check_scatter(Sigma)).W
     emp = _materialize(meas, mc_n, rng, "loglik")
     vals = 0.5 * _logdet_ratio(emp.points, W)
     if isinstance(meas, Empirical):
@@ -125,7 +119,8 @@ def loglik(meas: Measure, Sigma, mc_n: int | None = None, rng=None):
 
 
 def _grad(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    _, S = _weighted_kernel_sum(points, weights, *_cholesky_pair(Sigma))
+    c = _chart(Sigma)
+    _, S = _weighted_kernel_sum(points, weights, c.F, c.W)
     _, m, r = points.shape
     return sym((0.5 * r / m) * Sigma - 0.5 * S)
 
@@ -168,7 +163,7 @@ def hess_quadform(meas: Measure, Sigma, Z, mc_n: int | None = None, rng=None) ->
     Sigma = check_scatter(Sigma)
     Z = check_tangent(Sigma, Z)
     emp = _materialize(meas, mc_n, rng, "hess_quadform")
-    pi = _pi_matrices(emp.points, _cholesky_pair(Sigma)[1])
+    pi = _pi_matrices(emp.points, _chart(Sigma).W)
     A = np.linalg.solve(Sigma, Z)                               # Sigma^-1 Z
     B = np.einsum("nij,jk->nik", pi, Z)                         # pi_j Z
     t1 = np.einsum("ij,nji->n", A, B)                           # tr(Sigma^-1 Z pi Z)
@@ -183,9 +178,9 @@ def mean_projector(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> n
     the lower bound attained iff M = (r/m) Id, i.e. iff Gamma solves the
     estimating equation.
     """
-    g, g_inv = _sqrt_pair(check_scatter(Gamma))
+    c = _chart(check_scatter(Gamma))
     emp = _materialize(meas, mc_n, rng, "mean_projector")
-    return _weighted_kernel_sum(emp.points, emp.weights, g, g_inv)[0]
+    return _weighted_kernel_sum(emp.points, emp.weights, sym(c.F @ c.Q.T), c.Q @ c.W)[0]
 
 
 def grad_norm_sq(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> float:
@@ -193,9 +188,9 @@ def grad_norm_sq(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> flo
 
     Nonnegative; zero exactly at critical points of the objective.
     """
-    L, L_inv = _cholesky_pair(check_scatter(Gamma))
+    c = _chart(check_scatter(Gamma))
     emp = _materialize(meas, mc_n, rng, "grad_norm_sq")
-    return 0.25 * _defect(_weighted_kernel_sum(emp.points, emp.weights, L, L_inv)[0], emp.r)
+    return 0.25 * _defect(_weighted_kernel_sum(emp.points, emp.weights, c.F, c.W)[0], emp.r)
 
 
 def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
@@ -216,7 +211,7 @@ def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
         raise UsageError("grad_norm_sq_grad requires uniform weights")
     Gamma = check_scatter(Gamma)
     n = meas.n
-    pi = _pi_matrices(meas.points, _cholesky_pair(Gamma)[1])
+    pi = _pi_matrices(meas.points, _chart(Gamma).W)
     S = pi.sum(axis=0)
     inner_mat = Gamma @ S @ Gamma
     K = np.einsum("nij,jk,nkl->il", pi, inner_mat, pi)

@@ -26,21 +26,19 @@ Cores assume validated input and run no symmetry, determinant, tangency or
 conditioning checks; internal callers only hand them matrices the library
 computed itself.  Solver iterates answer to the solvers' COND_MAX guard.
 
-Factor rule (package-wide): a given Sigma is factored by one of two helpers.
-``_cholesky_pair`` gives (L, L^-1) with L L^T = Sigma and serves every quantity
-that is the same whichever factor whitens: the distance, the log-likelihood,
-pi, the kernel sum, the residual and the gradient.  It is also the accurate
-choice there: at condition 1e6, distances whitened by L^-1 came within ~40
-eps*cond of a 50-digit reference, those whitened by g^-1 only within ~9e3
-eps*cond.  ``_sqrt_pair`` gives (g, g^-1) for the symmetric root g and
-serves what is defined through g: the whitened mean projector, the CLT's C_n,
-the score moments, geodesics, log-maps and velocity flags.  Congruence by g^-1
-of a computed matrix goes through ``_congruence_inv`` (two LU solves), which
-keeps ill-conditioned escape iterates accurate where explicit g^-1 products do
-not.  The solvers whiten by the factor their own eigendecomposition supplies.
+Chart rule (package-wide): Sigma = Q diag(lam) Q^T is factored once, by
+``_chart``, into F = Q diag(sqrt(lam)) (F F^T = Sigma), W = F^-1 and Q.  What is
+invariant under congruence (distance, geodesics, log-maps, velocity flags,
+log-likelihood, pi, kernel sum, residual, gradient) is computed whitened by W;
+what is defined through the symmetric root uses g = F Q^T and g^-1 = Q W
+(``sym_sqrt``, the mean projector, the CLT's C_n, the score moments).  Solver
+iterates are charts of the eigh their COND_MAX guard takes.  The Gaussian
+sampler's Cholesky factor is the only other factor in the package.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,10 +113,12 @@ def normalize_det(M, name: str = "matrix") -> np.ndarray:
 def check_tangent(Sigma: np.ndarray, V, tol: float = TANGENT_TOL) -> np.ndarray:
     """Validate that V is tangent at Sigma (symmetric, trace condition).
 
-    Raises UsageError when V is not a tangent vector at the declared base
-    point.  Returns the symmetrized array.
+    Raises DomainError on non-finite entries and UsageError when V is not a
+    tangent vector at the declared base point.  Returns the symmetrized array.
     """
     V = _as_square(V, "tangent vector")
+    if not np.isfinite(V).all():
+        raise DomainError("tangent vector has non-finite entries")
     if V.shape != Sigma.shape:
         raise UsageError(
             f"tangent vector shape {V.shape} does not match base point shape {Sigma.shape}"
@@ -142,17 +142,28 @@ def _eig_apply(S: np.ndarray, f) -> np.ndarray:
     return sym((Q * f(lam)) @ Q.T)
 
 
-def _sqrt_pair(Sigma: np.ndarray):
-    """(g, g^-1) for g = sym_sqrt(Sigma), from one eigendecomposition: for what g defines."""
-    lam, Q = np.linalg.eigh(Sigma)
-    root = np.sqrt(lam)
-    return sym((Q * root) @ Q.T), sym((Q / root) @ Q.T)
+class _Chart(NamedTuple):
+    """Sigma = Q diag(exp(loglam)) Q^T = F F^T with F = Q diag(exp(loglam/2)) and W = F^-1."""
+
+    sigma: np.ndarray
+    Q: np.ndarray
+    loglam: np.ndarray
+    F: np.ndarray
+    W: np.ndarray
 
 
-def _cholesky_pair(Sigma: np.ndarray):
-    """(L, L^-1) for the Cholesky factor L L^T = Sigma: for factor-independent quantities."""
-    L = np.linalg.cholesky(Sigma)
-    return L, np.linalg.inv(L)
+def _chart(Sigma: np.ndarray, loglam=None, Q=None) -> _Chart:
+    """The eigen chart of Sigma; pass (loglam, Q) when its eigendecomposition is at hand."""
+    if Q is None:
+        lam, Q = np.linalg.eigh(Sigma)
+        loglam = np.log(lam)
+    root = np.exp(0.5 * loglam)
+    return _Chart(Sigma, Q, loglam, Q * root, Q.T / root[:, None])
+
+
+def _whitened(c: _Chart, M: np.ndarray) -> np.ndarray:
+    """W M W^T: a symmetric M in the chart whitened at c.sigma."""
+    return sym(c.W @ M @ c.W.T)
 
 
 def sym_sqrt(Sigma) -> np.ndarray:
@@ -161,13 +172,8 @@ def sym_sqrt(Sigma) -> np.ndarray:
     Computed from the eigendecomposition Sigma = Q diag(lam) Q^T as
     g = Q diag(sqrt(lam)) Q^T; inherits determinant one from Sigma.
     """
-    return _sqrt_pair(check_scatter(Sigma))[0]
-
-
-def _congruence_inv(g: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """g^-1 M g^-1 for symmetric g, M (two triangular-free solves)."""
-    Y = np.linalg.solve(g, M)            # g^-1 M
-    return sym(np.linalg.solve(g, Y.T).T)  # (g^-1 M) g^-1
+    c = _chart(check_scatter(Sigma))
+    return sym(c.F @ c.Q.T)
 
 
 def inner(Sigma, A, B) -> float:
@@ -185,26 +191,24 @@ def norm(Sigma, A) -> float:
     return float(np.sqrt(max(inner(Sigma, A, A), 0.0)))
 
 
-def _geodesic(Sigma: np.ndarray, W: np.ndarray, t: float) -> np.ndarray:
-    g = _sqrt_pair(Sigma)[0]
-    V = _congruence_inv(g, W)
+def _geodesic(c: _Chart, W: np.ndarray, t: float) -> np.ndarray:
+    V = _whitened(c, W)
     V = V - (np.trace(V) / V.shape[0]) * np.eye(V.shape[0])  # exact trace-zero
-    return sym(g @ _eig_apply(t * V, np.exp) @ g)      # det 1 up to rounding
+    return sym(c.F @ _eig_apply(t * V, np.exp) @ c.F.T)   # det 1 up to rounding
 
 
 def geodesic(Sigma, W, t: float) -> np.ndarray:
     """Point gamma(t) of the geodesic with gamma(0) = Sigma, gamma'(0) = W.
 
-    Returns g expm(t V) g with g = sym_sqrt(Sigma) and V = g^-1 W g^-1; the
-    result is renormalized to determinant one to remove rounding drift.
+    Returns g expm(t V) g with g = sym_sqrt(Sigma) and V = g^-1 W g^-1 (computed
+    in the eigen chart); renormalized to determinant one against rounding drift.
     """
     Sigma = check_scatter(Sigma)
-    return normalize_det(_geodesic(Sigma, check_tangent(Sigma, W), t))
+    return normalize_det(_geodesic(_chart(Sigma), check_tangent(Sigma, W), t))
 
 
-def _log_map(Sigma0: np.ndarray, Sigma1: np.ndarray) -> np.ndarray:
-    g = _sqrt_pair(Sigma0)[0]
-    return sym(g @ _eig_apply(_congruence_inv(g, Sigma1), np.log) @ g)
+def _log_map(c: _Chart, Sigma1: np.ndarray) -> np.ndarray:
+    return sym(c.F @ _eig_apply(_whitened(c, Sigma1), np.log) @ c.F.T)
 
 
 def log_map(Sigma0, Sigma1) -> np.ndarray:
@@ -212,24 +216,24 @@ def log_map(Sigma0, Sigma1) -> np.ndarray:
 
     Inverse of ``geodesic(Sigma0, ., 1)``:  W = g logm(g^-1 Sigma1 g^-1) g.
     """
-    return _log_map(check_scatter(Sigma0), check_scatter(Sigma1))
+    return _log_map(_chart(check_scatter(Sigma0)), check_scatter(Sigma1))
 
 
 def _whitened_distance(W0: np.ndarray, Sigma1: np.ndarray) -> float:
-    """d(Sigma0, Sigma1) = ||log eig(W0 Sigma1 W0^T)|| for W0 = L0^-1, L0 L0^T = Sigma0."""
+    """d(Sigma0, Sigma1) = ||log eig(W0 Sigma1 W0^T)|| for W0 = F0^-1, F0 F0^T = Sigma0."""
     lam = np.log(np.linalg.eigvalsh(W0 @ Sigma1 @ W0.T))
     return float(np.sqrt(lam @ lam))
 
 
 def _distance(Sigma0: np.ndarray, Sigma1: np.ndarray) -> float:
-    return _whitened_distance(_cholesky_pair(Sigma0)[1], Sigma1)
+    return _whitened_distance(_chart(Sigma0).W, Sigma1)
 
 
 def distance(Sigma0, Sigma1) -> float:
     """Geodesic distance ||logm(S0^-1/2 S1 S0^-1/2)||_F.
 
-    Computed from the eigenvalues of Sigma1 whitened by the inverse Cholesky
-    factor of Sigma0 (any factor gives the same eigenvalues); invariant under
+    Computed from the eigenvalues of Sigma1 whitened in the eigen chart of
+    Sigma0 (any factor gives the same eigenvalues); invariant under
     simultaneous congruence by any invertible matrix.
     """
     return _distance(check_scatter(Sigma0), check_scatter(Sigma1))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -226,6 +227,22 @@ def ref_distance(Sigma0: np.ndarray, Sigma1: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
+def mp_log_map_distance(Sigma0: np.ndarray, Sigma1: np.ndarray, dps: int = 50):
+    """(log_map, distance) of two float matrices, computed in dps-digit arithmetic.
+
+    W = g logm(g^-1 Sigma1 g^-1) g and ||log eig(g^-1 Sigma1 g^-1)|| with g the
+    symmetric root of Sigma0, both from mpmath's symmetric eigensolver.
+    """
+    with mpmath.workdps(dps):
+        lam, Q = mpmath.eigsy(mpmath.matrix(Sigma0.tolist()))
+        g = Q * mpmath.diag([mpmath.sqrt(x) for x in lam]) * Q.T
+        g_inv = Q * mpmath.diag([1 / mpmath.sqrt(x) for x in lam]) * Q.T
+        mu, E = mpmath.eigsy(g_inv * mpmath.matrix(Sigma1.tolist()) * g_inv)
+        logmu = [mpmath.log(x) for x in mu]
+        W = g * (E * mpmath.diag(logmu) * E.T) * g
+        return np.array(W.tolist(), dtype=float), float(mpmath.sqrt(sum(x * x for x in logmu)))
+
+
 def max_mixed_err(value: np.ndarray, reference: np.ndarray) -> float:
     """Largest entrywise mixed_err between two arrays of the same shape."""
     value, reference = np.asarray(value), np.asarray(reference)
@@ -266,17 +283,28 @@ def no_ge_lines(seed: int, n: int) -> Empirical:
 # reference fixed-point loop: four factorizations of each iterate
 
 
+def _damped(Sigma: np.ndarray, S: np.ndarray, d: float) -> np.ndarray:
+    """g (g^-1 S g^-1)^d g for g = sym_sqrt(Sigma): the point a fraction d towards S."""
+    lam, Q = np.linalg.eigh(Sigma)
+    g, g_inv = (Q * np.sqrt(lam)) @ Q.T, (Q / np.sqrt(lam)) @ Q.T
+    mu, E = np.linalg.eigh(g_inv @ S @ g_inv)
+    T = g @ ((E * mu ** d) @ E.T) @ g
+    return 0.5 * (T + T.T)
+
+
 def ref_fixed_point(meas: Empirical, Sigma0=None, options=None):
     """The fixed-point loop with a separate factorization for each use of the iterate.
 
     Per iteration: an eigvalsh for the COND_MAX guard, a Cholesky factor, an LU
     solve against it to whiten the atoms, and a generalized symmetric-definite
-    eigvalsh for the distance from the start; damping moves along the geodesic
-    through the library's square-root cores.  Returns (status, iterations,
-    trace, estimate) with the solver's status names and trace layout.
+    eigvalsh for the distance from the start; damping moves to the geodesic
+    point g (g^-1 S g^-1)^d g, g the symmetric root of the iterate.  Divergence
+    needs growth over the window and a steady last step, at least half the mean
+    step of the window.  Returns (status, iterations, trace, estimate) with the
+    solver's status names and trace layout.
     """
     from grassmann_scatter import SolverOptions
-    from grassmann_scatter.manifold import COND_MAX, _geodesic, _log_map
+    from grassmann_scatter.manifold import COND_MAX
 
     opts = options or SolverOptions()
     n, m, r = meas.points.shape
@@ -303,9 +331,12 @@ def ref_fixed_point(meas: Empirical, Sigma0=None, options=None):
         if trace[-1][1] <= opts.tol:
             return "converged", k, trace, Sigma
         w = opts.divergence_window
-        if k >= w and dist - trace[k - w][2] >= opts.divergence_growth:
-            return "diverged_to_boundary", k, trace, Sigma
+        if k >= w:
+            growth = dist - trace[k - w][2]
+            steady = dist - trace[k - 1][2] >= 0.5 * growth / w
+            if growth >= opts.divergence_growth and steady:
+                return "diverged_to_boundary", k, trace, Sigma
         if k == opts.max_iter:
             break
-        T = S if opts.damping >= 1.0 else _geodesic(Sigma, _log_map(Sigma, S), opts.damping)
+        T = S if opts.damping >= 1.0 else _damped(Sigma, S, opts.damping)
     return "max_iterations", opts.max_iter, trace, Sigma

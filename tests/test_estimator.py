@@ -154,6 +154,28 @@ def test_fixed_point_divergence_to_boundary():
     assert existence_index(meas, V) == pytest.approx(-0.2, abs=1e-12)
 
 
+def test_slow_convergence_past_the_window_is_not_divergence():
+    # two (3,1,4) Gaussian sets with a unique estimate, still converging at
+    # iteration 25 after growing more than divergence_growth from the start
+    for seed in (82, 132):
+        meas = Empirical(np.random.default_rng(seed).standard_normal((4, 3, 1)))
+        assert classify_existence(meas).verdict == "unique"
+        res = fixed_point_solve(meas)
+        assert res.converged, (seed, res.status, res.iterations)
+        assert res.trace[25][2] - res.trace[0][2] >= SolverOptions().divergence_growth
+
+
+def test_far_truth_sets_converge():
+    # truth diag(exp(linspace(a, -a, m))) lies about 10 from the identity start,
+    # so every run grows by divergence_growth within the first window
+    for m, r, n, a in [(3, 1, 6, 7.4), (4, 1, 8, 6.0), (5, 2, 8, 5.0)]:
+        sigma = np.diag(np.exp(np.linspace(a, -a, m)))
+        for seed in range(100):
+            meas = Empirical(gaussian_points(np.random.default_rng(seed), sigma, r, n))
+            res = fixed_point_solve(meas)
+            assert res.converged, ((m, r, n), seed, res.status, res.iterations)
+
+
 def test_no_ge_line_sets_diverge_without_raising(tmp_path):
     # (3,1) line sets with all but one line in a plane: the boundary flag of
     # these escapes used to raise (a computed log-map failing the user-input

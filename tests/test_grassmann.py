@@ -63,6 +63,22 @@ def test_empirical_rejects_non_finite_points_and_weights(bad):
         Empirical(pts, np.array([0.5, 0.5, bad]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_act_rejects_non_finite_matrix(bad):
+    A = np.eye(3)
+    A[1, 2] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        act(A, np.eye(3)[:, :1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cocycle_rejects_non_finite_group_element(bad):
+    h = np.eye(3)
+    h[1, 2] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        cocycle(h, 1)
+
+
 def test_empirical_constructor():
     meas = Empirical([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert (meas.n, meas.m, meas.r) == (2, 2, 1)

@@ -22,7 +22,9 @@ from grassmann_scatter import (
     tangent_project,
 )
 from helpers import (
+    max_mixed_err,
     mixed_err,
+    mp_log_map_distance,
     random_special_linear,
     random_tangent,
     ref_distance,
@@ -211,6 +213,20 @@ def test_distance_matches_generalized_eigen_reference(m, cond):
         assert err <= max(1e-13, 64 * EPS * cond)
 
 
+def test_log_map_and_distance_match_50_digit_reference():
+    # the eigen chart whitens to within a few eps cond of exact arithmetic; the
+    # bound is the distance bound above (Cholesky and LU whitening reached
+    # 2e3 eps cond on these pairs at condition 1e6)
+    for m, cond in [(3, 1e3), (3, 1e6), (5, 1e3), (5, 1e6)]:
+        rng = np.random.default_rng(7 * m + int(np.log10(cond)))
+        for _ in range(10):
+            S0 = scatter_with_condition(rng, m, cond)
+            S1 = scatter_with_condition(rng, m, cond)
+            W_ref, d_ref = mp_log_map_distance(S0, S1)
+            assert max_mixed_err(log_map(S0, S1), W_ref) <= 64 * EPS * cond, (m, cond)
+            assert mixed_err(distance(S0, S1), d_ref) <= 64 * EPS * cond, (m, cond)
+
+
 def test_log_map_inverts_geodesic():
     rng = np.random.default_rng(15)
     for _ in range(5):
@@ -218,6 +234,14 @@ def test_log_map_inverts_geodesic():
         W = random_tangent(rng, S)
         W2 = log_map(S, geodesic(S, W, 1.0))
         assert np.allclose(W2, W, atol=1e-9 * max(1.0, np.linalg.norm(W)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_tangent_rejects_non_finite_entries(bad):
+    V = np.diag([1.0, -1.0, 0.0])
+    V[0, 1] = V[1, 0] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        check_tangent(np.eye(3), V)
 
 
 def test_tangent_project_hand_values():

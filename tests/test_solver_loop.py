@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from grassmann_scatter import Empirical, SolverOptions, distance, fixed_point_solve, random_scatter
+from grassmann_scatter import (
+    Empirical,
+    SolverOptions,
+    distance,
+    fixed_point_solve,
+    random_scatter,
+    riemannian_descent,
+)
 from helpers import max_mixed_err, mixed_err, no_ge_lines, ref_fixed_point
 
 TRACE_TOL = 1e-10       # mixed error of trace distances against the reference loop
@@ -129,7 +136,25 @@ def test_lapack_budget_per_iteration(monkeypatch, with_start):
     expected = {"svd": 1, "eigh": evaluations, "solve": evaluations}   # span check once
     assert all(c[2] == (25, 2, 2) for c in calls if c[1] == "solve")
     if with_start:
-        # validation, then the start's inverse Cholesky factor once per solve,
+        # validation, then the start's eigen chart once per solve,
         # then one eigvalsh of the start-whitened iterate per evaluation
-        expected.update(eigvalsh=1 + evaluations, cholesky=1, inv=1)
+        expected.update(eigvalsh=1 + evaluations, eigh=1 + evaluations)
     assert names == Counter(expected)
+
+
+def test_lapack_budget_damped_and_descent(monkeypatch):
+    # damping and the line search move within the iterate's eigen chart: no
+    # second factorization of the iterate and no m x m solve
+    rng = np.random.default_rng(12)
+    meas = Empirical(rng.standard_normal((25, 3, 2)))
+    calls = _record_linalg(monkeypatch)
+    result = fixed_point_solve(meas, options=SolverOptions(damping=0.5, max_iter=20))
+    assert result.iterations == 20
+    names = Counter(name for _, name, _ in calls)
+    # per step: the guard's eigh, then the log-map's and the exponential's
+    assert names == Counter({"svd": 1, "eigh": 3 * 20 + 1, "solve": 20 + 1})
+    assert all(c[2] == (25, 2, 2) for c in calls if c[1] == "solve")
+    calls.clear()
+    result = riemannian_descent(meas, options=SolverOptions(max_iter=10))
+    assert result.iterations == 10
+    assert not [c for c in calls if c[1] in ("inv", "cholesky") or c[1:] == ("solve", (3, 3))]
