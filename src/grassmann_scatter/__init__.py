@@ -10,14 +10,10 @@ from .asymptotics import (
     CLTReport,
     LLNReport,
     clt_experiment,
-    commutation_matrix,
     limiting_covariance,
     lln_experiment,
     projector_kron_mean,
     score_covariance,
-    tangent_vec_projector,
-    unvec,
-    vec,
     whiten_normalize,
 )
 from .diagnostics import (
@@ -81,6 +77,7 @@ from .likelihood import (
 from .manifold import (
     check_scatter,
     check_tangent,
+    commutation_matrix,
     distance,
     geodesic,
     inner,
@@ -92,6 +89,9 @@ from .manifold import (
     random_unit_tangent,
     sym_sqrt,
     tangent_project,
+    tangent_vec_projector,
+    unvec,
+    vec,
 )
 
 __version__ = "0.1.0"

@@ -38,43 +38,20 @@ import numpy as np
 from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, fixed_point_solve
 from .grassmann import Empirical, Gaussian, Measure, _gaussian_bases, _projectors, _whiten
-from .likelihood import _materialize
-from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, manifold_dim, sym
+from .likelihood import _kron_mean, _materialize
+from .manifold import (
+    _Chart,
+    _chart,
+    _distance,
+    _whitened,
+    check_scatter,
+    manifold_dim,
+    sym,
+    tangent_vec_projector,
+    vec,
+)
 
 PINV_CUTOFF = 1e-10     # relative eigenvalue cutoff for the pseudo-inverse
-
-
-def vec(A: np.ndarray) -> np.ndarray:
-    """Column-major (Fortran-order) vectorization."""
-    return np.asarray(A, dtype=float).reshape(-1, order="F")
-
-
-def unvec(x: np.ndarray) -> np.ndarray:
-    """Inverse of ``vec`` for square matrices."""
-    x = np.asarray(x, dtype=float)
-    m = math.isqrt(x.size)
-    if m * m != x.size:
-        raise UsageError(f"cannot unvec a vector of length {x.size}")
-    return x.reshape(m, m, order="F")
-
-
-def commutation_matrix(m: int) -> np.ndarray:
-    """K with K vec(A) = vec(A^T) for m x m matrices."""
-    K = np.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            K[i + j * m, j + i * m] = 1.0
-    return K
-
-
-def tangent_vec_projector(m: int) -> np.ndarray:
-    """Orthogonal projector (in vec coordinates) onto symmetric trace-free matrices.
-
-    Q = 1/2 (Id + K) - vec(Id) vec(Id)^T / m;  tr(Q) = (m-1)(m+2)/2.
-    """
-    K = commutation_matrix(m)
-    v = vec(np.eye(m))
-    return 0.5 * (np.eye(m * m) + K) - np.outer(v, v) / m
 
 
 def _whiten_normalize(Sigma_hat: np.ndarray, c: _Chart) -> np.ndarray:
@@ -111,8 +88,7 @@ def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
     D = P - (r / m) * np.eye(m)
     V = np.transpose(D, (0, 2, 1)).reshape(n, -1)   # column-major vec of each D_j
     sigma2 = np.einsum("n,ni,nj->ij", w, V, V)
-    S0 = np.einsum("n,nij,nkl->ikjl", w, P, P).reshape(m * m, m * m)
-    return sigma2, S0
+    return sigma2, _kron_mean(P, w)
 
 
 def score_covariance(meas: Measure, Sigma=None, mc_n: int | None = None, rng=None) -> np.ndarray:

@@ -11,7 +11,12 @@ concentrates on V); zero values put P on the boundary, where an estimate
 may survive as a limit of perturbed problems.  ``classify_existence``
 evaluates the index on a finite candidate scan (for empirical measures the
 extrema are attained on subspaces built from the atoms: spans of atom
-subsets and their intersections) and returns the verdict.
+subsets and their intersections) and returns the verdict.  The candidate
+scan orthonormalizes the atoms once, by one batched qr; the index is then
+evaluated on stacks of same-dimension candidates, each ``existence_index``
+call ranking every atom against every candidate of its stack in one
+``dim_intersection`` call.  Every intersection dimension (candidate meets,
+indices, complements) comes from the one rank core ``grassmann._meet_dims``.
 
 The second half of the module analyses escape directions.  Any self-adjoint
 trace-free velocity w at Sigma decomposes as
@@ -32,17 +37,18 @@ diverging solver run, naming the subspaces responsible for nonexistence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import DomainError, EmptyFlagError, UsageError
-from .grassmann import Empirical, dim_intersection, orthonormalize
+from .grassmann import RANK_TOL, Empirical, _meet_dims, dim_intersection, orthonormalize
 from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
 PROJECTOR_TOL = 1e-8    # Frobenius tolerance identifying equal subspaces
+MEET_BATCH = 1 << 16    # floats of the [U_j | V_i] stacks one existence_index call ranks
 
 
 def unique_sample_threshold(m: int, r: int) -> float:
@@ -50,16 +56,24 @@ def unique_sample_threshold(m: int, r: int) -> float:
     return m * m / (r * (m - r))
 
 
-def existence_index(meas: Empirical, V, tol: float = None) -> float:
-    """(r/m) dim(V) - sum_j w_j dim(U_j & V) for a proper subspace V."""
+def existence_index(meas: Empirical, V, tol: float = RANK_TOL):
+    """(r/m) dim(V) - sum_j w_j dim(U_j & V) for a proper subspace V.
+
+    V is one m x d basis (a float is returned) or a stack (k, m, d) of bases
+    of one dimension d (a (k,) array); one ``dim_intersection`` call takes
+    the meets of every atom with every V.
+    """
     if not isinstance(meas, Empirical):
         raise UsageError("existence_index needs an empirical measure")
     V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or not 0 < V.shape[1] < meas.m or V.shape[0] != meas.m:
+    if V.ndim not in (2, 3) or not 0 < V.shape[-1] < meas.m or V.shape[-2] != meas.m:
         raise DomainError(f"candidate subspace must be m x d with 0 < d < m, got {V.shape}")
-    kw = {} if tol is None else {"tol": tol}
-    dims = np.array([dim_intersection(meas.points[j], V, **kw) for j in range(meas.n)])
-    return float(meas.r / meas.m * V.shape[1] - meas.weights @ dims)
+    base = meas.r / meas.m * V.shape[-1]
+    if V.ndim == 2:
+        return float(base - meas.weights @ dim_intersection(meas.points, V, tol))
+    dims = dim_intersection(meas.points[:, None], V, tol)        # atoms x candidates
+    # one dot per candidate, as for a single V: each value is the same to the bit
+    return np.array([base - meas.weights @ col for col in np.ascontiguousarray(dims.T)])
 
 
 @dataclass(frozen=True)
@@ -80,44 +94,53 @@ class CandidateScan:
     truncated: bool
 
 
-def _intersection_basis(QU: np.ndarray, QV: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis of span(QU) & span(QV), or None if the meet is zero."""
-    k = dim_intersection(QU, QV)
+def _meet(QU: np.ndarray, QV: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """[(orthonormal basis of span(QU) & span(QV), "intersection")], or [] if the meet is zero."""
+    k = int(_meet_dims(QU, QV))
     if k == 0:
-        return None
+        return []
     # directions x in U-coordinates with (I - QV QV^T) QU x ~ 0
-    M = QU - QV @ (QV.T @ QU)
-    _, _, Vt = np.linalg.svd(M)
-    return orthonormalize(QU @ Vt[-k:].T)
+    _, _, Vt = np.linalg.svd(QU - QV @ (QV.T @ QU))
+    return [(orthonormalize(QU @ Vt[-k:].T), "intersection")]
 
 
-class _Pool:
-    """Deduplicated pool of candidate subspaces, keyed by orthogonal projector."""
+def _scan(atoms: np.ndarray, max_subset: int, cap: int, extra: list) -> CandidateScan:
+    """The candidate scan over orthonormal atoms (n, m, r); see ``candidate_subspaces``."""
+    n, m, _ = atoms.shape
+    items: list[Candidate] = []
+    projectors = np.empty((max(cap, 0), m, m))          # of items, for the dedup
+    truncated = False
 
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.items: list[Candidate] = []
-        self._projectors: list[np.ndarray] = []
-        self.truncated = False
+    def fill(units) -> bool:
+        """Pool each unit, a list of (orthonormal basis, provenance); False once full."""
+        nonlocal truncated
+        for unit in units:
+            if len(items) >= cap:
+                truncated = True            # stopping with work left = overflowing
+                return False
+            for Q, provenance in unit:
+                if not 0 < Q.shape[1] < m:
+                    continue
+                P = Q @ Q.T
+                if (np.abs(projectors[:len(items)] - P).max(axis=(1, 2)) <= PROJECTOR_TOL).any():
+                    continue
+                if len(items) >= cap:
+                    truncated = True
+                    continue
+                projectors[len(items)] = P
+                items.append(Candidate(Q, provenance))
+        return True
 
-    @property
-    def full(self) -> bool:
-        return len(self.items) >= self.cap
-
-    def add(self, basis: np.ndarray, provenance: str) -> None:
-        m = basis.shape[0]
-        Q = orthonormalize(np.asarray(basis, dtype=float))
-        if not 0 < Q.shape[1] < m:
-            return
-        P = Q @ Q.T
-        for P0 in self._projectors:
-            if P0.shape == P.shape and np.abs(P0 - P).max() <= PROJECTOR_TOL:
-                return
-        if self.full:
-            self.truncated = True
-            return
-        self.items.append(Candidate(Q, provenance))
-        self._projectors.append(P)
+    user = [[(orthonormalize(B), "user") for B in extra]]
+    singles = ([(Q, "sum")] for Q in atoms)
+    sums = ([(orthonormalize(np.hstack(atoms[list(subset)])), "sum")]
+            for size in range(2, max_subset + 1) for subset in combinations(range(n), size))
+    meets = (_meet(atoms[i], atoms[j]) for i, j in combinations(range(n), 2))
+    if fill(chain(user, singles, sums, meets)):
+        base = list(items)                              # one closure round over the pool so far
+        fill([(orthonormalize(np.hstack([a.basis, b.basis])), "sum"), *_meet(a.basis, b.basis)]
+             for a, b in combinations(base, 2))
+    return CandidateScan(items, truncated)
 
 
 def candidate_subspaces(
@@ -136,41 +159,12 @@ def candidate_subspaces(
     """
     if not isinstance(meas, Empirical):
         raise UsageError("candidate_subspaces needs an empirical measure")
-    pool = _Pool(cap)
-    for B in extra:
-        pool.add(np.asarray(B, dtype=float), "user")
-    atoms = [orthonormalize(meas.points[j]) for j in range(meas.n)]
-    # a full pool cannot accept anything, so further generation is pure waste;
-    # stopping with work left behaves exactly like attempting and overflowing
-    for Q in atoms:
-        if pool.full:
-            pool.truncated = True
-            break
-        pool.add(Q, "sum")
-    for size in range(2, max_subset + 1):
-        for subset in combinations(range(meas.n), size):
-            if pool.full:
-                pool.truncated = True
-                break
-            pool.add(np.hstack([atoms[j] for j in subset]), "sum")
-    for i, j in combinations(range(meas.n), 2):
-        if pool.full:
-            pool.truncated = True
-            break
-        B = _intersection_basis(atoms[i], atoms[j])
-        if B is not None:
-            pool.add(B, "intersection")
-    # one closure round over the pool built so far
-    base = list(pool.items)
-    for i, j in combinations(range(len(base)), 2):
-        if pool.full:
-            pool.truncated = True
-            break
-        pool.add(np.hstack([base[i].basis, base[j].basis]), "sum")
-        B = _intersection_basis(base[i].basis, base[j].basis)
-        if B is not None:
-            pool.add(B, "intersection")
-    return CandidateScan(pool.items, pool.truncated)
+    bases = [np.asarray(B, dtype=float) for B in extra]
+    for B in bases:
+        if B.ndim != 2 or len(B) != meas.m or not np.isfinite(B).all():
+            raise DomainError(f"extra bases must be finite m x d arrays (m = {meas.m}), "
+                              f"got shape {B.shape}")
+    return _scan(orthonormalize(meas.points), max_subset, cap, bases)
 
 
 @dataclass
@@ -195,20 +189,10 @@ class ExistenceReport:
     truncated: bool
 
 
-def _complementary(meas: Empirical, V: Candidate, others: list[Candidate]) -> bool:
-    """Is there a zero-index candidate V' with V + V' = R^m splitting every atom rank?"""
-    m, r = meas.m, meas.r
-    for W in others:
-        if W.dim != m - V.dim or dim_intersection(V.basis, W.basis) != 0:
-            continue
-        split = all(
-            dim_intersection(meas.points[j], V.basis) + dim_intersection(meas.points[j], W.basis)
-            == r
-            for j in range(meas.n)
-        )
-        if split:
-            return True
-    return False
+def _complementary(meas: Empirical, V: Candidate, W: Candidate, meets_V, meets_W) -> bool:
+    """Is R^m = V (+) W with every atom split, dim(U_j & V) + dim(U_j & W) = r?"""
+    return (W.dim == meas.m - V.dim and dim_intersection(V.basis, W.basis) == 0
+            and (meets_V + meets_W == meas.r).all())
 
 
 def classify_existence(
@@ -228,27 +212,31 @@ def classify_existence(
     "inconclusive".
     """
     scan = candidate_subspaces(meas, max_subset=max_subset, cap=cap, extra=extra)
-    if not scan.candidates:
+    cands = scan.candidates
+    if not cands:
         raise UsageError("no candidate subspaces to scan")
-    values = [existence_index(meas, c.basis) for c in scan.candidates]
+    values = np.empty(len(cands))
+    for d in sorted({c.dim for c in cands}):
+        rows = [i for i, c in enumerate(cands) if c.dim == d]
+        step = max(1, MEET_BATCH // (meas.n * meas.m * (meas.r + d)))
+        for lo in range(0, len(rows), step):
+            batch = rows[lo:lo + step]
+            values[batch] = existence_index(meas, np.stack([cands[i].basis for i in batch]))
     order = int(np.argmin(values))
-    min_index = values[order]
-    zeros = [c for c, v in zip(scan.candidates, values) if abs(v) <= tol]
+    min_index = float(values[order])
+    zeros = [i for i, v in enumerate(values) if abs(v) <= tol]
+    complement_ok = False
     if min_index < -tol:
-        return ExistenceReport(
-            "no_ge", min_index, scan.candidates[order], zeros, False,
-            len(values), scan.truncated,
-        )
-    if not zeros:
-        return ExistenceReport(
-            "unique", min_index, None, zeros, False, len(values), scan.truncated
-        )
-    complement_ok = all(_complementary(meas, V, zeros) for V in zeros)
-    verdict = "limit" if complement_ok else "inconclusive"
-    return ExistenceReport(
-        verdict, min_index, scan.candidates[order], zeros, complement_ok,
-        len(values), scan.truncated,
-    )
+        verdict = "no_ge"
+    elif not zeros:
+        verdict = "unique"
+    else:
+        meets = {i: dim_intersection(meas.points, cands[i].basis) for i in zeros}
+        complement_ok = all(any(_complementary(meas, cands[i], cands[j], meets[i], meets[j])
+                                for j in zeros) for i in zeros)
+        verdict = "limit" if complement_ok else "inconclusive"
+    return ExistenceReport(verdict, min_index, None if verdict == "unique" else cands[order],
+                           [cands[i] for i in zeros], complement_ok, len(cands), scan.truncated)
 
 
 @dataclass

@@ -13,7 +13,13 @@ vanishes.  Two solvers are provided:
 
   optionally damped by moving only part of the way along the connecting
   geodesic.  The update strictly decreases the objective away from fixed
-  points, and its fixed points are exactly the zeros of the residual.
+  points, and its fixed points are exactly the zeros of the residual.  Near
+  the existence threshold it contracts slowly, so an undamped run whose
+  residual is at most POLISH_RESIDUAL but above POLISH_RATIO times the last
+  one moves to the Newton point F expm(V) F^T instead: V solves
+  H V = 1/2 (M - (r/m) Id) for the geodesic Hessian H (convex objective, so
+  H >= 0) on the tangent space, all whitened in the iterate's chart.  It
+  falls back to the plain update when H is singular or the guard rejects.
 
 * ``riemannian_descent`` runs geodesic gradient descent with Armijo
   backtracking on the averaged log-likelihood.  Slower but makes no
@@ -43,7 +49,9 @@ user start is charted once per solve and adds one eigvalsh of the whitened
 iterate per iteration.  The kernel whitens all atoms by one product with W and
 solves one batch of r x r Grams (closed form for lines).  So an undamped
 iteration makes one eigh and one batched r x r solve; a damped one adds the
-log-map's and the exponential's eigh in the iterate's chart (three in all); a
+eigh of the whitened target, whose power is the step; a Newton step adds a
+batched r x r solve for the projectors, one GEMM for sum_j w_j Pi_j kron Pi_j,
+one eigh of the m^2 x m^2 Hessian (definiteness and solve) and one of V; a
 descent iteration makes one batched solve and, per line-search trial, one eigh
 for the exponential and one for the candidate's chart.  No iteration solves an
 m x m system.
@@ -57,17 +65,22 @@ import numpy as np
 
 from .diagnostics import VelocityFlag, _boundary_flag
 from .errors import EmptyFlagError, ExistenceError, UsageError
-from .grassmann import Empirical, Measure, _columns, _logdet_ratio
-from .likelihood import _defect, _materialize, _weighted_kernel_sum, grad_norm_sq
+from .grassmann import RANK_TOL, Empirical, Measure, _columns, _logdet_ratio, _projectors, _whiten
+from .likelihood import _defect, _hessian, _materialize, _weighted_kernel_sum, grad_norm_sq
 from .manifold import (
     COND_MAX,
     _Chart,
     _chart,
+    _eig_apply,
     _geodesic,
-    _log_map,
+    _whitened,
     _whitened_distance,
     check_scatter,
+    sym,
 )
+
+POLISH_RESIDUAL = 1e-4  # Newton polish: residual at most this, and above
+POLISH_RATIO = 0.9      # this times the previous one (a slow contraction)
 
 
 @dataclass
@@ -130,7 +143,7 @@ def residual(meas: Measure, Sigma, mc_n: int | None = None, rng=None) -> float:
 def _check_span(emp: Empirical) -> None:
     """Raise ExistenceError, with a basis of the joint span, if the atoms miss a direction."""
     U, s, _ = np.linalg.svd(_columns(emp.points), full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     if rank < emp.m:
         raise ExistenceError(
             "atoms are contained in a proper subspace (dimension "
@@ -184,6 +197,19 @@ def _distance_from(start: np.ndarray | None):
     return lambda it: _whitened_distance(W0, it.sigma)
 
 
+def _newton_iterate(meas: Empirical, M: np.ndarray, it: _Chart) -> _Chart | None:
+    """The guarded chart of the polish's Newton point F expm(V) F^T, or None (see above)."""
+    h, U = np.linalg.eigh(_hessian(_projectors(*_whiten(meas.points, it.W)), meas.weights, M))
+    if h[0] <= 0.0:                                  # not positive definite on the tangent space
+        return None
+    g = (M - meas.r / meas.m * np.eye(meas.m)).reshape(-1)   # 2 H V = M - (r/m) Id
+    mu, E = np.linalg.eigh(sym((U @ (U.T @ g / (2.0 * h))).reshape(M.shape)))
+    # cond(F e^V F^T) >= e^(mu_max - mu_min) / cond(Sigma): the guard would reject it
+    if mu[-1] - mu[0] > np.log(COND_MAX) + np.ptp(it.loglam):
+        return None
+    return _guarded_iterate(sym(it.F @ ((E * np.exp(mu)) @ E.T) @ it.F.T))
+
+
 def fixed_point_solve(
     meas: Empirical,
     Sigma0=None,
@@ -195,7 +221,8 @@ def fixed_point_solve(
     (otherwise ExistenceError, carrying a basis of the deficient span as
     witness).  Starts from Sigma0 (default: identity).  With
     ``damping < 1`` each update moves only that fraction of the way along
-    the geodesic toward the plain update target.
+    the geodesic toward the plain update target; undamped runs finish slow
+    contractions with the Newton polish.
     """
     if not isinstance(meas, Empirical):
         raise UsageError("fixed_point_solve needs an empirical measure; sample first")
@@ -204,29 +231,32 @@ def fixed_point_solve(
     start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
     distance_from_start = _distance_from(start)
 
-    T = np.eye(meas.m) if start is None else start
+    it = _guarded_iterate(np.eye(meas.m) if start is None else start)
     iterates: list[np.ndarray] = []
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
-        it = _guarded_iterate(T)
         if it is None:
             # conditioning breached before the distance test fired; the run
             # is escaping and the new iterate is numerically unusable
             return _escape_result(iterates[-1], trace[-1][1], k, trace, iterates)
-        Sigma = it.sigma
-        iterates.append(Sigma)
+        iterates.append(it.sigma)
         M, S = _weighted_kernel_sum(meas.points, meas.weights, it.F, it.W)
         res = _defect(M, meas.r)
         trace.append((k, res, distance_from_start(it)))
         if res <= opts.tol:
-            return GEResult(Sigma, res, k, "converged", trace)
+            return GEResult(it.sigma, res, k, "converged", trace)
         if _diverged(trace, opts):
-            return _escape_result(Sigma, res, k, trace, iterates)
+            return _escape_result(it.sigma, res, k, trace, iterates)
         if k == opts.max_iter:
             break
-        # S is the update target up to scale; the next guard normalizes it
-        T = S if opts.damping >= 1.0 else _geodesic(it, _log_map(it, S), opts.damping)
-    return GEResult(Sigma, res, opts.max_iter, "max_iterations", trace)
+        newton = None
+        if opts.damping < 1.0:       # F (W S W^T)^d F^T: a fraction d of the geodesic toward S
+            S = sym(it.F @ _eig_apply(_whitened(it, S), lambda mu: mu ** opts.damping) @ it.F.T)
+        elif k > 0 and POLISH_RATIO * trace[-2][1] < res <= POLISH_RESIDUAL:
+            newton = _newton_iterate(meas, M, it)
+        # S is the update target up to scale; the guard normalizes it
+        it = _guarded_iterate(S) if newton is None else newton
+    return GEResult(it.sigma, res, opts.max_iter, "max_iterations", trace)
 
 
 def riemannian_descent(

@@ -2,10 +2,11 @@
 
 An r-dimensional subspace of R^m is stored as an m x r full-rank basis
 matrix X; all span-level operations orthonormalize internally, and semantic
-equality is rank-based, never basis-based.  A measure over subspaces is
-either an empirical measure (weighted atoms, all sharing (m, r)) or the
-parametric family attached to an m x m unimodular SPD matrix Sigma: the law
-of the span of r i.i.d. centered Gaussian vectors with covariance Sigma.
+equality is rank-based (one rank core, ``_meet_dims``), never basis-based.  A
+measure over subspaces is either an empirical measure (weighted atoms, all
+sharing (m, r)) or the parametric family attached to an m x m unimodular SPD
+matrix Sigma: the law of the span of r i.i.d. centered Gaussian vectors with
+covariance Sigma.
 
 Core formulas (X any basis of U, Sigma a unimodular SPD matrix):
 
@@ -282,15 +283,36 @@ def density_ratio(X, Sigma) -> float:
     return float(np.exp(-0.5 * np.shape(X)[0] * ld))
 
 
-def dim_intersection(XU, XV, tol: float = RANK_TOL) -> int:
-    """Dimension of span(XU) & span(XV): dim U + dim V - rank([XU | XV])."""
-    QU = orthonormalize(np.asarray(XU, dtype=float))
-    QV = orthonormalize(np.asarray(XV, dtype=float))
-    if QU.shape[0] != QV.shape[0]:
-        raise DomainError("subspaces live in different ambient dimensions")
-    sv = np.linalg.svd(np.hstack([QU, QV]), compute_uv=False)
-    rank = int(np.sum(sv > tol * sv[0]))
-    return QU.shape[1] + QV.shape[1] - rank
+def _meet_dims(QA: np.ndarray, QB: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """dim(span QA & span QB) = a + b - rank([QA | QB]), unchecked, over broadcast stacks.
+
+    QA (..., m, a) and QB (..., m, b) hold orthonormal bases; one batched svd.
+    """
+    lead = np.broadcast_shapes(QA.shape[:-2], QB.shape[:-2])
+    C = np.concatenate([np.broadcast_to(QA, lead + QA.shape[-2:]),
+                        np.broadcast_to(QB, lead + QB.shape[-2:])], axis=-1)
+    sv = np.linalg.svd(C, compute_uv=False)
+    return QA.shape[-1] + QB.shape[-1] - np.sum(sv > tol * sv[..., :1], axis=-1)
+
+
+def dim_intersection(XU, XV, tol: float = RANK_TOL):
+    """Dimension of span(XU) & span(XV): dim U + dim V - rank([XU | XV]).
+
+    XU (..., m, a) and XV (..., m, b) may be stacks of bases whose leading
+    axes broadcast; the result is then an int array of the broadcast shape,
+    and an int for two single bases.  Each argument is orthonormalized once
+    (one batched qr) before the rank core.
+    """
+    XU, XV = np.asarray(XU, dtype=float), np.asarray(XV, dtype=float)
+    if (XU.ndim < 2 or XV.ndim < 2 or XU.shape[-2] != XV.shape[-2]
+            or not (np.isfinite(XU).all() and np.isfinite(XV).all())):
+        raise DomainError(f"need finite bases of one space, got shapes {XU.shape}, {XV.shape}")
+    try:
+        np.broadcast_shapes(XU.shape[:-2], XV.shape[:-2])
+    except ValueError:
+        raise DomainError(f"stacks of shapes {XU.shape} and {XV.shape} do not broadcast") from None
+    dims = _meet_dims(orthonormalize(XU), orthonormalize(XV), tol)
+    return int(dims) if dims.ndim == 0 else dims
 
 
 def busemann(X, Sigma) -> float:

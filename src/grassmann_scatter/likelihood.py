@@ -55,7 +55,7 @@ from .grassmann import (
     _whiten,
     check_basis,
 )
-from .manifold import _chart, check_scatter, check_tangent, sym
+from .manifold import _chart, check_scatter, check_tangent, sym, tangent_vec_projector
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -85,6 +85,25 @@ def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
     H = _gram_solve(G, Th) * weights[:, None, None]        # w_j G_j^-1 Theta_j^T
     M = sym(_columns(Th) @ H.reshape(n * r, m))
     return M, sym(F @ M @ F.T)
+
+
+def _kron_mean(P: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j w_j P_j kron P_j for symmetric (n, m, m) P: one GEMM on the (n, m^2) layout."""
+    n, m, _ = P.shape
+    G = P.reshape(n, -1).T @ (weights[:, None] * P.reshape(n, -1))   # [(i, j), (k, l)]
+    return G.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+
+
+def _hessian(P: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """1/2 [(Id kron M + M kron Id)/2 - _kron_mean(P, w)] on symmetric trace-free vec(V), Id off.
+
+    For P_j whitened by W = F^-1 and M = sum_j w_j P_j, vec(V)^T H vec(V) is
+    ``hess_quadform`` at Sigma = F F^T along F V F^T.
+    """
+    m = M.shape[0]
+    Id, Q = np.eye(m), tangent_vec_projector(m)
+    H = 0.5 * (0.5 * (np.kron(Id, M) + np.kron(M, Id)) - _kron_mean(P, weights))
+    return Q @ H @ Q + (np.eye(m * m) - Q)
 
 
 def _defect(M: np.ndarray, r: int) -> float:

@@ -38,6 +38,7 @@ sampler's Cholesky factor is the only other factor in the package.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -207,16 +208,13 @@ def geodesic(Sigma, W, t: float) -> np.ndarray:
     return normalize_det(_geodesic(_chart(Sigma), check_tangent(Sigma, W), t))
 
 
-def _log_map(c: _Chart, Sigma1: np.ndarray) -> np.ndarray:
-    return sym(c.F @ _eig_apply(_whitened(c, Sigma1), np.log) @ c.F.T)
-
-
 def log_map(Sigma0, Sigma1) -> np.ndarray:
     """Velocity W at Sigma0 of the unit-time geodesic reaching Sigma1.
 
     Inverse of ``geodesic(Sigma0, ., 1)``:  W = g logm(g^-1 Sigma1 g^-1) g.
     """
-    return _log_map(_chart(check_scatter(Sigma0)), check_scatter(Sigma1))
+    c = _chart(check_scatter(Sigma0))
+    return sym(c.F @ _eig_apply(_whitened(c, check_scatter(Sigma1)), np.log) @ c.F.T)
 
 
 def _whitened_distance(W0: np.ndarray, Sigma1: np.ndarray) -> float:
@@ -249,6 +247,34 @@ def tangent_project(Sigma, S) -> np.ndarray:
     S = sym(_as_square(S, "matrix"))
     c = np.trace(np.linalg.solve(Sigma, S)) / Sigma.shape[0]
     return S - c * Sigma
+
+
+def vec(A: np.ndarray) -> np.ndarray:
+    """Column-major (Fortran-order) vectorization."""
+    return np.asarray(A, dtype=float).reshape(-1, order="F")
+
+
+def unvec(x: np.ndarray) -> np.ndarray:
+    """Inverse of ``vec`` for square matrices."""
+    x = np.asarray(x, dtype=float)
+    m = math.isqrt(x.size)
+    if m * m != x.size:
+        raise UsageError(f"cannot unvec a vector of length {x.size}")
+    return x.reshape(m, m, order="F")
+
+
+def commutation_matrix(m: int) -> np.ndarray:
+    """K with K vec(A) = vec(A^T) for m x m matrices."""
+    return np.eye(m * m)[np.arange(m * m).reshape(m, m).T.ravel()]   # row i + j m picks j + i m
+
+
+def tangent_vec_projector(m: int) -> np.ndarray:
+    """Orthogonal projector (in vec coordinates) onto symmetric trace-free matrices.
+
+    Q = 1/2 (Id + K) - vec(Id) vec(Id)^T / m;  tr(Q) = (m-1)(m+2)/2.
+    """
+    v = vec(np.eye(m))
+    return 0.5 * (np.eye(m * m) + commutation_matrix(m)) - np.outer(v, v) / m
 
 
 def _random_direction(m: int, rng: np.random.Generator) -> np.ndarray:

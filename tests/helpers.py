@@ -221,6 +221,14 @@ def ref_residual(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> 
     return float(np.sum(D * D))
 
 
+def ref_dim_intersection(XU: np.ndarray, XV: np.ndarray, tol: float = 1e-10) -> int:
+    """dim U + dim V - rank([QU | QV]) with QU, QV from one reduced QR each."""
+    QU, _ = np.linalg.qr(XU)
+    QV, _ = np.linalg.qr(XV)
+    sv = np.linalg.svd(np.hstack([QU, QV]), compute_uv=False)
+    return QU.shape[1] + QV.shape[1] - int(np.sum(sv > tol * sv[0]))
+
+
 def ref_distance(Sigma0: np.ndarray, Sigma1: np.ndarray) -> float:
     """||log lam|| over the generalized symmetric-definite eigenvalues of (Sigma1, Sigma0)."""
     lam = scipy.linalg.eigvalsh(Sigma1, Sigma0)
@@ -292,25 +300,70 @@ def _damped(Sigma: np.ndarray, S: np.ndarray, d: float) -> np.ndarray:
     return 0.5 * (T + T.T)
 
 
+def _tangent_basis(m: int) -> np.ndarray:
+    """Orthonormal basis (m^2, (m-1)(m+2)/2) of the vec'd symmetric trace-free matrices."""
+    constraints = [np.eye(m).ravel()]                       # tr V = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            C = np.zeros((m, m))
+            C[i, j], C[j, i] = 1.0, -1.0                    # V_ij = V_ji
+            constraints.append(C.ravel())
+    return scipy.linalg.null_space(np.array(constraints))
+
+
+def ref_newton_point(meas: Empirical, Sigma: np.ndarray, cond_max: float):
+    """F expm(V) F^T for the Newton step V in the Cholesky chart F of Sigma, or None.
+
+    Per atom: Pi_j from F^-1 X_j and its Hessian term
+    1/2 [(I kron Pi_j + Pi_j kron I)/2 - Pi_j kron Pi_j]; the step solves the
+    reduced system on an orthonormal basis of symmetric trace-free matrices.
+    None when that reduced Hessian is not positive definite or the point's
+    eigenvalue ratio exceeds cond_max.
+    """
+    _, m, r = meas.points.shape
+    F = np.linalg.cholesky(Sigma)
+    Id = np.eye(m)
+    M, H = np.zeros((m, m)), np.zeros((m * m, m * m))
+    for w, X in zip(meas.weights, meas.points):
+        T = np.linalg.solve(F, X)
+        P = T @ np.linalg.solve(T.T @ T, T.T)
+        P = 0.5 * (P + P.T)
+        M += w * P
+        H += w * 0.5 * (0.5 * (np.kron(Id, P) + np.kron(P, Id)) - np.kron(P, P))
+    B = _tangent_basis(m)
+    Hr = B.T @ H @ B
+    if np.linalg.eigvalsh(Hr)[0] <= 0.0:
+        return None
+    V = (B @ np.linalg.solve(Hr, B.T @ (0.5 * (M - (r / m) * Id)).ravel())).reshape(m, m)
+    T = F @ scipy.linalg.expm(0.5 * (V + V.T)) @ F.T
+    lam = np.linalg.eigvalsh(0.5 * (T + T.T))
+    if lam[0] <= 0.0 or lam[-1] > cond_max * lam[0]:
+        return None
+    return 0.5 * (T + T.T)
+
+
 def ref_fixed_point(meas: Empirical, Sigma0=None, options=None):
     """The fixed-point loop with a separate factorization for each use of the iterate.
 
     Per iteration: an eigvalsh for the COND_MAX guard, a Cholesky factor, an LU
     solve against it to whiten the atoms, and a generalized symmetric-definite
     eigvalsh for the distance from the start; damping moves to the geodesic
-    point g (g^-1 S g^-1)^d g, g the symmetric root of the iterate.  Divergence
-    needs growth over the window and a steady last step, at least half the mean
-    step of the window.  Returns (status, iterations, trace, estimate) with the
-    solver's status names and trace layout.
+    point g (g^-1 S g^-1)^d g, g the symmetric root of the iterate.  Undamped
+    runs whose residual is at most POLISH_RESIDUAL and above POLISH_RATIO times
+    the previous one move to ``ref_newton_point`` instead, unless it is None.
+    Divergence needs growth over the window and a steady last step, at least
+    half the mean step of the window.  Returns (status, iterations, trace,
+    estimate) with the solver's status names and trace layout.
     """
     from grassmann_scatter import SolverOptions
+    from grassmann_scatter.estimator import POLISH_RATIO, POLISH_RESIDUAL
     from grassmann_scatter.manifold import COND_MAX
 
     opts = options or SolverOptions()
     n, m, r = meas.points.shape
     start = np.eye(m) if Sigma0 is None else np.asarray(Sigma0, dtype=float)
     cols = meas.points.transpose(1, 0, 2).reshape(m, n * r)
-    T, Sigma, trace = start, None, []
+    T, Sigma, trace, previous = start, None, [], np.inf
     for k in range(opts.max_iter + 1):
         lam = np.linalg.eigvalsh(T)
         if lam[0] <= 0.0 or lam[-1] > COND_MAX * lam[0]:
@@ -338,5 +391,12 @@ def ref_fixed_point(meas: Empirical, Sigma0=None, options=None):
                 return "diverged_to_boundary", k, trace, Sigma
         if k == opts.max_iter:
             break
-        T = S if opts.damping >= 1.0 else _damped(Sigma, S, opts.damping)
+        res = trace[-1][1]
+        slow = opts.damping >= 1.0 and POLISH_RATIO * previous < res <= POLISH_RESIDUAL
+        previous = res
+        newton = ref_newton_point(meas, Sigma, COND_MAX) if slow else None
+        if newton is not None:
+            T = newton
+        else:
+            T = S if opts.damping >= 1.0 else _damped(Sigma, S, opts.damping)
     return "max_iterations", opts.max_iter, trace, Sigma

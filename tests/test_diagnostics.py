@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grassmann_scatter import (
+    DomainError,
     EmptyFlagError,
     Empirical,
     UsageError,
@@ -102,6 +103,26 @@ def test_candidate_scan_cap_and_extras():
     assert any(c.provenance == "user" for c in scan2.candidates)
 
 
+def test_extra_bases_are_validated():
+    rng = np.random.default_rng(66)
+    meas = random_measure(rng, 4, 2, n=6)
+    for bad in (rng.standard_normal((5, 2)), np.full((4, 1), np.inf), np.ones(4)):
+        with pytest.raises(DomainError):
+            candidate_subspaces(meas, extra=(bad,))
+        with pytest.raises(DomainError):
+            classify_existence(meas, extra=(bad,))
+
+
+def test_existence_index_on_a_stack_matches_single_bases():
+    rng = np.random.default_rng(67)
+    meas = random_measure(rng, 5, 2, n=9)
+    for d in (1, 2, 4):
+        V = np.stack([c.basis for c in candidate_subspaces(meas).candidates if c.dim == d])
+        values = existence_index(meas, V)
+        assert values.shape == (len(V),)
+        assert values.tolist() == [existence_index(meas, B) for B in V]
+
+
 def test_classify_unique_on_gaussian_sample():
     rng = np.random.default_rng(64)
     meas = Empirical(gaussian_points(rng, np.eye(3), 2, 60))
@@ -148,6 +169,25 @@ def test_classify_inconclusive_without_complement():
     assert report.verdict == "inconclusive"
     assert not report.complement_ok
     assert report.min_index == pytest.approx(0.0, abs=1e-12)
+
+
+def test_scan_hands_qr_and_svd_no_single_atom(monkeypatch):
+    # the atoms reach qr only as stacks (the scan's batch, and one batch per
+    # existence_index call); no qr or svd is handed a single atom or its
+    # orthonormal basis, as a per-atom index evaluation would
+    rng = np.random.default_rng(70)
+    meas = Empirical(rng.standard_normal((5, 5, 2)))
+    calls = []
+    for name in ("qr", "svd"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, *a, _fn=fn, **k: calls.append(np.array(A)) or _fn(A, *a, **k))
+    report = classify_existence(meas)
+    monkeypatch.undo()
+    assert report.verdict == "unique" and report.scanned > meas.n
+    singles = list(meas.points) + list(np.linalg.qr(meas.points)[0])
+    assert not [A for A in calls if any(np.array_equal(A, X) for X in singles)]
+    assert any(np.array_equal(A, meas.points) for A in calls)
 
 
 def test_decompose_distinguished_ray():

@@ -29,7 +29,8 @@ from grassmann_scatter import (
     sample,
     sym_sqrt,
 )
-from helpers import line, random_special_linear
+from grassmann_scatter.grassmann import RANK_TOL, _meet_dims
+from helpers import line, random_special_linear, ref_dim_intersection
 
 
 def test_check_basis_validations():
@@ -275,6 +276,75 @@ def test_dim_intersection():
     assert dim_intersection(E[:, :2], E[:, 1:]) == 1
     rng = np.random.default_rng(20)
     assert dim_intersection(rng.standard_normal((5, 2)), rng.standard_normal((5, 2))) == 0
+
+
+def _meet_pairs(rng, m):
+    """(XU, XV) pairs in R^m: random, nested, meeting in k exact directions, and near-RANK_TOL."""
+    pairs = []
+    for a in range(1, m):
+        for b in range(1, m):
+            pairs.append((rng.standard_normal((m, a)), rng.standard_normal((m, b))))
+            big = rng.standard_normal((m, max(a, b)))
+            pairs.append((big[:, :a], big[:, :b]))                       # nested
+            for k in range(1, min(a, b) + 1):
+                shared = rng.standard_normal((m, k))
+                U = np.hstack([shared, rng.standard_normal((m, a - k))])
+                mixed = shared @ random_special_linear(rng, k)
+                V = np.hstack([rng.standard_normal((m, b - k)), mixed])
+                pairs.append((U, V))                                     # exact k-dim meet
+            for eps in (1e-3 * RANK_TOL, 1e3 * RANK_TOL):               # either side of the cutoff
+                U = rng.standard_normal((m, a))
+                V = np.hstack([U[:, :1] + eps * rng.standard_normal((m, 1)),
+                               rng.standard_normal((m, b - 1))])
+                pairs.append((U, V))
+    return pairs
+
+
+def test_meet_dims_matches_reference_two_qr_and_svd():
+    rng = np.random.default_rng(27)
+    for m in (2, 3, 5):
+        for XU, XV in _meet_pairs(rng, m):
+            QU, QV = orthonormalize(XU), orthonormalize(XV)
+            want = ref_dim_intersection(XU, XV)
+            assert _meet_dims(QU, QV) == want == dim_intersection(XU, XV)
+    # a near-cutoff pair really straddles it: one meets, the other does not
+    U = rng.standard_normal((4, 2))
+    near = [ref_dim_intersection(U, U[:, :1] + eps * rng.standard_normal((4, 1)))
+            for eps in (1e-3 * RANK_TOL, 1e3 * RANK_TOL)]
+    assert near == [1, 0]
+
+
+def test_meet_dims_batched_and_broadcast():
+    rng = np.random.default_rng(28)
+    m, a, b = 5, 2, 3
+    pairs = [(XU, XV) for XU, XV in _meet_pairs(rng, m) if (XU.shape[1], XV.shape[1]) == (a, b)]
+    QU = orthonormalize(np.stack([p[0] for p in pairs]))        # one batched qr
+    QV = orthonormalize(np.stack([p[1] for p in pairs]))
+    want = np.array([ref_dim_intersection(XU, XV) for XU, XV in pairs])
+    assert (_meet_dims(QU, QV) == want).all()
+    # one V against every U, and every U against every V
+    one = [ref_dim_intersection(XU, pairs[3][1]) for XU, _ in pairs]
+    assert (_meet_dims(QU, QV[3]) == one).all()
+    table = _meet_dims(QU[:, None], QV[None, :])
+    assert table.shape == (len(pairs), len(pairs))
+    assert all(table[i, j] == ref_dim_intersection(pairs[i][0], pairs[j][1])
+               for i in range(len(pairs)) for j in range(len(pairs)))
+    # the public function takes the same stacks unorthonormalized
+    XU, XV = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+    assert dim_intersection(XU, XV).tolist() == want.tolist()
+    assert (dim_intersection(XU[:, None], XV[None]) == table).all()
+
+
+def test_dim_intersection_validates():
+    with pytest.raises(DomainError):
+        dim_intersection(np.ones(3), np.eye(3)[:, :1])
+    with pytest.raises(DomainError):
+        dim_intersection(np.eye(3)[:, :1], np.eye(4)[:, :1])
+    with pytest.raises(DomainError):
+        dim_intersection(np.full((3, 1), np.nan), np.eye(3)[:, :1])
+    with pytest.raises(DomainError):
+        dim_intersection(np.ones((2, 3, 1)), np.ones((3, 3, 2)))     # stacks do not broadcast
+
 
 
 def test_orthonormalize():

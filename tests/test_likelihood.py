@@ -26,6 +26,9 @@ from grassmann_scatter import (
     sample,
     sym_sqrt,
 )
+from grassmann_scatter.grassmann import _projectors, _whiten
+from grassmann_scatter.likelihood import _hessian, _weighted_kernel_sum
+from grassmann_scatter.manifold import _chart
 from helpers import (
     fd_first,
     fd_second,
@@ -345,3 +348,24 @@ def test_critical_point_transported_by_congruence():
         moved = act_measure(A, meas)
         target = normalize_det(A @ A.T)
         assert np.linalg.norm(grad(moved, target)) <= 1e-10
+
+
+def test_newton_hessian_quadratic_form_is_hess_quadform():
+    # the vec-form Hessian of the Newton polish, built from the whitened
+    # projectors in the eigen chart of Sigma, against the per-atom closed form
+    rng = np.random.default_rng(90)
+    for m, r, n, uniform in [(3, 1, 6, True), (4, 2, 7, False), (5, 2, 5, True), (3, 2, 25, False)]:
+        meas = random_measure(rng, m, r, n, uniform=uniform)
+        Sigma = random_scatter(m, rng, spread=0.8)
+        c = _chart(Sigma)
+        P = _projectors(*_whiten(meas.points, c.W))
+        M, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
+        H = _hessian(P, meas.weights, M)
+        assert np.abs(H - H.T).max() <= 1e-14
+        for _ in range(5):
+            V = rng.standard_normal((m, m))
+            V = 0.5 * (V + V.T)
+            V -= (np.trace(V) / m) * np.eye(m)
+            want = hess_quadform(meas, Sigma, c.F @ V @ c.F.T)
+            got = V.reshape(-1) @ H @ V.reshape(-1)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-13)

@@ -151,8 +151,8 @@ def test_lapack_budget_damped_and_descent(monkeypatch):
     result = fixed_point_solve(meas, options=SolverOptions(damping=0.5, max_iter=20))
     assert result.iterations == 20
     names = Counter(name for _, name, _ in calls)
-    # per step: the guard's eigh, then the log-map's and the exponential's
-    assert names == Counter({"svd": 1, "eigh": 3 * 20 + 1, "solve": 20 + 1})
+    # per step: the guard's eigh and one eigh of the whitened target for its power
+    assert names == Counter({"svd": 1, "eigh": 2 * 20 + 1, "solve": 20 + 1})
     assert all(c[2] == (25, 2, 2) for c in calls if c[1] == "solve")
     calls.clear()
     result = riemannian_descent(meas, options=SolverOptions(max_iter=10))
