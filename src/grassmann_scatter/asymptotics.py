@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, fixed_point_solve
-from .grassmann import Empirical, Gaussian, Measure, _gaussian_bases, _projectors, _whiten
+from .grassmann import Empirical, Gaussian, Measure, _frames, _gaussian_bases, _outer
 from .likelihood import _kron_mean, _materialize
 from .manifold import (
     _Chart,
@@ -83,7 +83,7 @@ def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
         raise UsageError("empirical measures need an explicit Sigma (evaluation point)")
     emp = _materialize(meas, mc_n, rng, op)
     c = _chart(Sigma)
-    P = _projectors(*_whiten(emp.points, c.Q @ c.W))
+    P = _outer(_frames(emp.points, c.Q @ c.W))
     n, m, r, w = emp.n, emp.m, emp.r, emp.weights
     D = P - (r / m) * np.eye(m)
     V = np.transpose(D, (0, 2, 1)).reshape(n, -1)   # column-major vec of each D_j

@@ -36,7 +36,7 @@ the residual is still above tolerance.  The returned result then carries a
 boundary flag describing the escape direction (see ``diagnostics.boundary_flag``).
 
 Both solvers evaluate the data through one core, ``likelihood._weighted_kernel_sum``
-(built on the whitened-Gram kernel of ``grassmann``).  Inputs are validated once
+(built on the whitened-frame core of ``grassmann``).  Inputs are validated once
 on entry; the iterations run on unchecked cores, and the only conditioning
 decision is the solvers' own COND_MAX guard on each iterate.
 
@@ -47,14 +47,13 @@ F = Q diag(sqrt(lam~)), W = F^-1 (lam~ the eigenvalues of Sigma) and the
 distance from the start, || log lam~ || from the identity (the default).  A
 user start is charted once per solve and adds one eigvalsh of the whitened
 iterate per iteration.  The kernel whitens all atoms by one product with W and
-solves one batch of r x r Grams (closed form for lines).  So an undamped
-iteration makes one eigh and one batched r x r solve; a damped one adds the
-eigh of the whitened target, whose power is the step; a Newton step adds a
-batched r x r solve for the projectors, one GEMM for sum_j w_j Pi_j kron Pi_j,
-one eigh of the m^2 x m^2 Hessian (definiteness and solve) and one of V; a
-descent iteration makes one batched solve and, per line-search trial, one eigh
-for the exponential and one for the candidate's chart.  No iteration solves an
-m x m system.
+orthonormalizes them by Gram-Schmidt across atoms: no LAPACK call.  So an
+undamped iteration makes one eigh; a damped one adds the eigh of the whitened
+target, whose power is the step; a Newton step orthonormalizes the atoms once
+more for their projectors, and adds one GEMM for sum_j w_j Pi_j kron Pi_j, one
+eigh of the m^2 x m^2 Hessian (definiteness and solve) and one of V; a descent
+iteration makes, per line-search trial, one eigh for the exponential and one
+for the candidate's chart.  No iteration solves a system.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import numpy as np
 
 from .diagnostics import VelocityFlag, _boundary_flag
 from .errors import EmptyFlagError, ExistenceError, UsageError
-from .grassmann import RANK_TOL, Empirical, Measure, _columns, _logdet_ratio, _projectors, _whiten
+from .grassmann import RANK_TOL, Empirical, Measure, _columns, _frames, _logdet_ratio, _outer
 from .likelihood import _defect, _hessian, _materialize, _weighted_kernel_sum, grad_norm_sq
 from .manifold import (
     COND_MAX,
@@ -199,7 +198,7 @@ def _distance_from(start: np.ndarray | None):
 
 def _newton_iterate(meas: Empirical, M: np.ndarray, it: _Chart) -> _Chart | None:
     """The guarded chart of the polish's Newton point F expm(V) F^T, or None (see above)."""
-    h, U = np.linalg.eigh(_hessian(_projectors(*_whiten(meas.points, it.W)), meas.weights, M))
+    h, U = np.linalg.eigh(_hessian(_outer(_frames(meas.points, it.W)), meas.weights, M))
     if h[0] <= 0.0:                                  # not positive definite on the tangent space
         return None
     g = (M - meas.r / meas.m * np.eye(meas.m)).reshape(-1)   # 2 H V = M - (r/m) Id

@@ -195,11 +195,15 @@ def act_measure(A, meas: Measure) -> Measure:
 
 
 # ---------------------------------------------------------------------------
-# The whitened-Gram kernel (unchecked cores): every per-atom quantity comes from
-# Theta_j = W X_j and G_j = Theta_j^T Theta_j = X_j^T Sigma^-1 X_j, where W = F^-1 is the
-# inverse of a factor F F^T = Sigma.  The core whitens by one product with W; the
-# caller supplies W from the eigen chart of Sigma it already has (the solvers'
-# iterates are charts), or g^-1 = Q W where the symmetric root is the definition.
+# The whitened-frame core (unchecked): every per-atom quantity comes from Theta_j = W X_j,
+# W = F^-1 for a factor F F^T = Sigma, so G_j = Theta_j^T Theta_j = X_j^T Sigma^-1 X_j.
+# One product with W whitens all atoms into the (r, m, n) layout (column k of every atom
+# in one contiguous m x n slice); Gram-Schmidt over the r columns, vectorized across
+# atoms, gives orthonormal frames U_j: Pi_j = U_j U_j^T and log det G_j = sum_k log |v_k|^2
+# (v_k: column k before it is normalized).  No LAPACK call, and an error of order
+# eps cond(Theta_j), not the eps cond(Theta_j)^2 of forming G_j.  The caller supplies W
+# from the eigen chart of Sigma it already has (the solvers' iterates are charts), or
+# g^-1 = Q W where the symmetric root is the definition.
 
 
 def _columns(points: np.ndarray) -> np.ndarray:
@@ -208,40 +212,36 @@ def _columns(points: np.ndarray) -> np.ndarray:
     return points.transpose(1, 0, 2).reshape(m, n * r)
 
 
-def _map_atoms(A: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """A X_j for every atom, (n, m, r): one product on the (m, n r) layout."""
-    n, m, r = points.shape
-    return (A @ _columns(points)).reshape(m, n, r).transpose(1, 0, 2)
+def _gram_schmidt(T: np.ndarray):
+    """(U, |v_k|^2 (r, n)): the atoms of the (r, m, n) layout T orthonormalized in place."""
+    sq = np.empty(T.shape[::2])
+    for k, v in enumerate(T):
+        for u in T[:k]:
+            v -= u * (u * v).sum(0)
+        sq[k] = (v * v).sum(0)
+        v /= np.sqrt(sq[k])
+    return T, sq
 
 
-def _whiten(points: np.ndarray, W: np.ndarray):
-    """(Theta, G): whitened atoms Theta_j = W X_j and their Grams G_j, (n, r, r)."""
-    Th = _map_atoms(W, points)
-    return Th, np.einsum("nir,nis->nrs", Th, Th)
+def _frames(points: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The whitened frames U_j of the (n, m, r) atoms, in the (r, m, n) layout."""
+    return _gram_schmidt(W @ points.transpose(2, 1, 0))[0]
 
 
-def _gram_solve(G: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """G_j^-1 A_j^T for every atom, (n, r, m); closed form for lines."""
-    At = A.transpose(0, 2, 1)
-    return At / G if G.shape[-1] == 1 else np.linalg.solve(G, At)
-
-
-def _projectors(A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """A_j G_j^-1 A_j^T for every atom, (n, m, m); A = Theta gives Pi_j."""
-    P = A @ _gram_solve(G, A)
-    return 0.5 * (P + P.transpose(0, 2, 1))
+def _outer(U: np.ndarray) -> np.ndarray:
+    """U_j U_j^T for every atom of the (r, m, n) layout, (n, m, m); frames give Pi_j."""
+    return np.einsum("kin,kjn->nij", U, U)
 
 
 def _pi_matrices(points: np.ndarray, W: np.ndarray) -> np.ndarray:
     """pi_j = Sigma^-1 X_j G_j^-1 X_j^T Sigma^-1 = W^T Pi_j W for every atom."""
-    Th, G = _whiten(points, W)
-    return _projectors(_map_atoms(W.T, Th), G)
+    return _outer(W.T @ _frames(points, W))
 
 
 def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """log det(X_j^T Sigma^-1 X_j) - log det(X_j^T X_j) for every atom."""
-    gram = np.einsum("nir,nis->nrs", points, points)
-    return np.linalg.slogdet(_whiten(points, W)[1])[1] - np.linalg.slogdet(gram)[1]
+    """log det(X_j^T Sigma^-1 X_j) - log det(X_j^T X_j): with frames X_j = Q_j R_j, of (W Q_j)."""
+    Q = _gram_schmidt(points.transpose(2, 1, 0).copy())[0]
+    return np.log(_gram_schmidt(W @ Q)[1]).sum(0)
 
 
 def _atom_pi(X, Sigma: np.ndarray) -> np.ndarray:

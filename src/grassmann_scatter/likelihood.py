@@ -29,9 +29,10 @@ Gaussian (parametric) measures are evaluated by plain Monte Carlo with a
 caller-supplied sample size and RNG; empirical measures are exact weighted
 sums, batched over atoms.
 
-Everything here comes from the single whitened-Gram core ``grassmann._whiten``
-(one product with the inverse W = F^-1 of a factor F F^T = Sigma gives every
-G_j = X_j^T Sigma^-1 X_j), summed over atoms by ``_weighted_kernel_sum``; the
+Everything here comes from the single whitened-frame core ``grassmann._frames``
+(one product with the inverse W = F^-1 of a factor F F^T = Sigma whitens every
+atom, and Gram-Schmidt across atoms gives orthonormal frames of span(W X_j) and
+log det(X_j^T Sigma^-1 X_j)), summed over atoms by ``_weighted_kernel_sum``; the
 whitening factor comes from the eigen chart of ``manifold``.
 """
 
@@ -47,12 +48,10 @@ from .grassmann import (
     Measure,
     _atom_logdet_ratio,
     _atom_pi,
-    _columns,
+    _frames,
     _gaussian_bases,
-    _gram_solve,
     _logdet_ratio,
     _pi_matrices,
-    _whiten,
     check_basis,
 )
 from .manifold import _chart, check_scatter, check_tangent, sym, tangent_vec_projector
@@ -80,10 +79,8 @@ def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
 
     S = sum_j w_j X_j G_j^-1 X_j^T is the same for every factor F F^T = Sigma.
     """
-    n, m, r = points.shape
-    Th, G = _whiten(points, W)
-    H = _gram_solve(G, Th) * weights[:, None, None]        # w_j G_j^-1 Theta_j^T
-    M = sym(_columns(Th) @ H.reshape(n * r, m))
+    U = _frames(points, W)
+    M = sym(((U * weights) @ U.transpose(0, 2, 1)).sum(0))  # sum_k (U_k w) U_k^T
     return M, sym(F @ M @ F.T)
 
 
@@ -182,8 +179,9 @@ def hess_quadform(meas: Measure, Sigma, Z, mc_n: int | None = None, rng=None) ->
     Sigma = check_scatter(Sigma)
     Z = check_tangent(Sigma, Z)
     emp = _materialize(meas, mc_n, rng, "hess_quadform")
-    pi = _pi_matrices(emp.points, _chart(Sigma).W)
-    A = np.linalg.solve(Sigma, Z)                               # Sigma^-1 Z
+    W = _chart(Sigma).W
+    pi = _pi_matrices(emp.points, W)
+    A = W.T @ (W @ Z)                                           # Sigma^-1 Z
     B = np.einsum("nij,jk->nik", pi, Z)                         # pi_j Z
     t1 = np.einsum("ij,nji->n", A, B)                           # tr(Sigma^-1 Z pi Z)
     t2 = np.einsum("nij,nji->n", B, B)                          # tr(pi Z pi Z)

@@ -170,7 +170,7 @@ def exact_ray_instance(rng, m: int, n_clusters: int | None = None, spread: float
 
 
 # ---------------------------------------------------------------------------
-# reference per-atom loop formulas for the whitened-Gram kernel
+# reference per-atom loop formulas for the whitened-frame core
 
 
 def ref_logdet_ratios(points: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
@@ -249,6 +249,35 @@ def mp_log_map_distance(Sigma0: np.ndarray, Sigma1: np.ndarray, dps: int = 50):
         logmu = [mpmath.log(x) for x in mu]
         W = g * (E * mpmath.diag(logmu) * E.T) * g
         return np.array(W.tolist(), dtype=float), float(mpmath.sqrt(sum(x * x for x in logmu)))
+
+
+def mp_kernel_sum(points: np.ndarray, weights: np.ndarray, W: np.ndarray, dps: int = 50):
+    """(M, logdet ratios) of float atoms and whitening W, computed in dps-digit arithmetic.
+
+    M = sum_j w_j Theta_j G_j^-1 Theta_j^T with Theta_j = W X_j and G_j = Theta_j^T Theta_j,
+    and log det G_j - log det(X_j^T X_j), one atom at a time with mpmath's LU.
+    """
+    with mpmath.workdps(dps):
+        Wm = mpmath.matrix(W.tolist())
+        M = mpmath.zeros(W.shape[0], W.shape[0])
+        ratios = []
+        for w, X in zip(weights, points):
+            Xm = mpmath.matrix(X.tolist())
+            Th = Wm * Xm
+            G = Th.T * Th
+            M += mpmath.mpf(float(w)) * (Th * mpmath.inverse(G) * Th.T)
+            ratios.append(mpmath.log(mpmath.det(G)) - mpmath.log(mpmath.det(Xm.T * Xm)))
+        return np.array(M.tolist(), dtype=float), np.array(ratios, dtype=float)
+
+
+def ill_conditioned_atoms(rng, n: int, m: int, r: int, cond: float) -> np.ndarray:
+    """n bases Q_j diag(geomspace(1, 1/cond, r)) V_j^T with orthonormal Q_j and orthogonal V_j."""
+    out = []
+    for _ in range(n):
+        Q, _ = np.linalg.qr(rng.standard_normal((m, r)))
+        V, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        out.append((Q * np.geomspace(1.0, 1.0 / cond, r)) @ V.T)
+    return np.stack(out)
 
 
 def max_mixed_err(value: np.ndarray, reference: np.ndarray) -> float:

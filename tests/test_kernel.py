@@ -1,4 +1,4 @@
-"""The whitened-Gram kernel against per-atom reference loops, and where validation runs."""
+"""The whitened-frame core against per-atom reference loops, and where validation runs."""
 
 import importlib
 
@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import grassmann_scatter
-from grassmann_scatter import SolverOptions, fixed_point_solve, random_scatter, sym_sqrt
-from grassmann_scatter.grassmann import _logdet_ratio, _pi_matrices, _projectors, _whiten
+from grassmann_scatter import Empirical, SolverOptions, fixed_point_solve, random_scatter, sym_sqrt
+from grassmann_scatter.grassmann import _frames, _logdet_ratio, _outer, _pi_matrices
 from grassmann_scatter.likelihood import _defect, _weighted_kernel_sum
+from grassmann_scatter.manifold import _chart
 from helpers import (
     conditioned_atoms,
+    ill_conditioned_atoms,
     max_mixed_err,
+    mp_kernel_sum,
     random_measure,
     ref_kernel_sum,
     ref_logdet_ratios,
@@ -58,12 +61,12 @@ def test_kernel_matches_reference_loop(m, r, uniform, cond):
         g = sym_sqrt(Sigma)
         g_inv = np.linalg.inv(g)
 
-        Th, G = _whiten(points, L_inv)
+        U = _frames(points, L_inv)
         assert max_mixed_err(_logdet_ratio(points, L_inv),
                              ref_logdet_ratios(points, Sigma)) <= tol
         assert max_mixed_err(_pi_matrices(points, L_inv), ref_pi_matrices(points, Sigma)) <= tol
-        assert max_mixed_err(_projectors(Th, G), ref_whitened_projectors(points, L)) <= tol
-        assert max_mixed_err(_projectors(*_whiten(points, g_inv)),
+        assert max_mixed_err(_outer(U), ref_whitened_projectors(points, L)) <= tol
+        assert max_mixed_err(_outer(_frames(points, g_inv)),
                              ref_whitened_projectors(points, g)) <= tol
 
         M, S = _weighted_kernel_sum(points, w, L, L_inv)
@@ -73,6 +76,25 @@ def test_kernel_matches_reference_loop(m, r, uniform, cond):
         assert max_mixed_err(res, ref_residual(points, w, Sigma)) <= tol
         # the residual is whitening-invariant: Cholesky factor or square root
         assert abs(res - _defect(_weighted_kernel_sum(points, w, g, g_inv)[0], r)) <= ftol
+
+
+@pytest.mark.parametrize("m,r", [(3, 2), (5, 2), (10, 3)])
+@pytest.mark.parametrize("cond", [1e5, 1e8])
+def test_kernel_accurate_on_ill_conditioned_atoms(m, r, cond):
+    # atoms with singular values down to 1/cond pass the RANK_TOL check; the
+    # whitened frames keep M and the log-det ratios within 64 eps cond of a
+    # 50-digit reference (forming G_j would square the condition)
+    rng = np.random.default_rng(100 * m + r + int(np.log10(cond)))
+    n = 12
+    points = ill_conditioned_atoms(rng, n, m, r, cond)
+    w = 0.2 + rng.random(n)
+    meas = Empirical(points, w / w.sum())
+    c = _chart(scatter_with_condition(rng, m, 10.0))
+    M_ref, ratios_ref = mp_kernel_sum(meas.points, meas.weights, c.W)
+    tol = 64.0 * EPS * cond
+    M, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
+    assert max_mixed_err(M, M_ref) <= tol
+    assert max_mixed_err(_logdet_ratio(meas.points, c.W), ratios_ref) <= tol
 
 
 def _package_namespaces():
@@ -125,9 +147,4 @@ def test_kernel_sum_factors_no_batch_of_m_by_m_matrices(monkeypatch, m, r):
     assert seen, "numpy.linalg calls are not being recorded"
     seen.clear()
     _weighted_kernel_sum(points, np.full(50, 0.02), L, L_inv)
-    if r == 1:
-        assert seen == []       # lines: closed-form Grams, no factorization at all
-    else:
-        assert seen, "the kernel made no numpy.linalg call"
-    batched_square = [s for s in seen if len(s) >= 3 and s[-2:] == (m, m)]
-    assert batched_square == []
+    assert seen == []           # Gram-Schmidt frames: no factorization at all

@@ -26,7 +26,7 @@ from grassmann_scatter import (
     sample,
     sym_sqrt,
 )
-from grassmann_scatter.grassmann import _projectors, _whiten
+from grassmann_scatter.grassmann import _frames, _outer
 from grassmann_scatter.likelihood import _hessian, _weighted_kernel_sum
 from grassmann_scatter.manifold import _chart
 from helpers import (
@@ -358,7 +358,7 @@ def test_newton_hessian_quadratic_form_is_hess_quadform():
         meas = random_measure(rng, m, r, n, uniform=uniform)
         Sigma = random_scatter(m, rng, spread=0.8)
         c = _chart(Sigma)
-        P = _projectors(*_whiten(meas.points, c.W))
+        P = _outer(_frames(meas.points, c.W))
         M, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
         H = _hessian(P, meas.weights, M)
         assert np.abs(H - H.T).max() <= 1e-14
