@@ -1,18 +1,25 @@
-"""Microseconds per fixed-point iteration, before and after a solver change.
+"""Microseconds per fixed-point iteration, and milliseconds per solve of a stack of
+replications, before and after a solver change.
 
     python bench/solver_loop.py --src parent=/path/to/parent/src --src change=src \
         [--out BENCH_solver_loop.json]
 
 Each of REPEATS repeats starts one fresh interpreter per source tree, in turn,
 so the trees are interleaved against the drift of a shared host.  The worker builds seeded
-Gaussian subspace samples at each (m, r, n) below, runs one untimed solve, then
+Gaussian subspace samples at each (m, r, n) of CONFIGS, runs one untimed solve, then
 times one ``fixed_point_solve`` per configuration with ITERS iterations
-(tol 1e-300, so no run stops early) and reports wall time / iterations.  The
-record gives the median and quartiles over repeats per tree and configuration,
-plus nproc, the BLAS thread variables, the numpy/scipy versions and the git
-commit of each tree: one entry per tree.  With --out, the entries are
-appended to that file's "entries" list.  Only the standard library and numpy
-are imported here; the package itself is imported by the workers.
+(tol 1e-300, so no run stops early) and reports wall time / iterations.  Stacked
+mode: for each (m, r, n) of STACK_CONFIGS and each block size B of BLOCKS it draws
+B seeded datasets and times one solve of all of them with the default options
+(span check and fixed-point loop, as a block of Monte Carlo replications is
+solved), after one untimed solve, and reports wall time / B.  A tree whose
+estimator has the stacked loop ``_solve_stack`` solves the B datasets as one
+stack; an older tree solves them one ``fixed_point_solve`` at a time.  The
+record is one entry per run: per tree the median and quartiles over repeats of
+every row, plus nproc, the BLAS thread variables, the numpy/scipy versions and
+the git commit of each tree.  With --out, the entry is appended to that file's
+"entries" list.  Only the standard library and numpy are imported here; the
+package itself is imported by the workers.
 """
 
 from __future__ import annotations
@@ -30,31 +37,74 @@ from pathlib import Path
 # (m, r, n): the LLN configuration m=3, r=2 at three sample sizes, lines, a
 # threshold+1 set, and the largest bulk dataset
 CONFIGS = [(3, 2, 25), (3, 2, 400), (3, 2, 1600), (2, 1, 100), (5, 2, 5), (10, 3, 5000)]
+# (m, r, n) of the LLN (3, 2) and CLT (2, 1) replications, and the block sizes
+STACK_CONFIGS = [(3, 2, 25), (3, 2, 100), (2, 1, 100), (2, 1, 2000)]
+BLOCKS = [1, 5, 20, 32]
 SEED = 20261018
 REPEATS = 15
 ITERS = 30
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _points(m, r, n, rng, count=None):
+    """Gaussian subspace samples of a non-isotropic truth: (n, m, r), or (count, n, m, r)."""
+    import numpy as np
+
+    A = rng.standard_normal((m, m))
+    shape = (n, m, r) if count is None else (count, n, m, r)
+    return np.einsum("ij,...njr->...nir", A, rng.standard_normal(shape))
+
+
+def _stack_solver():
+    """points (B, n, m, r) -> a call that solves the B datasets through the tree's own
+    entry point, span check included (the datasets are built outside the call)."""
+    import numpy as np
+
+    from grassmann_scatter import Empirical, SolverOptions, estimator, fixed_point_solve
+
+    opts = SolverOptions()
+    if hasattr(estimator, "_solve_stack"):
+        def prepare(points):
+            weights = np.full(points.shape[:2], 1.0 / points.shape[1])
+            return lambda: (estimator._check_span(points),
+                            estimator._solve_stack(points, weights, opts))[1]
+        return prepare
+
+    def prepare_each(points):
+        sets = [Empirical(p) for p in points]
+        return lambda: [fixed_point_solve(meas, options=opts) for meas in sets]
+    return prepare_each
+
+
 def _worker() -> None:
-    """One repeat in this interpreter: print {config: us per iteration} as JSON."""
+    """One repeat in this interpreter: print {"us_per_iter": {config: us},
+    "ms_per_solve": {config/B: ms}} as JSON."""
     import numpy as np
 
     from grassmann_scatter import Empirical, SolverOptions, fixed_point_solve
 
     opts = SolverOptions(max_iter=ITERS, tol=1e-300)
-    out = {}
+    out = {"us_per_iter": {}, "ms_per_solve": {}}
     for i, (m, r, n) in enumerate(CONFIGS):
-        rng = np.random.default_rng([SEED, i])
-        A = rng.standard_normal((m, m))                       # a non-isotropic truth
-        meas = Empirical(np.einsum("ij,njr->nir", A, rng.standard_normal((n, m, r))))
+        meas = Empirical(_points(m, r, n, np.random.default_rng([SEED, i])))
         fixed_point_solve(meas, options=opts)                 # warm caches, untimed
         t0 = time.perf_counter()
         result = fixed_point_solve(meas, options=opts)
         elapsed = time.perf_counter() - t0
         if result.iterations != ITERS:
             raise SystemExit(f"({m},{r},{n}) stopped after {result.iterations} iterations")
-        out[f"{m},{r},{n}"] = 1e6 * elapsed / ITERS
+        out["us_per_iter"][f"{m},{r},{n}"] = 1e6 * elapsed / ITERS
+    prepare = _stack_solver()
+    for i, (m, r, n) in enumerate(STACK_CONFIGS):
+        for B in BLOCKS:
+            solve = prepare(_points(m, r, n, np.random.default_rng([SEED, 100 + i, B]), count=B))
+            solve()                                           # warm caches, untimed
+            t0 = time.perf_counter()
+            results = solve()
+            elapsed = time.perf_counter() - t0
+            if not all(res.converged for res in results):
+                raise SystemExit(f"({m},{r},{n}) B={B}: a replication did not converge")
+            out["ms_per_solve"][f"{m},{r},{n} B={B}"] = 1e3 * elapsed / B
     print(json.dumps(out))
 
 
@@ -99,17 +149,20 @@ def main(argv=None) -> int:
     env = dict(os.environ)
     for var in THREAD_VARS:
         env.setdefault(var, "1")
-    samples = {label: {f"{m},{r},{n}": [] for m, r, n in CONFIGS} for label in trees}
+    samples = {label: {} for label in trees}
     for _ in range(REPEATS):
         for label, src in trees.items():
             env["PYTHONPATH"] = str(src)
             proc = subprocess.run([sys.executable, __file__, "--worker"],
                                   env=env, capture_output=True, text=True, check=True)
-            for key, us in json.loads(proc.stdout).items():
-                samples[label][key].append(us)
-    common = {
-        "what": "us per fixed-point iteration (wall / iterations), one solve per repeat",
-        "interleaved_with": list(trees),
+            for kind, rows in json.loads(proc.stdout).items():
+                for key, value in rows.items():
+                    samples[label].setdefault(kind, {}).setdefault(key, []).append(value)
+    entry = {
+        "what": "per tree: us per fixed-point iteration (wall / iterations, one solve per "
+                "repeat) and ms per solve of a block of B replications (wall / B, one "
+                "block solve per repeat); median and quartiles over repeats",
+        "interleaved": list(trees),
         "repeats": REPEATS,
         "iterations": ITERS,
         "seed": SEED,
@@ -118,17 +171,18 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": version("numpy"),
         "scipy": version("scipy"),
+        "trees": {
+            label: {"commit": _git_commit(src),
+                    **{kind: {key: _quartiles(v) for key, v in rows.items()}
+                       for kind, rows in samples[label].items()}}
+            for label, src in trees.items()
+        },
     }
-    entries = [
-        {"tree": label, "commit": _git_commit(src), **common,
-         "us_per_iter": {key: _quartiles(v) for key, v in samples[label].items()}}
-        for label, src in trees.items()
-    ]
-    print(json.dumps(entries, indent=2))
+    print(json.dumps(entry, indent=2))
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {"entries": []}
-        doc["entries"].extend(entries)
+        doc["entries"].append(entry)
         path.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

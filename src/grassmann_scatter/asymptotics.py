@@ -22,8 +22,14 @@ support makes it rank-deficient there, raising DegeneracyError.
 
 All vec operations are column-major.  ``lln_experiment`` and
 ``clt_experiment`` reproduce both limits by Monte Carlo; replications use
-counter-based child streams SeedSequence(entropy=seed, spawn_key=(grid, rep)),
-so results are bit-identical for any worker count.
+counter-based child streams SeedSequence(entropy=seed, spawn_key=(grid, rep)).
+They are solved in blocks: a block is a range of reps within one grid entry
+(same n), at most STACK_FLOATS floats of atoms and at most ceil(reps/threads) reps, so
+every worker gets a share.  A block is drawn rep by rep from those streams,
+validated by one batched svd for the atom ranks and one for the spans, and
+solved as one stack by the estimator's fixed-point loop, in which a lane's
+result does not depend on the other lanes.  Results are therefore
+bit-identical for any worker count and any block size.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, UsageError
-from .estimator import SolverOptions, fixed_point_solve
-from .grassmann import Empirical, Gaussian, Measure, _frames, _gaussian_bases, _outer
+from .estimator import SolverOptions, _check_span, _solve_stack
+from .grassmann import Gaussian, Measure, _check_ranks, _frames, _gaussian_bases, _outer
 from .likelihood import _kron_mean, _materialize
 from .manifold import (
     _Chart,
@@ -52,6 +58,7 @@ from .manifold import (
 )
 
 PINV_CUTOFF = 1e-10     # relative eigenvalue cutoff for the pseudo-inverse
+STACK_FLOATS = 1 << 17  # floats of atoms in one block of replications solved as a stack
 
 
 def _whiten_normalize(Sigma_hat: np.ndarray, c: _Chart) -> np.ndarray:
@@ -147,23 +154,36 @@ def _rep_rng(seed: int, grid: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(grid, rep)))
 
 
-def _replicate(sigma, r, n, grid, rep, seed, opts):
-    """Solver result from n draws of the Gaussian family at sigma (one replication)."""
-    rng = _rep_rng(seed, grid, rep)
-    emp = Empirical(_gaussian_bases(np.linalg.cholesky(sigma), r, n, rng))
-    return fixed_point_solve(emp, options=opts)
+def _blocks(ns, reps: int, m: int, r: int, threads: int):
+    """(grid, n, range of reps) per block: at most STACK_FLOATS floats of atoms, one
+    grid entry each, and enough blocks to give every worker a share."""
+    for grid, n in enumerate(ns):
+        size = max(1, min(STACK_FLOATS // (n * m * r), -(-reps // threads)))
+        for a in range(0, reps, size):
+            yield grid, n, range(a, min(a + size, reps))
 
 
-def _lln_task(args) -> tuple[float, str, int]:
-    result = _replicate(*args)
-    return _distance(result.estimate, args[0]), result.status, result.iterations
+def _solve_block(c: _Chart, r: int, n: int, grid: int, reps: range, seed: int, opts):
+    """Solver results of the replications ``reps``: n draws of the Gaussian family at
+    c.sigma each, from their own streams, validated and solved as one stack."""
+    chol = np.linalg.cholesky(c.sigma)
+    points = np.stack([_gaussian_bases(chol, r, n, _rep_rng(seed, grid, rep)) for rep in reps])
+    _check_ranks(points)
+    _check_span(points)
+    return _solve_stack(points, np.full((len(reps), n), 1.0 / n), opts)
 
 
-def _clt_task(args) -> tuple[np.ndarray, str, int]:
-    sigma, n = args[0], args[2]
-    result = _replicate(*args)
-    C = _whiten_normalize(result.estimate, _chart(sigma))
-    return math.sqrt(n) * vec(C - np.eye(sigma.shape[0])), result.status, result.iterations
+def _lln_block(args) -> list[tuple[float, str, int]]:
+    sigma = args[0].sigma
+    return [(_distance(res.estimate, sigma), res.status, res.iterations)
+            for res in _solve_block(*args)]
+
+
+def _clt_block(args) -> list[tuple[np.ndarray, str, int]]:
+    c, n = args[0], args[2]
+    Id = np.eye(c.sigma.shape[0])
+    return [(math.sqrt(n) * vec(_whiten_normalize(res.estimate, c) - Id), res.status,
+             res.iterations) for res in _solve_block(*args)]
 
 
 def _outcomes(flat) -> tuple[dict[str, int], tuple[float, float, float]]:
@@ -173,12 +193,14 @@ def _outcomes(flat) -> tuple[dict[str, int], tuple[float, float, float]]:
     return counts, (float(median), float(q90), float(top))
 
 
-def _run_tasks(task, args_list, threads: int):
+def _run_blocks(task, c: _Chart, r: int, ns, reps: int, seed: int, opts, threads: int):
+    """The replications' outcomes in (grid, rep) order, solved block by block."""
+    args = [(c, r, n, grid, block, seed, opts)
+            for grid, n, block in _blocks(ns, reps, c.sigma.shape[0], r, threads)]
     if threads <= 1:
-        return [task(a) for a in args_list]
+        return [x for a in args for x in task(a)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(args_list) // (8 * threads))
-        return list(pool.map(task, args_list, chunksize=chunk))
+        return [x for block in pool.map(task, args) for x in block]
 
 
 @dataclass
@@ -221,12 +243,7 @@ def lln_experiment(
     sigma = check_scatter(sigma, name="sigma")
     ns = [int(n) for n in ns]
     opts = options or SolverOptions()
-    args = [
-        (sigma, r, n, grid, rep, seed, opts)
-        for grid, n in enumerate(ns)
-        for rep in range(reps)
-    ]
-    flat = _run_tasks(_lln_task, args, threads)
+    flat = _run_blocks(_lln_block, _chart(sigma), r, ns, reps, seed, opts, threads)
     dists = np.array([d for d, _, _ in flat]).reshape(len(ns), reps)
     outcomes = [_outcomes(flat[i * reps:(i + 1) * reps]) for i in range(len(ns))]
     medians = np.median(dists, axis=1)
@@ -287,8 +304,7 @@ def clt_experiment(
     """
     sigma = check_scatter(sigma, name="sigma")
     opts = options or SolverOptions()
-    args = [(sigma, r, n, 0, rep, seed, opts) for rep in range(reps)]
-    flat = _run_tasks(_clt_task, args, threads)
+    flat = _run_blocks(_clt_block, _chart(sigma), r, [n], reps, seed, opts, threads)
     Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)
     cov = Z.T @ Z / reps
     if ref is None:

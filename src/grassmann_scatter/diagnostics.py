@@ -316,19 +316,21 @@ def boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
     is at most half the mean step from the first iterate to the last
     (converged runs have no escape direction).
     """
-    return _boundary_flag([check_scatter(S, name="iterate") for S in iterates], gap_tol)
-
-
-def _boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
+    iterates = [check_scatter(S, name="iterate") for S in iterates]
     if len(iterates) < 2:
         raise EmptyFlagError("need at least two iterates to extract an escape direction")
+    return _boundary_flag(iterates[0], iterates[-2], iterates[-1], len(iterates) - 1, gap_tol)
+
+
+def _boundary_flag(first, prev, last, steps: int, gap_tol: float = GAP_TOL) -> VelocityFlag:
+    """The flag of a run of ``steps`` steps from ``first``, of its last step from prev to last."""
     # an escape is a ray, so its steps are steady; the first step from the
     # start can be several steady steps long, hence the mean step as reference
-    mean_step = _distance(iterates[0], iterates[-1]) / (len(iterates) - 1)
+    mean_step = _distance(first, last) / steps
     # the last step in the chart of its base: its length, and its log-map
     # whitened there (v), projected onto the tangent space (trace removed)
-    c = _chart(iterates[-2])
-    lam, E = np.linalg.eigh(_whitened(c, iterates[-1]))
+    c = _chart(prev)
+    lam, E = np.linalg.eigh(_whitened(c, last))
     loglam = np.log(lam)
     if np.sqrt(loglam @ loglam) <= max(1e-8, 0.5 * mean_step):
         raise EmptyFlagError("iterates are stationary; no escape direction")

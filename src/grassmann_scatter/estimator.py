@@ -40,20 +40,32 @@ Both solvers evaluate the data through one core, ``likelihood._weighted_kernel_s
 on entry; the iterations run on unchecked cores, and the only conditioning
 decision is the solvers' own COND_MAX guard on each iterate.
 
-Per-iteration budget.  Every iterate is the eigen chart (``manifold._chart``)
-of one eigh T = Q diag(lam) Q^T of the unnormalized update (``_guarded_iterate``):
-the eigenvalues give the COND_MAX guard, the scaling Sigma = T exp(-mean log lam),
-F = Q diag(sqrt(lam~)), W = F^-1 (lam~ the eigenvalues of Sigma) and the
-distance from the start, || log lam~ || from the identity (the default).  A
-user start is charted once per solve and adds one eigvalsh of the whitened
-iterate per iteration.  The kernel whitens all atoms by one product with W and
-orthonormalizes them by Gram-Schmidt across atoms: no LAPACK call.  So an
-undamped iteration makes one eigh; a damped one adds the eigh of the whitened
-target, whose power is the step; a Newton step orthonormalizes the atoms once
-more for their projectors, and adds one GEMM for sum_j w_j Pi_j kron Pi_j, one
-eigh of the m^2 x m^2 Hessian (definiteness and solve) and one of V; a descent
-iteration makes, per line-search trial, one eigh for the exponential and one
-for the candidate's chart.  No iteration solves a system.
+One loop on a stack.  The fixed-point loop, ``_solve_stack``, runs B same-shape
+datasets (B, n, m, r) at once; ``fixed_point_solve`` is its one-lane call, and
+the Monte Carlo experiments of ``asymptotics`` hand it blocks of replications.
+Each lane keeps its own trace, divergence test, polish and escape flag (which
+reads only the iterates 0, k-1 and k), and leaves the stack when it converges,
+diverges, breaches the guard or runs out of budget.  Every batched call treats
+each lane on its own, so a lane's result is bit-identical whichever lanes share
+its stack.
+
+Per-iteration budget, for all live lanes together.  Every iterate is the eigen
+chart (``manifold._chart``) of one eigh T = Q diag(lam) Q^T of the unnormalized
+update (``_guarded``, one batched call for the stack): the eigenvalues give the
+COND_MAX guard, the scaling Sigma = T exp(-mean log lam), F = Q diag(sqrt(lam~)),
+W = F^-1 (lam~ the eigenvalues of Sigma) and the distance from the start,
+|| log lam~ || from the identity (the default).  A user start is charted once per
+solve and adds one batched eigvalsh of the whitened iterates per iteration.  The
+kernel whitens the atoms of every lane by one broadcast product with the lanes'
+W and orthonormalizes them by Gram-Schmidt across atoms and lanes: no LAPACK
+call.  So an undamped iteration makes one eigh call; a damped one adds one eigh
+call for the whitened targets, whose power is the step; a Newton step (per
+lane) orthonormalizes that lane's atoms once more for their projectors, and adds
+one GEMM for sum_j w_j Pi_j kron Pi_j, one eigh of the m^2 x m^2 Hessian
+(definiteness and solve) and one of V, and its Newton point joins the batched
+guard; a descent iteration (one dataset) makes, per line-search trial, one eigh
+for the exponential and one for the candidate's chart.  No iteration solves a
+system.
 """
 
 from __future__ import annotations
@@ -73,7 +85,6 @@ from .manifold import (
     _eig_apply,
     _geodesic,
     _whitened,
-    _whitened_distance,
     check_scatter,
     sym,
 )
@@ -117,7 +128,8 @@ class GEResult:
     estimate    final iterate (unimodular SPD)
     residual    || mean_projector - (r/m) Id ||_F^2 at the final iterate
     iterations  number of updates performed
-    status      "converged" | "diverged_to_boundary" | "max_iterations"
+    status      "converged" | "diverged_to_boundary" | "max_iterations" | "stalled"
+                (``riemannian_descent`` only: the line search found no decrease)
     trace       per-iterate (iteration, residual, distance from start)
     boundary    escape-direction flag when diverged, else None
     """
@@ -139,15 +151,20 @@ def residual(meas: Measure, Sigma, mc_n: int | None = None, rng=None) -> float:
     return 4.0 * grad_norm_sq(meas, Sigma, mc_n, rng)
 
 
-def _check_span(emp: Empirical) -> None:
-    """Raise ExistenceError, with a basis of the joint span, if the atoms miss a direction."""
-    U, s, _ = np.linalg.svd(_columns(emp.points), full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    if rank < emp.m:
+def _check_span(points: np.ndarray) -> None:
+    """Raise ExistenceError, with a basis of the joint span, if the atoms miss a direction.
+
+    A stack (B, n, m, r) of datasets is checked by one batched svd; the first
+    deficient dataset raises.
+    """
+    U, s, _ = np.linalg.svd(_columns(points), full_matrices=False)
+    ranks = np.sum(s > RANK_TOL * s[..., :1], axis=-1).reshape(-1)
+    m = points.shape[-2]
+    for b in np.flatnonzero(ranks < m)[:1]:
         raise ExistenceError(
             "atoms are contained in a proper subspace (dimension "
-            f"{rank} of {emp.m}); no estimate of scatter exists",
-            witness=U[:, :rank],
+            f"{ranks[b]} of {m}); no estimate of scatter exists",
+            witness=U.reshape((-1,) + U.shape[-2:])[b][:, :ranks[b]],
         )
 
 
@@ -161,52 +178,148 @@ def _diverged(trace, opts: SolverOptions) -> bool:
     return growth >= opts.divergence_growth and trace[k][2] - trace[k - 1][2] >= 0.5 * growth / w
 
 
-def _escape_result(Sigma, res, k, trace, iterates) -> GEResult:
+def _escape_result(Sigma, res, k, trace, first, prev, steps) -> GEResult:
+    """A run of ``steps`` steps from ``first`` whose last step went from prev to Sigma."""
     try:
-        flag = _boundary_flag(iterates)
+        flag = _boundary_flag(first, prev, Sigma, steps) if steps else None
     except EmptyFlagError:
         flag = None
     return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag)
 
 
-def _guarded_iterate(T: np.ndarray) -> _Chart | None:
-    """The chart of T rescaled to determinant one, or None past the solvers' guard.
+def _guarded(T: np.ndarray) -> tuple[_Chart, np.ndarray | None]:
+    """The charts of a stack T rescaled to determinant one, and None if all pass the
+    solvers' guard, else the mask of those that pass (the others' charts are placeholders).
 
-    One eigh of T supplies everything.  The guard: every eigenvalue positive,
-    and their ratio at most COND_MAX.
+    One batched eigh of T supplies everything.  The guard: every eigenvalue
+    positive, and their ratio at most COND_MAX.  Every solver target is positive
+    semi-definite with trace > 0, so its largest eigenvalue is positive and the
+    ratio test alone implies the sign test.
     """
     lam, Q = np.linalg.eigh(T)
-    if lam[0] <= 0.0 or lam[-1] > COND_MAX * lam[0]:
-        return None
+    ok = lam[..., -1] <= COND_MAX * lam[..., 0]
+    if ok.all():
+        ok = None
+    else:
+        lam = np.where(ok[..., None], lam, 1.0)
     loglam = np.log(lam)
-    shift = loglam.mean()
-    return _chart(T * np.exp(-shift), loglam - shift, Q)
+    shift = loglam.sum(-1, keepdims=True) / lam.shape[-1]     # the mean, as np.mean takes it
+    return _chart(T * np.exp(-shift)[..., None], loglam - shift, Q), ok
+
+
+def _guarded_iterate(T: np.ndarray) -> _Chart | None:
+    """The chart of one T rescaled to determinant one, or None past the solvers' guard."""
+    c, ok = _guarded(T)
+    return c if ok is None else None
+
+
+def _norms(loglam: np.ndarray) -> np.ndarray:
+    """|| loglam || (per row of a stack): one dot per row, as for a single vector."""
+    return np.sqrt(np.vecdot(loglam, loglam))
 
 
 def _distance_from(start: np.ndarray | None):
-    """it -> d(start, it.sigma), the distance the divergence test watches.
+    """charts -> d(start, sigma) for a stack of iterates: what the divergence test watches.
 
     From the identity (start None) it is || log eig(Sigma) ||, read off the
-    guard's eigenvalues.  Any other start whitens the iterate in its own chart,
-    taken here once, and costs one symmetric eigvalsh per call.
+    guard's eigenvalues.  Any other start whitens the iterates in its own chart,
+    taken here once, and costs one batched eigvalsh per call.
     """
     if start is None:
-        return lambda it: float(np.sqrt(it.loglam @ it.loglam))
+        return lambda it: _norms(it.loglam)
     W0 = _chart(start).W
-    return lambda it: _whitened_distance(W0, it.sigma)
+    return lambda it: _norms(np.log(np.linalg.eigvalsh(W0 @ it.sigma @ W0.T)))
 
 
-def _newton_iterate(meas: Empirical, M: np.ndarray, it: _Chart) -> _Chart | None:
-    """The guarded chart of the polish's Newton point F expm(V) F^T, or None (see above)."""
-    h, U = np.linalg.eigh(_hessian(_outer(_frames(meas.points, it.W)), meas.weights, M))
+def _newton_target(points: np.ndarray, weights: np.ndarray, M: np.ndarray,
+                   it: _Chart) -> np.ndarray | None:
+    """The polish's Newton point F expm(V) F^T, unguarded, or None (see above)."""
+    _, m, r = points.shape
+    h, U = np.linalg.eigh(_hessian(_outer(_frames(points, it.W)), weights, M))
     if h[0] <= 0.0:                                  # not positive definite on the tangent space
         return None
-    g = (M - meas.r / meas.m * np.eye(meas.m)).reshape(-1)   # 2 H V = M - (r/m) Id
+    g = (M - r / m * np.eye(m)).reshape(-1)          # 2 H V = M - (r/m) Id
     mu, E = np.linalg.eigh(sym((U @ (U.T @ g / (2.0 * h))).reshape(M.shape)))
     # cond(F e^V F^T) >= e^(mu_max - mu_min) / cond(Sigma): the guard would reject it
     if mu[-1] - mu[0] > np.log(COND_MAX) + np.ptp(it.loglam):
         return None
-    return _guarded_iterate(sym(it.F @ ((E * np.exp(mu)) @ E.T) @ it.F.T))
+    return sym(it.F @ ((E * np.exp(mu)) @ E.T) @ it.F.T)
+
+
+def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
+                 start: np.ndarray | None = None) -> list[GEResult]:
+    """The fixed-point loop on a stack of B same-shape datasets at once (unchecked).
+
+    ``points`` (B, n, m, r) and ``weights`` (B, n) hold validated datasets whose
+    atoms span R^m; each lane starts from ``start`` (default: identity) and
+    leaves the stack when it converges, diverges, breaches the guard or runs out
+    of budget.  Every batched call computes each lane on its own, so a lane's
+    result does not depend on the other lanes of its stack.
+    """
+    B, n, m, r = points.shape
+    distance_from_start = _distance_from(start)
+    it, _ = _guarded(np.repeat((np.eye(m) if start is None else start)[None], B, axis=0))
+    first, prev = it.sigma[0], it.sigma      # the escape flag reads iterates 0, k-1 and k
+    lanes = list(range(B))
+    traces: list[list[tuple[int, float, float]]] = [[] for _ in lanes]
+    results: list[GEResult | None] = [None] * B
+    undamped = opts.damping == 1.0
+    for k in range(opts.max_iter + 1):
+        M, S = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1), it.F, it.W)
+        keep, polish = [], []
+        for i, (res, d) in enumerate(zip(_defect(M, r).tolist(), distance_from_start(it).tolist())):
+            trace = traces[lanes[i]]
+            trace.append((k, res, d))
+            if res <= opts.tol:
+                result = GEResult(it.sigma[i], res, k, "converged", trace)
+            elif _diverged(trace, opts):
+                result = _escape_result(it.sigma[i], res, k, trace, first, prev[i], k)
+            elif k == opts.max_iter:
+                result = GEResult(it.sigma[i], res, k, "max_iterations", trace)
+            else:
+                if undamped and k > 0 and POLISH_RATIO * trace[-2][1] < res <= POLISH_RESIDUAL:
+                    polish.append(len(keep))
+                keep.append(i)
+                continue
+            results[lanes[i]] = result
+        if not keep:
+            break
+        if len(keep) < len(lanes):
+            it, M, S = _Chart(*(a[keep] for a in it)), M[keep], S[keep]
+            points, weights, prev = points[keep], weights[keep], prev[keep]
+            lanes = [lanes[i] for i in keep]
+        if not undamped:             # F (W S W^T)^d F^T: a fraction d of the geodesic toward S
+            S = sym(it.F @ _eig_apply(_whitened(it, S), lambda mu: mu ** opts.damping)
+                    @ it.F.swapaxes(-1, -2))
+        # T is the update target up to scale, S or a Newton point; the guard normalizes it
+        T, newton = S, []
+        for i in polish:
+            target = _newton_target(points[i], weights[i], M[i], _Chart(*(a[i] for a in it)))
+            if target is not None:
+                T = S.copy() if T is S else T
+                T[i] = target
+                newton.append(i)
+        new, ok = _guarded(T)
+        for i in newton if ok is not None else ():
+            if not ok[i]:                    # the guard rejects the Newton point: plain update
+                plain, bad = _guarded(S[i])
+                for a, b in zip(new, plain):
+                    a[i] = b
+                ok[i] = bad is None
+        if ok is not None and not ok.all():
+            # conditioning breached before the distance test fired; the lane
+            # is escaping and its new iterate is numerically unusable
+            for i in np.flatnonzero(~ok):
+                trace = traces[lanes[i]]
+                results[lanes[i]] = _escape_result(it.sigma[i], trace[-1][1], k + 1, trace,
+                                                   first, prev[i], k)
+            if not ok.any():
+                break
+            it, new = _Chart(*(a[ok] for a in it)), _Chart(*(a[ok] for a in new))
+            points, weights = points[ok], weights[ok]
+            lanes = [lane for lane, good in zip(lanes, ok) if good]
+        prev, it = it.sigma, new
+    return results
 
 
 def fixed_point_solve(
@@ -221,41 +334,15 @@ def fixed_point_solve(
     witness).  Starts from Sigma0 (default: identity).  With
     ``damping < 1`` each update moves only that fraction of the way along
     the geodesic toward the plain update target; undamped runs finish slow
-    contractions with the Newton polish.
+    contractions with the Newton polish.  The one-lane call of the stacked
+    loop ``_solve_stack``.
     """
     if not isinstance(meas, Empirical):
         raise UsageError("fixed_point_solve needs an empirical measure; sample first")
     opts = options or SolverOptions()
-    _check_span(meas)
+    _check_span(meas.points)
     start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
-    distance_from_start = _distance_from(start)
-
-    it = _guarded_iterate(np.eye(meas.m) if start is None else start)
-    iterates: list[np.ndarray] = []
-    trace: list[tuple[int, float, float]] = []
-    for k in range(opts.max_iter + 1):
-        if it is None:
-            # conditioning breached before the distance test fired; the run
-            # is escaping and the new iterate is numerically unusable
-            return _escape_result(iterates[-1], trace[-1][1], k, trace, iterates)
-        iterates.append(it.sigma)
-        M, S = _weighted_kernel_sum(meas.points, meas.weights, it.F, it.W)
-        res = _defect(M, meas.r)
-        trace.append((k, res, distance_from_start(it)))
-        if res <= opts.tol:
-            return GEResult(it.sigma, res, k, "converged", trace)
-        if _diverged(trace, opts):
-            return _escape_result(it.sigma, res, k, trace, iterates)
-        if k == opts.max_iter:
-            break
-        newton = None
-        if opts.damping < 1.0:       # F (W S W^T)^d F^T: a fraction d of the geodesic toward S
-            S = sym(it.F @ _eig_apply(_whitened(it, S), lambda mu: mu ** opts.damping) @ it.F.T)
-        elif k > 0 and POLISH_RATIO * trace[-2][1] < res <= POLISH_RESIDUAL:
-            newton = _newton_iterate(meas, M, it)
-        # S is the update target up to scale; the guard normalizes it
-        it = _guarded_iterate(S) if newton is None else newton
-    return GEResult(it.sigma, res, opts.max_iter, "max_iterations", trace)
+    return _solve_stack(meas.points[None], meas.weights[None], opts, start)[0]
 
 
 def riemannian_descent(
@@ -270,12 +357,11 @@ def riemannian_descent(
     Gaussian measures are first replaced by a Monte Carlo sample of size
     ``mc_n`` (so the run optimizes the sample-average objective).  The
     objective value is non-increasing along the run.  A stalled line search
-    (no decrease after 60 halvings) ends the run with status
-    "max_iterations".
+    (no decrease after 60 halvings) ends the run with status "stalled".
     """
     opts = options or SolverOptions()
     emp = _materialize(meas, mc_n, rng, "riemannian_descent")
-    _check_span(emp)
+    _check_span(emp.points)
     m, r = emp.m, emp.r
     start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
     distance_from_start = _distance_from(start)
@@ -287,18 +373,18 @@ def riemannian_descent(
     step = step0
     it = _guarded_iterate(np.eye(m) if start is None else start)
     f = objective(it)
-    iterates = [it.sigma]
+    first = prev = it.sigma
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
         M, S = _weighted_kernel_sum(emp.points, emp.weights, it.F, it.W)
         G = (0.5 * r / m) * it.sigma - 0.5 * S
-        res = _defect(M, r)
+        res = float(_defect(M, r))
         gn2 = 0.25 * res                                  # <G, G>_Sigma
-        trace.append((k, res, distance_from_start(it)))
+        trace.append((k, res, float(distance_from_start(it))))
         if res <= opts.tol:
             return GEResult(it.sigma, res, k, "converged", trace)
         if _diverged(trace, opts):
-            return _escape_result(it.sigma, res, k, trace, iterates)
+            return _escape_result(it.sigma, res, k, trace, first, prev, k)
         if k == opts.max_iter:
             break
         t = step
@@ -308,8 +394,7 @@ def riemannian_descent(
                 break
             t *= 0.5
         else:
-            return GEResult(it.sigma, res, k, "max_iterations", trace)
-        it, f = cand, f_new
+            return GEResult(it.sigma, res, k, "stalled", trace)
+        prev, (it, f) = it.sigma, (cand, f_new)
         step = min(2.0 * t, 8.0 * step0)
-        iterates.append(it.sigma)
     return GEResult(it.sigma, res, opts.max_iter, "max_iterations", trace)

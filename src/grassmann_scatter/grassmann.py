@@ -57,6 +57,22 @@ def orthonormalize(X: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _check_ranks(points: np.ndarray) -> None:
+    """Raise DomainError naming the rank-deficient atoms of (n, m, r) points, or of
+    the first dataset of a stack (..., n, m, r) that has any: one batched svd.
+
+    Lines skip the svd: one column has rank one iff it is nonzero.
+    """
+    if points.shape[-1] == 1:
+        bad = ~points.any(axis=(-2, -1))
+    else:
+        sv = np.linalg.svd(points, compute_uv=False)
+        bad = sv[..., -1] <= RANK_TOL * sv[..., 0]
+    bad = bad.reshape(-1, points.shape[-3])
+    for row in bad[bad.any(axis=1)][:1]:
+        raise DomainError(f"rank-deficient atoms at indices {np.flatnonzero(row)}")
+
+
 @dataclass(frozen=True)
 class Empirical:
     """Weighted empirical measure over r-dimensional subspaces of R^m.
@@ -84,10 +100,7 @@ class Empirical:
             raise DomainError(f"atoms must be m x r with 0 < r < m, got {m} x {r}")
         if not np.isfinite(pts).all():
             raise DomainError("atoms have non-finite entries")
-        sv = np.linalg.svd(pts, compute_uv=False)
-        bad = sv[:, -1] <= RANK_TOL * sv[:, 0]
-        if bad.any():
-            raise DomainError(f"rank-deficient atoms at indices {np.flatnonzero(bad)}")
+        _check_ranks(pts)
         if self.weights is None:
             w = np.full(n, 1.0 / n)
         else:
@@ -207,14 +220,15 @@ def act_measure(A, meas: Measure) -> Measure:
 
 
 def _columns(points: np.ndarray) -> np.ndarray:
-    """The (n, m, r) atoms side by side: one m x (n r) matrix, atom j in block j."""
-    n, m, r = points.shape
-    return points.transpose(1, 0, 2).reshape(m, n * r)
+    """The (n, m, r) atoms side by side: one m x (n r) matrix, atom j in block j (per
+    dataset of a stack (..., n, m, r))."""
+    n, m, r = points.shape[-3:]
+    return points.swapaxes(-3, -2).reshape(points.shape[:-3] + (m, n * r))
 
 
 def _gram_schmidt(T: np.ndarray):
-    """(U, |v_k|^2 (r, n)): the atoms of the (r, m, n) layout T orthonormalized in place."""
-    sq = np.empty(T.shape[::2])
+    """(U, |v_k|^2 (r, ...)): the atoms of the (r, m, ...) layout T orthonormalized in place."""
+    sq = np.empty(T.shape[:1] + T.shape[2:])
     for k, v in enumerate(T):
         for u in T[:k]:
             v -= u * (u * v).sum(0)
@@ -224,8 +238,17 @@ def _gram_schmidt(T: np.ndarray):
 
 
 def _frames(points: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The whitened frames U_j of the (n, m, r) atoms, in the (r, m, n) layout."""
-    return _gram_schmidt(W @ points.transpose(2, 1, 0))[0]
+    """The whitened frames U_j of the (n, m, r) atoms, in the (r, m, n) layout.
+
+    A stack of L > 1 factors W (L, m, m) whitens L equal blocks of consecutive
+    atoms (one dataset each), block i by W[i], in one broadcast product, and
+    gives the frames in the (r, m, L, n/L) layout.
+    """
+    if W.ndim == 2 or len(W) == 1:
+        return _gram_schmidt(W @ points.transpose(2, 1, 0))[0]
+    n, m, r = points.shape
+    T = W[:, None] @ points.reshape(len(W), -1, m, r).transpose(0, 3, 2, 1)   # (L, r, m, n/L)
+    return _gram_schmidt(T.transpose(1, 2, 0, 3))[0]
 
 
 def _outer(U: np.ndarray) -> np.ndarray:

@@ -77,11 +77,15 @@ def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
                          W: np.ndarray):
     """(M, S): the mean projector M = sum_j w_j Pi_j whitened by W = F^-1, and S = F M F^T.
 
-    S = sum_j w_j X_j G_j^-1 X_j^T is the same for every factor F F^T = Sigma.
+    S = sum_j w_j X_j G_j^-1 X_j^T is the same for every factor F F^T = Sigma.  A
+    stack of L factors (L, m, m) splits the atoms into L equal blocks of consecutive
+    atoms, one dataset each (see ``_frames``), and gives one (M, S) per block.
     """
     U = _frames(points, W)
-    M = sym(((U * weights) @ U.transpose(0, 2, 1)).sum(0))  # sum_k (U_k w) U_k^T
-    return M, sym(F @ M @ F.T)
+    if U.ndim == 4:                                          # (r, m, L, n/L) -> (r, L, m, n/L)
+        U, weights = U.transpose(0, 2, 1, 3), weights.reshape(len(W), 1, -1)
+    M = sym(((U * weights) @ U.swapaxes(-1, -2)).sum(0)).reshape(W.shape)   # sum_k (U_k w) U_k^T
+    return M, sym(F @ M @ F.swapaxes(-1, -2))
 
 
 def _kron_mean(P: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -103,10 +107,10 @@ def _hessian(P: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     return Q @ H @ Q + (np.eye(m * m) - Q)
 
 
-def _defect(M: np.ndarray, r: int) -> float:
-    """|| M - (r/m) Id ||_F^2 for a whitened mean projector M."""
-    D = M - (r / M.shape[0]) * np.eye(M.shape[0])
-    return float(np.sum(D * D))
+def _defect(M: np.ndarray, r: int):
+    """|| M - (r/m) Id ||_F^2 for a whitened mean projector M (per entry of a stack)."""
+    D = M - (r / M.shape[-1]) * np.eye(M.shape[-1])
+    return (D * D).reshape(D.shape[:-2] + (-1,)).sum(-1)
 
 
 def loglik_point(X, Sigma) -> float:
@@ -207,7 +211,7 @@ def grad_norm_sq(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> flo
     """
     c = _chart(check_scatter(Gamma))
     emp = _materialize(meas, mc_n, rng, "grad_norm_sq")
-    return 0.25 * _defect(_weighted_kernel_sum(emp.points, emp.weights, c.F, c.W)[0], emp.r)
+    return 0.25 * float(_defect(_weighted_kernel_sum(emp.points, emp.weights, c.F, c.W)[0], emp.r))
 
 
 def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:

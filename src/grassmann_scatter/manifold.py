@@ -58,8 +58,8 @@ def manifold_dim(m: int) -> int:
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Symmetric part (M + M^T)/2."""
-    return 0.5 * (M + M.T)
+    """Symmetric part (M + M^T)/2 (of every matrix of a stack)."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _as_square(M, name: str) -> np.ndarray:
@@ -138,13 +138,16 @@ def check_tangent(Sigma: np.ndarray, V, tol: float = TANGENT_TOL) -> np.ndarray:
 
 
 def _eig_apply(S: np.ndarray, f) -> np.ndarray:
-    """Q f(lam) Q^T for a symmetric S = Q diag(lam) Q^T (unchecked)."""
+    """Q f(lam) Q^T for a symmetric S = Q diag(lam) Q^T, or a stack of them (unchecked)."""
     lam, Q = np.linalg.eigh(S)
-    return sym((Q * f(lam)) @ Q.T)
+    return sym((Q * f(lam)[..., None, :]) @ Q.swapaxes(-1, -2))
 
 
 class _Chart(NamedTuple):
-    """Sigma = Q diag(exp(loglam)) Q^T = F F^T with F = Q diag(exp(loglam/2)) and W = F^-1."""
+    """Sigma = Q diag(exp(loglam)) Q^T = F F^T with F = Q diag(exp(loglam/2)) and W = F^-1.
+
+    The fields of a stack of charts carry one leading axis, one entry per matrix.
+    """
 
     sigma: np.ndarray
     Q: np.ndarray
@@ -154,17 +157,19 @@ class _Chart(NamedTuple):
 
 
 def _chart(Sigma: np.ndarray, loglam=None, Q=None) -> _Chart:
-    """The eigen chart of Sigma; pass (loglam, Q) when its eigendecomposition is at hand."""
+    """The eigen chart of Sigma (or of a stack); pass (loglam, Q) when its
+    eigendecomposition is at hand."""
     if Q is None:
         lam, Q = np.linalg.eigh(Sigma)
         loglam = np.log(lam)
     root = np.exp(0.5 * loglam)
-    return _Chart(Sigma, Q, loglam, Q * root, Q.T / root[:, None])
+    return _Chart(Sigma, Q, loglam, Q * root[..., None, :],
+                  Q.swapaxes(-1, -2) / root[..., :, None])
 
 
 def _whitened(c: _Chart, M: np.ndarray) -> np.ndarray:
-    """W M W^T: a symmetric M in the chart whitened at c.sigma."""
-    return sym(c.W @ M @ c.W.T)
+    """W M W^T: a symmetric M in the chart whitened at c.sigma (stacks entry by entry)."""
+    return sym(c.W @ M @ c.W.swapaxes(-1, -2))
 
 
 def sym_sqrt(Sigma) -> np.ndarray:

@@ -7,6 +7,7 @@ from grassmann_scatter import (
     DegeneracyError,
     Empirical,
     Gaussian,
+    SolverOptions,
     UsageError,
     clt_experiment,
     commutation_matrix,
@@ -21,6 +22,7 @@ from grassmann_scatter import (
     vec,
     whiten_normalize,
 )
+from grassmann_scatter import asymptotics
 from grassmann_scatter.manifold import manifold_dim
 from helpers import circle_lines, gaussian_points, orthogonal_lines, three_symmetric_lines
 
@@ -351,6 +353,30 @@ def test_clt_worker_count_does_not_change_results():
     assert np.array_equal(one.cov, two.cov)
     assert one.annihilation == two.annihilation
     assert one.max_skew == two.max_skew
+
+
+def test_experiments_identical_for_any_worker_count_and_block_size(monkeypatch):
+    # a replication's result depends on its own stream only, not on which block
+    # (or worker) solved it: blocks of one, of three and of the whole grid entry
+    sigma = random_scatter(3, np.random.default_rng(5), spread=0.5)
+    damped = SolverOptions(damping=0.7)
+
+    def run(threads):
+        lln = lln_experiment(sigma, 2, [12, 20], 7, 19, threads=threads)
+        clt = clt_experiment(sigma, 2, 15, 7, 19, threads=threads, ref=np.eye(9), options=damped)
+        return lln, clt
+
+    lln, clt = run(1)
+    assert sum(lln.status_counts[0].values()) == 7 and clt.status_counts == {"converged": 7}
+    budgets = [asymptotics.STACK_FLOATS, 1, 3 * 20 * 3 * 2]
+    for budget, threads in [(budgets[0], 2), (budgets[1], 1), (budgets[2], 1), (budgets[2], 2)]:
+        monkeypatch.setattr(asymptotics, "STACK_FLOATS", budget)
+        lln_b, clt_b = run(threads)
+        assert np.array_equal(lln_b.distances, lln.distances), (budget, threads)
+        assert lln_b.status_counts == lln.status_counts
+        assert lln_b.iteration_quantiles == lln.iteration_quantiles
+        assert np.array_equal(clt_b.cov, clt.cov), (budget, threads)
+        assert clt_b.iteration_quantiles == clt.iteration_quantiles
 
 
 def test_clt_full_run_matches_predicted_covariance_within_ten_percent(clt_run):

@@ -1,5 +1,7 @@
 """Fixed-point and descent solvers for the scatter estimate."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -216,11 +218,26 @@ def test_no_ge_line_sets_diverge_without_raising(tmp_path):
 
 
 def test_descent_on_no_ge_line_sets_never_raises():
-    # a line-search candidate past the conditioning guard is rejected, not raised
+    # a line-search candidate past the conditioning guard is rejected, not raised;
+    # a line search that finds no decrease at all ends the run as "stalled"
     for n in (4, 9):
         for seed in range(5):
             res = riemannian_descent(no_ge_lines(seed, n))
-            assert res.status in ("diverged_to_boundary", "max_iterations")
+            assert res.status in ("diverged_to_boundary", "max_iterations", "stalled")
+
+
+def test_descent_stalled_line_search_has_its_own_status(tmp_path):
+    # nine lines, eight in a plane: the descent escapes until no trial step of
+    # the line search (60 halvings) decreases the objective within the guard
+    meas = no_ge_lines(0, 9)
+    res = riemannian_descent(meas)
+    assert res.status == "stalled" and not res.converged
+    assert res.iterations == len(res.trace) - 1 < SolverOptions().max_iter
+    path = tmp_path / "lines.json"
+    write_measure_json(path, meas)
+    out = tmp_path / "out"
+    assert main(["estimate", "--input", str(path), "--solver", "descent", "--out", str(out)]) == 4
+    assert json.loads((out / "report.json").read_text())["status"] == "stalled"
 
 
 def test_descent_agrees_on_three_lines():

@@ -15,6 +15,7 @@ from grassmann_scatter import (
     random_scatter,
     riemannian_descent,
 )
+from grassmann_scatter import estimator
 from helpers import max_mixed_err, mixed_err, no_ge_lines, ref_fixed_point
 
 TRACE_TOL = 1e-10       # mixed error of trace distances against the reference loop
@@ -155,3 +156,61 @@ def test_lapack_budget_damped_and_descent(monkeypatch):
     result = riemannian_descent(meas, options=SolverOptions(max_iter=10))
     assert result.iterations == 10
     assert not [c for c in calls if c[1] in ("inv", "cholesky", "solve")]
+
+
+def _planes_in_a_solid(seed):
+    """(5,2,5): four planes inside one 3-dim subspace and one generic plane (no estimate)."""
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    inside = np.einsum("ij,njr->nir", V, rng.standard_normal((4, 3, 2)))
+    return Empirical(np.concatenate([inside, rng.standard_normal((1, 5, 2))]))
+
+
+def _same_result(a, b):
+    assert (a.status, a.iterations, a.residual) == (b.status, b.iterations, b.residual)
+    assert np.array_equal(a.estimate, b.estimate)
+    assert a.trace == b.trace
+    assert (a.boundary is None) == (b.boundary is None)
+    if a.boundary is not None:
+        assert len(a.boundary.pairs) == len(b.boundary.pairs)
+        for (alpha, V), (beta, U) in zip(a.boundary.pairs, b.boundary.pairs):
+            assert alpha == beta and np.array_equal(V, U)
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.5])
+def test_block_lanes_equal_the_same_datasets_solved_alone(monkeypatch, damping):
+    # threshold+1 (5,2,5) sets (some finish with the Newton polish), no-GE sets
+    # (escapes by the distance test and by the guard), some weighted, in one block
+    rng = np.random.default_rng(3)
+    sets = [Empirical(np.random.default_rng(seed).standard_normal((5, 5, 2))) for seed in range(8)]
+    w = 1.0 + 0.5 * rng.random(5)
+    sets[1] = Empirical(sets[1].points, w / w.sum())
+    sets += [_planes_in_a_solid(seed) for seed in range(3)]
+    opts = SolverOptions(damping=damping, max_iter=500 if damping == 1.0 else 300)
+    polished = []
+    newton_target = estimator._newton_target
+
+    def recording(points, *args):
+        polished.append(next(j for j, s in enumerate(sets) if np.array_equal(s.points, points)))
+        return newton_target(points, *args)
+
+    monkeypatch.setattr(estimator, "_newton_target", recording)
+    alone = [fixed_point_solve(meas, options=opts) for meas in sets]
+    polished_alone, polished[:] = sorted(polished), []
+    points = np.stack([meas.points for meas in sets])
+    weights = np.stack([meas.weights for meas in sets])
+    block = estimator._solve_stack(points, weights, opts)
+    assert sorted(polished) == polished_alone
+    for a, b in zip(block, alone):
+        _same_result(a, b)
+    # a different composition of the block changes nothing either
+    for a, b in zip(estimator._solve_stack(points[::-2], weights[::-2], opts), alone[::-2]):
+        _same_result(a, b)
+    statuses = Counter(result.status for result in alone)
+    if damping == 1.0:
+        assert polished_alone                               # the polish ran inside the block
+        assert statuses == {"converged": 8, "diverged_to_boundary": 3}
+        assert min(result.iterations for result in alone[8:]) < opts.divergence_window  # guard
+    else:
+        assert statuses["max_iterations"] >= 2 and statuses["converged"] >= 2
+    assert all(result.boundary.pairs for result in alone[8:])
