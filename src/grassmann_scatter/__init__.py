@@ -40,6 +40,7 @@ from .errors import (
 from .estimator import (
     GEResult,
     SolverOptions,
+    diagnose,
     fixed_point_solve,
     residual,
     riemannian_descent,

@@ -9,14 +9,20 @@ over proper subspaces V.  Strict positivity for every proper V gives a
 unique estimate; a strictly negative value anywhere means none exists (mass
 concentrates on V); zero values put P on the boundary, where an estimate
 may survive as a limit of perturbed problems.  ``classify_existence``
-evaluates the index on a finite candidate scan (for empirical measures the
-extrema are attained on subspaces built from the atoms: spans of atom
-subsets and their intersections) and returns the verdict.  The candidate
-scan orthonormalizes the atoms once, by one batched qr; the index is then
-evaluated on stacks of same-dimension candidates, each ``existence_index``
-call ranking every atom against every candidate of its stack in one
-``dim_intersection`` call.  Every intersection dimension (candidate meets,
-indices, complements) comes from the one rank core ``grassmann._meet_dims``.
+evaluates the index on a finite candidate scan (spans of atom subsets, their
+intersections, and one closure round of both) and returns the verdict.  The
+pool is a heuristic: it can miss every zero-index subspace (three generic
+planes of R^4 have a one-parameter family of them, l + A l for the map A whose
+graph is the third plane, and none is in the pool), and then calls a limit set
+unique.  The command line's ``diagnose`` therefore decides from a solver run
+first and runs this scan only as its fallback; that route needs the solver, so
+it lives next to it (``estimator.diagnose``), and checks the solver's
+certificate with the indices defined here.  The candidate scan orthonormalizes
+the atoms once, by one batched qr; the index is then evaluated on stacks of
+same-dimension candidates, each ``existence_index`` call ranking every atom
+against every candidate of its stack in one ``dim_intersection`` call.  Every
+intersection dimension (candidate meets, indices, complements) comes from the
+one rank core ``grassmann._meet_dims``.
 
 The second half of the module analyses escape directions.  Any self-adjoint
 trace-free velocity w at Sigma decomposes as
@@ -176,8 +182,14 @@ class ExistenceReport:
     witness        candidate attaining min_index when it is <= tol, else None
     zeros          candidates with |index| <= tol
     complement_ok  every zero candidate admitted a matching zero complement
-    scanned        number of candidates evaluated
+    scanned        number of subspaces whose index was evaluated
     truncated      candidate pool hit its cap
+    route          "scan" (the candidate scan decided) or "solver" (a solver run's
+                   certificate decided; see ``estimator.diagnose``)
+    lambda_min     ``estimator.diagnose``: smallest tangent Hessian eigenvalue at its
+                   converged solve, else None
+    slope          ``estimator.diagnose``: asymptotic slope of its diverged solve's
+                   escape flag, else None
     """
 
     verdict: str
@@ -187,12 +199,34 @@ class ExistenceReport:
     complement_ok: bool
     scanned: int
     truncated: bool
+    route: str = "scan"
+    lambda_min: float | None = None
+    slope: float | None = None
+
+
+def _index_values(meas: Empirical, bases) -> np.ndarray:
+    """existence_index of every basis: one stack per dimension, cut to MEET_BATCH floats."""
+    values = np.empty(len(bases))
+    for d in sorted({B.shape[1] for B in bases}):
+        rows = [i for i, B in enumerate(bases) if B.shape[1] == d]
+        step = max(1, MEET_BATCH // (meas.n * meas.m * (meas.r + d)))
+        for lo in range(0, len(rows), step):
+            batch = rows[lo:lo + step]
+            values[batch] = existence_index(meas, np.stack([bases[i] for i in batch]))
+    return values
 
 
 def _complementary(meas: Empirical, V: Candidate, W: Candidate, meets_V, meets_W) -> bool:
     """Is R^m = V (+) W with every atom split, dim(U_j & V) + dim(U_j & W) = r?"""
     return (W.dim == meas.m - V.dim and dim_intersection(V.basis, W.basis) == 0
             and (meets_V + meets_W == meas.r).all())
+
+
+def _paired(meas: Empirical, zeros: list[Candidate]) -> bool:
+    """Does every zero-index subspace have a complementary one among ``zeros``?"""
+    meets = [dim_intersection(meas.points, V.basis) for V in zeros]
+    return all(any(_complementary(meas, V, W, mv, mw) for W, mw in zip(zeros, meets))
+               for V, mv in zip(zeros, meets))
 
 
 def classify_existence(
@@ -215,13 +249,7 @@ def classify_existence(
     cands = scan.candidates
     if not cands:
         raise UsageError("no candidate subspaces to scan")
-    values = np.empty(len(cands))
-    for d in sorted({c.dim for c in cands}):
-        rows = [i for i, c in enumerate(cands) if c.dim == d]
-        step = max(1, MEET_BATCH // (meas.n * meas.m * (meas.r + d)))
-        for lo in range(0, len(rows), step):
-            batch = rows[lo:lo + step]
-            values[batch] = existence_index(meas, np.stack([cands[i].basis for i in batch]))
+    values = _index_values(meas, [c.basis for c in cands])
     order = int(np.argmin(values))
     min_index = float(values[order])
     zeros = [i for i, v in enumerate(values) if abs(v) <= tol]
@@ -231,9 +259,7 @@ def classify_existence(
     elif not zeros:
         verdict = "unique"
     else:
-        meets = {i: dim_intersection(meas.points, cands[i].basis) for i in zeros}
-        complement_ok = all(any(_complementary(meas, cands[i], cands[j], meets[i], meets[j])
-                                for j in zeros) for i in zeros)
+        complement_ok = _paired(meas, [cands[i] for i in zeros])
         verdict = "limit" if complement_ok else "inconclusive"
     return ExistenceReport(verdict, min_index, None if verdict == "unique" else cands[order],
                            [cands[i] for i in zeros], complement_ok, len(cands), scan.truncated)
@@ -303,7 +329,11 @@ def asymptotic_slope(meas: Empirical, Sigma, w, gap_tol: float = GAP_TOL) -> flo
     """
     if not isinstance(meas, Empirical):
         raise UsageError("asymptotic_slope needs an empirical measure")
-    flag = decompose_velocity(Sigma, w, gap_tol=gap_tol)
+    return _flag_slope(meas, decompose_velocity(Sigma, w, gap_tol=gap_tol))
+
+
+def _flag_slope(meas: Empirical, flag: VelocityFlag) -> float:
+    """1/2 sum_k alpha_k * existence_index(meas, V_k) over the flag's pairs."""
     return float(0.5 * sum(alpha * existence_index(meas, V) for alpha, V in flag.pairs))
 
 

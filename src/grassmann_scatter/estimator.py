@@ -35,6 +35,12 @@ the window's mean step; a run converging to a far estimate slows down), while
 the residual is still above tolerance.  The returned result then carries a
 boundary flag describing the escape direction (see ``diagnostics.boundary_flag``).
 
+``diagnose`` decides existence from one fixed-point solve: a safely
+positive-definite Hessian at the converged estimate certifies "unique", a null
+direction of it splitting every atom "limit", an escape of negative slope (or a
+deficient span) "no_ge"; whatever the solve leaves open goes to the candidate
+scan of ``diagnostics.classify_existence``.
+
 Both solvers evaluate the data through one core, ``likelihood._weighted_kernel_sum``
 (built on the whitened-frame core of ``grassmann``).  Inputs are validated once
 on entry; the iterations run on unchecked cores, and the only conditioning
@@ -70,13 +76,35 @@ system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import VelocityFlag, _boundary_flag
+from .diagnostics import (
+    GAP_TOL,
+    INDEX_TOL,
+    Candidate,
+    ExistenceReport,
+    VelocityFlag,
+    _boundary_flag,
+    _flag,
+    _flag_slope,
+    _index_values,
+    _paired,
+    classify_existence,
+    existence_index,
+)
 from .errors import EmptyFlagError, ExistenceError, UsageError
-from .grassmann import RANK_TOL, Empirical, Measure, _columns, _frames, _logdet_ratio, _outer
+from .grassmann import (
+    RANK_TOL,
+    Empirical,
+    Measure,
+    _columns,
+    _frames,
+    _logdet_ratio,
+    _outer,
+    orthonormalize,
+)
 from .likelihood import _defect, _hessian, _materialize, _weighted_kernel_sum, grad_norm_sq
 from .manifold import (
     COND_MAX,
@@ -91,6 +119,16 @@ from .manifold import (
 
 POLISH_RESIDUAL = 1e-4  # Newton polish: residual at most this, and above
 POLISH_RATIO = 0.9      # this times the previous one (a slow contraction)
+
+# diagnose: a converged solve certifies "unique" when lambda_min of the tangent Hessian
+# is at least UNIQUE_HESSIAN and the Newton step ||g|| / lambda_min at most NEWTON_STEP,
+# and reads a null direction ("limit") when lambda_min is at most NULL_HESSIAN
+UNIQUE_HESSIAN = 1e-6
+NEWTON_STEP = 1e-2
+NULL_HESSIAN = 1e-10
+REFINE_TOL = 1e-26      # the limit route re-solves to this residual before reading V
+REFINE_ITER = 100
+SPAN_CHECKS = 128       # atom spans whose index every solver route evaluates
 
 
 @dataclass
@@ -132,6 +170,8 @@ class GEResult:
                 (``riemannian_descent`` only: the line search found no decrease)
     trace       per-iterate (iteration, residual, distance from start)
     boundary    escape-direction flag when diverged, else None
+    slope       asymptotic slope 1/2 sum_k alpha_k index(V_k) of the boundary flag, else
+                None: negative proves that no estimate exists (see ``diagnostics``)
     """
 
     estimate: np.ndarray
@@ -140,6 +180,7 @@ class GEResult:
     status: str
     trace: list[tuple[int, float, float]] = field(default_factory=list)
     boundary: VelocityFlag | None = None
+    slope: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -178,13 +219,15 @@ def _diverged(trace, opts: SolverOptions) -> bool:
     return growth >= opts.divergence_growth and trace[k][2] - trace[k - 1][2] >= 0.5 * growth / w
 
 
-def _escape_result(Sigma, res, k, trace, first, prev, steps) -> GEResult:
-    """A run of ``steps`` steps from ``first`` whose last step went from prev to Sigma."""
+def _escape_result(Sigma, res, k, trace, first, prev, steps, points, weights) -> GEResult:
+    """A run on the atoms (points, weights) of ``steps`` steps from ``first`` whose last
+    step went from prev to Sigma; the slope of its flag comes from integer meet dimensions."""
     try:
         flag = _boundary_flag(first, prev, Sigma, steps) if steps else None
     except EmptyFlagError:
         flag = None
-    return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag)
+    slope = None if flag is None else _flag_slope(Empirical(points, weights), flag)
+    return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag, slope=slope)
 
 
 def _guarded(T: np.ndarray) -> tuple[_Chart, np.ndarray | None]:
@@ -231,11 +274,22 @@ def _distance_from(start: np.ndarray | None):
     return lambda it: _norms(np.log(np.linalg.eigvalsh(W0 @ it.sigma @ W0.T)))
 
 
+def _hessian_eigh(points: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Chart):
+    """eigh of the geodesic Hessian at the chart's iterate, whitened (``likelihood._hessian``).
+
+    Its tangent eigenvalues lie in [0, 1/2] (1/2 tr(V^2 M) <= 1/2 ||V||^2 bounds the
+    form), and the m(m-1)/2 + 1 off-tangent ones (antisymmetric and trace directions)
+    are exactly 1, so they sort last: the first eigenpair is the smallest one on the
+    symmetric trace-free matrices.
+    """
+    return np.linalg.eigh(_hessian(_outer(_frames(points, it.W)), weights, M))
+
+
 def _newton_target(points: np.ndarray, weights: np.ndarray, M: np.ndarray,
                    it: _Chart) -> np.ndarray | None:
     """The polish's Newton point F expm(V) F^T, unguarded, or None (see above)."""
     _, m, r = points.shape
-    h, U = np.linalg.eigh(_hessian(_outer(_frames(points, it.W)), weights, M))
+    h, U = _hessian_eigh(points, weights, M, it)
     if h[0] <= 0.0:                                  # not positive definite on the tangent space
         return None
     g = (M - r / m * np.eye(m)).reshape(-1)          # 2 H V = M - (r/m) Id
@@ -273,7 +327,8 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
             if res <= opts.tol:
                 result = GEResult(it.sigma[i], res, k, "converged", trace)
             elif _diverged(trace, opts):
-                result = _escape_result(it.sigma[i], res, k, trace, first, prev[i], k)
+                result = _escape_result(it.sigma[i], res, k, trace, first, prev[i], k,
+                                        points[i], weights[i])
             elif k == opts.max_iter:
                 result = GEResult(it.sigma[i], res, k, "max_iterations", trace)
             else:
@@ -312,7 +367,7 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
             for i in np.flatnonzero(~ok):
                 trace = traces[lanes[i]]
                 results[lanes[i]] = _escape_result(it.sigma[i], trace[-1][1], k + 1, trace,
-                                                   first, prev[i], k)
+                                                   first, prev[i], k, points[i], weights[i])
             if not ok.any():
                 break
             it, new = _Chart(*(a[ok] for a in it)), _Chart(*(a[ok] for a in new))
@@ -384,7 +439,8 @@ def riemannian_descent(
         if res <= opts.tol:
             return GEResult(it.sigma, res, k, "converged", trace)
         if _diverged(trace, opts):
-            return _escape_result(it.sigma, res, k, trace, first, prev, k)
+            return _escape_result(it.sigma, res, k, trace, first, prev, k,
+                                  emp.points, emp.weights)
         if k == opts.max_iter:
             break
         t = step
@@ -398,3 +454,93 @@ def riemannian_descent(
         prev, (it, f) = it.sigma, (cand, f_new)
         step = min(2.0 * t, 8.0 * step0)
     return GEResult(it.sigma, res, opts.max_iter, "max_iterations", trace)
+
+
+def diagnose(meas: Empirical, tol: float = INDEX_TOL, max_subset: int = 2,
+             cap: int = 512) -> ExistenceReport:
+    """Existence verdict, certificate first: one ``fixed_point_solve`` decides, and the
+    candidate scan ``classify_existence`` is the fallback.
+
+    Routes (``route`` "solver"):
+
+    * unique: the run converged and the whitened tangent Hessian H at the estimate has
+      lambda_min >= UNIQUE_HESSIAN with a Newton step ||g|| / lambda_min <= NEWTON_STEP.
+      The objective is geodesically convex, so a positive-definite H at its critical
+      point makes that point the only minimizer.
+    * limit: lambda_min <= NULL_HESSIAN.  After a re-solve to REFINE_TOL, the null vector
+      V of H splits every atom, so the objective is constant along F expm(tV) F^T: V's
+      flag subspaces and their complements are the zeros, each checked to have index
+      within tol and a complement splitting every atom (integer meet dimensions).
+    * no_ge: the atoms span a proper subspace (the span is the witness), or the run
+      diverged along a flag of slope < -tol; the witness attains the least index.
+
+    Besides a deficient span, each solver route also evaluates the spans of the first
+    SPAN_CHECKS atoms: one of index <= tol contradicts "unique", one < -tol contradicts
+    "limit".  Any other outcome (``max_iterations``, an escape of slope >= -tol, a
+    lambda_min between the thresholds, a failed check) runs the scan, unchanged, with
+    ``max_subset`` and ``cap``.
+    ``scanned`` counts the subspaces the deciding route evaluated; ``lambda_min`` and
+    ``slope`` come from the solve on either route.
+    """
+    if not isinstance(meas, Empirical):
+        raise UsageError("diagnose needs an empirical measure")
+    try:
+        result = fixed_point_solve(meas)
+    except ExistenceError as exc:
+        span = Candidate(exc.witness, "sum")
+        index = float(existence_index(meas, span.basis))
+        if index < -tol:
+            return ExistenceReport("no_ge", index, span, [], False, 1, False, route="solver")
+        result = None
+    lam, report = None, None
+    if result is not None and (result.converged or result.slope is not None):
+        spans = [Candidate(B, "sum") for B in orthonormalize(meas.points[:SPAN_CHECKS])]
+        if result.converged:
+            lam, report = _converged_route(meas, result, spans, tol)
+        elif result.slope < -tol:
+            flag = [Candidate(B, "eigen_flag") for _, B in result.boundary.pairs]
+            report = _route_report(meas, "no_ge", spans + flag, [], tol)
+    if report is None:
+        report = classify_existence(meas, tol=tol, max_subset=max_subset, cap=cap)
+    return replace(report, lambda_min=lam, slope=None if result is None else result.slope)
+
+
+def _route_report(meas: Empirical, verdict: str, cands: list[Candidate],
+                  zeros: list[Candidate], tol: float) -> ExistenceReport | None:
+    """The solver route's report over the evaluated subspaces, or None if their indices
+    contradict the verdict (the case then goes to the scan)."""
+    values = _index_values(meas, [c.basis for c in cands])
+    order = int(np.argmin(values))
+    low = values[order]
+    agrees = {"unique": low > tol, "no_ge": low < -tol,
+              "limit": low >= -tol and (values[len(cands) - len(zeros):] <= tol).all()}
+    if not agrees[verdict]:
+        return None
+    return ExistenceReport(verdict, float(low), None if verdict == "unique" else cands[order],
+                           zeros, bool(zeros), len(cands), False, route="solver")
+
+
+def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], tol: float):
+    """(lambda_min, report or None) of a converged solve: "unique" or "limit" (see diagnose)."""
+    c = _chart(result.estimate)
+    M = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0]
+    h, U = _hessian_eigh(meas.points, meas.weights, M, c)
+    lam = float(h[0])
+    if lam >= UNIQUE_HESSIAN and 0.5 * np.sqrt(result.residual) <= NEWTON_STEP * lam:
+        return lam, _route_report(meas, "unique", spans, [], tol)
+    if lam > NULL_HESSIAN:
+        return lam, None
+    # at residual 1e-12 the null vector's eigenspaces meet the atoms only to ~1e-8,
+    # coarser than the RANK_TOL of the integer checks; at 1e-26 they do to ~1e-15
+    refined = fixed_point_solve(meas, Sigma0=result.estimate,
+                                options=SolverOptions(max_iter=REFINE_ITER, tol=REFINE_TOL))
+    if refined.residual < result.residual:
+        c = _chart(refined.estimate)
+        M = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0]
+        U = _hessian_eigh(meas.points, meas.weights, M, c)[1]
+    V = sym(U[:, 0].reshape(meas.m, meas.m))
+    zeros = [Candidate(B, "eigen_flag")
+             for v in (V, -V) for _, B in _flag(c, v, GAP_TOL).pairs]
+    if not zeros or not _paired(meas, zeros):
+        return lam, None
+    return lam, _route_report(meas, "limit", spans + zeros, zeros, tol)

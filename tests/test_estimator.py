@@ -210,6 +210,7 @@ def test_no_ge_line_sets_diverge_without_raising(tmp_path):
             assert result.boundary is not None and result.boundary.pairs, (n, seed)
             slope = sum(a * existence_index(meas, V) for a, V in result.boundary.pairs)
             assert slope < 0.0, (n, seed)
+            assert result.slope == pytest.approx(0.5 * slope), (n, seed)
             path = tmp_path / f"lines_{n}_{seed}.json"
             write_measure_json(path, meas)
             out = tmp_path / f"out_{n}_{seed}"
