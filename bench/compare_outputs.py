@@ -1,0 +1,132 @@
+"""Byte-for-byte comparison of the output files of two source trees on one workload.
+
+    python bench/compare_outputs.py TREE_A TREE_B --workload {bulk,small-mc,scan} --seed N \
+        [--workdir DIR]
+
+TREE_A and TREE_B are source checkouts (each with ``src/grassmann_scatter``),
+for example the parent commit and the change.  The workload's inputs and
+command list are built once, here, by ``perfbench/workloads.py`` (the
+benchmark's own generator, imported read-only).  Then each tree runs one pass
+over the command list in its own interpreter with one BLAS thread, through
+``grassmann_scatter.cli.main``, writing to its own output directory.  Every
+output file but ``replay.json`` (it records the output path) is compared byte
+for byte, and so are the exit codes.  Each difference is printed; the exit
+status is 1 when anything differs, else 0.  The package is imported only by
+the workers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SKIPPED = {"replay.json"}
+
+
+def _build(workload: str, seed: int, workdir: Path) -> list[list[str]]:
+    """The argv of every command of one pass; the inputs are written under ``workdir``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return [cmd.argv for cmd in workloads.build(workload, seed, workdir)]
+
+
+def _worker(tree: Path, commands: Path, out: Path) -> None:
+    """Run every command with its ``--out`` moved under ``out``; print the exit codes."""
+    from grassmann_scatter import cli
+
+    if Path(cli.__file__).resolve().parents[1] != (tree / "src").resolve():
+        raise SystemExit(f"imported {cli.__file__}, not the tree {tree}")
+    codes = []
+    for i, argv in enumerate(json.loads(commands.read_text())):
+        argv = list(argv)
+        argv[argv.index("--out") + 1] = str(out / f"c{i:03d}")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main(argv))
+    print(json.dumps(codes))
+
+
+def _run(tree: Path, commands: Path, out: Path) -> list[int]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in THREAD_VARS:
+        env[var] = "1"
+    proc = subprocess.run([sys.executable, __file__, "--worker", str(tree), str(commands),
+                           str(out)], env=env, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"the pass on {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _files(out: Path) -> dict[str, Path]:
+    return {str(p.relative_to(out)): p for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name not in SKIPPED}
+
+
+def _first_difference(a: bytes, b: bytes) -> str:
+    for n, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
+        if x != y:
+            return f"line {n}: {x[:100]!r} -> {y[:100]!r}"
+    return f"lengths {len(a)} -> {len(b)} bytes"
+
+
+def compare(trees: list[Path], workload: str, seed: int, workdir: Path) -> int:
+    """Print every difference between the trees' passes; return how many there are."""
+    commands = workdir / "commands.json"
+    commands.write_text(json.dumps(_build(workload, seed, workdir)))
+    outs = [workdir / f"out-{i}" for i in range(len(trees))]
+    codes_a, codes_b = [_run(tree, commands, out) for tree, out in zip(trees, outs)]
+    diffs = [f"c{i:03d}: exit code {a} -> {b}"
+             for i, (a, b) in enumerate(zip(codes_a, codes_b)) if a != b]
+    files_a, files_b = _files(outs[0]), _files(outs[1])
+    diffs += [f"{name}: only in {trees[name in files_b]}"
+              for name in sorted(files_a.keys() ^ files_b.keys())]
+    same = 0
+    for name in sorted(files_a.keys() & files_b.keys()):
+        a, b = files_a[name].read_bytes(), files_b[name].read_bytes()
+        if a == b:
+            same += 1
+        else:
+            diffs.append(f"{name}: {_first_difference(a, b)}")
+    for line in diffs:
+        print(line)
+    print(f"{workload} seed {seed}: {len(codes_a)} commands, {same} identical files, "
+          f"{len(diffs)} differences")
+    return len(diffs)
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["--worker"]:
+        _worker(*map(Path, argv[1:4]))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs=2, type=Path, metavar="TREE",
+                        help="source checkouts to compare (each with src/grassmann_scatter)")
+    parser.add_argument("--workload", required=True, choices=("bulk", "small-mc", "scan"))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="directory for inputs and outputs, kept (default: a temporary one)")
+    args = parser.parse_args(argv)
+    trees = [tree.resolve() for tree in args.trees]
+    for tree in trees:
+        if not (tree / "src" / "grassmann_scatter" / "__init__.py").is_file():
+            parser.error(f"{tree} has no src/grassmann_scatter")
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
+        return int(compare(trees, args.workload, args.seed, args.workdir.resolve()) > 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        return int(compare(trees, args.workload, args.seed, Path(tmp)) > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -74,12 +74,17 @@ def existence_index(meas: Empirical, V, tol: float = RANK_TOL):
     V = np.asarray(V, dtype=float)
     if V.ndim not in (2, 3) or not 0 < V.shape[-1] < meas.m or V.shape[-2] != meas.m:
         raise DomainError(f"candidate subspace must be m x d with 0 < d < m, got {V.shape}")
-    base = meas.r / meas.m * V.shape[-1]
+    return _index(meas.points, meas.weights, V, tol)
+
+
+def _index(points: np.ndarray, weights: np.ndarray, V: np.ndarray, tol: float = RANK_TOL):
+    """``existence_index`` of the atoms (n, m, r) with their weights (unchecked)."""
+    base = points.shape[2] / points.shape[1] * V.shape[-1]
     if V.ndim == 2:
-        return float(base - meas.weights @ dim_intersection(meas.points, V, tol))
-    dims = dim_intersection(meas.points[:, None], V, tol)        # atoms x candidates
+        return float(base - weights @ dim_intersection(points, V, tol))
+    dims = dim_intersection(points[:, None], V, tol)             # atoms x candidates
     # one dot per candidate, as for a single V: each value is the same to the bit
-    return np.array([base - meas.weights @ col for col in np.ascontiguousarray(dims.T)])
+    return np.array([base - weights @ col for col in np.ascontiguousarray(dims.T)])
 
 
 @dataclass(frozen=True)
@@ -244,6 +249,9 @@ def classify_existence(
     complementary zero-index subspace splitting each atom's dimension
     (the measure then sits on the closure of the solvable set), otherwise
     "inconclusive".
+    The pool can miss every zero-index subspace of a limit set, which is then
+    called "unique" (three generic planes of R^4); ``estimator.diagnose``
+    routes around this.
     """
     scan = candidate_subspaces(meas, max_subset=max_subset, cap=cap, extra=extra)
     cands = scan.candidates
@@ -329,12 +337,12 @@ def asymptotic_slope(meas: Empirical, Sigma, w, gap_tol: float = GAP_TOL) -> flo
     """
     if not isinstance(meas, Empirical):
         raise UsageError("asymptotic_slope needs an empirical measure")
-    return _flag_slope(meas, decompose_velocity(Sigma, w, gap_tol=gap_tol))
+    return _flag_slope(meas.points, meas.weights, decompose_velocity(Sigma, w, gap_tol=gap_tol))
 
 
-def _flag_slope(meas: Empirical, flag: VelocityFlag) -> float:
-    """1/2 sum_k alpha_k * existence_index(meas, V_k) over the flag's pairs."""
-    return float(0.5 * sum(alpha * existence_index(meas, V) for alpha, V in flag.pairs))
+def _flag_slope(points: np.ndarray, weights: np.ndarray, flag: VelocityFlag) -> float:
+    """1/2 sum_k alpha_k * existence_index(V_k) over the flag's pairs (unchecked atoms)."""
+    return float(0.5 * sum(alpha * _index(points, weights, V) for alpha, V in flag.pairs))
 
 
 def boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
@@ -343,20 +351,20 @@ def boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
     Normalizes the log-map of the last step (second-to-last iterate to the
     last) into a unit velocity and decomposes it.  Raises EmptyFlagError when
     fewer than two iterates are given or the run is stationary: its last step
-    is at most half the mean step from the first iterate to the last
-    (converged runs have no escape direction).
+    is at most half the mean step, the distance from the first iterate to the
+    last over the number of steps (converged runs have no escape direction).
     """
     iterates = [check_scatter(S, name="iterate") for S in iterates]
     if len(iterates) < 2:
         raise EmptyFlagError("need at least two iterates to extract an escape direction")
-    return _boundary_flag(iterates[0], iterates[-2], iterates[-1], len(iterates) - 1, gap_tol)
+    mean_step = _distance(iterates[0], iterates[-1]) / (len(iterates) - 1)
+    return _boundary_flag(iterates[-2], iterates[-1], mean_step, gap_tol)
 
 
-def _boundary_flag(first, prev, last, steps: int, gap_tol: float = GAP_TOL) -> VelocityFlag:
-    """The flag of a run of ``steps`` steps from ``first``, of its last step from prev to last."""
-    # an escape is a ray, so its steps are steady; the first step from the
-    # start can be several steady steps long, hence the mean step as reference
-    mean_step = _distance(first, last) / steps
+def _boundary_flag(prev, last, mean_step: float, gap_tol: float = GAP_TOL) -> VelocityFlag:
+    """The flag of a run's last step from prev to last, or EmptyFlagError if the step is at
+    most half the run's ``mean_step`` (an escape is a ray, so its steps are steady; the
+    first step can be several steady steps long, hence the mean as reference)."""
     # the last step in the chart of its base: its length, and its log-map
     # whitened there (v), projected onto the tangent space (trace removed)
     c = _chart(prev)

@@ -18,8 +18,9 @@ vanishes.  Two solvers are provided:
   residual is at most POLISH_RESIDUAL but above POLISH_RATIO times the last
   one moves to the Newton point F expm(V) F^T instead: V solves
   H V = 1/2 (M - (r/m) Id) for the geodesic Hessian H (convex objective, so
-  H >= 0) on the tangent space, all whitened in the iterate's chart.  It
-  falls back to the plain update when H is singular or the guard rejects.
+  H >= 0) on the tangent space, all whitened in the iterate's chart.  Only a
+  point the guard cannot reject is taken (lambda_min(H) > NULL_HESSIAN and a
+  conditioning bound, see ``_newton_target``); otherwise the plain update is.
 
 * ``riemannian_descent`` runs geodesic gradient descent with Armijo
   backtracking on the averaged log-likelihood.  Slower but makes no
@@ -49,11 +50,11 @@ decision is the solvers' own COND_MAX guard on each iterate.
 One loop on a stack.  The fixed-point loop, ``_solve_stack``, runs B same-shape
 datasets (B, n, m, r) at once; ``fixed_point_solve`` is its one-lane call, and
 the Monte Carlo experiments of ``asymptotics`` hand it blocks of replications.
-Each lane keeps its own trace, divergence test, polish and escape flag (which
-reads only the iterates 0, k-1 and k), and leaves the stack when it converges,
-diverges, breaches the guard or runs out of budget.  Every batched call treats
-each lane on its own, so a lane's result is bit-identical whichever lanes share
-its stack.
+Each lane keeps its own trace, exit rule, polish and escape flag (which reads
+the iterates k-1 and k, and its mean step off the trace), and leaves the stack
+when it converges, diverges, breaches the guard or runs out of budget.  Every
+batched call treats each lane on its own, so a lane's result is bit-identical
+whichever lanes share its stack.
 
 Per-iteration budget, for all live lanes together.  Every iterate is the eigen
 chart (``manifold._chart``) of one eigh T = Q diag(lam) Q^T of the unnormalized
@@ -68,10 +69,10 @@ call.  So an undamped iteration makes one eigh call; a damped one adds one eigh
 call for the whitened targets, whose power is the step; a Newton step (per
 lane) orthonormalizes that lane's atoms once more for their projectors, and adds
 one GEMM for sum_j w_j Pi_j kron Pi_j, one eigh of the m^2 x m^2 Hessian
-(definiteness and solve) and one of V, and its Newton point joins the batched
-guard; a descent iteration (one dataset) makes, per line-search trial, one eigh
-for the exponential and one for the candidate's chart.  No iteration solves a
-system.
+(definiteness and solve) and one of V, and its guard-safe Newton point takes
+the lane's place in the batched guard; a descent iteration (one dataset) makes,
+per line-search trial, one eigh for the exponential and one for the candidate's
+chart.  No iteration solves a system.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ from .manifold import (
     _eig_apply,
     _geodesic,
     _whitened,
+    _whitened_distance,
     check_scatter,
     sym,
 )
@@ -209,24 +211,32 @@ def _check_span(points: np.ndarray) -> None:
         )
 
 
-def _diverged(trace, opts: SolverOptions) -> bool:
+def _status(trace, opts: SolverOptions) -> str | None:
+    """The exit rule of both solvers: the status a run ends with at its last trace
+    entry (converged, diverged_to_boundary, max_iterations), or None to go on."""
+    k, res, d = trace[-1]
+    if res <= opts.tol:
+        return "converged"
     # an escape is a ray, so its last step is steady: at least half the mean
     # step of the window; a run converging to a far estimate slows down instead
-    k, w = len(trace) - 1, opts.divergence_window
-    if k < w:
-        return False
-    growth = trace[k][2] - trace[k - w][2]
-    return growth >= opts.divergence_growth and trace[k][2] - trace[k - 1][2] >= 0.5 * growth / w
+    w = opts.divergence_window
+    if k >= w:
+        growth = d - trace[k - w][2]
+        if growth >= opts.divergence_growth and d - trace[k - 1][2] >= 0.5 * growth / w:
+            return "diverged_to_boundary"
+    return "max_iterations" if k == opts.max_iter else None
 
 
-def _escape_result(Sigma, res, k, trace, first, prev, steps, points, weights) -> GEResult:
-    """A run on the atoms (points, weights) of ``steps`` steps from ``first`` whose last
-    step went from prev to Sigma; the slope of its flag comes from integer meet dimensions."""
+def _escape_result(Sigma, res, k, trace, prev, points, weights) -> GEResult:
+    """A run on the atoms (points, weights) whose last step went from prev to Sigma; its
+    mean step is the trace's last distance over its steps, and the slope of its flag
+    comes from integer meet dimensions."""
+    steps = len(trace) - 1
     try:
-        flag = _boundary_flag(first, prev, Sigma, steps) if steps else None
+        flag = _boundary_flag(prev, Sigma, trace[-1][2] / steps) if steps else None
     except EmptyFlagError:
         flag = None
-    slope = None if flag is None else _flag_slope(Empirical(points, weights), flag)
+    slope = None if flag is None else _flag_slope(points, weights, flag)
     return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag, slope=slope)
 
 
@@ -250,17 +260,6 @@ def _guarded(T: np.ndarray) -> tuple[_Chart, np.ndarray | None]:
     return _chart(T * np.exp(-shift)[..., None], loglam - shift, Q), ok
 
 
-def _guarded_iterate(T: np.ndarray) -> _Chart | None:
-    """The chart of one T rescaled to determinant one, or None past the solvers' guard."""
-    c, ok = _guarded(T)
-    return c if ok is None else None
-
-
-def _norms(loglam: np.ndarray) -> np.ndarray:
-    """|| loglam || (per row of a stack): one dot per row, as for a single vector."""
-    return np.sqrt(np.vecdot(loglam, loglam))
-
-
 def _distance_from(start: np.ndarray | None):
     """charts -> d(start, sigma) for a stack of iterates: what the divergence test watches.
 
@@ -269,9 +268,9 @@ def _distance_from(start: np.ndarray | None):
     taken here once, and costs one batched eigvalsh per call.
     """
     if start is None:
-        return lambda it: _norms(it.loglam)
+        return lambda it: np.sqrt(np.vecdot(it.loglam, it.loglam))
     W0 = _chart(start).W
-    return lambda it: _norms(np.log(np.linalg.eigvalsh(W0 @ it.sigma @ W0.T)))
+    return lambda it: _whitened_distance(W0, it.sigma)
 
 
 def _hessian_eigh(points: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Chart):
@@ -287,15 +286,16 @@ def _hessian_eigh(points: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _C
 
 def _newton_target(points: np.ndarray, weights: np.ndarray, M: np.ndarray,
                    it: _Chart) -> np.ndarray | None:
-    """The polish's Newton point F expm(V) F^T, unguarded, or None (see above)."""
+    """The polish's Newton point F expm(V) F^T, guard-safe, or None (see above)."""
     _, m, r = points.shape
     h, U = _hessian_eigh(points, weights, M, it)
-    if h[0] <= 0.0:                                  # not positive definite on the tangent space
+    if h[0] <= NULL_HESSIAN:                         # numerically singular on the tangent space
         return None
     g = (M - r / m * np.eye(m)).reshape(-1)          # 2 H V = M - (r/m) Id
     mu, E = np.linalg.eigh(sym((U @ (U.T @ g / (2.0 * h))).reshape(M.shape)))
-    # cond(F e^V F^T) >= e^(mu_max - mu_min) / cond(Sigma): the guard would reject it
-    if mu[-1] - mu[0] > np.log(COND_MAX) + np.ptp(it.loglam):
+    # cond(F e^V F^T) <= e^(mu_max - mu_min) cond(Sigma); within this bound it is at most
+    # COND_MAX / e, so the guard passes the point whatever the rounding of its eigenvalues
+    if mu[-1] - mu[0] + np.ptp(it.loglam) > np.log(COND_MAX) - 1.0:
         return None
     return sym(it.F @ ((E * np.exp(mu)) @ E.T) @ it.F.T)
 
@@ -313,7 +313,7 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
     B, n, m, r = points.shape
     distance_from_start = _distance_from(start)
     it, _ = _guarded(np.repeat((np.eye(m) if start is None else start)[None], B, axis=0))
-    first, prev = it.sigma[0], it.sigma      # the escape flag reads iterates 0, k-1 and k
+    prev = it.sigma                          # the escape flag reads iterates k-1 and k
     lanes = list(range(B))
     traces: list[list[tuple[int, float, float]]] = [[] for _ in lanes]
     results: list[GEResult | None] = [None] * B
@@ -324,19 +324,16 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
         for i, (res, d) in enumerate(zip(_defect(M, r).tolist(), distance_from_start(it).tolist())):
             trace = traces[lanes[i]]
             trace.append((k, res, d))
-            if res <= opts.tol:
-                result = GEResult(it.sigma[i], res, k, "converged", trace)
-            elif _diverged(trace, opts):
-                result = _escape_result(it.sigma[i], res, k, trace, first, prev[i], k,
-                                        points[i], weights[i])
-            elif k == opts.max_iter:
-                result = GEResult(it.sigma[i], res, k, "max_iterations", trace)
+            status = _status(trace, opts)
+            if status == "diverged_to_boundary":
+                results[lanes[i]] = _escape_result(it.sigma[i], res, k, trace, prev[i],
+                                                   points[i], weights[i])
+            elif status is not None:
+                results[lanes[i]] = GEResult(it.sigma[i], res, k, status, trace)
             else:
                 if undamped and k > 0 and POLISH_RATIO * trace[-2][1] < res <= POLISH_RESIDUAL:
                     polish.append(len(keep))
                 keep.append(i)
-                continue
-            results[lanes[i]] = result
         if not keep:
             break
         if len(keep) < len(lanes):
@@ -346,28 +343,19 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
         if not undamped:             # F (W S W^T)^d F^T: a fraction d of the geodesic toward S
             S = sym(it.F @ _eig_apply(_whitened(it, S), lambda mu: mu ** opts.damping)
                     @ it.F.swapaxes(-1, -2))
-        # T is the update target up to scale, S or a Newton point; the guard normalizes it
-        T, newton = S, []
+        # S holds the update targets up to scale (Newton points where taken); the guard scales
         for i in polish:
             target = _newton_target(points[i], weights[i], M[i], _Chart(*(a[i] for a in it)))
             if target is not None:
-                T = S.copy() if T is S else T
-                T[i] = target
-                newton.append(i)
-        new, ok = _guarded(T)
-        for i in newton if ok is not None else ():
-            if not ok[i]:                    # the guard rejects the Newton point: plain update
-                plain, bad = _guarded(S[i])
-                for a, b in zip(new, plain):
-                    a[i] = b
-                ok[i] = bad is None
-        if ok is not None and not ok.all():
+                S[i] = target
+        new, ok = _guarded(S)
+        if ok is not None:
             # conditioning breached before the distance test fired; the lane
             # is escaping and its new iterate is numerically unusable
             for i in np.flatnonzero(~ok):
                 trace = traces[lanes[i]]
                 results[lanes[i]] = _escape_result(it.sigma[i], trace[-1][1], k + 1, trace,
-                                                   first, prev[i], k, points[i], weights[i])
+                                                   prev[i], points[i], weights[i])
             if not ok.any():
                 break
             it, new = _Chart(*(a[ok] for a in it)), _Chart(*(a[ok] for a in new))
@@ -426,9 +414,9 @@ def riemannian_descent(
 
     step0 = 2.0 * m / r  # undamped fixed-point step, linearized
     step = step0
-    it = _guarded_iterate(np.eye(m) if start is None else start)
+    it, _ = _guarded(np.eye(m) if start is None else start)
     f = objective(it)
-    first = prev = it.sigma
+    prev = it.sigma
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
         M, S = _weighted_kernel_sum(emp.points, emp.weights, it.F, it.W)
@@ -436,24 +424,21 @@ def riemannian_descent(
         res = float(_defect(M, r))
         gn2 = 0.25 * res                                  # <G, G>_Sigma
         trace.append((k, res, float(distance_from_start(it))))
-        if res <= opts.tol:
-            return GEResult(it.sigma, res, k, "converged", trace)
-        if _diverged(trace, opts):
-            return _escape_result(it.sigma, res, k, trace, first, prev, k,
-                                  emp.points, emp.weights)
-        if k == opts.max_iter:
-            break
+        status = _status(trace, opts)
+        if status == "diverged_to_boundary":
+            return _escape_result(it.sigma, res, k, trace, prev, emp.points, emp.weights)
+        if status is not None:
+            return GEResult(it.sigma, res, k, status, trace)
         t = step
         for _ in range(60):
-            cand = _guarded_iterate(_geodesic(it, -G, t))
-            if cand is not None and (f_new := objective(cand)) <= f - 1e-4 * t * gn2:
+            cand, bad = _guarded(_geodesic(it, -G, t))
+            if bad is None and (f_new := objective(cand)) <= f - 1e-4 * t * gn2:
                 break
             t *= 0.5
         else:
             return GEResult(it.sigma, res, k, "stalled", trace)
         prev, (it, f) = it.sigma, (cand, f_new)
         step = min(2.0 * t, 8.0 * step0)
-    return GEResult(it.sigma, res, opts.max_iter, "max_iterations", trace)
 
 
 def diagnose(meas: Empirical, tol: float = INDEX_TOL, max_subset: int = 2,
@@ -520,11 +505,16 @@ def _route_report(meas: Empirical, verdict: str, cands: list[Candidate],
                            zeros, bool(zeros), len(cands), False, route="solver")
 
 
+def _hessian_at(meas: Empirical, sigma: np.ndarray):
+    """(chart of sigma, ``_hessian_eigh`` there) for a validated measure."""
+    c = _chart(sigma)
+    M = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0]
+    return c, _hessian_eigh(meas.points, meas.weights, M, c)
+
+
 def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], tol: float):
     """(lambda_min, report or None) of a converged solve: "unique" or "limit" (see diagnose)."""
-    c = _chart(result.estimate)
-    M = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0]
-    h, U = _hessian_eigh(meas.points, meas.weights, M, c)
+    c, (h, U) = _hessian_at(meas, result.estimate)
     lam = float(h[0])
     if lam >= UNIQUE_HESSIAN and 0.5 * np.sqrt(result.residual) <= NEWTON_STEP * lam:
         return lam, _route_report(meas, "unique", spans, [], tol)
@@ -532,12 +522,10 @@ def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], 
         return lam, None
     # at residual 1e-12 the null vector's eigenspaces meet the atoms only to ~1e-8,
     # coarser than the RANK_TOL of the integer checks; at 1e-26 they do to ~1e-15
-    refined = fixed_point_solve(meas, Sigma0=result.estimate,
-                                options=SolverOptions(max_iter=REFINE_ITER, tol=REFINE_TOL))
+    refined = _solve_stack(meas.points[None], meas.weights[None],
+                           SolverOptions(max_iter=REFINE_ITER, tol=REFINE_TOL), result.estimate)[0]
     if refined.residual < result.residual:
-        c = _chart(refined.estimate)
-        M = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0]
-        U = _hessian_eigh(meas.points, meas.weights, M, c)[1]
+        c, (_, U) = _hessian_at(meas, refined.estimate)
     V = sym(U[:, 0].reshape(meas.m, meas.m))
     zeros = [Candidate(B, "eigen_flag")
              for v in (V, -V) for _, B in _flag(c, v, GAP_TOL).pairs]

@@ -222,14 +222,15 @@ def log_map(Sigma0, Sigma1) -> np.ndarray:
     return sym(c.F @ _eig_apply(_whitened(c, check_scatter(Sigma1)), np.log) @ c.F.T)
 
 
-def _whitened_distance(W0: np.ndarray, Sigma1: np.ndarray) -> float:
-    """d(Sigma0, Sigma1) = ||log eig(W0 Sigma1 W0^T)|| for W0 = F0^-1, F0 F0^T = Sigma0."""
+def _whitened_distance(W0: np.ndarray, Sigma1: np.ndarray) -> np.ndarray:
+    """d(Sigma0, Sigma1) = ||log eig(W0 Sigma1 W0^T)|| for W0 = F0^-1, F0 F0^T = Sigma0
+    (per matrix of a stack Sigma1, each the same to the bit as alone)."""
     lam = np.log(np.linalg.eigvalsh(W0 @ Sigma1 @ W0.T))
-    return float(np.sqrt(lam @ lam))
+    return np.sqrt(np.vecdot(lam, lam))
 
 
 def _distance(Sigma0: np.ndarray, Sigma1: np.ndarray) -> float:
-    return _whitened_distance(_chart(Sigma0).W, Sigma1)
+    return float(_whitened_distance(_chart(Sigma0).W, Sigma1))
 
 
 def distance(Sigma0, Sigma1) -> float:

@@ -1,5 +1,6 @@
 """The single-eigh fixed-point loop against the four-factorization reference loop,
-its trace distances against the public distance, and its LAPACK budget."""
+its trace distances against the public distance, its LAPACK budget, its stacked
+lanes and its Newton polish."""
 
 from collections import Counter
 
@@ -16,12 +17,15 @@ from grassmann_scatter import (
     riemannian_descent,
 )
 from grassmann_scatter import estimator
+from grassmann_scatter.likelihood import _weighted_kernel_sum
+from grassmann_scatter.manifold import COND_MAX, _chart
 from helpers import max_mixed_err, mixed_err, no_ge_lines, ref_fixed_point
 
 TRACE_TOL = 1e-10       # mixed error of trace distances against the reference loop
 DISTANCE_TOL = 1e-12    # trace distance against public distance(start, Sigma_k)
 EPS = np.finfo(float).eps
 SEEDS = range(6)
+BLOCK_START = random_scatter(5, np.random.default_rng(5))     # a user start for the block test
 
 
 def _datasets(seed):
@@ -177,10 +181,13 @@ def _same_result(a, b):
             assert alpha == beta and np.array_equal(V, U)
 
 
-@pytest.mark.parametrize("damping", [1.0, 0.5])
-def test_block_lanes_equal_the_same_datasets_solved_alone(monkeypatch, damping):
+@pytest.mark.parametrize("damping, start",
+                         [(1.0, None), (0.5, None), (1.0, BLOCK_START), (0.5, BLOCK_START)],
+                         ids=["1.0", "0.5", "1.0-Sigma0", "0.5-Sigma0"])
+def test_block_lanes_equal_the_same_datasets_solved_alone(monkeypatch, damping, start):
     # threshold+1 (5,2,5) sets (some finish with the Newton polish), no-GE sets
-    # (escapes by the distance test and by the guard), some weighted, in one block
+    # (escapes by the distance test and by the guard), some weighted, in one block;
+    # from a user start every lane's trace distance comes from one stacked eigvalsh
     rng = np.random.default_rng(3)
     sets = [Empirical(np.random.default_rng(seed).standard_normal((5, 5, 2))) for seed in range(8)]
     w = 1.0 + 0.5 * rng.random(5)
@@ -195,16 +202,17 @@ def test_block_lanes_equal_the_same_datasets_solved_alone(monkeypatch, damping):
         return newton_target(points, *args)
 
     monkeypatch.setattr(estimator, "_newton_target", recording)
-    alone = [fixed_point_solve(meas, options=opts) for meas in sets]
+    alone = [fixed_point_solve(meas, Sigma0=start, options=opts) for meas in sets]
     polished_alone, polished[:] = sorted(polished), []
     points = np.stack([meas.points for meas in sets])
     weights = np.stack([meas.weights for meas in sets])
-    block = estimator._solve_stack(points, weights, opts)
+    block = estimator._solve_stack(points, weights, opts, start)
     assert sorted(polished) == polished_alone
     for a, b in zip(block, alone):
         _same_result(a, b)
     # a different composition of the block changes nothing either
-    for a, b in zip(estimator._solve_stack(points[::-2], weights[::-2], opts), alone[::-2]):
+    for a, b in zip(estimator._solve_stack(points[::-2], weights[::-2], opts, start),
+                    alone[::-2]):
         _same_result(a, b)
     statuses = Counter(result.status for result in alone)
     if damping == 1.0:
@@ -214,3 +222,47 @@ def test_block_lanes_equal_the_same_datasets_solved_alone(monkeypatch, damping):
     else:
         assert statuses["max_iterations"] >= 2 and statuses["converged"] >= 2
     assert all(result.boundary.pairs for result in alone[8:])
+
+
+def test_newton_points_always_pass_the_guard(monkeypatch):
+    # the polish returns a point only within a conditioning bound the guard cannot reject
+    targets = []
+    newton_target = estimator._newton_target
+
+    def recording(*args):
+        targets.append(newton_target(*args))
+        return targets[-1]
+
+    monkeypatch.setattr(estimator, "_newton_target", recording)
+    for seed in range(40):
+        meas = Empirical(np.random.default_rng(seed).standard_normal((5, 5, 2)))
+        assert fixed_point_solve(meas).converged
+    points = [t for t in targets if t is not None]
+    assert len(points) >= 20                        # threshold+1 sets polish often
+    assert all(estimator._guarded(t)[1] is None for t in points)
+
+
+@pytest.mark.parametrize("margin, accepted", [(1.5, True), (0.5, False)])
+def test_newton_point_declined_near_the_guard(margin, accepted):
+    # atoms whitened at their estimate, seen from a chart of log-eigenvalue spread
+    # log(COND_MAX) - margin: whitened there they are the same atoms, so the Hessian is
+    # definite and V ~ 0, and the chart's own conditioning alone decides the bound
+    meas = Empirical(np.random.default_rng(0).standard_normal((5, 5, 2)))
+    X = _chart(fixed_point_solve(meas).estimate).W @ meas.points
+    c = _chart(np.diag(np.exp(np.linspace(-0.5, 0.5, 5) * (np.log(COND_MAX) - margin))))
+    points = c.F @ X
+    M = _weighted_kernel_sum(points, meas.weights, c.F, c.W)[0]
+    target = estimator._newton_target(points, meas.weights, M, c)
+    assert (target is not None) == accepted
+    if accepted:
+        assert estimator._guarded(target)[1] is None
+
+
+def test_polish_declines_a_numerically_singular_hessian():
+    # three generic planes of R^4 are a limit set: the Hessian at their flat of
+    # minimizers is singular to rounding, and a Newton step divided by it jumped along
+    # the flat and ended the run "diverged_to_boundary" at residual 4e-20
+    meas = Empirical(np.random.default_rng(1).standard_normal((3, 4, 2)))
+    estimate = fixed_point_solve(meas).estimate
+    again = fixed_point_solve(meas, Sigma0=estimate, options=SolverOptions(tol=1e-28))
+    assert again.status == "converged" and again.residual <= 1e-28
