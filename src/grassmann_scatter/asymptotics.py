@@ -117,7 +117,6 @@ def limiting_covariance(
     Sigma=None,
     mc_n: int | None = None,
     rng=None,
-    cutoff: float = PINV_CUTOFF,
 ) -> np.ndarray:
     """Asymptotic covariance of sqrt(n) vec(C_n - Id).
 
@@ -133,7 +132,7 @@ def limiting_covariance(
     A = Q @ L0 @ Q
     A = 0.5 * (A + A.T)
     lam, U = np.linalg.eigh(A)
-    thresh = cutoff * np.abs(lam).max()
+    thresh = PINV_CUTOFF * np.abs(lam).max()
     keep = np.abs(lam) > thresh
     d = manifold_dim(m)
     if int(keep.sum()) < d:
@@ -193,13 +192,23 @@ def _outcomes(flat) -> tuple[dict[str, int], tuple[float, float, float]]:
     return counts, (float(median), float(q90), float(top))
 
 
+def _experiment_law(sigma, r: int, reps: int, *sizes: int) -> Gaussian:
+    """The sampled law Gaussian(sigma, r), which checks 0 < r < m; UsageError unless reps
+    and every sample size (the reference's too) are at least 1."""
+    if reps < 1 or not sizes or min(sizes) < 1:
+        raise UsageError(f"need reps >= 1 and sample sizes >= 1, got {reps} and {list(sizes)}")
+    return Gaussian(sigma, r)
+
+
 def _run_blocks(task, c: _Chart, r: int, ns, reps: int, seed: int, opts, threads: int):
-    """The replications' outcomes in (grid, rep) order, solved block by block."""
+    """The replications' outcomes in (grid, rep) order, solved block by block, by at
+    most one worker per block (a fork pool starts all its workers at once)."""
     args = [(c, r, n, grid, block, seed, opts)
             for grid, n, block in _blocks(ns, reps, c.sigma.shape[0], r, threads)]
-    if threads <= 1:
+    workers = min(threads, len(args))
+    if workers <= 1:
         return [x for a in args for x in task(a)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return [x for block in pool.map(task, args) for x in block]
 
 
@@ -240,10 +249,10 @@ def lln_experiment(
     Returns medians of the geodesic distance to the truth and their log-log
     slope.  Deterministic for fixed seed regardless of ``threads``.
     """
-    sigma = check_scatter(sigma, name="sigma")
     ns = [int(n) for n in ns]
+    law = _experiment_law(sigma, r, reps, *ns)
     opts = options or SolverOptions()
-    flat = _run_blocks(_lln_block, _chart(sigma), r, ns, reps, seed, opts, threads)
+    flat = _run_blocks(_lln_block, _chart(law.sigma), r, ns, reps, seed, opts, threads)
     dists = np.array([d for d, _, _ in flat]).reshape(len(ns), reps)
     outcomes = [_outcomes(flat[i * reps:(i + 1) * reps]) for i in range(len(ns))]
     medians = np.median(dists, axis=1)
@@ -302,15 +311,15 @@ def clt_experiment(
     reports the tangent-space annihilation defect and coordinate skewness.
     Deterministic for fixed seed regardless of ``threads``.
     """
-    sigma = check_scatter(sigma, name="sigma")
+    law = _experiment_law(sigma, r, reps, n, ref_mc_n)
     opts = options or SolverOptions()
-    flat = _run_blocks(_clt_block, _chart(sigma), r, [n], reps, seed, opts, threads)
+    flat = _run_blocks(_clt_block, _chart(law.sigma), r, [n], reps, seed, opts, threads)
     Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)
     cov = Z.T @ Z / reps
     if ref is None:
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        ref = limiting_covariance(Gaussian(sigma, r), mc_n=ref_mc_n, rng=ref_rng)
-    m = sigma.shape[0]
+        ref = limiting_covariance(law, mc_n=ref_mc_n, rng=ref_rng)
+    m = law.m
     Q = tangent_vec_projector(m)
     annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - Q), ord=2))
     rel_frob = float(np.linalg.norm(cov - ref) / np.linalg.norm(ref))

@@ -98,7 +98,7 @@ def _write_replay(outdir: Path, args) -> None:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(max_iter=args.max_iter, tol=args.tol, damping=args.damping)
+    return SolverOptions(max_iter=args.max_iter, tol=args.tol)
 
 
 def _flag_jsonable(flag):
@@ -194,8 +194,8 @@ def _cmd_diagnose(args) -> int:
 def _sigma_for_experiment(args) -> np.ndarray:
     if args.sigma:
         return read_scatter_csv(args.sigma)
-    if args.m is None:
-        raise UsageError("either --sigma or --m is required")
+    if args.m is None or args.m < 2:
+        raise UsageError("either --sigma or --m >= 2 is required")
     return np.eye(args.m)
 
 
@@ -280,6 +280,8 @@ GRADCHECK_TOLS = {
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.m < 2 or args.trials < 1:
+        raise UsageError("gradcheck needs --m >= 2 and --trials >= 1")
     rng = np.random.default_rng(args.seed)
     ranks = [args.r] if args.r is not None else list(range(1, args.m))
     rows = []
@@ -350,7 +352,6 @@ def _cmd_gradcheck(args) -> int:
 def _add_solver_flags(p) -> None:
     p.add_argument("--tol", type=float, default=1e-12, help="residual tolerance")
     p.add_argument("--max-iter", type=int, default=500, help="iteration budget")
-    p.add_argument("--damping", type=float, default=1.0, help="step fraction in (0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:

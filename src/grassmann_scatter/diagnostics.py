@@ -48,7 +48,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import DomainError, EmptyFlagError, UsageError
-from .grassmann import RANK_TOL, Empirical, _meet_dims, dim_intersection, orthonormalize
+from .grassmann import Empirical, _meet_dims, dim_intersection, orthonormalize
 from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
@@ -62,7 +62,7 @@ def unique_sample_threshold(m: int, r: int) -> float:
     return m * m / (r * (m - r))
 
 
-def existence_index(meas: Empirical, V, tol: float = RANK_TOL):
+def existence_index(meas: Empirical, V):
     """(r/m) dim(V) - sum_j w_j dim(U_j & V) for a proper subspace V.
 
     V is one m x d basis (a float is returned) or a stack (k, m, d) of bases
@@ -74,15 +74,15 @@ def existence_index(meas: Empirical, V, tol: float = RANK_TOL):
     V = np.asarray(V, dtype=float)
     if V.ndim not in (2, 3) or not 0 < V.shape[-1] < meas.m or V.shape[-2] != meas.m:
         raise DomainError(f"candidate subspace must be m x d with 0 < d < m, got {V.shape}")
-    return _index(meas.points, meas.weights, V, tol)
+    return _index(meas.points, meas.weights, V)
 
 
-def _index(points: np.ndarray, weights: np.ndarray, V: np.ndarray, tol: float = RANK_TOL):
+def _index(points: np.ndarray, weights: np.ndarray, V: np.ndarray):
     """``existence_index`` of the atoms (n, m, r) with their weights (unchecked)."""
     base = points.shape[2] / points.shape[1] * V.shape[-1]
     if V.ndim == 2:
-        return float(base - weights @ dim_intersection(points, V, tol))
-    dims = dim_intersection(points[:, None], V, tol)             # atoms x candidates
+        return float(base - weights @ dim_intersection(points, V))
+    dims = dim_intersection(points[:, None], V)                  # atoms x candidates
     # one dot per candidate, as for a single V: each value is the same to the bit
     return np.array([base - weights @ col for col in np.ascontiguousarray(dims.T)])
 
@@ -288,12 +288,12 @@ class VelocityFlag:
         return not self.pairs
 
 
-def decompose_velocity(Sigma, w, gap_tol: float = GAP_TOL) -> VelocityFlag:
+def decompose_velocity(Sigma, w) -> VelocityFlag:
     """Flag decomposition of a self-adjoint trace-free velocity at Sigma.
 
     ``w`` must satisfy w Sigma = (w Sigma)^T and tr(w) = 0 (a geodesic ray
     t -> expm(t w) Sigma then stays in the manifold).  Eigenvalues of w are
-    grouped into clusters separated by relative gaps above ``gap_tol``;
+    grouped into clusters separated by relative gaps above GAP_TOL;
     V_k spans the top-k clusters' eigenvectors and alpha_k is the gap
     between consecutive cluster means.
     """
@@ -309,10 +309,10 @@ def decompose_velocity(Sigma, w, gap_tol: float = GAP_TOL) -> VelocityFlag:
     if abs(np.trace(w)) > 1e-10 * max(1.0, np.abs(np.diag(w)).sum()):
         raise UsageError("velocity is not trace-free")
     c = _chart(Sigma)
-    return _flag(c, sym(c.W @ w @ c.F), gap_tol)
+    return _flag(c, sym(c.W @ w @ c.F))
 
 
-def _flag(c: _Chart, v: np.ndarray, gap_tol: float) -> VelocityFlag:
+def _flag(c: _Chart, v: np.ndarray) -> VelocityFlag:
     """Flag of the whitened velocity v = W w F (symmetric) in the chart c of Sigma."""
     m = v.shape[0]
     lam, E = np.linalg.eigh(v)
@@ -320,14 +320,14 @@ def _flag(c: _Chart, v: np.ndarray, gap_tol: float) -> VelocityFlag:
     spread = lam[0] - lam[-1]
     if spread <= 1e-14 * max(1.0, np.abs(lam).max()):
         return VelocityFlag([])
-    # cluster boundaries at relative gaps above gap_tol
-    ends = [i + 1 for i in range(m - 1) if lam[i] - lam[i + 1] > gap_tol * spread] + [m]
+    # cluster boundaries at relative gaps above GAP_TOL
+    ends = [i + 1 for i in range(m - 1) if lam[i] - lam[i + 1] > GAP_TOL * spread] + [m]
     means = [float(lam[a:b].mean()) for a, b in zip([0] + ends, ends)]
     return VelocityFlag([(means[k] - means[k + 1], orthonormalize(c.F @ E[:, : ends[k]]))
                          for k in range(len(means) - 1)])
 
 
-def asymptotic_slope(meas: Empirical, Sigma, w, gap_tol: float = GAP_TOL) -> float:
+def asymptotic_slope(meas: Empirical, Sigma, w) -> float:
     """Limiting slope of the objective along the ray with velocity w at Sigma.
 
     Equals 1/2 sum_k alpha_k * existence_index(meas, V_k) over the
@@ -337,7 +337,7 @@ def asymptotic_slope(meas: Empirical, Sigma, w, gap_tol: float = GAP_TOL) -> flo
     """
     if not isinstance(meas, Empirical):
         raise UsageError("asymptotic_slope needs an empirical measure")
-    return _flag_slope(meas.points, meas.weights, decompose_velocity(Sigma, w, gap_tol=gap_tol))
+    return _flag_slope(meas.points, meas.weights, decompose_velocity(Sigma, w))
 
 
 def _flag_slope(points: np.ndarray, weights: np.ndarray, flag: VelocityFlag) -> float:
@@ -345,7 +345,7 @@ def _flag_slope(points: np.ndarray, weights: np.ndarray, flag: VelocityFlag) -> 
     return float(0.5 * sum(alpha * _index(points, weights, V) for alpha, V in flag.pairs))
 
 
-def boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
+def boundary_flag(iterates) -> VelocityFlag:
     """Escape-direction flag of a diverging solver run.
 
     Normalizes the log-map of the last step (second-to-last iterate to the
@@ -358,10 +358,10 @@ def boundary_flag(iterates, gap_tol: float = GAP_TOL) -> VelocityFlag:
     if len(iterates) < 2:
         raise EmptyFlagError("need at least two iterates to extract an escape direction")
     mean_step = _distance(iterates[0], iterates[-1]) / (len(iterates) - 1)
-    return _boundary_flag(iterates[-2], iterates[-1], mean_step, gap_tol)
+    return _boundary_flag(iterates[-2], iterates[-1], mean_step)
 
 
-def _boundary_flag(prev, last, mean_step: float, gap_tol: float = GAP_TOL) -> VelocityFlag:
+def _boundary_flag(prev, last, mean_step: float) -> VelocityFlag:
     """The flag of a run's last step from prev to last, or EmptyFlagError if the step is at
     most half the run's ``mean_step`` (an escape is a ray, so its steps are steady; the
     first step can be several steady steps long, hence the mean as reference)."""
@@ -374,4 +374,4 @@ def _boundary_flag(prev, last, mean_step: float, gap_tol: float = GAP_TOL) -> Ve
         raise EmptyFlagError("iterates are stationary; no escape direction")
     loglam -= loglam.mean()
     v = sym((E * loglam) @ E.T)
-    return _flag(c, v / np.linalg.norm(v), gap_tol)
+    return _flag(c, v / np.linalg.norm(v))

@@ -9,18 +9,17 @@ vanishes.  Two solvers are provided:
 
 * ``fixed_point_solve`` iterates the classical scatter update
 
-      Sigma <- normalize_det( (m/r) sum_j w_j X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T ),
+      Sigma <- normalize_det( (m/r) sum_j w_j X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T ).
 
-  optionally damped by moving only part of the way along the connecting
-  geodesic.  The update strictly decreases the objective away from fixed
-  points, and its fixed points are exactly the zeros of the residual.  Near
-  the existence threshold it contracts slowly, so an undamped run whose
-  residual is at most POLISH_RESIDUAL but above POLISH_RATIO times the last
-  one moves to the Newton point F expm(V) F^T instead: V solves
-  H V = 1/2 (M - (r/m) Id) for the geodesic Hessian H (convex objective, so
-  H >= 0) on the tangent space, all whitened in the iterate's chart.  Only a
-  point the guard cannot reject is taken (lambda_min(H) > NULL_HESSIAN and a
-  conditioning bound, see ``_newton_target``); otherwise the plain update is.
+  The update strictly decreases the objective away from fixed points, and its
+  fixed points are exactly the zeros of the residual.  Near the existence
+  threshold it contracts slowly, so a run whose residual is at most
+  POLISH_RESIDUAL but above POLISH_RATIO times the last one moves to the Newton
+  point F expm(V) F^T instead: V solves H V = 1/2 (M - (r/m) Id) for the
+  geodesic Hessian H (convex objective, so H >= 0) on the tangent space, all
+  whitened in the iterate's chart.  Only a point the guard cannot reject is
+  taken (lambda_min(H) > NULL_HESSIAN and a conditioning bound, see
+  ``_newton_target``); otherwise the plain update is.
 
 * ``riemannian_descent`` runs geodesic gradient descent with Armijo
   backtracking on the averaged log-likelihood.  Slower but makes no
@@ -30,8 +29,8 @@ When no estimate exists the iterates escape to the boundary of the cone:
 eigenvalues split and the distance from the starting point grows without
 bound (linearly in the iteration count, since the escape is along a ray).
 Divergence is therefore detected *additively*: the run is flagged once the
-distance from the start has grown by at least ``divergence_growth`` over the
-last ``divergence_window`` iterations with a steady last step (at least half
+distance from the start has grown by at least DIVERGENCE_GROWTH over the
+last DIVERGENCE_WINDOW iterations with a steady last step (at least half
 the window's mean step; a run converging to a far estimate slows down), while
 the residual is still above tolerance.  The returned result then carries a
 boundary flag describing the escape direction (see ``diagnostics.boundary_flag``).
@@ -65,10 +64,9 @@ W = F^-1 (lam~ the eigenvalues of Sigma) and the distance from the start,
 solve and adds one batched eigvalsh of the whitened iterates per iteration.  The
 kernel whitens the atoms of every lane by one broadcast product with the lanes'
 W and orthonormalizes them by Gram-Schmidt across atoms and lanes: no LAPACK
-call.  So an undamped iteration makes one eigh call; a damped one adds one eigh
-call for the whitened targets, whose power is the step; a Newton step (per
-lane) orthonormalizes that lane's atoms once more for their projectors, and adds
-one GEMM for sum_j w_j Pi_j kron Pi_j, one eigh of the m^2 x m^2 Hessian
+call.  So an iteration makes one eigh call; a Newton step (per lane)
+orthonormalizes that lane's atoms once more for their projectors, and adds one
+GEMM for sum_j w_j Pi_j kron Pi_j, one eigh of the m^2 x m^2 Hessian
 (definiteness and solve) and one of V, and its guard-safe Newton point takes
 the lane's place in the batched guard; a descent iteration (one dataset) makes,
 per line-search trial, one eigh for the exponential and one for the candidate's
@@ -82,7 +80,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import (
-    GAP_TOL,
     INDEX_TOL,
     Candidate,
     ExistenceReport,
@@ -95,7 +92,7 @@ from .diagnostics import (
     classify_existence,
     existence_index,
 )
-from .errors import EmptyFlagError, ExistenceError, UsageError
+from .errors import DomainError, EmptyFlagError, ExistenceError, UsageError
 from .grassmann import (
     RANK_TOL,
     Empirical,
@@ -106,14 +103,12 @@ from .grassmann import (
     _outer,
     orthonormalize,
 )
-from .likelihood import _defect, _hessian, _materialize, _weighted_kernel_sum, grad_norm_sq
+from .likelihood import _defect, _hessian, _weighted_kernel_sum, grad_norm_sq
 from .manifold import (
     COND_MAX,
     _Chart,
     _chart,
-    _eig_apply,
     _geodesic,
-    _whitened,
     _whitened_distance,
     check_scatter,
     sym,
@@ -121,6 +116,8 @@ from .manifold import (
 
 POLISH_RESIDUAL = 1e-4  # Newton polish: residual at most this, and above
 POLISH_RATIO = 0.9      # this times the previous one (a slow contraction)
+DIVERGENCE_WINDOW = 25    # divergence: the distance from the start grew by at least
+DIVERGENCE_GROWTH = 10.0  # this over the last DIVERGENCE_WINDOW iterations
 
 # diagnose: a converged solve certifies "unique" when lambda_min of the tangent Hessian
 # is at least UNIQUE_HESSIAN and the Newton step ||g|| / lambda_min at most NEWTON_STEP,
@@ -135,30 +132,21 @@ SPAN_CHECKS = 128       # atom spans whose index every solver route evaluates
 
 @dataclass
 class SolverOptions:
-    """Knobs shared by both solvers.
+    """The budget and tolerance of both solvers (the divergence test's window and
+    growth are the module constants DIVERGENCE_WINDOW and DIVERGENCE_GROWTH).
 
-    max_iter            maximum number of updates
-    tol                 convergence threshold on the residual
-    damping             step fraction in (0, 1]; 1 is the undamped update
-    divergence_window   lookback (iterations) for the divergence test
-    divergence_growth   distance growth over the window that flags divergence
+    max_iter    maximum number of updates
+    tol         convergence threshold on the residual
     """
 
     max_iter: int = 500
     tol: float = 1e-12
-    damping: float = 1.0
-    divergence_window: int = 25
-    divergence_growth: float = 10.0
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise UsageError("max_iter must be at least 1")
         if not self.tol > 0.0:
             raise UsageError("tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise UsageError("damping must lie in (0, 1]")
-        if self.divergence_window < 1 or not self.divergence_growth > 0.0:
-            raise UsageError("divergence window/growth must be positive")
 
 
 @dataclass
@@ -211,6 +199,14 @@ def _check_span(points: np.ndarray) -> None:
         )
 
 
+def _check_start(Sigma0, m: int) -> np.ndarray | None:
+    """A solver's start, validated and m x m (else DomainError), or None for the identity."""
+    start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
+    if start is not None and start.shape != (m, m):
+        raise DomainError(f"Sigma0 must be {m} x {m} for atoms in R^{m}, got {start.shape}")
+    return start
+
+
 def _status(trace, opts: SolverOptions) -> str | None:
     """The exit rule of both solvers: the status a run ends with at its last trace
     entry (converged, diverged_to_boundary, max_iterations), or None to go on."""
@@ -219,10 +215,10 @@ def _status(trace, opts: SolverOptions) -> str | None:
         return "converged"
     # an escape is a ray, so its last step is steady: at least half the mean
     # step of the window; a run converging to a far estimate slows down instead
-    w = opts.divergence_window
+    w = DIVERGENCE_WINDOW
     if k >= w:
         growth = d - trace[k - w][2]
-        if growth >= opts.divergence_growth and d - trace[k - 1][2] >= 0.5 * growth / w:
+        if growth >= DIVERGENCE_GROWTH and d - trace[k - 1][2] >= 0.5 * growth / w:
             return "diverged_to_boundary"
     return "max_iterations" if k == opts.max_iter else None
 
@@ -317,7 +313,6 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
     lanes = list(range(B))
     traces: list[list[tuple[int, float, float]]] = [[] for _ in lanes]
     results: list[GEResult | None] = [None] * B
-    undamped = opts.damping == 1.0
     for k in range(opts.max_iter + 1):
         M, S = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1), it.F, it.W)
         keep, polish = [], []
@@ -331,7 +326,7 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
             elif status is not None:
                 results[lanes[i]] = GEResult(it.sigma[i], res, k, status, trace)
             else:
-                if undamped and k > 0 and POLISH_RATIO * trace[-2][1] < res <= POLISH_RESIDUAL:
+                if k > 0 and POLISH_RATIO * trace[-2][1] < res <= POLISH_RESIDUAL:
                     polish.append(len(keep))
                 keep.append(i)
         if not keep:
@@ -340,9 +335,6 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
             it, M, S = _Chart(*(a[keep] for a in it)), M[keep], S[keep]
             points, weights, prev = points[keep], weights[keep], prev[keep]
             lanes = [lanes[i] for i in keep]
-        if not undamped:             # F (W S W^T)^d F^T: a fraction d of the geodesic toward S
-            S = sym(it.F @ _eig_apply(_whitened(it, S), lambda mu: mu ** opts.damping)
-                    @ it.F.swapaxes(-1, -2))
         # S holds the update targets up to scale (Newton points where taken); the guard scales
         for i in polish:
             target = _newton_target(points[i], weights[i], M[i], _Chart(*(a[i] for a in it)))
@@ -374,9 +366,7 @@ def fixed_point_solve(
 
     Requires an empirical measure whose atoms jointly span the whole space
     (otherwise ExistenceError, carrying a basis of the deficient span as
-    witness).  Starts from Sigma0 (default: identity).  With
-    ``damping < 1`` each update moves only that fraction of the way along
-    the geodesic toward the plain update target; undamped runs finish slow
+    witness).  Starts from Sigma0 (default: identity) and finishes slow
     contractions with the Newton polish.  The one-lane call of the stacked
     loop ``_solve_stack``.
     """
@@ -384,49 +374,46 @@ def fixed_point_solve(
         raise UsageError("fixed_point_solve needs an empirical measure; sample first")
     opts = options or SolverOptions()
     _check_span(meas.points)
-    start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
+    start = _check_start(Sigma0, meas.m)
     return _solve_stack(meas.points[None], meas.weights[None], opts, start)[0]
 
 
 def riemannian_descent(
-    meas: Measure,
+    meas: Empirical,
     Sigma0=None,
     options: SolverOptions | None = None,
-    mc_n: int | None = None,
-    rng=None,
 ) -> GEResult:
     """Geodesic gradient descent with Armijo backtracking on the objective.
 
-    Gaussian measures are first replaced by a Monte Carlo sample of size
-    ``mc_n`` (so the run optimizes the sample-average objective).  The
-    objective value is non-increasing along the run.  A stalled line search
+    The objective value is non-increasing along the run.  A stalled line search
     (no decrease after 60 halvings) ends the run with status "stalled".
     """
+    if not isinstance(meas, Empirical):
+        raise UsageError("riemannian_descent needs an empirical measure; sample first")
     opts = options or SolverOptions()
-    emp = _materialize(meas, mc_n, rng, "riemannian_descent")
-    _check_span(emp.points)
-    m, r = emp.m, emp.r
-    start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
+    _check_span(meas.points)
+    m, r = meas.m, meas.r
+    start = _check_start(Sigma0, m)
     distance_from_start = _distance_from(start)
 
     def objective(it: _Chart) -> float:
-        return 0.5 * float(emp.weights @ _logdet_ratio(emp.points, it.W))
+        return 0.5 * float(meas.weights @ _logdet_ratio(meas.points, it.W))
 
-    step0 = 2.0 * m / r  # undamped fixed-point step, linearized
+    step0 = 2.0 * m / r  # the fixed-point step, linearized
     step = step0
     it, _ = _guarded(np.eye(m) if start is None else start)
     f = objective(it)
     prev = it.sigma
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
-        M, S = _weighted_kernel_sum(emp.points, emp.weights, it.F, it.W)
+        M, S = _weighted_kernel_sum(meas.points, meas.weights, it.F, it.W)
         G = (0.5 * r / m) * it.sigma - 0.5 * S
         res = float(_defect(M, r))
         gn2 = 0.25 * res                                  # <G, G>_Sigma
         trace.append((k, res, float(distance_from_start(it))))
         status = _status(trace, opts)
         if status == "diverged_to_boundary":
-            return _escape_result(it.sigma, res, k, trace, prev, emp.points, emp.weights)
+            return _escape_result(it.sigma, res, k, trace, prev, meas.points, meas.weights)
         if status is not None:
             return GEResult(it.sigma, res, k, status, trace)
         t = step
@@ -528,7 +515,7 @@ def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], 
         c, (_, U) = _hessian_at(meas, refined.estimate)
     V = sym(U[:, 0].reshape(meas.m, meas.m))
     zeros = [Candidate(B, "eigen_flag")
-             for v in (V, -V) for _, B in _flag(c, v, GAP_TOL).pairs]
+             for v in (V, -V) for _, B in _flag(c, v).pairs]
     if not zeros or not _paired(meas, zeros):
         return lam, None
     return lam, _route_report(meas, "limit", spans + zeros, zeros, tol)

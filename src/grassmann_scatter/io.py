@@ -49,14 +49,15 @@ def read_measure_json(path) -> Empirical:
     try:
         m, r = int(doc["m"]), int(doc["r"])
         points = np.asarray(doc["points"], dtype=float)
+        weights = doc.get("weights")
+        weights = None if weights is None else np.asarray(weights, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"{path} must carry m, r and a points array: {exc}") from exc
+        raise DomainError(f"{path} must carry m, r, points and numeric weights: {exc}") from exc
     if points.ndim != 3 or points.shape[1:] != (m, r):
         raise DomainError(
             f"{path}: points have shape {points.shape}, expected (n, {m}, {r})"
         )
-    weights = doc.get("weights")
-    return Empirical(points, None if weights is None else np.asarray(weights, dtype=float))
+    return Empirical(points, weights)
 
 
 def write_measure_json(path, meas: Empirical) -> None:

@@ -111,7 +111,7 @@ def normalize_det(M, name: str = "matrix") -> np.ndarray:
     return M * np.exp(-logdet / M.shape[0])
 
 
-def check_tangent(Sigma: np.ndarray, V, tol: float = TANGENT_TOL) -> np.ndarray:
+def check_tangent(Sigma: np.ndarray, V) -> np.ndarray:
     """Validate that V is tangent at Sigma (symmetric, trace condition).
 
     Raises DomainError on non-finite entries and UsageError when V is not a
@@ -130,7 +130,7 @@ def check_tangent(Sigma: np.ndarray, V, tol: float = TANGENT_TOL) -> np.ndarray:
     V = sym(V)
     T = np.linalg.solve(Sigma, V)
     tr_scale = max(1.0, float(np.abs(np.diag(T)).sum()))
-    if abs(np.trace(T)) > tol * tr_scale:
+    if abs(np.trace(T)) > TANGENT_TOL * tr_scale:
         raise UsageError(
             f"matrix is not tangent at the given base point (tr(Sigma^-1 V) = {np.trace(T):.3e})"
         )

@@ -320,15 +320,6 @@ def no_ge_lines(seed: int, n: int) -> Empirical:
 # reference fixed-point loop: four factorizations of each iterate
 
 
-def _damped(Sigma: np.ndarray, S: np.ndarray, d: float) -> np.ndarray:
-    """g (g^-1 S g^-1)^d g for g = sym_sqrt(Sigma): the point a fraction d towards S."""
-    lam, Q = np.linalg.eigh(Sigma)
-    g, g_inv = (Q * np.sqrt(lam)) @ Q.T, (Q / np.sqrt(lam)) @ Q.T
-    mu, E = np.linalg.eigh(g_inv @ S @ g_inv)
-    T = g @ ((E * mu ** d) @ E.T) @ g
-    return 0.5 * (T + T.T)
-
-
 def _tangent_basis(m: int) -> np.ndarray:
     """Orthonormal basis (m^2, (m-1)(m+2)/2) of the vec'd symmetric trace-free matrices."""
     constraints = [np.eye(m).ravel()]                       # tr V = 0
@@ -371,24 +362,30 @@ def ref_newton_point(meas: Empirical, Sigma: np.ndarray, cond_max: float):
     return 0.5 * (T + T.T)
 
 
-def ref_fixed_point(meas: Empirical, Sigma0=None, options=None):
+def ref_fixed_point(meas: Empirical, Sigma0=None, options=None, divergence_growth=None):
     """The fixed-point loop with a separate factorization for each use of the iterate.
 
     Per iteration: an eigvalsh for the COND_MAX guard, a Cholesky factor, an LU
     solve against it to whiten the atoms, and a generalized symmetric-definite
-    eigvalsh for the distance from the start; damping moves to the geodesic
-    point g (g^-1 S g^-1)^d g, g the symmetric root of the iterate.  Undamped
-    runs whose residual is at most POLISH_RESIDUAL and above POLISH_RATIO times
-    the previous one move to ``ref_newton_point`` instead, unless it is None.
-    Divergence needs growth over the window and a steady last step, at least
-    half the mean step of the window.  Returns (status, iterations, trace,
-    estimate) with the solver's status names and trace layout.
+    eigvalsh for the distance from the start.  Runs whose residual is at most
+    POLISH_RESIDUAL and above POLISH_RATIO times the previous one move to
+    ``ref_newton_point`` instead, unless it is None.  Divergence needs growth by
+    ``divergence_growth`` (default: the solver's DIVERGENCE_GROWTH) over
+    DIVERGENCE_WINDOW iterations and a steady last step, at least half the mean
+    step of the window.  Returns (status, iterations, trace, estimate) with the
+    solver's status names and trace layout.
     """
     from grassmann_scatter import SolverOptions
-    from grassmann_scatter.estimator import POLISH_RATIO, POLISH_RESIDUAL
+    from grassmann_scatter.estimator import (
+        DIVERGENCE_GROWTH,
+        DIVERGENCE_WINDOW,
+        POLISH_RATIO,
+        POLISH_RESIDUAL,
+    )
     from grassmann_scatter.manifold import COND_MAX
 
     opts = options or SolverOptions()
+    growth_min = DIVERGENCE_GROWTH if divergence_growth is None else divergence_growth
     n, m, r = meas.points.shape
     start = np.eye(m) if Sigma0 is None else np.asarray(Sigma0, dtype=float)
     cols = meas.points.transpose(1, 0, 2).reshape(m, n * r)
@@ -412,20 +409,17 @@ def ref_fixed_point(meas: Empirical, Sigma0=None, options=None):
         trace.append((k, float(np.sum(D * D)), dist))
         if trace[-1][1] <= opts.tol:
             return "converged", k, trace, Sigma
-        w = opts.divergence_window
+        w = DIVERGENCE_WINDOW
         if k >= w:
             growth = dist - trace[k - w][2]
             steady = dist - trace[k - 1][2] >= 0.5 * growth / w
-            if growth >= opts.divergence_growth and steady:
+            if growth >= growth_min and steady:
                 return "diverged_to_boundary", k, trace, Sigma
         if k == opts.max_iter:
             break
         res = trace[-1][1]
-        slow = opts.damping >= 1.0 and POLISH_RATIO * previous < res <= POLISH_RESIDUAL
+        slow = POLISH_RATIO * previous < res <= POLISH_RESIDUAL
         previous = res
         newton = ref_newton_point(meas, Sigma, COND_MAX) if slow else None
-        if newton is not None:
-            T = newton
-        else:
-            T = S if opts.damping >= 1.0 else _damped(Sigma, S, opts.damping)
+        T = S if newton is None else newton
     return "max_iterations", opts.max_iter, trace, Sigma

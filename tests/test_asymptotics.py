@@ -323,6 +323,33 @@ def test_lln_worker_count_does_not_change_results():
     assert one.medians == two.medians and one.slope == two.slope
 
 
+def test_pool_never_has_more_workers_than_blocks(monkeypatch):
+    # a fork pool starts all its workers at the first submit, so a worker count above
+    # the number of blocks would fork idle processes; the fake pool runs in-process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", InProcessPool)
+    alone = lln_experiment(np.eye(2), 1, [30], 2, 13, threads=1)
+    pooled = lln_experiment(np.eye(2), 1, [30], 2, 13, threads=64)
+    assert sizes == [len(list(asymptotics._blocks([30], 2, 2, 1, 64)))] == [2]
+    assert np.array_equal(pooled.distances, alone.distances)
+    lln_experiment(np.eye(2), 1, [30], 1, 13, threads=64)      # one block: no pool
+    assert sizes == [2]
+
+
 def test_lln_full_grid_medians_decrease_at_root_n_rate(lln_runs):
     report = lln_runs["single"]
     assert all(b < a for a, b in zip(report.medians, report.medians[1:]))
@@ -359,11 +386,11 @@ def test_experiments_identical_for_any_worker_count_and_block_size(monkeypatch):
     # a replication's result depends on its own stream only, not on which block
     # (or worker) solved it: blocks of one, of three and of the whole grid entry
     sigma = random_scatter(3, np.random.default_rng(5), spread=0.5)
-    damped = SolverOptions(damping=0.7)
+    tight = SolverOptions(tol=1e-14)
 
     def run(threads):
         lln = lln_experiment(sigma, 2, [12, 20], 7, 19, threads=threads)
-        clt = clt_experiment(sigma, 2, 15, 7, 19, threads=threads, ref=np.eye(9), options=damped)
+        clt = clt_experiment(sigma, 2, 15, 7, 19, threads=threads, ref=np.eye(9), options=tight)
         return lln, clt
 
     lln, clt = run(1)

@@ -1,5 +1,6 @@
 """Fixed-point and descent solvers for the scatter estimate."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from grassmann_scatter import (
     riemannian_descent,
 )
 from grassmann_scatter.cli import main
+from grassmann_scatter.estimator import DIVERGENCE_GROWTH
 from grassmann_scatter.io import write_measure_json
 from helpers import (
     gaussian_points,
@@ -40,20 +42,23 @@ from helpers import (
 
 def test_solver_options_defaults_and_validation():
     opts = SolverOptions()
-    assert (opts.max_iter, opts.tol, opts.damping) == (500, 1e-12, 1.0)
-    assert (opts.divergence_window, opts.divergence_growth) == (25, 10.0)
+    assert (opts.max_iter, opts.tol) == (500, 1e-12)
     with pytest.raises(UsageError):
         SolverOptions(max_iter=0)
     with pytest.raises(UsageError):
         SolverOptions(tol=0.0)
+
+
+def test_solver_configuration_is_budget_and_tolerance_only(tmp_path, capsys):
+    # the damped step, its flag and the descent's Monte Carlo branch are gone
+    assert tuple(f.name for f in dataclasses.fields(SolverOptions)) == ("max_iter", "tol")
+    data = tmp_path / "lines.json"
+    write_measure_json(data, three_symmetric_lines())
+    assert main(["estimate", "--input", str(data), "--damping", "0.5",
+                 "--out", str(tmp_path / "out")]) == 3
+    capsys.readouterr()
     with pytest.raises(UsageError):
-        SolverOptions(damping=0.0)
-    with pytest.raises(UsageError):
-        SolverOptions(damping=1.5)
-    with pytest.raises(UsageError):
-        SolverOptions(divergence_window=0)
-    with pytest.raises(UsageError):
-        SolverOptions(divergence_growth=-1.0)
+        riemannian_descent(Gaussian(np.eye(3), 1))
 
 
 def test_fixed_point_three_symmetric_lines():
@@ -77,11 +82,11 @@ def test_fixed_point_gaussian_sample_converges():
     assert distance(res.estimate, sigma_star) < 0.75
 
 
-def test_fixed_point_custom_start_and_damping():
+def test_fixed_point_custom_start():
     meas = three_symmetric_lines()
     rng = np.random.default_rng(50)
     start = random_scatter(2, rng, spread=0.8)
-    res = fixed_point_solve(meas, Sigma0=start, options=SolverOptions(damping=0.5))
+    res = fixed_point_solve(meas, Sigma0=start)
     assert res.converged
     assert np.allclose(res.estimate, np.eye(2), atol=1e-7)
 
@@ -158,18 +163,18 @@ def test_fixed_point_divergence_to_boundary():
 
 def test_slow_convergence_past_the_window_is_not_divergence():
     # two (3,1,4) Gaussian sets with a unique estimate, still converging at
-    # iteration 25 after growing more than divergence_growth from the start
+    # iteration 25 after growing more than DIVERGENCE_GROWTH from the start
     for seed in (82, 132):
         meas = Empirical(np.random.default_rng(seed).standard_normal((4, 3, 1)))
         assert classify_existence(meas).verdict == "unique"
         res = fixed_point_solve(meas)
         assert res.converged, (seed, res.status, res.iterations)
-        assert res.trace[25][2] - res.trace[0][2] >= SolverOptions().divergence_growth
+        assert res.trace[25][2] - res.trace[0][2] >= DIVERGENCE_GROWTH
 
 
 def test_far_truth_sets_converge():
     # truth diag(exp(linspace(a, -a, m))) lies about 10 from the identity start,
-    # so every run grows by divergence_growth within the first window
+    # so every run grows by DIVERGENCE_GROWTH within the first window
     for m, r, n, a in [(3, 1, 6, 7.4), (4, 1, 8, 6.0), (5, 2, 8, 5.0)]:
         sigma = np.diag(np.exp(np.linspace(a, -a, m)))
         for seed in range(100):

@@ -197,6 +197,21 @@ def test_cli_estimate_malformed_inputs_exit_3(tmp_path, capsys):
     missing = tmp_path / "does-not-exist.json"
     assert main(["estimate", "--input", str(missing), "--out", str(out)]) == 3
 
+    # a valid scatter of the wrong dimension, with either solver
+    wrong_m = tmp_path / "start3.csv"
+    write_matrix_csv(wrong_m, np.eye(3))
+    for solver in ("fixed-point", "descent"):
+        assert main(["estimate", "--input", data, "--start", str(wrong_m), "--solver", solver,
+                     "--out", str(out)]) == 3
+        assert "Sigma0 must be 2 x 2" in capsys.readouterr().err
+
+    text_weights = load_json(data)
+    text_weights["weights"] = "abc"
+    bad_weights = tmp_path / "text_weights.json"
+    bad_weights.write_text(json.dumps(text_weights))
+    assert main(["estimate", "--input", str(bad_weights), "--out", str(out)]) == 3
+    assert main(["diagnose", "--input", str(bad_weights), "--out", str(out)]) == 3
+
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_cli_non_finite_inputs_exit_3(tmp_path, capsys, bad):
@@ -351,7 +366,6 @@ def test_cli_replay_file_reproduces_outputs_bit_for_bit(tmp_path):
         "--seed", str(opts["seed"]),
         "--tol", str(opts["tol"]),
         "--max-iter", str(opts["max_iter"]),
-        "--damping", str(opts["damping"]),
         "--out", str(out3),
     ]
     assert main(rebuilt) == 0
@@ -381,6 +395,24 @@ def test_cli_argument_errors_exit_3(tmp_path, capsys):
     assert main(["estimate", "--bogus-flag"]) == 3
     assert main(["no-such-command"]) == 3
     assert main(["lln", "--r", "1"]) == 3          # neither --sigma nor --m
+    out = ["--out", str(tmp_path / "out")]
+    lln = ["lln", "--ns", "20", "--reps", "2"] + out
+    clt = ["clt", "--n", "20", "--reps", "2", "--ref-mc", "50"] + out
+    for argv in [
+        lln + ["--m", "-1", "--r", "1"],
+        lln + ["--m", "2", "--r", "3"],             # r must lie in (0, m)
+        lln + ["--m", "2", "--r", "2"],
+        lln + ["--m", "3", "--r", "0"],
+        clt + ["--m", "3", "--r", "4"],
+        lln + ["--m", "3", "--r", "1", "--reps", "0"],
+        clt + ["--m", "3", "--r", "1", "--reps", "0"],
+        clt + ["--m", "3", "--r", "1", "--n", "0"],
+        lln + ["--m", "3", "--r", "1", "--ns", "20,0"],
+        clt + ["--m", "3", "--r", "1", "--ref-mc", "0"],
+        ["gradcheck", "--m", "1"] + out,
+        ["gradcheck", "--m", "3", "--trials", "0"] + out,
+    ]:
+        assert main(argv) == 3, argv
     capsys.readouterr()
 
 
