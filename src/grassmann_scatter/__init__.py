@@ -18,13 +18,10 @@ from .asymptotics import (
 )
 from .diagnostics import (
     Candidate,
-    CandidateScan,
     ExistenceReport,
     VelocityFlag,
     asymptotic_slope,
     boundary_flag,
-    candidate_subspaces,
-    classify_existence,
     decompose_velocity,
     existence_index,
     unique_sample_threshold,
@@ -64,7 +61,6 @@ from .grassmann import (
     sample,
 )
 from .likelihood import (
-    MonteCarloEstimate,
     covariant_deriv_grad,
     grad,
     grad_norm_sq,

@@ -43,8 +43,9 @@ import numpy as np
 
 from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, _check_span, _solve_stack
-from .grassmann import Gaussian, Measure, _check_ranks, _frames, _gaussian_bases, _outer
-from .likelihood import _kron_mean, _materialize
+from .grassmann import (Empirical, Gaussian, Measure, _check_ranks, _frames, _gaussian_bases,
+                        _outer)
+from .likelihood import _kron_mean
 from .manifold import (
     _Chart,
     _chart,
@@ -80,7 +81,8 @@ def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
     """(score_covariance, projector_kron_mean), projectors whitened by sym_sqrt(Sigma).
 
     Sigma defaults to the scatter of a Gaussian measure; empirical measures
-    need it explicitly.
+    need it explicitly.  A Gaussian measure is sampled here, with ``mc_n`` draws
+    from ``rng`` (the library's one Monte Carlo evaluation of a law).
     """
     if Sigma is not None:
         Sigma = check_scatter(Sigma)
@@ -88,10 +90,13 @@ def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
         Sigma = meas.sigma
     else:
         raise UsageError("empirical measures need an explicit Sigma (evaluation point)")
-    emp = _materialize(meas, mc_n, rng, op)
+    if isinstance(meas, Gaussian):
+        if mc_n is None or rng is None:
+            raise UsageError(f"{op} on a Gaussian measure needs mc_n and rng")
+        meas = Empirical(_gaussian_bases(np.linalg.cholesky(meas.sigma), meas.r, int(mc_n), rng))
     c = _chart(Sigma)
-    P = _outer(_frames(emp.points, c.Q @ c.W))
-    n, m, r, w = emp.n, emp.m, emp.r, emp.weights
+    P = _outer(_frames(meas.points, c.Q @ c.W))
+    n, m, r, w = meas.n, meas.m, meas.r, meas.weights
     D = P - (r / m) * np.eye(m)
     V = np.transpose(D, (0, 2, 1)).reshape(n, -1)   # column-major vec of each D_j
     sigma2 = np.einsum("n,ni,nj->ij", w, V, V)

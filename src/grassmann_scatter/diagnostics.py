@@ -8,21 +8,21 @@ scatter is governed by the index
 over proper subspaces V.  Strict positivity for every proper V gives a
 unique estimate; a strictly negative value anywhere means none exists (mass
 concentrates on V); zero values put P on the boundary, where an estimate
-may survive as a limit of perturbed problems.  ``classify_existence``
-evaluates the index on a finite candidate scan (spans of atom subsets, their
-intersections, and one closure round of both) and returns the verdict.  The
-pool is a heuristic: it can miss every zero-index subspace (three generic
-planes of R^4 have a one-parameter family of them, l + A l for the map A whose
-graph is the third plane, and none is in the pool), and then calls a limit set
-unique.  The command line's ``diagnose`` therefore decides from a solver run
-first and runs this scan only as its fallback; that route needs the solver, so
-it lives next to it (``estimator.diagnose``), and checks the solver's
-certificate with the indices defined here.  The candidate scan orthonormalizes
-the atoms once, by one batched qr; the index is then evaluated on stacks of
-same-dimension candidates, each ``existence_index`` call ranking every atom
-against every candidate of its stack in one ``dim_intersection`` call.  Every
-intersection dimension (candidate meets, indices, complements) comes from the
-one rank core ``grassmann._meet_dims``.
+may survive as a limit of perturbed problems.  The one verdict is
+``estimator.diagnose``: it decides from a solver run first, checking the
+solver's certificate with the indices defined here, and falls back to the
+private candidate scan ``_scan_report``, which evaluates the index on a finite
+pool (spans of atom subsets, their intersections, and one closure round of
+both).  The pool is a heuristic: it can miss every zero-index subspace (three
+generic planes of R^4 have a one-parameter family of them, l + A l for the map
+A whose graph is the third plane, and none is in the pool), and then calls a
+limit set unique; hence it is only the fallback.  The scan orthonormalizes the
+atoms once, by one batched qr, and takes sums as rank-revealing spans; the
+index is then evaluated on stacks of same-dimension candidates, each
+``existence_index`` call ranking every atom against every candidate of its
+stack in one ``dim_intersection`` call.  Every intersection dimension
+(candidate meets, indices, complements) comes from the one rank core
+``grassmann._meet_dims``.
 
 The second half of the module analyses escape directions.  Any self-adjoint
 trace-free velocity w at Sigma decomposes as
@@ -48,7 +48,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import DomainError, EmptyFlagError, UsageError
-from .grassmann import Empirical, _meet_dims, dim_intersection, orthonormalize
+from .grassmann import (RANK_TOL, Empirical, _check_empirical, _meet_dims, dim_intersection,
+                        orthonormalize)
 from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
@@ -69,8 +70,7 @@ def existence_index(meas: Empirical, V):
     of one dimension d (a (k,) array); one ``dim_intersection`` call takes
     the meets of every atom with every V.
     """
-    if not isinstance(meas, Empirical):
-        raise UsageError("existence_index needs an empirical measure")
+    _check_empirical(meas, "existence_index")
     V = np.asarray(V, dtype=float)
     if V.ndim not in (2, 3) or not 0 < V.shape[-1] < meas.m or V.shape[-2] != meas.m:
         raise DomainError(f"candidate subspace must be m x d with 0 < d < m, got {V.shape}")
@@ -89,7 +89,7 @@ def _index(points: np.ndarray, weights: np.ndarray, V: np.ndarray):
 
 @dataclass(frozen=True)
 class Candidate:
-    """A candidate subspace with how it was built ("sum", "intersection", "eigen_flag", "user")."""
+    """A candidate subspace with how it was built ("sum", "intersection", "eigen_flag")."""
 
     basis: np.ndarray
     provenance: str
@@ -99,10 +99,11 @@ class Candidate:
         return self.basis.shape[1]
 
 
-@dataclass
-class CandidateScan:
-    candidates: list[Candidate]
-    truncated: bool
+def _span(X: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(X) from an svd cut at RANK_TOL (rank-revealing, where
+    qr would invent the directions that a rank-deficient X lacks)."""
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    return U[:, :np.sum(s > RANK_TOL * s[0])]
 
 
 def _meet(QU: np.ndarray, QV: np.ndarray) -> list[tuple[np.ndarray, str]]:
@@ -115,11 +116,19 @@ def _meet(QU: np.ndarray, QV: np.ndarray) -> list[tuple[np.ndarray, str]]:
     return [(orthonormalize(QU @ Vt[-k:].T), "intersection")]
 
 
-def _scan(atoms: np.ndarray, max_subset: int, cap: int, extra: list) -> CandidateScan:
-    """The candidate scan over orthonormal atoms (n, m, r); see ``candidate_subspaces``."""
+def _scan(meas: Empirical, max_subset: int, cap: int) -> tuple[list[Candidate], bool]:
+    """(candidates, truncated): the fallback scan of subspaces on which the index can
+    attain its extrema.
+
+    Pools the spans of atom subsets up to size ``max_subset`` and all pairwise atom
+    intersections, then closes the pool once under pairwise sums and intersections.
+    The pool is deduplicated by orthogonal projector and capped at ``cap`` >= 1
+    entries (``truncated`` records whether the cap was hit).
+    """
+    atoms = orthonormalize(meas.points)
     n, m, _ = atoms.shape
     items: list[Candidate] = []
-    projectors = np.empty((max(cap, 0), m, m))          # of items, for the dedup
+    projectors = np.empty((cap, m, m))                  # of items, for the dedup
     truncated = False
 
     def fill(units) -> bool:
@@ -142,40 +151,15 @@ def _scan(atoms: np.ndarray, max_subset: int, cap: int, extra: list) -> Candidat
                 items.append(Candidate(Q, provenance))
         return True
 
-    user = [[(orthonormalize(B), "user") for B in extra]]
     singles = ([(Q, "sum")] for Q in atoms)
-    sums = ([(orthonormalize(np.hstack(atoms[list(subset)])), "sum")]
+    sums = ([(_span(np.hstack(atoms[list(subset)])), "sum")]
             for size in range(2, max_subset + 1) for subset in combinations(range(n), size))
     meets = (_meet(atoms[i], atoms[j]) for i, j in combinations(range(n), 2))
-    if fill(chain(user, singles, sums, meets)):
+    if fill(chain(singles, sums, meets)):
         base = list(items)                              # one closure round over the pool so far
-        fill([(orthonormalize(np.hstack([a.basis, b.basis])), "sum"), *_meet(a.basis, b.basis)]
+        fill([(_span(np.hstack([a.basis, b.basis])), "sum"), *_meet(a.basis, b.basis)]
              for a, b in combinations(base, 2))
-    return CandidateScan(items, truncated)
-
-
-def candidate_subspaces(
-    meas: Empirical,
-    max_subset: int = 2,
-    cap: int = 512,
-    extra=(),
-) -> CandidateScan:
-    """Scan of subspaces on which the existence index can attain its extrema.
-
-    Builds spans of atom subsets up to size ``max_subset``, all pairwise atom
-    intersections, then closes the pool once under pairwise sums and
-    intersections.  ``extra`` bases are included first (provenance "user").
-    The pool is deduplicated by orthogonal projector and capped at ``cap``
-    entries (``truncated`` records whether the cap was hit).
-    """
-    if not isinstance(meas, Empirical):
-        raise UsageError("candidate_subspaces needs an empirical measure")
-    bases = [np.asarray(B, dtype=float) for B in extra]
-    for B in bases:
-        if B.ndim != 2 or len(B) != meas.m or not np.isfinite(B).all():
-            raise DomainError(f"extra bases must be finite m x d arrays (m = {meas.m}), "
-                              f"got shape {B.shape}")
-    return _scan(orthonormalize(meas.points), max_subset, cap, bases)
+    return items, truncated
 
 
 @dataclass
@@ -234,14 +218,8 @@ def _paired(meas: Empirical, zeros: list[Candidate]) -> bool:
                for V, mv in zip(zeros, meets))
 
 
-def classify_existence(
-    meas: Empirical,
-    tol: float = INDEX_TOL,
-    extra=(),
-    max_subset: int = 2,
-    cap: int = 512,
-) -> ExistenceReport:
-    """Trichotomy verdict from the candidate scan.
+def _scan_report(meas: Empirical, tol: float, max_subset: int, cap: int) -> ExistenceReport:
+    """Trichotomy verdict from the candidate scan ``_scan`` (``estimator.diagnose``'s fallback).
 
     Any index < -tol          -> "no_ge" (witness = the offending subspace).
     All indices > tol         -> "unique".
@@ -250,13 +228,9 @@ def classify_existence(
     (the measure then sits on the closure of the solvable set), otherwise
     "inconclusive".
     The pool can miss every zero-index subspace of a limit set, which is then
-    called "unique" (three generic planes of R^4); ``estimator.diagnose``
-    routes around this.
+    called "unique" (three generic planes of R^4); ``diagnose`` asks the solver first.
     """
-    scan = candidate_subspaces(meas, max_subset=max_subset, cap=cap, extra=extra)
-    cands = scan.candidates
-    if not cands:
-        raise UsageError("no candidate subspaces to scan")
+    cands, truncated = _scan(meas, max_subset, cap)
     values = _index_values(meas, [c.basis for c in cands])
     order = int(np.argmin(values))
     min_index = float(values[order])
@@ -270,7 +244,7 @@ def classify_existence(
         complement_ok = _paired(meas, [cands[i] for i in zeros])
         verdict = "limit" if complement_ok else "inconclusive"
     return ExistenceReport(verdict, min_index, None if verdict == "unique" else cands[order],
-                           [cands[i] for i in zeros], complement_ok, len(cands), scan.truncated)
+                           [cands[i] for i in zeros], complement_ok, len(cands), truncated)
 
 
 @dataclass
@@ -335,8 +309,7 @@ def asymptotic_slope(meas: Empirical, Sigma, w) -> float:
     t): negative slope in some direction certifies nonexistence, while
     strictly positive slopes in all directions pin the minimizer down.
     """
-    if not isinstance(meas, Empirical):
-        raise UsageError("asymptotic_slope needs an empirical measure")
+    _check_empirical(meas, "asymptotic_slope")
     return _flag_slope(meas.points, meas.weights, decompose_velocity(Sigma, w))
 
 

@@ -38,8 +38,9 @@ boundary flag describing the escape direction (see ``diagnostics.boundary_flag``
 ``diagnose`` decides existence from one fixed-point solve: a safely
 positive-definite Hessian at the converged estimate certifies "unique", a null
 direction of it splitting every atom "limit", an escape of negative slope (or a
-deficient span) "no_ge"; whatever the solve leaves open goes to the candidate
-scan of ``diagnostics.classify_existence``.
+deficient span) "no_ge"; whatever the solve leaves open goes to the private
+candidate scan of ``diagnostics`` (``_scan_report``).  It is the library's one
+existence verdict.
 
 Both solvers evaluate the data through one core, ``likelihood._weighted_kernel_sum``
 (built on the whitened-frame core of ``grassmann``).  Inputs are validated once
@@ -89,14 +90,14 @@ from .diagnostics import (
     _flag_slope,
     _index_values,
     _paired,
-    classify_existence,
+    _scan_report,
     existence_index,
 )
 from .errors import DomainError, EmptyFlagError, ExistenceError, UsageError
 from .grassmann import (
     RANK_TOL,
     Empirical,
-    Measure,
+    _check_empirical,
     _columns,
     _frames,
     _logdet_ratio,
@@ -177,9 +178,9 @@ class GEResult:
         return self.status == "converged"
 
 
-def residual(meas: Measure, Sigma, mc_n: int | None = None, rng=None) -> float:
+def residual(meas: Empirical, Sigma) -> float:
     """Squared Frobenius defect of the estimating equation (= 4x grad norm^2)."""
-    return 4.0 * grad_norm_sq(meas, Sigma, mc_n, rng)
+    return 4.0 * grad_norm_sq(meas, Sigma)
 
 
 def _check_span(points: np.ndarray) -> None:
@@ -370,8 +371,7 @@ def fixed_point_solve(
     contractions with the Newton polish.  The one-lane call of the stacked
     loop ``_solve_stack``.
     """
-    if not isinstance(meas, Empirical):
-        raise UsageError("fixed_point_solve needs an empirical measure; sample first")
+    _check_empirical(meas, "fixed_point_solve")
     opts = options or SolverOptions()
     _check_span(meas.points)
     start = _check_start(Sigma0, meas.m)
@@ -388,8 +388,7 @@ def riemannian_descent(
     The objective value is non-increasing along the run.  A stalled line search
     (no decrease after 60 halvings) ends the run with status "stalled".
     """
-    if not isinstance(meas, Empirical):
-        raise UsageError("riemannian_descent needs an empirical measure; sample first")
+    _check_empirical(meas, "riemannian_descent")
     opts = options or SolverOptions()
     _check_span(meas.points)
     m, r = meas.m, meas.r
@@ -431,7 +430,7 @@ def riemannian_descent(
 def diagnose(meas: Empirical, tol: float = INDEX_TOL, max_subset: int = 2,
              cap: int = 512) -> ExistenceReport:
     """Existence verdict, certificate first: one ``fixed_point_solve`` decides, and the
-    candidate scan ``classify_existence`` is the fallback.
+    candidate scan ``diagnostics._scan_report`` is the fallback.
 
     Routes (``route`` "solver"):
 
@@ -452,10 +451,13 @@ def diagnose(meas: Empirical, tol: float = INDEX_TOL, max_subset: int = 2,
     lambda_min between the thresholds, a failed check) runs the scan, unchanged, with
     ``max_subset`` and ``cap``.
     ``scanned`` counts the subspaces the deciding route evaluated; ``lambda_min`` and
-    ``slope`` come from the solve on either route.
+    ``slope`` come from the solve on either route.  UsageError unless ``tol`` is finite
+    and >= 0, and ``max_subset`` and ``cap`` are at least 1.
     """
-    if not isinstance(meas, Empirical):
-        raise UsageError("diagnose needs an empirical measure")
+    _check_empirical(meas, "diagnose")
+    if not (np.isfinite(tol) and tol >= 0 and max_subset >= 1 and cap >= 1):
+        raise UsageError(f"diagnose needs a finite tol >= 0, max_subset >= 1 and cap >= 1, "
+                         f"got {tol}, {max_subset} and {cap}")
     try:
         result = fixed_point_solve(meas)
     except ExistenceError as exc:
@@ -473,7 +475,7 @@ def diagnose(meas: Empirical, tol: float = INDEX_TOL, max_subset: int = 2,
             flag = [Candidate(B, "eigen_flag") for _, B in result.boundary.pairs]
             report = _route_report(meas, "no_ge", spans + flag, [], tol)
     if report is None:
-        report = classify_existence(meas, tol=tol, max_subset=max_subset, cap=cap)
+        report = _scan_report(meas, tol, max_subset, cap)
     return replace(report, lambda_min=lam, slope=None if result is None else result.slope)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .manifold import _chart, check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
@@ -45,9 +45,8 @@ def check_basis(X, name: str = "basis") -> np.ndarray:
     m, r = X.shape
     if not 0 < r < m:
         raise DomainError(f"{name} must be m x r with 0 < r < m, got {m} x {r}")
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[-1] <= RANK_TOL * sv[0]:
-        raise DomainError(f"{name} is rank deficient (singular values {sv})")
+    if _rank_deficient(X):
+        raise DomainError(f"{name} is rank deficient")
     return X
 
 
@@ -57,18 +56,22 @@ def orthonormalize(X: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _check_ranks(points: np.ndarray) -> None:
-    """Raise DomainError naming the rank-deficient atoms of (n, m, r) points, or of
-    the first dataset of a stack (..., n, m, r) that has any: one batched svd.
+def _rank_deficient(X: np.ndarray) -> np.ndarray:
+    """Whether each m x d basis (d <= m) of a stack (..., m, d) has rank below d: its
+    smallest singular value is at most RANK_TOL times its largest, by one batched svd.
 
     Lines skip the svd: one column has rank one iff it is nonzero.
     """
-    if points.shape[-1] == 1:
-        bad = ~points.any(axis=(-2, -1))
-    else:
-        sv = np.linalg.svd(points, compute_uv=False)
-        bad = sv[..., -1] <= RANK_TOL * sv[..., 0]
-    bad = bad.reshape(-1, points.shape[-3])
+    if X.shape[-1] == 1:
+        return ~X.any(axis=(-2, -1))
+    sv = np.linalg.svd(X, compute_uv=False)
+    return sv[..., -1] <= RANK_TOL * sv[..., 0]
+
+
+def _check_ranks(points: np.ndarray) -> None:
+    """Raise DomainError naming the rank-deficient atoms of (n, m, r) points, or of
+    the first dataset of a stack (..., n, m, r) that has any."""
+    bad = _rank_deficient(points).reshape(-1, points.shape[-3])
     for row in bad[bad.any(axis=1)][:1]:
         raise DomainError(f"rank-deficient atoms at indices {np.flatnonzero(row)}")
 
@@ -154,6 +157,12 @@ class Gaussian:
 Measure = Empirical | Gaussian
 
 
+def _check_empirical(meas: Measure, op: str) -> None:
+    """UsageError unless the measure is empirical: ``op`` evaluates samples, not laws."""
+    if not isinstance(meas, Empirical):
+        raise UsageError(f"{op} needs an empirical measure; sample the law first")
+
+
 def _gaussian_bases(chol: np.ndarray, r: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. m x r bases with N(0, chol chol^T) columns, (n, m, r): the one sampler.
 
@@ -176,8 +185,7 @@ def sample(meas: Measure, rng: np.random.Generator) -> np.ndarray:
     L = np.linalg.cholesky(meas.sigma)
     while True:
         X = _gaussian_bases(L, meas.r, 1, rng)[0]
-        sv = np.linalg.svd(X, compute_uv=False)
-        if sv[-1] > RANK_TOL * sv[0]:
+        if not _rank_deficient(X):
             return X
 
 
@@ -323,17 +331,21 @@ def dim_intersection(XU, XV, tol: float = RANK_TOL):
 
     XU (..., m, a) and XV (..., m, b) may be stacks of bases whose leading
     axes broadcast; the result is then an int array of the broadcast shape,
-    and an int for two single bases.  Each argument is orthonormalized once
-    (one batched qr) before the rank core.
+    and an int for two single bases.  Every basis needs full column rank, so
+    0 < d <= m (else DomainError: qr would invent the missing directions).
+    Each argument is orthonormalized once (one batched qr) before the rank core.
     """
     XU, XV = np.asarray(XU, dtype=float), np.asarray(XV, dtype=float)
     if (XU.ndim < 2 or XV.ndim < 2 or XU.shape[-2] != XV.shape[-2]
+            or not (0 < XU.shape[-1] <= XU.shape[-2] and 0 < XV.shape[-1] <= XV.shape[-2])
             or not (np.isfinite(XU).all() and np.isfinite(XV).all())):
-        raise DomainError(f"need finite bases of one space, got shapes {XU.shape}, {XV.shape}")
+        raise DomainError(f"need finite m x d bases of one space, got {XU.shape}, {XV.shape}")
     try:
         np.broadcast_shapes(XU.shape[:-2], XV.shape[:-2])
     except ValueError:
         raise DomainError(f"stacks of shapes {XU.shape} and {XV.shape} do not broadcast") from None
+    if _rank_deficient(XU).any() or _rank_deficient(XV).any():
+        raise DomainError("rank-deficient basis: its span has fewer dimensions than columns")
     dims = _meet_dims(orthonormalize(XU), orthonormalize(XV), tol)
     return int(dims) if dims.ndim == 0 else dims
 

@@ -25,9 +25,10 @@ when M = (r/m) Id.  The squared gradient norm is then
 grad_norm_sq = 1/4 || M - (r/m) Id ||_F^2, whose own gradient (uniform
 weights) is grad_norm_sq_grad.
 
-Gaussian (parametric) measures are evaluated by plain Monte Carlo with a
-caller-supplied sample size and RNG; empirical measures are exact weighted
-sums, batched over atoms.
+The measure-averaged functions take an empirical measure and are exact weighted
+sums, batched over atoms; a Gaussian law is sampled first (UsageError otherwise).
+The one Monte Carlo evaluation of a law, the CLT reference, lives in
+``asymptotics``.
 
 Everything here comes from the single whitened-frame core ``grassmann._frames``
 (one product with the inverse W = F^-1 of a factor F F^T = Sigma whitens every
@@ -38,39 +39,20 @@ whitening factor comes from the eigen chart of ``manifold``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import UsageError
 from .grassmann import (
     Empirical,
-    Measure,
     _atom_logdet_ratio,
     _atom_pi,
+    _check_empirical,
     _frames,
-    _gaussian_bases,
     _logdet_ratio,
     _pi_matrices,
     check_basis,
 )
 from .manifold import _chart, check_scatter, check_tangent, sym, tangent_vec_projector
-
-
-class MonteCarloEstimate(NamedTuple):
-    """Monte Carlo value with its standard error."""
-
-    value: float
-    stderr: float
-
-
-def _materialize(meas: Measure, mc_n: int | None, rng, op: str) -> Empirical:
-    """Turn a Gaussian measure into a uniform empirical one by sampling."""
-    if isinstance(meas, Empirical):
-        return meas
-    if mc_n is None or rng is None:
-        raise UsageError(f"{op} on a Gaussian measure needs mc_n and rng (Monte Carlo evaluation)")
-    return Empirical(_gaussian_bases(np.linalg.cholesky(meas.sigma), meas.r, int(mc_n), rng))
 
 
 def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
@@ -121,21 +103,11 @@ def loglik_point(X, Sigma) -> float:
     return 0.5 * _atom_logdet_ratio(X, Sigma)
 
 
-def loglik(meas: Measure, Sigma, mc_n: int | None = None, rng=None):
-    """Measure-averaged log-likelihood.
-
-    Empirical measures: exact weighted sum, returned as a float.  Gaussian
-    measures: Monte Carlo with ``mc_n`` draws, returned as a
-    MonteCarloEstimate (value, stderr); mc_n=None raises UsageError.
-    """
+def loglik(meas: Empirical, Sigma) -> float:
+    """Measure-averaged log-likelihood: the exact weighted sum over the atoms."""
+    _check_empirical(meas, "loglik")
     W = _chart(check_scatter(Sigma)).W
-    emp = _materialize(meas, mc_n, rng, "loglik")
-    vals = 0.5 * _logdet_ratio(emp.points, W)
-    if isinstance(meas, Empirical):
-        return float(meas.weights @ vals)
-    n = len(vals)
-    stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return MonteCarloEstimate(float(vals.mean()), stderr)
+    return float(meas.weights @ (0.5 * _logdet_ratio(meas.points, W)))
 
 
 def _grad(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
@@ -154,11 +126,10 @@ def grad_point(X, Sigma) -> np.ndarray:
     return _grad(check_basis(X)[None], np.ones(1), check_scatter(Sigma))
 
 
-def grad(meas: Measure, Sigma, mc_n: int | None = None, rng=None) -> np.ndarray:
+def grad(meas: Empirical, Sigma) -> np.ndarray:
     """Measure-averaged gradient; vanishes exactly at an estimate of scatter."""
-    Sigma = check_scatter(Sigma)
-    emp = _materialize(meas, mc_n, rng, "grad")
-    return _grad(emp.points, emp.weights, Sigma)
+    _check_empirical(meas, "grad")
+    return _grad(meas.points, meas.weights, check_scatter(Sigma))
 
 
 def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
@@ -174,44 +145,45 @@ def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
     return sym(0.25 * (ZpS + ZpS.T) - 0.5 * (Sigma @ pi @ Z @ pi @ Sigma))
 
 
-def hess_quadform(meas: Measure, Sigma, Z, mc_n: int | None = None, rng=None) -> float:
+def hess_quadform(meas: Empirical, Sigma, Z) -> float:
     """Geodesic second derivative <cov. deriv. of grad along Z, Z>_Sigma.
 
     Per atom this is 1/2 tr((Sigma^-1 - pi) Z pi Z) >= 0; the measure
     average is the Hessian quadratic form driving geodesic convexity.
     """
+    _check_empirical(meas, "hess_quadform")
     Sigma = check_scatter(Sigma)
     Z = check_tangent(Sigma, Z)
-    emp = _materialize(meas, mc_n, rng, "hess_quadform")
     W = _chart(Sigma).W
-    pi = _pi_matrices(emp.points, W)
+    pi = _pi_matrices(meas.points, W)
     A = W.T @ (W @ Z)                                           # Sigma^-1 Z
     B = np.einsum("nij,jk->nik", pi, Z)                         # pi_j Z
     t1 = np.einsum("ij,nji->n", A, B)                           # tr(Sigma^-1 Z pi Z)
     t2 = np.einsum("nij,nji->n", B, B)                          # tr(pi Z pi Z)
-    return float(0.5 * emp.weights @ (t1 - t2))
+    return float(0.5 * meas.weights @ (t1 - t2))
 
 
-def mean_projector(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> np.ndarray:
+def mean_projector(meas: Empirical, Gamma) -> np.ndarray:
     """Whitened mean projector g^-1 (sum_j w_j X_j G_j^-1 X_j^T) g^-1, g = sym_sqrt(Gamma).
 
     Symmetric PSD with trace exactly r; tr(M^2) lies in [r^2/m, r^2], with
     the lower bound attained iff M = (r/m) Id, i.e. iff Gamma solves the
     estimating equation.
     """
+    _check_empirical(meas, "mean_projector")
     c = _chart(check_scatter(Gamma))
-    emp = _materialize(meas, mc_n, rng, "mean_projector")
-    return _weighted_kernel_sum(emp.points, emp.weights, sym(c.F @ c.Q.T), c.Q @ c.W)[0]
+    return _weighted_kernel_sum(meas.points, meas.weights, sym(c.F @ c.Q.T), c.Q @ c.W)[0]
 
 
-def grad_norm_sq(meas: Measure, Gamma, mc_n: int | None = None, rng=None) -> float:
+def grad_norm_sq(meas: Empirical, Gamma) -> float:
     """Squared metric norm of the gradient, 1/4 || M - (r/m) Id ||_F^2.
 
     Nonnegative; zero exactly at critical points of the objective.
     """
+    _check_empirical(meas, "grad_norm_sq")
     c = _chart(check_scatter(Gamma))
-    emp = _materialize(meas, mc_n, rng, "grad_norm_sq")
-    return 0.25 * float(_defect(_weighted_kernel_sum(emp.points, emp.weights, c.F, c.W)[0], emp.r))
+    return 0.25 * float(_defect(_weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0],
+                                meas.r))
 
 
 def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
@@ -226,8 +198,7 @@ def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
     differences of grad_norm_sq along geodesics.  Non-uniform weights raise
     UsageError (the closed form assumes weights 1/n).
     """
-    if not isinstance(meas, Empirical):
-        raise UsageError("grad_norm_sq_grad is defined for empirical measures only")
+    _check_empirical(meas, "grad_norm_sq_grad")
     if not meas.is_uniform:
         raise UsageError("grad_norm_sq_grad requires uniform weights")
     Gamma = check_scatter(Gamma)

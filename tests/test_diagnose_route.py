@@ -8,7 +8,6 @@ import pytest
 
 from grassmann_scatter import (
     Empirical,
-    classify_existence,
     diagnose,
     dim_intersection,
     distance,
@@ -19,6 +18,7 @@ from grassmann_scatter import (
     random_scatter,
 )
 from grassmann_scatter.cli import main
+from grassmann_scatter.diagnostics import INDEX_TOL, _scan_report
 from grassmann_scatter.estimator import NULL_HESSIAN, UNIQUE_HESSIAN
 from grassmann_scatter.io import write_measure_json
 from helpers import gaussian_points, lines_measure, no_ge_lines, planar_lines_in_3d
@@ -103,7 +103,7 @@ def test_route_verdict_matches_the_scan(m):
         for n in _threshold_sizes(m, r):
             for seed in range(3):
                 meas = Empirical(np.random.default_rng([m, r, n, seed]).standard_normal((n, m, r)))
-                report, scan = diagnose(meas), classify_existence(meas)
+                report, scan = diagnose(meas), _scan_report(meas, INDEX_TOL, 2, 512)
                 assert report.scanned > 0
                 if report.route == "solver":
                     assert not report.truncated
@@ -167,7 +167,7 @@ def test_inconclusive_lines_take_the_scan_route(tmp_path):
     code, doc = run_diagnose(tmp_path, meas)
     assert code == 4 and doc["verdict"] == "inconclusive" and doc["route"] == "scan"
     assert NULL_HESSIAN < doc["lambda_min"] and doc["slope"] is None
-    scan = classify_existence(meas)
+    scan = _scan_report(meas, INDEX_TOL, 2, 512)
     assert (doc["scanned"], doc["min_index"]) == (scan.scanned, scan.min_index)
 
 

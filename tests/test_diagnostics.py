@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from grassmann_scatter import (
-    DomainError,
     EmptyFlagError,
     Empirical,
     UsageError,
     asymptotic_slope,
     boundary_flag,
-    candidate_subspaces,
-    classify_existence,
     decompose_velocity,
     dim_intersection,
     distinguished_ray_direction,
@@ -21,6 +18,7 @@ from grassmann_scatter import (
     projector,
     random_scatter,
 )
+from grassmann_scatter.diagnostics import INDEX_TOL, _scan, _scan_report
 from helpers import (
     exact_ray_instance,
     gaussian_points,
@@ -33,6 +31,11 @@ from helpers import (
     ray_form,
     three_symmetric_lines,
 )
+
+
+def scan_report(meas):
+    """The fallback scan's verdict at diagnose's defaults."""
+    return _scan_report(meas, INDEX_TOL, 2, 512)
 
 
 def test_existence_index_hand_values():
@@ -71,16 +74,15 @@ def test_existence_index_basis_invariance_and_bounds():
 
 
 def test_candidate_scan_three_lines():
-    scan = candidate_subspaces(three_symmetric_lines(), max_subset=2)
-    assert not scan.truncated
-    assert len(scan.candidates) == 3
-    assert all(c.dim == 1 for c in scan.candidates)
+    cands, truncated = _scan(three_symmetric_lines(), 2, 512)
+    assert not truncated
+    assert len(cands) == 3
+    assert all(c.dim == 1 for c in cands)
 
 
 def test_candidate_scan_plane_intersection():
     planes = np.stack([np.eye(3)[:, :2], np.eye(3)[:, 1:]])
-    scan = candidate_subspaces(Empirical(planes))
-    lines = [c for c in scan.candidates if c.dim == 1]
+    lines = [c for c in _scan(Empirical(planes), 2, 512)[0] if c.dim == 1]
     assert any(dim_intersection(c.basis, np.eye(3)[:, 1:2]) == 1 for c in lines)
     assert any(c.provenance == "intersection" for c in lines)
 
@@ -88,36 +90,32 @@ def test_candidate_scan_plane_intersection():
 def test_candidate_scan_random_planes_all_nonnegative():
     rng = np.random.default_rng(23)
     meas = Empirical(rng.standard_normal((5, 4, 2)))
-    scan = candidate_subspaces(meas, max_subset=2)
-    assert all(existence_index(meas, c.basis) >= 0.0 for c in scan.candidates)
+    assert all(existence_index(meas, c.basis) >= 0.0 for c in _scan(meas, 2, 512)[0])
 
 
-def test_candidate_scan_cap_and_extras():
+def test_candidate_scan_cap():
     rng = np.random.default_rng(63)
     meas = random_measure(rng, 4, 2, n=10)
-    scan = candidate_subspaces(meas, cap=4)
-    assert scan.truncated
-    assert len(scan.candidates) <= 4
-    V = rng.standard_normal((4, 3))
-    scan2 = candidate_subspaces(meas, extra=(V,))
-    assert any(c.provenance == "user" for c in scan2.candidates)
+    cands, truncated = _scan(meas, 2, 4)
+    assert truncated
+    assert len(cands) <= 4
 
 
-def test_extra_bases_are_validated():
-    rng = np.random.default_rng(66)
-    meas = random_measure(rng, 4, 2, n=6)
-    for bad in (rng.standard_normal((5, 2)), np.full((4, 1), np.inf), np.ones(4)):
-        with pytest.raises(DomainError):
-            candidate_subspaces(meas, extra=(bad,))
-        with pytest.raises(DomainError):
-            classify_existence(meas, extra=(bad,))
+def test_candidate_scan_sums_are_rank_revealing():
+    # span(e1, e2) + span(e1, e3) is span(e1, e2, e3); a qr of the stacked bases
+    # would add a fourth direction chosen by rounding
+    e = np.eye(5)
+    cands, _ = _scan(Empirical(np.stack([e[:, [0, 1]], e[:, [0, 2]]])), 2, 512)
+    assert [c for c in cands if c.dim == 3]
+    for c in cands:
+        assert dim_intersection(c.basis, e[:, :3]) == c.dim
 
 
 def test_existence_index_on_a_stack_matches_single_bases():
     rng = np.random.default_rng(67)
     meas = random_measure(rng, 5, 2, n=9)
     for d in (1, 2, 4):
-        V = np.stack([c.basis for c in candidate_subspaces(meas).candidates if c.dim == d])
+        V = np.stack([c.basis for c in _scan(meas, 2, 512)[0] if c.dim == d])
         values = existence_index(meas, V)
         assert values.shape == (len(V),)
         assert values.tolist() == [existence_index(meas, B) for B in V]
@@ -126,7 +124,7 @@ def test_existence_index_on_a_stack_matches_single_bases():
 def test_classify_unique_on_gaussian_sample():
     rng = np.random.default_rng(64)
     meas = Empirical(gaussian_points(rng, np.eye(3), 2, 60))
-    report = classify_existence(meas)
+    report = scan_report(meas)
     assert report.verdict == "unique"
     assert report.min_index > 1e-9
     assert report.witness is None and not report.zeros
@@ -137,11 +135,11 @@ def test_classify_unique_frequency_small_samples():
     for trial in range(200):
         rng = np.random.default_rng(1000 + trial)
         meas = Empirical(gaussian_points(rng, np.eye(2), 1, 6))
-        assert classify_existence(meas).verdict == "unique"
+        assert scan_report(meas).verdict == "unique"
 
 
 def test_classify_limit_orthogonal_lines():
-    report = classify_existence(orthogonal_lines())
+    report = scan_report(orthogonal_lines())
     assert report.verdict == "limit"
     assert report.complement_ok
     assert len(report.zeros) == 2
@@ -153,7 +151,7 @@ def test_classify_limit_orthogonal_lines():
 def test_classify_no_ge_planar_atoms():
     rng = np.random.default_rng(65)
     meas = planar_lines_in_3d(rng)
-    report = classify_existence(meas)
+    report = scan_report(meas)
     assert report.verdict == "no_ge"
     assert report.witness is not None
     assert report.witness.dim == 2
@@ -165,7 +163,7 @@ def test_classify_inconclusive_without_complement():
     diag = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     pts = np.stack([np.eye(2)[:, :1], np.eye(2)[:, 1:], diag])
     meas = Empirical(pts, np.array([0.5, 0.25, 0.25]))
-    report = classify_existence(meas)
+    report = scan_report(meas)
     assert report.verdict == "inconclusive"
     assert not report.complement_ok
     assert report.min_index == pytest.approx(0.0, abs=1e-12)
@@ -182,7 +180,7 @@ def test_scan_hands_qr_and_svd_no_single_atom(monkeypatch):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda A, *a, _fn=fn, **k: calls.append(np.array(A)) or _fn(A, *a, **k))
-    report = classify_existence(meas)
+    report = scan_report(meas)
     monkeypatch.undo()
     assert report.verdict == "unique" and report.scanned > meas.n
     singles = list(meas.points) + list(np.linalg.qr(meas.points)[0])
@@ -251,7 +249,7 @@ def test_decompose_reconstruction_identity():
 def test_asymptotic_slope_positive_on_well_posed_instance():
     rng = np.random.default_rng(67)
     meas = random_measure(rng, 3, 2, n=9)
-    assert classify_existence(meas).verdict == "unique"
+    assert scan_report(meas).verdict == "unique"
     for _ in range(5):
         Sigma = random_scatter(3, rng, spread=0.5)
         w = ray_form(Sigma, random_tangent(rng, Sigma, scale=1.0))

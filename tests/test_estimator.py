@@ -15,7 +15,7 @@ from grassmann_scatter import (
     UsageError,
     act_measure,
     check_scatter,
-    classify_existence,
+    diagnose,
     distance,
     existence_index,
     fixed_point_solve,
@@ -127,7 +127,7 @@ def test_fixed_point_limit_case_multiple_fixed_points():
         estimates.append(res.estimate)
     spreads = [distance(a, b) for a in estimates for b in estimates]
     assert max(spreads) > 1e-3  # genuinely distinct solutions
-    assert classify_existence(meas).verdict == "limit"
+    assert diagnose(meas).verdict == "limit"
 
 
 def test_fixed_point_rejects_deficient_span():
@@ -166,7 +166,7 @@ def test_slow_convergence_past_the_window_is_not_divergence():
     # iteration 25 after growing more than DIVERGENCE_GROWTH from the start
     for seed in (82, 132):
         meas = Empirical(np.random.default_rng(seed).standard_normal((4, 3, 1)))
-        assert classify_existence(meas).verdict == "unique"
+        assert diagnose(meas).verdict == "unique"
         res = fixed_point_solve(meas)
         assert res.converged, (seed, res.status, res.iterations)
         assert res.trace[25][2] - res.trace[0][2] >= DIVERGENCE_GROWTH

@@ -18,6 +18,7 @@ from grassmann_scatter import (
     density_ratio,
     dim_intersection,
     distinguished_ray_direction,
+    existence_index,
     geodesic,
     loglik_point,
     modular_parabolic,
@@ -344,6 +345,17 @@ def test_dim_intersection_validates():
         dim_intersection(np.full((3, 1), np.nan), np.eye(3)[:, :1])
     with pytest.raises(DomainError):
         dim_intersection(np.ones((2, 3, 1)), np.ones((3, 3, 2)))     # stacks do not broadcast
+    # rank-deficient bases: qr would invent the missing directions
+    e = np.eye(3)
+    for XU, XV in [(e[:, 1:2], e[:, [0, 0]]), (e[:, :1], np.zeros((3, 1))),
+                   (e[:, :2], np.stack([e[:, :1], np.zeros((3, 1))])),
+                   (e[:, :1], np.ones((3, 4)))]:                 # more columns than rows
+        with pytest.raises(DomainError):
+            dim_intersection(XU, XV)
+        with pytest.raises(DomainError):
+            dim_intersection(XV, XU)
+    with pytest.raises(DomainError):
+        existence_index(Empirical(np.stack([e[:, :1], e[:, 1:2], e[:, 2:]])), np.zeros((3, 1)))
 
 
 

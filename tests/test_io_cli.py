@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +398,13 @@ def test_cli_argument_errors_exit_3(tmp_path, capsys):
     assert main(["lln", "--r", "1"]) == 3          # neither --sigma nor --m
     out = ["--out", str(tmp_path / "out")]
     lln = ["lln", "--ns", "20", "--reps", "2"] + out
+    # a no-estimate set (least index -1/3) and a limit set (least index 0)
+    no_ge = write_dataset(tmp_path / "no_ge.json", planar_lines_in_3d(np.random.default_rng(46)))
+    limit = write_dataset(tmp_path / "limit.json", orthogonal_lines())
+    diag = [["diagnose", "--input", no_ge] + out + flags
+            for flags in (["--tol", "nan"], ["--tol", "inf"], ["--max-subset", "0"],
+                          ["--cap", "0"])]
+    diag.append(["diagnose", "--input", limit, "--tol", "-1"] + out)
     clt = ["clt", "--n", "20", "--reps", "2", "--ref-mc", "50"] + out
     for argv in [
         lln + ["--m", "-1", "--r", "1"],
@@ -411,6 +419,7 @@ def test_cli_argument_errors_exit_3(tmp_path, capsys):
         clt + ["--m", "3", "--r", "1", "--ref-mc", "0"],
         ["gradcheck", "--m", "1"] + out,
         ["gradcheck", "--m", "3", "--trials", "0"] + out,
+        *diag,
     ]:
         assert main(argv) == 3, argv
     capsys.readouterr()
@@ -426,6 +435,29 @@ def test_cli_module_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 1
     assert "limit" in proc.stdout
+
+
+def test_public_namespace():
+    # diagnose is the one existence verdict, and the measure functions return floats
+    # and arrays only: the scan API and the Monte Carlo return type are not exported
+    public = sorted(name for name, obj in vars(grassmann_scatter).items()
+                    if not (name.startswith("_") or isinstance(obj, types.ModuleType)))
+    assert public == [
+        "CLTReport", "Candidate", "DegeneracyError", "DomainError", "Empirical",
+        "EmptyFlagError", "ExistenceError", "ExistenceReport", "GEResult", "Gaussian",
+        "GrassmannScatterError", "LLNReport", "Measure", "SolverOptions", "UsageError",
+        "VelocityFlag", "act", "act_measure", "asymptotic_slope", "boundary_flag", "busemann",
+        "check_basis", "check_scatter", "check_tangent", "clt_experiment", "cocycle",
+        "commutation_matrix", "covariant_deriv_grad", "decompose_velocity", "density_ratio",
+        "diagnose", "dim_intersection", "distance", "distinguished_ray_direction",
+        "existence_index", "fixed_point_solve", "geodesic", "grad", "grad_norm_sq",
+        "grad_norm_sq_grad", "grad_point", "hess_quadform", "inner", "limiting_covariance",
+        "lln_experiment", "log_map", "loglik", "loglik_point", "manifold_dim", "mean_projector",
+        "modular_parabolic", "norm", "normalize_det", "orthonormalize", "pi_matrix", "projector",
+        "projector_kron_mean", "random_scatter", "random_unit_tangent", "residual",
+        "riemannian_descent", "sample", "score_covariance", "sym_sqrt", "tangent_project",
+        "tangent_vec_projector", "unique_sample_threshold", "unvec", "vec", "whiten_normalize",
+    ]
 
 
 def test_runtime_imports_no_scipy():

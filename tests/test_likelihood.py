@@ -6,7 +6,6 @@ import pytest
 from grassmann_scatter import (
     Empirical,
     Gaussian,
-    MonteCarloEstimate,
     UsageError,
     act_measure,
     covariant_deriv_grad,
@@ -23,6 +22,7 @@ from grassmann_scatter import (
     mean_projector,
     normalize_det,
     random_scatter,
+    residual,
     sample,
     sym_sqrt,
 )
@@ -73,13 +73,19 @@ def test_loglik_single_atom_and_gaussian():
     S = random_scatter(3, rng)
     meas = Empirical(np.stack([X]))
     assert loglik(meas, S) == pytest.approx(loglik_point(X, S), abs=1e-14)
-
-    est = loglik(Gaussian(np.eye(3), 2), np.eye(3), mc_n=64, rng=rng)
-    assert isinstance(est, MonteCarloEstimate)
-    assert est.value == pytest.approx(0.0, abs=1e-13)
-    assert est.stderr == pytest.approx(0.0, abs=1e-13)
     with pytest.raises(UsageError):
         loglik(Gaussian(np.eye(3), 2), np.eye(3))
+
+
+def test_measure_functions_take_samples_not_laws():
+    # a law is sampled first; the functions evaluate empirical measures only
+    law = Gaussian(np.eye(3), 2)
+    Z = np.diag([1.0, -1.0, 0.0])
+    for call in (lambda: loglik(law, np.eye(3)), lambda: grad(law, np.eye(3)),
+                 lambda: hess_quadform(law, np.eye(3), Z), lambda: mean_projector(law, np.eye(3)),
+                 lambda: grad_norm_sq(law, np.eye(3)), lambda: residual(law, np.eye(3))):
+        with pytest.raises(UsageError, match="sample the law first"):
+            call()
 
 
 def test_loglik_geodesic_convexity():
@@ -153,7 +159,7 @@ def test_grad_gaussian_self_scatter_within_monte_carlo_error():
     samples = [sample(meas, draw_rng) for _ in range(mc_n)]
     grads = np.stack([grad_point(X, Sigma) for X in samples])
     stderr = grads.std(axis=0, ddof=1) / np.sqrt(mc_n)
-    pkg = grad(meas, Sigma, mc_n=mc_n, rng=np.random.default_rng(77))
+    pkg = grad(Empirical(np.stack(samples)), Sigma)
     assert np.allclose(pkg, grads.mean(axis=0), atol=1e-12)
     assert np.all(np.abs(pkg) <= 3.0 * stderr + 1e-12)
     with pytest.raises(UsageError):
