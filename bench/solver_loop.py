@@ -1,5 +1,5 @@
-"""Microseconds per fixed-point iteration, and milliseconds per solve of a stack of
-replications, before and after a solver change.
+"""Microseconds per fixed-point iteration, milliseconds and iterations per solve, and
+milliseconds per solve of a stack of replications, before and after a solver change.
 
     python bench/solver_loop.py --src parent=/path/to/parent/src --src change=src \
         [--out BENCH_solver_loop.json]
@@ -8,7 +8,15 @@ Each of REPEATS repeats starts one fresh interpreter per source tree, in turn,
 so the trees are interleaved against the drift of a shared host.  The worker builds seeded
 Gaussian subspace samples at each (m, r, n) of CONFIGS, runs one untimed solve, then
 times one ``fixed_point_solve`` per configuration with ITERS iterations
-(tol 1e-300, so no run stops early) and reports wall time / iterations.  Stacked
+(tol 1e-300, so no run stops early) and reports wall time / iterations.  A tree
+with the Newton-first loop moves the configurations whose plain update contracts
+slowly (all but (10, 3, 5000)) to Newton iterations after the first, and keeps
+trying Newton at the rounding floor, so there the figure is mostly a Newton
+iteration's cost.  Per solve: for each (m, r, n) of SOLVE_CONFIGS it solves the
+datasets default_rng(s).standard_normal((n, m, r)), s < SOLVE_SEEDS, with the
+default options, one timed ``fixed_point_solve`` each after one untimed solve,
+and reports the median ms per solve and the median and largest iteration count
+over the seeds (the counts repeat exactly).  Stacked
 mode: for each (m, r, n) of STACK_CONFIGS and each block size B of BLOCKS it draws
 B seeded datasets and times one solve of all of them with the default options
 (span check and fixed-point loop, as a block of Monte Carlo replications is
@@ -37,6 +45,10 @@ from pathlib import Path
 # (m, r, n): the LLN configuration m=3, r=2 at three sample sizes, lines, a
 # threshold+1 set, and the largest bulk dataset
 CONFIGS = [(3, 2, 25), (3, 2, 400), (3, 2, 1600), (2, 1, 100), (5, 2, 5), (10, 3, 5000)]
+# (m, r, n) solved to the default tolerance: threshold+1 sets, generic sets, and a
+# larger set whose plain update contracts fast (ratio ~0.13)
+SOLVE_CONFIGS = [(5, 2, 5), (3, 2, 5), (4, 1, 6), (3, 2, 25), (5, 2, 25), (10, 3, 200)]
+SOLVE_SEEDS = 60
 # (m, r, n) of the LLN (3, 2) and CLT (2, 1) replications, and the block sizes
 STACK_CONFIGS = [(3, 2, 25), (3, 2, 100), (2, 1, 100), (2, 1, 2000)]
 BLOCKS = [1, 5, 20, 32]
@@ -78,13 +90,15 @@ def _stack_solver():
 
 def _worker() -> None:
     """One repeat in this interpreter: print {"us_per_iter": {config: us},
-    "ms_per_solve": {config/B: ms}} as JSON."""
+    "ms_per_fixed_point_solve": {config: ms}, "iterations_per_solve": {config
+    median|max: count}, "ms_per_solve": {config/B: ms}} as JSON."""
     import numpy as np
 
     from grassmann_scatter import Empirical, SolverOptions, fixed_point_solve
 
     opts = SolverOptions(max_iter=ITERS, tol=1e-300)
-    out = {"us_per_iter": {}, "ms_per_solve": {}}
+    out = {"us_per_iter": {}, "ms_per_fixed_point_solve": {}, "iterations_per_solve": {},
+           "ms_per_solve": {}}
     for i, (m, r, n) in enumerate(CONFIGS):
         meas = Empirical(_points(m, r, n, np.random.default_rng([SEED, i])))
         fixed_point_solve(meas, options=opts)                 # warm caches, untimed
@@ -94,6 +108,20 @@ def _worker() -> None:
         if result.iterations != ITERS:
             raise SystemExit(f"({m},{r},{n}) stopped after {result.iterations} iterations")
         out["us_per_iter"][f"{m},{r},{n}"] = 1e6 * elapsed / ITERS
+    for m, r, n in SOLVE_CONFIGS:
+        sets = [Empirical(np.random.default_rng(s).standard_normal((n, m, r)))
+                for s in range(SOLVE_SEEDS)]
+        fixed_point_solve(sets[0])                            # warm caches, untimed
+        ms, iterations = [], []
+        for meas in sets:
+            t0 = time.perf_counter()
+            result = fixed_point_solve(meas)
+            ms.append(1e3 * (time.perf_counter() - t0))
+            iterations.append(result.iterations)
+        key = f"{m},{r},{n}"
+        out["ms_per_fixed_point_solve"][key] = float(np.median(ms))
+        out["iterations_per_solve"][f"{key} median"] = float(np.median(iterations))
+        out["iterations_per_solve"][f"{key} max"] = max(iterations)
     prepare = _stack_solver()
     for i, (m, r, n) in enumerate(STACK_CONFIGS):
         for B in BLOCKS:
@@ -160,12 +188,15 @@ def main(argv=None) -> int:
                     samples[label].setdefault(kind, {}).setdefault(key, []).append(value)
     entry = {
         "what": "per tree: us per fixed-point iteration (wall / iterations, one solve per "
-                "repeat) and ms per solve of a block of B replications (wall / B, one "
-                "block solve per repeat); median and quartiles over repeats",
+                "repeat), ms per fixed_point_solve (median over the seeds) and iterations "
+                "per solve (median and max over the seeds), and ms per solve of a block of "
+                "B replications (wall / B, one block solve per repeat); median and "
+                "quartiles over repeats",
         "interleaved": list(trees),
         "repeats": REPEATS,
         "iterations": ITERS,
         "seed": SEED,
+        "solve_seeds": SOLVE_SEEDS,
         "nproc": os.cpu_count(),
         "threads": {var: env[var] for var in THREAD_VARS},
         "python": platform.python_version(),

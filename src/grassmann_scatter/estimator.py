@@ -11,15 +11,21 @@ vanishes.  Two solvers are provided:
 
       Sigma <- normalize_det( (m/r) sum_j w_j X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T ).
 
-  The update strictly decreases the objective away from fixed points, and its
-  fixed points are exactly the zeros of the residual.  Near the existence
-  threshold it contracts slowly, so a run whose residual is at most
-  POLISH_RESIDUAL but above POLISH_RATIO times the last one moves to the Newton
-  point F expm(V) F^T instead: V solves H V = 1/2 (M - (r/m) Id) for the
-  geodesic Hessian H (convex objective, so H >= 0) on the tangent space, all
-  whitened in the iterate's chart.  Only a point the guard cannot reject is
-  taken (lambda_min(H) > NULL_HESSIAN and a conditioning bound, see
-  ``_newton_target``); otherwise the plain update is.
+  The update is a majorize-minimize step: it strictly decreases the objective
+  away from fixed points, and its fixed points are exactly the zeros of the
+  residual.  It contracts only linearly, and slowest near the existence
+  threshold, so the loop is Newton-first.  A run tries a Newton point as soon
+  as its residual ratio res_k / res_(k-1) exceeds POLISH_RATIO (tested from
+  iteration 1 on, at any residual), and after its first Newton point it tries
+  one on every iteration.  The Newton point is
+  F expm(V) F^T: V solves H V = 1/2 (M - (r/m) Id) for the geodesic Hessian H
+  (convex objective, so H >= 0) on the tangent space, all whitened in the
+  iterate's chart.  It is taken only when the guard cannot reject it
+  (lambda_min(H) > NULL_HESSIAN and a conditioning bound, see
+  ``_newton_targets``) and its objective is at most the plain update's, so no
+  iterate raises the objective; otherwise the plain update is taken.  A run
+  that meets lambda_min(H) <= NULL_HESSIAN (a flat of minimizers, or an escape)
+  declines Newton for the rest of its solve.
 
 * ``riemannian_descent`` runs geodesic gradient descent with Armijo
   backtracking on the averaged log-likelihood.  Slower but makes no
@@ -50,7 +56,7 @@ decision is the solvers' own COND_MAX guard on each iterate.
 One loop on a stack.  The fixed-point loop, ``_solve_stack``, runs B same-shape
 datasets (B, n, m, r) at once; ``fixed_point_solve`` is its one-lane call, and
 the Monte Carlo experiments of ``asymptotics`` hand it blocks of replications.
-Each lane keeps its own trace, exit rule, polish and escape flag (which reads
+Each lane keeps its own trace, exit rule, Newton state and escape flag (which reads
 the iterates k-1 and k, and its mean step off the trace), and leaves the stack
 when it converges, diverges, breaches the guard or runs out of budget.  Every
 batched call treats each lane on its own, so a lane's result is bit-identical
@@ -65,18 +71,24 @@ W = F^-1 (lam~ the eigenvalues of Sigma) and the distance from the start,
 solve and adds one batched eigvalsh of the whitened iterates per iteration.  The
 kernel whitens the atoms of every lane by one broadcast product with the lanes'
 W and orthonormalizes them by Gram-Schmidt across atoms and lanes: no LAPACK
-call.  So an iteration makes one eigh call; a Newton step (per lane)
-orthonormalizes that lane's atoms once more for their projectors, and adds one
-GEMM for sum_j w_j Pi_j kron Pi_j, one eigh of the m^2 x m^2 Hessian
-(definiteness and solve) and one of V, and its guard-safe Newton point takes
-the lane's place in the batched guard; a descent iteration (one dataset) makes,
-per line-search trial, one eigh for the exponential and one for the candidate's
-chart.  No iteration solves a system.
+call.  So a plain iteration makes one eigh call.  An iteration on which some
+lanes try Newton builds their steps together (``_newton_targets``): the
+projectors come from the kernel's frames, one batched GEMM gives
+sum_j w_j Pi_j kron Pi_j, one batched eigh of the m^2 x m^2 Hessians decides
+definiteness and solves, and one batched eigh of the V of the definite lanes
+gives the exponential.  The guard's one batched eigh then charts the plain
+update of every lane and the Newton points together, and one Gram-Schmidt of
+the atoms whitened in both candidates' charts gives their objectives (its
+squared norms are the log-det terms).  So a Newton iteration makes three eigh
+calls (two when every trying lane declines).  A descent iteration (one
+dataset) makes, per line-search trial, one eigh for the exponential and one for
+the candidate's chart.  No iteration solves a system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -99,7 +111,7 @@ from .grassmann import (
     Empirical,
     _check_empirical,
     _columns,
-    _frames,
+    _gram_schmidt,
     _logdet_ratio,
     _outer,
     orthonormalize,
@@ -115,8 +127,7 @@ from .manifold import (
     sym,
 )
 
-POLISH_RESIDUAL = 1e-4  # Newton polish: residual at most this, and above
-POLISH_RATIO = 0.9      # this times the previous one (a slow contraction)
+POLISH_RATIO = 0.2      # Newton-first: a run tries Newton once res_k / res_(k-1) exceeds this
 DIVERGENCE_WINDOW = 25    # divergence: the distance from the start grew by at least
 DIVERGENCE_GROWTH = 10.0  # this over the last DIVERGENCE_WINDOW iterations
 
@@ -144,10 +155,12 @@ class SolverOptions:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise UsageError("max_iter must be at least 1")
-        if not self.tol > 0.0:
-            raise UsageError("tol must be positive")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral) \
+                or self.max_iter < 1:
+            raise UsageError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, Real) \
+                or not 0.0 < self.tol < np.inf:
+            raise UsageError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass
@@ -270,31 +283,50 @@ def _distance_from(start: np.ndarray | None):
     return lambda it: _whitened_distance(W0, it.sigma)
 
 
-def _hessian_eigh(points: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Chart):
-    """eigh of the geodesic Hessian at the chart's iterate, whitened (``likelihood._hessian``).
+def _hessian_eigh(U: np.ndarray, weights: np.ndarray, M: np.ndarray):
+    """eigh of the whitened geodesic Hessians (``likelihood._hessian``) of a stack of L
+    iterates, from the kernel's frames U (r, L, m, n), weights (L, n) and M (L, m, m).
 
-    Its tangent eigenvalues lie in [0, 1/2] (1/2 tr(V^2 M) <= 1/2 ||V||^2 bounds the
+    Their tangent eigenvalues lie in [0, 1/2] (1/2 tr(V^2 M) <= 1/2 ||V||^2 bounds the
     form), and the m(m-1)/2 + 1 off-tangent ones (antisymmetric and trace directions)
-    are exactly 1, so they sort last: the first eigenpair is the smallest one on the
-    symmetric trace-free matrices.
+    are exactly 1, so they sort last: the first eigenpair of each is the smallest one
+    on the symmetric trace-free matrices.
     """
-    return np.linalg.eigh(_hessian(_outer(_frames(points, it.W)), weights, M))
+    return np.linalg.eigh(_hessian(_outer(U), weights, M))
 
 
-def _newton_target(points: np.ndarray, weights: np.ndarray, M: np.ndarray,
-                   it: _Chart) -> np.ndarray | None:
-    """The polish's Newton point F expm(V) F^T, guard-safe, or None (see above)."""
-    _, m, r = points.shape
-    h, U = _hessian_eigh(points, weights, M, it)
-    if h[0] <= NULL_HESSIAN:                         # numerically singular on the tangent space
-        return None
-    g = (M - r / m * np.eye(m)).reshape(-1)          # 2 H V = M - (r/m) Id
-    mu, E = np.linalg.eigh(sym((U @ (U.T @ g / (2.0 * h))).reshape(M.shape)))
+def _newton_targets(U: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Chart):
+    """(definite, safe, points) for a stack of L iterates (kernel frames, weights, M, charts).
+
+    ``definite`` marks lambda_min(H) > NULL_HESSIAN; ``safe`` marks the definite lanes
+    whose Newton point F expm(V) F^T lies within the conditioning bound, and ``points``
+    holds those lanes' points, in order (see above).
+    """
+    m = M.shape[-1]
+    h, E = _hessian_eigh(U, weights, M)
+    definite = h[:, 0] > NULL_HESSIAN               # else numerically singular on the tangent space
+    safe = definite.copy()
+    if not definite.any():
+        return definite, safe, M[:0]
+    h, E, loglam, F = h[definite], E[definite], it.loglam[definite], it.F[definite]
+    g = (M[definite] - len(U) / m * np.eye(m)).reshape(-1, m * m, 1)    # 2 H V = M - (r/m) Id
+    mu, Z = np.linalg.eigh(sym((E @ (E.swapaxes(-1, -2) @ g / (2.0 * h[..., None])))
+                               .reshape(-1, m, m)))
     # cond(F e^V F^T) <= e^(mu_max - mu_min) cond(Sigma); within this bound it is at most
     # COND_MAX / e, so the guard passes the point whatever the rounding of its eigenvalues
-    if mu[-1] - mu[0] + np.ptp(it.loglam) > np.log(COND_MAX) - 1.0:
-        return None
-    return sym(it.F @ ((E * np.exp(mu)) @ E.T) @ it.F.T)
+    bounded = mu[:, -1] - mu[:, 0] + np.ptp(loglam, axis=-1) <= np.log(COND_MAX) - 1.0
+    safe[definite] = bounded
+    Z, F = Z[bounded], F[bounded]
+    expV = (Z * np.exp(mu[bounded])[:, None, :]) @ Z.swapaxes(-1, -2)
+    return definite, safe, sym(F @ expV @ F.swapaxes(-1, -2))
+
+
+def _log_dets(U: np.ndarray, weights: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_j w_j log det(U_j^T A^T A U_j) per lane of frames U (r, L, m, n), weights (L, n)
+    and A (L, m, m): one Gram-Schmidt of the atoms A U_j, whose squared norms are the
+    log-det terms."""
+    sq = _gram_schmidt((A @ U).swapaxes(1, 2))[1]                    # (r, L, n)
+    return np.vecdot(weights, np.log(sq).sum(0))
 
 
 def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
@@ -311,12 +343,15 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
     distance_from_start = _distance_from(start)
     it, _ = _guarded(np.repeat((np.eye(m) if start is None else start)[None], B, axis=0))
     prev = it.sigma                          # the escape flag reads iterates k-1 and k
+    newton = np.zeros(B, dtype=bool)         # took a Newton point: tries one every iteration
+    declined = np.zeros(B, dtype=bool)       # met a null Hessian: never tries again
     lanes = list(range(B))
     traces: list[list[tuple[int, float, float]]] = [[] for _ in lanes]
     results: list[GEResult | None] = [None] * B
     for k in range(opts.max_iter + 1):
-        M, S = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1), it.F, it.W)
-        keep, polish = [], []
+        M, S, U = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1),
+                                       it.F, it.W)
+        keep, trying = [], []
         for i, (res, d) in enumerate(zip(_defect(M, r).tolist(), distance_from_start(it).tolist())):
             trace = traces[lanes[i]]
             trace.append((k, res, d))
@@ -327,21 +362,40 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
             elif status is not None:
                 results[lanes[i]] = GEResult(it.sigma[i], res, k, status, trace)
             else:
-                if k > 0 and POLISH_RATIO * trace[-2][1] < res <= POLISH_RESIDUAL:
-                    polish.append(len(keep))
+                if not declined[i] and (newton[i] or k > 0 and res > POLISH_RATIO * trace[-2][1]):
+                    trying.append(len(keep))
                 keep.append(i)
         if not keep:
             break
         if len(keep) < len(lanes):
-            it, M, S = _Chart(*(a[keep] for a in it)), M[keep], S[keep]
+            it, M, S, U = _Chart(*(a[keep] for a in it)), M[keep], S[keep], U[:, keep]
             points, weights, prev = points[keep], weights[keep], prev[keep]
+            newton, declined = newton[keep], declined[keep]
             lanes = [lanes[i] for i in keep]
-        # S holds the update targets up to scale (Newton points where taken); the guard scales
-        for i in polish:
-            target = _newton_target(points[i], weights[i], M[i], _Chart(*(a[i] for a in it)))
-            if target is not None:
-                S[i] = target
+        # S holds the plain update targets up to scale; the guard scales them and the
+        # lanes' Newton points (appended after them) in one call
+        L, cand = len(S), np.array(trying, dtype=int)
+        if trying:
+            definite, safe, targets = _newton_targets(U[:, cand], weights[cand], M[cand],
+                                                      _Chart(*(a[cand] for a in it)))
+            declined[cand[~definite]] = True
+            cand = cand[safe]
+            S = np.concatenate([S, targets])
         new, ok = _guarded(S)
+        if len(cand):
+            # the plain update lowers the objective; a Newton point replaces it only
+            # where it lowers it at least as much (objectives relative to the iterate)
+            twice = np.concatenate([cand, cand])
+            charted = np.concatenate([cand, np.arange(L, len(S))])     # plain, then Newton
+            f = _log_dets(U[:, twice], weights[twice], new.W[charted] @ it.F[twice])
+            take = f[len(cand):] <= f[:len(cand)]
+            if ok is not None:
+                take &= ok[cand] & ok[L:]
+                ok = None if ok[:L].all() else ok[:L]
+            for a in new:
+                a[cand[take]] = a[L:][take]
+            new = _Chart(*(a[:L] for a in new))
+            newton[cand[take]] = True
         if ok is not None:
             # conditioning breached before the distance test fired; the lane
             # is escaping and its new iterate is numerically unusable
@@ -353,6 +407,7 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
                 break
             it, new = _Chart(*(a[ok] for a in it)), _Chart(*(a[ok] for a in new))
             points, weights = points[ok], weights[ok]
+            newton, declined = newton[ok], declined[ok]
             lanes = [lane for lane, good in zip(lanes, ok) if good]
         prev, it = it.sigma, new
     return results
@@ -367,9 +422,9 @@ def fixed_point_solve(
 
     Requires an empirical measure whose atoms jointly span the whole space
     (otherwise ExistenceError, carrying a basis of the deficient span as
-    witness).  Starts from Sigma0 (default: identity) and finishes slow
-    contractions with the Newton polish.  The one-lane call of the stacked
-    loop ``_solve_stack``.
+    witness).  Starts from Sigma0 (default: identity) and moves to Newton steps
+    once the update contracts slowly.  The one-lane call of the stacked loop
+    ``_solve_stack``.
     """
     _check_empirical(meas, "fixed_point_solve")
     opts = options or SolverOptions()
@@ -405,7 +460,7 @@ def riemannian_descent(
     prev = it.sigma
     trace: list[tuple[int, float, float]] = []
     for k in range(opts.max_iter + 1):
-        M, S = _weighted_kernel_sum(meas.points, meas.weights, it.F, it.W)
+        M, S, _ = _weighted_kernel_sum(meas.points, meas.weights, it.F, it.W)
         G = (0.5 * r / m) * it.sigma - 0.5 * S
         res = float(_defect(M, r))
         gn2 = 0.25 * res                                  # <G, G>_Sigma
@@ -497,8 +552,9 @@ def _route_report(meas: Empirical, verdict: str, cands: list[Candidate],
 def _hessian_at(meas: Empirical, sigma: np.ndarray):
     """(chart of sigma, ``_hessian_eigh`` there) for a validated measure."""
     c = _chart(sigma)
-    M = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0]
-    return c, _hessian_eigh(meas.points, meas.weights, M, c)
+    M, _, U = _weighted_kernel_sum(meas.points, meas.weights, c.F[None], c.W[None])
+    h, E = _hessian_eigh(U, meas.weights[None], M)
+    return c, (h[0], E[0])
 
 
 def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], tol: float):

@@ -260,8 +260,9 @@ def _frames(points: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _outer(U: np.ndarray) -> np.ndarray:
-    """U_j U_j^T for every atom of the (r, m, n) layout, (n, m, m); frames give Pi_j."""
-    return np.einsum("kin,kjn->nij", U, U)
+    """U_j U_j^T for every atom of the (r, m, n) layout, (n, m, m), or of the stacked
+    (r, L, m, n) layout, (L, n, m, m); frames give Pi_j."""
+    return np.einsum("k...in,k...jn->...nij", U, U)
 
 
 def _pi_matrices(points: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -57,35 +57,44 @@ from .manifold import _chart, check_scatter, check_tangent, sym, tangent_vec_pro
 
 def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
                          W: np.ndarray):
-    """(M, S): the mean projector M = sum_j w_j Pi_j whitened by W = F^-1, and S = F M F^T.
+    """(M, S, U): the mean projector M = sum_j w_j Pi_j whitened by W = F^-1, S = F M F^T,
+    and the whitened frames U the sum is built from.
 
     S = sum_j w_j X_j G_j^-1 X_j^T is the same for every factor F F^T = Sigma.  A
     stack of L factors (L, m, m) splits the atoms into L equal blocks of consecutive
-    atoms, one dataset each (see ``_frames``), and gives one (M, S) per block.
+    atoms, one dataset each (see ``_frames``), and gives one (M, S) per block and the
+    frames in the (r, L, m, n/L) layout; a single factor gives them in (r, m, n).
     """
     U = _frames(points, W)
-    if U.ndim == 4:                                          # (r, m, L, n/L) -> (r, L, m, n/L)
-        U, weights = U.transpose(0, 2, 1, 3), weights.reshape(len(W), 1, -1)
+    if W.ndim == 3:                                   # (r, m, L, n/L) -> (r, L, m, n/L)
+        U = U.reshape(U.shape[:2] + (len(W), -1)).swapaxes(1, 2)
+        weights = weights.reshape(len(W), 1, -1)
     M = sym(((U * weights) @ U.swapaxes(-1, -2)).sum(0)).reshape(W.shape)   # sum_k (U_k w) U_k^T
-    return M, sym(F @ M @ F.swapaxes(-1, -2))
+    return M, sym(F @ M @ F.swapaxes(-1, -2)), U
 
 
 def _kron_mean(P: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j w_j P_j kron P_j for symmetric (n, m, m) P: one GEMM on the (n, m^2) layout."""
-    n, m, _ = P.shape
-    G = P.reshape(n, -1).T @ (weights[:, None] * P.reshape(n, -1))   # [(i, j), (k, l)]
-    return G.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+    """sum_j w_j P_j kron P_j for symmetric (..., n, m, m) P and weights (..., n): one GEMM
+    per entry of a stack on the (n, m^2) layout."""
+    *lead, n, m, _ = P.shape
+    A = P.reshape(*lead, n, m * m)
+    G = A.swapaxes(-1, -2) @ (weights[..., None] * A)                # [(i, j), (k, l)]
+    return G.reshape(*lead, m, m, m, m).swapaxes(-3, -2).reshape(*lead, m * m, m * m)
 
 
 def _hessian(P: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     """1/2 [(Id kron M + M kron Id)/2 - _kron_mean(P, w)] on symmetric trace-free vec(V), Id off.
 
     For P_j whitened by W = F^-1 and M = sum_j w_j P_j, vec(V)^T H vec(V) is
-    ``hess_quadform`` at Sigma = F F^T along F V F^T.
+    ``hess_quadform`` at Sigma = F F^T along F V F^T.  Stacks (leading axes on P,
+    weights and M) give one Hessian per entry.
     """
-    m = M.shape[0]
+    m = M.shape[-1]
     Id, Q = np.eye(m), tangent_vec_projector(m)
-    H = 0.5 * (0.5 * (np.kron(Id, M) + np.kron(M, Id)) - _kron_mean(P, weights))
+    # Id kron M + M kron Id, entry [(i, k), (j, l)] = Id_ij M_kl + M_ij Id_kl
+    sums = Id[:, None, :, None] * M[..., None, :, None, :] \
+        + M[..., :, None, :, None] * Id[:, None, :]
+    H = 0.5 * (0.5 * sums.reshape(M.shape[:-2] + (m * m, m * m)) - _kron_mean(P, weights))
     return Q @ H @ Q + (np.eye(m * m) - Q)
 
 
@@ -112,7 +121,7 @@ def loglik(meas: Empirical, Sigma) -> float:
 
 def _grad(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
     c = _chart(Sigma)
-    _, S = _weighted_kernel_sum(points, weights, c.F, c.W)
+    _, S, _ = _weighted_kernel_sum(points, weights, c.F, c.W)
     _, m, r = points.shape
     return sym((0.5 * r / m) * Sigma - 0.5 * S)
 

@@ -331,14 +331,15 @@ def _tangent_basis(m: int) -> np.ndarray:
     return scipy.linalg.null_space(np.array(constraints))
 
 
-def ref_newton_point(meas: Empirical, Sigma: np.ndarray, cond_max: float):
-    """F expm(V) F^T for the Newton step V in the Cholesky chart F of Sigma, or None.
+def ref_newton_point(meas: Empirical, Sigma: np.ndarray, cond_max: float, null_hessian: float):
+    """(F expm(V) F^T or None, declined) for the Newton step V in the Cholesky chart F of Sigma.
 
     Per atom: Pi_j from F^-1 X_j and its Hessian term
     1/2 [(I kron Pi_j + Pi_j kron I)/2 - Pi_j kron Pi_j]; the step solves the
     reduced system on an orthonormal basis of symmetric trace-free matrices.
-    None when that reduced Hessian is not positive definite or the point's
-    eigenvalue ratio exceeds cond_max.
+    Declined (None, True) when that reduced Hessian's least eigenvalue is at most
+    null_hessian; None when the spread of V's eigenvalues plus log cond(Sigma)
+    exceeds log(cond_max) - 1, the solver's bound.
     """
     _, m, r = meas.points.shape
     F = np.linalg.cholesky(Sigma)
@@ -352,14 +353,22 @@ def ref_newton_point(meas: Empirical, Sigma: np.ndarray, cond_max: float):
         H += w * 0.5 * (0.5 * (np.kron(Id, P) + np.kron(P, Id)) - np.kron(P, P))
     B = _tangent_basis(m)
     Hr = B.T @ H @ B
-    if np.linalg.eigvalsh(Hr)[0] <= 0.0:
-        return None
+    if np.linalg.eigvalsh(Hr)[0] <= null_hessian:
+        return None, True
     V = (B @ np.linalg.solve(Hr, B.T @ (0.5 * (M - (r / m) * Id)).ravel())).reshape(m, m)
-    T = F @ scipy.linalg.expm(0.5 * (V + V.T)) @ F.T
-    lam = np.linalg.eigvalsh(0.5 * (T + T.T))
-    if lam[0] <= 0.0 or lam[-1] > cond_max * lam[0]:
-        return None
-    return 0.5 * (T + T.T)
+    V = 0.5 * (V + V.T)
+    mu, lam = np.linalg.eigvalsh(V), np.linalg.eigvalsh(Sigma)
+    if mu[-1] - mu[0] + np.log(lam[-1] / lam[0]) > np.log(cond_max) - 1.0:
+        return None, False
+    T = F @ scipy.linalg.expm(V) @ F.T
+    return 0.5 * (T + T.T), False
+
+
+def ref_objective(meas: Empirical, T: np.ndarray) -> float:
+    """sum_j w_j log det(X_j^T Sigma^-1 X_j) at Sigma = T rescaled to determinant one."""
+    Sigma = T * np.exp(-np.log(np.linalg.eigvalsh(T)).mean())
+    G = np.einsum("nir,nis->nrs", meas.points, np.linalg.solve(Sigma, meas.points))
+    return float(meas.weights @ np.linalg.slogdet(G)[1])
 
 
 def ref_fixed_point(meas: Empirical, Sigma0=None, options=None, divergence_growth=None):
@@ -367,20 +376,22 @@ def ref_fixed_point(meas: Empirical, Sigma0=None, options=None, divergence_growt
 
     Per iteration: an eigvalsh for the COND_MAX guard, a Cholesky factor, an LU
     solve against it to whiten the atoms, and a generalized symmetric-definite
-    eigvalsh for the distance from the start.  Runs whose residual is at most
-    POLISH_RESIDUAL and above POLISH_RATIO times the previous one move to
-    ``ref_newton_point`` instead, unless it is None.  Divergence needs growth by
-    ``divergence_growth`` (default: the solver's DIVERGENCE_GROWTH) over
-    DIVERGENCE_WINDOW iterations and a steady last step, at least half the mean
-    step of the window.  Returns (status, iterations, trace, estimate) with the
-    solver's status names and trace layout.
+    eigvalsh for the distance from the start.  Newton-first: from iteration 1 a run
+    whose residual is above POLISH_RATIO times the previous one, and every run after
+    its first Newton point, tries ``ref_newton_point``; the point is taken when it
+    exists, the plain update passes the guard and the point's objective is at most
+    the plain update's.  A declined Newton step (null Hessian) ends the tries for
+    the run.  Divergence needs growth by ``divergence_growth`` (default: the
+    solver's DIVERGENCE_GROWTH) over DIVERGENCE_WINDOW iterations and a steady last
+    step, at least half the mean step of the window.  Returns (status, iterations,
+    trace, estimate) with the solver's status names and trace layout.
     """
     from grassmann_scatter import SolverOptions
     from grassmann_scatter.estimator import (
         DIVERGENCE_GROWTH,
         DIVERGENCE_WINDOW,
+        NULL_HESSIAN,
         POLISH_RATIO,
-        POLISH_RESIDUAL,
     )
     from grassmann_scatter.manifold import COND_MAX
 
@@ -390,6 +401,7 @@ def ref_fixed_point(meas: Empirical, Sigma0=None, options=None, divergence_growt
     start = np.eye(m) if Sigma0 is None else np.asarray(Sigma0, dtype=float)
     cols = meas.points.transpose(1, 0, 2).reshape(m, n * r)
     T, Sigma, trace, previous = start, None, [], np.inf
+    newton_on, declined = False, False
     for k in range(opts.max_iter + 1):
         lam = np.linalg.eigvalsh(T)
         if lam[0] <= 0.0 or lam[-1] > COND_MAX * lam[0]:
@@ -418,8 +430,12 @@ def ref_fixed_point(meas: Empirical, Sigma0=None, options=None, divergence_growt
         if k == opts.max_iter:
             break
         res = trace[-1][1]
-        slow = POLISH_RATIO * previous < res <= POLISH_RESIDUAL
-        previous = res
-        newton = ref_newton_point(meas, Sigma, COND_MAX) if slow else None
-        T = S if newton is None else newton
+        tries = not declined and (newton_on or res > POLISH_RATIO * previous)
+        previous, T = res, S
+        if tries:
+            newton, declined = ref_newton_point(meas, Sigma, COND_MAX, NULL_HESSIAN)
+            lam = np.linalg.eigvalsh(S)
+            if newton is not None and lam[0] > 0.0 and lam[-1] <= COND_MAX * lam[0] \
+                    and ref_objective(meas, newton) <= ref_objective(meas, S):
+                T, newton_on = newton, True
     return "max_iterations", opts.max_iter, trace, Sigma

@@ -406,6 +406,12 @@ def test_cli_argument_errors_exit_3(tmp_path, capsys):
                           ["--cap", "0"])]
     diag.append(["diagnose", "--input", limit, "--tol", "-1"] + out)
     clt = ["clt", "--n", "20", "--reps", "2", "--ref-mc", "50"] + out
+    # a threshold+1 (5,2,5) set: --tol inf ended "converged" at iteration 0
+    threshold = write_dataset(tmp_path / "threshold.json",
+                              Empirical(np.random.default_rng(0).standard_normal((5, 5, 2))))
+    estimate = [["estimate", "--input", threshold] + out + flags
+                for flags in (["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
+                              ["--max-iter", "0"])]
     for argv in [
         lln + ["--m", "-1", "--r", "1"],
         lln + ["--m", "2", "--r", "3"],             # r must lie in (0, m)
@@ -420,6 +426,8 @@ def test_cli_argument_errors_exit_3(tmp_path, capsys):
         ["gradcheck", "--m", "1"] + out,
         ["gradcheck", "--m", "3", "--trials", "0"] + out,
         *diag,
+        *estimate,
+        lln + ["--m", "3", "--r", "1", "--tol", "inf"],
     ]:
         assert main(argv) == 3, argv
     capsys.readouterr()

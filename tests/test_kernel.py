@@ -69,7 +69,7 @@ def test_kernel_matches_reference_loop(m, r, uniform, cond):
         assert max_mixed_err(_outer(_frames(points, g_inv)),
                              ref_whitened_projectors(points, g)) <= tol
 
-        M, S = _weighted_kernel_sum(points, w, L, L_inv)
+        M, S, _ = _weighted_kernel_sum(points, w, L, L_inv)
         assert max_mixed_err(S, ref_kernel_sum(points, w, Sigma)) <= tol
         assert max_mixed_err(_weighted_kernel_sum(points, w, g, g_inv)[1], S) <= tol
         res = _defect(M, r)
@@ -92,7 +92,7 @@ def test_kernel_accurate_on_ill_conditioned_atoms(m, r, cond):
     c = _chart(scatter_with_condition(rng, m, 10.0))
     M_ref, ratios_ref = mp_kernel_sum(meas.points, meas.weights, c.W)
     tol = 64.0 * EPS * cond
-    M, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
+    M, _, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
     assert max_mixed_err(M, M_ref) <= tol
     assert max_mixed_err(_logdet_ratio(meas.points, c.W), ratios_ref) <= tol
 
@@ -116,9 +116,12 @@ def test_fixed_point_validates_once_per_solve(monkeypatch):
     for ns in _package_namespaces():
         if hasattr(ns, "check_scatter"):
             monkeypatch.setattr(ns, "check_scatter", counted)
-    rng = np.random.default_rng(12)
-    meas = random_measure(rng, 3, 2, 25)
-    start = random_scatter(3, rng)
+    # three generic planes of R^4, a limit set: the run tries Newton steps, declines
+    # them at the flat of minimizers and finishes on the plain update (Newton-first
+    # finishes a generic (3,2,25) set in 4 iterations)
+    rng = np.random.default_rng(27)
+    meas = random_measure(rng, 4, 2, 3)
+    start = random_scatter(4, rng)
     result = fixed_point_solve(meas, Sigma0=start, options=SolverOptions(tol=1e-14))
     assert result.converged
     assert result.iterations >= 30

@@ -357,7 +357,7 @@ def test_critical_point_transported_by_congruence():
 
 
 def test_newton_hessian_quadratic_form_is_hess_quadform():
-    # the vec-form Hessian of the Newton polish, built from the whitened
+    # the vec-form Hessian of the Newton steps, built from the whitened
     # projectors in the eigen chart of Sigma, against the per-atom closed form
     rng = np.random.default_rng(90)
     for m, r, n, uniform in [(3, 1, 6, True), (4, 2, 7, False), (5, 2, 5, True), (3, 2, 25, False)]:
@@ -365,7 +365,7 @@ def test_newton_hessian_quadratic_form_is_hess_quadform():
         Sigma = random_scatter(m, rng, spread=0.8)
         c = _chart(Sigma)
         P = _outer(_frames(meas.points, c.W))
-        M, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
+        M, _, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
         H = _hessian(P, meas.weights, M)
         assert np.abs(H - H.T).max() <= 1e-14
         for _ in range(5):
