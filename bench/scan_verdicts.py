@@ -9,14 +9,15 @@ generator, imported read-only), runs each of its ``diagnose`` and
 ``estimate`` command lines in process through ``grassmann_scatter.cli.main``
 and reads back the reports.  Every tree is then compared with the first one,
 dataset by dataset.  Whatever route decided a diagnosis (``route``: "solver"
-for the solve's certificate, "scan" for the candidate scan; reports without
-the field come from the scan), the verdict, the sign of ``min_index`` (below
+for the solve's certificate, "scan" for the candidate scan that older trees
+fall back to; reports without the field come from trees that have only the
+solver route), the verdict, the sign of ``min_index`` (below
 -1e-9, within 1e-9 of zero, above 1e-9) and the witness are compared, and so
 is the estimate's status.  A witness is compared by dimension and orthogonal
 projector (to 1e-8), and by provenance too when both trees took the same
-route.  Only then are ``min_index`` (bit for bit),
-``scanned``, ``truncated``, the zero candidates and ``complement_ok``
-compared too: on the solver route ``scanned`` counts the subspaces the
+route.  Only then are ``min_index`` (bit for bit), ``scanned``, the zero
+candidates and ``complement_ok`` compared too (the fields that every tree
+writes): on the solver route ``scanned`` counts the subspaces the
 certificate evaluated, not a candidate pool.  Each difference is printed, then
 one table row per seed and tree: datasets, differences, diagnoses per route,
 estimate statuses, the longest estimate run and the diagnose and estimate wall
@@ -42,8 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WITNESS_TOL = 1e-8      # max-norm distance between witness projectors counted as equal
 INDEX_TOL = 1e-9        # |min_index| at most this has sign 0
-DIAGNOSIS = ("verdict", "min_index", "scanned", "truncated", "zeros", "complement_ok")
-SAME_ROUTE = ("min_index", "scanned", "truncated", "zeros", "complement_ok")
+DIAGNOSIS = ("verdict", "min_index", "scanned", "zeros", "complement_ok")
+SAME_ROUTE = ("min_index", "scanned", "zeros", "complement_ok")
 
 
 def _worker(seed: int, workdir: str) -> None:
@@ -67,7 +68,7 @@ def _worker(seed: int, workdir: str) -> None:
             rec = {"kind": cmd.kind, "verb": verb, "code": code}
             if verb == "diagnose":
                 rec.update({key: report[key] for key in DIAGNOSIS})
-                rec["route"] = report.get("route", "scan")
+                rec["route"] = report.get("route", "solver")
                 rec["sign"] = _sign(report["min_index"])
                 rec["min_index"] = float(report["min_index"]).hex()
                 rec["zeros"] = [[z["dim"], z["provenance"]] for z in report["zeros"]]

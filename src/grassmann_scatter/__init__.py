@@ -2,7 +2,7 @@
 
 Geometry of unimodular SPD matrices, Gaussian-induced distributions on
 Grassmannians, the averaged subspace log-likelihood with exact Riemannian
-derivatives, fixed-point and descent solvers, existence diagnostics, and
+derivatives, a Newton-first fixed-point solver, existence diagnostics, and
 Monte Carlo verification of the consistency and fluctuation limits.
 """
 
@@ -40,7 +40,6 @@ from .estimator import (
     diagnose,
     fixed_point_solve,
     residual,
-    riemannian_descent,
 )
 from .grassmann import (
     Empirical,

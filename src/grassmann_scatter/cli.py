@@ -2,7 +2,7 @@
 
 Subcommands
     estimate    solve for the scatter of a dataset of subspaces
-    diagnose    existence trichotomy for a dataset (solver certificate, scan fallback)
+    diagnose    existence trichotomy for a dataset (from one solve's certificate)
     lln         consistency experiment (error vs sample size)
     clt         fluctuation experiment against the predicted covariance
     gradcheck   finite-difference validation of the exact derivatives
@@ -36,7 +36,7 @@ import numpy as np
 from .asymptotics import clt_experiment, lln_experiment
 from .diagnostics import unique_sample_threshold
 from .errors import DegeneracyError, DomainError, ExistenceError, UsageError
-from .estimator import SolverOptions, diagnose, fixed_point_solve, riemannian_descent
+from .estimator import SolverOptions, diagnose, fixed_point_solve
 from .grassmann import Empirical, busemann, distinguished_ray_direction
 from .io import read_measure_json, read_scatter_csv, write_matrix_csv, write_report_json
 from .likelihood import (
@@ -124,10 +124,7 @@ def _cmd_estimate(args) -> int:
     outdir = _outdir(args)
     _write_replay(outdir, args)
     try:
-        if args.solver == "descent":
-            result = riemannian_descent(meas, Sigma0=start, options=opts)
-        else:
-            result = fixed_point_solve(meas, Sigma0=start, options=opts)
+        result = fixed_point_solve(meas, Sigma0=start, options=opts)
     except ExistenceError as exc:
         report = {
             "status": "no_ge",
@@ -162,7 +159,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     meas = read_measure_json(args.input)
-    report = diagnose(meas, tol=args.tol, max_subset=args.max_subset, cap=args.cap)
+    report = diagnose(meas, tol=args.tol)
     outdir = _outdir(args)
     _write_replay(outdir, args)
     doc = {
@@ -178,16 +175,13 @@ def _cmd_diagnose(args) -> int:
         "zeros": [{"dim": c.dim, "provenance": c.provenance} for c in report.zeros],
         "complement_ok": report.complement_ok,
         "scanned": report.scanned,
-        "truncated": report.truncated,
-        "route": report.route,
         "lambda_min": report.lambda_min,
         "slope": report.slope,
         "n": meas.n,
         "unique_sample_threshold": unique_sample_threshold(meas.m, meas.r),
     }
     write_report_json(outdir / "report.json", doc)
-    print(f"{report.verdict}: min index {report.min_index:.3e} over {report.scanned} subspaces "
-          f"({report.route} route)")
+    print(f"{report.verdict}: min index {report.min_index:.3e} over {report.scanned} subspaces")
     return {"unique": 0, "limit": 1, "no_ge": 2}.get(report.verdict, 4)
 
 
@@ -361,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="solve for the scatter of a dataset")
     p.add_argument("--input", required=True, help="dataset JSON ({m, r, points[, weights]})")
     p.add_argument("--start", default=None, help="starting scatter CSV (default: identity)")
-    p.add_argument("--solver", choices=["fixed-point", "descent"], default="fixed-point")
     _add_solver_flags(p)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=_cmd_estimate)
@@ -369,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="existence trichotomy for a dataset")
     p.add_argument("--input", required=True, help="dataset JSON")
     p.add_argument("--tol", type=float, default=1e-9, help="index zero-tolerance")
-    p.add_argument("--max-subset", type=int, default=2,
-                   help="largest atom subset to span (fallback scan only)")
-    p.add_argument("--cap", type=int, default=512, help="candidate pool cap (fallback scan only)")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=_cmd_diagnose)
 

@@ -9,20 +9,12 @@ over proper subspaces V.  Strict positivity for every proper V gives a
 unique estimate; a strictly negative value anywhere means none exists (mass
 concentrates on V); zero values put P on the boundary, where an estimate
 may survive as a limit of perturbed problems.  The one verdict is
-``estimator.diagnose``: it decides from a solver run first, checking the
-solver's certificate with the indices defined here, and falls back to the
-private candidate scan ``_scan_report``, which evaluates the index on a finite
-pool (spans of atom subsets, their intersections, and one closure round of
-both).  The pool is a heuristic: it can miss every zero-index subspace (three
-generic planes of R^4 have a one-parameter family of them, l + A l for the map
-A whose graph is the third plane, and none is in the pool), and then calls a
-limit set unique; hence it is only the fallback.  The scan orthonormalizes the
-atoms once, by one batched qr, and takes sums as rank-revealing spans; the
-index is then evaluated on stacks of same-dimension candidates, each
-``existence_index`` call ranking every atom against every candidate of its
-stack in one ``dim_intersection`` call.  Every intersection dimension
-(candidate meets, indices, complements) comes from the one rank core
-``grassmann._meet_dims``.
+``estimator.diagnose``: it decides from one solver run, checking the solver's
+certificate (its tangent Hessian, or its escape flag) with the indices defined
+here.  The index is evaluated on stacks of same-dimension subspaces, each
+``existence_index`` call ranking every atom against every subspace of its stack
+in one ``dim_intersection`` call; every intersection dimension comes from the
+one rank core ``grassmann._meet_dims``.
 
 The second half of the module analyses escape directions.  Any self-adjoint
 trace-free velocity w at Sigma decomposes as
@@ -43,18 +35,14 @@ diverging solver run, naming the subspaces responsible for nonexistence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
-
 import numpy as np
 
 from .errors import DomainError, EmptyFlagError, UsageError
-from .grassmann import (RANK_TOL, Empirical, _check_empirical, _meet_dims, dim_intersection,
-                        orthonormalize)
+from .grassmann import Empirical, _check_empirical, dim_intersection, orthonormalize
 from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
-PROJECTOR_TOL = 1e-8    # Frobenius tolerance identifying equal subspaces
 MEET_BATCH = 1 << 16    # floats of the [U_j | V_i] stacks one existence_index call ranks
 
 
@@ -89,7 +77,9 @@ def _index(points: np.ndarray, weights: np.ndarray, V: np.ndarray):
 
 @dataclass(frozen=True)
 class Candidate:
-    """A candidate subspace with how it was built ("sum", "intersection", "eigen_flag")."""
+    """A subspace that ``diagnose`` evaluated, with how it was built: "sum" (the span of
+    one atom, or the joint span of all of them) or "eigen_flag" (a flag subspace of the
+    solve's escape direction or Hessian null direction)."""
 
     basis: np.ndarray
     provenance: str
@@ -99,82 +89,17 @@ class Candidate:
         return self.basis.shape[1]
 
 
-def _span(X: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(X) from an svd cut at RANK_TOL (rank-revealing, where
-    qr would invent the directions that a rank-deficient X lacks)."""
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    return U[:, :np.sum(s > RANK_TOL * s[0])]
-
-
-def _meet(QU: np.ndarray, QV: np.ndarray) -> list[tuple[np.ndarray, str]]:
-    """[(orthonormal basis of span(QU) & span(QV), "intersection")], or [] if the meet is zero."""
-    k = int(_meet_dims(QU, QV))
-    if k == 0:
-        return []
-    # directions x in U-coordinates with (I - QV QV^T) QU x ~ 0
-    _, _, Vt = np.linalg.svd(QU - QV @ (QV.T @ QU))
-    return [(orthonormalize(QU @ Vt[-k:].T), "intersection")]
-
-
-def _scan(meas: Empirical, max_subset: int, cap: int) -> tuple[list[Candidate], bool]:
-    """(candidates, truncated): the fallback scan of subspaces on which the index can
-    attain its extrema.
-
-    Pools the spans of atom subsets up to size ``max_subset`` and all pairwise atom
-    intersections, then closes the pool once under pairwise sums and intersections.
-    The pool is deduplicated by orthogonal projector and capped at ``cap`` >= 1
-    entries (``truncated`` records whether the cap was hit).
-    """
-    atoms = orthonormalize(meas.points)
-    n, m, _ = atoms.shape
-    items: list[Candidate] = []
-    projectors = np.empty((cap, m, m))                  # of items, for the dedup
-    truncated = False
-
-    def fill(units) -> bool:
-        """Pool each unit, a list of (orthonormal basis, provenance); False once full."""
-        nonlocal truncated
-        for unit in units:
-            if len(items) >= cap:
-                truncated = True            # stopping with work left = overflowing
-                return False
-            for Q, provenance in unit:
-                if not 0 < Q.shape[1] < m:
-                    continue
-                P = Q @ Q.T
-                if (np.abs(projectors[:len(items)] - P).max(axis=(1, 2)) <= PROJECTOR_TOL).any():
-                    continue
-                if len(items) >= cap:
-                    truncated = True
-                    continue
-                projectors[len(items)] = P
-                items.append(Candidate(Q, provenance))
-        return True
-
-    singles = ([(Q, "sum")] for Q in atoms)
-    sums = ([(_span(np.hstack(atoms[list(subset)])), "sum")]
-            for size in range(2, max_subset + 1) for subset in combinations(range(n), size))
-    meets = (_meet(atoms[i], atoms[j]) for i, j in combinations(range(n), 2))
-    if fill(chain(singles, sums, meets)):
-        base = list(items)                              # one closure round over the pool so far
-        fill([(_span(np.hstack([a.basis, b.basis])), "sum"), *_meet(a.basis, b.basis)]
-             for a, b in combinations(base, 2))
-    return items, truncated
-
-
 @dataclass
 class ExistenceReport:
     """Classification of an empirical measure.
 
     verdict        "unique" | "no_ge" | "limit" | "inconclusive"
-    min_index      smallest existence index over the scan
-    witness        candidate attaining min_index when it is <= tol, else None
-    zeros          candidates with |index| <= tol
-    complement_ok  every zero candidate admitted a matching zero complement
+    min_index      smallest existence index over the evaluated subspaces
+    witness        subspace attaining min_index, None for "unique"
+    zeros          the zero-index subspaces of a "limit" verdict, else empty
+    complement_ok  the verdict is "limit": every zero has a complementary zero splitting
+                   every atom
     scanned        number of subspaces whose index was evaluated
-    truncated      candidate pool hit its cap
-    route          "scan" (the candidate scan decided) or "solver" (a solver run's
-                   certificate decided; see ``estimator.diagnose``)
     lambda_min     ``estimator.diagnose``: smallest tangent Hessian eigenvalue at its
                    converged solve, else None
     slope          ``estimator.diagnose``: asymptotic slope of its diverged solve's
@@ -187,8 +112,6 @@ class ExistenceReport:
     zeros: list[Candidate]
     complement_ok: bool
     scanned: int
-    truncated: bool
-    route: str = "scan"
     lambda_min: float | None = None
     slope: float | None = None
 
@@ -216,35 +139,6 @@ def _paired(meas: Empirical, zeros: list[Candidate]) -> bool:
     meets = [dim_intersection(meas.points, V.basis) for V in zeros]
     return all(any(_complementary(meas, V, W, mv, mw) for W, mw in zip(zeros, meets))
                for V, mv in zip(zeros, meets))
-
-
-def _scan_report(meas: Empirical, tol: float, max_subset: int, cap: int) -> ExistenceReport:
-    """Trichotomy verdict from the candidate scan ``_scan`` (``estimator.diagnose``'s fallback).
-
-    Any index < -tol          -> "no_ge" (witness = the offending subspace).
-    All indices > tol         -> "unique".
-    Some |index| <= tol       -> "limit" when every such subspace has a
-    complementary zero-index subspace splitting each atom's dimension
-    (the measure then sits on the closure of the solvable set), otherwise
-    "inconclusive".
-    The pool can miss every zero-index subspace of a limit set, which is then
-    called "unique" (three generic planes of R^4); ``diagnose`` asks the solver first.
-    """
-    cands, truncated = _scan(meas, max_subset, cap)
-    values = _index_values(meas, [c.basis for c in cands])
-    order = int(np.argmin(values))
-    min_index = float(values[order])
-    zeros = [i for i, v in enumerate(values) if abs(v) <= tol]
-    complement_ok = False
-    if min_index < -tol:
-        verdict = "no_ge"
-    elif not zeros:
-        verdict = "unique"
-    else:
-        complement_ok = _paired(meas, [cands[i] for i in zeros])
-        verdict = "limit" if complement_ok else "inconclusive"
-    return ExistenceReport(verdict, min_index, None if verdict == "unique" else cands[order],
-                           [cands[i] for i in zeros], complement_ok, len(cands), truncated)
 
 
 @dataclass

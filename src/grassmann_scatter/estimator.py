@@ -5,31 +5,24 @@ equivalently the residual
 
     residual(P, Sigma) = || mean_projector(P, Sigma) - (r/m) Id ||_F^2
 
-vanishes.  Two solvers are provided:
+vanishes.  The solver, ``fixed_point_solve``, iterates the classical scatter update
 
-* ``fixed_point_solve`` iterates the classical scatter update
+    Sigma <- normalize_det( (m/r) sum_j w_j X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T ).
 
-      Sigma <- normalize_det( (m/r) sum_j w_j X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T ).
-
-  The update is a majorize-minimize step: it strictly decreases the objective
-  away from fixed points, and its fixed points are exactly the zeros of the
-  residual.  It contracts only linearly, and slowest near the existence
-  threshold, so the loop is Newton-first.  A run tries a Newton point as soon
-  as its residual ratio res_k / res_(k-1) exceeds POLISH_RATIO (tested from
-  iteration 1 on, at any residual), and after its first Newton point it tries
-  one on every iteration.  The Newton point is
-  F expm(V) F^T: V solves H V = 1/2 (M - (r/m) Id) for the geodesic Hessian H
-  (convex objective, so H >= 0) on the tangent space, all whitened in the
-  iterate's chart.  It is taken only when the guard cannot reject it
-  (lambda_min(H) > NULL_HESSIAN and a conditioning bound, see
-  ``_newton_targets``) and its objective is at most the plain update's, so no
-  iterate raises the objective; otherwise the plain update is taken.  A run
-  that meets lambda_min(H) <= NULL_HESSIAN (a flat of minimizers, or an escape)
-  declines Newton for the rest of its solve.
-
-* ``riemannian_descent`` runs geodesic gradient descent with Armijo
-  backtracking on the averaged log-likelihood.  Slower but makes no
-  structural assumptions; useful as a cross-check.
+The update is a majorize-minimize step: it strictly decreases the objective
+away from fixed points, and its fixed points are exactly the zeros of the
+residual.  It contracts only linearly, and slowest near the existence
+threshold, so the loop is Newton-first.  A run tries a Newton point as soon as
+its residual ratio res_k / res_(k-1) exceeds POLISH_RATIO (tested from
+iteration 1 on, at any residual), and after its first Newton point it tries one
+on every iteration.  The Newton point is F expm(V) F^T: V solves
+H V = 1/2 (M - (r/m) Id) for the geodesic Hessian H (convex objective, so
+H >= 0) on the tangent space, all whitened in the iterate's chart.  It is
+taken only when the guard cannot reject it (lambda_min(H) > NULL_HESSIAN and a
+conditioning bound, see ``_newton_targets``) and its objective is at most the
+plain update's, so no iterate raises the objective; otherwise the plain update
+is taken.  A run that meets lambda_min(H) <= NULL_HESSIAN (a flat of
+minimizers, or an escape) declines Newton for the rest of its solve.
 
 When no estimate exists the iterates escape to the boundary of the cone:
 eigenvalues split and the distance from the starting point grows without
@@ -44,14 +37,14 @@ boundary flag describing the escape direction (see ``diagnostics.boundary_flag``
 ``diagnose`` decides existence from one fixed-point solve: a safely
 positive-definite Hessian at the converged estimate certifies "unique", a null
 direction of it splitting every atom "limit", an escape of negative slope (or a
-deficient span) "no_ge"; whatever the solve leaves open goes to the private
-candidate scan of ``diagnostics`` (``_scan_report``).  It is the library's one
-existence verdict.
+deficient span) "no_ge"; whatever the solve leaves open is "inconclusive", or
+"no_ge" where a subspace it evaluated has a negative index.  It is the
+library's one existence verdict.
 
-Both solvers evaluate the data through one core, ``likelihood._weighted_kernel_sum``
+The solver evaluates the data through one core, ``likelihood._weighted_kernel_sum``
 (built on the whitened-frame core of ``grassmann``).  Inputs are validated once
 on entry; the iterations run on unchecked cores, and the only conditioning
-decision is the solvers' own COND_MAX guard on each iterate.
+decision is the solver's own COND_MAX guard on each iterate.
 
 One loop on a stack.  The fixed-point loop, ``_solve_stack``, runs B same-shape
 datasets (B, n, m, r) at once; ``fixed_point_solve`` is its one-lane call, and
@@ -80,9 +73,7 @@ gives the exponential.  The guard's one batched eigh then charts the plain
 update of every lane and the Newton points together, and one Gram-Schmidt of
 the atoms whitened in both candidates' charts gives their objectives (its
 squared norms are the log-det terms).  So a Newton iteration makes three eigh
-calls (two when every trying lane declines).  A descent iteration (one
-dataset) makes, per line-search trial, one eigh for the exponential and one for
-the candidate's chart.  No iteration solves a system.
+calls (two when every trying lane declines).  No iteration solves a system.
 """
 
 from __future__ import annotations
@@ -102,7 +93,6 @@ from .diagnostics import (
     _flag_slope,
     _index_values,
     _paired,
-    _scan_report,
     existence_index,
 )
 from .errors import DomainError, EmptyFlagError, ExistenceError, UsageError
@@ -112,7 +102,6 @@ from .grassmann import (
     _check_empirical,
     _columns,
     _gram_schmidt,
-    _logdet_ratio,
     _outer,
     orthonormalize,
 )
@@ -121,7 +110,6 @@ from .manifold import (
     COND_MAX,
     _Chart,
     _chart,
-    _geodesic,
     _whitened_distance,
     check_scatter,
     sym,
@@ -139,12 +127,12 @@ NEWTON_STEP = 1e-2
 NULL_HESSIAN = 1e-10
 REFINE_TOL = 1e-26      # the limit route re-solves to this residual before reading V
 REFINE_ITER = 100
-SPAN_CHECKS = 128       # atom spans whose index every solver route evaluates
+SPAN_CHECKS = 128       # atom spans whose index every route of diagnose evaluates
 
 
 @dataclass
 class SolverOptions:
-    """The budget and tolerance of both solvers (the divergence test's window and
+    """The budget and tolerance of the solver (the divergence test's window and
     growth are the module constants DIVERGENCE_WINDOW and DIVERGENCE_GROWTH).
 
     max_iter    maximum number of updates
@@ -170,8 +158,7 @@ class GEResult:
     estimate    final iterate (unimodular SPD)
     residual    || mean_projector - (r/m) Id ||_F^2 at the final iterate
     iterations  number of updates performed
-    status      "converged" | "diverged_to_boundary" | "max_iterations" | "stalled"
-                (``riemannian_descent`` only: the line search found no decrease)
+    status      "converged" | "diverged_to_boundary" | "max_iterations"
     trace       per-iterate (iteration, residual, distance from start)
     boundary    escape-direction flag when diverged, else None
     slope       asymptotic slope 1/2 sum_k alpha_k index(V_k) of the boundary flag, else
@@ -222,8 +209,8 @@ def _check_start(Sigma0, m: int) -> np.ndarray | None:
 
 
 def _status(trace, opts: SolverOptions) -> str | None:
-    """The exit rule of both solvers: the status a run ends with at its last trace
-    entry (converged, diverged_to_boundary, max_iterations), or None to go on."""
+    """The solver's exit rule: the status a run ends with at its last trace entry
+    (converged, diverged_to_boundary, max_iterations), or None to go on."""
     k, res, d = trace[-1]
     if res <= opts.tol:
         return "converged"
@@ -252,7 +239,7 @@ def _escape_result(Sigma, res, k, trace, prev, points, weights) -> GEResult:
 
 def _guarded(T: np.ndarray) -> tuple[_Chart, np.ndarray | None]:
     """The charts of a stack T rescaled to determinant one, and None if all pass the
-    solvers' guard, else the mask of those that pass (the others' charts are placeholders).
+    solver's guard, else the mask of those that pass (the others' charts are placeholders).
 
     One batched eigh of T supplies everything.  The guard: every eigenvalue
     positive, and their ratio at most COND_MAX.  Every solver target is positive
@@ -433,61 +420,8 @@ def fixed_point_solve(
     return _solve_stack(meas.points[None], meas.weights[None], opts, start)[0]
 
 
-def riemannian_descent(
-    meas: Empirical,
-    Sigma0=None,
-    options: SolverOptions | None = None,
-) -> GEResult:
-    """Geodesic gradient descent with Armijo backtracking on the objective.
-
-    The objective value is non-increasing along the run.  A stalled line search
-    (no decrease after 60 halvings) ends the run with status "stalled".
-    """
-    _check_empirical(meas, "riemannian_descent")
-    opts = options or SolverOptions()
-    _check_span(meas.points)
-    m, r = meas.m, meas.r
-    start = _check_start(Sigma0, m)
-    distance_from_start = _distance_from(start)
-
-    def objective(it: _Chart) -> float:
-        return 0.5 * float(meas.weights @ _logdet_ratio(meas.points, it.W))
-
-    step0 = 2.0 * m / r  # the fixed-point step, linearized
-    step = step0
-    it, _ = _guarded(np.eye(m) if start is None else start)
-    f = objective(it)
-    prev = it.sigma
-    trace: list[tuple[int, float, float]] = []
-    for k in range(opts.max_iter + 1):
-        M, S, _ = _weighted_kernel_sum(meas.points, meas.weights, it.F, it.W)
-        G = (0.5 * r / m) * it.sigma - 0.5 * S
-        res = float(_defect(M, r))
-        gn2 = 0.25 * res                                  # <G, G>_Sigma
-        trace.append((k, res, float(distance_from_start(it))))
-        status = _status(trace, opts)
-        if status == "diverged_to_boundary":
-            return _escape_result(it.sigma, res, k, trace, prev, meas.points, meas.weights)
-        if status is not None:
-            return GEResult(it.sigma, res, k, status, trace)
-        t = step
-        for _ in range(60):
-            cand, bad = _guarded(_geodesic(it, -G, t))
-            if bad is None and (f_new := objective(cand)) <= f - 1e-4 * t * gn2:
-                break
-            t *= 0.5
-        else:
-            return GEResult(it.sigma, res, k, "stalled", trace)
-        prev, (it, f) = it.sigma, (cand, f_new)
-        step = min(2.0 * t, 8.0 * step0)
-
-
-def diagnose(meas: Empirical, tol: float = INDEX_TOL, max_subset: int = 2,
-             cap: int = 512) -> ExistenceReport:
-    """Existence verdict, certificate first: one ``fixed_point_solve`` decides, and the
-    candidate scan ``diagnostics._scan_report`` is the fallback.
-
-    Routes (``route`` "solver"):
+def diagnose(meas: Empirical, tol: float = INDEX_TOL) -> ExistenceReport:
+    """Existence verdict from one ``fixed_point_solve`` and the certificate it leaves.
 
     * unique: the run converged and the whitened tangent Hessian H at the estimate has
       lambda_min >= UNIQUE_HESSIAN with a Newton step ||g|| / lambda_min <= NEWTON_STEP.
@@ -497,56 +431,57 @@ def diagnose(meas: Empirical, tol: float = INDEX_TOL, max_subset: int = 2,
       V of H splits every atom, so the objective is constant along F expm(tV) F^T: V's
       flag subspaces and their complements are the zeros, each checked to have index
       within tol and a complement splitting every atom (integer meet dimensions).
-    * no_ge: the atoms span a proper subspace (the span is the witness), or the run
-      diverged along a flag of slope < -tol; the witness attains the least index.
+    * no_ge: the atoms span a proper subspace of index < -tol (the span is the
+      witness), or the run diverged along a flag of slope < -tol; the witness attains
+      the least index.
 
-    Besides a deficient span, each solver route also evaluates the spans of the first
+    Besides a deficient span, every route also evaluates the spans of the first
     SPAN_CHECKS atoms: one of index <= tol contradicts "unique", one < -tol contradicts
-    "limit".  Any other outcome (``max_iterations``, an escape of slope >= -tol, a
-    lambda_min between the thresholds, a failed check) runs the scan, unchanged, with
-    ``max_subset`` and ``cap``.
-    ``scanned`` counts the subspaces the deciding route evaluated; ``lambda_min`` and
-    ``slope`` come from the solve on either route.  UsageError unless ``tol`` is finite
-    and >= 0, and ``max_subset`` and ``cap`` are at least 1.
+    "limit".  The cases the certificates leave open (``max_iterations``, an escape of
+    slope >= -tol, a lambda_min between the thresholds, a failed check, a deficient
+    span of index >= -tol) evaluate the atom spans, plus the escape flag of a diverged
+    run or the flags of +-V (V the least eigenvector of H) of a converged one.
+    Wherever the evaluated indices do not bear out a certificate, the verdict is
+    "no_ge" if one of them is < -tol (a proof), else "inconclusive".
+    ``scanned`` counts the evaluated subspaces; ``lambda_min`` and ``slope`` come from
+    the solve.  UsageError unless ``tol`` is a finite real number >= 0.
     """
     _check_empirical(meas, "diagnose")
-    if not (np.isfinite(tol) and tol >= 0 and max_subset >= 1 and cap >= 1):
-        raise UsageError(f"diagnose needs a finite tol >= 0, max_subset >= 1 and cap >= 1, "
-                         f"got {tol}, {max_subset} and {cap}")
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 <= tol < np.inf:
+        raise UsageError(f"diagnose needs a finite tol >= 0, got {tol!r}")
+    spans = [Candidate(B, "sum") for B in orthonormalize(meas.points[:SPAN_CHECKS])]
     try:
         result = fixed_point_solve(meas)
     except ExistenceError as exc:
         span = Candidate(exc.witness, "sum")
         index = float(existence_index(meas, span.basis))
         if index < -tol:
-            return ExistenceReport("no_ge", index, span, [], False, 1, False, route="solver")
-        result = None
-    lam, report = None, None
-    if result is not None and (result.converged or result.slope is not None):
-        spans = [Candidate(B, "sum") for B in orthonormalize(meas.points[:SPAN_CHECKS])]
-        if result.converged:
-            lam, report = _converged_route(meas, result, spans, tol)
-        elif result.slope < -tol:
-            flag = [Candidate(B, "eigen_flag") for _, B in result.boundary.pairs]
-            report = _route_report(meas, "no_ge", spans + flag, [], tol)
-    if report is None:
-        report = _scan_report(meas, tol, max_subset, cap)
-    return replace(report, lambda_min=lam, slope=None if result is None else result.slope)
+            return ExistenceReport("no_ge", index, span, [], False, 1)
+        return _route_report(meas, "inconclusive", spans + [span], [], tol)
+    lam = None
+    if result.converged:
+        lam, report = _converged_route(meas, result, spans, tol)
+    else:
+        flag = [] if result.boundary is None else [
+            Candidate(B, "eigen_flag") for _, B in result.boundary.pairs]
+        claim = "no_ge" if result.slope is not None and result.slope < -tol else "inconclusive"
+        report = _route_report(meas, claim, spans + flag, [], tol)
+    return replace(report, lambda_min=lam, slope=result.slope)
 
 
-def _route_report(meas: Empirical, verdict: str, cands: list[Candidate],
-                  zeros: list[Candidate], tol: float) -> ExistenceReport | None:
-    """The solver route's report over the evaluated subspaces, or None if their indices
-    contradict the verdict (the case then goes to the scan)."""
+def _route_report(meas: Empirical, claim: str, cands: list[Candidate],
+                  zeros: list[Candidate], tol: float) -> ExistenceReport:
+    """The report over the evaluated subspaces: the verdict that the certificate claims
+    where their indices bear it out, else "no_ge" if one is < -tol, else "inconclusive"."""
     values = _index_values(meas, [c.basis for c in cands])
     order = int(np.argmin(values))
     low = values[order]
-    agrees = {"unique": low > tol, "no_ge": low < -tol,
+    agrees = {"unique": low > tol, "no_ge": low < -tol, "inconclusive": False,
               "limit": low >= -tol and (values[len(cands) - len(zeros):] <= tol).all()}
-    if not agrees[verdict]:
-        return None
+    verdict = claim if agrees[claim] else "no_ge" if low < -tol else "inconclusive"
+    limit = verdict == "limit"
     return ExistenceReport(verdict, float(low), None if verdict == "unique" else cands[order],
-                           zeros, bool(zeros), len(cands), False, route="solver")
+                           zeros if limit else [], limit, len(cands))
 
 
 def _hessian_at(meas: Empirical, sigma: np.ndarray):
@@ -558,22 +493,22 @@ def _hessian_at(meas: Empirical, sigma: np.ndarray):
 
 
 def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], tol: float):
-    """(lambda_min, report or None) of a converged solve: "unique" or "limit" (see diagnose)."""
+    """(lambda_min, report) of a converged solve: "unique", "limit" or the open case (see
+    diagnose)."""
     c, (h, U) = _hessian_at(meas, result.estimate)
     lam = float(h[0])
     if lam >= UNIQUE_HESSIAN and 0.5 * np.sqrt(result.residual) <= NEWTON_STEP * lam:
         return lam, _route_report(meas, "unique", spans, [], tol)
-    if lam > NULL_HESSIAN:
-        return lam, None
-    # at residual 1e-12 the null vector's eigenspaces meet the atoms only to ~1e-8,
-    # coarser than the RANK_TOL of the integer checks; at 1e-26 they do to ~1e-15
-    refined = _solve_stack(meas.points[None], meas.weights[None],
-                           SolverOptions(max_iter=REFINE_ITER, tol=REFINE_TOL), result.estimate)[0]
-    if refined.residual < result.residual:
-        c, (_, U) = _hessian_at(meas, refined.estimate)
+    if lam <= NULL_HESSIAN:
+        # at residual 1e-12 the null vector's eigenspaces meet the atoms only to ~1e-8,
+        # coarser than the RANK_TOL of the integer checks; at 1e-26 they do to ~1e-15
+        refined = _solve_stack(meas.points[None], meas.weights[None],
+                               SolverOptions(max_iter=REFINE_ITER, tol=REFINE_TOL),
+                               result.estimate)[0]
+        if refined.residual < result.residual:
+            c, (_, U) = _hessian_at(meas, refined.estimate)
     V = sym(U[:, 0].reshape(meas.m, meas.m))
-    zeros = [Candidate(B, "eigen_flag")
-             for v in (V, -V) for _, B in _flag(c, v).pairs]
-    if not zeros or not _paired(meas, zeros):
-        return lam, None
-    return lam, _route_report(meas, "limit", spans + zeros, zeros, tol)
+    flags = [Candidate(B, "eigen_flag") for v in (V, -V) for _, B in _flag(c, v).pairs]
+    if lam <= NULL_HESSIAN and flags and _paired(meas, flags):
+        return lam, _route_report(meas, "limit", spans + flags, flags, tol)
+    return lam, _route_report(meas, "inconclusive", spans + flags, [], tol)

@@ -223,7 +223,7 @@ def act_measure(A, meas: Measure) -> Measure:
 # atoms, gives orthonormal frames U_j: Pi_j = U_j U_j^T and log det G_j = sum_k log |v_k|^2
 # (v_k: column k before it is normalized).  No LAPACK call, and an error of order
 # eps cond(Theta_j), not the eps cond(Theta_j)^2 of forming G_j.  The caller supplies W
-# from the eigen chart of Sigma it already has (the solvers' iterates are charts), or
+# from the eigen chart of Sigma it already has (the solver's iterates are charts), or
 # g^-1 = Q W where the symmetric root is the definition.
 
 

@@ -24,7 +24,7 @@ Validation contract (package-wide): public functions validate their arguments
 once (``check_scatter``, ``check_tangent``), then call unchecked ``_`` cores.
 Cores assume validated input and run no symmetry, determinant, tangency or
 conditioning checks; internal callers only hand them matrices the library
-computed itself.  Solver iterates answer to the solvers' COND_MAX guard.
+computed itself.  Solver iterates answer to the solver's COND_MAX guard.
 
 Chart rule (package-wide): Sigma = Q diag(lam) Q^T is factored once, by
 ``_chart``, into F = Q diag(sqrt(lam)) (F F^T = Sigma), W = F^-1 and Q.  What is

@@ -1,6 +1,9 @@
-"""Shared generators, closed-form instances, and finite-difference stencils."""
+"""Shared generators, closed-form instances, finite-difference stencils and reference
+implementations (the fixed-point loop, a descent solver, the candidate scan)."""
 
 from __future__ import annotations
+
+from itertools import chain, combinations
 
 import mpmath
 import numpy as np
@@ -439,3 +442,154 @@ def ref_fixed_point(meas: Empirical, Sigma0=None, options=None, divergence_growt
                     and ref_objective(meas, newton) <= ref_objective(meas, S):
                 T, newton_on = newton, True
     return "max_iterations", opts.max_iter, trace, Sigma
+
+
+# ---------------------------------------------------------------------------
+# reference descent solver: geodesic gradient descent through the public functions
+
+
+def ref_descent(meas: Empirical, Sigma0=None, options=None):
+    """Geodesic gradient descent with Armijo backtracking on the objective.
+
+    The trial step starts at 2m/r (the fixed-point step, linearized) and halves, at most
+    60 times, until the candidate passes the COND_MAX guard and lowers the objective by
+    1e-4 t ||G||^2; the next trial starts at twice the accepted step, capped at 16m/r.
+    The objective is non-increasing along the run.  There is no divergence test, so it
+    is meant for sets that have an estimate.  Returns (status, estimate) with status
+    "converged", "max_iterations" or "stalled" (the line search found no decrease).
+    """
+    from grassmann_scatter import SolverOptions, geodesic, grad, loglik, residual
+    from grassmann_scatter.manifold import COND_MAX
+
+    opts = options or SolverOptions()
+    step0 = 2.0 * meas.m / meas.r
+    step = step0
+    Sigma = np.eye(meas.m) if Sigma0 is None else np.asarray(Sigma0, dtype=float)
+    f = loglik(meas, Sigma)
+    for k in range(opts.max_iter + 1):
+        res = residual(meas, Sigma)
+        if res <= opts.tol:
+            return "converged", Sigma
+        if k == opts.max_iter:
+            return "max_iterations", Sigma
+        G, gn2, t = grad(meas, Sigma), 0.25 * res, step     # <G, G>_Sigma = res / 4
+        for _ in range(60):
+            cand = geodesic(Sigma, -G, t)
+            lam = np.linalg.eigvalsh(cand)
+            if lam[-1] <= COND_MAX * lam[0] and (f_new := loglik(meas, cand)) <= f - 1e-4 * t * gn2:
+                break
+            t *= 0.5
+        else:
+            return "stalled", Sigma
+        Sigma, f = cand, f_new
+        step = min(2.0 * t, 8.0 * step0)
+
+
+# ---------------------------------------------------------------------------
+# reference existence verdict: the candidate scan
+
+
+def _span(X: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(X) from an svd cut at RANK_TOL (rank-revealing, where
+    qr would invent the directions that a rank-deficient X lacks)."""
+    from grassmann_scatter.grassmann import RANK_TOL
+
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    return U[:, :np.sum(s > RANK_TOL * s[0])]
+
+
+def _meet(QU: np.ndarray, QV: np.ndarray) -> list:
+    """[(orthonormal basis of span(QU) & span(QV), "intersection")], or [] if the meet is zero."""
+    from grassmann_scatter import orthonormalize
+    from grassmann_scatter.grassmann import _meet_dims
+
+    k = int(_meet_dims(QU, QV))
+    if k == 0:
+        return []
+    # directions x in U-coordinates with (I - QV QV^T) QU x ~ 0
+    _, _, Vt = np.linalg.svd(QU - QV @ (QV.T @ QU))
+    return [(orthonormalize(QU @ Vt[-k:].T), "intersection")]
+
+
+def ref_scan(meas: Empirical, max_subset: int = 2, cap: int = 512):
+    """(candidates, truncated): a finite pool of subspaces on which the index can attain
+    its extrema.
+
+    Pools the spans of atom subsets up to size ``max_subset`` and all pairwise atom
+    intersections, then closes the pool once under pairwise sums and intersections.
+    The pool is deduplicated by orthogonal projector (to 1e-8) and capped at ``cap``
+    entries (``truncated`` records whether the cap was hit).  The pool is a heuristic:
+    it can miss every zero-index subspace (three generic planes of R^4 have a
+    one-parameter family of them, and none is in the pool).
+    """
+    from grassmann_scatter import Candidate, orthonormalize
+
+    atoms = orthonormalize(meas.points)
+    n, m, _ = atoms.shape
+    items = []
+    projectors = np.empty((cap, m, m))                  # of items, for the dedup
+    truncated = False
+
+    def fill(units) -> bool:
+        """Pool each unit, a list of (orthonormal basis, provenance); False once full."""
+        nonlocal truncated
+        for unit in units:
+            if len(items) >= cap:
+                truncated = True            # stopping with work left = overflowing
+                return False
+            for Q, provenance in unit:
+                if not 0 < Q.shape[1] < m:
+                    continue
+                P = Q @ Q.T
+                if (np.abs(projectors[:len(items)] - P).max(axis=(1, 2)) <= 1e-8).any():
+                    continue
+                if len(items) >= cap:
+                    truncated = True
+                    continue
+                projectors[len(items)] = P
+                items.append(Candidate(Q, provenance))
+        return True
+
+    singles = ([(Q, "sum")] for Q in atoms)
+    sums = ([(_span(np.hstack(atoms[list(subset)])), "sum")]
+            for size in range(2, max_subset + 1) for subset in combinations(range(n), size))
+    meets = (_meet(atoms[i], atoms[j]) for i, j in combinations(range(n), 2))
+    if fill(chain(singles, sums, meets)):
+        base = list(items)                              # one closure round over the pool so far
+        fill([(_span(np.hstack([a.basis, b.basis])), "sum"), *_meet(a.basis, b.basis)]
+             for a, b in combinations(base, 2))
+    return items, truncated
+
+
+def ref_scan_report(meas: Empirical, tol: float = 1e-9, max_subset: int = 2, cap: int = 512):
+    """(ExistenceReport, truncated): the trichotomy over the pool of ``ref_scan``.
+
+    Any index < -tol          -> "no_ge" (witness = the offending subspace).
+    All indices > tol         -> "unique".
+    Some |index| <= tol       -> "limit" when every such subspace has a complementary
+    zero-index subspace splitting each atom's dimension, otherwise "inconclusive".
+    """
+    from grassmann_scatter import ExistenceReport, dim_intersection, existence_index
+
+    cands, truncated = ref_scan(meas, max_subset, cap)
+    values = np.empty(len(cands))
+    for d in {c.dim for c in cands}:
+        rows = [i for i, c in enumerate(cands) if c.dim == d]
+        values[rows] = existence_index(meas, np.stack([cands[i].basis for i in rows]))
+    order = int(np.argmin(values))
+    min_index = float(values[order])
+    zeros = [cands[i] for i, v in enumerate(values) if abs(v) <= tol]
+    complement_ok = False
+    if min_index < -tol:
+        verdict = "no_ge"
+    elif not zeros:
+        verdict = "unique"
+    else:
+        meets = [dim_intersection(meas.points, Z.basis) for Z in zeros]
+        complement_ok = all(any(Z.dim + C.dim == meas.m and dim_intersection(Z.basis, C.basis) == 0
+                                and (mz + mc == meas.r).all() for C, mc in zip(zeros, meets))
+                            for Z, mz in zip(zeros, meets))
+        verdict = "limit" if complement_ok else "inconclusive"
+    report = ExistenceReport(verdict, min_index, None if verdict == "unique" else cands[order],
+                             zeros, complement_ok, len(cands))
+    return report, truncated

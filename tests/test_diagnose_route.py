@@ -1,4 +1,5 @@
-"""Certificate-first diagnosis: the solver's Hessian and escape slope decide, the scan is the fallback."""
+"""Diagnosis from one solve: the solver's Hessian and escape slope decide, and whatever they
+leave open is inconclusive (or no_ge where an evaluated subspace has a negative index)."""
 
 import json
 import math
@@ -18,10 +19,11 @@ from grassmann_scatter import (
     random_scatter,
 )
 from grassmann_scatter.cli import main
-from grassmann_scatter.diagnostics import INDEX_TOL, _scan_report
+from grassmann_scatter.diagnostics import INDEX_TOL
 from grassmann_scatter.estimator import NULL_HESSIAN, UNIQUE_HESSIAN
 from grassmann_scatter.io import write_measure_json
-from helpers import gaussian_points, lines_measure, no_ge_lines, planar_lines_in_3d
+from helpers import (gaussian_points, lines_measure, no_ge_lines, planar_lines_in_3d,
+                     ref_scan_report)
 
 
 def run_diagnose(tmp_path, meas, name="data"):
@@ -68,8 +70,7 @@ def test_three_generic_planes_in_r4_are_a_limit_not_unique(tmp_path):
     meas = Empirical(pts)
     code, report = run_diagnose(tmp_path, meas)
     assert code == 1
-    assert report["route"] == "solver" and report["verdict"] == "limit"
-    assert report["complement_ok"] is True and report["truncated"] is False
+    assert report["verdict"] == "limit" and report["complement_ok"] is True
     assert report["scanned"] > 0 and report["slope"] is None
     assert report["lambda_min"] <= NULL_HESSIAN
 
@@ -96,18 +97,17 @@ def _threshold_sizes(m, r):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_route_verdict_matches_the_scan(m):
-    # below, at and above m^2 / (r (m - r)); where the two disagree the route
-    # says "limit" and the scan "unique", and the route is right: the objective
-    # is constant along the flow that scales a zero against its complement
+    # below, at and above m^2 / (r (m - r)), against the reference candidate scan;
+    # where the two disagree diagnose says "limit" and the scan "unique", and
+    # diagnose is right: the objective is constant along the flow that scales a
+    # zero against its complement
     for r in range(1, m):
         for n in _threshold_sizes(m, r):
             for seed in range(3):
                 meas = Empirical(np.random.default_rng([m, r, n, seed]).standard_normal((n, m, r)))
-                report, scan = diagnose(meas), _scan_report(meas, INDEX_TOL, 2, 512)
+                report, (scan, truncated) = diagnose(meas), ref_scan_report(meas)
                 assert report.scanned > 0
-                if report.route == "solver":
-                    assert not report.truncated
-                if scan.truncated or report.verdict == scan.verdict:
+                if truncated or report.verdict == scan.verdict:
                     continue
                 assert (report.verdict, scan.verdict) == ("limit", "unique"), (m, r, n, seed)
                 Z, C = complementary_pair(report, m)
@@ -147,9 +147,9 @@ def _oblique_sets():
 @pytest.mark.parametrize("meas, V, W", _oblique_sets())
 def test_oblique_limit_sets(tmp_path, meas, V, W):
     code, doc = run_diagnose(tmp_path, meas)
-    assert code == 1 and doc["route"] == "solver" and doc["complement_ok"] is True
+    assert code == 1 and doc["complement_ok"] is True
     report = diagnose(meas)
-    assert report.verdict == "limit" and report.route == "solver"
+    assert report.verdict == "limit"
     # the null direction splits R^m into exactly V (+) W
     zeros = [z.basis for z in report.zeros]
     assert len(zeros) == 2
@@ -160,28 +160,63 @@ def test_oblique_limit_sets(tmp_path, meas, V, W):
     assert split_flow_spread(meas, V, W, np.eye(meas.m)) <= 1e-10
 
 
-def test_inconclusive_lines_take_the_scan_route(tmp_path):
+def test_open_route_on_the_inconclusive_lines(tmp_path):
     # the solver "converges" far out, where the Hessian is small but not null and
-    # the Newton step long: neither certificate holds, so the scan decides
+    # the Newton step long: neither certificate holds.  span(e1) has index 0 and no
+    # complement splits the pi/4 line, so the case stays open
     meas = lines_measure([0.0, np.pi / 2, np.pi / 4], weights=[0.5, 0.25, 0.25])
     code, doc = run_diagnose(tmp_path, meas)
-    assert code == 4 and doc["verdict"] == "inconclusive" and doc["route"] == "scan"
-    assert NULL_HESSIAN < doc["lambda_min"] and doc["slope"] is None
-    scan = _scan_report(meas, INDEX_TOL, 2, 512)
-    assert (doc["scanned"], doc["min_index"]) == (scan.scanned, scan.min_index)
+    assert code == 4 and doc["verdict"] == "inconclusive"
+    assert doc["min_index"] == 0.0 and doc["complement_ok"] is False
+    assert doc["witness"]["dim"] == 1
+    assert same_subspace(np.array(doc["witness"]["basis"]), np.eye(2)[:, :1])
+    assert NULL_HESSIAN < doc["lambda_min"] < UNIQUE_HESSIAN and doc["slope"] is None
+    assert "route" not in doc and "truncated" not in doc
+
+
+def test_open_route_on_planes_sharing_a_line(tmp_path):
+    # five planes of R^5, two of which share a line: the line has index 2/5 - 2/5 = 0.
+    # The solve converges with a Hessian that is small but not null, so no certificate
+    # holds; the flags of its least eigenvector mostly hold the shared line
+    held = 0
+    for seed in range(8):
+        pts = np.random.default_rng(seed).standard_normal((5, 5, 2))
+        pts[1, :, 0] = pts[0, :, 0]
+        code, doc = run_diagnose(tmp_path, Empirical(pts), f"shared{seed}")
+        assert code == 4 and doc["verdict"] == "inconclusive", seed
+        assert doc["min_index"] >= -INDEX_TOL and doc["complement_ok"] is False, seed
+        assert NULL_HESSIAN < doc["lambda_min"] < UNIQUE_HESSIAN, seed
+        witness = np.array(doc["witness"]["basis"])
+        if same_subspace(witness, pts[0, :, :1]):
+            held += 1
+            assert doc["min_index"] == 0.0 and doc["witness"]["provenance"] == "eigen_flag"
+    assert held >= 7
+
+
+def test_open_route_when_the_proofs_fall_within_tol():
+    # with tol 1/2 neither a deficient span (index -1/3) nor an escape (slope -0.14)
+    # proves nonexistence; the case is open, and the atom spans are evaluated too
+    planar = planar_lines_in_3d(np.random.default_rng(44))
+    report = diagnose(planar, tol=0.5)
+    assert report.verdict == "inconclusive" and report.scanned == planar.n + 1
+    assert report.min_index == pytest.approx(-1 / 3) and report.witness.dim == 2
+    escape = lines_measure([0.0, np.pi / 2], weights=[0.7, 0.3])
+    report = diagnose(escape, tol=0.5)
+    assert report.verdict == "inconclusive" and -0.5 <= report.slope < 0
+    assert report.min_index == pytest.approx(-0.2) and report.lambda_min is None
 
 
 def test_no_ge_routes_name_a_negative_witness(tmp_path):
     # a deficient span: the span is the witness, with its own index
     code, doc = run_diagnose(tmp_path, planar_lines_in_3d(np.random.default_rng(44)), "planar")
-    assert code == 2 and doc["route"] == "solver"
+    assert code == 2 and doc["verdict"] == "no_ge"
     assert doc["witness"]["dim"] == 2 and doc["scanned"] == 1
     assert doc["min_index"] == pytest.approx(-1 / 3)
     # an escape: the flag's slope is negative and its subspace of least index is the plane
     for seed, n in ((0, 4), (1, 6), (2, 9)):
         meas = no_ge_lines(seed, n)
         code, doc = run_diagnose(tmp_path, meas, f"lines{seed}")
-        assert code == 2 and doc["route"] == "solver" and doc["verdict"] == "no_ge"
+        assert code == 2 and doc["verdict"] == "no_ge"
         assert doc["slope"] < 0 and doc["min_index"] < 0 and doc["lambda_min"] is None
         plane = np.array(doc["witness"]["basis"])
         assert doc["witness"]["provenance"] == "eigen_flag"
@@ -206,9 +241,9 @@ def test_estimate_reports_the_escape_slope(tmp_path):
 def test_unique_route_report_fields(tmp_path):
     meas = Empirical(gaussian_points(np.random.default_rng(8), np.eye(3), 2, 60))
     code, doc = run_diagnose(tmp_path, meas)
-    assert code == 0 and doc["verdict"] == "unique" and doc["route"] == "solver"
+    assert code == 0 and doc["verdict"] == "unique"
     assert doc["lambda_min"] >= UNIQUE_HESSIAN and doc["slope"] is None
     # every atom span is evaluated, and none has index <= tol
-    assert doc["scanned"] == meas.n and doc["truncated"] is False
+    assert doc["scanned"] == meas.n
     assert doc["min_index"] == existence_index(meas, meas.points).min() > 0
     assert doc["witness"] is None and doc["zeros"] == []

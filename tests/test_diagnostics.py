@@ -1,4 +1,5 @@
-"""Existence classification, velocity flags, and boundary-ray slopes."""
+"""Existence classification, the reference candidate scan, velocity flags, and boundary-ray
+slopes."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from grassmann_scatter import (
     asymptotic_slope,
     boundary_flag,
     decompose_velocity,
+    diagnose,
     dim_intersection,
     distinguished_ray_direction,
     existence_index,
@@ -18,7 +20,6 @@ from grassmann_scatter import (
     projector,
     random_scatter,
 )
-from grassmann_scatter.diagnostics import INDEX_TOL, _scan, _scan_report
 from helpers import (
     exact_ray_instance,
     gaussian_points,
@@ -29,13 +30,10 @@ from helpers import (
     random_measure,
     random_tangent,
     ray_form,
+    ref_scan,
+    ref_scan_report,
     three_symmetric_lines,
 )
-
-
-def scan_report(meas):
-    """The fallback scan's verdict at diagnose's defaults."""
-    return _scan_report(meas, INDEX_TOL, 2, 512)
 
 
 def test_existence_index_hand_values():
@@ -74,7 +72,7 @@ def test_existence_index_basis_invariance_and_bounds():
 
 
 def test_candidate_scan_three_lines():
-    cands, truncated = _scan(three_symmetric_lines(), 2, 512)
+    cands, truncated = ref_scan(three_symmetric_lines())
     assert not truncated
     assert len(cands) == 3
     assert all(c.dim == 1 for c in cands)
@@ -82,7 +80,7 @@ def test_candidate_scan_three_lines():
 
 def test_candidate_scan_plane_intersection():
     planes = np.stack([np.eye(3)[:, :2], np.eye(3)[:, 1:]])
-    lines = [c for c in _scan(Empirical(planes), 2, 512)[0] if c.dim == 1]
+    lines = [c for c in ref_scan(Empirical(planes))[0] if c.dim == 1]
     assert any(dim_intersection(c.basis, np.eye(3)[:, 1:2]) == 1 for c in lines)
     assert any(c.provenance == "intersection" for c in lines)
 
@@ -90,32 +88,27 @@ def test_candidate_scan_plane_intersection():
 def test_candidate_scan_random_planes_all_nonnegative():
     rng = np.random.default_rng(23)
     meas = Empirical(rng.standard_normal((5, 4, 2)))
-    assert all(existence_index(meas, c.basis) >= 0.0 for c in _scan(meas, 2, 512)[0])
-
-
-def test_candidate_scan_cap():
-    rng = np.random.default_rng(63)
-    meas = random_measure(rng, 4, 2, n=10)
-    cands, truncated = _scan(meas, 2, 4)
-    assert truncated
-    assert len(cands) <= 4
+    assert all(existence_index(meas, c.basis) >= 0.0 for c in ref_scan(meas)[0])
 
 
 def test_candidate_scan_sums_are_rank_revealing():
     # span(e1, e2) + span(e1, e3) is span(e1, e2, e3); a qr of the stacked bases
     # would add a fourth direction chosen by rounding
     e = np.eye(5)
-    cands, _ = _scan(Empirical(np.stack([e[:, [0, 1]], e[:, [0, 2]]])), 2, 512)
+    cands, _ = ref_scan(Empirical(np.stack([e[:, [0, 1]], e[:, [0, 2]]])))
     assert [c for c in cands if c.dim == 3]
     for c in cands:
         assert dim_intersection(c.basis, e[:, :3]) == c.dim
 
 
 def test_existence_index_on_a_stack_matches_single_bases():
+    # random bases, and bases built from atoms so that some meets are nonzero
     rng = np.random.default_rng(67)
     meas = random_measure(rng, 5, 2, n=9)
-    for d in (1, 2, 4):
-        V = np.stack([c.basis for c in _scan(meas, 2, 512)[0] if c.dim == d])
+    pairs = np.concatenate([meas.points[:-1], meas.points[1:]], axis=2)
+    for d, built in ((1, meas.points[:, :, :1] + meas.points[:, :, 1:]), (2, meas.points),
+                     (4, pairs)):
+        V = np.concatenate([built, rng.standard_normal((6, 5, d))])
         values = existence_index(meas, V)
         assert values.shape == (len(V),)
         assert values.tolist() == [existence_index(meas, B) for B in V]
@@ -124,7 +117,7 @@ def test_existence_index_on_a_stack_matches_single_bases():
 def test_classify_unique_on_gaussian_sample():
     rng = np.random.default_rng(64)
     meas = Empirical(gaussian_points(rng, np.eye(3), 2, 60))
-    report = scan_report(meas)
+    report = diagnose(meas)
     assert report.verdict == "unique"
     assert report.min_index > 1e-9
     assert report.witness is None and not report.zeros
@@ -135,11 +128,11 @@ def test_classify_unique_frequency_small_samples():
     for trial in range(200):
         rng = np.random.default_rng(1000 + trial)
         meas = Empirical(gaussian_points(rng, np.eye(2), 1, 6))
-        assert scan_report(meas).verdict == "unique"
+        assert diagnose(meas).verdict == "unique"
 
 
 def test_classify_limit_orthogonal_lines():
-    report = scan_report(orthogonal_lines())
+    report = diagnose(orthogonal_lines())
     assert report.verdict == "limit"
     assert report.complement_ok
     assert len(report.zeros) == 2
@@ -151,7 +144,7 @@ def test_classify_limit_orthogonal_lines():
 def test_classify_no_ge_planar_atoms():
     rng = np.random.default_rng(65)
     meas = planar_lines_in_3d(rng)
-    report = scan_report(meas)
+    report = diagnose(meas)
     assert report.verdict == "no_ge"
     assert report.witness is not None
     assert report.witness.dim == 2
@@ -163,7 +156,7 @@ def test_classify_inconclusive_without_complement():
     diag = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     pts = np.stack([np.eye(2)[:, :1], np.eye(2)[:, 1:], diag])
     meas = Empirical(pts, np.array([0.5, 0.25, 0.25]))
-    report = scan_report(meas)
+    report = diagnose(meas)
     assert report.verdict == "inconclusive"
     assert not report.complement_ok
     assert report.min_index == pytest.approx(0.0, abs=1e-12)
@@ -180,7 +173,7 @@ def test_scan_hands_qr_and_svd_no_single_atom(monkeypatch):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda A, *a, _fn=fn, **k: calls.append(np.array(A)) or _fn(A, *a, **k))
-    report = scan_report(meas)
+    report, _ = ref_scan_report(meas)
     monkeypatch.undo()
     assert report.verdict == "unique" and report.scanned > meas.n
     singles = list(meas.points) + list(np.linalg.qr(meas.points)[0])
@@ -249,7 +242,7 @@ def test_decompose_reconstruction_identity():
 def test_asymptotic_slope_positive_on_well_posed_instance():
     rng = np.random.default_rng(67)
     meas = random_measure(rng, 3, 2, n=9)
-    assert scan_report(meas).verdict == "unique"
+    assert diagnose(meas).verdict == "unique"
     for _ in range(5):
         Sigma = random_scatter(3, rng, spread=0.5)
         w = ray_form(Sigma, random_tangent(rng, Sigma, scale=1.0))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import grassmann_scatter
-from grassmann_scatter import DomainError, Empirical
+from grassmann_scatter import DomainError, Empirical, UsageError, diagnose
 from grassmann_scatter.cli import main
 from grassmann_scatter.io import (
     read_matrix_csv,
@@ -144,13 +144,6 @@ def test_cli_estimate_three_lines_gives_identity(tmp_path):
     assert (out / "replay.json").exists()
 
 
-def test_cli_estimate_descent_solver(tmp_path):
-    data = write_dataset(tmp_path / "lines.json", three_symmetric_lines())
-    out = tmp_path / "out"
-    assert main(["estimate", "--input", data, "--solver", "descent", "--out", str(out)]) == 0
-    assert load_json(out / "report.json")["status"] == "converged"
-
-
 def test_cli_estimate_with_start_scatter(tmp_path):
     data = write_dataset(tmp_path / "lines.json", three_symmetric_lines())
     start = tmp_path / "start.csv"
@@ -198,13 +191,11 @@ def test_cli_estimate_malformed_inputs_exit_3(tmp_path, capsys):
     missing = tmp_path / "does-not-exist.json"
     assert main(["estimate", "--input", str(missing), "--out", str(out)]) == 3
 
-    # a valid scatter of the wrong dimension, with either solver
+    # a valid scatter of the wrong dimension
     wrong_m = tmp_path / "start3.csv"
     write_matrix_csv(wrong_m, np.eye(3))
-    for solver in ("fixed-point", "descent"):
-        assert main(["estimate", "--input", data, "--start", str(wrong_m), "--solver", solver,
-                     "--out", str(out)]) == 3
-        assert "Sigma0 must be 2 x 2" in capsys.readouterr().err
+    assert main(["estimate", "--input", data, "--start", str(wrong_m), "--out", str(out)]) == 3
+    assert "Sigma0 must be 2 x 2" in capsys.readouterr().err
 
     text_weights = load_json(data)
     text_weights["weights"] = "abc"
@@ -274,7 +265,7 @@ def test_cli_diagnose_limit_report_details(tmp_path):
     assert report["min_index"] == pytest.approx(0.0, abs=1e-12)
     assert len(report["zeros"]) >= 2
     assert report["witness"]["dim"] == 1
-    assert report["scanned"] >= 2 and report["truncated"] is False
+    assert report["scanned"] >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +385,9 @@ def test_cli_threads_env_var_and_flag_precedence(tmp_path, monkeypatch):
 
 def test_cli_argument_errors_exit_3(tmp_path, capsys):
     assert main(["estimate", "--bogus-flag"]) == 3
+    for bad in (True, "1e-9", None):                # diagnose's tol: a finite real >= 0
+        with pytest.raises(UsageError):
+            diagnose(orthogonal_lines(), tol=bad)
     assert main(["no-such-command"]) == 3
     assert main(["lln", "--r", "1"]) == 3          # neither --sigma nor --m
     out = ["--out", str(tmp_path / "out")]
@@ -401,6 +395,7 @@ def test_cli_argument_errors_exit_3(tmp_path, capsys):
     # a no-estimate set (least index -1/3) and a limit set (least index 0)
     no_ge = write_dataset(tmp_path / "no_ge.json", planar_lines_in_3d(np.random.default_rng(46)))
     limit = write_dataset(tmp_path / "limit.json", orthogonal_lines())
+    # --max-subset and --cap are unknown flags
     diag = [["diagnose", "--input", no_ge] + out + flags
             for flags in (["--tol", "nan"], ["--tol", "inf"], ["--max-subset", "0"],
                           ["--cap", "0"])]
@@ -411,7 +406,7 @@ def test_cli_argument_errors_exit_3(tmp_path, capsys):
                               Empirical(np.random.default_rng(0).standard_normal((5, 5, 2))))
     estimate = [["estimate", "--input", threshold] + out + flags
                 for flags in (["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
-                              ["--max-iter", "0"])]
+                              ["--max-iter", "0"], ["--solver", "descent"])]
     for argv in [
         lln + ["--m", "-1", "--r", "1"],
         lln + ["--m", "2", "--r", "3"],             # r must lie in (0, m)
@@ -463,7 +458,7 @@ def test_public_namespace():
         "lln_experiment", "log_map", "loglik", "loglik_point", "manifold_dim", "mean_projector",
         "modular_parabolic", "norm", "normalize_det", "orthonormalize", "pi_matrix", "projector",
         "projector_kron_mean", "random_scatter", "random_unit_tangent", "residual",
-        "riemannian_descent", "sample", "score_covariance", "sym_sqrt", "tangent_project",
+        "sample", "score_covariance", "sym_sqrt", "tangent_project",
         "tangent_vec_projector", "unique_sample_threshold", "unvec", "vec", "whiten_normalize",
     ]
 

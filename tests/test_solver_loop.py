@@ -14,7 +14,6 @@ from grassmann_scatter import (
     distance,
     fixed_point_solve,
     random_scatter,
-    riemannian_descent,
 )
 from grassmann_scatter import estimator
 from grassmann_scatter.likelihood import _weighted_kernel_sum
@@ -173,17 +172,6 @@ def test_lapack_budget_per_iteration(monkeypatch, with_start):
         # then one eigvalsh of the start-whitened iterate per evaluation
         expected.update(eigvalsh=1 + evaluations, eigh=1 + expected["eigh"])
     assert names == Counter(expected)
-
-
-def test_lapack_budget_descent(monkeypatch):
-    # the line search moves within the iterate's eigen chart: no second
-    # factorization of the iterate and no m x m solve
-    rng = np.random.default_rng(12)
-    meas = Empirical(rng.standard_normal((25, 3, 2)))
-    calls = _record_linalg(monkeypatch)
-    result = riemannian_descent(meas, options=SolverOptions(max_iter=10))
-    assert result.iterations == 10
-    assert not [c for c in calls if c[1] in ("inv", "cholesky", "solve")]
 
 
 def _planes_in_a_solid(seed):
