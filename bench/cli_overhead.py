@@ -1,0 +1,222 @@
+"""Milliseconds per phase of one in-process ``cli.main`` command, before and after a
+change to the command-line front end.
+
+    python bench/cli_overhead.py --src parent=/path/to/parent/src --src change=src \
+        [--out BENCH_cli_overhead.json]
+
+Each of ROUNDS rounds starts one fresh interpreter per source tree, in turn, so the
+trees are interleaved against the drift of a shared host.  The worker writes seeded
+inputs to a temporary directory (a threshold+1 (5,2,5) set and a no-GE (3,1,6) set,
+as in the scan workload, and the 3x3 and 2x2 scatters of the small-mc workload), wraps
+the phases of ``cli.main`` from outside, runs every command of COMMANDS once untimed
+and then REPEATS times, and reports the median milliseconds of each phase per command:
+
+* ``parser``: every ``argparse`` parser construction, ``add_argument``,
+  ``set_defaults``, subparser and parse call (outermost call only);
+* ``read``: the ``read_*`` functions ``cli`` calls;
+* ``solve``: ``fixed_point_solve``, ``diagnose``, ``lln_experiment``, ``clt_experiment``;
+* ``write <file>``: each output file, keyed by its name (``replay.json`` is the whole of
+  ``cli._write_replay``, version lookups included);
+* ``mkdir``: ``cli._outdir``;
+* ``other``: the rest of ``cli.main`` (dispatch, report shaping, printing).
+
+Only the outermost wrapped call is timed, so a write made inside ``_write_replay``
+counts once, to ``write replay.json``.  The wrappers add about a microsecond per
+wrapped call.  The record is one entry per run: per tree and command the median and
+quartiles over rounds of every phase's median, plus nproc, the BLAS thread variables,
+the numpy/scipy versions and the git commit of each tree.  With --out, the entry is
+appended to that file's "entries" list.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from importlib.metadata import version
+from pathlib import Path
+
+from solver_loop import _git_commit
+
+SEED = 20261019
+ROUNDS = 7
+REPEATS = 60
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# name -> argv after the input paths are filled in ({data}, {noge}, {s3}, {s2}, {out})
+COMMANDS = {
+    "scan estimate (5,2,5)": ["estimate", "--input", "{data}", "--out", "{out}"],
+    "scan diagnose (5,2,5)": ["diagnose", "--input", "{data}", "--out", "{out}"],
+    "scan estimate no_ge(3,1,6)": ["estimate", "--input", "{noge}", "--out", "{out}"],
+    "small-mc lln(3,2)": ["lln", "--sigma", "{s3}", "--r", "2", "--ns", "25,100", "--reps", "5",
+                          "--seed", "7", "--threads", "1", "--out", "{out}"],
+    "small-mc clt(2,1)": ["clt", "--sigma", "{s2}", "--r", "1", "--n", "100", "--reps", "20",
+                          "--ref-mc", "4000", "--seed", "7", "--threads", "1", "--out", "{out}"],
+}
+SOLVES = ("fixed_point_solve", "diagnose", "lln_experiment", "clt_experiment")
+
+
+class _Phases:
+    """Outermost-call timers keyed by phase name."""
+
+    def __init__(self):
+        self.depth = 0
+        self.ns: dict[str, int] = {}
+
+    def wrap(self, fn, phase):
+        def timed(*args, **kwargs):
+            if self.depth:
+                return fn(*args, **kwargs)
+            key = phase(args, kwargs) if callable(phase) else phase
+            self.depth += 1
+            t0 = time.perf_counter_ns()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.ns[key] = self.ns.get(key, 0) + time.perf_counter_ns() - t0
+                self.depth -= 1
+        return timed
+
+
+def _inputs(tmp: Path) -> dict[str, str]:
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+
+    def dataset(name, points):
+        n, m, r = points.shape
+        path = tmp / name
+        path.write_text(json.dumps({"m": m, "r": r, "points": points.tolist()}))
+        return str(path)
+
+    def scatter(name, m):
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        lam = np.geomspace(1.0, 10.0, m)
+        lam /= np.exp(np.log(lam).mean())
+        path = tmp / name
+        np.savetxt(path, (Q * lam) @ Q.T, delimiter=",", fmt="%.17g")
+        return str(path)
+
+    B, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    noge = np.concatenate([(B @ rng.standard_normal((2, 5))).T, rng.standard_normal((1, 3))])
+    return {"data": dataset("t525.json", rng.standard_normal((5, 5, 2))),
+            "noge": dataset("noge316.json", noge[:, :, None]),
+            "s3": scatter("sigma3.csv", 3), "s2": scatter("sigma2.csv", 2),
+            "out": str(tmp / "out")}
+
+
+def _install(cli, phases: _Phases) -> None:
+    for cls, names in ((argparse.ArgumentParser, ("__init__", "parse_args", "add_subparsers")),
+                       (argparse._ActionsContainer, ("add_argument", "set_defaults")),
+                       (argparse._SubParsersAction, ("add_parser",))):
+        for name in names:
+            setattr(cls, name, phases.wrap(getattr(cls, name), "parser"))
+    for name, obj in list(vars(cli).items()):
+        if not callable(obj):
+            continue
+        if name.startswith("read_"):
+            setattr(cli, name, phases.wrap(obj, "read"))
+        elif name in SOLVES:
+            setattr(cli, name, phases.wrap(obj, "solve"))
+        elif name.startswith("write_"):
+            setattr(cli, name, phases.wrap(
+                obj, lambda args, kwargs: f"write {Path(args[0]).name}"))
+    cli._write_replay = phases.wrap(cli._write_replay, "write replay.json")
+    cli._outdir = phases.wrap(cli._outdir, "mkdir")
+
+
+def worker() -> None:
+    """Per-phase medians (ms) of every command, printed as JSON."""
+    from grassmann_scatter import cli
+
+    phases = _Phases()
+    _install(cli, phases)
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        paths = _inputs(Path(tmp))
+        for label, argv in COMMANDS.items():
+            argv = [a.format(**paths) for a in argv]
+            samples: dict[str, list[float]] = {}
+            for rep in range(REPEATS + 1):
+                shutil.rmtree(paths["out"], ignore_errors=True)     # a fresh --out, as in perfbench
+                phases.ns = {}
+                t0 = time.perf_counter_ns()
+                code = cli.main(argv)
+                total = time.perf_counter_ns() - t0
+                if not rep:
+                    continue                    # lazy imports and first-call set-up
+                ms = {k: v / 1e6 for k, v in phases.ns.items()}
+                ms["other"] = total / 1e6 - sum(ms.values())
+                ms["total"] = total / 1e6
+                for k, v in ms.items():
+                    samples.setdefault(k, []).append(v)
+            result[label] = {"exit": code,
+                             **{k: statistics.median(v) for k, v in sorted(samples.items())}}
+    print(json.dumps(result))
+
+
+def _quartiles(values):
+    q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": round(q[1], 4), "q1": round(q[0], 4), "q3": round(q[2], 4)}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", action="append", default=[], metavar="NAME=PATH",
+                    help="a source tree's src/ directory, named (repeatable)")
+    ap.add_argument("--out", default=None, help="JSON file whose 'entries' get this run")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.worker:
+        worker()
+        return
+    if not args.src:
+        ap.error("give at least one --src NAME=PATH")
+    trees = dict(s.split("=", 1) for s in args.src)
+    runs: dict[str, list[dict]] = {name: [] for name in trees}
+    env = {**os.environ, **{v: os.environ.get(v, "1") for v in THREAD_VARS}}
+    for i in range(ROUNDS):
+        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
+        for name in order:
+            env["PYTHONPATH"] = str(Path(trees[name]).resolve())
+            done = subprocess.run([sys.executable, __file__, "--worker"],
+                                  env=env, capture_output=True, text=True, check=True)
+            runs[name].append(json.loads(done.stdout))
+    entry = {
+        "what": "bench/cli_overhead.py: median ms per phase of one in-process cli.main "
+                f"command over {REPEATS} repeats, median and quartiles over {ROUNDS} "
+                "interleaved rounds",
+        "nproc": len(os.sched_getaffinity(0)),
+        "blas_threads": {v: env[v] for v in THREAD_VARS},
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+        "scipy": version("scipy"),
+        "trees": {},
+    }
+    for name, rounds in runs.items():
+        tree = {"commit": _git_commit(Path(trees[name])), "commands": {}}
+        for label in COMMANDS:
+            keys = sorted({k for r in rounds for k in r[label]} - {"exit"})
+            tree["commands"][label] = {
+                "exit": rounds[0][label]["exit"],
+                **{k: _quartiles([r[label].get(k, 0.0) for r in rounds]) for k in keys},
+            }
+        entry["trees"][name] = tree
+    print(json.dumps(entry, indent=1))
+    if args.out:
+        path = Path(args.out)
+        doc = json.loads(path.read_text()) if path.exists() else {"entries": []}
+        doc.setdefault("entries", []).append(entry)
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

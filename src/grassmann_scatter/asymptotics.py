@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -197,9 +197,12 @@ def _outcomes(flat) -> tuple[dict[str, int], tuple[float, float, float]]:
     return counts, (float(median), float(q90), float(top))
 
 
-def _experiment_law(sigma, r: int, reps: int, *sizes: int) -> Gaussian:
-    """The sampled law Gaussian(sigma, r), which checks 0 < r < m; UsageError unless reps
-    and every sample size (the reference's too) are at least 1."""
+def _experiment_law(sigma, r: int, reps: int, threads: int, *sizes: int) -> Gaussian:
+    """The sampled law Gaussian(sigma, r), which checks 0 < r < m; UsageError unless the
+    worker count is an integer (not a bool) and it, reps and every sample size (the
+    reference's too) are at least 1."""
+    if isinstance(threads, bool) or not isinstance(threads, Integral) or threads < 1:
+        raise UsageError(f"threads must be an integer >= 1, got {threads!r}")
     if reps < 1 or not sizes or min(sizes) < 1:
         raise UsageError(f"need reps >= 1 and sample sizes >= 1, got {reps} and {list(sizes)}")
     return Gaussian(sigma, r)
@@ -213,6 +216,8 @@ def _run_blocks(task, c: _Chart, r: int, ns, reps: int, seed: int, opts, threads
     workers = min(threads, len(args))
     if workers <= 1:
         return [x for a in args for x in task(a)]
+    from concurrent.futures import ProcessPoolExecutor      # loaded by pooled runs only
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [x for block in pool.map(task, args) for x in block]
 
@@ -255,7 +260,7 @@ def lln_experiment(
     slope.  Deterministic for fixed seed regardless of ``threads``.
     """
     ns = [int(n) for n in ns]
-    law = _experiment_law(sigma, r, reps, *ns)
+    law = _experiment_law(sigma, r, reps, threads, *ns)
     opts = options or SolverOptions()
     flat = _run_blocks(_lln_block, _chart(law.sigma), r, ns, reps, seed, opts, threads)
     dists = np.array([d for d, _, _ in flat]).reshape(len(ns), reps)
@@ -316,7 +321,7 @@ def clt_experiment(
     reports the tangent-space annihilation defect and coordinate skewness.
     Deterministic for fixed seed regardless of ``threads``.
     """
-    law = _experiment_law(sigma, r, reps, n, ref_mc_n)
+    law = _experiment_law(sigma, r, reps, threads, n, ref_mc_n)
     opts = options or SolverOptions()
     flat = _run_blocks(_clt_block, _chart(law.sigma), r, [n], reps, seed, opts, threads)
     Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)

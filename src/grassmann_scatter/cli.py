@@ -18,17 +18,15 @@ gradcheck).
 Every run writes ``replay.json`` (the resolved options plus library
 versions) into the output directory so results can be reproduced exactly.
 The worker count comes from --threads, else the GRASSMANN_SCATTER_THREADS
-environment variable, else 1.
+environment variable, else 1; a count below 1 exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
-import platform
 import sys
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +50,27 @@ LOW_POWER_REPS = {"lln": 50, "clt": 500}
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting.  ``add`` fills in the arguments on the
+    first parse, so a subcommand's parser costs nothing until a parse reaches it."""
+
+    def __init__(self, *args, add=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add = add
+
     def error(self, message):
         raise UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add is not None:
+            add, self._add = self._add, None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
+
+@functools.cache
 def _package_version() -> str:
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
         return version("grassmann-scatter")
     except PackageNotFoundError:
@@ -64,15 +78,20 @@ def _package_version() -> str:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("GRASSMANN_SCATTER_THREADS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise UsageError(f"GRASSMANN_SCATTER_THREADS={env!r} is not an integer")
+    """--threads, else GRASSMANN_SCATTER_THREADS, else 1; UsageError below 1."""
+    source = f"--threads {value}"
+    if value is None:
+        env = os.environ.get("GRASSMANN_SCATTER_THREADS")
+        if env is None:
+            return 1
+        source = f"GRASSMANN_SCATTER_THREADS={env!r}"
+        try:
+            value = int(env)
+        except ValueError:
+            raise UsageError(f"{source} is not an integer") from None
+    if value < 1:
+        raise UsageError(f"{source}: the worker count must be at least 1")
+    return value
 
 
 def _outdir(args) -> Path:
@@ -82,19 +101,15 @@ def _outdir(args) -> Path:
 
 
 def _write_replay(outdir: Path, args) -> None:
-    opts = {k: v for k, v in vars(args).items() if k != "func"}
-    for k, v in opts.items():
-        if isinstance(v, Path):
-            opts[k] = str(v)
-    doc = {
+    import platform
+
+    write_report_json(outdir / "replay.json", {
         "command": args.command,
-        "options": opts,
+        "options": vars(args),
         "package_version": _package_version(),
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
-    }
-    with open(outdir / "replay.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
+    })
 
 
 def _solver_options(args) -> SolverOptions:
@@ -348,70 +363,92 @@ def _add_solver_flags(p) -> None:
     p.add_argument("--max-iter", type=int, default=500, help="iteration budget")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="grassmann-scatter", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_threads(p) -> None:
+    p.add_argument("--threads", type=int, default=None,
+                   help="workers (default: GRASSMANN_SCATTER_THREADS or 1)")
 
-    p = sub.add_parser("estimate", help="solve for the scatter of a dataset")
+
+def _add_estimate(p) -> None:
     p.add_argument("--input", required=True, help="dataset JSON ({m, r, points[, weights]})")
     p.add_argument("--start", default=None, help="starting scatter CSV (default: identity)")
     _add_solver_flags(p)
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("diagnose", help="existence trichotomy for a dataset")
+
+def _add_diagnose(p) -> None:
     p.add_argument("--input", required=True, help="dataset JSON")
     p.add_argument("--tol", type=float, default=1e-9, help="index zero-tolerance")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("lln", help="consistency experiment")
+
+def _add_experiment_law(p) -> None:
     p.add_argument("--m", type=int, default=None, help="ambient dimension (or use --sigma)")
     p.add_argument("--r", type=int, required=True, help="subspace dimension")
     p.add_argument("--sigma", default=None, help="true scatter CSV (default: identity)")
+
+
+def _add_lln(p) -> None:
+    _add_experiment_law(p)
     p.add_argument(
         "--ns", type=lambda s: [int(x) for x in s.split(",")],
         default=[25, 100, 400, 1600], help="comma-separated sample sizes",
     )
     p.add_argument("--reps", type=int, default=200, help="replications per sample size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="workers (default: GRASSMANN_SCATTER_THREADS or 1)")
+    _add_threads(p)
     _add_solver_flags(p)
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=_cmd_lln)
 
-    p = sub.add_parser("clt", help="fluctuation experiment")
-    p.add_argument("--m", type=int, default=None, help="ambient dimension (or use --sigma)")
-    p.add_argument("--r", type=int, required=True, help="subspace dimension")
-    p.add_argument("--sigma", default=None, help="true scatter CSV (default: identity)")
+
+def _add_clt(p) -> None:
+    _add_experiment_law(p)
     p.add_argument("--n", type=int, default=2000, help="sample size per replication")
     p.add_argument("--reps", type=int, default=4000, help="replications")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ref-mc", type=int, default=200_000,
                    help="Monte Carlo draws for the predicted covariance")
-    p.add_argument("--threads", type=int, default=None,
-                   help="workers (default: GRASSMANN_SCATTER_THREADS or 1)")
+    _add_threads(p)
     _add_solver_flags(p)
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=_cmd_clt)
 
-    p = sub.add_parser("gradcheck", help="finite-difference derivative validation")
+
+def _add_gradcheck(p) -> None:
     p.add_argument("--m", type=int, required=True, help="ambient dimension")
     p.add_argument("--r", type=int, default=None, help="subspace dimension (default: all)")
     p.add_argument("--trials", type=int, default=20, help="random instances per rank")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=_cmd_gradcheck)
 
-    return parser
+
+# name -> (help, argument adder, handler)
+COMMANDS = {
+    "estimate": ("solve for the scatter of a dataset", _add_estimate, _cmd_estimate),
+    "diagnose": ("existence trichotomy for a dataset", _add_diagnose, _cmd_diagnose),
+    "lln": ("consistency experiment", _add_lln, _cmd_lln),
+    "clt": ("fluctuation experiment", _add_clt, _cmd_clt),
+    "gradcheck": ("finite-difference derivative validation", _add_gradcheck, _cmd_gradcheck),
+}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The options of ``argv``, starting with ``command``.  Only the parser of the command
+    argv[0] names is built; the top-level parser (for --help, an empty argv or an unknown
+    command) lists the commands and fills in one only if its parse reaches it."""
+    if argv and argv[0] in COMMANDS:
+        parser = _Parser(prog=f"grassmann-scatter {argv[0]}", add=COMMANDS[argv[0]][1])
+        return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    parser = _Parser(prog="grassmann-scatter", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, add, _) in COMMANDS.items():
+        sub.add_parser(name, help=help, add=add)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parse(argv)
+        return COMMANDS[args.command][2](args)
     except (ExistenceError, DegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

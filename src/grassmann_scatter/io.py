@@ -31,7 +31,16 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, M) -> None:
-    np.savetxt(path, np.asarray(M, dtype=float), delimiter=",")
+    """Write the bytes of ``np.savetxt(path, M, delimiter=",")``: every entry as %.18e,
+    a 1-D M as one column; formatted in one operation and written in one call."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        M = M[:, None]
+    if M.ndim != 2:
+        raise ValueError(f"Expected 1D or 2D array, got {M.ndim}D array instead")
+    row = ",".join(["%.18e"] * M.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(row * M.shape[0] % tuple(M.ravel().tolist()))
 
 
 def read_scatter_csv(path) -> np.ndarray:
@@ -67,8 +76,7 @@ def write_measure_json(path, meas: Empirical) -> None:
         "points": meas.points.tolist(),
         "weights": meas.weights.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    _write_json(path, doc)
 
 
 def to_jsonable(obj):
@@ -86,6 +94,11 @@ def to_jsonable(obj):
     return obj
 
 
-def write_report_json(path, obj) -> None:
+def _write_json(path, doc) -> None:
+    """The bytes of ``json.dump(doc, fh, indent=2)``, encoded at once and written in one call."""
     with open(path, "w") as fh:
-        json.dump(to_jsonable(obj), fh, indent=2)
+        fh.write(json.dumps(doc, indent=2))
+
+
+def write_report_json(path, obj) -> None:
+    _write_json(path, to_jsonable(obj))

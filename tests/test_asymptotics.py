@@ -1,5 +1,7 @@
 """Vectorization algebra, limit-law covariances, and the two Monte Carlo experiments."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,17 @@ def test_lln_worker_count_does_not_change_results():
     assert one.medians == two.medians and one.slope == two.slope
 
 
+def test_experiments_reject_worker_counts_below_one():
+    # 0 divided by zero in the block sizing, and -1 ran blocks of one replication
+    for threads in (0, -1, True, 1.0, 2.5, "2", None):
+        with pytest.raises(UsageError):
+            lln_experiment(np.eye(2), 1, [20], 2, 1, threads=threads)
+        with pytest.raises(UsageError):
+            clt_experiment(np.eye(2), 1, 20, 2, 1, threads=threads, ref=LIMIT_CIRCLE)
+    one = lln_experiment(np.eye(2), 1, [20], 2, 1, threads=np.int64(1))
+    assert one.distances.shape == (1, 2)
+
+
 def test_pool_never_has_more_workers_than_blocks(monkeypatch):
     # a fork pool starts all its workers at the first submit, so a worker count above
     # the number of blocks would fork idle processes; the fake pool runs in-process
@@ -341,7 +354,7 @@ def test_pool_never_has_more_workers_than_blocks(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     alone = lln_experiment(np.eye(2), 1, [30], 2, 13, threads=1)
     pooled = lln_experiment(np.eye(2), 1, [30], 2, 13, threads=64)
     assert sizes == [len(list(asymptotics._blocks([30], 2, 2, 1, 64)))] == [2]

@@ -20,6 +20,7 @@ from grassmann_scatter.io import (
     to_jsonable,
     write_matrix_csv,
     write_measure_json,
+    write_report_json,
 )
 from helpers import (
     gaussian_points,
@@ -51,6 +52,48 @@ def test_matrix_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, M)
     assert np.array_equal(read_matrix_csv(path), M)
+
+
+def test_matrix_csv_bytes_equal_savetxt(tmp_path):
+    # the writer formats the rows itself; its bytes are np.savetxt's
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, tiny],
+                        [2.2e-308 / 3, 1e300, -1e-300], [1e-300, -1e300, 1.0 / 3.0]])
+    rng = np.random.default_rng(202)
+    cases = [np.array([[1.5, -2.0, 3.25, 0.0]]), np.array([[1.5], [-2.0], [3.25]]),
+             np.array([0.5, -7.0, 1e-12]), special, special.T, rng.standard_normal((6, 4)),
+             np.array([[3, 4]])]
+    for k, M in enumerate(cases):
+        ours, ref = tmp_path / f"ours{k}.csv", tmp_path / f"ref{k}.csv"
+        write_matrix_csv(ours, M)
+        np.savetxt(ref, M, delimiter=",")
+        assert ours.read_bytes() == ref.read_bytes(), M
+
+
+def test_json_writers_bytes_equal_json_dump(tmp_path):
+    meas = Empirical(np.random.default_rng(203).standard_normal((4, 3, 2)))
+    report = {
+        "status": "converged",
+        "residual": np.float64(1.5e-13),
+        "iterations": np.int64(7),
+        "estimate": np.eye(2) / 3.0,
+        "trace": [[1, 0.5, np.float64(-0.0)], (2, np.nan, np.inf)],
+        "boundary": None,
+        "nested": {"levels": [np.arange(3), {"deep": np.ones((2, 1, 2))}], 3: None},
+        "meas": meas,
+        "text": "tab\t \u00e9",
+    }
+    ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+    write_report_json(ours, report)
+    with open(ref, "w") as fh:
+        json.dump(to_jsonable(report), fh, indent=2)
+    assert ours.read_bytes() == ref.read_bytes()
+
+    write_measure_json(ours, meas)
+    with open(ref, "w") as fh:
+        json.dump({"m": 3, "r": 2, "points": meas.points.tolist(),
+                   "weights": meas.weights.tolist()}, fh, indent=2)
+    assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_matrix_csv_single_row_is_two_dimensional(tmp_path):
@@ -379,8 +422,16 @@ def test_cli_threads_env_var_and_flag_precedence(tmp_path, monkeypatch):
     # worker count must not change the numbers
     assert load_json(out1 / "lln.json")["medians"] == load_json(out2 / "lln.json")["medians"]
 
-    monkeypatch.setenv("GRASSMANN_SCATTER_THREADS", "abc")
-    assert main(argv + ["--out", str(tmp_path / "bad")]) == 3
+    # a worker count below 1, from the flag or the environment, is a usage error
+    for env in ("abc", "0", "-2"):
+        monkeypatch.setenv("GRASSMANN_SCATTER_THREADS", env)
+        assert main(argv + ["--out", str(tmp_path / "bad")]) == 3, env
+    monkeypatch.delenv("GRASSMANN_SCATTER_THREADS")
+    for flag in ("0", "-3"):
+        assert main(argv + ["--threads", flag, "--out", str(tmp_path / "bad")]) == 3, flag
+        assert main(["clt", "--m", "2", "--r", "1", "--n", "20", "--reps", "2", "--ref-mc", "50",
+                     "--threads", flag, "--out", str(tmp_path / "bad")]) == 3, flag
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_argument_errors_exit_3(tmp_path, capsys):
@@ -461,6 +512,20 @@ def test_public_namespace():
         "sample", "score_covariance", "sym_sqrt", "tangent_project",
         "tangent_vec_projector", "unique_sample_threshold", "unvec", "vec", "whiten_normalize",
     ]
+
+
+def test_cli_import_defers_metadata_and_process_pool():
+    # importlib.metadata serves only replay.json's version and the process pool only
+    # runs of more than one worker; compared against the modules loaded before the
+    # import, so a site hook that preloads either one changes nothing
+    src = str(Path(grassmann_scatter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; before = set(sys.modules); import grassmann_scatter.cli; "
+            "print(sorted({'importlib.metadata', 'concurrent.futures.process'} "
+            "& (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_runtime_imports_no_scipy():
