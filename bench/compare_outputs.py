@@ -9,8 +9,9 @@ command list are built once, here, by ``perfbench/workloads.py`` (the
 benchmark's own generator, imported read-only).  Then each tree runs one pass
 over the command list in its own interpreter with one BLAS thread, through
 ``grassmann_scatter.cli.main``, writing to its own output directory.  Every
-output file but ``replay.json`` (it records the output path) is compared byte
-for byte, and so are the exit codes.  Each difference is printed; the exit
+output file is compared byte for byte, after each tree's output root is
+replaced by one placeholder (``replay.json`` records ``--out``), and so are the
+exit codes.  Each difference is printed; the exit
 status is 1 when anything differs, else 0.  The package is imported only by
 the workers.
 """
@@ -29,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SKIPPED = {"replay.json"}
+OUT_ROOT = b"<OUT>"
 
 
 def _build(workload: str, seed: int, workdir: Path) -> list[list[str]]:
@@ -67,8 +68,7 @@ def _run(tree: Path, commands: Path, out: Path) -> list[int]:
 
 
 def _files(out: Path) -> dict[str, Path]:
-    return {str(p.relative_to(out)): p for p in sorted(out.rglob("*"))
-            if p.is_file() and p.name not in SKIPPED}
+    return {str(p.relative_to(out)): p for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 def _first_difference(a: bytes, b: bytes) -> str:
@@ -91,7 +91,8 @@ def compare(trees: list[Path], workload: str, seed: int, workdir: Path) -> int:
               for name in sorted(files_a.keys() ^ files_b.keys())]
     same = 0
     for name in sorted(files_a.keys() & files_b.keys()):
-        a, b = files_a[name].read_bytes(), files_b[name].read_bytes()
+        a, b = (files[name].read_bytes().replace(str(out).encode(), OUT_ROOT)
+                for files, out in ((files_a, outs[0]), (files_b, outs[1])))
         if a == b:
             same += 1
         else:

@@ -18,7 +18,10 @@ symmetric trace-free matrices, and
     limiting_covariance = (Q L0 Q)^+ score_covariance (Q L0 Q)^+T .
 
 (Q L0 Q) must have full rank (m-1)(m+2)/2 on the tangent space; degenerate
-support makes it rank-deficient there, raising DegeneracyError.
+support makes it rank-deficient there, raising DegeneracyError.  The three
+functions take a sample (an ``Empirical``) and the scatter Sigma they whiten
+by; the expectations are its exact weighted sums.  A law is sampled first: the
+one such sample, the CLT reference, is drawn by ``clt_experiment``.
 
 All vec operations are column-major.  ``lln_experiment`` and
 ``clt_experiment`` reproduce both limits by Monte Carlo; replications use
@@ -43,8 +46,8 @@ import numpy as np
 
 from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, _check_span, _solve_stack
-from .grassmann import (Empirical, Gaussian, Measure, _check_ranks, _frames, _gaussian_bases,
-                        _outer)
+from .grassmann import (Empirical, Gaussian, _check_empirical, _check_ranks, _frames,
+                        _gaussian_bases, _outer)
 from .likelihood import _kron_mean
 from .manifold import (
     _Chart,
@@ -77,24 +80,11 @@ def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
     return _whiten_normalize(Sigma_hat, _chart(check_scatter(Sigma)))
 
 
-def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
-    """(score_covariance, projector_kron_mean), projectors whitened by sym_sqrt(Sigma).
-
-    Sigma defaults to the scatter of a Gaussian measure; empirical measures
-    need it explicitly.  A Gaussian measure is sampled here, with ``mc_n`` draws
-    from ``rng`` (the library's one Monte Carlo evaluation of a law).
-    """
-    if Sigma is not None:
-        Sigma = check_scatter(Sigma)
-    elif isinstance(meas, Gaussian):
-        Sigma = meas.sigma
-    else:
-        raise UsageError("empirical measures need an explicit Sigma (evaluation point)")
-    if isinstance(meas, Gaussian):
-        if mc_n is None or rng is None:
-            raise UsageError(f"{op} on a Gaussian measure needs mc_n and rng")
-        meas = Empirical(_gaussian_bases(np.linalg.cholesky(meas.sigma), meas.r, int(mc_n), rng))
-    c = _chart(Sigma)
+def _moments(meas: Empirical, Sigma, op: str):
+    """(score_covariance, projector_kron_mean) of a sample, projectors whitened by
+    sym_sqrt(Sigma)."""
+    _check_empirical(meas, op)
+    c = _chart(check_scatter(Sigma))
     P = _outer(_frames(meas.points, c.Q @ c.W))
     n, m, r, w = meas.n, meas.m, meas.r, meas.weights
     D = P - (r / m) * np.eye(m)
@@ -103,34 +93,25 @@ def _moments(meas: Measure, Sigma, mc_n, rng, op: str):
     return sigma2, _kron_mean(P, w)
 
 
-def score_covariance(meas: Measure, Sigma=None, mc_n: int | None = None, rng=None) -> np.ndarray:
-    """E[vec(Pi - (r/m) Id) vec(Pi - (r/m) Id)^T] at the evaluation scatter.
-
-    Gaussian measures are sampled with ``mc_n`` draws (Sigma defaults to the
-    measure's own scatter); empirical measures are exact weighted sums.
-    """
-    return _moments(meas, Sigma, mc_n, rng, "score_covariance")[0]
+def score_covariance(meas: Empirical, Sigma) -> np.ndarray:
+    """E[vec(Pi - (r/m) Id) vec(Pi - (r/m) Id)^T] over a sample, at the scatter Sigma."""
+    return _moments(meas, Sigma, "score_covariance")[0]
 
 
-def projector_kron_mean(meas: Measure, Sigma=None, mc_n: int | None = None, rng=None) -> np.ndarray:
-    """E[Pi kron Pi] at the evaluation scatter; trace equals r^2 exactly."""
-    return _moments(meas, Sigma, mc_n, rng, "projector_kron_mean")[1]
+def projector_kron_mean(meas: Empirical, Sigma) -> np.ndarray:
+    """E[Pi kron Pi] over a sample, at the scatter Sigma; trace equals r^2 exactly."""
+    return _moments(meas, Sigma, "projector_kron_mean")[1]
 
 
-def limiting_covariance(
-    meas: Measure,
-    Sigma=None,
-    mc_n: int | None = None,
-    rng=None,
-) -> np.ndarray:
-    """Asymptotic covariance of sqrt(n) vec(C_n - Id).
+def limiting_covariance(meas: Empirical, Sigma) -> np.ndarray:
+    """Asymptotic covariance of sqrt(n) vec(C_n - Id), evaluated on a sample at Sigma.
 
-    Computes score_covariance and projector_kron_mean from the same draws
+    Computes score_covariance and projector_kron_mean from the same atoms
     (common random numbers), forms A = Q L0 Q with L0 = (r/m) Id - kron mean,
     and returns A^+ sigma2 A^+T.  Raises DegeneracyError when A is
     rank-deficient on the tangent space (support too degenerate for a CLT).
     """
-    sigma2, S0 = _moments(meas, Sigma, mc_n, rng, "limiting_covariance")
+    sigma2, S0 = _moments(meas, Sigma, "limiting_covariance")
     m, r = meas.m, meas.r
     L0 = (r / m) * np.eye(m * m) - S0
     Q = tangent_vec_projector(m)
@@ -197,14 +178,16 @@ def _outcomes(flat) -> tuple[dict[str, int], tuple[float, float, float]]:
     return counts, (float(median), float(q90), float(top))
 
 
-def _experiment_law(sigma, r: int, reps: int, threads: int, *sizes: int) -> Gaussian:
-    """The sampled law Gaussian(sigma, r), which checks 0 < r < m; UsageError unless the
-    worker count is an integer (not a bool) and it, reps and every sample size (the
-    reference's too) are at least 1."""
-    if isinstance(threads, bool) or not isinstance(threads, Integral) or threads < 1:
-        raise UsageError(f"threads must be an integer >= 1, got {threads!r}")
-    if reps < 1 or not sizes or min(sizes) < 1:
-        raise UsageError(f"need reps >= 1 and sample sizes >= 1, got {reps} and {list(sizes)}")
+def _experiment_law(sigma, r, reps, seed, threads, *sizes) -> Gaussian:
+    """The sampled law Gaussian(sigma, r), which checks r < m; UsageError unless the
+    worker count, r, reps and every sample size (the reference's too) are integers >= 1
+    and the seed is an integer >= 0 (a bool is not an integer here)."""
+    if not sizes:
+        raise UsageError("need at least one sample size")
+    named = [("threads", threads, 1), ("r", r, 1), ("reps", reps, 1), ("seed", seed, 0)]
+    for name, x, low in named + [("sample size", n, 1) for n in sizes]:
+        if isinstance(x, bool) or not isinstance(x, Integral) or x < low:
+            raise UsageError(f"{name} must be an integer >= {low}, got {x!r}")
     return Gaussian(sigma, r)
 
 
@@ -259,8 +242,8 @@ def lln_experiment(
     Returns medians of the geodesic distance to the truth and their log-log
     slope.  Deterministic for fixed seed regardless of ``threads``.
     """
+    law = _experiment_law(sigma, r, reps, seed, threads, *ns)
     ns = [int(n) for n in ns]
-    law = _experiment_law(sigma, r, reps, threads, *ns)
     opts = options or SolverOptions()
     flat = _run_blocks(_lln_block, _chart(law.sigma), r, ns, reps, seed, opts, threads)
     dists = np.array([d for d, _, _ in flat]).reshape(len(ns), reps)
@@ -316,19 +299,21 @@ def clt_experiment(
 ) -> CLTReport:
     """Sample the normalized fluctuation sqrt(n) vec(C_n - Id) ``reps`` times.
 
-    Compares its empirical covariance with ``ref`` (computed by
-    ``limiting_covariance`` with ``ref_mc_n`` draws when not supplied) and
+    Compares its empirical covariance with ``ref`` (when not supplied,
+    ``limiting_covariance`` of ``ref_mc_n`` draws of the law from the stream
+    SeedSequence(entropy=seed, spawn_key=(1,)), at sigma) and
     reports the tangent-space annihilation defect and coordinate skewness.
     Deterministic for fixed seed regardless of ``threads``.
     """
-    law = _experiment_law(sigma, r, reps, threads, n, ref_mc_n)
+    law = _experiment_law(sigma, r, reps, seed, threads, n, ref_mc_n)
     opts = options or SolverOptions()
     flat = _run_blocks(_clt_block, _chart(law.sigma), r, [n], reps, seed, opts, threads)
     Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)
     cov = Z.T @ Z / reps
     if ref is None:
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        ref = limiting_covariance(law, mc_n=ref_mc_n, rng=ref_rng)
+        draws = _gaussian_bases(np.linalg.cholesky(law.sigma), r, ref_mc_n, ref_rng)
+        ref = limiting_covariance(Empirical(draws), law.sigma)
     m = law.m
     Q = tangent_vec_projector(m)
     annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - Q), ord=2))

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import clt_experiment, lln_experiment
-from .diagnostics import unique_sample_threshold
+from .diagnostics import INDEX_TOL, unique_sample_threshold
 from .errors import DegeneracyError, DomainError, ExistenceError, UsageError
 from .estimator import SolverOptions, diagnose, fixed_point_solve
 from .grassmann import Empirical, busemann, distinguished_ray_direction
@@ -119,10 +119,7 @@ def _solver_options(args) -> SolverOptions:
 def _flag_jsonable(flag):
     if flag is None:
         return None
-    return [
-        {"alpha": float(a), "dim": int(B.shape[1]), "basis": B.tolist()}
-        for a, B in flag.pairs
-    ]
+    return [{"alpha": a, "dim": B.shape[1], "basis": B} for a, B in flag.pairs]
 
 
 def _non_converged_warning(status_counts) -> list[str]:
@@ -144,7 +141,7 @@ def _cmd_estimate(args) -> int:
         report = {
             "status": "no_ge",
             "reason": str(exc),
-            "witness": None if exc.witness is None else exc.witness.tolist(),
+            "witness": exc.witness,
             "m": meas.m,
             "r": meas.r,
             "n": meas.n,
@@ -160,7 +157,7 @@ def _cmd_estimate(args) -> int:
         "m": meas.m,
         "r": meas.r,
         "n": meas.n,
-        "trace": [[int(k), float(res), float(d)] for k, res, d in result.trace],
+        "trace": result.trace,
         "boundary": _flag_jsonable(result.boundary),
         "slope": result.slope,
     }
@@ -185,7 +182,7 @@ def _cmd_diagnose(args) -> int:
         else {
             "dim": report.witness.dim,
             "provenance": report.witness.provenance,
-            "basis": report.witness.basis.tolist(),
+            "basis": report.witness.basis,
         },
         "zeros": [{"dim": c.dim, "provenance": c.provenance} for c in report.zeros],
         "complement_ok": report.complement_ok,
@@ -289,8 +286,8 @@ GRADCHECK_TOLS = {
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.m < 2 or args.trials < 1:
-        raise UsageError("gradcheck needs --m >= 2 and --trials >= 1")
+    if args.m < 2 or args.trials < 1 or args.seed < 0:
+        raise UsageError("gradcheck needs --m >= 2, --trials >= 1 and --seed >= 0")
     rng = np.random.default_rng(args.seed)
     ranks = [args.r] if args.r is not None else list(range(1, args.m))
     rows = []
@@ -359,8 +356,9 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _add_solver_flags(p) -> None:
-    p.add_argument("--tol", type=float, default=1e-12, help="residual tolerance")
-    p.add_argument("--max-iter", type=int, default=500, help="iteration budget")
+    p.add_argument("--tol", type=float, default=SolverOptions.tol, help="residual tolerance")
+    p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter,
+                   help="iteration budget")
 
 
 def _add_threads(p) -> None:
@@ -377,7 +375,7 @@ def _add_estimate(p) -> None:
 
 def _add_diagnose(p) -> None:
     p.add_argument("--input", required=True, help="dataset JSON")
-    p.add_argument("--tol", type=float, default=1e-9, help="index zero-tolerance")
+    p.add_argument("--tol", type=float, default=INDEX_TOL, help="index zero-tolerance")
     p.add_argument("--out", default=".", help="output directory")
 
 

@@ -35,18 +35,18 @@ RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
 
 
-def check_basis(X, name: str = "basis") -> np.ndarray:
+def check_basis(X) -> np.ndarray:
     """Validate an m x r basis matrix (0 < r < m, full rank); return as float array."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise DomainError(f"{name} must be a 2-d array, got shape {X.shape}")
+        raise DomainError(f"basis must be a 2-d array, got shape {X.shape}")
     if not np.isfinite(X).all():
-        raise DomainError(f"{name} has non-finite entries")
+        raise DomainError("basis has non-finite entries")
     m, r = X.shape
     if not 0 < r < m:
-        raise DomainError(f"{name} must be m x r with 0 < r < m, got {m} x {r}")
+        raise DomainError(f"basis must be m x r with 0 < r < m, got {m} x {r}")
     if _rank_deficient(X):
-        raise DomainError(f"{name} is rank deficient")
+        raise DomainError("basis is rank deficient")
     return X
 
 
@@ -315,19 +315,20 @@ def density_ratio(X, Sigma) -> float:
     return float(np.exp(-0.5 * np.shape(X)[0] * ld))
 
 
-def _meet_dims(QA: np.ndarray, QB: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def _meet_dims(QA: np.ndarray, QB: np.ndarray) -> np.ndarray:
     """dim(span QA & span QB) = a + b - rank([QA | QB]), unchecked, over broadcast stacks.
 
-    QA (..., m, a) and QB (..., m, b) hold orthonormal bases; one batched svd.
+    QA (..., m, a) and QB (..., m, b) hold orthonormal bases; one batched svd, with
+    singular values at most RANK_TOL times the largest counted as zero.
     """
     lead = np.broadcast_shapes(QA.shape[:-2], QB.shape[:-2])
     C = np.concatenate([np.broadcast_to(QA, lead + QA.shape[-2:]),
                         np.broadcast_to(QB, lead + QB.shape[-2:])], axis=-1)
     sv = np.linalg.svd(C, compute_uv=False)
-    return QA.shape[-1] + QB.shape[-1] - np.sum(sv > tol * sv[..., :1], axis=-1)
+    return QA.shape[-1] + QB.shape[-1] - np.sum(sv > RANK_TOL * sv[..., :1], axis=-1)
 
 
-def dim_intersection(XU, XV, tol: float = RANK_TOL):
+def dim_intersection(XU, XV):
     """Dimension of span(XU) & span(XV): dim U + dim V - rank([XU | XV]).
 
     XU (..., m, a) and XV (..., m, b) may be stacks of bases whose leading
@@ -347,7 +348,7 @@ def dim_intersection(XU, XV, tol: float = RANK_TOL):
         raise DomainError(f"stacks of shapes {XU.shape} and {XV.shape} do not broadcast") from None
     if _rank_deficient(XU).any() or _rank_deficient(XV).any():
         raise DomainError("rank-deficient basis: its span has fewer dimensions than columns")
-    dims = _meet_dims(orthonormalize(XU), orthonormalize(XV), tol)
+    dims = _meet_dims(orthonormalize(XU), orthonormalize(XV))
     return int(dims) if dims.ndim == 0 else dims
 
 

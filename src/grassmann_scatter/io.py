@@ -6,13 +6,13 @@ object
     {"m": 3, "r": 2, "points": [[[...], ...], ...], "weights": [...]}
 
 where points[j] is the j-th m x r basis matrix (nested lists, rows outer)
-and weights is optional (uniform when missing).  Reports are dataclasses
-serialized field-by-field with arrays as nested lists.
+and weights is optional (uniform when missing).  Reports are dicts of plain
+values, written as indented JSON with numpy arrays as nested lists and numpy
+scalars as numbers.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -70,35 +70,20 @@ def read_measure_json(path) -> Empirical:
 
 
 def write_measure_json(path, meas: Empirical) -> None:
-    doc = {
-        "m": meas.m,
-        "r": meas.r,
-        "points": meas.points.tolist(),
-        "weights": meas.weights.tolist(),
-    }
-    _write_json(path, doc)
+    write_report_json(path, {"m": meas.m, "r": meas.r, "points": meas.points,
+                             "weights": meas.weights})
 
 
-def to_jsonable(obj):
-    """Recursively convert dataclasses/arrays/scalars into JSON-ready values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
+def _plain(obj):
+    """A numpy array as nested lists, a numpy scalar as a number; TypeError otherwise."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(path, doc) -> None:
-    """The bytes of ``json.dump(doc, fh, indent=2)``, encoded at once and written in one call."""
+def write_report_json(path, doc) -> None:
+    """The bytes of ``json.dump(doc, fh, indent=2)`` with numpy arrays and scalars
+    made plain, encoded at once (before the file opens) and written in one call."""
+    text = json.dumps(doc, indent=2, default=_plain)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2))
-
-
-def write_report_json(path, obj) -> None:
-    _write_json(path, to_jsonable(obj))
+        fh.write(text)

@@ -27,8 +27,8 @@ weights) is grad_norm_sq_grad.
 
 The measure-averaged functions take an empirical measure and are exact weighted
 sums, batched over atoms; a Gaussian law is sampled first (UsageError otherwise).
-The one Monte Carlo evaluation of a law, the CLT reference, lives in
-``asymptotics``.
+The one Monte Carlo evaluation of a law, the CLT reference, is drawn by
+``asymptotics.clt_experiment``.
 
 Everything here comes from the single whitened-frame core ``grassmann._frames``
 (one product with the inverse W = F^-1 of a factor F F^T = Sigma whitens every

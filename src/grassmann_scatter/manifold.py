@@ -102,12 +102,12 @@ def check_scatter(M, name: str = "scatter matrix") -> np.ndarray:
     return M
 
 
-def normalize_det(M, name: str = "matrix") -> np.ndarray:
+def normalize_det(M) -> np.ndarray:
     """Rescale a symmetric positive-definite matrix to determinant one."""
-    M = sym(_as_square(M, name))
+    M = sym(_as_square(M, "matrix"))
     sign, logdet = np.linalg.slogdet(M)
     if sign <= 0 or not np.isfinite(logdet):
-        raise DomainError(f"{name} is not positive definite, cannot normalize determinant")
+        raise DomainError("matrix is not positive definite, cannot normalize determinant")
     return M * np.exp(-logdet / M.shape[0])
 
 

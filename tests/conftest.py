@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from grassmann_scatter import (
-    Gaussian,
+    Empirical,
     clt_experiment,
     limiting_covariance,
     lln_experiment,
     random_scatter,
 )
+from grassmann_scatter.grassmann import _gaussian_bases
 
 LLN_SEED = 31
 CLT_SEED = 29
@@ -68,9 +69,10 @@ def lln_runs():
 @pytest.fixture(scope="session")
 def clt_run():
     """Fluctuation experiment (m=2, r=1, n=2000, 4000 reps) against the
-    Monte Carlo evaluation of the predicted limiting covariance."""
+    predicted limiting covariance evaluated on 200 000 draws of the law."""
     ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=CLT_SEED, spawn_key=(7,)))
-    ref = limiting_covariance(Gaussian(np.eye(2), 1), mc_n=200_000, rng=ref_rng)
+    draws = _gaussian_bases(np.linalg.cholesky(np.eye(2)), 1, 200_000, ref_rng)
+    ref = limiting_covariance(Empirical(draws), np.eye(2))
     t0 = time.perf_counter()
     report = clt_experiment(np.eye(2), 1, 2000, 4000, CLT_SEED, threads=1, ref=ref)
     elapsed = time.perf_counter() - t0

@@ -167,7 +167,7 @@ def test_score_covariance_kernel_and_psd():
 
 def test_score_covariance_rank_under_full_support():
     rng = np.random.default_rng(108)
-    S = score_covariance(Gaussian(np.eye(3), 1), mc_n=100_000, rng=rng)
+    S = score_covariance(Empirical(gaussian_points(rng, np.eye(3), 1, 100_000)), np.eye(3))
     lam = np.linalg.eigvalsh(S)
     rank = int((np.abs(lam) > 1e-6 * np.abs(lam).max()).sum())
     assert rank == manifold_dim(3)
@@ -178,21 +178,21 @@ def test_score_covariance_circle_lines_closed_form():
     assert np.max(np.abs(S - SIGMA2_CIRCLE)) <= 1e-12
 
 
-def test_score_covariance_gaussian_stream_equals_empirical_of_same_draws():
-    g = Gaussian(np.diag([2.0, 1.0, 0.5]), 2)
-    S_mc = score_covariance(g, mc_n=400, rng=np.random.default_rng(55))
-    rng = np.random.default_rng(55)
-    pts = np.stack([sample(g, rng) for _ in range(400)])
-    S_emp = score_covariance(Empirical(pts), Sigma=g.sigma)
-    assert np.array_equal(S_mc, S_emp)
+def test_clt_default_reference_is_limiting_covariance_of_its_own_draws():
+    # the reference stream is SeedSequence(seed, spawn_key=(1,)); one draw at a time
+    # through ``sample`` gives the batch's bits
+    sigma = np.diag([2.0, 1.0, 0.5])
+    report = clt_experiment(sigma, 2, 20, 2, 55, ref_mc_n=400)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=55, spawn_key=(1,)))
+    pts = np.stack([sample(Gaussian(sigma, 2), rng) for _ in range(400)])
+    assert np.array_equal(report.ref, limiting_covariance(Empirical(pts), sigma))
 
 
 def test_score_covariance_usage_errors():
-    meas = three_symmetric_lines()
-    with pytest.raises(UsageError):
-        score_covariance(meas)                      # empirical needs a Sigma
-    with pytest.raises(UsageError):
-        score_covariance(Gaussian(np.eye(2), 1))    # Gaussian needs mc_n and rng
+    # the evaluation scatter is required (a law is rejected in test_likelihood)
+    for f in (score_covariance, projector_kron_mean, limiting_covariance):
+        with pytest.raises(TypeError):
+            f(three_symmetric_lines())
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_pseudo_inverse_contract_recovers_tangent_projector():
         A = Q @ L0 @ Q
         assert np.max(np.abs(np.linalg.pinv(A, hermitian=True) @ A - Q)) <= 1e-8
     rng = np.random.default_rng(111)
-    S0 = projector_kron_mean(Gaussian(np.eye(3), 1), mc_n=20_000, rng=rng)
+    S0 = projector_kron_mean(Empirical(gaussian_points(rng, np.eye(3), 1, 20_000)), np.eye(3))
     Q = tangent_vec_projector(3)
     A = Q @ ((1.0 / 3.0) * np.eye(9) - S0) @ Q
     assert np.max(np.abs(np.linalg.pinv(A, hermitian=True) @ A - Q)) <= 1e-8
@@ -276,10 +276,10 @@ def test_analytic_projector_matches_eigenprojection_of_score_covariance():
 
 
 def test_limiting_covariance_matches_pieces_from_a_common_stream():
-    g = Gaussian(np.eye(3), 2)
-    lim = limiting_covariance(g, mc_n=3000, rng=np.random.default_rng(112))
-    S = score_covariance(g, mc_n=3000, rng=np.random.default_rng(112))
-    S0 = projector_kron_mean(g, mc_n=3000, rng=np.random.default_rng(112))
+    meas = Empirical(gaussian_points(np.random.default_rng(112), np.eye(3), 2, 3000))
+    lim = limiting_covariance(meas, np.eye(3))
+    S = score_covariance(meas, np.eye(3))
+    S0 = projector_kron_mean(meas, np.eye(3))
     Q = tangent_vec_projector(3)
     A = Q @ ((2.0 / 3.0) * np.eye(9) - S0) @ Q
     Apinv = np.linalg.pinv(0.5 * (A + A.T), hermitian=True)
@@ -334,6 +334,30 @@ def test_experiments_reject_worker_counts_below_one():
             clt_experiment(np.eye(2), 1, 20, 2, 1, threads=threads, ref=LIMIT_CIRCLE)
     one = lln_experiment(np.eye(2), 1, [20], 2, 1, threads=np.int64(1))
     assert one.distances.shape == (1, 2)
+
+
+EXPERIMENT_ARGS = {
+    lln_experiment: {"sigma": np.eye(2), "r": 1, "ns": [20], "reps": 2, "seed": 1},
+    clt_experiment: {"sigma": np.eye(2), "r": 1, "n": 20, "reps": 2, "seed": 1, "ref_mc_n": 50},
+}
+
+
+@pytest.mark.parametrize("experiment, bad", [
+    (lln_experiment, {"seed": -1}),         # a negative seed was an uncaught ValueError
+    (lln_experiment, {"seed": True}),
+    (lln_experiment, {"ns": [20.5]}),       # ran n = 20
+    (lln_experiment, {"reps": 2.5}),
+    (lln_experiment, {"r": 1.0}),
+    (clt_experiment, {"seed": -5}),
+    (clt_experiment, {"n": 20.5}),          # a raw TypeError
+    (clt_experiment, {"reps": 2.5}),
+    (clt_experiment, {"r": 1.0}),
+    (clt_experiment, {"ref_mc_n": 50.7}),   # drew 50
+    (clt_experiment, {"ref_mc_n": True}),   # drew one and ended in DegeneracyError
+], ids=lambda x: x.__name__ if callable(x) else "-".join(f"{k}={v}" for k, v in x.items()))
+def test_experiments_reject_non_integer_counts_and_negative_seeds(experiment, bad):
+    with pytest.raises(UsageError, match="must be an integer"):
+        experiment(**{**EXPERIMENT_ARGS[experiment], **bad})
 
 
 def test_pool_never_has_more_workers_than_blocks(monkeypatch):

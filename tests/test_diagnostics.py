@@ -30,6 +30,7 @@ from helpers import (
     random_measure,
     random_tangent,
     ray_form,
+    ref_dim_intersection,
     ref_scan,
     ref_scan_report,
     three_symmetric_lines,
@@ -279,7 +280,7 @@ def test_boundary_flag_synthetic_ray():
     assert len(flag.pairs) == 1
     _, V = flag.pairs[0]
     assert V.shape[1] == r
-    assert dim_intersection(V, np.eye(m)[:, :r], tol=1e-6) == r
+    assert ref_dim_intersection(V, np.eye(m)[:, :r], tol=1e-6) == r
 
 
 def test_boundary_flag_requires_motion():

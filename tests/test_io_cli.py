@@ -1,5 +1,6 @@
 """File formats and the command-line front end (exit codes, reports, replay)."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -11,13 +12,13 @@ import numpy as np
 import pytest
 
 import grassmann_scatter
-from grassmann_scatter import DomainError, Empirical, UsageError, diagnose
+from grassmann_scatter import DomainError, Empirical, SolverOptions, UsageError, diagnose
 from grassmann_scatter.cli import main
+from grassmann_scatter.diagnostics import INDEX_TOL
 from grassmann_scatter.io import (
     read_matrix_csv,
     read_measure_json,
     read_scatter_csv,
-    to_jsonable,
     write_matrix_csv,
     write_measure_json,
     write_report_json,
@@ -76,17 +77,30 @@ def test_json_writers_bytes_equal_json_dump(tmp_path):
         "status": "converged",
         "residual": np.float64(1.5e-13),
         "iterations": np.int64(7),
+        "half": np.float32(0.25),
         "estimate": np.eye(2) / 3.0,
         "trace": [[1, 0.5, np.float64(-0.0)], (2, np.nan, np.inf)],
+        "t": (1, np.int64(2)),
         "boundary": None,
         "nested": {"levels": [np.arange(3), {"deep": np.ones((2, 1, 2))}], 3: None},
-        "meas": meas,
+        "text": "tab\t \u00e9",
+    }
+    plain = {
+        "status": "converged",
+        "residual": 1.5e-13,
+        "iterations": 7,
+        "half": 0.25,
+        "estimate": (np.eye(2) / 3.0).tolist(),
+        "trace": [[1, 0.5, -0.0], [2, np.nan, np.inf]],
+        "t": [1, 2],
+        "boundary": None,
+        "nested": {"levels": [[0, 1, 2], {"deep": np.ones((2, 1, 2)).tolist()}], 3: None},
         "text": "tab\t \u00e9",
     }
     ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
     write_report_json(ours, report)
     with open(ref, "w") as fh:
-        json.dump(to_jsonable(report), fh, indent=2)
+        json.dump(plain, fh, indent=2)
     assert ours.read_bytes() == ref.read_bytes()
 
     write_measure_json(ours, meas)
@@ -94,6 +108,11 @@ def test_json_writers_bytes_equal_json_dump(tmp_path):
         json.dump({"m": 3, "r": 2, "points": meas.points.tolist(),
                    "weights": meas.weights.tolist()}, fh, indent=2)
     assert ours.read_bytes() == ref.read_bytes()
+
+    # reports are plain dicts: a dataclass is not serialized, and no file is left
+    with pytest.raises(TypeError):
+        write_report_json(tmp_path / "meas.json", {"meas": meas})
+    assert not (tmp_path / "meas.json").exists()
 
 
 def test_matrix_csv_single_row_is_two_dimensional(tmp_path):
@@ -152,21 +171,6 @@ def test_measure_json_errors(tmp_path):
     )
     with pytest.raises(DomainError):
         read_measure_json(deficient)
-
-
-def test_to_jsonable_handles_arrays_and_dataclasses():
-    import dataclasses
-
-    @dataclasses.dataclass
-    class Box:
-        val: float
-        arr: np.ndarray
-
-    doc = to_jsonable({"box": Box(np.float64(1.5), np.eye(2)), "t": (1, np.int64(2))})
-    assert json.loads(json.dumps(doc)) == {
-        "box": {"val": 1.5, "arr": [[1.0, 0.0], [0.0, 1.0]]},
-        "t": [1, 2],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +412,20 @@ def test_cli_replay_file_reproduces_outputs_bit_for_bit(tmp_path):
     assert (out3 / "lln.json").read_bytes() == (out1 / "lln.json").read_bytes()
 
 
+def test_cli_replay_records_the_library_defaults(tmp_path):
+    # the CLI's defaults are SolverOptions' and INDEX_TOL, not restated literals
+    data = write_dataset(tmp_path / "lines.json", three_symmetric_lines())
+    for command in ("estimate", "diagnose"):
+        out = tmp_path / command
+        assert main([command, "--input", data, "--out", str(out)]) == 0
+        opts = load_json(out / "replay.json")["options"]
+        if command == "estimate":
+            assert (opts["tol"], opts["max_iter"]) == (SolverOptions().tol,
+                                                      SolverOptions().max_iter) == (1e-12, 500)
+        else:
+            assert opts["tol"] == INDEX_TOL == 1e-9
+
+
 def test_cli_threads_env_var_and_flag_precedence(tmp_path, monkeypatch):
     argv = ["lln", "--m", "2", "--r", "1", "--ns", "30", "--reps", "2", "--seed", "4"]
     out1 = tmp_path / "env"
@@ -479,6 +497,19 @@ def test_cli_argument_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["lln", "--m", "2", "--r", "1", "--ns", "20", "--reps", "2", "--seed", "-1"],
+    ["clt", "--m", "2", "--r", "1", "--n", "20", "--reps", "2", "--ref-mc", "50", "--seed", "-5"],
+    ["gradcheck", "--m", "3", "--trials", "1", "--seed", "-1"],
+], ids=lambda argv: argv[0])
+def test_cli_negative_seed_exits_3_without_output(tmp_path, capsys, argv):
+    # numpy's "expected non-negative integer" escaped main as a traceback and exit 1
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_module_entry_point_subprocess(tmp_path):
     data = write_dataset(tmp_path / "ortho.json", orthogonal_lines())
     out = tmp_path / "out"
@@ -512,6 +543,19 @@ def test_public_namespace():
         "sample", "score_covariance", "sym_sqrt", "tangent_project",
         "tangent_vec_projector", "unique_sample_threshold", "unvec", "vec", "whiten_normalize",
     ]
+
+
+def test_public_signatures_carry_no_unused_settings():
+    # the moments take a sample and its scatter (no Monte Carlo size or stream), ranks
+    # use RANK_TOL, and the validators' messages name no caller
+    ns = grassmann_scatter
+    for f, params in ((ns.score_covariance, ["meas", "Sigma"]),
+                      (ns.projector_kron_mean, ["meas", "Sigma"]),
+                      (ns.limiting_covariance, ["meas", "Sigma"]),
+                      (ns.dim_intersection, ["XU", "XV"]),
+                      (ns.check_basis, ["X"]),
+                      (ns.normalize_det, ["M"])):
+        assert list(inspect.signature(f).parameters) == params, f.__name__
 
 
 def test_cli_import_defers_metadata_and_process_pool():

@@ -17,13 +17,16 @@ from grassmann_scatter import (
     grad_point,
     hess_quadform,
     inner,
+    limiting_covariance,
     loglik,
     loglik_point,
     mean_projector,
     normalize_det,
+    projector_kron_mean,
     random_scatter,
     residual,
     sample,
+    score_covariance,
     sym_sqrt,
 )
 from grassmann_scatter.grassmann import _frames, _outer
@@ -83,7 +86,10 @@ def test_measure_functions_take_samples_not_laws():
     Z = np.diag([1.0, -1.0, 0.0])
     for call in (lambda: loglik(law, np.eye(3)), lambda: grad(law, np.eye(3)),
                  lambda: hess_quadform(law, np.eye(3), Z), lambda: mean_projector(law, np.eye(3)),
-                 lambda: grad_norm_sq(law, np.eye(3)), lambda: residual(law, np.eye(3))):
+                 lambda: grad_norm_sq(law, np.eye(3)), lambda: residual(law, np.eye(3)),
+                 lambda: score_covariance(law, np.eye(3)),
+                 lambda: projector_kron_mean(law, np.eye(3)),
+                 lambda: limiting_covariance(law, np.eye(3))):
         with pytest.raises(UsageError, match="sample the law first"):
             call()
 
