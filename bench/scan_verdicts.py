@@ -8,20 +8,13 @@ workload's datasets through ``perfbench/workloads.py`` (the benchmark's own
 generator, imported read-only), runs each of its ``diagnose`` and
 ``estimate`` command lines in process through ``grassmann_scatter.cli.main``
 and reads back the reports.  Every tree is then compared with the first one,
-dataset by dataset.  Whatever route decided a diagnosis (``route``: "solver"
-for the solve's certificate, "scan" for the candidate scan that older trees
-fall back to; reports without the field come from trees that have only the
-solver route), the verdict, the sign of ``min_index`` (below
--1e-9, within 1e-9 of zero, above 1e-9) and the witness are compared, and so
-is the estimate's status.  A witness is compared by dimension and orthogonal
-projector (to 1e-8), and by provenance too when both trees took the same
-route.  Only then are ``min_index`` (bit for bit), ``scanned``, the zero
-candidates and ``complement_ok`` compared too (the fields that every tree
-writes): on the solver route ``scanned`` counts the subspaces the
-certificate evaluated, not a candidate pool.  Each difference is printed, then
-one table row per seed and tree: datasets, differences, diagnoses per route,
-estimate statuses, the longest estimate run and the diagnose and estimate wall
-times.  Exit status 1 when any diagnosis differs.  Only the standard library
+dataset by dataset: of a diagnosis the verdict, the sign of ``min_index`` (below
+-1e-9, within 1e-9 of zero, above 1e-9), ``min_index`` itself (bit for bit),
+``scanned``, the zero candidates, ``complement_ok`` and the witness (by dimension,
+provenance and orthogonal projector, to 1e-8), and of an estimate its status.
+Each difference is printed, then one table row per seed and tree: datasets,
+differences, estimate statuses, the longest estimate run and the diagnose and
+estimate wall times.  Exit status 1 when any diagnosis differs.  Only the standard library
 and numpy are imported here; the package is imported by the workers.
 """
 
@@ -44,7 +37,6 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WITNESS_TOL = 1e-8      # max-norm distance between witness projectors counted as equal
 INDEX_TOL = 1e-9        # |min_index| at most this has sign 0
 DIAGNOSIS = ("verdict", "min_index", "scanned", "zeros", "complement_ok")
-SAME_ROUTE = ("min_index", "scanned", "zeros", "complement_ok")
 
 
 def _worker(seed: int, workdir: str) -> None:
@@ -68,7 +60,6 @@ def _worker(seed: int, workdir: str) -> None:
             rec = {"kind": cmd.kind, "verb": verb, "code": code}
             if verb == "diagnose":
                 rec.update({key: report[key] for key in DIAGNOSIS})
-                rec["route"] = report.get("route", "solver")
                 rec["sign"] = _sign(report["min_index"])
                 rec["min_index"] = float(report["min_index"]).hex()
                 rec["zeros"] = [[z["dim"], z["provenance"]] for z in report["zeros"]]
@@ -87,13 +78,12 @@ def _sign(value: float) -> int:
     return -1 if value < -INDEX_TOL else int(value > INDEX_TOL)
 
 
-def _witness_differs(a, b, same_route: bool) -> bool:
+def _witness_differs(a, b) -> bool:
     import numpy as np
 
     if a is None or b is None:
         return (a is None) != (b is None)
-    labels = a[:2] != b[:2] if same_route else a[0] != b[0]     # provenance is per route
-    return labels or float(np.abs(np.subtract(a[2], b[2])).max()) > WITNESS_TOL
+    return a[:2] != b[:2] or float(np.abs(np.subtract(a[2], b[2])).max()) > WITNESS_TOL
 
 
 def _differences(ref: list[dict], new: list[dict]) -> list[tuple[str, str]]:
@@ -102,11 +92,9 @@ def _differences(ref: list[dict], new: list[dict]) -> list[tuple[str, str]]:
     for i, (a, b) in enumerate(zip(ref, new)):
         where = f"#{i // 2} {a['kind']} {a['verb']}"
         if a["verb"] == "diagnose":
-            same = a["route"] == b["route"]
-            keys = ("verdict", "sign") + (SAME_ROUTE if same else ())
             out += [("diagnose", f"{where}: {key} {a[key]!r} -> {b[key]!r}")
-                    for key in keys if a[key] != b[key]]
-            if _witness_differs(a["witness"], b["witness"], same):
+                    for key in ("sign",) + DIAGNOSIS if a[key] != b[key]]
+            if _witness_differs(a["witness"], b["witness"]):
                 out.append(("diagnose", f"{where}: witness differs"))
         elif a["status"] != b["status"]:
             out.append(("estimate", f"{where}: status {a['status']} ({a['iterations']} it) -> "
@@ -165,17 +153,14 @@ def main(argv=None) -> int:
             diag = sum(verb == "diagnose" for verb, _ in diffs)
             differing += diag
             statuses = Counter(r["status"] for r in recs if r["verb"] == "estimate")
-            routes = Counter(r["route"] for r in recs if r["verb"] == "diagnose")
             rows.append((seed, label, len(recs) // 2, diag, len(diffs) - diag,
-                         routes.get("solver", 0), routes.get("scan", 0),
                          statuses.get("converged", 0), statuses.get("max_iterations", 0),
                          statuses.get("diverged_to_boundary", 0) + statuses.get("no_ge", 0),
                          max(r["iterations"] or 0 for r in recs if r["verb"] == "estimate"),
                          run["seconds"].get("diagnose", 0.0), run["seconds"].get("estimate", 0.0)))
-    print("| seed | tree | datasets | diagnose diffs | estimate diffs | solver route | "
-          "scan route | converged | max_iterations | no estimate | longest run | diagnose s | "
-          "estimate s |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|")
+    print("| seed | tree | datasets | diagnose diffs | estimate diffs | converged | "
+          "max_iterations | no estimate | longest run | diagnose s | estimate s |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     for row in rows:
         print("| " + " | ".join(f"{v:.2f}" if isinstance(v, float) else str(v) for v in row) + " |")
     return 1 if differing else 0

@@ -5,7 +5,8 @@ milliseconds per solve of a stack of replications, before and after a solver cha
         [--out BENCH_solver_loop.json]
 
 Each of REPEATS repeats starts one fresh interpreter per source tree, in turn,
-so the trees are interleaved against the drift of a shared host.  The worker builds seeded
+so the trees are interleaved against the drift of a shared host; the tree that runs
+first alternates from one repeat to the next.  The worker builds seeded
 Gaussian subspace samples at each (m, r, n) of CONFIGS, runs one untimed solve, then
 times one ``fixed_point_solve`` per configuration with ITERS iterations
 (tol 1e-300, so no run stops early) and reports wall time / iterations.  A tree
@@ -20,9 +21,8 @@ over the seeds (the counts repeat exactly).  Stacked
 mode: for each (m, r, n) of STACK_CONFIGS and each block size B of BLOCKS it draws
 B seeded datasets and times one solve of all of them with the default options
 (span check and fixed-point loop, as a block of Monte Carlo replications is
-solved), after one untimed solve, and reports wall time / B.  A tree whose
-estimator has the stacked loop ``_solve_stack`` solves the B datasets as one
-stack; an older tree solves them one ``fixed_point_solve`` at a time.  The
+solved), after one untimed solve, and reports wall time / B: the B datasets are
+solved as one stack by the estimator's stacked loop ``_solve_stack``.  The
 record is one entry per run: per tree the median and quartiles over repeats of
 every row, plus nproc, the BLAS thread variables, the numpy/scipy versions and
 the git commit of each tree.  With --out, the entry is appended to that file's
@@ -67,25 +67,17 @@ def _points(m, r, n, rng, count=None):
     return np.einsum("ij,...njr->...nir", A, rng.standard_normal(shape))
 
 
-def _stack_solver():
-    """points (B, n, m, r) -> a call that solves the B datasets through the tree's own
-    entry point, span check included (the datasets are built outside the call)."""
+def _stack_solve(points):
+    """A call that solves the datasets points (B, n, m, r) as one stack, span check
+    included (the datasets are built outside the call)."""
     import numpy as np
 
-    from grassmann_scatter import Empirical, SolverOptions, estimator, fixed_point_solve
+    from grassmann_scatter import SolverOptions, estimator
 
     opts = SolverOptions()
-    if hasattr(estimator, "_solve_stack"):
-        def prepare(points):
-            weights = np.full(points.shape[:2], 1.0 / points.shape[1])
-            return lambda: (estimator._check_span(points),
-                            estimator._solve_stack(points, weights, opts))[1]
-        return prepare
-
-    def prepare_each(points):
-        sets = [Empirical(p) for p in points]
-        return lambda: [fixed_point_solve(meas, options=opts) for meas in sets]
-    return prepare_each
+    weights = np.full(points.shape[:2], 1.0 / points.shape[1])
+    return lambda: (estimator._check_span(points),
+                    estimator._solve_stack(points, weights, opts))[1]
 
 
 def _worker() -> None:
@@ -122,10 +114,9 @@ def _worker() -> None:
         out["ms_per_fixed_point_solve"][key] = float(np.median(ms))
         out["iterations_per_solve"][f"{key} median"] = float(np.median(iterations))
         out["iterations_per_solve"][f"{key} max"] = max(iterations)
-    prepare = _stack_solver()
     for i, (m, r, n) in enumerate(STACK_CONFIGS):
         for B in BLOCKS:
-            solve = prepare(_points(m, r, n, np.random.default_rng([SEED, 100 + i, B]), count=B))
+            solve = _stack_solve(_points(m, r, n, np.random.default_rng([SEED, 100 + i, B]), count=B))
             solve()                                           # warm caches, untimed
             t0 = time.perf_counter()
             results = solve()
@@ -178,9 +169,9 @@ def main(argv=None) -> int:
     for var in THREAD_VARS:
         env.setdefault(var, "1")
     samples = {label: {} for label in trees}
-    for _ in range(REPEATS):
-        for label, src in trees.items():
-            env["PYTHONPATH"] = str(src)
+    for i in range(REPEATS):
+        for label in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+            env["PYTHONPATH"] = str(trees[label])
             proc = subprocess.run([sys.executable, __file__, "--worker"],
                                   env=env, capture_output=True, text=True, check=True)
             for kind, rows in json.loads(proc.stdout).items():

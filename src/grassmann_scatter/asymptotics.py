@@ -303,9 +303,16 @@ def clt_experiment(
     ``limiting_covariance`` of ``ref_mc_n`` draws of the law from the stream
     SeedSequence(entropy=seed, spawn_key=(1,)), at sigma) and
     reports the tangent-space annihilation defect and coordinate skewness.
-    Deterministic for fixed seed regardless of ``threads``.
+    Deterministic for fixed seed regardless of ``threads``.  UsageError unless a
+    supplied ``ref`` is a finite (m^2, m^2) array.
     """
     law = _experiment_law(sigma, r, reps, seed, threads, n, ref_mc_n)
+    m = law.m
+    if ref is not None:
+        ref = np.asarray(ref, dtype=float)
+        if ref.shape != (m * m, m * m) or not np.isfinite(ref).all():
+            raise UsageError(f"ref must be a finite {m * m} x {m * m} array, got shape "
+                             f"{ref.shape}")
     opts = options or SolverOptions()
     flat = _run_blocks(_clt_block, _chart(law.sigma), r, [n], reps, seed, opts, threads)
     Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)
@@ -314,7 +321,6 @@ def clt_experiment(
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         draws = _gaussian_bases(np.linalg.cholesky(law.sigma), r, ref_mc_n, ref_rng)
         ref = limiting_covariance(Empirical(draws), law.sigma)
-    m = law.m
     Q = tangent_vec_projector(m)
     annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - Q), ord=2))
     rel_frob = float(np.linalg.norm(cov - ref) / np.linalg.norm(ref))

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyFlagError, UsageError
-from .grassmann import Empirical, _check_empirical, dim_intersection, orthonormalize
-from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, sym
+from .grassmann import Empirical, _check_dims, _check_empirical, dim_intersection, orthonormalize
+from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, check_tangent, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
@@ -48,6 +48,7 @@ MEET_BATCH = 1 << 16    # floats of the [U_j | V_i] stacks one existence_index c
 
 def unique_sample_threshold(m: int, r: int) -> float:
     """Sample size above which generic data admits a unique estimate (a.s.)."""
+    _check_dims(m, r)
     return m * m / (r * (m - r))
 
 
@@ -97,8 +98,6 @@ class ExistenceReport:
     min_index      smallest existence index over the evaluated subspaces
     witness        subspace attaining min_index, None for "unique"
     zeros          the zero-index subspaces of a "limit" verdict, else empty
-    complement_ok  the verdict is "limit": every zero has a complementary zero splitting
-                   every atom
     scanned        number of subspaces whose index was evaluated
     lambda_min     ``estimator.diagnose``: smallest tangent Hessian eigenvalue at its
                    converged solve, else None
@@ -110,10 +109,14 @@ class ExistenceReport:
     min_index: float
     witness: Candidate | None
     zeros: list[Candidate]
-    complement_ok: bool
     scanned: int
     lambda_min: float | None = None
     slope: float | None = None
+
+    @property
+    def complement_ok(self) -> bool:
+        """The verdict is "limit": every zero has a complementary zero splitting every atom."""
+        return self.verdict == "limit"
 
 
 def _index_values(meas: Empirical, bases) -> np.ndarray:
@@ -160,22 +163,17 @@ def decompose_velocity(Sigma, w) -> VelocityFlag:
     """Flag decomposition of a self-adjoint trace-free velocity at Sigma.
 
     ``w`` must satisfy w Sigma = (w Sigma)^T and tr(w) = 0 (a geodesic ray
-    t -> expm(t w) Sigma then stays in the manifold).  Eigenvalues of w are
-    grouped into clusters separated by relative gaps above GAP_TOL;
+    t -> expm(t w) Sigma then stays in the manifold), that is, w Sigma must be
+    tangent at Sigma (``check_tangent``; tr(Sigma^-1 w Sigma) = tr(w)).  Eigenvalues
+    of w are grouped into clusters separated by relative gaps above GAP_TOL;
     V_k spans the top-k clusters' eigenvectors and alpha_k is the gap
     between consecutive cluster means.
     """
     Sigma = check_scatter(Sigma)
     w = np.asarray(w, dtype=float)
-    m = Sigma.shape[0]
-    if w.shape != (m, m):
-        raise UsageError(f"velocity must be {m} x {m}, got {w.shape}")
-    W = w @ Sigma
-    scale = max(1.0, np.abs(W).max())
-    if np.abs(W - W.T).max() > 1e-10 * scale:
-        raise UsageError("velocity is not self-adjoint with respect to Sigma")
-    if abs(np.trace(w)) > 1e-10 * max(1.0, np.abs(np.diag(w)).sum()):
-        raise UsageError("velocity is not trace-free")
+    if w.shape != Sigma.shape:
+        raise UsageError(f"velocity must be {len(Sigma)} x {len(Sigma)}, got {w.shape}")
+    check_tangent(Sigma, w @ Sigma)
     c = _chart(Sigma)
     return _flag(c, sym(c.W @ w @ c.F))
 

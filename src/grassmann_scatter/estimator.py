@@ -101,7 +101,7 @@ from .grassmann import (
     Empirical,
     _check_empirical,
     _columns,
-    _gram_schmidt,
+    _log_gram_dets,
     _outer,
     orthonormalize,
 )
@@ -200,14 +200,6 @@ def _check_span(points: np.ndarray) -> None:
         )
 
 
-def _check_start(Sigma0, m: int) -> np.ndarray | None:
-    """A solver's start, validated and m x m (else DomainError), or None for the identity."""
-    start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
-    if start is not None and start.shape != (m, m):
-        raise DomainError(f"Sigma0 must be {m} x {m} for atoms in R^{m}, got {start.shape}")
-    return start
-
-
 def _status(trace, opts: SolverOptions) -> str | None:
     """The solver's exit rule: the status a run ends with at its last trace entry
     (converged, diverged_to_boundary, max_iterations), or None to go on."""
@@ -237,9 +229,9 @@ def _escape_result(Sigma, res, k, trace, prev, points, weights) -> GEResult:
     return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag, slope=slope)
 
 
-def _guarded(T: np.ndarray) -> tuple[_Chart, np.ndarray | None]:
-    """The charts of a stack T rescaled to determinant one, and None if all pass the
-    solver's guard, else the mask of those that pass (the others' charts are placeholders).
+def _guarded(T: np.ndarray) -> tuple[_Chart, np.ndarray]:
+    """The charts of a stack T rescaled to determinant one, and the mask of those that
+    pass the solver's guard (the others' charts are placeholders).
 
     One batched eigh of T supplies everything.  The guard: every eigenvalue
     positive, and their ratio at most COND_MAX.  Every solver target is positive
@@ -248,26 +240,11 @@ def _guarded(T: np.ndarray) -> tuple[_Chart, np.ndarray | None]:
     """
     lam, Q = np.linalg.eigh(T)
     ok = lam[..., -1] <= COND_MAX * lam[..., 0]
-    if ok.all():
-        ok = None
-    else:
+    if np.count_nonzero(ok) < ok.size:           # a quarter of ok.all()'s cost on small masks
         lam = np.where(ok[..., None], lam, 1.0)
     loglam = np.log(lam)
     shift = loglam.sum(-1, keepdims=True) / lam.shape[-1]     # the mean, as np.mean takes it
     return _chart(T * np.exp(-shift)[..., None], loglam - shift, Q), ok
-
-
-def _distance_from(start: np.ndarray | None):
-    """charts -> d(start, sigma) for a stack of iterates: what the divergence test watches.
-
-    From the identity (start None) it is || log eig(Sigma) ||, read off the
-    guard's eigenvalues.  Any other start whitens the iterates in its own chart,
-    taken here once, and costs one batched eigvalsh per call.
-    """
-    if start is None:
-        return lambda it: np.sqrt(np.vecdot(it.loglam, it.loglam))
-    W0 = _chart(start).W
-    return lambda it: _whitened_distance(W0, it.sigma)
 
 
 def _hessian_eigh(U: np.ndarray, weights: np.ndarray, M: np.ndarray):
@@ -308,14 +285,6 @@ def _newton_targets(U: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Char
     return definite, safe, sym(F @ expV @ F.swapaxes(-1, -2))
 
 
-def _log_dets(U: np.ndarray, weights: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """sum_j w_j log det(U_j^T A^T A U_j) per lane of frames U (r, L, m, n), weights (L, n)
-    and A (L, m, m): one Gram-Schmidt of the atoms A U_j, whose squared norms are the
-    log-det terms."""
-    sq = _gram_schmidt((A @ U).swapaxes(1, 2))[1]                    # (r, L, n)
-    return np.vecdot(weights, np.log(sq).sum(0))
-
-
 def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
                  start: np.ndarray | None = None) -> list[GEResult]:
     """The fixed-point loop on a stack of B same-shape datasets at once (unchecked).
@@ -327,7 +296,7 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
     result does not depend on the other lanes of its stack.
     """
     B, n, m, r = points.shape
-    distance_from_start = _distance_from(start)
+    W0 = None if start is None else _chart(start).W     # a user start is charted once
     it, _ = _guarded(np.repeat((np.eye(m) if start is None else start)[None], B, axis=0))
     prev = it.sigma                          # the escape flag reads iterates k-1 and k
     newton = np.zeros(B, dtype=bool)         # took a Newton point: tries one every iteration
@@ -338,27 +307,27 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
     for k in range(opts.max_iter + 1):
         M, S, U = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1),
                                        it.F, it.W)
-        keep, trying = [], []
-        for i, (res, d) in enumerate(zip(_defect(M, r).tolist(), distance_from_start(it).tolist())):
+        # the divergence test watches the distance from the start: || log eig(Sigma) ||
+        # from the identity, else one batched eigvalsh of the iterates whitened by W0
+        dist = np.sqrt(np.vecdot(it.loglam, it.loglam)) if W0 is None \
+            else _whitened_distance(W0, it.sigma)
+        done, trying = [], []                # lanes that end here with a status; Newton tries
+        for i, (res, d) in enumerate(zip(_defect(M, r).tolist(), dist.tolist())):
             trace = traces[lanes[i]]
             trace.append((k, res, d))
             status = _status(trace, opts)
+            if status is None:
+                if not declined[i] and (newton[i] or k > 0 and res > POLISH_RATIO * trace[-2][1]):
+                    trying.append(i)
+                continue
+            done.append(i)
             if status == "diverged_to_boundary":
                 results[lanes[i]] = _escape_result(it.sigma[i], res, k, trace, prev[i],
                                                    points[i], weights[i])
-            elif status is not None:
-                results[lanes[i]] = GEResult(it.sigma[i], res, k, status, trace)
             else:
-                if not declined[i] and (newton[i] or k > 0 and res > POLISH_RATIO * trace[-2][1]):
-                    trying.append(len(keep))
-                keep.append(i)
-        if not keep:
+                results[lanes[i]] = GEResult(it.sigma[i], res, k, status, trace)
+        if len(done) == len(lanes):
             break
-        if len(keep) < len(lanes):
-            it, M, S, U = _Chart(*(a[keep] for a in it)), M[keep], S[keep], U[:, keep]
-            points, weights, prev = points[keep], weights[keep], prev[keep]
-            newton, declined = newton[keep], declined[keep]
-            lanes = [lanes[i] for i in keep]
         # S holds the plain update targets up to scale; the guard scales them and the
         # lanes' Newton points (appended after them) in one call
         L, cand = len(S), np.array(trying, dtype=int)
@@ -371,31 +340,36 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
         new, ok = _guarded(S)
         if len(cand):
             # the plain update lowers the objective; a Newton point replaces it only
-            # where it lowers it at least as much (objectives relative to the iterate)
+            # where it lowers it at least as much (objectives relative to the iterate,
+            # from one Gram-Schmidt of the atoms whitened in both candidates' charts).
+            # Newton points pass the guard by construction, and a lane whose plain
+            # update breaches it leaves with its old iterate below
             twice = np.concatenate([cand, cand])
             charted = np.concatenate([cand, np.arange(L, len(S))])     # plain, then Newton
-            f = _log_dets(U[:, twice], weights[twice], new.W[charted] @ it.F[twice])
+            A = new.W[charted] @ it.F[twice]
+            f = np.vecdot(weights[twice], _log_gram_dets((A @ U[:, twice]).swapaxes(1, 2)))
             take = f[len(cand):] <= f[:len(cand)]
-            if ok is not None:
-                take &= ok[cand] & ok[L:]
-                ok = None if ok[:L].all() else ok[:L]
             for a in new:
                 a[cand[take]] = a[L:][take]
             new = _Chart(*(a[:L] for a in new))
             newton[cand[take]] = True
-        if ok is not None:
-            # conditioning breached before the distance test fired; the lane
-            # is escaping and its new iterate is numerically unusable
-            for i in np.flatnonzero(~ok):
-                trace = traces[lanes[i]]
-                results[lanes[i]] = _escape_result(it.sigma[i], trace[-1][1], k + 1, trace,
-                                                   prev[i], points[i], weights[i])
-            if not ok.any():
+        # the one exit point: a lane leaves the stack with a status or a guard breach
+        keep = ok[:L]
+        if done or np.count_nonzero(keep) < L:
+            keep[done] = False
+            for i in np.flatnonzero(~keep):
+                if results[lanes[i]] is None:
+                    # the guard breached before the distance test fired: the lane is
+                    # escaping, and it leaves with its old iterate (the new one is unusable)
+                    trace = traces[lanes[i]]
+                    results[lanes[i]] = _escape_result(it.sigma[i], trace[-1][1], k + 1,
+                                                       trace, prev[i], points[i], weights[i])
+            if not keep.any():
                 break
-            it, new = _Chart(*(a[ok] for a in it)), _Chart(*(a[ok] for a in new))
-            points, weights = points[ok], weights[ok]
-            newton, declined = newton[ok], declined[ok]
-            lanes = [lane for lane, good in zip(lanes, ok) if good]
+            it, new = _Chart(*(a[keep] for a in it)), _Chart(*(a[keep] for a in new))
+            points, weights = points[keep], weights[keep]
+            newton, declined = newton[keep], declined[keep]
+            lanes = [lane for lane, good in zip(lanes, keep) if good]
         prev, it = it.sigma, new
     return results
 
@@ -416,7 +390,10 @@ def fixed_point_solve(
     _check_empirical(meas, "fixed_point_solve")
     opts = options or SolverOptions()
     _check_span(meas.points)
-    start = _check_start(Sigma0, meas.m)
+    start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
+    if start is not None and start.shape != (meas.m, meas.m):
+        raise DomainError(f"Sigma0 must be {meas.m} x {meas.m} for atoms in R^{meas.m}, "
+                          f"got {start.shape}")
     return _solve_stack(meas.points[None], meas.weights[None], opts, start)[0]
 
 
@@ -456,7 +433,7 @@ def diagnose(meas: Empirical, tol: float = INDEX_TOL) -> ExistenceReport:
         span = Candidate(exc.witness, "sum")
         index = float(existence_index(meas, span.basis))
         if index < -tol:
-            return ExistenceReport("no_ge", index, span, [], False, 1)
+            return ExistenceReport("no_ge", index, span, [], 1)
         return _route_report(meas, "inconclusive", spans + [span], [], tol)
     lam = None
     if result.converged:
@@ -479,9 +456,8 @@ def _route_report(meas: Empirical, claim: str, cands: list[Candidate],
     agrees = {"unique": low > tol, "no_ge": low < -tol, "inconclusive": False,
               "limit": low >= -tol and (values[len(cands) - len(zeros):] <= tol).all()}
     verdict = claim if agrees[claim] else "no_ge" if low < -tol else "inconclusive"
-    limit = verdict == "limit"
     return ExistenceReport(verdict, float(low), None if verdict == "unique" else cands[order],
-                           zeros if limit else [], limit, len(cands))
+                           zeros if verdict == "limit" else [], len(cands))
 
 
 def _hessian_at(meas: Empirical, sigma: np.ndarray):

@@ -25,14 +25,22 @@ attached to U, equal to -t along the distinguished ray below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .manifold import _chart, check_scatter, normalize_det
+from .manifold import _as_square, _chart, check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
+
+
+def _check_dims(m, r) -> None:
+    """DomainError unless the dimensions are integers (not bools) with 0 < r < m."""
+    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (m, r)) \
+            or not 0 < r < m:
+        raise DomainError(f"need 0 < r < m, got r={r}, m={m}")
 
 
 def check_basis(X) -> np.ndarray:
@@ -145,8 +153,7 @@ class Gaussian:
 
     def __post_init__(self):
         S = check_scatter(self.sigma)
-        if not 0 < self.r < S.shape[0]:
-            raise DomainError(f"need 0 < r < m, got r={self.r}, m={S.shape[0]}")
+        _check_dims(S.shape[0], self.r)
         object.__setattr__(self, "sigma", S)
 
     @property
@@ -189,18 +196,21 @@ def sample(meas: Measure, rng: np.random.Generator) -> np.ndarray:
             return X
 
 
-def act(A, X) -> np.ndarray:
-    """Image basis A X of the subspace under an invertible matrix A."""
-    A = np.asarray(A, dtype=float)
-    X = check_basis(X)
-    if A.shape != (X.shape[0], X.shape[0]):
-        raise DomainError(f"matrix shape {A.shape} does not match ambient dimension {X.shape[0]}")
-    if not np.isfinite(A).all():
-        raise DomainError("transformation matrix has non-finite entries")
+def _check_transform(A, m: int) -> np.ndarray:
+    """A as a float array, or DomainError unless it is a finite invertible m x m matrix."""
+    A = _as_square(A, "transformation matrix")
+    if len(A) != m:
+        raise DomainError(f"matrix shape {A.shape} does not match ambient dimension {m}")
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= 1e-14 * sv[0]:
         raise DomainError("transformation matrix is singular")
-    return A @ X
+    return A
+
+
+def act(A, X) -> np.ndarray:
+    """Image basis A X of the subspace under an invertible matrix A."""
+    X = check_basis(X)
+    return _check_transform(A, X.shape[0]) @ X
 
 
 def act_measure(A, meas: Measure) -> Measure:
@@ -209,10 +219,10 @@ def act_measure(A, meas: Measure) -> Measure:
     Empirical atoms map to A X; the Gaussian parameter maps to A Sigma A^T
     renormalized to determinant one (the family is defined up to scale).
     """
+    A = _check_transform(A, meas.m)
     if isinstance(meas, Empirical):
-        return Empirical(np.einsum("ij,njk->nik", np.asarray(A, float), meas.points),
-                         meas.weights)
-    return Gaussian(normalize_det(A @ meas.sigma @ np.asarray(A, float).T), meas.r)
+        return Empirical(np.einsum("ij,njk->nik", A, meas.points), meas.weights)
+    return Gaussian(normalize_det(A @ meas.sigma @ A.T), meas.r)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +280,15 @@ def _pi_matrices(points: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _outer(W.T @ _frames(points, W))
 
 
+def _log_gram_dets(T: np.ndarray) -> np.ndarray:
+    """log det(T_j^T T_j) for every atom of the (r, m, ...) layout T (overwritten): the sum
+    of the log squared norms of its Gram-Schmidt."""
+    return np.log(_gram_schmidt(T)[1]).sum(0)
+
+
 def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
     """log det(X_j^T Sigma^-1 X_j) - log det(X_j^T X_j): with frames X_j = Q_j R_j, of (W Q_j)."""
-    Q = _gram_schmidt(points.transpose(2, 1, 0).copy())[0]
-    return np.log(_gram_schmidt(W @ Q)[1]).sum(0)
+    return _log_gram_dets(W @ _gram_schmidt(points.transpose(2, 1, 0).copy())[0])
 
 
 def _atom_pi(X, Sigma: np.ndarray) -> np.ndarray:
@@ -367,8 +382,7 @@ def busemann(X, Sigma) -> float:
 
 def distinguished_ray_direction(m: int, r: int) -> np.ndarray:
     """Velocity A = diag(lam_r 1_r, -beta_r 1_(m-r)) of the reference boundary ray."""
-    if not 0 < r < m:
-        raise DomainError(f"need 0 < r < m, got r={r}, m={m}")
+    _check_dims(m, r)
     lam_r = np.sqrt((m - r) / (m * r))
     beta_r = np.sqrt(r / (m * (m - r)))
     return np.diag(np.concatenate([np.full(r, lam_r), np.full(m - r, -beta_r)]))
@@ -384,14 +398,9 @@ def cocycle(h, r: int) -> float:
     reproduce density_ratio: cocycle(g h) / cocycle(h) equals the density
     ratio of <h^-1 X0> against g g^T normalized.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DomainError(f"group element must be square, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise DomainError("group element has non-finite entries")
+    h = _as_square(h, "group element")
     m = h.shape[0]
-    if not 0 < r < m:
-        raise DomainError(f"need 0 < r < m, got r={r}, m={m}")
+    _check_dims(m, r)
     sign, logdet = np.linalg.slogdet(h)
     if sign == 0 or abs(logdet) > 1e-8:
         raise DomainError(f"group element must have |det| = 1, got log|det| = {logdet:.3e}")
@@ -405,8 +414,7 @@ def modular_parabolic(lam1: float, m: int, r: int) -> float:
     Evaluated on the block-scaling element diag(lam1 1_r, lam2 1_(m-r)) with
     lam1^r lam2^(m-r) = 1.
     """
-    if lam1 == 0:
-        raise DomainError("block scaling factor must be nonzero")
-    if not 0 < r < m:
-        raise DomainError(f"need 0 < r < m, got r={r}, m={m}")
+    if not np.isfinite(lam1) or lam1 == 0:
+        raise DomainError(f"block scaling factor must be finite and nonzero, got {lam1!r}")
+    _check_dims(m, r)
     return float(abs(lam1) ** (m * r))

@@ -63,9 +63,12 @@ def sym(M: np.ndarray) -> np.ndarray:
 
 
 def _as_square(M, name: str) -> np.ndarray:
+    """M as a float array, or DomainError unless it is a finite square matrix."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"{name} must be a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise DomainError(f"{name} has non-finite entries")
     return M
 
 
@@ -78,8 +81,6 @@ def check_scatter(M, name: str = "scatter matrix") -> np.ndarray:
     """
     M = _as_square(M, name)
     m = M.shape[0]
-    if not np.isfinite(M).all():
-        raise DomainError(f"{name} has non-finite entries")
     if m < 2:
         raise DomainError(f"{name} must be at least 2x2")
     scale = max(1.0, float(np.abs(M).max()))
@@ -118,8 +119,6 @@ def check_tangent(Sigma: np.ndarray, V) -> np.ndarray:
     tangent vector at the declared base point.  Returns the symmetrized array.
     """
     V = _as_square(V, "tangent vector")
-    if not np.isfinite(V).all():
-        raise DomainError("tangent vector has non-finite entries")
     if V.shape != Sigma.shape:
         raise UsageError(
             f"tangent vector shape {V.shape} does not match base point shape {Sigma.shape}"

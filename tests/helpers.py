@@ -591,5 +591,5 @@ def ref_scan_report(meas: Empirical, tol: float = 1e-9, max_subset: int = 2, cap
                             for Z, mz in zip(zeros, meets))
         verdict = "limit" if complement_ok else "inconclusive"
     report = ExistenceReport(verdict, min_index, None if verdict == "unique" else cands[order],
-                             zeros, complement_ok, len(cands))
+                             zeros, len(cands))
     return report, truncated

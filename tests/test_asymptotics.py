@@ -336,6 +336,14 @@ def test_experiments_reject_worker_counts_below_one():
     assert one.distances.shape == (1, 2)
 
 
+@pytest.mark.parametrize("ref", [np.eye(3), np.full((4, 4), np.nan)], ids=["3x3", "nan"])
+def test_clt_rejects_a_reference_of_the_wrong_shape_or_non_finite(ref):
+    # a 3 x 3 reference for m = 2 ended in numpy's broadcasting ValueError, and an
+    # all-NaN one gave rel_frobenius nan
+    with pytest.raises(UsageError, match="ref must be a finite 4 x 4 array"):
+        clt_experiment(np.eye(2), 1, 20, 2, 1, ref=ref)
+
+
 EXPERIMENT_ARGS = {
     lln_experiment: {"sigma": np.eye(2), "r": 1, "ns": [20], "reps": 2, "seed": 1},
     clt_experiment: {"sigma": np.eye(2), "r": 1, "n": 20, "reps": 2, "seed": 1, "ref_mc_n": 50},

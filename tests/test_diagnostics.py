@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from grassmann_scatter import (
+    DomainError,
     EmptyFlagError,
     Empirical,
     UsageError,
@@ -223,6 +224,16 @@ def test_decompose_validation():
         decompose_velocity(S, np.array([[0.0, 1.0], [-1.0, 0.0]]))  # w S not symmetric
     with pytest.raises(UsageError):
         decompose_velocity(S, np.eye(2))  # nonzero trace
+
+
+def test_non_finite_velocity_raises_domain_error():
+    # a NaN velocity passed the hand-rolled symmetry and trace tests (NaN compares
+    # false): decompose_velocity returned an empty flag and asymptotic_slope 0.0
+    w = np.full((3, 3), np.nan)
+    with pytest.raises(DomainError, match="non-finite"):
+        decompose_velocity(np.eye(3), w)
+    with pytest.raises(DomainError, match="non-finite"):
+        asymptotic_slope(three_symmetric_lines(), np.eye(2), np.full((2, 2), np.nan))
 
 
 def test_decompose_reconstruction_identity():

@@ -29,6 +29,7 @@ from grassmann_scatter import (
     random_scatter,
     sample,
     sym_sqrt,
+    unique_sample_threshold,
 )
 from grassmann_scatter.grassmann import RANK_TOL, _meet_dims
 from helpers import line, random_special_linear, ref_dim_intersection
@@ -174,6 +175,21 @@ def test_act_hand_cases_and_errors():
         act(np.zeros((3, 3)), U)
     with pytest.raises(DomainError):
         act(np.eye(2), U)
+
+
+@pytest.mark.parametrize("A", [np.ones((4, 3)), np.eye(4), np.diag([1.0, 1.0, 0.0]),
+                               np.diag([1.0, np.nan, 1.0])],
+                         ids=["4x3", "4x4", "singular", "non-finite"])
+def test_act_measure_checks_the_map_as_act_does(A):
+    # act_measure took any array: a 4 x 3 map sent atoms of R^3 into R^4, and the
+    # singular diag(1, 1, 0) was accepted
+    rng = np.random.default_rng(8)
+    U = rng.standard_normal((3, 1))
+    for meas in (Empirical(rng.standard_normal((5, 3, 1))), Gaussian(np.eye(3), 1)):
+        with pytest.raises(DomainError):
+            act_measure(A, meas)
+    with pytest.raises(DomainError):
+        act(A, U)
 
 
 def test_act_measure_variants():
@@ -427,6 +443,25 @@ def test_modular_parabolic_values():
     assert modular_parabolic(2.0, 2, 1) == pytest.approx(4.0)
     assert modular_parabolic(2.0, 3, 2) == pytest.approx(64.0)
     assert modular_parabolic(-2.0, 2, 1) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unique_sample_threshold(3, 3),          # ZeroDivisionError
+    lambda: unique_sample_threshold(3, 0),          # ZeroDivisionError
+    lambda: unique_sample_threshold(3, 5),          # returned -0.9
+    lambda: Gaussian(np.eye(3), 1.5),               # accepted
+    lambda: Gaussian(np.eye(3), True),              # accepted
+    lambda: modular_parabolic(2.0, 3, 1.5),         # returned 22.6
+    lambda: modular_parabolic(np.nan, 3, 1),        # returned nan
+    lambda: modular_parabolic(np.inf, 3, 1),
+    lambda: distinguished_ray_direction(3, 1.5),    # a raw TypeError
+    lambda: cocycle(np.eye(3), 1.5),                # a raw TypeError
+], ids=["threshold-r=m", "threshold-r=0", "threshold-r>m", "Gaussian-r=1.5",
+        "Gaussian-r=True", "parabolic-r=1.5", "parabolic-nan", "parabolic-inf",
+        "ray-r=1.5", "cocycle-r=1.5"])
+def test_dimensions_and_scaling_factor_are_checked(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_cocycle_quotient_matches_density_ratio():

@@ -368,6 +368,20 @@ def test_cli_experiments_count_non_converged_replications(tmp_path):
     assert "WARN: 4 of 4 replications did not converge" in doc["warnings"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["lln", "--m", "5", "--r", "1", "--ns", "3,10", "--reps", "2"],
+    ["clt", "--m", "5", "--r", "1", "--n", "3", "--reps", "2", "--ref-mc", "50"],
+], ids=["lln", "clt"])
+def test_cli_experiment_with_deficient_span_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    # three lines cannot span R^5: the first replication's span check raises
+    # ExistenceError, which the README maps to exit 2, before any output is written
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "1", "--threads", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: atoms are contained in a proper subspace (dimension 3 of 5)")
+    assert not out.exists()
+
+
 def test_cli_gradcheck_default_seed_passes(tmp_path):
     out = tmp_path / "out"
     assert main(["gradcheck", "--m", "3", "--trials", "5", "--out", str(out)]) == 0

@@ -244,6 +244,13 @@ def test_check_tangent_rejects_non_finite_entries(bad):
         check_tangent(np.eye(3), V)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tangent_project_rejects_non_finite_entries(bad):
+    # a NaN matrix was projected to NaN
+    with pytest.raises(DomainError, match="non-finite"):
+        tangent_project(np.eye(3), np.full((3, 3), bad))
+
+
 def test_tangent_project_hand_values():
     assert np.allclose(tangent_project(np.eye(3), np.eye(3)), np.zeros((3, 3)), atol=1e-14)
     assert np.allclose(tangent_project(np.eye(2), np.diag([2.0, 0.0])), np.diag([1.0, -1.0]), atol=1e-14)

@@ -239,6 +239,43 @@ def test_block_lanes_equal_the_same_datasets_solved_alone(monkeypatch, budget, s
         assert statuses["max_iterations"] >= 2 and statuses["converged"] >= 2
 
 
+def _scan_no_ge_lines(n, rng):
+    """The scan workload's no_ge(3,1,n): n - 1 lines in a random plane of R^3, one generic."""
+    B, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    inplane = (B @ rng.standard_normal((2, n - 1))).T
+    return np.concatenate([inplane, rng.standard_normal((1, 3))])[:, :, None]
+
+
+def test_guard_breach_beside_a_newton_lane_equals_the_solo_solves(monkeypatch):
+    # lane A escapes and breaches the guard at iteration 24 while lane B, which cannot
+    # reach tol 1e-300, tries a Newton point: one iteration holds both a breach and a
+    # Newton merge, and each lane leaves the stack as it does alone
+    A = _scan_no_ge_lines(6, np.random.default_rng(21))
+    B = np.random.default_rng(3).standard_normal((6, 3, 1))
+    opts = SolverOptions(tol=1e-300, max_iter=30)
+    alone = [fixed_point_solve(Empirical(p), options=opts) for p in (A, B)]
+    assert [(a.status, a.iterations) for a in alone] == [("diverged_to_boundary", 24),
+                                                        ("max_iterations", 30)]
+    # A leaves with its last iterate that passed the guard: the one a budget of 23 ends on
+    last = fixed_point_solve(Empirical(A), options=SolverOptions(tol=1e-300, max_iter=23))
+    assert np.array_equal(alone[0].estimate, last.estimate)
+    masks = []
+    guarded = estimator._guarded
+
+    def recording(T):
+        out = guarded(T)
+        masks.append(out[1].tolist())
+        return out
+
+    monkeypatch.setattr(estimator, "_guarded", recording)
+    block = estimator._solve_stack(np.stack([A, B]), np.full((2, 6), 1.0 / 6), opts)
+    # the start, then one guard per iteration: A's plain update breaches beside B's
+    # plain update and Newton point
+    assert masks[24] == [False, True, True]
+    for a, b in zip(block, alone):
+        _same_result(a, b)
+
+
 def test_newton_points_always_pass_the_guard(monkeypatch):
     # the batched build returns a point only within a conditioning bound the guard
     # cannot reject
@@ -255,7 +292,7 @@ def test_newton_points_always_pass_the_guard(monkeypatch):
         meas = Empirical(np.random.default_rng(seed).standard_normal((5, 5, 2)))
         assert fixed_point_solve(meas).converged
     assert len(targets) >= 20                       # threshold+1 sets take Newton steps
-    assert all(estimator._guarded(t)[1] is None for t in targets)
+    assert all(estimator._guarded(t)[1].all() for t in targets)
 
 
 @pytest.mark.parametrize("margin, accepted", [(1.5, True), (0.5, False)])
@@ -272,7 +309,7 @@ def test_newton_point_declined_near_the_guard(margin, accepted):
                                                         _Chart(*(a[None] for a in c)))
     assert definite[0] and safe[0] == accepted and len(targets) == accepted
     if accepted:
-        assert estimator._guarded(targets[0])[1] is None
+        assert estimator._guarded(targets[0])[1].all()
 
 
 def test_polish_declines_a_numerically_singular_hessian():
