@@ -53,11 +53,11 @@ from .manifold import (
     _Chart,
     _chart,
     _distance,
+    _tangent_vec_projector,
     _whitened,
     check_scatter,
     manifold_dim,
     sym,
-    tangent_vec_projector,
     vec,
 )
 
@@ -83,8 +83,7 @@ def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
 def _moments(meas: Empirical, Sigma, op: str):
     """(score_covariance, projector_kron_mean) of a sample, projectors whitened by
     sym_sqrt(Sigma)."""
-    _check_empirical(meas, op)
-    c = _chart(check_scatter(Sigma))
+    c = _chart(_check_empirical(meas, op, Sigma))
     P = _outer(_frames(meas.points, c.Q @ c.W))
     n, m, r, w = meas.n, meas.m, meas.r, meas.weights
     D = P - (r / m) * np.eye(m)
@@ -114,7 +113,7 @@ def limiting_covariance(meas: Empirical, Sigma) -> np.ndarray:
     sigma2, S0 = _moments(meas, Sigma, "limiting_covariance")
     m, r = meas.m, meas.r
     L0 = (r / m) * np.eye(m * m) - S0
-    Q = tangent_vec_projector(m)
+    Q = _tangent_vec_projector(m)
     A = Q @ L0 @ Q
     A = 0.5 * (A + A.T)
     lam, U = np.linalg.eigh(A)
@@ -321,7 +320,7 @@ def clt_experiment(
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         draws = _gaussian_bases(np.linalg.cholesky(law.sigma), r, ref_mc_n, ref_rng)
         ref = limiting_covariance(Empirical(draws), law.sigma)
-    Q = tangent_vec_projector(m)
+    Q = _tangent_vec_projector(m)
     annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - Q), ord=2))
     rel_frob = float(np.linalg.norm(cov - ref) / np.linalg.norm(ref))
     Zc = Z - Z.mean(axis=0)

@@ -18,8 +18,7 @@ class UsageError(GrassmannScatterError):
     """The call is well-formed numerically but violates an API contract.
 
     Examples: a tangent vector that is not tangent at the declared base point,
-    a law passed where a sample is evaluated, a sample size below 1, non-uniform
-    weights passed to an operation defined only for uniform weights.
+    a law passed where a sample is evaluated, a sample size below 1.
     """
 
 

@@ -95,23 +95,23 @@ from .diagnostics import (
     _paired,
     existence_index,
 )
-from .errors import DomainError, EmptyFlagError, ExistenceError, UsageError
+from .errors import EmptyFlagError, ExistenceError, UsageError
 from .grassmann import (
     RANK_TOL,
     Empirical,
     _check_empirical,
+    _check_scatter_for,
     _columns,
     _log_gram_dets,
     _outer,
     orthonormalize,
 )
-from .likelihood import _defect, _hessian, _weighted_kernel_sum, grad_norm_sq
+from .likelihood import _defect, _hessian, _hessian_at, _weighted_kernel_sum, grad_norm_sq
 from .manifold import (
     COND_MAX,
     _Chart,
     _chart,
     _whitened_distance,
-    check_scatter,
     sym,
 )
 
@@ -390,10 +390,7 @@ def fixed_point_solve(
     _check_empirical(meas, "fixed_point_solve")
     opts = options or SolverOptions()
     _check_span(meas.points)
-    start = None if Sigma0 is None else check_scatter(Sigma0, name="Sigma0")
-    if start is not None and start.shape != (meas.m, meas.m):
-        raise DomainError(f"Sigma0 must be {meas.m} x {meas.m} for atoms in R^{meas.m}, "
-                          f"got {start.shape}")
+    start = None if Sigma0 is None else _check_scatter_for(meas.points, Sigma0, "Sigma0")
     return _solve_stack(meas.points[None], meas.weights[None], opts, start)[0]
 
 
@@ -460,18 +457,11 @@ def _route_report(meas: Empirical, claim: str, cands: list[Candidate],
                            zeros if verdict == "limit" else [], len(cands))
 
 
-def _hessian_at(meas: Empirical, sigma: np.ndarray):
-    """(chart of sigma, ``_hessian_eigh`` there) for a validated measure."""
-    c = _chart(sigma)
-    M, _, U = _weighted_kernel_sum(meas.points, meas.weights, c.F[None], c.W[None])
-    h, E = _hessian_eigh(U, meas.weights[None], M)
-    return c, (h[0], E[0])
-
-
 def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], tol: float):
     """(lambda_min, report) of a converged solve: "unique", "limit" or the open case (see
     diagnose)."""
-    c, (h, U) = _hessian_at(meas, result.estimate)
+    c, _, H = _hessian_at(meas.points, meas.weights, result.estimate)
+    h, U = np.linalg.eigh(H)
     lam = float(h[0])
     if lam >= UNIQUE_HESSIAN and 0.5 * np.sqrt(result.residual) <= NEWTON_STEP * lam:
         return lam, _route_report(meas, "unique", spans, [], tol)
@@ -482,7 +472,8 @@ def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], 
                                SolverOptions(max_iter=REFINE_ITER, tol=REFINE_TOL),
                                result.estimate)[0]
         if refined.residual < result.residual:
-            c, (_, U) = _hessian_at(meas, refined.estimate)
+            c, _, H = _hessian_at(meas.points, meas.weights, refined.estimate)
+            U = np.linalg.eigh(H)[1]
     V = sym(U[:, 0].reshape(meas.m, meas.m))
     flags = [Candidate(B, "eigen_flag") for v in (V, -V) for _, B in _flag(c, v).pairs]
     if lam <= NULL_HESSIAN and flags and _paired(meas, flags):

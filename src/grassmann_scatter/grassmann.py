@@ -30,16 +30,16 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .manifold import _as_square, _chart, check_scatter, normalize_det
+from .manifold import _as_square, _chart, _check_m, check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
 
 
 def _check_dims(m, r) -> None:
-    """DomainError unless the dimensions are integers (not bools) with 0 < r < m."""
-    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (m, r)) \
-            or not 0 < r < m:
+    """DomainError unless m passes ``_check_m`` and r is an integer (not a bool), 0 < r < m."""
+    _check_m(m)
+    if isinstance(r, bool) or not isinstance(r, Integral) or not 0 < r < m:
         raise DomainError(f"need 0 < r < m, got r={r}, m={m}")
 
 
@@ -50,9 +50,7 @@ def check_basis(X) -> np.ndarray:
         raise DomainError(f"basis must be a 2-d array, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise DomainError("basis has non-finite entries")
-    m, r = X.shape
-    if not 0 < r < m:
-        raise DomainError(f"basis must be m x r with 0 < r < m, got {m} x {r}")
+    _check_dims(*X.shape)
     if _rank_deficient(X):
         raise DomainError("basis is rank deficient")
     return X
@@ -107,8 +105,7 @@ class Empirical:
         if pts.ndim != 3:
             raise DomainError(f"atoms must form an (n, m, r) array, got shape {pts.shape}")
         n, m, r = pts.shape
-        if not 0 < r < m:
-            raise DomainError(f"atoms must be m x r with 0 < r < m, got {m} x {r}")
+        _check_dims(m, r)
         if not np.isfinite(pts).all():
             raise DomainError("atoms have non-finite entries")
         _check_ranks(pts)
@@ -139,10 +136,6 @@ class Empirical:
     def r(self) -> int:
         return self.points.shape[2]
 
-    @property
-    def is_uniform(self) -> bool:
-        return bool(np.abs(self.weights - 1.0 / self.n).max() <= 1e-12)
-
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -164,10 +157,21 @@ class Gaussian:
 Measure = Empirical | Gaussian
 
 
-def _check_empirical(meas: Measure, op: str) -> None:
-    """UsageError unless the measure is empirical: ``op`` evaluates samples, not laws."""
+def _check_scatter_for(points: np.ndarray, Sigma, name: str = "scatter matrix") -> np.ndarray:
+    """check_scatter(Sigma), or DomainError unless it is m x m for atoms (..., m, r) in R^m."""
+    S = check_scatter(Sigma, name)
+    m = points.shape[-2]
+    if len(S) != m:
+        raise DomainError(f"{name} must be {m} x {m} for atoms in R^{m}, got {S.shape}")
+    return S
+
+
+def _check_empirical(meas: Measure, op: str, Sigma=None):
+    """UsageError unless the measure is empirical: ``op`` evaluates samples, not laws.
+    Given a scatter Sigma, return it checked against the atoms by ``_check_scatter_for``."""
     if not isinstance(meas, Empirical):
         raise UsageError(f"{op} needs an empirical measure; sample the law first")
+    return None if Sigma is None else _check_scatter_for(meas.points, Sigma)
 
 
 def _gaussian_bases(chol: np.ndarray, r: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -275,11 +279,6 @@ def _outer(U: np.ndarray) -> np.ndarray:
     return np.einsum("k...in,k...jn->...nij", U, U)
 
 
-def _pi_matrices(points: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """pi_j = Sigma^-1 X_j G_j^-1 X_j^T Sigma^-1 = W^T Pi_j W for every atom."""
-    return _outer(W.T @ _frames(points, W))
-
-
 def _log_gram_dets(T: np.ndarray) -> np.ndarray:
     """log det(T_j^T T_j) for every atom of the (r, m, ...) layout T (overwritten): the sum
     of the log squared norms of its Gram-Schmidt."""
@@ -291,15 +290,18 @@ def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _log_gram_dets(W @ _gram_schmidt(points.transpose(2, 1, 0).copy())[0])
 
 
-def _atom_pi(X, Sigma: np.ndarray) -> np.ndarray:
-    """pi of one validated, orthonormalized basis X at an already validated Sigma."""
-    return _pi_matrices(orthonormalize(check_basis(X))[None], _chart(Sigma).W)[0]
+def _atom_pi(X, Sigma):
+    """(Sigma, pi) of one atom, both checked; pi = W^T Pi W, Pi from the orthonormalized X."""
+    X = check_basis(X)
+    Sigma = _check_scatter_for(X, Sigma)
+    W = _chart(Sigma).W
+    return Sigma, _outer(W.T @ _frames(orthonormalize(X)[None], W))[0]
 
 
 def _atom_logdet_ratio(X, Sigma) -> float:
-    """Validated single-atom log-det ratio, whitened in the eigen chart of Sigma."""
-    W = _chart(check_scatter(Sigma)).W
-    return float(_logdet_ratio(check_basis(X)[None], W)[0])
+    """Checked single-atom log-det ratio, whitened in the eigen chart of Sigma."""
+    X = check_basis(X)
+    return float(_logdet_ratio(X[None], _chart(_check_scatter_for(X, Sigma)).W)[0])
 
 
 def projector(X, Sigma) -> np.ndarray:
@@ -308,8 +310,8 @@ def projector(X, Sigma) -> np.ndarray:
     Idempotent, trace r, range span(X), self-adjoint for the Sigma^-1 inner
     product: Sigma P^T Sigma^-1 = P.  Basis-independent.
     """
-    Sigma = check_scatter(Sigma)
-    return Sigma @ _atom_pi(X, Sigma)
+    Sigma, pi = _atom_pi(X, Sigma)
+    return Sigma @ pi
 
 
 def pi_matrix(X, Sigma) -> np.ndarray:
@@ -317,7 +319,7 @@ def pi_matrix(X, Sigma) -> np.ndarray:
 
     Satisfies Sigma @ pi_matrix(X, Sigma) == projector(X, Sigma).
     """
-    return _atom_pi(X, check_scatter(Sigma))
+    return _atom_pi(X, Sigma)[1]
 
 
 def density_ratio(X, Sigma) -> float:

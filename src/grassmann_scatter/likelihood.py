@@ -6,14 +6,15 @@ log-likelihood contribution of U is
     loglik_point(U, Sigma) = 1/2 log( det(X^T Sigma^-1 X) / det(X^T X) ),
 
 and for a measure P the objective is the P-average.  Estimates of scatter are
-the minimizers.  First and second derivatives are available in closed form:
+the minimizers.  The gradient is available in closed form,
 
-    grad_point(U, Sigma)  = (r/2m) Sigma - 1/2 X (X^T Sigma^-1 X)^-1 X^T
-    covariant_deriv_grad  = 1/4 Z pi Sigma + 1/4 Sigma pi Z - 1/2 Sigma pi Z pi Sigma
+    grad_point(U, Sigma)  = (r/2m) Sigma - 1/2 X (X^T Sigma^-1 X)^-1 X^T,
 
-with pi = pi_matrix(U, Sigma), so the geodesic second derivative equals
-<covariant_deriv_grad(U, Sigma, Z), Z>_Sigma and is always nonnegative
-(geodesic convexity).
+and every second-order quantity comes from one formula, the whitened geodesic
+Hessian ``_hessian`` on vec(W Z W^T) (W = F^-1, F F^T = Sigma, Z tangent): the
+solver's Newton steps, the certificate of ``estimator.diagnose``, hess_quadform (its
+quadratic form, nonnegative by geodesic convexity), covariant_deriv_grad (one atom's
+H applied to Z) and grad_norm_sq_grad (twice H applied to the gradient) all read it.
 
 The same data can be packaged through the whitened mean projector
 
@@ -22,8 +23,7 @@ The same data can be packaged through the whitened mean projector
 (g = sym_sqrt(Gamma)): it is symmetric PSD with trace r, satisfies
 r^2/m <= tr(M^2) <= r^2, and Gamma solves the estimating equation exactly
 when M = (r/m) Id.  The squared gradient norm is then
-grad_norm_sq = 1/4 || M - (r/m) Id ||_F^2, whose own gradient (uniform
-weights) is grad_norm_sq_grad.
+grad_norm_sq = 1/4 || M - (r/m) Id ||_F^2, whose own gradient is grad_norm_sq_grad.
 
 The measure-averaged functions take an empirical measure and are exact weighted
 sums, batched over atoms; a Gaussian law is sampled first (UsageError otherwise).
@@ -41,18 +41,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
 from .grassmann import (
     Empirical,
     _atom_logdet_ratio,
-    _atom_pi,
     _check_empirical,
+    _check_scatter_for,
     _frames,
     _logdet_ratio,
-    _pi_matrices,
+    _outer,
     check_basis,
 )
-from .manifold import _chart, check_scatter, check_tangent, sym, tangent_vec_projector
+from .manifold import _Chart, _chart, _tangent_vec_projector, _whitened, check_tangent, sym
 
 
 def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
@@ -90,12 +89,25 @@ def _hessian(P: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     weights and M) give one Hessian per entry.
     """
     m = M.shape[-1]
-    Id, Q = np.eye(m), tangent_vec_projector(m)
+    Id, Q = np.eye(m), _tangent_vec_projector(m)
     # Id kron M + M kron Id, entry [(i, k), (j, l)] = Id_ij M_kl + M_ij Id_kl
     sums = Id[:, None, :, None] * M[..., None, :, None, :] \
         + M[..., :, None, :, None] * Id[:, None, :]
     H = 0.5 * (0.5 * sums.reshape(M.shape[:-2] + (m * m, m * m)) - _kron_mean(P, weights))
     return Q @ H @ Q + (np.eye(m * m) - Q)
+
+
+def _hessian_at(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray):
+    """(chart c of Sigma, M, H): the whitened mean projector and ``_hessian`` at Sigma, built
+    as a one-entry stack (the solver's layout), so ``diagnose`` reads the solver's H to the bit."""
+    c = _chart(Sigma)
+    M, _, U = _weighted_kernel_sum(points, weights, c.F[None], c.W[None])
+    return c, M[0], _hessian(_outer(U), weights[None], M)[0]
+
+
+def _hessian_apply(c: _Chart, H: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """F unvec(H vec(V)) F^T: H at c.sigma applied to the whitened tangent V = W Z W^T."""
+    return sym(c.F @ (H @ V.reshape(-1)).reshape(V.shape) @ c.F.T)
 
 
 def _defect(M: np.ndarray, r: int):
@@ -114,8 +126,7 @@ def loglik_point(X, Sigma) -> float:
 
 def loglik(meas: Empirical, Sigma) -> float:
     """Measure-averaged log-likelihood: the exact weighted sum over the atoms."""
-    _check_empirical(meas, "loglik")
-    W = _chart(check_scatter(Sigma)).W
+    W = _chart(_check_empirical(meas, "loglik", Sigma)).W
     return float(meas.weights @ (0.5 * _logdet_ratio(meas.points, W)))
 
 
@@ -132,44 +143,40 @@ def grad_point(X, Sigma) -> np.ndarray:
     A tangent vector at Sigma; its inner product against any tangent W
     equals the derivative of loglik_point along the geodesic with velocity W.
     """
-    return _grad(check_basis(X)[None], np.ones(1), check_scatter(Sigma))
+    X = check_basis(X)
+    return _grad(X[None], np.ones(1), _check_scatter_for(X, Sigma))
 
 
 def grad(meas: Empirical, Sigma) -> np.ndarray:
     """Measure-averaged gradient; vanishes exactly at an estimate of scatter."""
-    _check_empirical(meas, "grad")
-    return _grad(meas.points, meas.weights, check_scatter(Sigma))
+    Sigma = _check_empirical(meas, "grad", Sigma)
+    return _grad(meas.points, meas.weights, Sigma)
 
 
 def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
     """Covariant derivative of the gradient field of one atom along Z.
 
-    Equals 1/4 Z pi Sigma + 1/4 Sigma pi Z - 1/2 Sigma pi Z pi Sigma with
-    pi = pi_matrix(X, Sigma); the result is again tangent at Sigma.
+    The one-atom Hessian ``_hessian`` applied to Z: 1/4 Z pi Sigma + 1/4 Sigma pi Z
+    - 1/2 Sigma pi Z pi Sigma with pi = pi_matrix(X, Sigma), again tangent at Sigma.
     """
-    Sigma = check_scatter(Sigma)
+    X = check_basis(X)
+    Sigma = _check_scatter_for(X, Sigma)
     Z = check_tangent(Sigma, Z)
-    pi = _atom_pi(X, Sigma)
-    ZpS = Z @ pi @ Sigma
-    return sym(0.25 * (ZpS + ZpS.T) - 0.5 * (Sigma @ pi @ Z @ pi @ Sigma))
+    c, _, H = _hessian_at(X[None], np.ones(1), Sigma)
+    return _hessian_apply(c, H, _whitened(c, Z))
 
 
 def hess_quadform(meas: Empirical, Sigma, Z) -> float:
     """Geodesic second derivative <cov. deriv. of grad along Z, Z>_Sigma.
 
-    Per atom this is 1/2 tr((Sigma^-1 - pi) Z pi Z) >= 0; the measure
-    average is the Hessian quadratic form driving geodesic convexity.
+    vec(V)^T H vec(V) (``_hessian``, V = W Z W^T); per atom 1/2 tr((Sigma^-1 - pi) Z pi Z) >= 0,
+    and the measure average is the quadratic form driving geodesic convexity.
     """
-    _check_empirical(meas, "hess_quadform")
-    Sigma = check_scatter(Sigma)
+    Sigma = _check_empirical(meas, "hess_quadform", Sigma)
     Z = check_tangent(Sigma, Z)
-    W = _chart(Sigma).W
-    pi = _pi_matrices(meas.points, W)
-    A = W.T @ (W @ Z)                                           # Sigma^-1 Z
-    B = np.einsum("nij,jk->nik", pi, Z)                         # pi_j Z
-    t1 = np.einsum("ij,nji->n", A, B)                           # tr(Sigma^-1 Z pi Z)
-    t2 = np.einsum("nij,nji->n", B, B)                          # tr(pi Z pi Z)
-    return float(0.5 * meas.weights @ (t1 - t2))
+    c, _, H = _hessian_at(meas.points, meas.weights, Sigma)
+    z = _whitened(c, Z).reshape(-1)
+    return float(z @ H @ z)
 
 
 def mean_projector(meas: Empirical, Gamma) -> np.ndarray:
@@ -179,8 +186,7 @@ def mean_projector(meas: Empirical, Gamma) -> np.ndarray:
     the lower bound attained iff M = (r/m) Id, i.e. iff Gamma solves the
     estimating equation.
     """
-    _check_empirical(meas, "mean_projector")
-    c = _chart(check_scatter(Gamma))
+    c = _chart(_check_empirical(meas, "mean_projector", Gamma))
     return _weighted_kernel_sum(meas.points, meas.weights, sym(c.F @ c.Q.T), c.Q @ c.W)[0]
 
 
@@ -189,33 +195,18 @@ def grad_norm_sq(meas: Empirical, Gamma) -> float:
 
     Nonnegative; zero exactly at critical points of the objective.
     """
-    _check_empirical(meas, "grad_norm_sq")
-    c = _chart(check_scatter(Gamma))
+    c = _chart(_check_empirical(meas, "grad_norm_sq", Gamma))
     return 0.25 * float(_defect(_weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0],
                                 meas.r))
 
 
 def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
-    """Gradient of grad_norm_sq for a uniform-weight empirical measure.
-
-    With pi_j = pi_matrix(U_j, Gamma) and S = sum_j pi_j:
-
-        1/(2 n^2) Gamma (sum_j pi_j Gamma S Gamma pi_j) Gamma
-      - 1/(2 n^2) Gamma S Gamma S Gamma
+    """Gradient of grad_norm_sq: twice the Hessian ``_hessian`` applied to the gradient,
+    whose whitened form is -1/2 (M - (r/m) Id).
 
     Tangent at Gamma; vanishes at critical points; matches central finite
-    differences of grad_norm_sq along geodesics.  Non-uniform weights raise
-    UsageError (the closed form assumes weights 1/n).
+    differences of grad_norm_sq along geodesics, for any weights.
     """
-    _check_empirical(meas, "grad_norm_sq_grad")
-    if not meas.is_uniform:
-        raise UsageError("grad_norm_sq_grad requires uniform weights")
-    Gamma = check_scatter(Gamma)
-    n = meas.n
-    pi = _pi_matrices(meas.points, _chart(Gamma).W)
-    S = pi.sum(axis=0)
-    inner_mat = Gamma @ S @ Gamma
-    K = np.einsum("nij,jk,nkl->il", pi, inner_mat, pi)
-    term1 = Gamma @ K @ Gamma
-    term2 = Gamma @ S @ inner_mat                               # = Gamma S Gamma S Gamma
-    return sym((term1 - term2) / (2.0 * n * n))
+    Gamma = _check_empirical(meas, "grad_norm_sq_grad", Gamma)
+    c, M, H = _hessian_at(meas.points, meas.weights, Gamma)
+    return -_hessian_apply(c, H, M - (meas.r / meas.m) * np.eye(meas.m))

@@ -39,6 +39,7 @@ sampler's Cholesky factor is the only other factor in the package.
 from __future__ import annotations
 
 import math
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +53,15 @@ TANGENT_TOL = 1e-10      # |tr(Sigma^-1 V)| for tangency
 COND_MAX = 1e14          # eigenvalue-ratio guard for meaningful inverses
 
 
+def _check_m(m) -> None:
+    """DomainError unless the dimension m is an integer (not a bool) with m >= 2."""
+    if isinstance(m, bool) or not isinstance(m, Integral) or m < 2:
+        raise DomainError(f"dimension must be an integer >= 2, got {m!r}")
+
+
 def manifold_dim(m: int) -> int:
     """Dimension (m-1)(m+2)/2 of the unimodular SPD manifold."""
+    _check_m(m)
     return (m - 1) * (m + 2) // 2
 
 
@@ -207,7 +215,10 @@ def geodesic(Sigma, W, t: float) -> np.ndarray:
 
     Returns g expm(t V) g with g = sym_sqrt(Sigma) and V = g^-1 W g^-1 (computed
     in the eigen chart); renormalized to determinant one against rounding drift.
+    DomainError unless t is a finite real number.
     """
+    if isinstance(t, bool) or not isinstance(t, Real) or not math.isfinite(t):
+        raise DomainError(f"t must be a finite real number, got {t!r}")
     Sigma = check_scatter(Sigma)
     return normalize_det(_geodesic(_chart(Sigma), check_tangent(Sigma, W), t))
 
@@ -270,6 +281,7 @@ def unvec(x: np.ndarray) -> np.ndarray:
 
 def commutation_matrix(m: int) -> np.ndarray:
     """K with K vec(A) = vec(A^T) for m x m matrices."""
+    _check_m(m)
     return np.eye(m * m)[np.arange(m * m).reshape(m, m).T.ravel()]   # row i + j m picks j + i m
 
 
@@ -278,8 +290,13 @@ def tangent_vec_projector(m: int) -> np.ndarray:
 
     Q = 1/2 (Id + K) - vec(Id) vec(Id)^T / m;  tr(Q) = (m-1)(m+2)/2.
     """
-    v = vec(np.eye(m))
-    return 0.5 * (np.eye(m * m) + commutation_matrix(m)) - np.outer(v, v) / m
+    _check_m(m)
+    return _tangent_vec_projector(m)
+
+
+def _tangent_vec_projector(m: int) -> np.ndarray:
+    v = vec(np.eye(m))     # 1/2 (Id + K) has columns vec(sym(E_k)), E_k the unit matrices
+    return sym(np.eye(m * m).reshape(-1, m, m)).reshape(m * m, -1) - np.outer(v, v) / m
 
 
 def _random_direction(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -310,6 +327,5 @@ def random_scatter(m: int, rng: np.random.Generator, spread: float = 1.0) -> np.
     ``spread`` scales V and thus the log-eigenvalue range of the result;
     keep it moderate so the conditioning guard stays comfortable.
     """
-    if m < 2:
-        raise DomainError("dimension must be at least 2")
+    _check_m(m)
     return _eig_apply(spread * _random_direction(m, rng), np.exp)

@@ -85,8 +85,7 @@ def test_cocycle_rejects_non_finite_group_element(bad):
 def test_empirical_constructor():
     meas = Empirical([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert (meas.n, meas.m, meas.r) == (2, 2, 1)
-    assert meas.is_uniform
-    assert np.allclose(meas.weights, [0.5, 0.5])
+    assert np.array_equal(meas.weights, np.full(meas.n, 1.0 / meas.n))
     with pytest.raises(DomainError):
         Empirical(np.zeros((2, 2, 1)))  # rank-deficient atoms
     pts = np.stack([np.eye(2)[:, :1]] * 2)

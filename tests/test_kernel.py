@@ -7,7 +7,7 @@ import pytest
 
 import grassmann_scatter
 from grassmann_scatter import Empirical, SolverOptions, fixed_point_solve, random_scatter, sym_sqrt
-from grassmann_scatter.grassmann import _frames, _logdet_ratio, _outer, _pi_matrices
+from grassmann_scatter.grassmann import _frames, _logdet_ratio, _outer
 from grassmann_scatter.likelihood import _defect, _weighted_kernel_sum
 from grassmann_scatter.manifold import _chart
 from helpers import (
@@ -64,7 +64,8 @@ def test_kernel_matches_reference_loop(m, r, uniform, cond):
         U = _frames(points, L_inv)
         assert max_mixed_err(_logdet_ratio(points, L_inv),
                              ref_logdet_ratios(points, Sigma)) <= tol
-        assert max_mixed_err(_pi_matrices(points, L_inv), ref_pi_matrices(points, Sigma)) <= tol
+        # pi_j = W^T Pi_j W, as ``grassmann._atom_pi`` builds it
+        assert max_mixed_err(_outer(L_inv.T @ U), ref_pi_matrices(points, Sigma)) <= tol
         assert max_mixed_err(_outer(U), ref_whitened_projectors(points, L)) <= tol
         assert max_mixed_err(_outer(_frames(points, g_inv)),
                              ref_whitened_projectors(points, g)) <= tol

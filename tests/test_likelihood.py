@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from grassmann_scatter import (
+    DomainError,
     Empirical,
     Gaussian,
     UsageError,
     act_measure,
+    busemann,
     covariant_deriv_grad,
     density_ratio,
+    fixed_point_solve,
     geodesic,
     grad,
     grad_norm_sq,
@@ -22,6 +25,8 @@ from grassmann_scatter import (
     loglik_point,
     mean_projector,
     normalize_det,
+    pi_matrix,
+    projector,
     projector_kron_mean,
     random_scatter,
     residual,
@@ -86,7 +91,8 @@ def test_measure_functions_take_samples_not_laws():
     Z = np.diag([1.0, -1.0, 0.0])
     for call in (lambda: loglik(law, np.eye(3)), lambda: grad(law, np.eye(3)),
                  lambda: hess_quadform(law, np.eye(3), Z), lambda: mean_projector(law, np.eye(3)),
-                 lambda: grad_norm_sq(law, np.eye(3)), lambda: residual(law, np.eye(3)),
+                 lambda: grad_norm_sq(law, np.eye(3)), lambda: grad_norm_sq_grad(law, np.eye(3)),
+                 lambda: residual(law, np.eye(3)),
                  lambda: score_covariance(law, np.eye(3)),
                  lambda: projector_kron_mean(law, np.eye(3)),
                  lambda: limiting_covariance(law, np.eye(3))):
@@ -322,11 +328,12 @@ def test_grad_norm_sq_is_gradient_norm():
 
 
 def test_grad_norm_sq_grad_properties():
+    # any weights: half of the measures are weighted
     rng = np.random.default_rng(44)
-    for _ in range(10):
+    for trial in range(10):
         m = int(rng.integers(2, 5))
         r = int(rng.integers(1, m))
-        meas = random_measure(rng, m, r, n=3 + int(rng.integers(0, 5)))
+        meas = random_measure(rng, m, r, n=3 + int(rng.integers(0, 5)), uniform=trial % 2 == 0)
         G = random_scatter(m, rng, spread=0.6)
         D = grad_norm_sq_grad(meas, G)
         assert np.allclose(D, D.T, atol=1e-10)
@@ -343,15 +350,6 @@ def test_grad_norm_sq_grad_vanishes_at_critical_point():
     assert np.linalg.norm(D) <= 1e-8
 
 
-def test_grad_norm_sq_grad_rejects_weights():
-    pts = np.stack([np.eye(2)[:, :1], np.eye(2)[:, 1:]])
-    weighted = Empirical(pts, np.array([0.7, 0.3]))
-    with pytest.raises(UsageError):
-        grad_norm_sq_grad(weighted, np.eye(2))
-    with pytest.raises(UsageError):
-        grad_norm_sq_grad(Gaussian(np.eye(2), 1), np.eye(2))
-
-
 def test_critical_point_transported_by_congruence():
     rng = np.random.default_rng(45)
     axes_3d = Empirical(np.stack([np.eye(3)[:, [j]] for j in range(3)]))
@@ -362,9 +360,10 @@ def test_critical_point_transported_by_congruence():
         assert np.linalg.norm(grad(moved, target)) <= 1e-10
 
 
-def test_newton_hessian_quadratic_form_is_hess_quadform():
-    # the vec-form Hessian of the Newton steps, built from the whitened
-    # projectors in the eigen chart of Sigma, against the per-atom closed form
+def test_hessian_quadratic_form_matches_explicit_inverse():
+    # the vec-form Hessian of the Newton steps (and of hess_quadform), built from the
+    # whitened projectors in the eigen chart of Sigma, against the per-atom formula
+    # 1/2 sum_j w_j tr((Sigma^-1 - pi_j) Z pi_j Z) with explicit inverses
     rng = np.random.default_rng(90)
     for m, r, n, uniform in [(3, 1, 6, True), (4, 2, 7, False), (5, 2, 5, True), (3, 2, 25, False)]:
         meas = random_measure(rng, m, r, n, uniform=uniform)
@@ -374,10 +373,46 @@ def test_newton_hessian_quadratic_form_is_hess_quadform():
         M, _, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
         H = _hessian(P, meas.weights, M)
         assert np.abs(H - H.T).max() <= 1e-14
+        Sinv = np.linalg.inv(Sigma)
+        pis = [Sinv @ X @ np.linalg.solve(X.T @ Sinv @ X, X.T) @ Sinv for X in meas.points]
         for _ in range(5):
             V = rng.standard_normal((m, m))
             V = 0.5 * (V + V.T)
             V -= (np.trace(V) / m) * np.eye(m)
-            want = hess_quadform(meas, Sigma, c.F @ V @ c.F.T)
+            Z = c.F @ V @ c.F.T
+            want = 0.5 * sum(w * np.trace((Sinv - pi) @ Z @ pi @ Z)
+                             for w, pi in zip(meas.weights, pis))
             got = V.reshape(-1) @ H @ V.reshape(-1)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+
+# every function of data and a scatter, with data in R^3 and a scatter of another size
+WRONG_SIZE = {
+    "loglik": lambda meas, X, S, Z: loglik(meas, S),
+    "grad": lambda meas, X, S, Z: grad(meas, S),
+    "hess_quadform": lambda meas, X, S, Z: hess_quadform(meas, S, Z),
+    "mean_projector": lambda meas, X, S, Z: mean_projector(meas, S),
+    "grad_norm_sq": lambda meas, X, S, Z: grad_norm_sq(meas, S),
+    "grad_norm_sq_grad": lambda meas, X, S, Z: grad_norm_sq_grad(meas, S),
+    "residual": lambda meas, X, S, Z: residual(meas, S),
+    "score_covariance": lambda meas, X, S, Z: score_covariance(meas, S),
+    "projector_kron_mean": lambda meas, X, S, Z: projector_kron_mean(meas, S),
+    "limiting_covariance": lambda meas, X, S, Z: limiting_covariance(meas, S),
+    "fixed_point_solve": lambda meas, X, S, Z: fixed_point_solve(meas, S),
+    "projector": lambda meas, X, S, Z: projector(X, S),
+    "pi_matrix": lambda meas, X, S, Z: pi_matrix(X, S),
+    "density_ratio": lambda meas, X, S, Z: density_ratio(X, S),
+    "busemann": lambda meas, X, S, Z: busemann(X, S),
+    "loglik_point": lambda meas, X, S, Z: loglik_point(X, S),
+    "grad_point": lambda meas, X, S, Z: grad_point(X, S),
+    "covariant_deriv_grad": lambda meas, X, S, Z: covariant_deriv_grad(X, S, Z),
+}
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("name", list(WRONG_SIZE))
+def test_scatter_of_wrong_size_raises_domain_error(name, k):
+    meas = random_measure(np.random.default_rng(91), 3, 1, 8)
+    Z = np.diag([1.0, -1.0] + [0.0] * (k - 2))
+    with pytest.raises(DomainError, match="must be 3 x 3 for atoms in R\\^3"):
+        WRONG_SIZE[name](meas, meas.points[0], np.eye(k), Z)

@@ -9,6 +9,7 @@ from grassmann_scatter import (
     UsageError,
     check_scatter,
     check_tangent,
+    commutation_matrix,
     distance,
     geodesic,
     inner,
@@ -20,6 +21,7 @@ from grassmann_scatter import (
     random_unit_tangent,
     sym_sqrt,
     tangent_project,
+    tangent_vec_projector,
 )
 from helpers import (
     max_mixed_err,
@@ -36,6 +38,16 @@ EPS = np.finfo(float).eps
 
 def test_manifold_dim():
     assert [manifold_dim(m) for m in range(2, 7)] == [2, 5, 9, 14, 20]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: manifold_dim(1.5), lambda: manifold_dim(1), lambda: manifold_dim(True),
+    lambda: tangent_vec_projector(2.5), lambda: random_scatter(2.5, np.random.default_rng(0)),
+    lambda: commutation_matrix(-1), lambda: commutation_matrix(0),
+], ids=["dim-float", "dim-1", "dim-bool", "projector-float", "random-float", "K-negative", "K-0"])
+def test_dimension_alone_must_be_an_integer_at_least_two(call):
+    with pytest.raises(DomainError, match="dimension must be an integer >= 2"):
+        call()
 
 
 def test_sym_sqrt_identity():
@@ -123,6 +135,12 @@ def test_norm_is_sqrt_inner():
     S = random_scatter(3, rng)
     W = random_tangent(rng, S)
     assert norm(S, W) == pytest.approx(np.sqrt(inner(S, W, W)), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, True, "1", None])
+def test_geodesic_rejects_a_time_that_is_not_a_finite_real(t):
+    with pytest.raises(DomainError, match="t must be a finite real number"):
+        geodesic(np.eye(3), np.diag([1.0, -1.0, 0.0]), t)
 
 
 def test_geodesic_zero_velocity():
