@@ -29,9 +29,10 @@ counter-based child streams SeedSequence(entropy=seed, spawn_key=(grid, rep)).
 They are solved in blocks: a block is a range of reps within one grid entry
 (same n), at most STACK_FLOATS floats of atoms and at most ceil(reps/threads) reps, so
 every worker gets a share.  A block is drawn rep by rep from those streams,
-validated by one batched svd for the atom ranks and one for the spans, and
-solved as one stack by the estimator's fixed-point loop, in which a lane's
-result does not depend on the other lanes.  Results are therefore
+validated by the Gram screens of the atom ranks and of the spans (one batched
+det each, and an svd only of what a screen cannot certify), and solved as one
+stack by the estimator's fixed-point loop, in which a lane's result does not
+depend on the other lanes.  Results are therefore
 bit-identical for any worker count and any block size.
 """
 
@@ -52,6 +53,7 @@ from .likelihood import _kron_mean
 from .manifold import (
     _Chart,
     _chart,
+    _check_scatter_for,
     _distance,
     _tangent_vec_projector,
     _whitened,
@@ -77,7 +79,8 @@ def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
     equals Id exactly when Sigma_hat = Sigma.
     """
     Sigma_hat = check_scatter(Sigma_hat, name="Sigma_hat")
-    return _whiten_normalize(Sigma_hat, _chart(check_scatter(Sigma)))
+    Sigma = _check_scatter_for(len(Sigma_hat), Sigma, paired="Sigma_hat")
+    return _whiten_normalize(Sigma_hat, _chart(Sigma))
 
 
 def _moments(meas: Empirical, Sigma, op: str):

@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import DomainError, EmptyFlagError, UsageError
 from .grassmann import Empirical, _check_dims, _check_empirical, dim_intersection, orthonormalize
-from .manifold import _Chart, _chart, _distance, _whitened, check_scatter, check_tangent, sym
+from .manifold import (_Chart, _chart, _check_scatter_for, _distance, _whitened, check_scatter,
+                       check_tangent, sym)
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
@@ -219,7 +220,9 @@ def boundary_flag(iterates) -> VelocityFlag:
     is at most half the mean step, the distance from the first iterate to the
     last over the number of steps (converged runs have no escape direction).
     """
-    iterates = [check_scatter(S, name="iterate") for S in iterates]
+    given = list(iterates)
+    iterates = [check_scatter(S, name="iterate") for S in given[:1]]
+    iterates += [_check_scatter_for(len(iterates[0]), S, "iterate", "iterates") for S in given[1:]]
     if len(iterates) < 2:
         raise EmptyFlagError("need at least two iterates to extract an escape direction")
     mean_step = _distance(iterates[0], iterates[-1]) / (len(iterates) - 1)

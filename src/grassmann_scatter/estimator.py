@@ -44,7 +44,10 @@ library's one existence verdict.
 The solver evaluates the data through one core, ``likelihood._weighted_kernel_sum``
 (built on the whitened-frame core of ``grassmann``).  Inputs are validated once
 on entry; the iterations run on unchecked cores, and the only conditioning
-decision is the solver's own COND_MAX guard on each iterate.
+decision is the solver's own COND_MAX guard on each iterate.  The span check on
+entry certifies that the atoms span R^m by one batched det of the m x m Gram of
+their columns (``grassmann._gram_certified``); an svd of the columns decides, and
+builds the witness of a deficient span, only where that screen cannot certify.
 
 One loop on a stack.  The fixed-point loop, ``_solve_stack``, runs B same-shape
 datasets (B, n, m, r) at once; ``fixed_point_solve`` is its one-lane call, and
@@ -100,8 +103,8 @@ from .grassmann import (
     RANK_TOL,
     Empirical,
     _check_empirical,
-    _check_scatter_for,
     _columns,
+    _gram_certified,
     _log_gram_dets,
     _outer,
     orthonormalize,
@@ -111,6 +114,7 @@ from .manifold import (
     COND_MAX,
     _Chart,
     _chart,
+    _check_scatter_for,
     _whitened_distance,
     sym,
 )
@@ -186,17 +190,22 @@ def residual(meas: Empirical, Sigma) -> float:
 def _check_span(points: np.ndarray) -> None:
     """Raise ExistenceError, with a basis of the joint span, if the atoms miss a direction.
 
-    A stack (B, n, m, r) of datasets is checked by one batched svd; the first
-    deficient dataset raises.
+    The m x nr columns of each dataset of a stack (B, n, m, r) pass the Gram screen
+    ``_gram_certified`` (one batched det); only the datasets it cannot certify go to the
+    svd of their columns, and the first deficient one raises.
     """
-    U, s, _ = np.linalg.svd(_columns(points), full_matrices=False)
-    ranks = np.sum(s > RANK_TOL * s[..., :1], axis=-1).reshape(-1)
     m = points.shape[-2]
+    A = _columns(points).reshape(-1, m, points.shape[-3] * points.shape[-1])
+    uncertified = ~_gram_certified(A)
+    if not uncertified.any():
+        return
+    U, s, _ = np.linalg.svd(A[uncertified], full_matrices=False)
+    ranks = np.sum(s > RANK_TOL * s[..., :1], axis=-1)
     for b in np.flatnonzero(ranks < m)[:1]:
         raise ExistenceError(
             "atoms are contained in a proper subspace (dimension "
             f"{ranks[b]} of {m}); no estimate of scatter exists",
-            witness=U.reshape((-1,) + U.shape[-2:])[b][:, :ranks[b]],
+            witness=U[b][:, :ranks[b]],
         )
 
 
@@ -390,7 +399,7 @@ def fixed_point_solve(
     _check_empirical(meas, "fixed_point_solve")
     opts = options or SolverOptions()
     _check_span(meas.points)
-    start = None if Sigma0 is None else _check_scatter_for(meas.points, Sigma0, "Sigma0")
+    start = None if Sigma0 is None else _check_scatter_for(meas.m, Sigma0, "Sigma0")
     return _solve_stack(meas.points[None], meas.weights[None], opts, start)[0]
 
 

@@ -30,7 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .manifold import _as_square, _chart, _check_m, check_scatter, normalize_det
+from .manifold import _as_square, _chart, _check_m, _check_scatter_for, check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
@@ -62,16 +62,42 @@ def orthonormalize(X: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _gram_certified(A: np.ndarray) -> np.ndarray:
+    """Whether the Gram screen certifies that each k x p matrix (2 <= k <= p) of a stack
+    (..., k, p) has full rank k: with C = A A^T, rho = det(C) (k-1)^(k-1) / tr(C)^k is at
+    least RANK_TOL.  One batched Gram product and one batched det.
+
+    rho is a lower bound on (sigma_min / sigma_max)^2 of A: the k-1 largest eigenvalues of
+    C have product at most (tr/(k-1))^(k-1) (AM-GM), and lambda_max <= tr.  So a certified
+    A has sigma_min / sigma_max >= 1e-5, far above the RANK_TOL cutoff of the svd.  rho is
+    evaluated as det((k-1) C / tr) >= (k-1) RANK_TOL, whose entries are at most k-1 in
+    size.  The bound needs C accurate to about p eps tr, so only a trace of at least the
+    smallest normal float is certified: there every rounding of C, underflow to a
+    subnormal included, errs by at most eps tr / 2.  A subnormal, zero (0/0 = nan) or
+    overflowed Gram is never certified, whatever the rank.
+    """
+    k = A.shape[-2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        C = A @ A.swapaxes(-1, -2)
+        tr = C.trace(axis1=-2, axis2=-1)
+        rho = np.linalg.det(C / tr[..., None, None] * (k - 1))
+        return (tr >= np.finfo(C.dtype).tiny) & (rho >= (k - 1) * RANK_TOL)
+
+
 def _rank_deficient(X: np.ndarray) -> np.ndarray:
     """Whether each m x d basis (d <= m) of a stack (..., m, d) has rank below d: its
-    smallest singular value is at most RANK_TOL times its largest, by one batched svd.
+    smallest singular value is at most RANK_TOL times its largest.
 
-    Lines skip the svd: one column has rank one iff it is nonzero.
+    Lines are nonzero tests.  Wider bases pass the Gram screen ``_gram_certified``; only
+    those it cannot certify go to the svd, which decides them.
     """
     if X.shape[-1] == 1:
         return ~X.any(axis=(-2, -1))
-    sv = np.linalg.svd(X, compute_uv=False)
-    return sv[..., -1] <= RANK_TOL * sv[..., 0]
+    bad = np.asarray(~_gram_certified(X.swapaxes(-1, -2)))
+    if bad.any():
+        sv = np.linalg.svd(X[bad], compute_uv=False)
+        bad[bad] = sv[:, -1] <= RANK_TOL * sv[:, 0]
+    return bad
 
 
 def _check_ranks(points: np.ndarray) -> None:
@@ -157,21 +183,12 @@ class Gaussian:
 Measure = Empirical | Gaussian
 
 
-def _check_scatter_for(points: np.ndarray, Sigma, name: str = "scatter matrix") -> np.ndarray:
-    """check_scatter(Sigma), or DomainError unless it is m x m for atoms (..., m, r) in R^m."""
-    S = check_scatter(Sigma, name)
-    m = points.shape[-2]
-    if len(S) != m:
-        raise DomainError(f"{name} must be {m} x {m} for atoms in R^{m}, got {S.shape}")
-    return S
-
-
 def _check_empirical(meas: Measure, op: str, Sigma=None):
     """UsageError unless the measure is empirical: ``op`` evaluates samples, not laws.
     Given a scatter Sigma, return it checked against the atoms by ``_check_scatter_for``."""
     if not isinstance(meas, Empirical):
         raise UsageError(f"{op} needs an empirical measure; sample the law first")
-    return None if Sigma is None else _check_scatter_for(meas.points, Sigma)
+    return None if Sigma is None else _check_scatter_for(meas.m, Sigma)
 
 
 def _gaussian_bases(chol: np.ndarray, r: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -293,7 +310,7 @@ def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _atom_pi(X, Sigma):
     """(Sigma, pi) of one atom, both checked; pi = W^T Pi W, Pi from the orthonormalized X."""
     X = check_basis(X)
-    Sigma = _check_scatter_for(X, Sigma)
+    Sigma = _check_scatter_for(len(X), Sigma)
     W = _chart(Sigma).W
     return Sigma, _outer(W.T @ _frames(orthonormalize(X)[None], W))[0]
 
@@ -301,7 +318,7 @@ def _atom_pi(X, Sigma):
 def _atom_logdet_ratio(X, Sigma) -> float:
     """Checked single-atom log-det ratio, whitened in the eigen chart of Sigma."""
     X = check_basis(X)
-    return float(_logdet_ratio(X[None], _chart(_check_scatter_for(X, Sigma)).W)[0])
+    return float(_logdet_ratio(X[None], _chart(_check_scatter_for(len(X), Sigma)).W)[0])
 
 
 def projector(X, Sigma) -> np.ndarray:

@@ -45,13 +45,13 @@ from .grassmann import (
     Empirical,
     _atom_logdet_ratio,
     _check_empirical,
-    _check_scatter_for,
     _frames,
     _logdet_ratio,
     _outer,
     check_basis,
 )
-from .manifold import _Chart, _chart, _tangent_vec_projector, _whitened, check_tangent, sym
+from .manifold import (_Chart, _chart, _check_scatter_for, _tangent_vec_projector, _whitened,
+                       check_tangent, sym)
 
 
 def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
@@ -144,7 +144,7 @@ def grad_point(X, Sigma) -> np.ndarray:
     equals the derivative of loglik_point along the geodesic with velocity W.
     """
     X = check_basis(X)
-    return _grad(X[None], np.ones(1), _check_scatter_for(X, Sigma))
+    return _grad(X[None], np.ones(1), _check_scatter_for(len(X), Sigma))
 
 
 def grad(meas: Empirical, Sigma) -> np.ndarray:
@@ -160,7 +160,7 @@ def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
     - 1/2 Sigma pi Z pi Sigma with pi = pi_matrix(X, Sigma), again tangent at Sigma.
     """
     X = check_basis(X)
-    Sigma = _check_scatter_for(X, Sigma)
+    Sigma = _check_scatter_for(len(X), Sigma)
     Z = check_tangent(Sigma, Z)
     c, _, H = _hessian_at(X[None], np.ones(1), Sigma)
     return _hessian_apply(c, H, _whitened(c, Z))

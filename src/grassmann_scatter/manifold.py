@@ -111,6 +111,16 @@ def check_scatter(M, name: str = "scatter matrix") -> np.ndarray:
     return M
 
 
+def _check_scatter_for(m: int, Sigma, name: str = "scatter matrix",
+                       paired: str = "atoms") -> np.ndarray:
+    """check_scatter(Sigma), or DomainError unless it is m x m: the size of what it is
+    paired with in R^m, atoms (..., m, r) or another scatter."""
+    S = check_scatter(Sigma, name)
+    if len(S) != m:
+        raise DomainError(f"{name} must be {m} x {m} for {paired} in R^{m}, got {S.shape}")
+    return S
+
+
 def normalize_det(M) -> np.ndarray:
     """Rescale a symmetric positive-definite matrix to determinant one."""
     M = sym(_as_square(M, "matrix"))
@@ -228,8 +238,10 @@ def log_map(Sigma0, Sigma1) -> np.ndarray:
 
     Inverse of ``geodesic(Sigma0, ., 1)``:  W = g logm(g^-1 Sigma1 g^-1) g.
     """
-    c = _chart(check_scatter(Sigma0))
-    return sym(c.F @ _eig_apply(_whitened(c, check_scatter(Sigma1)), np.log) @ c.F.T)
+    S0 = check_scatter(Sigma0)
+    c = _chart(S0)
+    S1 = _check_scatter_for(len(S0), Sigma1, paired="Sigma0")
+    return sym(c.F @ _eig_apply(_whitened(c, S1), np.log) @ c.F.T)
 
 
 def _whitened_distance(W0: np.ndarray, Sigma1: np.ndarray) -> np.ndarray:
@@ -250,7 +262,8 @@ def distance(Sigma0, Sigma1) -> float:
     Sigma0 (any factor gives the same eigenvalues); invariant under
     simultaneous congruence by any invertible matrix.
     """
-    return _distance(check_scatter(Sigma0), check_scatter(Sigma1))
+    S0 = check_scatter(Sigma0)
+    return _distance(S0, _check_scatter_for(len(S0), Sigma1, paired="Sigma0"))
 
 
 def tangent_project(Sigma, S) -> np.ndarray:

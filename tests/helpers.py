@@ -232,6 +232,34 @@ def ref_dim_intersection(XU: np.ndarray, XV: np.ndarray, tol: float = 1e-10) -> 
     return QU.shape[1] + QV.shape[1] - int(np.sum(sv > tol * sv[0]))
 
 
+def ref_rank_deficient(X: np.ndarray) -> np.ndarray:
+    """The svd-only rank test: whether each m x d basis of a stack (..., m, d) has its
+    smallest singular value at most RANK_TOL times its largest (a line: whether it is zero)."""
+    from grassmann_scatter.grassmann import RANK_TOL
+
+    if X.shape[-1] == 1:
+        return ~X.any(axis=(-2, -1))
+    sv = np.linalg.svd(X, compute_uv=False)
+    return sv[..., -1] <= RANK_TOL * sv[..., 0]
+
+
+def ref_span_error(points: np.ndarray):
+    """(message, witness) of the ExistenceError that the span check raises on the atoms of
+    one dataset (n, m, r) or the first deficient dataset of a stack (..., n, m, r), else
+    None: one batched svd of every dataset's m x nr columns, cut at RANK_TOL."""
+    from grassmann_scatter.grassmann import RANK_TOL
+
+    n, m, r = points.shape[-3:]
+    A = points.swapaxes(-3, -2).reshape(points.shape[:-3] + (m, n * r))
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    ranks = np.sum(s > RANK_TOL * s[..., :1], axis=-1).reshape(-1)
+    for b in np.flatnonzero(ranks < m)[:1]:
+        return ("atoms are contained in a proper subspace (dimension "
+                f"{ranks[b]} of {m}); no estimate of scatter exists",
+                U.reshape((-1,) + U.shape[-2:])[b][:, :ranks[b]])
+    return None
+
+
 def ref_distance(Sigma0: np.ndarray, Sigma1: np.ndarray) -> float:
     """||log lam|| over the generalized symmetric-definite eigenvalues of (Sigma1, Sigma0)."""
     lam = scipy.linalg.eigvalsh(Sigma1, Sigma0)

@@ -7,6 +7,7 @@ import scipy.linalg
 from grassmann_scatter import (
     DomainError,
     UsageError,
+    boundary_flag,
     check_scatter,
     check_tangent,
     commutation_matrix,
@@ -22,6 +23,7 @@ from grassmann_scatter import (
     sym_sqrt,
     tangent_project,
     tangent_vec_projector,
+    whiten_normalize,
 )
 from helpers import (
     max_mixed_err,
@@ -308,3 +310,17 @@ def test_random_unit_tangent_mean_small():
     for _ in range(10_000):
         total += random_unit_tangent(S, rng)
     assert np.linalg.norm(total / 10_000) <= 0.05
+
+
+@pytest.mark.parametrize("pair", [
+    lambda S0, S1: distance(S0, S1),
+    lambda S0, S1: log_map(S0, S1),
+    lambda S0, S1: whiten_normalize(S0, S1),
+    lambda S0, S1: boundary_flag([S0, S0, S1]),
+], ids=["distance", "log_map", "whiten_normalize", "boundary_flag"])
+def test_paired_scatters_of_two_sizes_are_a_domain_error(pair):
+    S3, S2 = random_scatter(3, np.random.default_rng(0)), np.eye(2)
+    for S0, S1 in ((S3, S2), (S2, S3)):
+        m = len(S0)
+        with pytest.raises(DomainError, match=rf"must be {m} x {m} for \w+ in R\^{m},"):
+            pair(S0, S1)

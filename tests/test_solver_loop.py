@@ -150,10 +150,18 @@ def _record_newton(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("with_start", [False, True])
-def test_lapack_budget_per_iteration(monkeypatch, with_start):
+@pytest.mark.parametrize("with_start, screened",
+                         [(False, True), (True, True), (False, False), (True, False)],
+                         ids=["False", "True", "False-svd-fallback", "True-svd-fallback"])
+def test_lapack_budget_per_iteration(monkeypatch, with_start, screened):
     rng = np.random.default_rng(12)
-    meas = Empirical(rng.standard_normal((25, 3, 2)))
+    points = rng.standard_normal((25, 3, 2))
+    if not screened:
+        # one atom's basis 1e6 times longer: the same subspaces, but the span's Gram is
+        # dominated by that atom (sigma_min / sigma_max of the columns ~1e-6), below
+        # what its Gram determinant can certify, so the span check's svd decides
+        points[0] *= 1e6
+    meas = Empirical(points)
     start = random_scatter(3, rng) if with_start else None
     calls = _record_linalg(monkeypatch)
     builds = _record_newton(monkeypatch)
@@ -163,15 +171,17 @@ def test_lapack_budget_per_iteration(monkeypatch, with_start):
     assert result.converged and 1 <= len(builds) < result.iterations
     assert not [c for c in calls if c[0] == "scipy"]
     names = Counter(name for _, name, _ in calls)
-    # span check once; the kernel solves nothing; one eigh charts each iterate, and a
-    # Newton iteration adds one batched eigh of the Hessians and, if any is definite,
+    # span check once: one det of the Gram screen, plus the svd of the columns where the
+    # screen cannot certify; the kernel solves nothing; one eigh charts each iterate, and
+    # a Newton iteration adds one batched eigh of the Hessians and, if any is definite,
     # one of the Newton velocities
-    expected = {"svd": 1, "eigh": evaluations + sum(1 + bool(d.any()) for d in builds)}
+    expected = {"det": 1, "svd": 0 if screened else 1,
+                "eigh": evaluations + sum(1 + bool(d.any()) for d in builds)}
     if with_start:
         # validation, then the start's eigen chart once per solve,
         # then one eigvalsh of the start-whitened iterate per evaluation
         expected.update(eigvalsh=1 + evaluations, eigh=1 + expected["eigh"])
-    assert names == Counter(expected)
+    assert names == +Counter(expected)
 
 
 def _planes_in_a_solid(seed):
