@@ -22,7 +22,13 @@ mode: for each (m, r, n) of STACK_CONFIGS and each block size B of BLOCKS it dra
 B seeded datasets and times one solve of all of them with the default options
 (span check and fixed-point loop, as a block of Monte Carlo replications is
 solved), after one untimed solve, and reports wall time / B: the B datasets are
-solved as one stack by the estimator's stacked loop ``_solve_stack``.  The
+solved as one stack by the estimator's stacked loop ``_solve_stack``.  Newton
+step: for each (m, r, n) and lane count L of NEWTON_CONFIGS it draws L seeded
+datasets, charts each at its solved estimate (there every lane's Hessian is
+definite and its point within the conditioning bound, so every call runs the whole
+build: Hessians, their eigh, the steps and their exponentials) and reports wall
+time / NEWTON_CALLS of that many calls of ``estimator._newton_targets`` on the L
+lanes at once, after one untimed call.  The
 record is one entry per run: per tree the median and quartiles over repeats of
 every row, plus nproc, the BLAS thread variables, the numpy/scipy versions and
 the git commit of each tree.  With --out, the entry is appended to that file's
@@ -52,6 +58,10 @@ SOLVE_SEEDS = 60
 # (m, r, n) of the LLN (3, 2) and CLT (2, 1) replications, and the block sizes
 STACK_CONFIGS = [(3, 2, 25), (3, 2, 100), (2, 1, 100), (2, 1, 2000)]
 BLOCKS = [1, 5, 20, 32]
+# (m, r, n, L) of the Newton step: threshold+1 sets and lines one lane at a time, and the
+# LLN (3, 2) and CLT (2, 1) replications as stacks of L lanes
+NEWTON_CONFIGS = [(5, 2, 5, 1), (4, 1, 6, 1), (3, 2, 25, 5), (2, 1, 100, 20)]
+NEWTON_CALLS = 200
 SEED = 20261018
 REPEATS = 15
 ITERS = 30
@@ -80,17 +90,38 @@ def _stack_solve(points):
                     estimator._solve_stack(points, weights, opts))[1]
 
 
+def _newton_call(points):
+    """A call of the batched Newton build on the datasets points (L, n, m, r), each
+    charted at its solved estimate; exits unless every lane gets a Newton point."""
+    import numpy as np
+
+    from grassmann_scatter import Empirical, estimator, fixed_point_solve
+    from grassmann_scatter.likelihood import _weighted_kernel_sum
+    from grassmann_scatter.manifold import _chart, _Chart
+
+    L, n, m, r = points.shape
+    charts = [_chart(fixed_point_solve(Empirical(p)).estimate) for p in points]
+    it = _Chart(*(np.stack(a) for a in zip(*charts)))
+    weights = np.full((L, n), 1.0 / n)
+    M, _, U = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1), it.F, it.W)
+    definite, safe, _ = estimator._newton_targets(U, weights, M, it)
+    if not safe.all():
+        raise SystemExit(f"({m},{r},{n}) L={L}: a lane has no Newton point")
+    return lambda: estimator._newton_targets(U, weights, M, it)
+
+
 def _worker() -> None:
     """One repeat in this interpreter: print {"us_per_iter": {config: us},
     "ms_per_fixed_point_solve": {config: ms}, "iterations_per_solve": {config
-    median|max: count}, "ms_per_solve": {config/B: ms}} as JSON."""
+    median|max: count}, "ms_per_solve": {config/B: ms}, "us_per_newton_call":
+    {config/L: us}} as JSON."""
     import numpy as np
 
     from grassmann_scatter import Empirical, SolverOptions, fixed_point_solve
 
     opts = SolverOptions(max_iter=ITERS, tol=1e-300)
     out = {"us_per_iter": {}, "ms_per_fixed_point_solve": {}, "iterations_per_solve": {},
-           "ms_per_solve": {}}
+           "ms_per_solve": {}, "us_per_newton_call": {}}
     for i, (m, r, n) in enumerate(CONFIGS):
         meas = Empirical(_points(m, r, n, np.random.default_rng([SEED, i])))
         fixed_point_solve(meas, options=opts)                 # warm caches, untimed
@@ -124,6 +155,14 @@ def _worker() -> None:
             if not all(res.converged for res in results):
                 raise SystemExit(f"({m},{r},{n}) B={B}: a replication did not converge")
             out["ms_per_solve"][f"{m},{r},{n} B={B}"] = 1e3 * elapsed / B
+    for i, (m, r, n, L) in enumerate(NEWTON_CONFIGS):
+        call = _newton_call(_points(m, r, n, np.random.default_rng([SEED, 200 + i]), count=L))
+        call()                                                # warm caches, untimed
+        t0 = time.perf_counter()
+        for _ in range(NEWTON_CALLS):
+            call()
+        out["us_per_newton_call"][f"{m},{r},{n} L={L}"] = \
+            1e6 * (time.perf_counter() - t0) / NEWTON_CALLS
     print(json.dumps(out))
 
 
@@ -180,14 +219,16 @@ def main(argv=None) -> int:
     entry = {
         "what": "per tree: us per fixed-point iteration (wall / iterations, one solve per "
                 "repeat), ms per fixed_point_solve (median over the seeds) and iterations "
-                "per solve (median and max over the seeds), and ms per solve of a block of "
-                "B replications (wall / B, one block solve per repeat); median and "
-                "quartiles over repeats",
+                "per solve (median and max over the seeds), ms per solve of a block of "
+                "B replications (wall / B, one block solve per repeat), and us per "
+                "batched Newton build on L lanes (wall / calls); median and quartiles "
+                "over repeats",
         "interleaved": list(trees),
         "repeats": REPEATS,
         "iterations": ITERS,
         "seed": SEED,
         "solve_seeds": SOLVE_SEEDS,
+        "newton_calls": NEWTON_CALLS,
         "nproc": os.cpu_count(),
         "threads": {var: env[var] for var in THREAD_VARS},
         "python": platform.python_version(),
@@ -205,7 +246,7 @@ def main(argv=None) -> int:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {"entries": []}
         doc["entries"].append(entry)
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        path.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -12,13 +12,14 @@ built from two moments of the whitened projector Pi = Theta (Theta^T Theta)^-1 T
     score_covariance     = E[ vec(Pi - (r/m) Id) vec(Pi - (r/m) Id)^T ]
     projector_kron_mean  = E[ Pi kron Pi ]
 
-via  L0 = (r/m) Id - projector_kron_mean,  Q the vec-space projector onto
-symmetric trace-free matrices, and
+via  L0 = (r/m) Id - projector_kron_mean,  Q = B B^T the vec-space projector onto
+symmetric trace-free matrices (B their orthonormal basis), and
 
     limiting_covariance = (Q L0 Q)^+ score_covariance (Q L0 Q)^+T .
 
-(Q L0 Q) must have full rank (m-1)(m+2)/2 on the tangent space; degenerate
-support makes it rank-deficient there, raising DegeneracyError.  The three
+(Q L0 Q) must have full rank (m-1)(m+2)/2 on the tangent space, i.e. the
+d x d matrix B^T L0 B must be invertible; degenerate support makes it
+rank-deficient, raising DegeneracyError.  The three
 functions take a sample (an ``Empirical``) and the scatter Sigma they whiten
 by; the expectations are its exact weighted sums.  A law is sampled first: the
 one such sample, the CLT reference, is drawn by ``clt_experiment``.
@@ -55,10 +56,9 @@ from .manifold import (
     _chart,
     _check_scatter_for,
     _distance,
-    _tangent_vec_projector,
+    _tangent_basis,
     _whitened,
     check_scatter,
-    manifold_dim,
     sym,
     vec,
 )
@@ -109,26 +109,24 @@ def limiting_covariance(meas: Empirical, Sigma) -> np.ndarray:
     """Asymptotic covariance of sqrt(n) vec(C_n - Id), evaluated on a sample at Sigma.
 
     Computes score_covariance and projector_kron_mean from the same atoms
-    (common random numbers), forms A = Q L0 Q with L0 = (r/m) Id - kron mean,
-    and returns A^+ sigma2 A^+T.  Raises DegeneracyError when A is
-    rank-deficient on the tangent space (support too degenerate for a CLT).
+    (common random numbers), forms A_t = B^T L0 B with L0 = (r/m) Id - kron mean on
+    the tangent basis B (``manifold._tangent_basis``, so A = Q L0 Q = B A_t B^T), and
+    returns A^+ sigma2 A^+T with A^+ = B A_t^+ B^T.  Raises DegeneracyError when A_t
+    is rank-deficient (support too degenerate for a CLT).
     """
     sigma2, S0 = _moments(meas, Sigma, "limiting_covariance")
     m, r = meas.m, meas.r
-    L0 = (r / m) * np.eye(m * m) - S0
-    Q = _tangent_vec_projector(m)
-    A = Q @ L0 @ Q
-    A = 0.5 * (A + A.T)
-    lam, U = np.linalg.eigh(A)
-    thresh = PINV_CUTOFF * np.abs(lam).max()
-    keep = np.abs(lam) > thresh
-    d = manifold_dim(m)
+    B = _tangent_basis(m)
+    d = B.shape[1]
+    lam, U = np.linalg.eigh(sym((r / m) * np.eye(d) - B.T @ S0 @ B))    # A_t = B^T L0 B
+    keep = np.abs(lam) > PINV_CUTOFF * np.abs(lam).max()
     if int(keep.sum()) < d:
         raise DegeneracyError(
             f"score operator has rank {int(keep.sum())} on the {d}-dimensional "
             "tangent space; the support is too degenerate for a limit law"
         )
-    Apinv = (U[:, keep] / lam[keep]) @ U[:, keep].T
+    BU = B @ U[:, keep]
+    Apinv = (BU / lam[keep]) @ BU.T                                     # B A_t^+ B^T
     return Apinv @ sigma2 @ Apinv.T
 
 
@@ -323,8 +321,8 @@ def clt_experiment(
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         draws = _gaussian_bases(np.linalg.cholesky(law.sigma), r, ref_mc_n, ref_rng)
         ref = limiting_covariance(Empirical(draws), law.sigma)
-    Q = _tangent_vec_projector(m)
-    annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - Q), ord=2))
+    B = _tangent_basis(m)
+    annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - B @ B.T), ord=2))
     rel_frob = float(np.linalg.norm(cov - ref) / np.linalg.norm(ref))
     Zc = Z - Z.mean(axis=0)
     sd = Zc.std(axis=0)

@@ -70,9 +70,11 @@ W and orthonormalizes them by Gram-Schmidt across atoms and lanes: no LAPACK
 call.  So a plain iteration makes one eigh call.  An iteration on which some
 lanes try Newton builds their steps together (``_newton_targets``): the
 projectors come from the kernel's frames, one batched GEMM gives
-sum_j w_j Pi_j kron Pi_j, one batched eigh of the m^2 x m^2 Hessians decides
-definiteness and solves, and one batched eigh of the V of the definite lanes
-gives the exponential.  The guard's one batched eigh then charts the plain
+sum_j w_j Pi_j kron Pi_j, which the fixed orthonormal basis B of the symmetric
+trace-free matrices (``manifold._tangent_basis``, d = (m-1)(m+2)/2 columns) maps
+to d x d Hessians, one batched eigh of them decides definiteness and solves in
+B's coordinates, and one batched eigh of the V = B x of the definite lanes gives
+the exponential.  The guard's one batched eigh then charts the plain
 update of every lane and the Newton points together, and one Gram-Schmidt of
 the atoms whitened in both candidates' charts gives their objectives (its
 squared norms are the log-det terms).  So a Newton iteration makes three eigh
@@ -115,6 +117,7 @@ from .manifold import (
     _Chart,
     _chart,
     _check_scatter_for,
+    _tangent_basis,
     _whitened_distance,
     sym,
 )
@@ -260,10 +263,10 @@ def _hessian_eigh(U: np.ndarray, weights: np.ndarray, M: np.ndarray):
     """eigh of the whitened geodesic Hessians (``likelihood._hessian``) of a stack of L
     iterates, from the kernel's frames U (r, L, m, n), weights (L, n) and M (L, m, m).
 
-    Their tangent eigenvalues lie in [0, 1/2] (1/2 tr(V^2 M) <= 1/2 ||V||^2 bounds the
-    form), and the m(m-1)/2 + 1 off-tangent ones (antisymmetric and trace directions)
-    are exactly 1, so they sort last: the first eigenpair of each is the smallest one
-    on the symmetric trace-free matrices.
+    Each H is d x d on the tangent basis B (``manifold._tangent_basis``), so every
+    eigenpair is a tangent one: the eigenvalues lie in [0, 1/2] (1/2 tr(V^2 M) <=
+    1/2 ||V||^2 bounds the form) and the first is lambda_min on the symmetric
+    trace-free matrices.
     """
     return np.linalg.eigh(_hessian(_outer(U), weights, M))
 
@@ -282,12 +285,16 @@ def _newton_targets(U: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Char
     if not definite.any():
         return definite, safe, M[:0]
     h, E, loglam, F = h[definite], E[definite], it.loglam[definite], it.F[definite]
-    g = (M[definite] - len(U) / m * np.eye(m)).reshape(-1, m * m, 1)    # 2 H V = M - (r/m) Id
-    mu, Z = np.linalg.eigh(sym((E @ (E.swapaxes(-1, -2) @ g / (2.0 * h[..., None])))
-                               .reshape(-1, m, m)))
+    # 2 H x = g on the tangent basis B: g = B^T vec(M - (r/m) Id), V = B x, applied lane
+    # by lane on the (L, m^2, 1) layout
+    B = _tangent_basis(m)
+    g = B.T @ (M[definite] - len(U) / m * np.eye(m)).reshape(-1, m * m, 1)
+    V = B @ (E @ (E.swapaxes(-1, -2) @ g / (2.0 * h[..., None])))
+    mu, Z = np.linalg.eigh(sym(V.reshape(-1, m, m)))
     # cond(F e^V F^T) <= e^(mu_max - mu_min) cond(Sigma); within this bound it is at most
     # COND_MAX / e, so the guard passes the point whatever the rounding of its eigenvalues
-    bounded = mu[:, -1] - mu[:, 0] + np.ptp(loglam, axis=-1) <= np.log(COND_MAX) - 1.0
+    # (a chart's loglam comes from eigh, so it is sorted ascending)
+    bounded = mu[:, -1] - mu[:, 0] + (loglam[:, -1] - loglam[:, 0]) <= np.log(COND_MAX) - 1.0
     safe[definite] = bounded
     Z, F = Z[bounded], F[bounded]
     expV = (Z * np.exp(mu[bounded])[:, None, :]) @ Z.swapaxes(-1, -2)
@@ -483,7 +490,7 @@ def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], 
         if refined.residual < result.residual:
             c, _, H = _hessian_at(meas.points, meas.weights, refined.estimate)
             U = np.linalg.eigh(H)[1]
-    V = sym(U[:, 0].reshape(meas.m, meas.m))
+    V = sym((_tangent_basis(meas.m) @ U[:, 0]).reshape(meas.m, meas.m))
     flags = [Candidate(B, "eigen_flag") for v in (V, -V) for _, B in _flag(c, v).pairs]
     if lam <= NULL_HESSIAN and flags and _paired(meas, flags):
         return lam, _route_report(meas, "limit", spans + flags, flags, tol)

@@ -11,7 +11,9 @@ the minimizers.  The gradient is available in closed form,
     grad_point(U, Sigma)  = (r/2m) Sigma - 1/2 X (X^T Sigma^-1 X)^-1 X^T,
 
 and every second-order quantity comes from one formula, the whitened geodesic
-Hessian ``_hessian`` on vec(W Z W^T) (W = F^-1, F F^T = Sigma, Z tangent): the
+Hessian ``_hessian``: a d x d matrix, d = (m-1)(m+2)/2, in the coordinates
+z = B^T vec(W Z W^T) (W = F^-1, F F^T = Sigma, Z tangent) of the fixed orthonormal
+basis B of the symmetric trace-free matrices (``manifold._tangent_basis``).  The
 solver's Newton steps, the certificate of ``estimator.diagnose``, hess_quadform (its
 quadratic form, nonnegative by geodesic convexity), covariant_deriv_grad (one atom's
 H applied to Z) and grad_norm_sq_grad (twice H applied to the gradient) all read it.
@@ -39,6 +41,8 @@ whitening factor comes from the eigen chart of ``manifold``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grassmann import (
@@ -50,7 +54,7 @@ from .grassmann import (
     _outer,
     check_basis,
 )
-from .manifold import (_Chart, _chart, _check_scatter_for, _tangent_vec_projector, _whitened,
+from .manifold import (_Chart, _chart, _check_scatter_for, _tangent_basis, _whitened,
                        check_tangent, sym)
 
 
@@ -81,20 +85,32 @@ def _kron_mean(P: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return G.reshape(*lead, m, m, m, m).swapaxes(-3, -2).reshape(*lead, m * m, m * m)
 
 
-def _hessian(P: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """1/2 [(Id kron M + M kron Id)/2 - _kron_mean(P, w)] on symmetric trace-free vec(V), Id off.
+@functools.cache
+def _sym_products(m: int) -> np.ndarray:
+    """T (m^2, d^2) with T[(k, l), (a, b)] = (B_a B_b + B_b B_a)_kl for the tangent basis B
+    of ``manifold._tangent_basis`` (d columns): vec(M) T is B^T (Id kron M + M kron Id) B
+    for a symmetric M.  Built on first use per m, read-only."""
+    Bm = _tangent_basis(m).reshape(m, m, -1)
+    T = np.einsum("kpa,plb->klab", Bm, Bm)
+    T = (T + T.swapaxes(-1, -2)).reshape(m * m, -1)
+    T.flags.writeable = False
+    return T
 
-    For P_j whitened by W = F^-1 and M = sum_j w_j P_j, vec(V)^T H vec(V) is
-    ``hess_quadform`` at Sigma = F F^T along F V F^T.  Stacks (leading axes on P,
-    weights and M) give one Hessian per entry.
+
+def _hessian(P: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """B^T 1/2 [(Id kron M + M kron Id)/2 - _kron_mean(P, w)] B on the tangent basis B
+    (``manifold._tangent_basis``): d x d, d = (m-1)(m+2)/2.
+
+    For P_j whitened by W = F^-1 and M = sum_j w_j P_j, z^T H z is ``hess_quadform`` at
+    Sigma = F F^T along F V F^T, z = B^T vec(V).  Stacks (leading axes on P, weights and
+    M) give one Hessian per entry; B is applied to each entry on its own, so an entry's
+    H does not depend on the others.
     """
     m = M.shape[-1]
-    Id, Q = np.eye(m), _tangent_vec_projector(m)
-    # Id kron M + M kron Id, entry [(i, k), (j, l)] = Id_ij M_kl + M_ij Id_kl
-    sums = Id[:, None, :, None] * M[..., None, :, None, :] \
-        + M[..., :, None, :, None] * Id[:, None, :]
-    H = 0.5 * (0.5 * sums.reshape(M.shape[:-2] + (m * m, m * m)) - _kron_mean(P, weights))
-    return Q @ H @ Q + (np.eye(m * m) - Q)
+    B, lead = _tangent_basis(m), M.shape[:-2]
+    d = B.shape[1]
+    sums = (M.reshape(lead + (1, m * m)) @ _sym_products(m)).reshape(lead + (d, d))
+    return 0.5 * (0.5 * sums - B.T @ _kron_mean(P, weights) @ B)
 
 
 def _hessian_at(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray):
@@ -106,8 +122,9 @@ def _hessian_at(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray):
 
 
 def _hessian_apply(c: _Chart, H: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """F unvec(H vec(V)) F^T: H at c.sigma applied to the whitened tangent V = W Z W^T."""
-    return sym(c.F @ (H @ V.reshape(-1)).reshape(V.shape) @ c.F.T)
+    """F unvec(B H B^T vec(V)) F^T: H at c.sigma applied to the whitened tangent V = W Z W^T."""
+    B = _tangent_basis(len(V))
+    return sym(c.F @ (B @ (H @ (B.T @ V.reshape(-1)))).reshape(V.shape) @ c.F.T)
 
 
 def _defect(M: np.ndarray, r: int):
@@ -169,13 +186,13 @@ def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
 def hess_quadform(meas: Empirical, Sigma, Z) -> float:
     """Geodesic second derivative <cov. deriv. of grad along Z, Z>_Sigma.
 
-    vec(V)^T H vec(V) (``_hessian``, V = W Z W^T); per atom 1/2 tr((Sigma^-1 - pi) Z pi Z) >= 0,
+    z^T H z (``_hessian``, z = B^T vec(W Z W^T)); per atom 1/2 tr((Sigma^-1 - pi) Z pi Z) >= 0,
     and the measure average is the quadratic form driving geodesic convexity.
     """
     Sigma = _check_empirical(meas, "hess_quadform", Sigma)
     Z = check_tangent(Sigma, Z)
     c, _, H = _hessian_at(meas.points, meas.weights, Sigma)
-    z = _whitened(c, Z).reshape(-1)
+    z = _tangent_basis(meas.m).T @ _whitened(c, Z).reshape(-1)
     return float(z @ H @ z)
 
 

@@ -38,6 +38,7 @@ sampler's Cholesky factor is the only other factor in the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from numbers import Integral, Real
 from typing import NamedTuple
@@ -274,6 +275,9 @@ def tangent_project(Sigma, S) -> np.ndarray:
     """
     Sigma = check_scatter(Sigma)
     S = sym(_as_square(S, "matrix"))
+    if S.shape != Sigma.shape:
+        raise DomainError(f"matrix of shape {S.shape} does not match Sigma of shape "
+                          f"{Sigma.shape}")
     c = np.trace(np.linalg.solve(Sigma, S)) / Sigma.shape[0]
     return S - c * Sigma
 
@@ -301,15 +305,33 @@ def commutation_matrix(m: int) -> np.ndarray:
 def tangent_vec_projector(m: int) -> np.ndarray:
     """Orthogonal projector (in vec coordinates) onto symmetric trace-free matrices.
 
-    Q = 1/2 (Id + K) - vec(Id) vec(Id)^T / m;  tr(Q) = (m-1)(m+2)/2.
+    Q = 1/2 (Id + K) - vec(Id) vec(Id)^T / m = B B^T for the orthonormal basis B of
+    those matrices;  tr(Q) = (m-1)(m+2)/2.
     """
     _check_m(m)
-    return _tangent_vec_projector(m)
+    B = _tangent_basis(m)
+    return B @ B.T
 
 
-def _tangent_vec_projector(m: int) -> np.ndarray:
-    v = vec(np.eye(m))     # 1/2 (Id + K) has columns vec(sym(E_k)), E_k the unit matrices
-    return sym(np.eye(m * m).reshape(-1, m, m)).reshape(m * m, -1) - np.outer(v, v) / m
+@functools.cache
+def _tangent_basis(m: int) -> np.ndarray:
+    """Orthonormal basis B (m^2, (m-1)(m+2)/2) of the vec'd symmetric trace-free matrices.
+
+    Its columns are (E_ij + E_ji)/sqrt(2) for i < j, then the Helmert basis of the
+    trace-free diagonals, (1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1)) for k = 1, ..., m-1.
+    Built on first use per m, read-only.
+    """
+    i, j = np.triu_indices(m, 1)
+    off = np.zeros((m, m, len(i)))
+    off[i, j, np.arange(len(i))] = off[j, i, np.arange(len(i))] = math.sqrt(0.5)
+    k = np.arange(1.0, m)
+    c = 1.0 / np.sqrt(k * (k + 1.0))
+    diag = np.zeros((m, m, m - 1))
+    diag[np.arange(m), np.arange(m)] = np.triu(np.ones((m, m - 1))) * c \
+        - np.diag(k * c, -1)[:, :-1]
+    B = np.concatenate([off, diag], axis=-1).reshape(m * m, -1)
+    B.flags.writeable = False
+    return B
 
 
 def _random_direction(m: int, rng: np.random.Generator) -> np.ndarray:

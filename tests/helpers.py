@@ -351,7 +351,7 @@ def no_ge_lines(seed: int, n: int) -> Empirical:
 # reference fixed-point loop: four factorizations of each iterate
 
 
-def _tangent_basis(m: int) -> np.ndarray:
+def ref_tangent_basis(m: int) -> np.ndarray:
     """Orthonormal basis (m^2, (m-1)(m+2)/2) of the vec'd symmetric trace-free matrices."""
     constraints = [np.eye(m).ravel()]                       # tr V = 0
     for i in range(m):
@@ -362,18 +362,11 @@ def _tangent_basis(m: int) -> np.ndarray:
     return scipy.linalg.null_space(np.array(constraints))
 
 
-def ref_newton_point(meas: Empirical, Sigma: np.ndarray, cond_max: float, null_hessian: float):
-    """(F expm(V) F^T or None, declined) for the Newton step V in the Cholesky chart F of Sigma.
-
-    Per atom: Pi_j from F^-1 X_j and its Hessian term
-    1/2 [(I kron Pi_j + Pi_j kron I)/2 - Pi_j kron Pi_j]; the step solves the
-    reduced system on an orthonormal basis of symmetric trace-free matrices.
-    Declined (None, True) when that reduced Hessian's least eigenvalue is at most
-    null_hessian; None when the spread of V's eigenvalues plus log cond(Sigma)
-    exceeds log(cond_max) - 1, the solver's bound.
-    """
-    _, m, r = meas.points.shape
-    F = np.linalg.cholesky(Sigma)
+def ref_hessian(meas: Empirical, F: np.ndarray):
+    """(M, H): the mean projector and the m^2 x m^2 geodesic Hessian whitened by F^-1,
+    summed atom by atom: Pi_j from F^-1 X_j and its term
+    1/2 [(I kron Pi_j + Pi_j kron I)/2 - Pi_j kron Pi_j]."""
+    m = F.shape[0]
     Id = np.eye(m)
     M, H = np.zeros((m, m)), np.zeros((m * m, m * m))
     for w, X in zip(meas.weights, meas.points):
@@ -382,7 +375,23 @@ def ref_newton_point(meas: Empirical, Sigma: np.ndarray, cond_max: float, null_h
         P = 0.5 * (P + P.T)
         M += w * P
         H += w * 0.5 * (0.5 * (np.kron(Id, P) + np.kron(P, Id)) - np.kron(P, P))
-    B = _tangent_basis(m)
+    return M, H
+
+
+def ref_newton_point(meas: Empirical, Sigma: np.ndarray, cond_max: float, null_hessian: float):
+    """(F expm(V) F^T or None, declined) for the Newton step V in the Cholesky chart F of Sigma.
+
+    The Hessian is ``ref_hessian``'s, summed atom by atom; the step solves the
+    reduced system on an orthonormal basis of symmetric trace-free matrices.
+    Declined (None, True) when that reduced Hessian's least eigenvalue is at most
+    null_hessian; None when the spread of V's eigenvalues plus log cond(Sigma)
+    exceeds log(cond_max) - 1, the solver's bound.
+    """
+    _, m, r = meas.points.shape
+    F = np.linalg.cholesky(Sigma)
+    Id = np.eye(m)
+    M, H = ref_hessian(meas, F)
+    B = ref_tangent_basis(m)
     Hr = B.T @ H @ B
     if np.linalg.eigvalsh(Hr)[0] <= null_hessian:
         return None, True

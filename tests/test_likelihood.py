@@ -35,8 +35,8 @@ from grassmann_scatter import (
     sym_sqrt,
 )
 from grassmann_scatter.grassmann import _frames, _outer
-from grassmann_scatter.likelihood import _hessian, _weighted_kernel_sum
-from grassmann_scatter.manifold import _chart
+from grassmann_scatter.likelihood import _hessian, _hessian_at, _weighted_kernel_sum
+from grassmann_scatter.manifold import _chart, _tangent_basis
 from helpers import (
     fd_first,
     fd_second,
@@ -46,6 +46,8 @@ from helpers import (
     random_measure,
     random_special_linear,
     random_tangent,
+    ref_hessian,
+    ref_tangent_basis,
     three_symmetric_lines,
 )
 
@@ -361,7 +363,7 @@ def test_critical_point_transported_by_congruence():
 
 
 def test_hessian_quadratic_form_matches_explicit_inverse():
-    # the vec-form Hessian of the Newton steps (and of hess_quadform), built from the
+    # the tangent-basis Hessian of the Newton steps (and of hess_quadform), built from the
     # whitened projectors in the eigen chart of Sigma, against the per-atom formula
     # 1/2 sum_j w_j tr((Sigma^-1 - pi_j) Z pi_j Z) with explicit inverses
     rng = np.random.default_rng(90)
@@ -382,8 +384,25 @@ def test_hessian_quadratic_form_matches_explicit_inverse():
             Z = c.F @ V @ c.F.T
             want = 0.5 * sum(w * np.trace((Sinv - pi) @ Z @ pi @ Z)
                              for w, pi in zip(meas.weights, pis))
-            got = V.reshape(-1) @ H @ V.reshape(-1)
+            z = _tangent_basis(m).T @ V.reshape(-1)
+            got = z @ H @ z
             assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+
+def test_hessian_spectrum_matches_the_per_atom_reference():
+    # the spectrum of B^T H B does not depend on the orthonormal basis B, so the
+    # tangent-basis Hessian and the per-atom m^2 form reduced on a null-space basis agree
+    rng = np.random.default_rng(91)
+    for m, r, n, uniform in [(2, 1, 5, True), (3, 1, 6, True), (4, 2, 7, False),
+                             (5, 2, 5, True), (3, 2, 25, False), (6, 3, 4, False)]:
+        meas = random_measure(rng, m, r, n, uniform=uniform)
+        c, M, H = _hessian_at(meas.points, meas.weights, random_scatter(m, rng, spread=0.8))
+        M_ref, H_ref = ref_hessian(meas, c.F)
+        B = ref_tangent_basis(m)
+        assert H.shape == (len(B.T), len(B.T))
+        assert np.abs(M - M_ref).max() <= 1e-13
+        want = np.linalg.eigvalsh(B.T @ H_ref @ B)
+        assert np.abs(np.linalg.eigvalsh(H) - want).max() <= 1e-13
 
 
 # every function of data and a scatter, with data in R^3 and a scatter of another size

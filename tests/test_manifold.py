@@ -25,6 +25,7 @@ from grassmann_scatter import (
     tangent_vec_projector,
     whiten_normalize,
 )
+from grassmann_scatter.manifold import _tangent_basis
 from helpers import (
     max_mixed_err,
     mixed_err,
@@ -269,6 +270,25 @@ def test_tangent_project_rejects_non_finite_entries(bad):
     # a NaN matrix was projected to NaN
     with pytest.raises(DomainError, match="non-finite"):
         tangent_project(np.eye(3), np.full((3, 3), bad))
+
+
+def test_tangent_project_rejects_a_matrix_of_another_size():
+    # raised numpy's core-dimension ValueError from np.linalg.solve
+    with pytest.raises(DomainError, match=r"\(2, 2\).*\(3, 3\)"):
+        tangent_project(np.eye(3), np.eye(2))
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_tangent_basis_is_orthonormal_on_the_symmetric_trace_free_matrices(m):
+    B = _tangent_basis(m)
+    assert B.shape == (m * m, manifold_dim(m))
+    assert np.abs(B.T @ B - np.eye(manifold_dim(m))).max() <= 4 * EPS
+    Bm = B.T.reshape(-1, m, m)
+    assert np.array_equal(Bm, Bm.swapaxes(-1, -2))
+    v = np.eye(m).ravel()
+    assert np.abs(B.T @ v).max() <= 4 * EPS            # the traces of the columns
+    Q = 0.5 * (np.eye(m * m) + commutation_matrix(m)) - np.outer(v, v) / m
+    assert np.abs(B @ B.T - Q).max() <= 4 * EPS
 
 
 def test_tangent_project_hand_values():
