@@ -1,6 +1,7 @@
-"""Milliseconds per input validation (the atom ranks and the span check), minor page
-faults per kernel call of a large solve, and end-to-end perfbench pairs, before and
-after a change to the rank checks.
+"""Milliseconds per input validation (the atom ranks and the span check) and per dataset
+read, minor page faults per kernel call of a large solve, collector passes per read and
+per bulk pass, and end-to-end perfbench pairs, before and after a change to the input
+layer.
 
     python bench/validation.py --tree parent=/path/to/parent --tree change=. \
         [--perfbench bulk:601-610 --perfbench scan:611-616 ...] [--out BENCH_validation.json]
@@ -22,9 +23,14 @@ of a shared host.  Per repeat and tree:
   (``likelihood._weighted_kernel_sum``), their mean and maximum over the later calls and
   how many later calls refault (at least REFAULT faults), the faults of the validation
   before the solve, and the ms per iteration;
+* a decode worker writes a dataset of every shape of DECODE_SHAPES as perfbench writes
+  its bulk files (``json.dump`` of m, r and ``points.tolist()``) and reports the median
+  ms of CALLS ``io.read_measure_json`` calls after one untimed call, and the cyclic
+  collector passes (counted with ``gc.callbacks``) of the last call;
 * a bulk-fault worker runs two passes over perfbench's bulk command list (seed
   BULK_SEED, built by ``perfbench/workloads.py``, imported read-only) through
-  ``cli.main`` and reports the kernel faults of the second pass.
+  ``cli.main`` and reports the kernel faults and the collector passes of the second
+  pass.
 
 With --perfbench WORKLOAD:FIRST-LAST, pairs of ``python3 perfbench/run.py --workload
 WORKLOAD --seed S --seconds PERFBENCH_SECONDS --trace 0`` run from each tree's root for
@@ -54,6 +60,7 @@ from pathlib import Path
 # shapes of the points array: the bulk datasets (5000, 10, 3) and (1600, 3, 2), a
 # threshold+1 set of five planes in R^5, and a block of five (3, 2) replications
 SHAPES = [(5000, 10, 3), (1600, 3, 2), (5, 5, 2), (5, 25, 3, 2)]
+DECODE_SHAPES = SHAPES[:2]                  # the bulk datasets
 FAULT_SHAPE = (5000, 10, 3)
 FAULT_ITERS = 30
 REFAULT = 100           # faults in one kernel call that count it as refaulting its temporaries
@@ -103,6 +110,46 @@ def _validation_worker() -> dict:
         ranks = (lambda: _check_ranks(points)) if len(shape) == 4 else (lambda: Empirical(points))
         out["ms_atom_ranks"][key] = _median_ms(ranks)
         out["ms_span_check"][key] = _median_ms(lambda: _check_span(points))
+    return out
+
+
+def _counting_collections() -> list:
+    """Register a ``gc.callbacks`` hook that appends the generation of every cyclic
+    collector pass to the returned list."""
+    import gc
+
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(count)
+    return passes
+
+
+def _decode_worker() -> dict:
+    """{"ms_read_measure_json": {shape: ms}, "gc_passes_per_read": {shape: passes}} of
+    one repeat, datasets written the way perfbench writes its bulk files."""
+    import tempfile
+
+    import numpy as np
+
+    from grassmann_scatter.io import read_measure_json
+
+    passes = _counting_collections()
+    out = {"ms_read_measure_json": {}, "gc_passes_per_read": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (n, m, r) in enumerate(DECODE_SHAPES):
+            points = _points((n, m, r), np.random.default_rng([SEED, 50 + i]))
+            path = Path(tmp) / f"data{i}.json"
+            with open(path, "w") as fh:
+                json.dump({"m": m, "r": r, "points": points.tolist()}, fh)
+            key = str((n, m, r))
+            out["ms_read_measure_json"][key] = _median_ms(lambda: read_measure_json(path))
+            passes.clear()
+            read_measure_json(path)
+            out["gc_passes_per_read"][key] = len(passes)
     return out
 
 
@@ -157,9 +204,10 @@ def _fault_worker() -> dict:
 
 
 def _bulk_fault_worker() -> dict:
-    """Kernel faults in the second of two passes over perfbench's bulk commands (seed
-    BULK_SEED) run in this interpreter through ``cli.main``, as the benchmark runs them:
-    {"bulk_pass_kernel_faults": {"total": faults, "calls with >= REFAULT faults": n}}."""
+    """Kernel faults and collector passes in the second of two passes over perfbench's
+    bulk commands (seed BULK_SEED) run in this interpreter through ``cli.main``, as the
+    benchmark runs them: {"bulk_pass_kernel_faults": {"total": faults, "calls with >=
+    REFAULT faults": n}, "bulk_pass_gc_passes": {"total": passes, "gen 2": full}}."""
     import contextlib
     import io
     import tempfile
@@ -170,17 +218,20 @@ def _bulk_fault_worker() -> dict:
     from grassmann_scatter import cli
 
     faults = _counting_kernel_faults()
+    passes = _counting_collections()
     with tempfile.TemporaryDirectory() as tmp:
         commands = [list(cmd.argv) for cmd in workloads.build("bulk", BULK_SEED, Path(tmp))]
         for rep in range(2):
             faults.clear()
+            passes.clear()
             for i, argv in enumerate(commands):
                 argv[argv.index("--out") + 1] = str(Path(tmp) / f"out{rep}-{i}")
                 with contextlib.redirect_stdout(io.StringIO()):
                     cli.main(argv)
     return {"bulk_pass_kernel_faults": {
         "total": sum(faults), "kernel calls": len(faults),
-        f"calls with >= {REFAULT} faults": sum(f >= REFAULT for f in faults)}}
+        f"calls with >= {REFAULT} faults": sum(f >= REFAULT for f in faults)},
+        "bulk_pass_gc_passes": {"total": len(passes), "gen 2": passes.count(2)}}
 
 
 def _git_commit(root: Path) -> str:
@@ -227,8 +278,8 @@ def _perfbench(trees: dict, env: dict, workload: str, seeds: range) -> dict:
     return {"seeds": [seeds.start, seeds.stop - 1], "pairs": pairs, "summary": summary}
 
 
-WORKERS = {"validation": _validation_worker, "faults": _fault_worker,
-           "bulk-faults": _bulk_fault_worker}
+WORKERS = {"validation": _validation_worker, "decode": _decode_worker,
+           "faults": _fault_worker, "bulk-faults": _bulk_fault_worker}
 
 
 def main(argv=None) -> int:
@@ -268,11 +319,14 @@ def main(argv=None) -> int:
     entry = {
         "what": "per tree: ms per atom-rank check (Empirical, or grassmann._check_ranks on a "
                 "stack) and per span check (estimator._check_span), median of "
-                f"{CALLS} calls per repeat, keyed by the points shape; minor page faults "
-                f"per kernel call and ms per iteration of one {FAULT_ITERS}-iteration "
-                f"fixed_point_solve at points {FAULT_SHAPE} in a fresh interpreter; kernel "
-                f"faults of the second of two bulk passes (perfbench seed {BULK_SEED}) in one "
-                "interpreter; median and quartiles over repeats",
+                f"{CALLS} calls per repeat, keyed by the points shape; ms per "
+                "io.read_measure_json of a json.dump-written dataset (median of "
+                f"{CALLS} calls) and cyclic collector passes per read, keyed by (n, m, r); "
+                "minor page faults per kernel call and ms per iteration of one "
+                f"{FAULT_ITERS}-iteration fixed_point_solve at points {FAULT_SHAPE} in a "
+                "fresh interpreter; kernel faults and collector passes of the second of "
+                f"two bulk passes (perfbench seed {BULK_SEED}) in one interpreter; median "
+                "and quartiles over repeats",
         "interleaved": list(trees),
         "repeats": REPEATS,
         "seed": SEED,

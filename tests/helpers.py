@@ -1,8 +1,10 @@
 """Shared generators, closed-form instances, finite-difference stencils and reference
-implementations (the fixed-point loop, a descent solver, the candidate scan)."""
+implementations (the fixed-point loop, a descent solver, the candidate scan, the dataset
+decoder)."""
 
 from __future__ import annotations
 
+import json
 from itertools import chain, combinations
 
 import mpmath
@@ -630,3 +632,13 @@ def ref_scan_report(meas: Empirical, tol: float = 1e-9, max_subset: int = 2, cap
     report = ExistenceReport(verdict, min_index, None if verdict == "unique" else cands[order],
                              zeros, len(cands))
     return report, truncated
+
+
+def ref_decode_measure(path):
+    """(points, weights or None) of a dataset file as ``json.load`` and ``np.asarray``
+    decode it, with the numpy shape discovery that ``io.read_measure_json`` skips."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    weights = doc.get("weights")
+    return (np.asarray(doc["points"], dtype=float),
+            None if weights is None else np.asarray(weights, dtype=float))
