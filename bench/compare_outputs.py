@@ -11,9 +11,12 @@ over the command list in its own interpreter with one BLAS thread, through
 ``grassmann_scatter.cli.main``, writing to its own output directory.  Every
 output file is compared byte for byte, after each tree's output root is
 replaced by one placeholder (``replay.json`` records ``--out``), and so are the
-exit codes.  Each difference is printed; the exit
-status is 1 when anything differs, else 0.  The package is imported only by
-the workers.
+exit codes.  Each difference is printed; for a file that differs, so are the largest
+relative difference of its floating-point numbers (a token with a decimal point or an
+exponent, or NaN / Infinity) and whether everything else matches: the text between
+them, integers included (statuses, verdicts, iteration counts, keys).  So a change at
+the rounding level shows as such.  The exit status is 1 when anything differs, else 0.
+The package is imported only by the workers.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -78,6 +83,24 @@ def _first_difference(a: bytes, b: bytes) -> str:
     return f"lengths {len(a)} -> {len(b)} bytes"
 
 
+def _numbers_and_rest(a: bytes, b: bytes) -> str:
+    """The largest relative difference of the floats of two files, and whether the rest
+    (the text between the floats, integers included) matches."""
+    # a float token: digits with a decimal point or an exponent, or NaN / Infinity; a
+    # split on one group alternates text and float tokens, text at even positions
+    pattern = rb"(-?(?:\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)|Infinity)|NaN)"
+    pa, pb = re.split(pattern, a), re.split(pattern, b)
+    if len(pa) != len(pb):
+        return "the floats do not pair up, non-numeric tokens differ"
+    largest = 0.0
+    for x, y in zip(map(float, pa[1::2]), map(float, pb[1::2])):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            scale = max(abs(x), abs(y))
+            largest = max(largest, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    return (f"largest relative difference {largest:.1e}, "
+            f"non-numeric tokens {'match' if pa[::2] == pb[::2] else 'differ'}")
+
+
 def compare(trees: list[Path], workload: str, seed: int, workdir: Path) -> int:
     """Print every difference between the trees' passes; return how many there are."""
     commands = workdir / "commands.json"
@@ -96,7 +119,7 @@ def compare(trees: list[Path], workload: str, seed: int, workdir: Path) -> int:
         if a == b:
             same += 1
         else:
-            diffs.append(f"{name}: {_first_difference(a, b)}")
+            diffs.append(f"{name}: {_first_difference(a, b)}; {_numbers_and_rest(a, b)}")
     for line in diffs:
         print(line)
     print(f"{workload} seed {seed}: {len(codes_a)} commands, {same} identical files, "

@@ -103,7 +103,7 @@ def _newton_call(points):
     charts = [_chart(fixed_point_solve(Empirical(p)).estimate) for p in points]
     it = _Chart(*(np.stack(a) for a in zip(*charts)))
     weights = np.full((L, n), 1.0 / n)
-    M, _, U = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1), it.F, it.W)
+    M, _, U = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1), it.F, it.W)[:3]
     definite, safe, _ = estimator._newton_targets(U, weights, M, it)
     if not safe.all():
         raise SystemExit(f"({m},{r},{n}) L={L}: a lane has no Newton point")

@@ -6,7 +6,11 @@ layer.
     python bench/validation.py --tree parent=/path/to/parent --tree change=. \
         [--perfbench bulk:601-610 --perfbench scan:611-616 ...] [--out BENCH_validation.json]
 
-Each --tree is a source checkout (with ``src/`` and ``perfbench/``).  Each of REPEATS
+Each --tree is a source checkout (with ``src/`` and ``perfbench/``).  Where only some of
+the trees hold compiled bytecode (``src/grassmann_scatter/__pycache__``) the run is refused
+(exit 2, naming each tree with and without it): an interpreter that does not write
+bytecode compiles the package on every start in a tree without it, so the trees' import
+and ``setup_s`` times would not compare.  Each of REPEATS
 repeats starts fresh interpreters per tree, in turn, and the tree that runs first
 alternates from one repeat to the next, so the trees are interleaved against the drift
 of a shared host.  Per repeat and tree:
@@ -302,6 +306,13 @@ def main(argv=None) -> int:
     for spec in args.tree:
         label, _, path = spec.partition("=")
         trees[label] = Path(path).resolve()
+    compiled = {label: (root / "src" / "grassmann_scatter" / "__pycache__").is_dir()
+                for label, root in trees.items()}
+    if len(set(compiled.values())) > 1:
+        parser.error("only some trees hold src/grassmann_scatter/__pycache__, so their start-up "
+                     "times would not compare: " + ", ".join(
+                         f"{label}={trees[label]} {'holds it' if held else 'does not'}"
+                         for label, held in compiled.items()))
     env = dict(os.environ)
     for var in THREAD_VARS:
         env.setdefault(var, "1")

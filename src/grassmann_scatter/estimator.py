@@ -63,22 +63,29 @@ chart (``manifold._chart``) of one eigh T = Q diag(lam) Q^T of the unnormalized
 update (``_guarded``, one batched call for the stack): the eigenvalues give the
 COND_MAX guard, the scaling Sigma = T exp(-mean log lam), F = Q diag(sqrt(lam~)),
 W = F^-1 (lam~ the eigenvalues of Sigma) and the distance from the start,
-|| log lam~ || from the identity (the default).  A user start is charted once per
-solve and adds one batched eigvalsh of the whitened iterates per iteration.  The
-kernel whitens the atoms of every lane by one broadcast product with the lanes'
-W and orthonormalizes them by Gram-Schmidt across atoms and lanes: no LAPACK
-call.  So a plain iteration makes one eigh call.  An iteration on which some
-lanes try Newton builds their steps together (``_newton_targets``): the
-projectors come from the kernel's frames, one batched GEMM gives
-sum_j w_j Pi_j kron Pi_j, which the fixed orthonormal basis B of the symmetric
-trace-free matrices (``manifold._tangent_basis``, d = (m-1)(m+2)/2 columns) maps
-to d x d Hessians, one batched eigh of them decides definiteness and solves in
-B's coordinates, and one batched eigh of the V = B x of the definite lanes gives
-the exponential.  The guard's one batched eigh then charts the plain
-update of every lane and the Newton points together, and one Gram-Schmidt of
-the atoms whitened in both candidates' charts gives their objectives (its
-squared norms are the log-det terms).  So a Newton iteration makes three eigh
-calls (two when every trying lane declines).  No iteration solves a system.
+|| log lam~ || from the identity (the default, charted in closed form).  A user start
+is charted once per solve and adds one batched eigvalsh of the whitened iterates per
+iteration.  The raw atoms are whitened once per solve, into the start's chart; after
+that every lane carries the frames U_k of its iterate (orthonormal bases of the
+whitened atoms W_k X_j).  After the guard, one kernel call
+(``likelihood._weighted_kernel_sum``) whitens the frames of every lane that goes on by
+A = W' F_k into the chart F' of its plain update and, for a lane trying Newton, of its
+Newton point, and orthonormalizes them by one Gram-Schmidt across atoms and
+candidates: no LAPACK call.  A W' F_k U_j spans W' X_j, so that one pass gives the
+candidates' frames, from which M = sum_j w_j U_j U_j^T and S = F' M F'^T follow with
+no further whitening, and in its squared norms the log-det terms of each candidate's
+objective relative to the iterate, which decide between plain update and Newton
+point; each lane keeps its winner's frames and sums.  So a plain iteration makes one
+eigh call and one Gram-Schmidt.  An iteration on which some lanes try Newton builds
+their steps together (``_newton_targets``): the projectors come from the kernel's
+frames, one batched GEMM gives sum_j w_j Pi_j kron Pi_j, which the fixed orthonormal
+basis B of the symmetric trace-free matrices (``manifold._tangent_basis``, d =
+(m-1)(m+2)/2 columns) maps to d x d Hessians, one batched eigh of them decides
+definiteness and solves in B's coordinates, and one batched eigh of the V = B x of the
+definite lanes gives the exponential; the guard's one batched eigh then charts the
+plain updates and the Newton points together.  So a Newton iteration makes three eigh
+calls (two when every trying lane declines) and still one Gram-Schmidt.  No iteration
+solves a system.
 """
 
 from __future__ import annotations
@@ -107,11 +114,17 @@ from .grassmann import (
     _check_empirical,
     _columns,
     _gram_certified,
-    _log_gram_dets,
     _outer,
     orthonormalize,
 )
-from .likelihood import _defect, _hessian, _hessian_at, _weighted_kernel_sum, grad_norm_sq
+from .likelihood import (
+    _centered,
+    _defect,
+    _hessian,
+    _hessian_at,
+    _weighted_kernel_sum,
+    grad_norm_sq,
+)
 from .manifold import (
     COND_MAX,
     _Chart,
@@ -284,11 +297,13 @@ def _newton_targets(U: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Char
     safe = definite.copy()
     if not definite.any():
         return definite, safe, M[:0]
-    h, E, loglam, F = h[definite], E[definite], it.loglam[definite], it.F[definite]
+    loglam, F = it.loglam, it.F
+    if np.count_nonzero(definite) < len(definite):
+        h, E, M, loglam, F = h[definite], E[definite], M[definite], loglam[definite], F[definite]
     # 2 H x = g on the tangent basis B: g = B^T vec(M - (r/m) Id), V = B x, applied lane
     # by lane on the (L, m^2, 1) layout
     B = _tangent_basis(m)
-    g = B.T @ (M[definite] - len(U) / m * np.eye(m)).reshape(-1, m * m, 1)
+    g = B.T @ _centered(M, len(U))[..., None]
     V = B @ (E @ (E.swapaxes(-1, -2) @ g / (2.0 * h[..., None])))
     mu, Z = np.linalg.eigh(sym(V.reshape(-1, m, m)))
     # cond(F e^V F^T) <= e^(mu_max - mu_min) cond(Sigma); within this bound it is at most
@@ -296,9 +311,23 @@ def _newton_targets(U: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Char
     # (a chart's loglam comes from eigh, so it is sorted ascending)
     bounded = mu[:, -1] - mu[:, 0] + (loglam[:, -1] - loglam[:, 0]) <= np.log(COND_MAX) - 1.0
     safe[definite] = bounded
-    Z, F = Z[bounded], F[bounded]
-    expV = (Z * np.exp(mu[bounded])[:, None, :]) @ Z.swapaxes(-1, -2)
+    if np.count_nonzero(bounded) < len(bounded):
+        mu, Z, F = mu[bounded], Z[bounded], F[bounded]
+    expV = (Z * np.exp(mu)[:, None, :]) @ Z.swapaxes(-1, -2)
     return definite, safe, sym(F @ expV @ F.swapaxes(-1, -2))
+
+
+def _lanes(U: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The kernel's frames (r, L, m, n) of the lanes idx, on contiguous (r, m, len(idx), n)
+    memory: one copy, which ``_as_atoms`` hands to the kernel as it is."""
+    return np.take(U.swapaxes(1, 2), idx, axis=2).swapaxes(1, 2)
+
+
+def _as_atoms(U: np.ndarray) -> np.ndarray:
+    """The kernel's frames (r, L, m, n) as (L n, m, r) atoms: a view of the contiguous
+    (r, m, L, n) memory the kernel writes, else a copy."""
+    r, L, m, n = U.shape
+    return U.swapaxes(1, 2).reshape(r, m, L * n).T
 
 
 def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
@@ -312,17 +341,22 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
     result does not depend on the other lanes of its stack.
     """
     B, n, m, r = points.shape
-    W0 = None if start is None else _chart(start).W     # a user start is charted once
-    it, _ = _guarded(np.repeat((np.eye(m) if start is None else start)[None], B, axis=0))
+    if start is None:                        # the identity's chart, in closed form
+        it, W0 = _chart(np.tile(np.eye(m), (B, 1, 1)), np.zeros((B, m)),
+                        np.tile(np.eye(m), (B, 1, 1))), None
+    else:                                    # a user start is charted once
+        it, W0 = _guarded(np.repeat(start[None], B, axis=0))[0], _chart(start).W
     prev = it.sigma                          # the escape flag reads iterates k-1 and k
     newton = np.zeros(B, dtype=bool)         # took a Newton point: tries one every iteration
     declined = np.zeros(B, dtype=bool)       # met a null Hessian: never tries again
     lanes = list(range(B))
     traces: list[list[tuple[int, float, float]]] = [[] for _ in lanes]
     results: list[GEResult | None] = [None] * B
+    # the raw atoms are whitened once; every later kernel call whitens the frames U
+    w = weights                              # the weights of the lanes in the stack
+    M, S, U, _ = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1),
+                                      it.F, it.W)
     for k in range(opts.max_iter + 1):
-        M, S, U = _weighted_kernel_sum(points.reshape(-1, m, r), weights.reshape(-1),
-                                       it.F, it.W)
         # the divergence test watches the distance from the start: || log eig(Sigma) ||
         # from the identity, else one batched eigvalsh of the iterates whitened by W0
         dist = np.sqrt(np.vecdot(it.loglam, it.loglam)) if W0 is None \
@@ -339,7 +373,7 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
             done.append(i)
             if status == "diverged_to_boundary":
                 results[lanes[i]] = _escape_result(it.sigma[i], res, k, trace, prev[i],
-                                                   points[i], weights[i])
+                                                   points[lanes[i]], weights[lanes[i]])
             else:
                 results[lanes[i]] = GEResult(it.sigma[i], res, k, status, trace)
         if len(done) == len(lanes):
@@ -348,45 +382,61 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
         # lanes' Newton points (appended after them) in one call
         L, cand = len(S), np.array(trying, dtype=int)
         if trying:
-            definite, safe, targets = _newton_targets(U[:, cand], weights[cand], M[cand],
-                                                      _Chart(*(a[cand] for a in it)))
+            if len(cand) == L:
+                definite, safe, targets = _newton_targets(U, w, M, it)
+            else:
+                definite, safe, targets = _newton_targets(
+                    U[:, cand], w[cand], M[cand], _Chart(*(a[cand] for a in it)))
             declined[cand[~definite]] = True
             cand = cand[safe]
             S = np.concatenate([S, targets])
         new, ok = _guarded(S)
-        if len(cand):
-            # the plain update lowers the objective; a Newton point replaces it only
-            # where it lowers it at least as much (objectives relative to the iterate,
-            # from one Gram-Schmidt of the atoms whitened in both candidates' charts).
-            # Newton points pass the guard by construction, and a lane whose plain
-            # update breaches it leaves with its old iterate below
-            twice = np.concatenate([cand, cand])
-            charted = np.concatenate([cand, np.arange(L, len(S))])     # plain, then Newton
-            A = new.W[charted] @ it.F[twice]
-            f = np.vecdot(weights[twice], _log_gram_dets((A @ U[:, twice]).swapaxes(1, 2)))
-            take = f[len(cand):] <= f[:len(cand)]
-            for a in new:
-                a[cand[take]] = a[L:][take]
-            new = _Chart(*(a[:L] for a in new))
-            newton[cand[take]] = True
         # the one exit point: a lane leaves the stack with a status or a guard breach
         keep = ok[:L]
-        if done or np.count_nonzero(keep) < L:
+        if done:
             keep[done] = False
+        if np.count_nonzero(keep) < L:
             for i in np.flatnonzero(~keep):
                 if results[lanes[i]] is None:
                     # the guard breached before the distance test fired: the lane is
                     # escaping, and it leaves with its old iterate (the new one is unusable)
                     trace = traces[lanes[i]]
-                    results[lanes[i]] = _escape_result(it.sigma[i], trace[-1][1], k + 1,
-                                                       trace, prev[i], points[i], weights[i])
+                    results[lanes[i]] = _escape_result(it.sigma[i], trace[-1][1], k + 1, trace,
+                                                       prev[i], points[lanes[i]],
+                                                       weights[lanes[i]])
             if not keep.any():
                 break
-            it, new = _Chart(*(a[keep] for a in it)), _Chart(*(a[keep] for a in new))
-            points, weights = points[keep], weights[keep]
-            newton, declined = newton[keep], declined[keep]
-            lanes = [lane for lane, good in zip(lanes, keep) if good]
-        prev, it = it.sigma, new
+            go, tried = np.flatnonzero(keep), keep[cand]
+            new = _Chart(*(a[np.concatenate([go, L + np.flatnonzero(tried)])] for a in new))
+            it, w, U = _Chart(*(a[go] for a in it)), w[go], _lanes(U, go)
+            newton, declined = newton[go], declined[go]
+            lanes = [lanes[i] for i in go]
+            cand, L = np.cumsum(keep)[cand[tried]] - 1, len(go)
+        prev, F = it.sigma, it.F
+        if len(cand):                        # the lane each Newton point leaves from
+            src = np.concatenate([np.arange(L), cand])
+            F, w, U = F[src], w[src], _lanes(U, src)
+        # one kernel call whitens the frames of the iterates into the chart of every plain
+        # update and Newton point: the next iterates' frames and sums, and in the squared
+        # norms of their Gram-Schmidt the candidates' objectives relative to the iterates
+        M, S, U, sq = _weighted_kernel_sum(_as_atoms(U), w.reshape(-1), new.F, new.W @ F)
+        if len(cand):
+            # the plain update lowers the objective; a Newton point replaces it only
+            # where it lowers it at least as much.  Newton points pass the guard by
+            # construction
+            f = np.vecdot(w, np.log(sq).sum(0))
+            take = f[L:] <= f[cand]
+            if len(cand) == L and take.all():
+                pick = slice(L, None)
+            elif not take.any():
+                pick = slice(L)
+            else:
+                pick = np.arange(L)
+                pick[cand[take]] = L + np.flatnonzero(take)
+            new, M, S, U, w = _Chart(*(a[pick] for a in new)), M[pick], S[pick], U[:, pick], \
+                w[:L]
+            newton[cand[take]] = True
+        it = new
     return results
 
 

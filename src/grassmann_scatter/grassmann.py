@@ -276,18 +276,25 @@ def _gram_schmidt(T: np.ndarray):
     return T, sq
 
 
-def _frames(points: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The whitened frames U_j of the (n, m, r) atoms, in the (r, m, n) layout.
+def _whiten(points: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """W X_j for the (n, m, r) atoms X_j, in the (r, m, n) layout.
 
-    A stack of L > 1 factors W (L, m, m) whitens L equal blocks of consecutive
-    atoms (one dataset each), block i by W[i], in one broadcast product, and
-    gives the frames in the (r, m, L, n/L) layout.
+    A stack of L factors W (L, m, m) whitens L equal blocks of consecutive atoms (one
+    dataset each), block i by W[i], in one broadcast product; the atoms stay in their
+    order, so the (r, m, n) array is the stack's (r, m, L, n/L) layout.
     """
     if W.ndim == 2 or len(W) == 1:
-        return _gram_schmidt(W @ points.transpose(2, 1, 0))[0]
+        return W.reshape(W.shape[-2:]) @ points.T
     n, m, r = points.shape
-    T = W[:, None] @ points.reshape(len(W), -1, m, r).transpose(0, 3, 2, 1)   # (L, r, m, n/L)
-    return _gram_schmidt(T.transpose(1, 2, 0, 3))[0]
+    L = len(W)
+    T = np.empty((r, m, L, n // L))
+    np.matmul(W, points.T.reshape(r, m, L, -1).swapaxes(1, 2), out=T.swapaxes(1, 2))
+    return T.reshape(r, m, n)
+
+
+def _frames(points: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The whitened frames U_j of the (n, m, r) atoms, in the (r, m, n) layout."""
+    return _gram_schmidt(_whiten(points, W))[0]
 
 
 def _outer(U: np.ndarray) -> np.ndarray:

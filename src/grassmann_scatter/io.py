@@ -6,7 +6,8 @@ object
     {"m": 3, "r": 2, "points": [[[...], ...], ...], "weights": [...]}
 
 where points[j] is the j-th m x r basis matrix (nested lists, rows outer),
-m and r are JSON integers, the entries are numbers (not strings or null),
+m and r are JSON integers, the entries are numbers (not strings, true, false
+or null),
 and weights is optional (uniform when missing).  The file is read as UTF-8
 whatever the locale; a file that cannot be decoded or does not have this
 form raises DomainError (exit 3 from the CLI).  Reports are dicts of plain
@@ -60,13 +61,21 @@ def _numbers(values, count: int = -1) -> np.ndarray:
     return np.fromiter(map(operator.pos, values), float, count)
 
 
+def _parse(path):
+    """(parse tree, whether it may hold true or false) of a UTF-8 JSON file.  Every true
+    holds a "u" and every false an "l", and no number, NaN, Infinity or required key
+    holds either, so only a text with one of them needs the exact test of its entries."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return json.loads(text), "u" in text or "l" in text
+
+
 def _decode_measure(path):
     """(points, weights) of a dataset file: the (n, m, r) array built from the parse
     tree with ``np.fromiter`` once ``map(len, ...)`` has checked that every atom has
     m rows and every row r entries, and the weights array or None."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc, literals = _parse(path)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DomainError(f"{path} is not UTF-8 JSON: {exc}") from exc
     try:
@@ -79,6 +88,10 @@ def _decode_measure(path):
                               "nested lists (rows outer)")
         points = _numbers(chain.from_iterable(rows), len(rows) * r).reshape(len(atoms), m, r)
         weights = doc.get("weights")
+        entries = chain(chain.from_iterable(rows), weights or ())
+        if literals and any(type(v) is bool for v in entries):   # pos() takes them as 1 / 0
+            raise DomainError(f"{path}: the entries of points and weights must be numbers, "
+                              "not true or false")
         return points, None if weights is None else _numbers(weights)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{path} must carry m, r, points and numeric weights: {exc}") from exc

@@ -32,10 +32,10 @@ sums, batched over atoms; a Gaussian law is sampled first (UsageError otherwise)
 The one Monte Carlo evaluation of a law, the CLT reference, is drawn by
 ``asymptotics.clt_experiment``.
 
-Everything here comes from the single whitened-frame core ``grassmann._frames``
-(one product with the inverse W = F^-1 of a factor F F^T = Sigma whitens every
-atom, and Gram-Schmidt across atoms gives orthonormal frames of span(W X_j) and
-log det(X_j^T Sigma^-1 X_j)), summed over atoms by ``_weighted_kernel_sum``; the
+Everything here comes from the single whitened-frame core of ``grassmann`` (one
+product with the inverse W = F^-1 of a factor F F^T = Sigma whitens every atom,
+``_whiten``, and Gram-Schmidt across atoms gives orthonormal frames of span(W X_j)
+and log det(X_j^T Sigma^-1 X_j)), summed over atoms by ``_weighted_kernel_sum``; the
 whitening factor comes from the eigen chart of ``manifold``.
 """
 
@@ -49,9 +49,10 @@ from .grassmann import (
     Empirical,
     _atom_logdet_ratio,
     _check_empirical,
-    _frames,
+    _gram_schmidt,
     _logdet_ratio,
     _outer,
+    _whiten,
     check_basis,
 )
 from .manifold import (_Chart, _chart, _check_scatter_for, _tangent_basis, _whitened,
@@ -60,20 +61,30 @@ from .manifold import (_Chart, _chart, _check_scatter_for, _tangent_basis, _whit
 
 def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
                          W: np.ndarray):
-    """(M, S, U): the mean projector M = sum_j w_j Pi_j whitened by W = F^-1, S = F M F^T,
-    and the whitened frames U the sum is built from.
+    """(M, S, U, sq): the mean projector M = sum_j w_j Pi_j of the atoms whitened by W,
+    S = F M F^T, the whitened frames U the sum is built from and the squared norms sq of
+    their Gram-Schmidt (sum_k log sq_kj = log det of the whitened atom's Gram matrix).
 
-    S = sum_j w_j X_j G_j^-1 X_j^T is the same for every factor F F^T = Sigma.  A
-    stack of L factors (L, m, m) splits the atoms into L equal blocks of consecutive
-    atoms, one dataset each (see ``_frames``), and gives one (M, S) per block and the
-    frames in the (r, L, m, n/L) layout; a single factor gives them in (r, m, n).
+    The atoms may be any bases of the subspaces.  Raw atoms X_j whitened by W = F^-1
+    give S = sum_j w_j X_j G_j^-1 X_j^T, the same for every factor F F^T = Sigma.  The
+    solver whitens its raw atoms once per solve; after that it hands back the frames U
+    of an iterate with chart F_k as the atoms, whitened by W = W' F_k for a candidate
+    chart F': W' F_k U_j spans W' X_j, so one Gram-Schmidt gives the candidate's frames
+    and, in its squared norms, the candidate's log-det terms relative to the iterate.
+
+    A stack of L factors (L, m, m) splits the atoms into L equal blocks of consecutive
+    atoms, one dataset each (see ``_whiten``), and gives one (M, S) per block, the frames
+    in the (r, L, m, n/L) layout (a view of contiguous (r, m, n) memory) and sq in
+    (r, L, n/L); a single factor gives them in (r, m, n) and (r, n).
     """
-    U = _frames(points, W)
-    if W.ndim == 3:                                   # (r, m, L, n/L) -> (r, L, m, n/L)
-        U = U.reshape(U.shape[:2] + (len(W), -1)).swapaxes(1, 2)
+    U, sq = _gram_schmidt(_whiten(points, W))
+    if W.ndim == 3:                                   # (r, m, L n/L) -> (r, L, m, n/L)
+        r, m, n = U.shape
+        U = U.reshape(r, m, len(W), -1).swapaxes(1, 2)
+        sq = sq.reshape(r, len(W), -1)
         weights = weights.reshape(len(W), 1, -1)
     M = sym(((U * weights) @ U.swapaxes(-1, -2)).sum(0)).reshape(W.shape)   # sum_k (U_k w) U_k^T
-    return M, sym(F @ M @ F.swapaxes(-1, -2)), U
+    return M, sym(F @ M @ F.swapaxes(-1, -2)), U, sq
 
 
 def _kron_mean(P: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -117,7 +128,7 @@ def _hessian_at(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray):
     """(chart c of Sigma, M, H): the whitened mean projector and ``_hessian`` at Sigma, built
     as a one-entry stack (the solver's layout), so ``diagnose`` reads the solver's H to the bit."""
     c = _chart(Sigma)
-    M, _, U = _weighted_kernel_sum(points, weights, c.F[None], c.W[None])
+    M, _, U, _ = _weighted_kernel_sum(points, weights, c.F[None], c.W[None])
     return c, M[0], _hessian(_outer(U), weights[None], M)[0]
 
 
@@ -127,10 +138,18 @@ def _hessian_apply(c: _Chart, H: np.ndarray, V: np.ndarray) -> np.ndarray:
     return sym(c.F @ (B @ (H @ (B.T @ V.reshape(-1)))).reshape(V.shape) @ c.F.T)
 
 
+def _centered(M: np.ndarray, r: int) -> np.ndarray:
+    """vec(M - (r/m) Id) for a whitened mean projector M (per entry of a stack, (..., m^2))."""
+    m = M.shape[-1]
+    D = M.reshape(M.shape[:-2] + (m * m,)).copy()
+    D[..., ::m + 1] -= r / m                        # the diagonal of each entry
+    return D
+
+
 def _defect(M: np.ndarray, r: int):
     """|| M - (r/m) Id ||_F^2 for a whitened mean projector M (per entry of a stack)."""
-    D = M - (r / M.shape[-1]) * np.eye(M.shape[-1])
-    return (D * D).reshape(D.shape[:-2] + (-1,)).sum(-1)
+    D = _centered(M, r)
+    return (D * D).sum(-1)
 
 
 def loglik_point(X, Sigma) -> float:
@@ -149,7 +168,7 @@ def loglik(meas: Empirical, Sigma) -> float:
 
 def _grad(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
     c = _chart(Sigma)
-    _, S, _ = _weighted_kernel_sum(points, weights, c.F, c.W)
+    S = _weighted_kernel_sum(points, weights, c.F, c.W)[1]
     _, m, r = points.shape
     return sym((0.5 * r / m) * Sigma - 0.5 * S)
 

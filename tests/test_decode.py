@@ -134,6 +134,31 @@ def test_undecodable_text_raises_domain_error(tmp_path, text):
         read_measure_json(path)
 
 
+@pytest.mark.parametrize("doc", [
+    {"m": 2, "r": 1, "points": [[[True], [False]], [[0.0], [1.0]], [[1.0], [1.0]]]},
+    {"m": 2, "r": 1, "points": LINES, "weights": [0.5, False, 0.5]},
+    {"m": 2, "r": 1, "points": LINES, "weights": [True, 0.0, 0.0]},
+], ids=["points", "weights", "weights true"])
+def test_cli_rejects_json_booleans_with_exit_3(tmp_path, capsys, doc):
+    # they were read as 1.0 / 0.0
+    path = dump(tmp_path / "bools.json", doc)
+    for command in ("estimate", "diagnose"):
+        out = tmp_path / command
+        assert main([command, "--input", str(path), "--out", str(out)]) == 3
+        assert "not true or false" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_text_with_u_or_l_outside_the_entries_loads(tmp_path):
+    # the exact test of every entry runs on this file ("u" and "l" in the note) and
+    # finds no boolean
+    doc = {"m": 2, "r": 1, "points": LINES, "weights": [0.25, 0.5, 0.25],
+           "note": "full rule: null"}
+    meas = read_measure_json(dump(tmp_path / "note.json", doc))
+    assert_bit_identical(meas.points, np.array(LINES))
+    assert_bit_identical(meas.weights, np.array([0.25, 0.5, 0.25]))
+
+
 def test_cli_rejects_non_utf8_dataset_with_exit_3(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"m": 2, "r": 1, "points": [[[1.0], [0.0]], [[0.0], [1.0]], '

@@ -70,7 +70,7 @@ def test_kernel_matches_reference_loop(m, r, uniform, cond):
         assert max_mixed_err(_outer(_frames(points, g_inv)),
                              ref_whitened_projectors(points, g)) <= tol
 
-        M, S, _ = _weighted_kernel_sum(points, w, L, L_inv)
+        M, S, _, _ = _weighted_kernel_sum(points, w, L, L_inv)
         assert max_mixed_err(S, ref_kernel_sum(points, w, Sigma)) <= tol
         assert max_mixed_err(_weighted_kernel_sum(points, w, g, g_inv)[1], S) <= tol
         res = _defect(M, r)
@@ -93,7 +93,7 @@ def test_kernel_accurate_on_ill_conditioned_atoms(m, r, cond):
     c = _chart(scatter_with_condition(rng, m, 10.0))
     M_ref, ratios_ref = mp_kernel_sum(meas.points, meas.weights, c.W)
     tol = 64.0 * EPS * cond
-    M, _, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
+    M = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0]
     assert max_mixed_err(M, M_ref) <= tol
     assert max_mixed_err(_logdet_ratio(meas.points, c.W), ratios_ref) <= tol
 

@@ -372,7 +372,7 @@ def test_hessian_quadratic_form_matches_explicit_inverse():
         Sigma = random_scatter(m, rng, spread=0.8)
         c = _chart(Sigma)
         P = _outer(_frames(meas.points, c.W))
-        M, _, _ = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)
+        M = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0]
         H = _hessian(P, meas.weights, M)
         assert np.abs(H - H.T).max() <= 1e-14
         Sinv = np.linalg.inv(Sigma)

@@ -1,5 +1,6 @@
 """The single-eigh fixed-point loop against the four-factorization reference loop,
-its trace distances against the public distance, its LAPACK budget, its stacked
+its trace distances against the public distance, its LAPACK budget, its one
+Gram-Schmidt per iteration and the residuals of its carried-over frames, its stacked
 lanes and its Newton steps."""
 
 from collections import Counter
@@ -14,8 +15,9 @@ from grassmann_scatter import (
     distance,
     fixed_point_solve,
     random_scatter,
+    residual,
 )
-from grassmann_scatter import estimator
+from grassmann_scatter import estimator, likelihood
 from grassmann_scatter.likelihood import _weighted_kernel_sum
 from grassmann_scatter.manifold import COND_MAX, _Chart, _chart
 from helpers import (
@@ -172,16 +174,63 @@ def test_lapack_budget_per_iteration(monkeypatch, with_start, screened):
     assert not [c for c in calls if c[0] == "scipy"]
     names = Counter(name for _, name, _ in calls)
     # span check once: one det of the Gram screen, plus the svd of the columns where the
-    # screen cannot certify; the kernel solves nothing; one eigh charts each iterate, and
-    # a Newton iteration adds one batched eigh of the Hessians and, if any is definite,
-    # one of the Newton velocities
+    # screen cannot certify; the kernel solves nothing; one eigh charts each update (the
+    # identity start is charted in closed form), and a Newton iteration adds one batched
+    # eigh of the Hessians and, if any is definite, one of the Newton velocities
     expected = {"det": 1, "svd": 0 if screened else 1,
-                "eigh": evaluations + sum(1 + bool(d.any()) for d in builds)}
+                "eigh": result.iterations + sum(1 + bool(d.any()) for d in builds)}
     if with_start:
-        # validation, then the start's eigen chart once per solve,
-        # then one eigvalsh of the start-whitened iterate per evaluation
-        expected.update(eigvalsh=1 + evaluations, eigh=1 + expected["eigh"])
+        # validation, then the start's eigen chart by the guard and once more for the
+        # distance, then one eigvalsh of the start-whitened iterate per evaluation
+        expected.update(eigvalsh=1 + evaluations, eigh=2 + expected["eigh"])
     assert names == +Counter(expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ["500 iterations", "no_ge escape"])
+def test_last_trace_residual_is_the_residual_of_the_estimate(case, seed):
+    # the raw atoms are whitened once per solve, and every later iterate's frames come
+    # from the previous iterate's; the residual of the last trace entry still matches
+    # the residual of the returned estimate evaluated afresh from the raw atoms: after
+    # 500 iterations of a threshold+1 set (Newton points at the rounding floor) and
+    # at the end of an escape (condition ~1e13)
+    if case == "500 iterations":
+        meas = Empirical(np.random.default_rng(seed).standard_normal((6, 4, 1)))
+        result = fixed_point_solve(meas, options=SolverOptions(max_iter=500, tol=1e-300))
+        assert result.iterations == 500
+    else:
+        meas = no_ge_lines(seed, 9)
+        result = fixed_point_solve(meas)
+        assert result.status == "diverged_to_boundary"
+        assert np.linalg.cond(result.estimate) > 1e12
+    fresh = residual(meas, result.estimate)
+    assert abs(result.trace[-1][1] - fresh) <= max(1e-10 * fresh, 1e-24)
+
+
+def test_one_gram_schmidt_per_trace_entry(monkeypatch):
+    # the start's frames, then per update one Gram-Schmidt of the frames whitened into
+    # the charts of every plain update and Newton point: it gives the next frames and
+    # the candidates' objectives, for a lane alone and for a stack of lanes together
+    passes = []
+    gram_schmidt = likelihood._gram_schmidt
+
+    def counting(T):
+        passes.append(T.shape)
+        return gram_schmidt(T)
+
+    monkeypatch.setattr(likelihood, "_gram_schmidt", counting)
+    builds = _record_newton(monkeypatch)
+    sets = [Empirical(np.random.default_rng(seed).standard_normal((5, 5, 2))) for seed in range(4)]
+    sets += [_planes_in_a_solid(seed) for seed in range(2)]
+    for meas in sets + [no_ge_lines(0, 9)]:
+        passes.clear()
+        result = fixed_point_solve(meas)
+        assert len(passes) == len(result.trace), result.status
+    assert builds                               # Newton iterations were among them
+    passes.clear()
+    block = estimator._solve_stack(np.stack([meas.points for meas in sets]),
+                                   np.stack([meas.weights for meas in sets]), SolverOptions())
+    assert len(passes) == max(len(result.trace) for result in block)
 
 
 def _planes_in_a_solid(seed):
@@ -279,9 +328,9 @@ def test_guard_breach_beside_a_newton_lane_equals_the_solo_solves(monkeypatch):
 
     monkeypatch.setattr(estimator, "_guarded", recording)
     block = estimator._solve_stack(np.stack([A, B]), np.full((2, 6), 1.0 / 6), opts)
-    # the start, then one guard per iteration: A's plain update breaches beside B's
-    # plain update and Newton point
-    assert masks[24] == [False, True, True]
+    # one guard per iteration (the identity start needs none): A's plain update
+    # breaches beside B's plain update and Newton point
+    assert masks[23] == [False, True, True]
     for a, b in zip(block, alone):
         _same_result(a, b)
 
@@ -314,7 +363,7 @@ def test_newton_point_declined_near_the_guard(margin, accepted):
     X = _chart(fixed_point_solve(meas).estimate).W @ meas.points
     c = _chart(np.diag(np.exp(np.linspace(-0.5, 0.5, 5) * (np.log(COND_MAX) - margin))))
     points = c.F @ X
-    M, _, U = _weighted_kernel_sum(points, meas.weights, c.F[None], c.W[None])
+    M, _, U, _ = _weighted_kernel_sum(points, meas.weights, c.F[None], c.W[None])
     definite, safe, targets = estimator._newton_targets(U, meas.weights[None], M,
                                                         _Chart(*(a[None] for a in c)))
     assert definite[0] and safe[0] == accepted and len(targets) == accepted
