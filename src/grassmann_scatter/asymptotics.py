@@ -19,22 +19,24 @@ symmetric trace-free matrices (B their orthonormal basis), and
 
 (Q L0 Q) must have full rank (m-1)(m+2)/2 on the tangent space, i.e. the
 d x d matrix B^T L0 B must be invertible; degenerate support makes it
-rank-deficient, raising DegeneracyError.  The three
-functions take a sample (an ``Empirical``) and the scatter Sigma they whiten
-by; the expectations are its exact weighted sums.  A law is sampled first: the
-one such sample, the CLT reference, is drawn by ``clt_experiment``.
+rank-deficient, raising DegeneracyError.  The three functions check a sample (an
+``Empirical``) and the scatter Sigma, then call the unchecked core ``_moments`` on
+(points, weights, chart of Sigma): exact weighted sums, the score covariance one GEMM.
+A law is sampled first: the CLT reference is drawn by ``clt_experiment``, checked by
+the rank screen as the replications are, and evaluated by that core.
 
 All vec operations are column-major.  ``lln_experiment`` and
 ``clt_experiment`` reproduce both limits by Monte Carlo; replications use
 counter-based child streams SeedSequence(entropy=seed, spawn_key=(grid, rep)).
 They are solved in blocks: a block is a range of reps within one grid entry
 (same n), at most STACK_FLOATS floats of atoms and at most ceil(reps/threads) reps, so
-every worker gets a share.  A block is drawn rep by rep from those streams,
-validated by the Gram screens of the atom ranks and of the spans (one batched
-det each, and an svd only of what a screen cannot certify), and solved as one
-stack by the estimator's fixed-point loop, in which a lane's result does not
-depend on the other lanes.  Results are therefore
-bit-identical for any worker count and any block size.
+every worker gets a share.  Each rep's normals come from its own stream, and one
+product with sigma's Cholesky factor turns the block's into atoms.  The block is
+validated by the Gram screens of the atom ranks and of the spans (one batched det
+each, and an svd only of what a screen cannot certify), solved as one stack by the
+estimator's fixed-point loop, in which a lane's result does not depend on the other
+lanes, and summarized as one stack (distances and C_n whitened by sigma's chart).
+Results are therefore bit-identical for any worker count and any block size.
 """
 
 from __future__ import annotations
@@ -55,12 +57,11 @@ from .manifold import (
     _Chart,
     _chart,
     _check_scatter_for,
-    _distance,
     _tangent_basis,
     _whitened,
+    _whitened_distance,
     check_scatter,
     sym,
-    vec,
 )
 
 PINV_CUTOFF = 1e-10     # relative eigenvalue cutoff for the pseudo-inverse
@@ -68,8 +69,9 @@ STACK_FLOATS = 1 << 17  # floats of atoms in one block of replications solved as
 
 
 def _whiten_normalize(Sigma_hat: np.ndarray, c: _Chart) -> np.ndarray:
+    """C of an estimate, or of each of a stack (..., m, m), whitened at c.sigma."""
     A = sym(c.Q @ _whitened(c, Sigma_hat) @ c.Q.T)       # g^-1 Sigma_hat g^-1, g^-1 = Q W
-    return Sigma_hat.shape[0] * A / np.trace(A)
+    return Sigma_hat.shape[-1] * A / np.trace(A, axis1=-2, axis2=-1)[..., None, None]
 
 
 def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
@@ -83,26 +85,27 @@ def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
     return _whiten_normalize(Sigma_hat, _chart(Sigma))
 
 
-def _moments(meas: Empirical, Sigma, op: str):
-    """(score_covariance, projector_kron_mean) of a sample, projectors whitened by
-    sym_sqrt(Sigma)."""
-    c = _chart(_check_empirical(meas, op, Sigma))
-    P = _outer(_frames(meas.points, c.Q @ c.W))
-    n, m, r, w = meas.n, meas.m, meas.r, meas.weights
-    D = P - (r / m) * np.eye(m)
-    V = np.transpose(D, (0, 2, 1)).reshape(n, -1)   # column-major vec of each D_j
-    sigma2 = np.einsum("n,ni,nj->ij", w, V, V)
-    return sigma2, _kron_mean(P, w)
+def _moments(points: np.ndarray, w: np.ndarray, c: _Chart):
+    """Unchecked (score_covariance, projector_kron_mean) of atoms (points, w) by g^-1 = c.Q c.W."""
+    n, m, r = points.shape
+    P = _outer(_frames(points, c.Q @ c.W))
+    V = (P - (r / m) * np.eye(m)).reshape(n, -1)    # vec of each D_j (symmetric: either order)
+    return (V.T * w) @ V, _kron_mean(P, w)
+
+
+def _checked(meas: Empirical, Sigma, op: str):
+    c = _chart(_check_empirical(meas, op, Sigma))      # a law raises before its atoms are read
+    return meas.points, meas.weights, c
 
 
 def score_covariance(meas: Empirical, Sigma) -> np.ndarray:
     """E[vec(Pi - (r/m) Id) vec(Pi - (r/m) Id)^T] over a sample, at the scatter Sigma."""
-    return _moments(meas, Sigma, "score_covariance")[0]
+    return _moments(*_checked(meas, Sigma, "score_covariance"))[0]
 
 
 def projector_kron_mean(meas: Empirical, Sigma) -> np.ndarray:
     """E[Pi kron Pi] over a sample, at the scatter Sigma; trace equals r^2 exactly."""
-    return _moments(meas, Sigma, "projector_kron_mean")[1]
+    return _moments(*_checked(meas, Sigma, "projector_kron_mean"))[1]
 
 
 def limiting_covariance(meas: Empirical, Sigma) -> np.ndarray:
@@ -114,8 +117,12 @@ def limiting_covariance(meas: Empirical, Sigma) -> np.ndarray:
     returns A^+ sigma2 A^+T with A^+ = B A_t^+ B^T.  Raises DegeneracyError when A_t
     is rank-deficient (support too degenerate for a CLT).
     """
-    sigma2, S0 = _moments(meas, Sigma, "limiting_covariance")
-    m, r = meas.m, meas.r
+    return _limiting_covariance(*_checked(meas, Sigma, "limiting_covariance"))
+
+
+def _limiting_covariance(points: np.ndarray, w: np.ndarray, c: _Chart) -> np.ndarray:
+    sigma2, S0 = _moments(points, w, c)
+    _, m, r = points.shape
     B = _tangent_basis(m)
     d = B.shape[1]
     lam, U = np.linalg.eigh(sym((r / m) * np.eye(d) - B.T @ S0 @ B))    # A_t = B^T L0 B
@@ -149,26 +156,27 @@ def _blocks(ns, reps: int, m: int, r: int, threads: int):
 
 
 def _solve_block(c: _Chart, r: int, n: int, grid: int, reps: range, seed: int, opts):
-    """Solver results of the replications ``reps``: n draws of the Gaussian family at
-    c.sigma each, from their own streams, validated and solved as one stack."""
-    chol = np.linalg.cholesky(c.sigma)
-    points = np.stack([_gaussian_bases(chol, r, n, _rep_rng(seed, grid, rep)) for rep in reps])
+    """(estimates (len(reps), m, m), [(status, iterations)]) of the replications ``reps``:
+    n Gaussian draws at c.sigma each, from their own streams, validated and solved as one stack."""
+    rngs = [_rep_rng(seed, grid, rep) for rep in reps]
+    points = _gaussian_bases(np.linalg.cholesky(c.sigma), r, n, rngs)
     _check_ranks(points)
     _check_span(points)
-    return _solve_stack(points, np.full((len(reps), n), 1.0 / n), opts)
+    results = _solve_stack(points, np.full((len(reps), n), 1.0 / n), opts)
+    return np.stack([x.estimate for x in results]), [(x.status, x.iterations) for x in results]
 
 
 def _lln_block(args) -> list[tuple[float, str, int]]:
-    sigma = args[0].sigma
-    return [(_distance(res.estimate, sigma), res.status, res.iterations)
-            for res in _solve_block(*args)]
+    E, tags = _solve_block(*args)
+    return [(d, *t) for d, t in zip(_whitened_distance(args[0].W, E).tolist(), tags)]
 
 
 def _clt_block(args) -> list[tuple[np.ndarray, str, int]]:
     c, n = args[0], args[2]
-    Id = np.eye(c.sigma.shape[0])
-    return [(math.sqrt(n) * vec(_whiten_normalize(res.estimate, c) - Id), res.status,
-             res.iterations) for res in _solve_block(*args)]
+    E, tags = _solve_block(*args)
+    D = _whiten_normalize(E, c) - np.eye(len(c.sigma))
+    Z = math.sqrt(n) * D.reshape(len(E), -1)     # vec of each C_n - Id (symmetric)
+    return [(z, *t) for z, t in zip(Z, tags)]
 
 
 def _outcomes(flat) -> tuple[dict[str, int], tuple[float, float, float]]:
@@ -314,13 +322,15 @@ def clt_experiment(
             raise UsageError(f"ref must be a finite {m * m} x {m * m} array, got shape "
                              f"{ref.shape}")
     opts = options or SolverOptions()
-    flat = _run_blocks(_clt_block, _chart(law.sigma), r, [n], reps, seed, opts, threads)
+    c = _chart(law.sigma)
+    flat = _run_blocks(_clt_block, c, r, [n], reps, seed, opts, threads)
     Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)
     cov = Z.T @ Z / reps
     if ref is None:
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         draws = _gaussian_bases(np.linalg.cholesky(law.sigma), r, ref_mc_n, ref_rng)
-        ref = limiting_covariance(Empirical(draws), law.sigma)
+        _check_ranks(draws)
+        ref = _limiting_covariance(draws, np.full(ref_mc_n, 1.0 / ref_mc_n), c)
     B = _tangent_basis(m)
     annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - B @ B.T), ord=2))
     rel_frob = float(np.linalg.norm(cov - ref) / np.linalg.norm(ref))

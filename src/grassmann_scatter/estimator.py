@@ -254,16 +254,16 @@ def _escape_result(Sigma, res, k, trace, prev, points, weights) -> GEResult:
     return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag, slope=slope)
 
 
-def _guarded(T: np.ndarray) -> tuple[_Chart, np.ndarray]:
+def _guarded(T: np.ndarray, lam=None, Q=None) -> tuple[_Chart, np.ndarray]:
     """The charts of a stack T rescaled to determinant one, and the mask of those that
     pass the solver's guard (the others' charts are placeholders).
 
-    One batched eigh of T supplies everything.  The guard: every eigenvalue
-    positive, and their ratio at most COND_MAX.  Every solver target is positive
-    semi-definite with trace > 0, so its largest eigenvalue is positive and the
-    ratio test alone implies the sign test.
+    One batched eigh of T supplies everything (pass its (lam, Q) when at hand).  The
+    guard: every eigenvalue positive, and their ratio at most COND_MAX.  Every solver
+    target is positive semi-definite with trace > 0, so its largest eigenvalue is
+    positive and the ratio test alone implies the sign test.
     """
-    lam, Q = np.linalg.eigh(T)
+    lam, Q = np.linalg.eigh(T) if Q is None else (lam, Q)
     ok = lam[..., -1] <= COND_MAX * lam[..., 0]
     if np.count_nonzero(ok) < ok.size:           # a quarter of ok.all()'s cost on small masks
         lam = np.where(ok[..., None], lam, 1.0)
@@ -344,8 +344,10 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
     if start is None:                        # the identity's chart, in closed form
         it, W0 = _chart(np.tile(np.eye(m), (B, 1, 1)), np.zeros((B, m)),
                         np.tile(np.eye(m), (B, 1, 1))), None
-    else:                                    # a user start is charted once
-        it, W0 = _guarded(np.repeat(start[None], B, axis=0))[0], _chart(start).W
+    else:                                    # a user start is charted by one eigh
+        lam, Q = np.linalg.eigh(start)
+        W0 = _chart(start, np.log(lam), Q).W
+        it = _Chart(*(np.repeat(a[None], B, axis=0) for a in _guarded(start, lam, Q)[0]))
     prev = it.sigma                          # the escape flag reads iterates k-1 and k
     newton = np.zeros(B, dtype=bool)         # took a Newton point: tries one every iteration
     declined = np.zeros(B, dtype=bool)       # met a null Hessian: never tries again

@@ -191,13 +191,15 @@ def _check_empirical(meas: Measure, op: str, Sigma=None):
     return None if Sigma is None else _check_scatter_for(meas.m, Sigma)
 
 
-def _gaussian_bases(chol: np.ndarray, r: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. m x r bases with N(0, chol chol^T) columns, (n, m, r): the one sampler.
-
-    Bit-identical whether drawn in one batch or one at a time from the same
-    generator.  Ranks are checked by ``Empirical``, not here.
-    """
-    return np.einsum("ij,njr->nir", chol, rng.standard_normal((n, chol.shape[0], r)))
+def _gaussian_bases(chol: np.ndarray, r: int, n: int, rng) -> np.ndarray:
+    """n i.i.d. m x r bases with N(0, chol chol^T) columns, (n, m, r): the one sampler;
+    n from each of a list of B generators, (B, n, m, r), factored in one product.  The
+    same bits whether drawn in one batch or one at a time, from a generator alone or in
+    a list.  Ranks are checked by ``Empirical`` or ``_check_ranks``, not here."""
+    shape = (n, chol.shape[0], r)
+    Z = np.stack([g.standard_normal(shape) for g in rng]) if isinstance(rng, list) \
+        else rng.standard_normal(shape)
+    return np.einsum("ij,...njr->...nir", chol, Z)
 
 
 def sample(meas: Measure, rng: np.random.Generator) -> np.ndarray:

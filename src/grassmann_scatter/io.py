@@ -30,11 +30,17 @@ from .manifold import check_scatter
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Load a matrix from comma-separated values (one row per line)."""
+    """Load a matrix from comma-separated values, one row per line, each entry parsed by
+    ``float`` (blank lines and text after # skipped); one row is 1 x k, one column k x 1."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
+        with open(path) as fh:
+            M = np.array([list(map(float, t.split(","))) for t in
+                          (line.split("#", 1)[0] for line in fh) if t.strip()])
+        if M.ndim != 2:
+            raise ValueError("no rows")
+    except ValueError as exc:       # ragged rows raise ValueError too
         raise DomainError(f"malformed CSV matrix in {path}: {exc}") from exc
+    return M
 
 
 def write_matrix_csv(path, M) -> None:

@@ -25,7 +25,8 @@ from grassmann_scatter import (
     whiten_normalize,
 )
 from grassmann_scatter import asymptotics
-from grassmann_scatter.manifold import manifold_dim
+from grassmann_scatter.grassmann import _gaussian_bases
+from grassmann_scatter.manifold import _chart, _distance, manifold_dim
 from helpers import circle_lines, gaussian_points, orthogonal_lines, three_symmetric_lines
 
 # Closed forms for the uniform law on lines in the plane (m=2, r=1, scatter Id).
@@ -186,6 +187,24 @@ def test_clt_default_reference_is_limiting_covariance_of_its_own_draws():
     rng = np.random.default_rng(np.random.SeedSequence(entropy=55, spawn_key=(1,)))
     pts = np.stack([sample(Gaussian(sigma, 2), rng) for _ in range(400)])
     assert np.array_equal(report.ref, limiting_covariance(Empirical(pts), sigma))
+
+
+def test_score_covariance_weighted_matches_an_independent_sum():
+    # the moment core's one GEMM against the three-operand einsum over projectors built
+    # from the symmetric root and a solve, with non-uniform weights
+    rng = np.random.default_rng(109)
+    for m, r, n in ((3, 1, 40), (4, 2, 60), (5, 2, 30)):
+        pts = gaussian_points(rng, np.eye(m), r, n)
+        w = rng.uniform(0.1, 1.0, n)
+        sigma = random_scatter(m, rng, spread=0.4)
+        lam, Q = np.linalg.eigh(sigma)
+        T = (Q / np.sqrt(lam)) @ Q.T @ pts                           # g^-1 X_j
+        Pi = T @ np.linalg.solve(T.swapaxes(1, 2) @ T, T.swapaxes(1, 2))
+        V = np.stack([vec(P - (r / m) * np.eye(m)) for P in Pi])
+        w = w / w.sum()
+        ref = np.einsum("n,ni,nj->ij", w, V, V)
+        S = score_covariance(Empirical(pts, w), sigma)
+        assert np.max(np.abs(S - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_score_covariance_usage_errors():
@@ -449,6 +468,30 @@ def test_experiments_identical_for_any_worker_count_and_block_size(monkeypatch):
         assert lln_b.iteration_quantiles == lln.iteration_quantiles
         assert np.array_equal(clt_b.cov, clt.cov), (budget, threads)
         assert clt_b.iteration_quantiles == clt.iteration_quantiles
+
+
+def test_block_draws_and_summaries_match_the_replications_one_by_one(monkeypatch):
+    # a block is drawn from its replications' own streams, factored in one product,
+    # and summarized as one stack: its draws are each replication's to the bit, and
+    # its distances and CLT vectors are the per-replication forms to rounding
+    sigma = random_scatter(3, np.random.default_rng(6), spread=0.5)
+    c, r, n, seed = _chart(sigma), 2, 20, 23
+    args = (c, r, n, 1, range(2, 8), seed, SolverOptions())
+    chol = np.linalg.cholesky(sigma)
+    alone = np.stack([_gaussian_bases(chol, r, n, asymptotics._rep_rng(seed, 1, k))
+                      for k in args[4]])
+    solve_stack, seen = asymptotics._solve_stack, []
+    monkeypatch.setattr(asymptotics, "_solve_stack",
+                        lambda points, *a: seen.append(points) or solve_stack(points, *a))
+    E = asymptotics._solve_block(*args)[0]
+    assert np.array_equal(seen[0], alone)
+    d = np.array([x for x, _, _ in asymptotics._lln_block(args)])
+    d_ref = np.array([_distance(e, sigma) for e in E])
+    assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-14
+    Z = np.array([z for z, _, _ in asymptotics._clt_block(args)])
+    for z, e in zip(Z, E):
+        z_ref = np.sqrt(n) * vec(asymptotics._whiten_normalize(e, c) - np.eye(3))
+        assert np.max(np.abs(z - z_ref)) <= 1e-14 * np.max(np.abs(z_ref))
 
 
 def test_clt_full_run_matches_predicted_covariance_within_ten_percent(clt_run):

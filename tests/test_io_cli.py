@@ -128,6 +128,42 @@ def test_matrix_csv_malformed_raises(tmp_path):
         read_matrix_csv(path)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (1, 4), (4, 1), (1, 1)])
+def test_matrix_csv_reads_savetxt_files_bit_for_bit(tmp_path, shape):
+    # every entry is parsed by float: the writer's %.18e and savetxt's %.18e and %.17g
+    # give back the array and np.loadtxt's bits; one row or one column stays 2-D
+    rng = np.random.default_rng(202)
+    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    M.flat[0] = np.nextafter(0.0, 1.0)
+    path = tmp_path / "m.csv"
+    for fmt in ("%.18e", "%.17g"):
+        np.savetxt(path, M, delimiter=",", fmt=fmt)
+        got = read_matrix_csv(path)
+        assert got.shape == shape and np.array_equal(got, M)
+        assert np.array_equal(got, np.loadtxt(path, delimiter=",", ndmin=2))
+    write_matrix_csv(path, M)
+    assert np.array_equal(read_matrix_csv(path), M)
+
+
+def test_matrix_csv_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("# header\n1.0, 2.0  # note\n\n 3.0 ,4.0\n")
+    got = read_matrix_csv(path)
+    assert np.array_equal(got, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(got, np.loadtxt(path, delimiter=",", ndmin=2))
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# header only\n", "1.0,2.0\n3.0\n",
+                                  "1.0,2.0,\n", "1.0;2.0\n", "1.0,two\n"])
+def test_matrix_csv_rejects_ragged_empty_and_non_numeric(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match="malformed CSV matrix"):
+        read_matrix_csv(path)
+    assert main(["lln", "--sigma", str(path), "--r", "1", "--ns", "20", "--reps", "1",
+                 "--out", str(tmp_path / "out")]) == 3
+
+
 def test_scatter_csv_validates_the_matrix(tmp_path):
     good = tmp_path / "good.csv"
     write_matrix_csv(good, np.diag([2.0, 0.5]))
@@ -254,7 +290,7 @@ def test_cli_estimate_malformed_inputs_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_cli_non_finite_inputs_exit_3(tmp_path, capsys, bad):
-    # json and np.loadtxt both parse these spellings into non-finite floats
+    # json and float both parse these spellings into non-finite floats
     doc = load_json(write_dataset(tmp_path / "lines.json", three_symmetric_lines()))
     out = str(tmp_path / "out")
     bad_point = json.loads(json.dumps(doc))

@@ -180,9 +180,9 @@ def test_lapack_budget_per_iteration(monkeypatch, with_start, screened):
     expected = {"det": 1, "svd": 0 if screened else 1,
                 "eigh": result.iterations + sum(1 + bool(d.any()) for d in builds)}
     if with_start:
-        # validation, then the start's eigen chart by the guard and once more for the
-        # distance, then one eigvalsh of the start-whitened iterate per evaluation
-        expected.update(eigvalsh=1 + evaluations, eigh=2 + expected["eigh"])
+        # validation, then one eigh of the start for both its guarded chart and the
+        # distance's whitening, then one eigvalsh of the start-whitened iterate per evaluation
+        expected.update(eigvalsh=1 + evaluations, eigh=1 + expected["eigh"])
     assert names == +Counter(expected)
 
 
