@@ -1,11 +1,11 @@
 """Milliseconds per phase of one in-process ``cli.main`` command, before and after a
 change to the command-line front end.
 
-    python bench/cli_overhead.py --src parent=/path/to/parent/src --src change=src \
+    python bench/cli_overhead.py --tree parent=/path/to/parent --tree change=. \
         [--out BENCH_cli_overhead.json]
 
-Each of ROUNDS rounds starts one fresh interpreter per source tree, in turn, so the
-trees are interleaved against the drift of a shared host.  The worker writes seeded
+The trees, the interleaved rounds and the record are ``harness.py``'s; here each of
+ROUNDS rounds runs one worker per tree.  The worker writes seeded
 inputs to a temporary directory (a threshold+1 (5,2,5) set and a no-GE (3,1,6) set,
 as in the scan workload, and the 3x3 and 2x2 scatters of the small-mc workload), wraps
 the phases of ``cli.main`` from outside, runs every command of COMMANDS once untimed
@@ -22,10 +22,8 @@ and then REPEATS times, and reports the median milliseconds of each phase per co
 
 Only the outermost wrapped call is timed, so a write made inside ``_write_replay``
 counts once, to ``write replay.json``.  The wrappers add about a microsecond per
-wrapped call.  The record is one entry per run: per tree and command the median and
-quartiles over rounds of every phase's median, plus nproc, the BLAS thread variables,
-the numpy/scipy versions and the git commit of each tree.  With --out, the entry is
-appended to that file's "entries" list.
+wrapped call.  A row is one phase of one command, its median over the repeats
+summarized over the rounds; the ``exit`` row summarizes the command's exit status.
 """
 
 from __future__ import annotations
@@ -34,23 +32,18 @@ import argparse
 import contextlib
 import io
 import json
-import os
-import platform
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
-from importlib.metadata import version
 from pathlib import Path
 
-from solver_loop import _git_commit
+import harness
 
 SEED = 20261019
 ROUNDS = 7
 REPEATS = 60
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # name -> argv after the input paths are filled in ({data}, {noge}, {s3}, {s2}, {out})
 COMMANDS = {
     "scan estimate (5,2,5)": ["estimate", "--input", "{data}", "--out", "{out}"],
@@ -133,8 +126,8 @@ def _install(cli, phases: _Phases) -> None:
     cli._outdir = phases.wrap(cli._outdir, "mkdir")
 
 
-def worker() -> None:
-    """Per-phase medians (ms) of every command, printed as JSON."""
+def worker() -> dict:
+    """{"commands": {command: {"exit": status, phase: median ms}}}."""
     from grassmann_scatter import cli
 
     phases = _Phases()
@@ -160,63 +153,20 @@ def worker() -> None:
                     samples.setdefault(k, []).append(v)
             result[label] = {"exit": code,
                              **{k: statistics.median(v) for k, v in sorted(samples.items())}}
-    print(json.dumps(result))
+    return {"commands": result}
 
 
-def _quartiles(values):
-    q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return {"median": round(q[1], 4), "q1": round(q[0], 4), "q3": round(q[2], 4)}
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", action="append", default=[], metavar="NAME=PATH",
-                    help="a source tree's src/ directory, named (repeatable)")
-    ap.add_argument("--out", default=None, help="JSON file whose 'entries' get this run")
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.worker:
-        worker()
-        return
-    if not args.src:
-        ap.error("give at least one --src NAME=PATH")
-    trees = dict(s.split("=", 1) for s in args.src)
-    runs: dict[str, list[dict]] = {name: [] for name in trees}
-    env = {**os.environ, **{v: os.environ.get(v, "1") for v in THREAD_VARS}}
-    for i in range(ROUNDS):
-        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-        for name in order:
-            env["PYTHONPATH"] = str(Path(trees[name]).resolve())
-            done = subprocess.run([sys.executable, __file__, "--worker"],
-                                  env=env, capture_output=True, text=True, check=True)
-            runs[name].append(json.loads(done.stdout))
-    entry = {
-        "what": "bench/cli_overhead.py: median ms per phase of one in-process cli.main "
-                f"command over {REPEATS} repeats, median and quartiles over {ROUNDS} "
-                "interleaved rounds",
-        "nproc": len(os.sched_getaffinity(0)),
-        "blas_threads": {v: env[v] for v in THREAD_VARS},
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
-        "trees": {},
-    }
-    for name, rounds in runs.items():
-        tree = {"commit": _git_commit(Path(trees[name])), "commands": {}}
-        for label in COMMANDS:
-            keys = sorted({k for r in rounds for k in r[label]} - {"exit"})
-            tree["commands"][label] = {
-                "exit": rounds[0][label]["exit"],
-                **{k: _quartiles([r[label].get(k, 0.0) for r in rounds]) for k in keys},
-            }
-        entry["trees"][name] = tree
-    print(json.dumps(entry, indent=1))
-    if args.out:
-        path = Path(args.out)
-        doc = json.loads(path.read_text()) if path.exists() else {"entries": []}
-        doc.setdefault("entries", []).append(entry)
-        path.write_text(json.dumps(doc, indent=1) + "\n")
+def main(argv=None) -> int:
+    parser = harness.parser(__doc__)
+    parser.add_argument("--out", help="JSON file whose 'entries' list gets this run's entry")
+    args, trees = harness.parse(parser, argv, worker)
+    runs = harness.repeats(__file__, trees, ROUNDS)
+    harness.append(harness.envelope(
+        f"bench/cli_overhead.py: median ms per phase of one in-process cli.main command over "
+        f"{REPEATS} repeats, median and quartiles over {ROUNDS} interleaved rounds",
+        trees, runs, ROUNDS, {"seed": SEED}, calls_per_round=REPEATS), args.out)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,14 +1,13 @@
 """Byte-for-byte comparison of the output files of two source trees on one workload.
 
-    python bench/compare_outputs.py TREE_A TREE_B --workload {bulk,small-mc,scan} --seed N \
-        [--workdir DIR]
+    python bench/compare_outputs.py --tree a=/path/to/parent --tree b=. \
+        --workload {bulk,small-mc,scan} --seed N [--workdir DIR]
 
-TREE_A and TREE_B are source checkouts (each with ``src/grassmann_scatter``),
-for example the parent commit and the change.  The workload's inputs and
-command list are built once, here, by ``perfbench/workloads.py`` (the
-benchmark's own generator, imported read-only).  Then each tree runs one pass
-over the command list in its own interpreter with one BLAS thread, through
-``grassmann_scatter.cli.main``, writing to its own output directory.  Every
+The two trees are ``harness.py``'s, for example the parent commit and the change.  The
+workload's inputs and command list are built once, here, by ``perfbench/workloads.py``
+(the benchmark's own generator, imported read-only).  Then each tree runs one pass over
+the command list in a harness worker, through ``grassmann_scatter.cli.main``, writing to
+its own output directory.  Every
 output file is compared byte for byte, after each tree's output root is
 replaced by one placeholder (``replay.json`` records ``--out``), and so are the
 exit codes.  Each difference is printed; for a file that differs, so are the largest
@@ -16,25 +15,22 @@ relative difference of its floating-point numbers (a token with a decimal point 
 exponent, or NaN / Infinity) and whether everything else matches: the text between
 them, integers included (statuses, verdicts, iteration counts, keys).  So a change at
 the rounding level shows as such.  The exit status is 1 when anything differs, else 0.
-The package is imported only by the workers.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
 import math
-import os
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import harness
+
 ROOT = Path(__file__).resolve().parent.parent
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 OUT_ROOT = b"<OUT>"
 
 
@@ -46,30 +42,19 @@ def _build(workload: str, seed: int, workdir: Path) -> list[list[str]]:
     return [cmd.argv for cmd in workloads.build(workload, seed, workdir)]
 
 
-def _worker(tree: Path, commands: Path, out: Path) -> None:
-    """Run every command with its ``--out`` moved under ``out``; print the exit codes."""
+def _worker(tree: str, commands: str, out: str) -> list[int]:
+    """Run every command with its ``--out`` moved under ``out``; the exit codes."""
     from grassmann_scatter import cli
 
-    if Path(cli.__file__).resolve().parents[1] != (tree / "src").resolve():
+    if Path(cli.__file__).resolve().parents[1] != Path(tree) / "src":
         raise SystemExit(f"imported {cli.__file__}, not the tree {tree}")
     codes = []
-    for i, argv in enumerate(json.loads(commands.read_text())):
+    for i, argv in enumerate(json.loads(Path(commands).read_text())):
         argv = list(argv)
-        argv[argv.index("--out") + 1] = str(out / f"c{i:03d}")
+        argv[argv.index("--out") + 1] = str(Path(out) / f"c{i:03d}")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes.append(cli.main(argv))
-    print(json.dumps(codes))
-
-
-def _run(tree: Path, commands: Path, out: Path) -> list[int]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    for var in THREAD_VARS:
-        env[var] = "1"
-    proc = subprocess.run([sys.executable, __file__, "--worker", str(tree), str(commands),
-                           str(out)], env=env, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        raise SystemExit(f"the pass on {tree} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    return codes
 
 
 def _files(out: Path) -> dict[str, Path]:
@@ -101,21 +86,24 @@ def _numbers_and_rest(a: bytes, b: bytes) -> str:
             f"non-numeric tokens {'match' if pa[::2] == pb[::2] else 'differ'}")
 
 
-def compare(trees: list[Path], workload: str, seed: int, workdir: Path) -> int:
-    """Print every difference between the trees' passes; return how many there are."""
+def compare(trees: dict[str, Path], workload: str, seed: int, workdir: Path) -> int:
+    """Print every difference between the two trees' passes; return how many there are."""
     commands = workdir / "commands.json"
     commands.write_text(json.dumps(_build(workload, seed, workdir)))
-    outs = [workdir / f"out-{i}" for i in range(len(trees))]
-    codes_a, codes_b = [_run(tree, commands, out) for tree, out in zip(trees, outs)]
+    outs = {label: workdir / f"out-{i}" for i, label in enumerate(trees)}
+    runs = harness.alternate(trees, [commands], lambda label, root, cmds: harness.run(
+        root, __file__, "--worker", str(root), str(cmds), str(outs[label])))
+    (codes_a,), (codes_b,) = runs.values()
+    out_a, out_b = outs.values()
     diffs = [f"c{i:03d}: exit code {a} -> {b}"
              for i, (a, b) in enumerate(zip(codes_a, codes_b)) if a != b]
-    files_a, files_b = _files(outs[0]), _files(outs[1])
-    diffs += [f"{name}: only in {trees[name in files_b]}"
+    files_a, files_b = _files(out_a), _files(out_b)
+    diffs += [f"{name}: only in {list(trees.values())[name in files_b]}"
               for name in sorted(files_a.keys() ^ files_b.keys())]
     same = 0
     for name in sorted(files_a.keys() & files_b.keys()):
         a, b = (files[name].read_bytes().replace(str(out).encode(), OUT_ROOT)
-                for files, out in ((files_a, outs[0]), (files_b, outs[1])))
+                for files, out in ((files_a, out_a), (files_b, out_b)))
         if a == b:
             same += 1
         else:
@@ -128,23 +116,14 @@ def compare(trees: list[Path], workload: str, seed: int, workdir: Path) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv[:1] == ["--worker"]:
-        _worker(*map(Path, argv[1:4]))
-        return 0
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("trees", nargs=2, type=Path, metavar="TREE",
-                        help="source checkouts to compare (each with src/grassmann_scatter)")
+    parser = harness.parser(__doc__)
     parser.add_argument("--workload", required=True, choices=("bulk", "small-mc", "scan"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--workdir", type=Path, default=None,
                         help="directory for inputs and outputs, kept (default: a temporary one)")
-    args = parser.parse_args(argv)
-    trees = [tree.resolve() for tree in args.trees]
-    for tree in trees:
-        if not (tree / "src" / "grassmann_scatter" / "__init__.py").is_file():
-            parser.error(f"{tree} has no src/grassmann_scatter")
+    args, trees = harness.parse(parser, argv, _worker)
+    if len(trees) != 2:
+        parser.error("give exactly two --tree LABEL=ROOT")
     if args.workdir is not None:
         args.workdir.mkdir(parents=True, exist_ok=True)
         return int(compare(trees, args.workload, args.seed, args.workdir.resolve()) > 0)

@@ -1,9 +1,9 @@
 """Existence verdicts and estimate statuses of the scan workload, compared across trees.
 
-    python bench/scan_verdicts.py --src parent=/path/to/parent/src --src change=src \
+    python bench/scan_verdicts.py --tree parent=/path/to/parent --tree change=. \
         [--seeds 501-510] [--workdir DIR]
 
-For each seed, one fresh interpreter per source tree builds the scan
+For each seed, one harness worker per tree (``harness.py``) builds the scan
 workload's datasets through ``perfbench/workloads.py`` (the benchmark's own
 generator, imported read-only), runs each of its ``diagnose`` and
 ``estimate`` command lines in process through ``grassmann_scatter.cli.main``
@@ -14,33 +14,31 @@ dataset by dataset: of a diagnosis the verdict, the sign of ``min_index`` (below
 provenance and orthogonal projector, to 1e-8), and of an estimate its status.
 Each difference is printed, then one table row per seed and tree: datasets,
 differences, estimate statuses, the longest estimate run and the diagnose and
-estimate wall times.  Exit status 1 when any diagnosis differs.  Only the standard library
-and numpy are imported here; the package is imported by the workers.
+estimate wall times.  Exit status 1 when any diagnosis differs.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
 from collections import Counter
 from pathlib import Path
 
+import harness
+
 ROOT = Path(__file__).resolve().parent.parent
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WITNESS_TOL = 1e-8      # max-norm distance between witness projectors counted as equal
 INDEX_TOL = 1e-9        # |min_index| at most this has sign 0
 DIAGNOSIS = ("verdict", "min_index", "scanned", "zeros", "complement_ok")
 
 
-def _worker(seed: int, workdir: str) -> None:
-    """Print the reports of one scan pass at ``seed`` as JSON, in command order."""
+def _worker(seed: str, workdir: str | None = None) -> dict:
+    """The reports of one scan pass at ``seed``, in command order, and the seconds per
+    verb."""
     import numpy as np
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -49,7 +47,7 @@ def _worker(seed: int, workdir: str) -> None:
 
     records, seconds = [], Counter()
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        for cmd in workloads.build("scan", seed, Path(tmp)):
+        for cmd in workloads.build("scan", int(seed), Path(tmp)):
             verb = cmd.argv[0]
             t0 = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()), \
@@ -71,7 +69,7 @@ def _worker(seed: int, workdir: str) -> None:
             else:
                 rec.update(status=report["status"], iterations=report.get("iterations"))
             records.append(rec)
-    print(json.dumps({"records": records, "seconds": dict(seconds)}))
+    return {"records": records, "seconds": dict(seconds)}
 
 
 def _sign(value: float) -> int:
@@ -111,41 +109,22 @@ def _seeds(spec: str) -> list[int]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
-                        help="a source tree to run (at least two; the first is the reference)")
+    parser = harness.parser(__doc__)
     parser.add_argument("--seeds", default="501-510",
                         help="benchmark seeds, e.g. 501-510 or 501,503")
     parser.add_argument("--workdir", default=None,
                         help="directory for generated inputs and outputs (default: system temp)")
-    parser.add_argument("--worker", type=int, default=None, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker is not None:
-        _worker(args.worker, args.workdir)
-        return 0
-    if len(args.src) < 2:
-        parser.error("give at least two --src trees, e.g. the parent and the change")
-
-    trees = {}
-    for spec in args.src:
-        label, _, path = spec.partition("=")
-        trees[label] = Path(path).resolve()
-    env = dict(os.environ)
-    for var in THREAD_VARS:
-        env.setdefault(var, "1")
-    cmd = [sys.executable, __file__, "--worker"]
+    args, trees = harness.parse(parser, argv, _worker)
+    seeds = _seeds(args.seeds)
+    extra = [args.workdir] if args.workdir else []
+    runs = harness.alternate(trees, seeds, lambda label, root, seed: harness.run(
+        root, __file__, "--worker", str(seed), *extra))
+    ref_label = next(iter(trees))
     rows, differing = [], 0
-    for seed in _seeds(args.seeds):
-        runs = {}
-        for label, src in trees.items():
-            env["PYTHONPATH"] = str(src)
-            extra = ["--workdir", args.workdir] if args.workdir else []
-            proc = subprocess.run(cmd + [str(seed)] + extra, env=env, capture_output=True,
-                                  text=True, check=True)
-            runs[label] = json.loads(proc.stdout)
-        ref_label = next(iter(trees))
-        ref = runs[ref_label]["records"]
-        for label, run in runs.items():
+    for i, seed in enumerate(seeds):
+        ref = runs[ref_label][i]["records"]
+        for label in trees:
+            run = runs[label][i]
             recs = run["records"]
             diffs = [] if label == ref_label else _differences(ref, recs)
             for _, line in diffs:

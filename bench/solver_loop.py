@@ -1,13 +1,12 @@
 """Microseconds per fixed-point iteration, milliseconds and iterations per solve, and
 milliseconds per solve of a stack of replications, before and after a solver change.
 
-    python bench/solver_loop.py --src parent=/path/to/parent/src --src change=src \
+    python bench/solver_loop.py --tree parent=/path/to/parent --tree change=. \
         [--out BENCH_solver_loop.json]
 
-Each of REPEATS repeats starts one fresh interpreter per source tree, in turn,
-so the trees are interleaved against the drift of a shared host; the tree that runs
-first alternates from one repeat to the next.  The worker builds seeded
-Gaussian subspace samples at each (m, r, n) of CONFIGS, runs one untimed solve, then
+The trees, the interleaved rounds and the record are ``harness.py``'s; here each of
+REPEATS rounds runs one worker per tree.  The worker builds seeded Gaussian subspace
+samples at each (m, r, n) of CONFIGS, runs one untimed solve, then
 times one ``fixed_point_solve`` per configuration with ITERS iterations
 (tol 1e-300, so no run stops early) and reports wall time / iterations.  A tree
 with the Newton-first loop moves the configurations whose plain update contracts
@@ -28,25 +27,15 @@ datasets, charts each at its solved estimate (there every lane's Hessian is
 definite and its point within the conditioning bound, so every call runs the whole
 build: Hessians, their eigh, the steps and their exponentials) and reports wall
 time / NEWTON_CALLS of that many calls of ``estimator._newton_targets`` on the L
-lanes at once, after one untimed call.  The
-record is one entry per run: per tree the median and quartiles over repeats of
-every row, plus nproc, the BLAS thread variables, the numpy/scipy versions and
-the git commit of each tree.  With --out, the entry is appended to that file's
-"entries" list.  Only the standard library and numpy are imported here; the
-package itself is imported by the workers.
+lanes at once, after one untimed call.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import subprocess
 import sys
 import time
-from importlib.metadata import version
-from pathlib import Path
+
+import harness
 
 # (m, r, n): the LLN configuration m=3, r=2 at three sample sizes, lines, a
 # threshold+1 set, and the largest bulk dataset
@@ -65,7 +54,6 @@ NEWTON_CALLS = 200
 SEED = 20261018
 REPEATS = 15
 ITERS = 30
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _points(m, r, n, rng, count=None):
@@ -110,11 +98,11 @@ def _newton_call(points):
     return lambda: estimator._newton_targets(U, weights, M, it)
 
 
-def _worker() -> None:
-    """One repeat in this interpreter: print {"us_per_iter": {config: us},
+def _worker() -> dict:
+    """One repeat in this interpreter: {"us_per_iter": {config: us},
     "ms_per_fixed_point_solve": {config: ms}, "iterations_per_solve": {config
     median|max: count}, "ms_per_solve": {config/B: ms}, "us_per_newton_call":
-    {config/L: us}} as JSON."""
+    {config/L: us}}."""
     import numpy as np
 
     from grassmann_scatter import Empirical, SolverOptions, fixed_point_solve
@@ -163,90 +151,22 @@ def _worker() -> None:
             call()
         out["us_per_newton_call"][f"{m},{r},{n} L={L}"] = \
             1e6 * (time.perf_counter() - t0) / NEWTON_CALLS
-    print(json.dumps(out))
-
-
-def _git_commit(src: Path) -> str:
-    """HEAD of the tree holding src, with '+dirty' when src differs from it."""
-    def git(*args):
-        return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True)
-
-    head = git("rev-parse", "HEAD")
-    if head.returncode != 0:
-        return "unknown"
-    dirty = git("status", "--porcelain", "--", ".").stdout.strip()
-    return head.stdout.strip() + ("+dirty" if dirty else "")
-
-
-def _quartiles(values):
-    import numpy as np
-
-    q25, q50, q75 = np.percentile(values, [25, 50, 75])
-    return {"median": round(float(q50), 2), "q25": round(float(q25), 2),
-            "q75": round(float(q75), 2)}
+    return out
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
-                        help="a source tree to time (give at least two)")
-    parser.add_argument("--out", default=None,
-                        help="JSON file whose 'entries' list gets one entry per tree")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        _worker()
-        return 0
-    if len(args.src) < 2:
-        parser.error("give at least two --src trees, e.g. the parent and the change")
-
-    trees = {}
-    for spec in args.src:
-        label, _, path = spec.partition("=")
-        trees[label] = Path(path).resolve()
-    env = dict(os.environ)
-    for var in THREAD_VARS:
-        env.setdefault(var, "1")
-    samples = {label: {} for label in trees}
-    for i in range(REPEATS):
-        for label in list(trees) if i % 2 == 0 else list(trees)[::-1]:
-            env["PYTHONPATH"] = str(trees[label])
-            proc = subprocess.run([sys.executable, __file__, "--worker"],
-                                  env=env, capture_output=True, text=True, check=True)
-            for kind, rows in json.loads(proc.stdout).items():
-                for key, value in rows.items():
-                    samples[label].setdefault(kind, {}).setdefault(key, []).append(value)
-    entry = {
-        "what": "per tree: us per fixed-point iteration (wall / iterations, one solve per "
-                "repeat), ms per fixed_point_solve (median over the seeds) and iterations "
-                "per solve (median and max over the seeds), ms per solve of a block of "
-                "B replications (wall / B, one block solve per repeat), and us per "
-                "batched Newton build on L lanes (wall / calls); median and quartiles "
-                "over repeats",
-        "interleaved": list(trees),
-        "repeats": REPEATS,
-        "iterations": ITERS,
-        "seed": SEED,
-        "solve_seeds": SOLVE_SEEDS,
-        "newton_calls": NEWTON_CALLS,
-        "nproc": os.cpu_count(),
-        "threads": {var: env[var] for var in THREAD_VARS},
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
-        "trees": {
-            label: {"commit": _git_commit(src),
-                    **{kind: {key: _quartiles(v) for key, v in rows.items()}
-                       for kind, rows in samples[label].items()}}
-            for label, src in trees.items()
-        },
-    }
-    print(json.dumps(entry, indent=2))
-    if args.out:
-        path = Path(args.out)
-        doc = json.loads(path.read_text()) if path.exists() else {"entries": []}
-        doc["entries"].append(entry)
-        path.write_text(json.dumps(doc, indent=1) + "\n")
+    parser = harness.parser(__doc__)
+    parser.add_argument("--out", help="JSON file whose 'entries' list gets this run's entry")
+    args, trees = harness.parse(parser, argv, _worker)
+    runs = harness.repeats(__file__, trees, REPEATS)
+    harness.append(harness.envelope(
+        "per tree: us per fixed-point iteration (wall / iterations, one solve per repeat), "
+        "ms per fixed_point_solve (median over the seeds) and iterations per solve (median "
+        "and max over the seeds), ms per solve of a block of B replications (wall / B, one "
+        "block solve per repeat), and us per batched Newton build on L lanes (wall / "
+        "calls); median and quartiles over repeats",
+        trees, runs, REPEATS, {"seed": SEED, "solve_seeds": [0, SOLVE_SEEDS - 1]},
+        iterations=ITERS, newton_calls=NEWTON_CALLS), args.out)
     return 0
 
 

@@ -6,14 +6,9 @@ layer.
     python bench/validation.py --tree parent=/path/to/parent --tree change=. \
         [--perfbench bulk:601-610 --perfbench scan:611-616 ...] [--out BENCH_validation.json]
 
-Each --tree is a source checkout (with ``src/`` and ``perfbench/``).  Where only some of
-the trees hold compiled bytecode (``src/grassmann_scatter/__pycache__``) the run is refused
-(exit 2, naming each tree with and without it): an interpreter that does not write
-bytecode compiles the package on every start in a tree without it, so the trees' import
-and ``setup_s`` times would not compare.  Each of REPEATS
-repeats starts fresh interpreters per tree, in turn, and the tree that runs first
-alternates from one repeat to the next, so the trees are interleaved against the drift
-of a shared host.  Per repeat and tree:
+Each --tree is a source checkout (with ``src/`` and ``perfbench/``).  The trees, the
+interleaved rounds and the record are ``harness.py``'s; here each of REPEATS rounds runs
+four workers per tree, each in its own fresh interpreter:
 
 * a validation worker builds seeded Gaussian subspace samples of every shape of SHAPES
   (atoms (n, m, r), or a stack (B, n, m, r) of B datasets as the Monte Carlo
@@ -38,28 +33,19 @@ of a shared host.  Per repeat and tree:
 
 With --perfbench WORKLOAD:FIRST-LAST, pairs of ``python3 perfbench/run.py --workload
 WORKLOAD --seed S --seconds PERFBENCH_SECONDS --trace 0`` run from each tree's root for
-every seed S of the range, the tree that runs first alternating from pair to pair; the
-entry keeps every run's result line and, per metric, each tree's median and quartiles,
-the pairs the last tree wins and the relative change of the medians.
-
-The record is one entry per run: per tree the median and quartiles over repeats of every
-row, plus nproc, the BLAS thread variables, the numpy/scipy versions and the git commit
-of each tree.  With --out, the entry is appended to that file's "entries" list.  Only
-the standard library and numpy are imported here; the package itself is imported by
-the workers.
+every seed S of the range, in the harness's alternating order; the entry keeps every
+run's result line and, per metric, each tree's median and quartiles, the pairs the last
+tree wins and the relative change of the medians.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
-from importlib.metadata import version
 from pathlib import Path
+
+import harness
 
 # shapes of the points array: the bulk datasets (5000, 10, 3) and (1600, 3, 2), a
 # threshold+1 set of five planes in R^5, and a block of five (3, 2) replications
@@ -73,7 +59,6 @@ SEED = 20261019
 REPEATS = 15
 CALLS = 31
 PERFBENCH_SECONDS = 30
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # end-to-end metrics of perfbench and whether higher is better
 METRICS = {"wall_s": False, "cmd_ms_p50": False, "cmd_ms_tail": False,
            "solves_per_s": True, "setup_s": False, "peak_rss_mb": False}
@@ -238,45 +223,19 @@ def _bulk_fault_worker() -> dict:
         "bulk_pass_gc_passes": {"total": len(passes), "gen 2": passes.count(2)}}
 
 
-def _git_commit(root: Path) -> str:
-    """HEAD of the checkout at root, with '+dirty' when its src/ differs from it."""
-    def git(*args):
-        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
-
-    head = git("rev-parse", "HEAD")
-    if head.returncode != 0:
-        return "unknown"
-    dirty = git("status", "--porcelain", "--", "src").stdout.strip()
-    return head.stdout.strip() + ("+dirty" if dirty else "")
-
-
-def _quartiles(values):
-    import numpy as np
-
-    q25, q50, q75 = np.percentile(values, [25, 50, 75])
-    return {"median": round(float(q50), 4), "q25": round(float(q25), 4),
-            "q75": round(float(q75), 4)}
-
-
-def _perfbench(trees: dict, env: dict, workload: str, seeds: range) -> dict:
+def _perfbench(trees: dict, workload: str, seeds: range) -> dict:
     """Alternating pairs of perfbench runs, one per seed, and their per-metric summary."""
-    pairs = []
-    for i, seed in enumerate(seeds):
-        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for label in order:
-            proc = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                 "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
-                cwd=trees[label], env=env, capture_output=True, text=True, check=True)
-            pair[label] = json.loads(proc.stdout.strip().splitlines()[-1])
-        pairs.append(pair)
+    runs = harness.alternate(trees, seeds, lambda label, root, seed: harness.run(
+        root, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(PERFBENCH_SECONDS), "--trace", "0", cwd=root))
+    pairs = [{"seed": seed, "first": harness.order(trees, i)[0],
+              **{label: runs[label][i] for label in trees}} for i, seed in enumerate(seeds)]
     base, last = list(trees)[0], list(trees)[-1]
     summary = {}
     for name, higher in METRICS.items():
         values = {label: [p[label]["metrics"][name]["value"] for p in pairs] for label in trees}
         wins = sum((b > a) if higher else (b < a) for a, b in zip(values[base], values[last]))
-        stats = {label: _quartiles(v) for label, v in values.items()}
+        stats = {label: harness.quartiles(v) for label, v in values.items()}
         summary[name] = {**stats, f"{last}_wins": f"{wins}/{len(pairs)}",
                          "median_change": round(stats[last]["median"] / stats[base]["median"] - 1, 4)}
     return {"seeds": [seeds.start, seeds.stop - 1], "pairs": pairs, "summary": summary}
@@ -287,72 +246,22 @@ WORKERS = {"validation": _validation_worker, "decode": _decode_worker,
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR",
-                        help="a source checkout to time (give at least two)")
+    parser = harness.parser(__doc__)
     parser.add_argument("--perfbench", action="append", default=[], metavar="WORKLOAD:FIRST-LAST",
                         help="perfbench pairs of one workload over a range of seeds")
-    parser.add_argument("--out", default=None,
-                        help="JSON file whose 'entries' list gets this run's entry")
-    parser.add_argument("--worker", choices=list(WORKERS), help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        print(json.dumps(WORKERS[args.worker]()))
-        return 0
-    if len(args.tree) < 2:
-        parser.error("give at least two --tree checkouts, e.g. the parent and the change")
-
-    trees = {}
-    for spec in args.tree:
-        label, _, path = spec.partition("=")
-        trees[label] = Path(path).resolve()
-    compiled = {label: (root / "src" / "grassmann_scatter" / "__pycache__").is_dir()
-                for label, root in trees.items()}
-    if len(set(compiled.values())) > 1:
-        parser.error("only some trees hold src/grassmann_scatter/__pycache__, so their start-up "
-                     "times would not compare: " + ", ".join(
-                         f"{label}={trees[label]} {'holds it' if held else 'does not'}"
-                         for label, held in compiled.items()))
-    env = dict(os.environ)
-    for var in THREAD_VARS:
-        env.setdefault(var, "1")
-    samples = {label: {} for label in trees}
-    for i in range(REPEATS):
-        for label in list(trees) if i % 2 == 0 else list(trees)[::-1]:
-            env["PYTHONPATH"] = str(trees[label] / "src")
-            for worker in WORKERS:
-                proc = subprocess.run([sys.executable, __file__, "--worker", worker],
-                                      env=env, capture_output=True, text=True, check=True)
-                for kind, rows in json.loads(proc.stdout).items():
-                    for key, value in rows.items():
-                        samples[label].setdefault(kind, {}).setdefault(key, []).append(value)
-    env.pop("PYTHONPATH")
-    entry = {
-        "what": "per tree: ms per atom-rank check (Empirical, or grassmann._check_ranks on a "
-                "stack) and per span check (estimator._check_span), median of "
-                f"{CALLS} calls per repeat, keyed by the points shape; ms per "
-                "io.read_measure_json of a json.dump-written dataset (median of "
-                f"{CALLS} calls) and cyclic collector passes per read, keyed by (n, m, r); "
-                "minor page faults per kernel call and ms per iteration of one "
-                f"{FAULT_ITERS}-iteration fixed_point_solve at points {FAULT_SHAPE} in a "
-                "fresh interpreter; kernel faults and collector passes of the second of "
-                f"two bulk passes (perfbench seed {BULK_SEED}) in one interpreter; median "
-                "and quartiles over repeats",
-        "interleaved": list(trees),
-        "repeats": REPEATS,
-        "seed": SEED,
-        "nproc": os.cpu_count(),
-        "threads": {var: env[var] for var in THREAD_VARS},
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
-        "trees": {
-            label: {"commit": _git_commit(root),
-                    **{kind: {key: _quartiles(v) for key, v in rows.items()}
-                       for kind, rows in samples[label].items()}}
-            for label, root in trees.items()
-        },
-    }
+    parser.add_argument("--out", help="JSON file whose 'entries' list gets this run's entry")
+    args, trees = harness.parse(parser, argv, lambda name: WORKERS[name]())
+    runs = harness.repeats(__file__, trees, REPEATS, [(name,) for name in WORKERS])
+    entry = harness.envelope(
+        "per tree: ms per atom-rank check (Empirical, or grassmann._check_ranks on a "
+        f"stack) and per span check (estimator._check_span), median of {CALLS} calls per "
+        "repeat, keyed by the points shape; ms per io.read_measure_json of a "
+        f"json.dump-written dataset (median of {CALLS} calls) and cyclic collector passes "
+        "per read, keyed by (n, m, r); minor page faults per kernel call and ms per "
+        f"iteration of one {FAULT_ITERS}-iteration fixed_point_solve at points {FAULT_SHAPE} "
+        "in a fresh interpreter; kernel faults and collector passes of the second of two "
+        f"bulk passes (perfbench seed {BULK_SEED}) in one interpreter; median and quartiles "
+        "over repeats", trees, runs, REPEATS, {"seed": SEED, "bulk_seed": BULK_SEED})
     if args.perfbench:
         entry["perfbench"] = {
             "what": f"pairs of python3 perfbench/run.py --workload W --seed S --seconds "
@@ -362,14 +271,9 @@ def main(argv=None) -> int:
         for spec in args.perfbench:
             workload, _, span = spec.partition(":")
             first, _, last = span.partition("-")
-            entry["perfbench"][workload] = _perfbench(trees, env, workload,
+            entry["perfbench"][workload] = _perfbench(trees, workload,
                                                       range(int(first), int(last) + 1))
-    print(json.dumps(entry, indent=1))
-    if args.out:
-        path = Path(args.out)
-        doc = json.loads(path.read_text()) if path.exists() else {"entries": []}
-        doc["entries"].append(entry)
-        path.write_text(json.dumps(doc, indent=1) + "\n")
+    harness.append(entry, args.out)
     return 0
 
 

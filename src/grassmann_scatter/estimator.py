@@ -84,7 +84,8 @@ basis B of the symmetric trace-free matrices (``manifold._tangent_basis``, d =
 definiteness and solves in B's coordinates, and one batched eigh of the V = B x of the
 definite lanes gives the exponential; the guard's one batched eigh then charts the
 plain updates and the Newton points together.  So a Newton iteration makes three eigh
-calls (two when every trying lane declines) and still one Gram-Schmidt.  No iteration
+calls (one of them on an empty stack when every trying lane declines) and still one
+Gram-Schmidt.  No iteration
 solves a system.
 """
 
@@ -272,18 +273,6 @@ def _guarded(T: np.ndarray, lam=None, Q=None) -> tuple[_Chart, np.ndarray]:
     return _chart(T * np.exp(-shift)[..., None], loglam - shift, Q), ok
 
 
-def _hessian_eigh(U: np.ndarray, weights: np.ndarray, M: np.ndarray):
-    """eigh of the whitened geodesic Hessians (``likelihood._hessian``) of a stack of L
-    iterates, from the kernel's frames U (r, L, m, n), weights (L, n) and M (L, m, m).
-
-    Each H is d x d on the tangent basis B (``manifold._tangent_basis``), so every
-    eigenpair is a tangent one: the eigenvalues lie in [0, 1/2] (1/2 tr(V^2 M) <=
-    1/2 ||V||^2 bounds the form) and the first is lambda_min on the symmetric
-    trace-free matrices.
-    """
-    return np.linalg.eigh(_hessian(_outer(U), weights, M))
-
-
 def _newton_targets(U: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Chart):
     """(definite, safe, points) for a stack of L iterates (kernel frames, weights, M, charts).
 
@@ -292,11 +281,14 @@ def _newton_targets(U: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Char
     holds those lanes' points, in order (see above).
     """
     m = M.shape[-1]
-    h, E = _hessian_eigh(U, weights, M)
+    # the whitened geodesic Hessians (``likelihood._hessian``) from the kernel's frames U
+    # (r, L, m, n): each H is d x d on the tangent basis B (``manifold._tangent_basis``),
+    # so every eigenpair is a tangent one, the eigenvalues lie in [0, 1/2] (1/2 tr(V^2 M)
+    # <= 1/2 ||V||^2 bounds the form) and the first is lambda_min on the symmetric
+    # trace-free matrices
+    h, E = np.linalg.eigh(_hessian(_outer(U), weights, M))
     definite = h[:, 0] > NULL_HESSIAN               # else numerically singular on the tangent space
     safe = definite.copy()
-    if not definite.any():
-        return definite, safe, M[:0]
     loglam, F = it.loglam, it.F
     if np.count_nonzero(definite) < len(definite):
         h, E, M, loglam, F = h[definite], E[definite], M[definite], loglam[definite], F[definite]

@@ -176,9 +176,9 @@ def test_lapack_budget_per_iteration(monkeypatch, with_start, screened):
     # span check once: one det of the Gram screen, plus the svd of the columns where the
     # screen cannot certify; the kernel solves nothing; one eigh charts each update (the
     # identity start is charted in closed form), and a Newton iteration adds one batched
-    # eigh of the Hessians and, if any is definite, one of the Newton velocities
+    # eigh of the Hessians and one of the Newton velocities of the definite lanes
     expected = {"det": 1, "svd": 0 if screened else 1,
-                "eigh": result.iterations + sum(1 + bool(d.any()) for d in builds)}
+                "eigh": result.iterations + 2 * len(builds)}
     if with_start:
         # validation, then one eigh of the start for both its guarded chart and the
         # distance's whitening, then one eigvalsh of the start-whitened iterate per evaluation
