@@ -12,8 +12,6 @@ from .asymptotics import (
     clt_experiment,
     limiting_covariance,
     lln_experiment,
-    projector_kron_mean,
-    score_covariance,
     whiten_normalize,
 )
 from .diagnostics import (
@@ -21,7 +19,6 @@ from .diagnostics import (
     ExistenceReport,
     VelocityFlag,
     asymptotic_slope,
-    boundary_flag,
     decompose_velocity,
     existence_index,
     unique_sample_threshold,
@@ -29,7 +26,6 @@ from .diagnostics import (
 from .errors import (
     DegeneracyError,
     DomainError,
-    EmptyFlagError,
     ExistenceError,
     GrassmannScatterError,
     UsageError,
@@ -55,7 +51,6 @@ from .grassmann import (
     distinguished_ray_direction,
     modular_parabolic,
     orthonormalize,
-    pi_matrix,
     projector,
     sample,
 )
@@ -73,13 +68,11 @@ from .likelihood import (
 from .manifold import (
     check_scatter,
     check_tangent,
-    commutation_matrix,
     distance,
     geodesic,
     inner,
     log_map,
     manifold_dim,
-    norm,
     normalize_det,
     random_scatter,
     random_unit_tangent,

@@ -9,18 +9,18 @@ satisfies sqrt(n) vec(C_n - Id) -> N(0, limiting_covariance).  The limit is
 built from two moments of the whitened projector Pi = Theta (Theta^T Theta)^-1 Theta^T
 (Theta = g^-1 X the whitened sample):
 
-    score_covariance     = E[ vec(Pi - (r/m) Id) vec(Pi - (r/m) Id)^T ]
-    projector_kron_mean  = E[ Pi kron Pi ]
+    sigma2 = E[ vec(Pi - (r/m) Id) vec(Pi - (r/m) Id)^T ]      (the score covariance)
+    S0     = E[ Pi kron Pi ]
 
-via  L0 = (r/m) Id - projector_kron_mean,  Q = B B^T the vec-space projector onto
+via  L0 = (r/m) Id - S0,  Q = B B^T the vec-space projector onto
 symmetric trace-free matrices (B their orthonormal basis), and
 
-    limiting_covariance = (Q L0 Q)^+ score_covariance (Q L0 Q)^+T .
+    limiting_covariance = (Q L0 Q)^+ sigma2 (Q L0 Q)^+T .
 
 (Q L0 Q) must have full rank (m-1)(m+2)/2 on the tangent space, i.e. the
 d x d matrix B^T L0 B must be invertible; degenerate support makes it
-rank-deficient, raising DegeneracyError.  The three functions check a sample (an
-``Empirical``) and the scatter Sigma, then call the unchecked core ``_moments`` on
+rank-deficient, raising DegeneracyError.  ``limiting_covariance`` checks a sample (an
+``Empirical``) and the scatter Sigma, then calls the unchecked core ``_moments`` on
 (points, weights, chart of Sigma): exact weighted sums, the score covariance one GEMM.
 A law is sampled first: the CLT reference is drawn by ``clt_experiment``, checked by
 the rank screen as the replications are, and evaluated by that core.
@@ -52,7 +52,7 @@ from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, _check_span, _solve_stack
 from .grassmann import (Empirical, Gaussian, _check_empirical, _check_ranks, _frames,
                         _gaussian_bases, _outer)
-from .likelihood import _kron_mean
+from .likelihood import _centered, _kron_mean
 from .manifold import (
     _Chart,
     _chart,
@@ -75,7 +75,8 @@ def _whiten_normalize(Sigma_hat: np.ndarray, c: _Chart) -> np.ndarray:
 
 
 def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
-    """Whiten an estimate by the true scatter and normalize its trace to m.
+    """Whiten an estimate by the true scatter and normalize its trace to m: the rescaled
+    process C_n of the CLT, for Sigma_hat = Sigma_n and Sigma = Sigma_P.
 
     C = m A / tr(A) with A = g^-1 Sigma_hat g^-1, g = sym_sqrt(Sigma);
     equals Id exactly when Sigma_hat = Sigma.
@@ -86,38 +87,24 @@ def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
 
 
 def _moments(points: np.ndarray, w: np.ndarray, c: _Chart):
-    """Unchecked (score_covariance, projector_kron_mean) of atoms (points, w) by g^-1 = c.Q c.W."""
-    n, m, r = points.shape
+    """Unchecked (sigma2, S0) of atoms (points, w) by g^-1 = c.Q c.W: the score covariance
+    E[vec(Pi - (r/m) Id) vec(Pi - (r/m) Id)^T] and E[Pi kron Pi] (trace r^2 exactly)."""
     P = _outer(_frames(points, c.Q @ c.W))
-    V = (P - (r / m) * np.eye(m)).reshape(n, -1)    # vec of each D_j (symmetric: either order)
+    V = _centered(P, points.shape[2])               # vec of each D_j (symmetric: either order)
     return (V.T * w) @ V, _kron_mean(P, w)
-
-
-def _checked(meas: Empirical, Sigma, op: str):
-    c = _chart(_check_empirical(meas, op, Sigma))      # a law raises before its atoms are read
-    return meas.points, meas.weights, c
-
-
-def score_covariance(meas: Empirical, Sigma) -> np.ndarray:
-    """E[vec(Pi - (r/m) Id) vec(Pi - (r/m) Id)^T] over a sample, at the scatter Sigma."""
-    return _moments(*_checked(meas, Sigma, "score_covariance"))[0]
-
-
-def projector_kron_mean(meas: Empirical, Sigma) -> np.ndarray:
-    """E[Pi kron Pi] over a sample, at the scatter Sigma; trace equals r^2 exactly."""
-    return _moments(*_checked(meas, Sigma, "projector_kron_mean"))[1]
 
 
 def limiting_covariance(meas: Empirical, Sigma) -> np.ndarray:
     """Asymptotic covariance of sqrt(n) vec(C_n - Id), evaluated on a sample at Sigma.
 
-    Computes score_covariance and projector_kron_mean from the same atoms
+    Computes the score covariance sigma2 and the kron mean S0 from the same atoms
     (common random numbers), forms A_t = B^T L0 B with L0 = (r/m) Id - kron mean on
     the tangent basis B (``manifold._tangent_basis``, so A = Q L0 Q = B A_t B^T), and
     returns A^+ sigma2 A^+T with A^+ = B A_t^+ B^T.  Raises DegeneracyError when A_t
     is rank-deficient (support too degenerate for a CLT).
     """
-    return _limiting_covariance(*_checked(meas, Sigma, "limiting_covariance"))
+    c = _chart(_check_empirical(meas, "limiting_covariance", Sigma))   # a law raises first
+    return _limiting_covariance(meas.points, meas.weights, c)
 
 
 def _limiting_covariance(points: np.ndarray, w: np.ndarray, c: _Chart) -> np.ndarray:

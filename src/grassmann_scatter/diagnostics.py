@@ -28,8 +28,9 @@ geodesic ray t -> expm(t w) Sigma is
     lim_t d/dt loglik = 1/2 sum_k alpha_k * existence_index(P, V_k)
 
 (log-det differentiation contributes the same 1/2 that sits in front of the
-log-likelihood itself).  ``boundary_flag`` extracts the flag from a
-diverging solver run, naming the subspaces responsible for nonexistence.
+log-likelihood itself).  A diverging solver run carries the flag of its
+last step (``GEResult.boundary``), naming the subspaces responsible for
+nonexistence.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DomainError, EmptyFlagError, UsageError
+from .errors import DomainError, UsageError
 from .grassmann import Empirical, _check_dims, _check_empirical, dim_intersection, orthonormalize
-from .manifold import (_Chart, _chart, _check_scatter_for, _distance, _whitened, check_scatter,
-                       check_tangent, sym)
+from .manifold import _Chart, _chart, _whitened, check_scatter, check_tangent, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
@@ -155,13 +155,11 @@ class VelocityFlag:
 
     pairs: list[tuple[float, np.ndarray]]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.pairs
-
 
 def decompose_velocity(Sigma, w) -> VelocityFlag:
-    """Flag decomposition of a self-adjoint trace-free velocity at Sigma.
+    """Flag decomposition of a self-adjoint trace-free velocity at Sigma: the point of the
+    visual boundary at infinity dM of the manifold that the ray t -> expm(t w) Sigma
+    tends to (``asymptotic_slope`` evaluates the objective's slope there).
 
     ``w`` must satisfy w Sigma = (w Sigma)^T and tr(w) = 0 (a geodesic ray
     t -> expm(t w) Sigma then stays in the manifold), that is, w Sigma must be
@@ -211,35 +209,19 @@ def _flag_slope(points: np.ndarray, weights: np.ndarray, flag: VelocityFlag) -> 
     return float(0.5 * sum(alpha * _index(points, weights, V) for alpha, V in flag.pairs))
 
 
-def boundary_flag(iterates) -> VelocityFlag:
-    """Escape-direction flag of a diverging solver run.
-
-    Normalizes the log-map of the last step (second-to-last iterate to the
-    last) into a unit velocity and decomposes it.  Raises EmptyFlagError when
-    fewer than two iterates are given or the run is stationary: its last step
-    is at most half the mean step, the distance from the first iterate to the
-    last over the number of steps (converged runs have no escape direction).
-    """
-    given = list(iterates)
-    iterates = [check_scatter(S, name="iterate") for S in given[:1]]
-    iterates += [_check_scatter_for(len(iterates[0]), S, "iterate", "iterates") for S in given[1:]]
-    if len(iterates) < 2:
-        raise EmptyFlagError("need at least two iterates to extract an escape direction")
-    mean_step = _distance(iterates[0], iterates[-1]) / (len(iterates) - 1)
-    return _boundary_flag(iterates[-2], iterates[-1], mean_step)
-
-
-def _boundary_flag(prev, last, mean_step: float) -> VelocityFlag:
-    """The flag of a run's last step from prev to last, or EmptyFlagError if the step is at
-    most half the run's ``mean_step`` (an escape is a ray, so its steps are steady; the
-    first step can be several steady steps long, hence the mean as reference)."""
+def _boundary_flag(prev, last, mean_step: float) -> VelocityFlag | None:
+    """The flag of a run's last step from prev to last, its log-map normalized to a unit
+    velocity, or None if the step is stationary: at most half the run's ``mean_step``, the
+    distance from its first iterate to its last over its steps (an escape is a ray, so its
+    steps are steady; the first step can be several steady steps long, hence the mean as
+    reference; a converged run has no escape direction)."""
     # the last step in the chart of its base: its length, and its log-map
     # whitened there (v), projected onto the tangent space (trace removed)
     c = _chart(prev)
     lam, E = np.linalg.eigh(_whitened(c, last))
     loglam = np.log(lam)
     if np.sqrt(loglam @ loglam) <= max(1e-8, 0.5 * mean_step):
-        raise EmptyFlagError("iterates are stationary; no escape direction")
+        return None
     loglam -= loglam.mean()
     v = sym((E * loglam) @ E.T)
     return _flag(c, v / np.linalg.norm(v))

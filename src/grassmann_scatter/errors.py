@@ -40,7 +40,3 @@ class DegeneracyError(GrassmannScatterError):
     the score covariance is singular beyond the Moore-Penrose cutoff, which
     happens when the measure does not charge enough of the subspace manifold.
     """
-
-
-class EmptyFlagError(GrassmannScatterError):
-    """No escape direction can be extracted (iterates are stationary)."""

@@ -32,7 +32,7 @@ distance from the start has grown by at least DIVERGENCE_GROWTH over the
 last DIVERGENCE_WINDOW iterations with a steady last step (at least half
 the window's mean step; a run converging to a far estimate slows down), while
 the residual is still above tolerance.  The returned result then carries a
-boundary flag describing the escape direction (see ``diagnostics.boundary_flag``).
+boundary flag describing the escape direction (see ``diagnostics._boundary_flag``).
 
 ``diagnose`` decides existence from one fixed-point solve: a safely
 positive-definite Hessian at the converged estimate certifies "unique", a null
@@ -108,7 +108,7 @@ from .diagnostics import (
     _paired,
     existence_index,
 )
-from .errors import EmptyFlagError, ExistenceError, UsageError
+from .errors import ExistenceError, UsageError
 from .grassmann import (
     RANK_TOL,
     Empirical,
@@ -247,10 +247,7 @@ def _escape_result(Sigma, res, k, trace, prev, points, weights) -> GEResult:
     mean step is the trace's last distance over its steps, and the slope of its flag
     comes from integer meet dimensions."""
     steps = len(trace) - 1
-    try:
-        flag = _boundary_flag(prev, Sigma, trace[-1][2] / steps) if steps else None
-    except EmptyFlagError:
-        flag = None
+    flag = _boundary_flag(prev, Sigma, trace[-1][2] / steps) if steps else None
     slope = None if flag is None else _flag_slope(points, weights, flag)
     return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag, slope=slope)
 

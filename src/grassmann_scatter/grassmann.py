@@ -11,7 +11,6 @@ covariance Sigma.
 Core formulas (X any basis of U, Sigma a unimodular SPD matrix):
 
     projector(U, Sigma)   = X (X^T Sigma^-1 X)^-1 X^T Sigma^-1
-    pi_matrix(U, Sigma)   = Sigma^-1 X (X^T Sigma^-1 X)^-1 X^T Sigma^-1
     density_ratio(U, S)   = (det(X^T X) / det(X^T Sigma^-1 X))^(m/2)
     busemann(U, Sigma)    = sqrt(m/((m-r) r)) * log(det(X^T Sigma^-1 X)/det(X^T X))
 
@@ -316,14 +315,6 @@ def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _log_gram_dets(W @ _gram_schmidt(points.transpose(2, 1, 0).copy())[0])
 
 
-def _atom_pi(X, Sigma):
-    """(Sigma, pi) of one atom, both checked; pi = W^T Pi W, Pi from the orthonormalized X."""
-    X = check_basis(X)
-    Sigma = _check_scatter_for(len(X), Sigma)
-    W = _chart(Sigma).W
-    return Sigma, _outer(W.T @ _frames(orthonormalize(X)[None], W))[0]
-
-
 def _atom_logdet_ratio(X, Sigma) -> float:
     """Checked single-atom log-det ratio, whitened in the eigen chart of Sigma."""
     X = check_basis(X)
@@ -336,16 +327,11 @@ def projector(X, Sigma) -> np.ndarray:
     Idempotent, trace r, range span(X), self-adjoint for the Sigma^-1 inner
     product: Sigma P^T Sigma^-1 = P.  Basis-independent.
     """
-    Sigma, pi = _atom_pi(X, Sigma)
-    return Sigma @ pi
-
-
-def pi_matrix(X, Sigma) -> np.ndarray:
-    """Symmetric kernel Sigma^-1 X (X^T Sigma^-1 X)^-1 X^T Sigma^-1.
-
-    Satisfies Sigma @ pi_matrix(X, Sigma) == projector(X, Sigma).
-    """
-    return _atom_pi(X, Sigma)[1]
+    X = check_basis(X)
+    Sigma = _check_scatter_for(len(X), Sigma)
+    W = _chart(Sigma).W
+    # Sigma pi, pi = W^T Pi W with Pi the whitened projector of the orthonormalized X
+    return Sigma @ _outer(W.T @ _frames(orthonormalize(X)[None], W))[0]
 
 
 def density_ratio(X, Sigma) -> float:

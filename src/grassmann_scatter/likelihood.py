@@ -139,9 +139,10 @@ def _hessian_apply(c: _Chart, H: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def _centered(M: np.ndarray, r: int) -> np.ndarray:
-    """vec(M - (r/m) Id) for a whitened mean projector M (per entry of a stack, (..., m^2))."""
+    """vec(M - (r/m) Id) for a whitened mean projector M (per entry of a stack, (..., m^2)),
+    in the memory order of M, so that a product with it rounds as one with M would."""
     m = M.shape[-1]
-    D = M.reshape(M.shape[:-2] + (m * m,)).copy()
+    D = M.reshape(M.shape[:-2] + (m * m,)).copy(order="K")
     D[..., ::m + 1] -= r / m                        # the diagonal of each entry
     return D
 
@@ -193,7 +194,7 @@ def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
     """Covariant derivative of the gradient field of one atom along Z.
 
     The one-atom Hessian ``_hessian`` applied to Z: 1/4 Z pi Sigma + 1/4 Sigma pi Z
-    - 1/2 Sigma pi Z pi Sigma with pi = pi_matrix(X, Sigma), again tangent at Sigma.
+    - 1/2 Sigma pi Z pi Sigma with pi = Sigma^-1 projector(X, Sigma), again tangent at Sigma.
     """
     X = check_basis(X)
     Sigma = _check_scatter_for(len(X), Sigma)
@@ -245,4 +246,4 @@ def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
     """
     Gamma = _check_empirical(meas, "grad_norm_sq_grad", Gamma)
     c, M, H = _hessian_at(meas.points, meas.weights, Gamma)
-    return -_hessian_apply(c, H, M - (meas.r / meas.m) * np.eye(meas.m))
+    return -_hessian_apply(c, H, _centered(M, meas.r).reshape(M.shape))

@@ -210,11 +210,6 @@ def inner(Sigma, A, B) -> float:
     return float(np.sum(SA * SB.T))
 
 
-def norm(Sigma, A) -> float:
-    """Metric norm sqrt(<A, A>_Sigma)."""
-    return float(np.sqrt(max(inner(Sigma, A, A), 0.0)))
-
-
 def _geodesic(c: _Chart, W: np.ndarray, t: float) -> np.ndarray:
     V = _whitened(c, W)
     V = V - (np.trace(V) / V.shape[0]) * np.eye(V.shape[0])  # exact trace-zero
@@ -296,17 +291,11 @@ def unvec(x: np.ndarray) -> np.ndarray:
     return x.reshape(m, m, order="F")
 
 
-def commutation_matrix(m: int) -> np.ndarray:
-    """K with K vec(A) = vec(A^T) for m x m matrices."""
-    _check_m(m)
-    return np.eye(m * m)[np.arange(m * m).reshape(m, m).T.ravel()]   # row i + j m picks j + i m
-
-
 def tangent_vec_projector(m: int) -> np.ndarray:
     """Orthogonal projector (in vec coordinates) onto symmetric trace-free matrices.
 
-    Q = 1/2 (Id + K) - vec(Id) vec(Id)^T / m = B B^T for the orthonormal basis B of
-    those matrices;  tr(Q) = (m-1)(m+2)/2.
+    Q = 1/2 (Id + K) - vec(Id) vec(Id)^T / m = B B^T, with K vec(A) = vec(A^T), for the
+    orthonormal basis B of those matrices;  tr(Q) = (m-1)(m+2)/2.
     """
     _check_m(m)
     B = _tangent_basis(m)

@@ -11,14 +11,12 @@ from grassmann_scatter import (
     Gaussian,
     SolverOptions,
     UsageError,
+    check_scatter,
     clt_experiment,
-    commutation_matrix,
     limiting_covariance,
     lln_experiment,
-    projector_kron_mean,
     random_scatter,
     sample,
-    score_covariance,
     tangent_vec_projector,
     unvec,
     vec,
@@ -41,6 +39,11 @@ S0_CIRCLE = 0.25 * np.eye(4) + 0.125 * (np.kron(AZ, AZ) + np.kron(AX, AX))
 Q2 = tangent_vec_projector(2)
 SIGMA2_CIRCLE = Q2 / 4.0
 LIMIT_CIRCLE = 4.0 * Q2
+
+
+def moments(meas, Sigma):
+    """(score covariance, E[Pi kron Pi]) of a sample at Sigma, by the unchecked moment core."""
+    return asymptotics._moments(meas.points, meas.weights, _chart(check_scatter(Sigma)))
 
 
 def antisym_basis(m):
@@ -94,15 +97,6 @@ def test_unvec_rejects_non_square_length():
         unvec(np.arange(5.0))
 
 
-def test_commutation_matrix_transposes():
-    rng = np.random.default_rng(103)
-    for m in (2, 3, 4):
-        K = commutation_matrix(m)
-        A = rng.standard_normal((m, m))
-        assert np.array_equal(K @ vec(A), vec(A.T))
-        assert np.array_equal(K @ K, np.eye(m * m))
-
-
 def test_tangent_projector_algebra():
     for m in (2, 3, 4):
         Q = tangent_vec_projector(m)
@@ -150,7 +144,7 @@ def test_whiten_normalize_diagonal_example():
 
 
 # ---------------------------------------------------------------------------
-# score_covariance
+# the score covariance, by the moment core
 
 
 def test_score_covariance_kernel_and_psd():
@@ -158,7 +152,7 @@ def test_score_covariance_kernel_and_psd():
     for r in (1, 2):
         meas = Empirical(gaussian_points(rng, np.eye(3), r, 40))
         sigma = random_scatter(3, rng, spread=0.4)
-        S = score_covariance(meas, Sigma=sigma)
+        S = moments(meas, sigma)[0]
         assert np.max(np.abs(S - S.T)) <= 1e-13
         assert np.max(np.abs(S @ vec(np.eye(3)))) <= 1e-12
         for B in antisym_basis(3):
@@ -168,14 +162,14 @@ def test_score_covariance_kernel_and_psd():
 
 def test_score_covariance_rank_under_full_support():
     rng = np.random.default_rng(108)
-    S = score_covariance(Empirical(gaussian_points(rng, np.eye(3), 1, 100_000)), np.eye(3))
+    S = moments(Empirical(gaussian_points(rng, np.eye(3), 1, 100_000)), np.eye(3))[0]
     lam = np.linalg.eigvalsh(S)
     rank = int((np.abs(lam) > 1e-6 * np.abs(lam).max()).sum())
     assert rank == manifold_dim(3)
 
 
 def test_score_covariance_circle_lines_closed_form():
-    S = score_covariance(circle_lines(64), Sigma=np.eye(2))
+    S = moments(circle_lines(64), np.eye(2))[0]
     assert np.max(np.abs(S - SIGMA2_CIRCLE)) <= 1e-12
 
 
@@ -203,24 +197,23 @@ def test_score_covariance_weighted_matches_an_independent_sum():
         V = np.stack([vec(P - (r / m) * np.eye(m)) for P in Pi])
         w = w / w.sum()
         ref = np.einsum("n,ni,nj->ij", w, V, V)
-        S = score_covariance(Empirical(pts, w), sigma)
+        S = moments(Empirical(pts, w), sigma)[0]
         assert np.max(np.abs(S - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_score_covariance_usage_errors():
     # the evaluation scatter is required (a law is rejected in test_likelihood)
-    for f in (score_covariance, projector_kron_mean, limiting_covariance):
-        with pytest.raises(TypeError):
-            f(three_symmetric_lines())
+    with pytest.raises(TypeError):
+        limiting_covariance(three_symmetric_lines())
 
 
 # ---------------------------------------------------------------------------
-# projector_kron_mean
+# the kron mean E[Pi kron Pi], by the moment core
 
 
 def test_projector_kron_mean_single_atom_is_kron_square():
     atom = np.eye(3)[:, :2]
-    S0 = projector_kron_mean(Empirical(atom[None]), Sigma=np.eye(3))
+    S0 = moments(Empirical(atom[None]), np.eye(3))[1]
     P = np.diag([1.0, 1.0, 0.0])
     assert np.max(np.abs(S0 - np.kron(P, P))) <= 1e-12
 
@@ -231,14 +224,14 @@ def test_projector_kron_mean_trace_is_rank_squared():
         pts = gaussian_points(rng, np.eye(m), r, 25)
         w = rng.uniform(0.5, 1.5, 25)
         meas = Empirical(pts, w / w.sum())
-        S0 = projector_kron_mean(meas, Sigma=random_scatter(m, rng, spread=0.3))
+        S0 = moments(meas, random_scatter(m, rng, spread=0.3))[1]
         assert np.trace(S0) == pytest.approx(r * r, abs=1e-10)
         assert np.max(np.abs(S0 - S0.T)) <= 1e-12
         assert np.linalg.eigvalsh(S0).min() >= -1e-10
 
 
 def test_projector_kron_mean_circle_lines_closed_form():
-    S0 = projector_kron_mean(circle_lines(64), Sigma=np.eye(2))
+    S0 = moments(circle_lines(64), np.eye(2))[1]
     assert np.max(np.abs(S0 - S0_CIRCLE)) <= 1e-12
 
 
@@ -247,9 +240,9 @@ def test_projector_kron_mean_resampling_self_consistency():
     pts = gaussian_points(rng, np.eye(2), 1, 3)
     weights = np.array([0.5, 0.3, 0.2])
     meas = Empirical(pts, weights)
-    exact = projector_kron_mean(meas, Sigma=np.eye(2))
+    exact = moments(meas, np.eye(2))[1]
     idx = rng.choice(3, size=40_000, p=weights)
-    mc = projector_kron_mean(Empirical(pts[idx]), Sigma=np.eye(2))
+    mc = moments(Empirical(pts[idx]), np.eye(2))[1]
     assert np.max(np.abs(mc - exact)) <= 0.02   # ~8 standard errors at this size
 
 
@@ -275,19 +268,19 @@ def test_limiting_covariance_kernel_contains_normal_directions():
 def test_pseudo_inverse_contract_recovers_tangent_projector():
     for meas, m in ((circle_lines(64), 2),):
         Q = tangent_vec_projector(m)
-        S0 = projector_kron_mean(meas, Sigma=np.eye(m))
+        S0 = moments(meas, np.eye(m))[1]
         L0 = (meas.r / m) * np.eye(m * m) - S0
         A = Q @ L0 @ Q
         assert np.max(np.abs(np.linalg.pinv(A, hermitian=True) @ A - Q)) <= 1e-8
     rng = np.random.default_rng(111)
-    S0 = projector_kron_mean(Empirical(gaussian_points(rng, np.eye(3), 1, 20_000)), np.eye(3))
+    S0 = moments(Empirical(gaussian_points(rng, np.eye(3), 1, 20_000)), np.eye(3))[1]
     Q = tangent_vec_projector(3)
     A = Q @ ((1.0 / 3.0) * np.eye(9) - S0) @ Q
     assert np.max(np.abs(np.linalg.pinv(A, hermitian=True) @ A - Q)) <= 1e-8
 
 
 def test_analytic_projector_matches_eigenprojection_of_score_covariance():
-    S = score_covariance(circle_lines(64), Sigma=np.eye(2))
+    S = moments(circle_lines(64), np.eye(2))[0]
     lam, U = np.linalg.eigh(S)
     keep = lam > 1e-6 * lam.max()
     Q_eig = U[:, keep] @ U[:, keep].T
@@ -297,8 +290,7 @@ def test_analytic_projector_matches_eigenprojection_of_score_covariance():
 def test_limiting_covariance_matches_pieces_from_a_common_stream():
     meas = Empirical(gaussian_points(np.random.default_rng(112), np.eye(3), 2, 3000))
     lim = limiting_covariance(meas, np.eye(3))
-    S = score_covariance(meas, np.eye(3))
-    S0 = projector_kron_mean(meas, np.eye(3))
+    S, S0 = moments(meas, np.eye(3))
     Q = tangent_vec_projector(3)
     A = Q @ ((2.0 / 3.0) * np.eye(9) - S0) @ Q
     Apinv = np.linalg.pinv(0.5 * (A + A.T), hermitian=True)

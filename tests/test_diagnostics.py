@@ -6,16 +6,15 @@ import pytest
 
 from grassmann_scatter import (
     DomainError,
-    EmptyFlagError,
     Empirical,
     UsageError,
     asymptotic_slope,
-    boundary_flag,
     decompose_velocity,
     diagnose,
     dim_intersection,
     distinguished_ray_direction,
     existence_index,
+    fixed_point_solve,
     geodesic,
     loglik,
     projector,
@@ -36,6 +35,15 @@ from helpers import (
     ref_scan_report,
     three_symmetric_lines,
 )
+from grassmann_scatter.diagnostics import _boundary_flag
+from grassmann_scatter.manifold import _distance
+
+
+def last_step_flag(iterates):
+    """The escape flag of a run's iterates as the solver takes it (``_escape_result``): the
+    last step, against the mean step from the first iterate to the last."""
+    mean_step = _distance(iterates[0], iterates[-1]) / (len(iterates) - 1)
+    return _boundary_flag(iterates[-2], iterates[-1], mean_step)
 
 
 def test_existence_index_hand_values():
@@ -212,7 +220,6 @@ def test_decompose_three_eigenvalues_nested():
 
 def test_decompose_zero_is_empty():
     flag = decompose_velocity(np.eye(3), np.zeros((3, 3)))
-    assert flag.is_empty
     assert flag.pairs == []
 
 
@@ -287,7 +294,7 @@ def test_boundary_flag_synthetic_ray():
         S = geodesic(np.eye(m), A, t)
         noise = random_tangent(rng, S, scale=1e-8)
         iterates.append(geodesic(S, noise, 1.0))
-    flag = boundary_flag(iterates)
+    flag = last_step_flag(iterates)
     assert len(flag.pairs) == 1
     _, V = flag.pairs[0]
     assert V.shape[1] == r
@@ -295,22 +302,22 @@ def test_boundary_flag_synthetic_ray():
 
 
 def test_boundary_flag_requires_motion():
-    with pytest.raises(EmptyFlagError):
-        boundary_flag([np.eye(3)])
     still = [np.eye(3), geodesic(np.eye(3), distinguished_ray_direction(3, 1), 1e-12)]
-    with pytest.raises(EmptyFlagError):
-        boundary_flag(still)
+    assert last_step_flag(still) is None
     # a converging (stalling) run is not an escape
     A = distinguished_ray_direction(3, 1)
     converging = [geodesic(np.eye(3), A, 1.0 - 2.0 ** (-k)) for k in range(12)]
-    with pytest.raises(EmptyFlagError):
-        boundary_flag(converging)
+    assert last_step_flag(converging) is None
+    # a diverged run from a far start: its first step is about 18 and its later ones are
+    # under 0.7, so its last step is under half its mean step and it carries no flag
+    meas = lines_measure([0.0, np.pi / 4], weights=np.array([0.7, 0.3]))
+    res = fixed_point_solve(meas, Sigma0=np.diag([np.exp(-12.0), np.exp(12.0)]))
+    assert res.status == "diverged_to_boundary"
+    assert res.boundary is None and res.slope is None
 
 
 def test_boundary_flag_explains_divergence():
     meas = lines_measure([0.0, np.pi / 2], weights=np.array([0.7, 0.3]))
-    from grassmann_scatter import fixed_point_solve
-
     res = fixed_point_solve(meas)
     assert res.status == "diverged_to_boundary"
     total = sum(a * existence_index(meas, V) for a, V in res.boundary.pairs)

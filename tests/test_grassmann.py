@@ -24,7 +24,6 @@ from grassmann_scatter import (
     modular_parabolic,
     normalize_det,
     orthonormalize,
-    pi_matrix,
     projector,
     random_scatter,
     sample,
@@ -245,26 +244,6 @@ def test_projector_properties():
         Q = np.linalg.qr(np.linalg.solve(g, X), mode="complete")[0]
         Y = g @ Q[:, r:]
         assert np.allclose(P @ Y, np.zeros_like(Y), atol=1e-10)
-
-
-def test_pi_matrix_identity_scatter():
-    rng = np.random.default_rng(14)
-    X = rng.standard_normal((4, 2))
-    pi = pi_matrix(X, np.eye(4))
-    assert np.allclose(pi, X @ np.linalg.solve(X.T @ X, X.T), atol=1e-12)
-    assert np.allclose(pi, projector(X, np.eye(4)), atol=1e-12)
-
-
-def test_pi_matrix_vs_projector():
-    rng = np.random.default_rng(16)
-    for _ in range(10):
-        m = int(rng.integers(2, 6))
-        r = int(rng.integers(1, m))
-        X = rng.standard_normal((m, r))
-        S = random_scatter(m, rng)
-        pi = pi_matrix(X, S)
-        assert np.allclose(pi, pi.T, atol=1e-12)
-        assert np.allclose(S @ pi, projector(X, S), atol=1e-10)
 
 
 def test_density_ratio_identity():

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in it (no linter runs here)."""
+"""Every name a package module imports is used in it, and every private module-level
+function of the package is called from outside its own definition (no linter runs here)."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,38 @@ def test_guard_sees_an_unused_import():
     tree = ast.parse("import numpy as np\nfrom .errors import DomainError, UsageError\n"
                      "x = np.eye(2)\nraise UsageError('x')\n")
     assert _unused_imports(tree) == ["DomainError (line 2)"]
+
+
+def _orphans(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every module-level private function that no code of the package
+    names outside its own definition: as a name (an imported one resolved through the
+    module's relative imports) or as an attribute of any module."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    defs = {(mod, node.name) for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")}
+    used = set()
+    for mod, tree in trees.items():
+        origin = {alias.asname or alias.name: (node.module, alias.name)
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                  for alias in node.names}
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(origin.get(node.id, (mod, node.id)))
+                elif isinstance(node, ast.Attribute):
+                    used.update((other, node.attr) for other in trees)
+    return sorted(f"{mod}.{name}" for mod, name in defs - used)
+
+
+def test_every_private_function_has_a_caller():
+    # a core left behind when its public wrapper is removed shows up here
+    assert _orphans({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_guard_sees_an_orphan():
+    sources = {"a": "def _core(k):\n    return _core(k - 1) if k else 0\n\n\n"
+                    "def _kept():\n    return 1\n",
+               "b": "from .a import _kept\n\n\ndef f():\n    return _kept()\n"}
+    assert _orphans(sources) == ["a._core"]

@@ -579,29 +579,27 @@ def test_public_namespace():
                     if not (name.startswith("_") or isinstance(obj, types.ModuleType)))
     assert public == [
         "CLTReport", "Candidate", "DegeneracyError", "DomainError", "Empirical",
-        "EmptyFlagError", "ExistenceError", "ExistenceReport", "GEResult", "Gaussian",
+        "ExistenceError", "ExistenceReport", "GEResult", "Gaussian",
         "GrassmannScatterError", "LLNReport", "Measure", "SolverOptions", "UsageError",
-        "VelocityFlag", "act", "act_measure", "asymptotic_slope", "boundary_flag", "busemann",
-        "check_basis", "check_scatter", "check_tangent", "clt_experiment", "cocycle",
-        "commutation_matrix", "covariant_deriv_grad", "decompose_velocity", "density_ratio",
-        "diagnose", "dim_intersection", "distance", "distinguished_ray_direction",
-        "existence_index", "fixed_point_solve", "geodesic", "grad", "grad_norm_sq",
-        "grad_norm_sq_grad", "grad_point", "hess_quadform", "inner", "limiting_covariance",
-        "lln_experiment", "log_map", "loglik", "loglik_point", "manifold_dim", "mean_projector",
-        "modular_parabolic", "norm", "normalize_det", "orthonormalize", "pi_matrix", "projector",
-        "projector_kron_mean", "random_scatter", "random_unit_tangent", "residual",
-        "sample", "score_covariance", "sym_sqrt", "tangent_project",
-        "tangent_vec_projector", "unique_sample_threshold", "unvec", "vec", "whiten_normalize",
+        "VelocityFlag", "act", "act_measure", "asymptotic_slope", "busemann", "check_basis",
+        "check_scatter", "check_tangent", "clt_experiment", "cocycle",
+        "covariant_deriv_grad", "decompose_velocity", "density_ratio", "diagnose",
+        "dim_intersection", "distance", "distinguished_ray_direction", "existence_index",
+        "fixed_point_solve", "geodesic", "grad", "grad_norm_sq", "grad_norm_sq_grad",
+        "grad_point", "hess_quadform", "inner", "limiting_covariance", "lln_experiment",
+        "log_map", "loglik", "loglik_point", "manifold_dim", "mean_projector",
+        "modular_parabolic", "normalize_det", "orthonormalize", "projector",
+        "random_scatter", "random_unit_tangent", "residual", "sample", "sym_sqrt",
+        "tangent_project", "tangent_vec_projector", "unique_sample_threshold", "unvec",
+        "vec", "whiten_normalize",
     ]
 
 
 def test_public_signatures_carry_no_unused_settings():
-    # the moments take a sample and its scatter (no Monte Carlo size or stream), ranks
+    # the limit law takes a sample and its scatter (no Monte Carlo size or stream), ranks
     # use RANK_TOL, and the validators' messages name no caller
     ns = grassmann_scatter
-    for f, params in ((ns.score_covariance, ["meas", "Sigma"]),
-                      (ns.projector_kron_mean, ["meas", "Sigma"]),
-                      (ns.limiting_covariance, ["meas", "Sigma"]),
+    for f, params in ((ns.limiting_covariance, ["meas", "Sigma"]),
                       (ns.dim_intersection, ["XU", "XV"]),
                       (ns.check_basis, ["X"]),
                       (ns.normalize_det, ["M"])):

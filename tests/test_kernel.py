@@ -64,7 +64,7 @@ def test_kernel_matches_reference_loop(m, r, uniform, cond):
         U = _frames(points, L_inv)
         assert max_mixed_err(_logdet_ratio(points, L_inv),
                              ref_logdet_ratios(points, Sigma)) <= tol
-        # pi_j = W^T Pi_j W, as ``grassmann._atom_pi`` builds it
+        # pi_j = W^T Pi_j W, as ``grassmann.projector`` builds it
         assert max_mixed_err(_outer(L_inv.T @ U), ref_pi_matrices(points, Sigma)) <= tol
         assert max_mixed_err(_outer(U), ref_whitened_projectors(points, L)) <= tol
         assert max_mixed_err(_outer(_frames(points, g_inv)),

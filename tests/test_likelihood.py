@@ -25,13 +25,10 @@ from grassmann_scatter import (
     loglik_point,
     mean_projector,
     normalize_det,
-    pi_matrix,
     projector,
-    projector_kron_mean,
     random_scatter,
     residual,
     sample,
-    score_covariance,
     sym_sqrt,
 )
 from grassmann_scatter.grassmann import _frames, _outer
@@ -94,10 +91,7 @@ def test_measure_functions_take_samples_not_laws():
     for call in (lambda: loglik(law, np.eye(3)), lambda: grad(law, np.eye(3)),
                  lambda: hess_quadform(law, np.eye(3), Z), lambda: mean_projector(law, np.eye(3)),
                  lambda: grad_norm_sq(law, np.eye(3)), lambda: grad_norm_sq_grad(law, np.eye(3)),
-                 lambda: residual(law, np.eye(3)),
-                 lambda: score_covariance(law, np.eye(3)),
-                 lambda: projector_kron_mean(law, np.eye(3)),
-                 lambda: limiting_covariance(law, np.eye(3))):
+                 lambda: residual(law, np.eye(3)), lambda: limiting_covariance(law, np.eye(3))):
         with pytest.raises(UsageError, match="sample the law first"):
             call()
 
@@ -414,12 +408,9 @@ WRONG_SIZE = {
     "grad_norm_sq": lambda meas, X, S, Z: grad_norm_sq(meas, S),
     "grad_norm_sq_grad": lambda meas, X, S, Z: grad_norm_sq_grad(meas, S),
     "residual": lambda meas, X, S, Z: residual(meas, S),
-    "score_covariance": lambda meas, X, S, Z: score_covariance(meas, S),
-    "projector_kron_mean": lambda meas, X, S, Z: projector_kron_mean(meas, S),
     "limiting_covariance": lambda meas, X, S, Z: limiting_covariance(meas, S),
     "fixed_point_solve": lambda meas, X, S, Z: fixed_point_solve(meas, S),
     "projector": lambda meas, X, S, Z: projector(X, S),
-    "pi_matrix": lambda meas, X, S, Z: pi_matrix(X, S),
     "density_ratio": lambda meas, X, S, Z: density_ratio(X, S),
     "busemann": lambda meas, X, S, Z: busemann(X, S),
     "loglik_point": lambda meas, X, S, Z: loglik_point(X, S),
