@@ -116,6 +116,8 @@ def main(argv=None) -> int:
                         help="directory for generated inputs and outputs (default: system temp)")
     args, trees = harness.parse(parser, argv, _worker)
     seeds = _seeds(args.seeds)
+    if args.workdir:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
     extra = [args.workdir] if args.workdir else []
     runs = harness.alternate(trees, seeds, lambda label, root, seed: harness.run(
         root, __file__, "--worker", str(seed), *extra))

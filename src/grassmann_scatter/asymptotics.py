@@ -50,12 +50,11 @@ import numpy as np
 
 from .errors import DegeneracyError, UsageError
 from .estimator import SolverOptions, _check_span, _solve_stack
-from .grassmann import (Empirical, Gaussian, _check_empirical, _check_ranks, _frames,
+from .grassmann import (Empirical, _check_dims, _check_empirical, _check_ranks, _frames,
                         _gaussian_bases, _outer)
 from .likelihood import _centered, _kron_mean
 from .manifold import (
     _Chart,
-    _chart,
     _check_scatter_for,
     _tangent_basis,
     _whitened,
@@ -82,8 +81,8 @@ def whiten_normalize(Sigma_hat, Sigma) -> np.ndarray:
     equals Id exactly when Sigma_hat = Sigma.
     """
     Sigma_hat = check_scatter(Sigma_hat, name="Sigma_hat")
-    Sigma = _check_scatter_for(len(Sigma_hat), Sigma, paired="Sigma_hat")
-    return _whiten_normalize(Sigma_hat, _chart(Sigma))
+    return _whiten_normalize(Sigma_hat, _check_scatter_for(len(Sigma_hat), Sigma,
+                                                           paired="Sigma_hat"))
 
 
 def _moments(points: np.ndarray, w: np.ndarray, c: _Chart):
@@ -103,7 +102,7 @@ def limiting_covariance(meas: Empirical, Sigma) -> np.ndarray:
     returns A^+ sigma2 A^+T with A^+ = B A_t^+ B^T.  Raises DegeneracyError when A_t
     is rank-deficient (support too degenerate for a CLT).
     """
-    c = _chart(_check_empirical(meas, "limiting_covariance", Sigma))   # a law raises first
+    c = _check_empirical(meas, "limiting_covariance", Sigma)   # a law raises first
     return _limiting_covariance(meas.points, meas.weights, c)
 
 
@@ -173,17 +172,20 @@ def _outcomes(flat) -> tuple[dict[str, int], tuple[float, float, float]]:
     return counts, (float(median), float(q90), float(top))
 
 
-def _experiment_law(sigma, r, reps, seed, threads, *sizes) -> Gaussian:
-    """The sampled law Gaussian(sigma, r), which checks r < m; UsageError unless the
-    worker count, r, reps and every sample size (the reference's too) are integers >= 1
-    and the seed is an integer >= 0 (a bool is not an integer here)."""
+def _experiment_law(sigma, r, reps, seed, threads, *sizes) -> _Chart:
+    """The eigen chart of sigma, checked as Gaussian(sigma, r) checks it (with r < m);
+    UsageError unless the worker count, r, reps and every sample size (the reference's
+    too) are integers >= 1 and the seed is an integer >= 0 (a bool is not an integer
+    here)."""
     if not sizes:
         raise UsageError("need at least one sample size")
     named = [("threads", threads, 1), ("r", r, 1), ("reps", reps, 1), ("seed", seed, 0)]
     for name, x, low in named + [("sample size", n, 1) for n in sizes]:
         if isinstance(x, bool) or not isinstance(x, Integral) or x < low:
             raise UsageError(f"{name} must be an integer >= {low}, got {x!r}")
-    return Gaussian(sigma, r)
+    c = _check_scatter_for(None, sigma)
+    _check_dims(len(c.sigma), r)
+    return c
 
 
 def _run_blocks(task, c: _Chart, r: int, ns, reps: int, seed: int, opts, threads: int):
@@ -237,10 +239,10 @@ def lln_experiment(
     Returns medians of the geodesic distance to the truth and their log-log
     slope.  Deterministic for fixed seed regardless of ``threads``.
     """
-    law = _experiment_law(sigma, r, reps, seed, threads, *ns)
+    c = _experiment_law(sigma, r, reps, seed, threads, *ns)
     ns = [int(n) for n in ns]
     opts = options or SolverOptions()
-    flat = _run_blocks(_lln_block, _chart(law.sigma), r, ns, reps, seed, opts, threads)
+    flat = _run_blocks(_lln_block, c, r, ns, reps, seed, opts, threads)
     dists = np.array([d for d, _, _ in flat]).reshape(len(ns), reps)
     outcomes = [_outcomes(flat[i * reps:(i + 1) * reps]) for i in range(len(ns))]
     medians = np.median(dists, axis=1)
@@ -301,21 +303,20 @@ def clt_experiment(
     Deterministic for fixed seed regardless of ``threads``.  UsageError unless a
     supplied ``ref`` is a finite (m^2, m^2) array.
     """
-    law = _experiment_law(sigma, r, reps, seed, threads, n, ref_mc_n)
-    m = law.m
+    c = _experiment_law(sigma, r, reps, seed, threads, n, ref_mc_n)
+    m = len(c.sigma)
     if ref is not None:
         ref = np.asarray(ref, dtype=float)
         if ref.shape != (m * m, m * m) or not np.isfinite(ref).all():
             raise UsageError(f"ref must be a finite {m * m} x {m * m} array, got shape "
                              f"{ref.shape}")
     opts = options or SolverOptions()
-    c = _chart(law.sigma)
     flat = _run_blocks(_clt_block, c, r, [n], reps, seed, opts, threads)
     Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)
     cov = Z.T @ Z / reps
     if ref is None:
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        draws = _gaussian_bases(np.linalg.cholesky(law.sigma), r, ref_mc_n, ref_rng)
+        draws = _gaussian_bases(np.linalg.cholesky(c.sigma), r, ref_mc_n, ref_rng)
         _check_ranks(draws)
         ref = _limiting_covariance(draws, np.full(ref_mc_n, 1.0 / ref_mc_n), c)
     B = _tangent_basis(m)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .grassmann import Empirical, _check_dims, _check_empirical, dim_intersection, orthonormalize
-from .manifold import _Chart, _chart, _whitened, check_scatter, check_tangent, sym
+from .manifold import _Chart, _chart, _check_scatter_for, _whitened, check_tangent, sym
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
@@ -132,17 +132,13 @@ def _index_values(meas: Empirical, bases) -> np.ndarray:
     return values
 
 
-def _complementary(meas: Empirical, V: Candidate, W: Candidate, meets_V, meets_W) -> bool:
-    """Is R^m = V (+) W with every atom split, dim(U_j & V) + dim(U_j & W) = r?"""
-    return (W.dim == meas.m - V.dim and dim_intersection(V.basis, W.basis) == 0
-            and (meets_V + meets_W == meas.r).all())
-
-
-def _paired(meas: Empirical, zeros: list[Candidate]) -> bool:
-    """Does every zero-index subspace have a complementary one among ``zeros``?"""
-    meets = [dim_intersection(meas.points, V.basis) for V in zeros]
-    return all(any(_complementary(meas, V, W, mv, mw) for W, mw in zip(zeros, meets))
-               for V, mv in zip(zeros, meets))
+def _paired(meas: Empirical, flag: VelocityFlag, opposite: VelocityFlag) -> bool:
+    """Does every atom split on each subspace V_k of ``flag`` and its complement W, the
+    subspace of the opposite velocity's flag k-th from the end: dim(U_j & V_k) +
+    dim(U_j & W) = r?"""
+    return all((dim_intersection(meas.points, V) + dim_intersection(meas.points, W)
+                == meas.r).all()
+               for (_, V), (_, W) in zip(flag.pairs, opposite.pairs[::-1]))
 
 
 @dataclass
@@ -168,19 +164,19 @@ def decompose_velocity(Sigma, w) -> VelocityFlag:
     V_k spans the top-k clusters' eigenvectors and alpha_k is the gap
     between consecutive cluster means.
     """
-    Sigma = check_scatter(Sigma)
+    c = _check_scatter_for(None, Sigma)
     w = np.asarray(w, dtype=float)
-    if w.shape != Sigma.shape:
-        raise UsageError(f"velocity must be {len(Sigma)} x {len(Sigma)}, got {w.shape}")
-    check_tangent(Sigma, w @ Sigma)
-    c = _chart(Sigma)
-    return _flag(c, sym(c.W @ w @ c.F))
+    if w.shape != c.sigma.shape:
+        raise UsageError(f"velocity must be {len(c.sigma)} x {len(c.sigma)}, got {w.shape}")
+    check_tangent(c.sigma, w @ c.sigma)
+    return _flag(c, *np.linalg.eigh(sym(c.W @ w @ c.F)))
 
 
-def _flag(c: _Chart, v: np.ndarray) -> VelocityFlag:
-    """Flag of the whitened velocity v = W w F (symmetric) in the chart c of Sigma."""
-    m = v.shape[0]
-    lam, E = np.linalg.eigh(v)
+def _flag(c: _Chart, lam: np.ndarray, E: np.ndarray) -> VelocityFlag:
+    """Flag of the whitened velocity v = W w F = E diag(lam) E^T in the chart c of Sigma,
+    from its eigenpairs (lam ascending, as eigh gives them).  The flag of -v is that of
+    (-lam[::-1], E[:, ::-1]): its k-th subspace from the end complements v's k-th."""
+    m = len(lam)
     lam, E = lam[::-1], E[:, ::-1]           # descending
     spread = lam[0] - lam[-1]
     if spread <= 1e-14 * max(1.0, np.abs(lam).max()):
@@ -212,16 +208,14 @@ def _flag_slope(points: np.ndarray, weights: np.ndarray, flag: VelocityFlag) -> 
 def _boundary_flag(prev, last, mean_step: float) -> VelocityFlag | None:
     """The flag of a run's last step from prev to last, its log-map normalized to a unit
     velocity, or None if the step is stationary: at most half the run's ``mean_step``, the
-    distance from its first iterate to its last over its steps (an escape is a ray, so its
-    steps are steady; the first step can be several steady steps long, hence the mean as
-    reference; a converged run has no escape direction)."""
-    # the last step in the chart of its base: its length, and its log-map
-    # whitened there (v), projected onto the tangent space (trace removed)
+    mean step of its divergence window (an escape is a ray, so its steps are steady; a
+    converged run has no escape direction)."""
+    # the last step in the chart of its base: its length, and the eigenpairs of its log-map
+    # whitened there, projected onto the tangent space (trace removed) and normalized
     c = _chart(prev)
     lam, E = np.linalg.eigh(_whitened(c, last))
     loglam = np.log(lam)
     if np.sqrt(loglam @ loglam) <= max(1e-8, 0.5 * mean_step):
         return None
     loglam -= loglam.mean()
-    v = sym((E * loglam) @ E.T)
-    return _flag(c, v / np.linalg.norm(v))
+    return _flag(c, loglam / np.sqrt(loglam @ loglam), E)

@@ -45,9 +45,9 @@ The solver evaluates the data through one core, ``likelihood._weighted_kernel_su
 (built on the whitened-frame core of ``grassmann``).  Inputs are validated once
 on entry; the iterations run on unchecked cores, and the only conditioning
 decision is the solver's own COND_MAX guard on each iterate.  The span check on
-entry certifies that the atoms span R^m by one batched det of the m x m Gram of
-their columns (``grassmann._gram_certified``); an svd of the columns decides, and
-builds the witness of a deficient span, only where that screen cannot certify.
+entry is the package's one rank rule, ``grassmann._rank_deficient``, on the
+transposed columns of the atoms (a Gram screen, and an svd only where the screen
+cannot certify); an svd of the columns builds the witness of a deficient span.
 
 One loop on a stack.  The fixed-point loop, ``_solve_stack``, runs B same-shape
 datasets (B, n, m, r) at once; ``fixed_point_solve`` is its one-lane call, and
@@ -64,8 +64,8 @@ update (``_guarded``, one batched call for the stack): the eigenvalues give the
 COND_MAX guard, the scaling Sigma = T exp(-mean log lam), F = Q diag(sqrt(lam~)),
 W = F^-1 (lam~ the eigenvalues of Sigma) and the distance from the start,
 || log lam~ || from the identity (the default, charted in closed form).  A user start
-is charted once per solve and adds one batched eigvalsh of the whitened iterates per
-iteration.  The raw atoms are whitened once per solve, into the start's chart; after
+comes charted by its validation and adds one batched eigvalsh of the whitened iterates
+per iteration.  The raw atoms are whitened once per solve, into the start's chart; after
 that every lane carries the frames U_k of its iterate (orthonormal bases of the
 whitened atoms W_k X_j).  After the guard, one kernel call
 (``likelihood._weighted_kernel_sum``) whitens the frames of every lane that goes on by
@@ -114,8 +114,8 @@ from .grassmann import (
     Empirical,
     _check_empirical,
     _columns,
-    _gram_certified,
     _outer,
+    _rank_deficient,
     orthonormalize,
 )
 from .likelihood import (
@@ -207,22 +207,20 @@ def residual(meas: Empirical, Sigma) -> float:
 def _check_span(points: np.ndarray) -> None:
     """Raise ExistenceError, with a basis of the joint span, if the atoms miss a direction.
 
-    The m x nr columns of each dataset of a stack (B, n, m, r) pass the Gram screen
-    ``_gram_certified`` (one batched det); only the datasets it cannot certify go to the
-    svd of their columns, and the first deficient one raises.
+    The nr x m transposed columns of each dataset of a stack (B, n, m, r) go through the
+    rank rule ``_rank_deficient`` (fewer than m columns always miss one); the svd of the
+    columns of the first deficient dataset builds the witness.
     """
-    m = points.shape[-2]
-    A = _columns(points).reshape(-1, m, points.shape[-3] * points.shape[-1])
-    uncertified = ~_gram_certified(A)
-    if not uncertified.any():
-        return
-    U, s, _ = np.linalg.svd(A[uncertified], full_matrices=False)
-    ranks = np.sum(s > RANK_TOL * s[..., :1], axis=-1)
-    for b in np.flatnonzero(ranks < m)[:1]:
+    m, nr = points.shape[-2], points.shape[-3] * points.shape[-1]
+    A = _columns(points).reshape(-1, m, nr)
+    bad = _rank_deficient(A.swapaxes(-1, -2)) if nr >= m else np.ones(len(A), dtype=bool)
+    for b in np.flatnonzero(bad)[:1]:
+        U, s, _ = np.linalg.svd(A[b], full_matrices=False)
+        rank = np.sum(s > RANK_TOL * s[0])
         raise ExistenceError(
             "atoms are contained in a proper subspace (dimension "
-            f"{ranks[b]} of {m}); no estimate of scatter exists",
-            witness=U[b][:, :ranks[b]],
+            f"{rank} of {m}); no estimate of scatter exists",
+            witness=U[:, :rank],
         )
 
 
@@ -244,30 +242,35 @@ def _status(trace, opts: SolverOptions) -> str | None:
 
 def _escape_result(Sigma, res, k, trace, prev, points, weights) -> GEResult:
     """A run on the atoms (points, weights) whose last step went from prev to Sigma; its
-    mean step is the trace's last distance over its steps, and the slope of its flag
-    comes from integer meet dimensions."""
-    steps = len(trace) - 1
-    flag = _boundary_flag(prev, Sigma, trace[-1][2] / steps) if steps else None
+    mean step is the one the divergence test reads, over the last min(k, DIVERGENCE_WINDOW)
+    steps of its trace, and the slope of its flag comes from integer meet dimensions."""
+    steps = min(len(trace) - 1, DIVERGENCE_WINDOW)
+    flag = _boundary_flag(prev, Sigma, (trace[-1][2] - trace[-1 - steps][2]) / steps) \
+        if steps else None
     slope = None if flag is None else _flag_slope(points, weights, flag)
     return GEResult(Sigma, res, k, "diverged_to_boundary", trace, boundary=flag, slope=slope)
 
 
-def _guarded(T: np.ndarray, lam=None, Q=None) -> tuple[_Chart, np.ndarray]:
+def _unimodular(T: np.ndarray, loglam: np.ndarray, Q: np.ndarray) -> _Chart:
+    """The chart of T = Q diag(exp(loglam)) Q^T (or of a stack) rescaled to det 1."""
+    shift = loglam.sum(-1, keepdims=True) / loglam.shape[-1]  # the mean, as np.mean takes it
+    return _chart(T * np.exp(-shift)[..., None], loglam - shift, Q)
+
+
+def _guarded(T: np.ndarray) -> tuple[_Chart, np.ndarray]:
     """The charts of a stack T rescaled to determinant one, and the mask of those that
     pass the solver's guard (the others' charts are placeholders).
 
-    One batched eigh of T supplies everything (pass its (lam, Q) when at hand).  The
-    guard: every eigenvalue positive, and their ratio at most COND_MAX.  Every solver
-    target is positive semi-definite with trace > 0, so its largest eigenvalue is
-    positive and the ratio test alone implies the sign test.
+    One batched eigh of T supplies everything.  The guard: every eigenvalue positive,
+    and their ratio at most COND_MAX.  Every solver target is positive semi-definite
+    with trace > 0, so its largest eigenvalue is positive and the ratio test alone
+    implies the sign test.
     """
-    lam, Q = np.linalg.eigh(T) if Q is None else (lam, Q)
+    lam, Q = np.linalg.eigh(T)
     ok = lam[..., -1] <= COND_MAX * lam[..., 0]
     if np.count_nonzero(ok) < ok.size:           # a quarter of ok.all()'s cost on small masks
         lam = np.where(ok[..., None], lam, 1.0)
-    loglam = np.log(lam)
-    shift = loglam.sum(-1, keepdims=True) / lam.shape[-1]     # the mean, as np.mean takes it
-    return _chart(T * np.exp(-shift)[..., None], loglam - shift, Q), ok
+    return _unimodular(T, np.log(lam), Q), ok
 
 
 def _newton_targets(U: np.ndarray, weights: np.ndarray, M: np.ndarray, it: _Chart):
@@ -320,11 +323,11 @@ def _as_atoms(U: np.ndarray) -> np.ndarray:
 
 
 def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
-                 start: np.ndarray | None = None) -> list[GEResult]:
+                 start: _Chart | None = None) -> list[GEResult]:
     """The fixed-point loop on a stack of B same-shape datasets at once (unchecked).
 
     ``points`` (B, n, m, r) and ``weights`` (B, n) hold validated datasets whose
-    atoms span R^m; each lane starts from ``start`` (default: identity) and
+    atoms span R^m; each lane starts from the chart ``start`` (default: identity) and
     leaves the stack when it converges, diverges, breaches the guard or runs out
     of budget.  Every batched call computes each lane on its own, so a lane's
     result does not depend on the other lanes of its stack.
@@ -333,10 +336,10 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
     if start is None:                        # the identity's chart, in closed form
         it, W0 = _chart(np.tile(np.eye(m), (B, 1, 1)), np.zeros((B, m)),
                         np.tile(np.eye(m), (B, 1, 1))), None
-    else:                                    # a user start is charted by one eigh
-        lam, Q = np.linalg.eigh(start)
-        W0 = _chart(start, np.log(lam), Q).W
-        it = _Chart(*(np.repeat(a[None], B, axis=0) for a in _guarded(start, lam, Q)[0]))
+    else:                                    # a user start comes charted
+        W0 = start.W
+        it = _Chart(*(np.repeat(a[None], B, axis=0)
+                      for a in _unimodular(start.sigma, start.loglam, start.Q)))
     prev = it.sigma                          # the escape flag reads iterates k-1 and k
     newton = np.zeros(B, dtype=bool)         # took a Newton point: tries one every iteration
     declined = np.zeros(B, dtype=bool)       # met a null Hessian: never tries again
@@ -440,9 +443,9 @@ def fixed_point_solve(
 
     Requires an empirical measure whose atoms jointly span the whole space
     (otherwise ExistenceError, carrying a basis of the deficient span as
-    witness).  Starts from Sigma0 (default: identity) and moves to Newton steps
-    once the update contracts slowly.  The one-lane call of the stacked loop
-    ``_solve_stack``.
+    witness).  Starts from Sigma0 (default: identity), which its check charts by one
+    eigh, and moves to Newton steps once the update contracts slowly.  The one-lane
+    call of the stacked loop ``_solve_stack``.
     """
     _check_empirical(meas, "fixed_point_solve")
     opts = options or SolverOptions()
@@ -459,9 +462,10 @@ def diagnose(meas: Empirical, tol: float = INDEX_TOL) -> ExistenceReport:
       The objective is geodesically convex, so a positive-definite H at its critical
       point makes that point the only minimizer.
     * limit: lambda_min <= NULL_HESSIAN.  After a re-solve to REFINE_TOL, the null vector
-      V of H splits every atom, so the objective is constant along F expm(tV) F^T: V's
-      flag subspaces and their complements are the zeros, each checked to have index
-      within tol and a complement splitting every atom (integer meet dimensions).
+      V of H splits every atom, so the objective is constant along F expm(tV) F^T: the
+      flag subspaces of V and of -V (from one eigh of V, so each subspace of one flag
+      is the complement of one of the other) are the zeros, each checked to have index
+      within tol and to split every atom with its complement (integer meet dimensions).
     * no_ge: the atoms span a proper subspace of index < -tol (the span is the
       witness), or the run diverged along a flag of slope < -tol; the witness attains
       the least index.
@@ -517,8 +521,8 @@ def _route_report(meas: Empirical, claim: str, cands: list[Candidate],
 def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], tol: float):
     """(lambda_min, report) of a converged solve: "unique", "limit" or the open case (see
     diagnose)."""
-    c, _, H = _hessian_at(meas.points, meas.weights, result.estimate)
-    h, U = np.linalg.eigh(H)
+    c = _chart(result.estimate)
+    h, U = np.linalg.eigh(_hessian_at(meas.points, meas.weights, c)[1])
     lam = float(h[0])
     if lam >= UNIQUE_HESSIAN and 0.5 * np.sqrt(result.residual) <= NEWTON_STEP * lam:
         return lam, _route_report(meas, "unique", spans, [], tol)
@@ -527,12 +531,15 @@ def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], 
         # coarser than the RANK_TOL of the integer checks; at 1e-26 they do to ~1e-15
         refined = _solve_stack(meas.points[None], meas.weights[None],
                                SolverOptions(max_iter=REFINE_ITER, tol=REFINE_TOL),
-                               result.estimate)[0]
+                               c)[0]
         if refined.residual < result.residual:
-            c, _, H = _hessian_at(meas.points, meas.weights, refined.estimate)
-            U = np.linalg.eigh(H)[1]
-    V = sym((_tangent_basis(meas.m) @ U[:, 0]).reshape(meas.m, meas.m))
-    flags = [Candidate(B, "eigen_flag") for v in (V, -V) for _, B in _flag(c, v).pairs]
-    if lam <= NULL_HESSIAN and flags and _paired(meas, flags):
+            c = _chart(refined.estimate)
+            U = np.linalg.eigh(_hessian_at(meas.points, meas.weights, c)[1])[1]
+    # one eigh of V gives the flags of V and of -V, each subspace of one the complement
+    # of one of the other
+    mu, E = np.linalg.eigh(sym((_tangent_basis(meas.m) @ U[:, 0]).reshape(meas.m, meas.m)))
+    flag, opposite = _flag(c, mu, E), _flag(c, -mu[::-1], E[:, ::-1])
+    flags = [Candidate(B, "eigen_flag") for f in (flag, opposite) for _, B in f.pairs]
+    if lam <= NULL_HESSIAN and flags and _paired(meas, flag, opposite):
         return lam, _route_report(meas, "limit", spans + flags, flags, tol)
     return lam, _route_report(meas, "inconclusive", spans + flags, [], tol)

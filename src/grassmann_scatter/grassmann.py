@@ -29,7 +29,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .manifold import _as_square, _chart, _check_m, _check_scatter_for, check_scatter, normalize_det
+from .manifold import _as_square, _check_m, _check_scatter_for, check_scatter, normalize_det
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
 WEIGHT_TOL = 1e-12      # tolerance on sum(weights) == 1
@@ -184,7 +184,8 @@ Measure = Empirical | Gaussian
 
 def _check_empirical(meas: Measure, op: str, Sigma=None):
     """UsageError unless the measure is empirical: ``op`` evaluates samples, not laws.
-    Given a scatter Sigma, return it checked against the atoms by ``_check_scatter_for``."""
+    Given a scatter Sigma, return its eigen chart, checked against the atoms by
+    ``_check_scatter_for``."""
     if not isinstance(meas, Empirical):
         raise UsageError(f"{op} needs an empirical measure; sample the law first")
     return None if Sigma is None else _check_scatter_for(meas.m, Sigma)
@@ -318,7 +319,7 @@ def _logdet_ratio(points: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _atom_logdet_ratio(X, Sigma) -> float:
     """Checked single-atom log-det ratio, whitened in the eigen chart of Sigma."""
     X = check_basis(X)
-    return float(_logdet_ratio(X[None], _chart(_check_scatter_for(len(X), Sigma)).W)[0])
+    return float(_logdet_ratio(X[None], _check_scatter_for(len(X), Sigma).W)[0])
 
 
 def projector(X, Sigma) -> np.ndarray:
@@ -328,10 +329,9 @@ def projector(X, Sigma) -> np.ndarray:
     product: Sigma P^T Sigma^-1 = P.  Basis-independent.
     """
     X = check_basis(X)
-    Sigma = _check_scatter_for(len(X), Sigma)
-    W = _chart(Sigma).W
+    c = _check_scatter_for(len(X), Sigma)
     # Sigma pi, pi = W^T Pi W with Pi the whitened projector of the orthonormalized X
-    return Sigma @ _outer(W.T @ _frames(orthonormalize(X)[None], W))[0]
+    return c.sigma @ _outer(c.W.T @ _frames(orthonormalize(X)[None], c.W))[0]
 
 
 def density_ratio(X, Sigma) -> float:

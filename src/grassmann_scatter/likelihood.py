@@ -55,8 +55,7 @@ from .grassmann import (
     _whiten,
     check_basis,
 )
-from .manifold import (_Chart, _chart, _check_scatter_for, _tangent_basis, _whitened,
-                       check_tangent, sym)
+from .manifold import _Chart, _check_scatter_for, _tangent_basis, _whitened, check_tangent, sym
 
 
 def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
@@ -124,12 +123,11 @@ def _hessian(P: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     return 0.5 * (0.5 * sums - B.T @ _kron_mean(P, weights) @ B)
 
 
-def _hessian_at(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray):
-    """(chart c of Sigma, M, H): the whitened mean projector and ``_hessian`` at Sigma, built
-    as a one-entry stack (the solver's layout), so ``diagnose`` reads the solver's H to the bit."""
-    c = _chart(Sigma)
+def _hessian_at(points: np.ndarray, weights: np.ndarray, c: _Chart):
+    """(M, H): the whitened mean projector and ``_hessian`` at c.sigma, built as a one-entry
+    stack (the solver's layout), so ``diagnose`` reads the solver's H to the bit."""
     M, _, U, _ = _weighted_kernel_sum(points, weights, c.F[None], c.W[None])
-    return c, M[0], _hessian(_outer(U), weights[None], M)[0]
+    return M[0], _hessian(_outer(U), weights[None], M)[0]
 
 
 def _hessian_apply(c: _Chart, H: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -163,15 +161,14 @@ def loglik_point(X, Sigma) -> float:
 
 def loglik(meas: Empirical, Sigma) -> float:
     """Measure-averaged log-likelihood: the exact weighted sum over the atoms."""
-    W = _chart(_check_empirical(meas, "loglik", Sigma)).W
+    W = _check_empirical(meas, "loglik", Sigma).W
     return float(meas.weights @ (0.5 * _logdet_ratio(meas.points, W)))
 
 
-def _grad(points: np.ndarray, weights: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    c = _chart(Sigma)
+def _grad(points: np.ndarray, weights: np.ndarray, c: _Chart) -> np.ndarray:
     S = _weighted_kernel_sum(points, weights, c.F, c.W)[1]
     _, m, r = points.shape
-    return sym((0.5 * r / m) * Sigma - 0.5 * S)
+    return sym((0.5 * r / m) * c.sigma - 0.5 * S)
 
 
 def grad_point(X, Sigma) -> np.ndarray:
@@ -186,8 +183,8 @@ def grad_point(X, Sigma) -> np.ndarray:
 
 def grad(meas: Empirical, Sigma) -> np.ndarray:
     """Measure-averaged gradient; vanishes exactly at an estimate of scatter."""
-    Sigma = _check_empirical(meas, "grad", Sigma)
-    return _grad(meas.points, meas.weights, Sigma)
+    c = _check_empirical(meas, "grad", Sigma)
+    return _grad(meas.points, meas.weights, c)
 
 
 def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
@@ -197,9 +194,9 @@ def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
     - 1/2 Sigma pi Z pi Sigma with pi = Sigma^-1 projector(X, Sigma), again tangent at Sigma.
     """
     X = check_basis(X)
-    Sigma = _check_scatter_for(len(X), Sigma)
-    Z = check_tangent(Sigma, Z)
-    c, _, H = _hessian_at(X[None], np.ones(1), Sigma)
+    c = _check_scatter_for(len(X), Sigma)
+    Z = check_tangent(c.sigma, Z)
+    H = _hessian_at(X[None], np.ones(1), c)[1]
     return _hessian_apply(c, H, _whitened(c, Z))
 
 
@@ -209,9 +206,9 @@ def hess_quadform(meas: Empirical, Sigma, Z) -> float:
     z^T H z (``_hessian``, z = B^T vec(W Z W^T)); per atom 1/2 tr((Sigma^-1 - pi) Z pi Z) >= 0,
     and the measure average is the quadratic form driving geodesic convexity.
     """
-    Sigma = _check_empirical(meas, "hess_quadform", Sigma)
-    Z = check_tangent(Sigma, Z)
-    c, _, H = _hessian_at(meas.points, meas.weights, Sigma)
+    c = _check_empirical(meas, "hess_quadform", Sigma)
+    Z = check_tangent(c.sigma, Z)
+    H = _hessian_at(meas.points, meas.weights, c)[1]
     z = _tangent_basis(meas.m).T @ _whitened(c, Z).reshape(-1)
     return float(z @ H @ z)
 
@@ -223,7 +220,7 @@ def mean_projector(meas: Empirical, Gamma) -> np.ndarray:
     the lower bound attained iff M = (r/m) Id, i.e. iff Gamma solves the
     estimating equation.
     """
-    c = _chart(_check_empirical(meas, "mean_projector", Gamma))
+    c = _check_empirical(meas, "mean_projector", Gamma)
     return _weighted_kernel_sum(meas.points, meas.weights, sym(c.F @ c.Q.T), c.Q @ c.W)[0]
 
 
@@ -232,7 +229,7 @@ def grad_norm_sq(meas: Empirical, Gamma) -> float:
 
     Nonnegative; zero exactly at critical points of the objective.
     """
-    c = _chart(_check_empirical(meas, "grad_norm_sq", Gamma))
+    c = _check_empirical(meas, "grad_norm_sq", Gamma)
     return 0.25 * float(_defect(_weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0],
                                 meas.r))
 
@@ -244,6 +241,6 @@ def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
     Tangent at Gamma; vanishes at critical points; matches central finite
     differences of grad_norm_sq along geodesics, for any weights.
     """
-    Gamma = _check_empirical(meas, "grad_norm_sq_grad", Gamma)
-    c, M, H = _hessian_at(meas.points, meas.weights, Gamma)
+    c = _check_empirical(meas, "grad_norm_sq_grad", Gamma)
+    M, H = _hessian_at(meas.points, meas.weights, c)
     return -_hessian_apply(c, H, _centered(M, meas.r).reshape(M.shape))

@@ -24,10 +24,14 @@ Validation contract (package-wide): public functions validate their arguments
 once (``check_scatter``, ``check_tangent``), then call unchecked ``_`` cores.
 Cores assume validated input and run no symmetry, determinant, tangency or
 conditioning checks; internal callers only hand them matrices the library
-computed itself.  Solver iterates answer to the solver's COND_MAX guard.
+computed itself.  Solver iterates answer to the solver's COND_MAX guard.  The
+scatter check reads the eigenvalues of one eigh, whose eigenpairs it returns as the
+eigen chart (``_check_scatter_for``; ``check_scatter`` keeps only the matrix), so a
+checked Sigma is not decomposed again.
 
-Chart rule (package-wide): Sigma = Q diag(lam) Q^T is factored once, by
-``_chart``, into F = Q diag(sqrt(lam)) (F F^T = Sigma), W = F^-1 and Q.  What is
+Chart rule (package-wide): Sigma = Q diag(lam) Q^T is factored once, by ``_chart``
+or by the check that validates it, into F = Q diag(sqrt(lam)) (F F^T = Sigma),
+W = F^-1 and Q; a matrix decomposed once passes its eigenpairs on.  What is
 invariant under congruence (distance, geodesics, log-maps, velocity flags,
 log-likelihood, pi, kernel sum, residual, gradient) is computed whitened by W;
 what is defined through the symmetric root uses g = F Q^T and g^-1 = Q W
@@ -88,38 +92,38 @@ def check_scatter(M, name: str = "scatter matrix") -> np.ndarray:
     |det - 1| <= DET_TOL (widened by the conditioning-limited determinant
     accuracy).  Raises DomainError on any violation.
     """
-    M = _as_square(M, name)
-    m = M.shape[0]
-    if m < 2:
+    return _check_scatter_for(None, M, name).sigma
+
+
+def _check_scatter_for(m: int | None, Sigma, name: str = "scatter matrix",
+                       paired: str = "atoms") -> _Chart:
+    """The eigen chart of the symmetrized Sigma, from the one eigh that check_scatter's
+    checks read; DomainError unless it is m x m (m None: any size), the size of what it is
+    paired with in R^m, atoms (..., m, r) or another scatter."""
+    M = _as_square(Sigma, name)
+    if len(M) < 2:
         raise DomainError(f"{name} must be at least 2x2")
     scale = max(1.0, float(np.abs(M).max()))
     if np.abs(M - M.T).max() > SYMMETRY_TOL * scale:
         raise DomainError(f"{name} is not symmetric")
     M = sym(M)
-    lam = np.linalg.eigvalsh(M)
+    lam, Q = np.linalg.eigh(M)
     if lam[0] <= 0.0:
         raise DomainError(f"{name} is not positive definite (min eigenvalue {lam[0]:.3e})")
     if lam[-1] / lam[0] > COND_MAX:
         raise DomainError(
             f"{name} too ill-conditioned (eigenvalue ratio {lam[-1] / lam[0]:.3e} > {COND_MAX:.0e})"
         )
-    logdet = float(np.log(lam).sum())
+    loglam = np.log(lam)
+    logdet = float(loglam.sum())
     # the determinant of a kappa-conditioned matrix is only determined to
     # ~eps*kappa in floats, so the tolerance carries that slack
     slack = DET_TOL + 64.0 * np.finfo(float).eps * lam[-1] / lam[0]
     if abs(np.expm1(logdet)) > slack:
         raise DomainError(f"{name} is not unimodular (det = {np.exp(logdet):.12g})")
-    return M
-
-
-def _check_scatter_for(m: int, Sigma, name: str = "scatter matrix",
-                       paired: str = "atoms") -> np.ndarray:
-    """check_scatter(Sigma), or DomainError unless it is m x m: the size of what it is
-    paired with in R^m, atoms (..., m, r) or another scatter."""
-    S = check_scatter(Sigma, name)
-    if len(S) != m:
-        raise DomainError(f"{name} must be {m} x {m} for {paired} in R^{m}, got {S.shape}")
-    return S
+    if m is not None and len(M) != m:
+        raise DomainError(f"{name} must be {m} x {m} for {paired} in R^{m}, got {M.shape}")
+    return _chart(M, loglam, Q)
 
 
 def normalize_det(M) -> np.ndarray:
@@ -196,18 +200,16 @@ def sym_sqrt(Sigma) -> np.ndarray:
     Computed from the eigendecomposition Sigma = Q diag(lam) Q^T as
     g = Q diag(sqrt(lam)) Q^T; inherits determinant one from Sigma.
     """
-    c = _chart(check_scatter(Sigma))
+    c = _check_scatter_for(None, Sigma)
     return sym(c.F @ c.Q.T)
 
 
 def inner(Sigma, A, B) -> float:
     """Affine-invariant inner product tr(Sigma^-1 A Sigma^-1 B) of tangents at Sigma."""
-    Sigma = check_scatter(Sigma)
-    A = check_tangent(Sigma, A)
-    B = check_tangent(Sigma, B)
-    SA = np.linalg.solve(Sigma, A)
-    SB = np.linalg.solve(Sigma, B)
-    return float(np.sum(SA * SB.T))
+    c = _check_scatter_for(None, Sigma)
+    A = check_tangent(c.sigma, A)
+    B = check_tangent(c.sigma, B)
+    return float(np.sum(_whitened(c, A) * _whitened(c, B)))      # W^T W = Sigma^-1
 
 
 def _geodesic(c: _Chart, W: np.ndarray, t: float) -> np.ndarray:
@@ -225,8 +227,8 @@ def geodesic(Sigma, W, t: float) -> np.ndarray:
     """
     if isinstance(t, bool) or not isinstance(t, Real) or not math.isfinite(t):
         raise DomainError(f"t must be a finite real number, got {t!r}")
-    Sigma = check_scatter(Sigma)
-    return normalize_det(_geodesic(_chart(Sigma), check_tangent(Sigma, W), t))
+    c = _check_scatter_for(None, Sigma)
+    return normalize_det(_geodesic(c, check_tangent(c.sigma, W), t))
 
 
 def log_map(Sigma0, Sigma1) -> np.ndarray:
@@ -234,9 +236,8 @@ def log_map(Sigma0, Sigma1) -> np.ndarray:
 
     Inverse of ``geodesic(Sigma0, ., 1)``:  W = g logm(g^-1 Sigma1 g^-1) g.
     """
-    S0 = check_scatter(Sigma0)
-    c = _chart(S0)
-    S1 = _check_scatter_for(len(S0), Sigma1, paired="Sigma0")
+    c = _check_scatter_for(None, Sigma0)
+    S1 = _check_scatter_for(len(c.sigma), Sigma1, paired="Sigma0").sigma
     return sym(c.F @ _eig_apply(_whitened(c, S1), np.log) @ c.F.T)
 
 
@@ -247,10 +248,6 @@ def _whitened_distance(W0: np.ndarray, Sigma1: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(lam, lam))
 
 
-def _distance(Sigma0: np.ndarray, Sigma1: np.ndarray) -> float:
-    return float(_whitened_distance(_chart(Sigma0).W, Sigma1))
-
-
 def distance(Sigma0, Sigma1) -> float:
     """Geodesic distance ||logm(S0^-1/2 S1 S0^-1/2)||_F.
 
@@ -258,8 +255,9 @@ def distance(Sigma0, Sigma1) -> float:
     Sigma0 (any factor gives the same eigenvalues); invariant under
     simultaneous congruence by any invertible matrix.
     """
-    S0 = check_scatter(Sigma0)
-    return _distance(S0, _check_scatter_for(len(S0), Sigma1, paired="Sigma0"))
+    c = _check_scatter_for(None, Sigma0)
+    S1 = _check_scatter_for(len(c.sigma), Sigma1, paired="Sigma0").sigma
+    return float(_whitened_distance(c.W, S1))
 
 
 def tangent_project(Sigma, S) -> np.ndarray:

@@ -13,6 +13,7 @@ from grassmann_scatter import (
     UsageError,
     check_scatter,
     clt_experiment,
+    distance,
     limiting_covariance,
     lln_experiment,
     random_scatter,
@@ -24,7 +25,7 @@ from grassmann_scatter import (
 )
 from grassmann_scatter import asymptotics
 from grassmann_scatter.grassmann import _gaussian_bases
-from grassmann_scatter.manifold import _chart, _distance, manifold_dim
+from grassmann_scatter.manifold import _chart, manifold_dim
 from helpers import circle_lines, gaussian_points, orthogonal_lines, three_symmetric_lines
 
 # Closed forms for the uniform law on lines in the plane (m=2, r=1, scatter Id).
@@ -478,7 +479,7 @@ def test_block_draws_and_summaries_match_the_replications_one_by_one(monkeypatch
     E = asymptotics._solve_block(*args)[0]
     assert np.array_equal(seen[0], alone)
     d = np.array([x for x, _, _ in asymptotics._lln_block(args)])
-    d_ref = np.array([_distance(e, sigma) for e in E])
+    d_ref = np.array([distance(e, sigma) for e in E])
     assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-14
     Z = np.array([z for z, _, _ in asymptotics._clt_block(args)])
     for z, e in zip(Z, E):

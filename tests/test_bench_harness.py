@@ -122,3 +122,25 @@ def test_every_script_has_help(script, capsys):
         importlib.import_module(script).main(["--help"])
     assert exc.value.code == 0
     assert "--tree LABEL=ROOT" in capsys.readouterr().out
+
+
+def test_scan_verdicts_creates_its_workdir(monkeypatch, tmp_path, capsys):
+    # --workdir names a directory that does not exist yet, parents included, as
+    # compare_outputs.py takes it; the workers are stubbed out
+    scan = importlib.import_module("scan_verdicts")
+    record = {"kind": "x", "verb": "estimate", "code": 0, "status": "converged",
+              "iterations": 3}
+    seen = []
+
+    def stub(trees, seeds, run):
+        seen.append(workdir.is_dir())
+        return {label: [{"records": [record], "seconds": {}} for _ in seeds]
+                for label in trees}
+
+    monkeypatch.setattr(harness, "alternate", stub)
+    workdir = tmp_path / "new" / "work"
+    trees = [f"a={_tree(tmp_path, 'a')}", f"b={_tree(tmp_path, 'b')}"]
+    assert scan.main(["--tree", trees[0], "--tree", trees[1], "--seeds", "1",
+                      "--workdir", str(workdir)]) == 0
+    assert seen == [True]
+    assert "| 1 | b | 0 | 0 | 0 | 1 |" in capsys.readouterr().out

@@ -12,6 +12,7 @@ from grassmann_scatter import (
     decompose_velocity,
     diagnose,
     dim_intersection,
+    distance,
     distinguished_ray_direction,
     existence_index,
     fixed_point_solve,
@@ -36,14 +37,16 @@ from helpers import (
     three_symmetric_lines,
 )
 from grassmann_scatter.diagnostics import _boundary_flag
-from grassmann_scatter.manifold import _distance
+from grassmann_scatter.estimator import DIVERGENCE_WINDOW
 
 
 def last_step_flag(iterates):
     """The escape flag of a run's iterates as the solver takes it (``_escape_result``): the
-    last step, against the mean step from the first iterate to the last."""
-    mean_step = _distance(iterates[0], iterates[-1]) / (len(iterates) - 1)
-    return _boundary_flag(iterates[-2], iterates[-1], mean_step)
+    last step, against the mean step of the last min(k, DIVERGENCE_WINDOW) steps, k the
+    run's steps, in distance from the first iterate."""
+    steps = min(len(iterates) - 1, DIVERGENCE_WINDOW)
+    d = [distance(iterates[0], iterates[i]) for i in (-1 - steps, -1)]
+    return _boundary_flag(iterates[-2], iterates[-1], (d[1] - d[0]) / steps)
 
 
 def test_existence_index_hand_values():
@@ -309,11 +312,15 @@ def test_boundary_flag_requires_motion():
     converging = [geodesic(np.eye(3), A, 1.0 - 2.0 ** (-k)) for k in range(12)]
     assert last_step_flag(converging) is None
     # a diverged run from a far start: its first step is about 18 and its later ones are
-    # under 0.7, so its last step is under half its mean step and it carries no flag
+    # under 0.7, so the mean step of the whole run (1.25) would call its last step (0.60)
+    # stationary; the divergence window's mean step (0.58) calls it steady, and the
+    # escape carries the flag span(e1) of negative slope
     meas = lines_measure([0.0, np.pi / 4], weights=np.array([0.7, 0.3]))
     res = fixed_point_solve(meas, Sigma0=np.diag([np.exp(-12.0), np.exp(12.0)]))
-    assert res.status == "diverged_to_boundary"
-    assert res.boundary is None and res.slope is None
+    assert res.status == "diverged_to_boundary" and res.iterations == 26
+    assert len(res.boundary.pairs) == 1
+    assert ref_dim_intersection(res.boundary.pairs[0][1], np.eye(2)[:, :1], tol=1e-6) == 1
+    assert res.slope < 0.0
 
 
 def test_boundary_flag_explains_divergence():

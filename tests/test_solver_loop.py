@@ -12,8 +12,11 @@ import scipy.linalg
 from grassmann_scatter import (
     Empirical,
     SolverOptions,
+    diagnose,
     distance,
     fixed_point_solve,
+    grad_norm_sq_grad,
+    loglik,
     random_scatter,
     residual,
 )
@@ -152,38 +155,84 @@ def _record_newton(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("with_start, screened",
-                         [(False, True), (True, True), (False, False), (True, False)],
-                         ids=["False", "True", "False-svd-fallback", "True-svd-fallback"])
-def test_lapack_budget_per_iteration(monkeypatch, with_start, screened):
+@pytest.mark.parametrize("with_start, data",
+                         [(False, "screened"), (True, "screened"), (False, "svd-fallback"),
+                          (True, "svd-fallback"), (False, "no_ge")],
+                         ids=["False", "True", "False-svd-fallback", "True-svd-fallback",
+                              "no_ge-escape"])
+def test_lapack_budget_per_iteration(monkeypatch, with_start, data):
     rng = np.random.default_rng(12)
     points = rng.standard_normal((25, 3, 2))
-    if not screened:
+    if data == "svd-fallback":
         # one atom's basis 1e6 times longer: the same subspaces, but the span's Gram is
         # dominated by that atom (sigma_min / sigma_max of the columns ~1e-6), below
         # what its Gram determinant can certify, so the span check's svd decides
         points[0] *= 1e6
-    meas = Empirical(points)
+    meas = no_ge_lines(0, 9) if data == "no_ge" else Empirical(points)
     start = random_scatter(3, rng) if with_start else None
     calls = _record_linalg(monkeypatch)
     builds = _record_newton(monkeypatch)
     result = fixed_point_solve(meas, Sigma0=start, options=SolverOptions(tol=1e-14))
     evaluations = len(result.trace)             # iterations + 1: the start is evaluated too
     # the first update is plain (no residual ratio yet), later ones try Newton
-    assert result.converged and 1 <= len(builds) < result.iterations
+    assert result.status == ("diverged_to_boundary" if data == "no_ge" else "converged")
+    assert 1 <= len(builds) < result.iterations
     assert not [c for c in calls if c[0] == "scipy"]
     names = Counter(name for _, name, _ in calls)
     # span check once: one det of the Gram screen, plus the svd of the columns where the
     # screen cannot certify; the kernel solves nothing; one eigh charts each update (the
     # identity start is charted in closed form), and a Newton iteration adds one batched
     # eigh of the Hessians and one of the Newton velocities of the definite lanes
-    expected = {"det": 1, "svd": 0 if screened else 1,
+    expected = {"det": 1, "svd": int(data == "svd-fallback"),
                 "eigh": result.iterations + 2 * len(builds)}
     if with_start:
-        # validation, then one eigh of the start for both its guarded chart and the
-        # distance's whitening, then one eigvalsh of the start-whitened iterate per evaluation
-        expected.update(eigvalsh=1 + evaluations, eigh=1 + expected["eigh"])
+        # validation's one eigh checks the start and gives its chart, for both the
+        # rescaled first iterate and the distance's whitening, then one eigvalsh of the
+        # start-whitened iterate per evaluation
+        expected.update(eigvalsh=evaluations, eigh=1 + expected["eigh"])
+    if data == "no_ge":
+        # the escape flag: one eigh charts the last step's base and one decomposes the
+        # step, whose eigenpairs give the flag; each flag subspace is orthonormalized
+        # (one qr), and its index ranks it against the atoms (one qr of each side, one
+        # svd, and the Gram screen's det for a subspace of dimension >= 2)
+        dims = [V.shape[1] for _, V in result.boundary.pairs]
+        expected.update(eigh=2 + expected["eigh"], qr=3 * len(dims), svd=len(dims),
+                        det=1 + sum(d >= 2 for d in dims))
     assert names == +Counter(expected)
+
+
+def _seeded_orthogonal_lines(seed, m):
+    """The scan workload's limit(m,1,m): m orthogonal lines with random basis scales."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return Empirical((Q * rng.uniform(0.5, 2.0, m)).T[:, :, None])
+
+
+# the lines converge at iteration 0 with a null Hessian: one eigh charts the estimate
+# (also the start of the re-solve, whose trace distance is one eigvalsh), one decomposes
+# H and one V, whose eigenpairs give the flags of V and of -V; the pairing check ranks
+# each flag subspace against the atoms (one svd each), and so does the index of every
+# atom span and flag subspace (one svd per dimension)
+LIMIT_DIAGNOSE = {"det": 4, "eigh": 3, "eigvalsh": 1, "qr": 17, "svd": 6}
+
+
+@pytest.mark.parametrize("case, expected", [("loglik", {"eigh": 1}),
+                                            ("grad_norm_sq_grad", {"eigh": 1}),
+                                            ("limit diagnose", LIMIT_DIAGNOSE)],
+                         ids=["loglik", "grad_norm_sq_grad", "limit-diagnose"])
+def test_lapack_budget_per_call(monkeypatch, case, expected):
+    # a checked call decomposes its Sigma once: the eigh that validates it charts it
+    rng = np.random.default_rng(12)
+    meas = Empirical(rng.standard_normal((25, 3, 2)))
+    Sigma = random_scatter(3, rng)
+    lines = _seeded_orthogonal_lines(0, 3)
+    run = {"loglik": lambda: loglik(meas, Sigma),
+           "grad_norm_sq_grad": lambda: grad_norm_sq_grad(meas, Sigma),
+           "limit diagnose": lambda: diagnose(lines).verdict}[case]
+    calls = _record_linalg(monkeypatch)
+    out = run()
+    assert Counter(name for _, name, _ in calls) == expected
+    assert case != "limit diagnose" or out == "limit"
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -279,12 +328,13 @@ def test_block_lanes_equal_the_same_datasets_solved_alone(monkeypatch, budget, s
     built_alone, built[:] = sorted(built), []
     points = np.stack([meas.points for meas in sets])
     weights = np.stack([meas.weights for meas in sets])
-    block = estimator._solve_stack(points, weights, opts, start)
+    chart = None if start is None else _chart(start)
+    block = estimator._solve_stack(points, weights, opts, chart)
     assert sorted(built) == built_alone
     for a, b in zip(block, alone):
         _same_result(a, b)
     # a different composition of the block changes nothing either
-    for a, b in zip(estimator._solve_stack(points[::-2], weights[::-2], opts, start),
+    for a, b in zip(estimator._solve_stack(points[::-2], weights[::-2], opts, chart),
                     alone[::-2]):
         _same_result(a, b)
     statuses = Counter(result.status for result in alone)
