@@ -13,8 +13,12 @@ replaced by one placeholder (``replay.json`` records ``--out``), and so are the
 exit codes.  Each difference is printed; for a file that differs, so are the largest
 relative difference of its floating-point numbers (a token with a decimal point or an
 exponent, or NaN / Infinity) and whether everything else matches: the text between
-them, integers included (statuses, verdicts, iteration counts, keys).  So a change at
-the rounding level shows as such.  The exit status is 1 when anything differs, else 0.
+them, integers included (statuses, verdicts, iteration counts, keys).  For a
+``report.json`` that differs, so is the largest entry of P_a - P_b over its subspace
+bases (the ``basis`` entries and a no_ge ``witness``), P = Q Q^T for an orthonormal
+basis Q of the columns: a basis rotated inside its subspace (an eigenvalue cluster)
+leaves P as it is.  So a change at the rounding level shows as such.  The exit status
+is 1 when anything differs (byte for byte), else 0.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 import harness
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_ROOT = b"<OUT>"
@@ -86,6 +91,34 @@ def _numbers_and_rest(a: bytes, b: bytes) -> str:
             f"non-numeric tokens {'match' if pa[::2] == pb[::2] else 'differ'}")
 
 
+def _bases(doc, path: str = ""):
+    """Yield (path, basis) for every subspace basis of a report, in document order: the
+    lists under a ``basis`` or ``witness`` key."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in items:
+        if key in ("basis", "witness") and isinstance(value, list):
+            yield f"{path}/{key}", value
+        else:
+            yield from _bases(value, f"{path}/{key}")
+
+
+def _projector_difference(a: bytes, b: bytes) -> str:
+    """The largest entry of P_a - P_b over the paired subspace bases of two reports."""
+    bases_a, bases_b = list(_bases(json.loads(a))), list(_bases(json.loads(b)))
+    if [(path, np.shape(B)) for path, B in bases_a] != \
+            [(path, np.shape(B)) for path, B in bases_b]:
+        return "subspace bases do not pair up"
+    if not bases_a:
+        return "no subspace bases"
+    largest = 0.0
+    for (_, Ba), (_, Bb) in zip(bases_a, bases_b):
+        Pa, Pb = (Q @ Q.T for Q in (np.linalg.qr(np.asarray(B, dtype=float))[0]
+                                    for B in (Ba, Bb)))
+        largest = max(largest, float(np.abs(Pa - Pb).max()))
+    return f"largest projector difference {largest:.1e}"
+
+
 def compare(trees: dict[str, Path], workload: str, seed: int, workdir: Path) -> int:
     """Print every difference between the two trees' passes; return how many there are."""
     commands = workdir / "commands.json"
@@ -107,7 +140,10 @@ def compare(trees: dict[str, Path], workload: str, seed: int, workdir: Path) -> 
         if a == b:
             same += 1
         else:
-            diffs.append(f"{name}: {_first_difference(a, b)}; {_numbers_and_rest(a, b)}")
+            line = f"{name}: {_first_difference(a, b)}; {_numbers_and_rest(a, b)}"
+            if name.endswith("report.json"):
+                line += f"; {_projector_difference(a, b)}"
+            diffs.append(line)
     for line in diffs:
         print(line)
     print(f"{workload} seed {seed}: {len(codes_a)} commands, {same} identical files, "

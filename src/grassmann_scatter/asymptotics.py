@@ -183,7 +183,7 @@ def _experiment_law(sigma, r, reps, seed, threads, *sizes) -> _Chart:
     for name, x, low in named + [("sample size", n, 1) for n in sizes]:
         if isinstance(x, bool) or not isinstance(x, Integral) or x < low:
             raise UsageError(f"{name} must be an integer >= {low}, got {x!r}")
-    c = _check_scatter_for(None, sigma)
+    c = _check_scatter_for(None, sigma, "sigma")
     _check_dims(len(c.sigma), r)
     return c
 

@@ -36,7 +36,7 @@ from .diagnostics import INDEX_TOL, unique_sample_threshold
 from .errors import DegeneracyError, DomainError, ExistenceError, UsageError
 from .estimator import SolverOptions, diagnose, fixed_point_solve
 from .grassmann import Empirical, busemann, distinguished_ray_direction
-from .io import read_measure_json, read_scatter_csv, write_matrix_csv, write_report_json
+from .io import read_matrix_csv, read_measure_json, write_matrix_csv, write_report_json
 from .likelihood import (
     covariant_deriv_grad,
     grad_norm_sq,
@@ -131,13 +131,12 @@ def _non_converged_warning(status_counts) -> list[str]:
 
 def _cmd_estimate(args) -> int:
     meas = read_measure_json(args.input)
-    start = read_scatter_csv(args.start) if args.start else None
-    opts = _solver_options(args)
-    outdir = _outdir(args)
-    _write_replay(outdir, args)
+    start = read_matrix_csv(args.start) if args.start else None
     try:
-        result = fixed_point_solve(meas, Sigma0=start, options=opts)
+        result = fixed_point_solve(meas, Sigma0=start, options=_solver_options(args))
     except ExistenceError as exc:
+        outdir = _outdir(args)
+        _write_replay(outdir, args)
         report = {
             "status": "no_ge",
             "reason": str(exc),
@@ -149,6 +148,8 @@ def _cmd_estimate(args) -> int:
         write_report_json(outdir / "report.json", report)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    outdir = _outdir(args)
+    _write_replay(outdir, args)
     write_matrix_csv(outdir / "estimate.csv", result.estimate)
     report = {
         "status": result.status,
@@ -199,7 +200,10 @@ def _cmd_diagnose(args) -> int:
 
 def _sigma_for_experiment(args) -> np.ndarray:
     if args.sigma:
-        return read_scatter_csv(args.sigma)
+        sigma = read_matrix_csv(args.sigma)
+        if args.m is not None and args.m != len(sigma):
+            raise UsageError(f"--m {args.m} contradicts the {len(sigma)}-row matrix of --sigma")
+        return sigma
     if args.m is None or args.m < 2:
         raise UsageError("either --sigma or --m >= 2 is required")
     return np.eye(args.m)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .grassmann import Empirical, _check_dims, _check_empirical, dim_intersection, orthonormalize
-from .manifold import _Chart, _chart, _check_scatter_for, _whitened, check_tangent, sym
+from .manifold import _Chart, _chart, _check_scatter_for, _check_tangent, _whitened
 
 INDEX_TOL = 1e-9        # |index| below this counts as zero in classification
 GAP_TOL = 1e-6          # relative eigenvalue gap separating velocity clusters
@@ -168,8 +168,7 @@ def decompose_velocity(Sigma, w) -> VelocityFlag:
     w = np.asarray(w, dtype=float)
     if w.shape != c.sigma.shape:
         raise UsageError(f"velocity must be {len(c.sigma)} x {len(c.sigma)}, got {w.shape}")
-    check_tangent(c.sigma, w @ c.sigma)
-    return _flag(c, *np.linalg.eigh(sym(c.W @ w @ c.F)))
+    return _flag(c, *np.linalg.eigh(_check_tangent(c, w @ c.sigma)))
 
 
 def _flag(c: _Chart, lam: np.ndarray, E: np.ndarray) -> VelocityFlag:

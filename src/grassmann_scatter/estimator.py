@@ -443,14 +443,14 @@ def fixed_point_solve(
 
     Requires an empirical measure whose atoms jointly span the whole space
     (otherwise ExistenceError, carrying a basis of the deficient span as
-    witness).  Starts from Sigma0 (default: identity), which its check charts by one
-    eigh, and moves to Newton steps once the update contracts slowly.  The one-lane
-    call of the stacked loop ``_solve_stack``.
+    witness).  Starts from Sigma0 (default: identity), checked before the span and
+    charted by the check's one eigh, and moves to Newton steps once the update contracts
+    slowly.  The one-lane call of the stacked loop ``_solve_stack``.
     """
     _check_empirical(meas, "fixed_point_solve")
     opts = options or SolverOptions()
-    _check_span(meas.points)
     start = None if Sigma0 is None else _check_scatter_for(meas.m, Sigma0, "Sigma0")
+    _check_span(meas.points)
     return _solve_stack(meas.points[None], meas.weights[None], opts, start)[0]
 
 

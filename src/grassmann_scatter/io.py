@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import DomainError
 from .grassmann import Empirical
-from .manifold import check_scatter
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -54,11 +53,6 @@ def write_matrix_csv(path, M) -> None:
     row = ",".join(["%.18e"] * M.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(row * M.shape[0] % tuple(M.ravel().tolist()))
-
-
-def read_scatter_csv(path) -> np.ndarray:
-    """Load and validate a unimodular SPD matrix from CSV."""
-    return check_scatter(read_matrix_csv(path), name=str(path))
 
 
 def _numbers(values, count: int = -1) -> np.ndarray:

@@ -55,7 +55,7 @@ from .grassmann import (
     _whiten,
     check_basis,
 )
-from .manifold import _Chart, _check_scatter_for, _tangent_basis, _whitened, check_tangent, sym
+from .manifold import _Chart, _check_scatter_for, _check_tangent, _tangent_basis, sym
 
 
 def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
@@ -195,9 +195,8 @@ def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
     """
     X = check_basis(X)
     c = _check_scatter_for(len(X), Sigma)
-    Z = check_tangent(c.sigma, Z)
-    H = _hessian_at(X[None], np.ones(1), c)[1]
-    return _hessian_apply(c, H, _whitened(c, Z))
+    V = _check_tangent(c, Z)
+    return _hessian_apply(c, _hessian_at(X[None], np.ones(1), c)[1], V)
 
 
 def hess_quadform(meas: Empirical, Sigma, Z) -> float:
@@ -207,9 +206,8 @@ def hess_quadform(meas: Empirical, Sigma, Z) -> float:
     and the measure average is the quadratic form driving geodesic convexity.
     """
     c = _check_empirical(meas, "hess_quadform", Sigma)
-    Z = check_tangent(c.sigma, Z)
+    z = _tangent_basis(meas.m).T @ _check_tangent(c, Z).reshape(-1)
     H = _hessian_at(meas.points, meas.weights, c)[1]
-    z = _tangent_basis(meas.m).T @ _whitened(c, Z).reshape(-1)
     return float(z @ H @ z)
 
 

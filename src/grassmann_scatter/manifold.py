@@ -27,17 +27,18 @@ conditioning checks; internal callers only hand them matrices the library
 computed itself.  Solver iterates answer to the solver's COND_MAX guard.  The
 scatter check reads the eigenvalues of one eigh, whose eigenpairs it returns as the
 eigen chart (``_check_scatter_for``; ``check_scatter`` keeps only the matrix), so a
-checked Sigma is not decomposed again.
+checked Sigma is not decomposed again; the tangent check ``_check_tangent`` runs in
+that chart and returns the whitened tangent W V W^T, which its callers compute with.
 
 Chart rule (package-wide): Sigma = Q diag(lam) Q^T is factored once, by ``_chart``
 or by the check that validates it, into F = Q diag(sqrt(lam)) (F F^T = Sigma),
-W = F^-1 and Q; a matrix decomposed once passes its eigenpairs on.  What is
-invariant under congruence (distance, geodesics, log-maps, velocity flags,
-log-likelihood, pi, kernel sum, residual, gradient) is computed whitened by W;
-what is defined through the symmetric root uses g = F Q^T and g^-1 = Q W
-(``sym_sqrt``, the mean projector, the CLT's C_n, the score moments).  Solver
-iterates are charts of the eigh their COND_MAX guard takes.  The Gaussian
-sampler's Cholesky factor is the only other factor in the package.
+W = F^-1 and Q; a matrix decomposed once passes its eigenpairs on, and Sigma^-1 is
+W^T W, never a linear solve.  What is invariant under congruence (distance, geodesics,
+log-maps, inner products, tangency, velocity flags, log-likelihood, pi, kernel sum,
+residual, gradient) is computed whitened by W; what is defined through the symmetric
+root uses g = F Q^T and g^-1 = Q W (``sym_sqrt``, the mean projector, the CLT's C_n,
+the score moments).  Solver iterates are charts of the eigh their COND_MAX guard
+takes.  The Gaussian sampler's Cholesky factor is the only other factor in the package.
 """
 
 from __future__ import annotations
@@ -135,28 +136,37 @@ def normalize_det(M) -> np.ndarray:
     return M * np.exp(-logdet / M.shape[0])
 
 
-def check_tangent(Sigma: np.ndarray, V) -> np.ndarray:
-    """Validate that V is tangent at Sigma (symmetric, trace condition).
+def check_tangent(Sigma, V) -> np.ndarray:
+    """Validate that V is tangent at the scatter matrix Sigma (symmetric, trace condition).
 
-    Raises DomainError on non-finite entries and UsageError when V is not a
-    tangent vector at the declared base point.  Returns the symmetrized array.
+    Raises DomainError unless Sigma is a scatter matrix (``check_scatter``) or on
+    non-finite entries of V, and UsageError when V is not a tangent vector at Sigma.
+    Returns the symmetrized V.
     """
+    _check_tangent(_check_scatter_for(None, Sigma), V)
+    return sym(np.asarray(V, dtype=float))
+
+
+def _check_tangent(c: _Chart, V) -> np.ndarray:
+    """W V W^T: V whitened in the chart c of its base point, once V is checked tangent
+    there (DomainError on non-finite entries, else UsageError), its trace condition read
+    from Sigma^-1 V = W^T (W V)."""
     V = _as_square(V, "tangent vector")
-    if V.shape != Sigma.shape:
+    if V.shape != c.sigma.shape:
         raise UsageError(
-            f"tangent vector shape {V.shape} does not match base point shape {Sigma.shape}"
+            f"tangent vector shape {V.shape} does not match base point shape {c.sigma.shape}"
         )
     scale = max(1.0, float(np.abs(V).max()))
     if np.abs(V - V.T).max() > 1e-10 * scale:
         raise UsageError("tangent vector is not symmetric")
-    V = sym(V)
-    T = np.linalg.solve(Sigma, V)
+    WV = c.W @ sym(V)
+    T = c.W.T @ WV
     tr_scale = max(1.0, float(np.abs(np.diag(T)).sum()))
     if abs(np.trace(T)) > TANGENT_TOL * tr_scale:
         raise UsageError(
             f"matrix is not tangent at the given base point (tr(Sigma^-1 V) = {np.trace(T):.3e})"
         )
-    return V
+    return sym(WV @ c.W.T)
 
 
 def _eig_apply(S: np.ndarray, f) -> np.ndarray:
@@ -207,15 +217,14 @@ def sym_sqrt(Sigma) -> np.ndarray:
 def inner(Sigma, A, B) -> float:
     """Affine-invariant inner product tr(Sigma^-1 A Sigma^-1 B) of tangents at Sigma."""
     c = _check_scatter_for(None, Sigma)
-    A = check_tangent(c.sigma, A)
-    B = check_tangent(c.sigma, B)
-    return float(np.sum(_whitened(c, A) * _whitened(c, B)))      # W^T W = Sigma^-1
+    return float(np.sum(_check_tangent(c, A) * _check_tangent(c, B)))   # W^T W = Sigma^-1
 
 
-def _geodesic(c: _Chart, W: np.ndarray, t: float) -> np.ndarray:
-    V = _whitened(c, W)
-    V = V - (np.trace(V) / V.shape[0]) * np.eye(V.shape[0])  # exact trace-zero
-    return sym(c.F @ _eig_apply(t * V, np.exp) @ c.F.T)   # det 1 up to rounding
+def _geodesic(c: _Chart, V: np.ndarray, t: float) -> np.ndarray:
+    mu, E = np.linalg.eigh(t * V)
+    G = sym(c.F @ sym((E * np.exp(mu)) @ E.T) @ c.F.T)   # F expm(t V) F^T, whitened V
+    # log det G = sum(loglam) + sum(mu) scales it to det 1, whatever the trace of V
+    return G * np.exp(-(c.loglam.sum() + mu.sum()) / len(G))
 
 
 def geodesic(Sigma, W, t: float) -> np.ndarray:
@@ -223,12 +232,12 @@ def geodesic(Sigma, W, t: float) -> np.ndarray:
 
     Returns g expm(t V) g with g = sym_sqrt(Sigma) and V = g^-1 W g^-1 (computed
     in the eigen chart); renormalized to determinant one against rounding drift.
-    DomainError unless t is a finite real number.
+    DomainError unless t is a finite real number and the point's entries are finite.
     """
     if isinstance(t, bool) or not isinstance(t, Real) or not math.isfinite(t):
         raise DomainError(f"t must be a finite real number, got {t!r}")
     c = _check_scatter_for(None, Sigma)
-    return normalize_det(_geodesic(c, check_tangent(c.sigma, W), t))
+    return _as_square(_geodesic(c, _check_tangent(c, W), t), "geodesic point")
 
 
 def log_map(Sigma0, Sigma1) -> np.ndarray:
@@ -266,13 +275,12 @@ def tangent_project(Sigma, S) -> np.ndarray:
     Removes the trace component:  S - (tr(Sigma^-1 S)/m) Sigma.  Linear,
     idempotent, and the identity on matrices already tangent at Sigma.
     """
-    Sigma = check_scatter(Sigma)
+    c = _check_scatter_for(None, Sigma)
     S = sym(_as_square(S, "matrix"))
-    if S.shape != Sigma.shape:
+    if S.shape != c.sigma.shape:
         raise DomainError(f"matrix of shape {S.shape} does not match Sigma of shape "
-                          f"{Sigma.shape}")
-    c = np.trace(np.linalg.solve(Sigma, S)) / Sigma.shape[0]
-    return S - c * Sigma
+                          f"{c.sigma.shape}")
+    return S - (np.trace(_whitened(c, S)) / len(S)) * c.sigma     # tr(W S W^T) = tr(Sigma^-1 S)
 
 
 def vec(A: np.ndarray) -> np.ndarray:

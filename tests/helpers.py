@@ -11,7 +11,8 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from grassmann_scatter import Empirical, sym_sqrt
+from grassmann_scatter import Empirical, UsageError, sym_sqrt
+from grassmann_scatter.manifold import TANGENT_TOL
 
 
 def mixed_err(value: float, reference: float) -> float:
@@ -46,6 +47,19 @@ def ray_form(Sigma: np.ndarray, W: np.ndarray) -> np.ndarray:
     conditions expected by the velocity-flag decomposition.
     """
     return np.linalg.solve(Sigma, W.T).T
+
+
+def ref_check_tangent(Sigma: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The tangent check by an LU solve: sym(V), or UsageError unless V is symmetric and
+    |tr(Sigma^-1 V)| <= TANGENT_TOL * max(1, sum |diag(Sigma^-1 V)|)."""
+    V = np.asarray(V, dtype=float)
+    if np.abs(V - V.T).max() > 1e-10 * max(1.0, float(np.abs(V).max())):
+        raise UsageError("tangent vector is not symmetric")
+    V = 0.5 * (V + V.T)
+    T = np.linalg.solve(Sigma, V)
+    if abs(np.trace(T)) > TANGENT_TOL * max(1.0, float(np.abs(np.diag(T)).sum())):
+        raise UsageError(f"matrix is not tangent (tr(Sigma^-1 V) = {np.trace(T):.3e})")
+    return V
 
 
 def random_special_linear(rng, m: int, smin: float = 0.6, smax: float = 1.6) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -144,3 +145,29 @@ def test_scan_verdicts_creates_its_workdir(monkeypatch, tmp_path, capsys):
                       "--workdir", str(workdir)]) == 0
     assert seen == [True]
     assert "| 1 | b | 0 | 0 | 0 | 1 |" in capsys.readouterr().out
+
+
+def test_compare_outputs_reads_a_rotated_basis_as_the_same_subspace():
+    # a basis rotated inside its subspace differs in bytes, not in its projector; another
+    # subspace, or bases that do not pair up, read as such
+    compare = importlib.import_module("compare_outputs")
+    rng = np.random.default_rng(0)
+    B = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotated = B @ np.array([[c, -s], [s, c]])
+    other = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+
+    def report(basis, witness):
+        return json.dumps({"status": "no_ge", "witness": witness.tolist(), "boundary":
+                           [{"alpha": 1.0, "dim": 2, "basis": basis.tolist()}]}).encode()
+
+    a = report(B, B[:, :1])
+    assert a != report(rotated, -B[:, :1])
+    diff = compare._projector_difference(a, report(rotated, -B[:, :1]))
+    assert float(diff.rsplit(" ", 1)[1]) <= 1e-15, diff
+    diff = compare._projector_difference(a, report(B, other[:, :1]))
+    assert float(diff.rsplit(" ", 1)[1]) > 1e-2, diff
+    assert compare._projector_difference(a, report(B, B)) == "subspace bases do not pair up"
+    diagnose = {"verdict": "limit", "witness": {"dim": 2, "basis": B.tolist()}}
+    assert [path for path, _ in compare._bases(diagnose)] == ["/witness/basis"]
+    assert compare._projector_difference(b"{}", b"{}") == "no subspace bases"

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in it, and every private module-level
-function of the package is called from outside its own definition (no linter runs here)."""
+"""Every name a package module imports is used in it, every private module-level
+function of the package is called from outside its own definition, and no module calls
+``np.linalg.solve`` (no linter runs here)."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,20 @@ def test_guard_sees_an_orphan():
                     "def _kept():\n    return 1\n",
                "b": "from .a import _kept\n\n\ndef f():\n    return _kept()\n"}
     assert _orphans(sources) == ["a._core"]
+
+
+def _linalg_solves(tree: ast.Module) -> list[int]:
+    """Lines of the ``np.linalg.solve(...)`` (or ``scipy.linalg.solve``) calls of a module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).endswith("linalg.solve")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_applies_no_inverse_by_a_linear_solve(path):
+    # Sigma^-1 is W^T W in the eigen chart of Sigma (manifold's chart rule)
+    assert _linalg_solves(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_guard_sees_a_linear_solve():
+    tree = ast.parse("import numpy as np\nx = np.linalg.eigh(a)\ny = np.linalg.solve(a, b)\n")
+    assert _linalg_solves(tree) == [3]

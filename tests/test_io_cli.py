@@ -12,13 +12,19 @@ import numpy as np
 import pytest
 
 import grassmann_scatter
-from grassmann_scatter import DomainError, Empirical, SolverOptions, UsageError, diagnose
+from grassmann_scatter import (
+    DomainError,
+    Empirical,
+    SolverOptions,
+    UsageError,
+    check_scatter,
+    diagnose,
+)
 from grassmann_scatter.cli import main
 from grassmann_scatter.diagnostics import INDEX_TOL
 from grassmann_scatter.io import (
     read_matrix_csv,
     read_measure_json,
-    read_scatter_csv,
     write_matrix_csv,
     write_measure_json,
     write_report_json,
@@ -165,14 +171,16 @@ def test_matrix_csv_rejects_ragged_empty_and_non_numeric(tmp_path, text):
 
 
 def test_scatter_csv_validates_the_matrix(tmp_path):
+    # a scatter file is read as a matrix and checked once, by check_scatter
     good = tmp_path / "good.csv"
     write_matrix_csv(good, np.diag([2.0, 0.5]))
-    assert np.allclose(read_scatter_csv(good), np.diag([2.0, 0.5]))
+    assert np.allclose(check_scatter(read_matrix_csv(good), name=str(good)),
+                       np.diag([2.0, 0.5]))
     for name, M in (("indef.csv", np.diag([1.0, -1.0])), ("det.csv", np.diag([2.0, 1.0]))):
         path = tmp_path / name
         write_matrix_csv(path, M)
-        with pytest.raises(DomainError):
-            read_scatter_csv(path)
+        with pytest.raises(DomainError, match=name):
+            check_scatter(read_matrix_csv(path), name=str(path))
 
 
 def test_measure_json_round_trip(tmp_path):
@@ -286,6 +294,47 @@ def test_cli_estimate_malformed_inputs_exit_3(tmp_path, capsys):
     bad_weights.write_text(json.dumps(text_weights))
     assert main(["estimate", "--input", str(bad_weights), "--out", str(out)]) == 3
     assert main(["diagnose", "--input", str(bad_weights), "--out", str(out)]) == 3
+
+
+def test_cli_bad_start_exits_3_and_writes_nothing(tmp_path, capsys):
+    # the library checks the start once, before the span: whatever the data (a spanning
+    # set or one that misses a direction), a start that is not a 2 x 2 scatter exits 3
+    # before the output directory is made, and the error names Sigma0, not the file
+    starts = {"det.csv": np.diag([2.0, 1.0]), "indef.csv": np.diag([1.0, -1.0]),
+              "size.csv": np.eye(3)}
+    data = {"lines": three_symmetric_lines(), "planar": lines_measure([0.3, 0.3, 0.3])}
+    for name, M in starts.items():
+        write_matrix_csv(tmp_path / name, M)
+        for kind, meas in data.items():
+            out = tmp_path / f"out-{name}-{kind}"
+            argv = ["estimate", "--input", write_dataset(tmp_path / f"{kind}.json", meas),
+                    "--start", str(tmp_path / name), "--out", str(out)]
+            assert main(argv) == 3, (name, kind)
+            err = capsys.readouterr().err
+            assert "Sigma0" in err and name not in err, err
+            assert not out.exists(), (name, kind)
+
+
+@pytest.mark.parametrize("command", ["lln", "clt"])
+def test_cli_experiment_m_contradicting_sigma_exits_3(tmp_path, capsys, command):
+    # --m 5 beside a 3 x 3 --sigma ran at m = 3 while replay.json recorded m = 5
+    sigma = tmp_path / "sigma.csv"
+    write_matrix_csv(sigma, np.eye(3))
+    out = tmp_path / "out"
+    sizes = ["--ns", "20"] if command == "lln" else ["--n", "20", "--ref-mc", "50"]
+    base = [command, "--sigma", str(sigma), "--r", "1", "--reps", "2"] + sizes
+    assert main(base + ["--m", "5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "--m 5" in err and "3-row" in err and "--sigma" in err, err
+    assert not out.exists()
+    assert main(base + ["--m", "3", "--out", str(out)]) == 0       # --m that agrees
+    assert load_json(out / "replay.json")["options"]["m"] == 3
+    # a bad --sigma is checked by the library, under the name sigma
+    write_matrix_csv(sigma, np.diag([2.0, 1.0, 1.0]))
+    assert main(base + ["--out", str(tmp_path / "bad")]) == 3
+    err = capsys.readouterr().err
+    assert "sigma is not unimodular" in err and "sigma.csv" not in err, err
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])

@@ -22,13 +22,14 @@ from grassmann_scatter import (
     tangent_vec_projector,
     whiten_normalize,
 )
-from grassmann_scatter.manifold import _tangent_basis
+from grassmann_scatter.manifold import TANGENT_TOL, _tangent_basis
 from helpers import (
     max_mixed_err,
     mixed_err,
     mp_log_map_distance,
     random_special_linear,
     random_tangent,
+    ref_check_tangent,
     ref_distance,
     scatter_with_condition,
 )
@@ -135,6 +136,13 @@ def test_inner_rejects_non_tangent():
 def test_geodesic_rejects_a_time_that_is_not_a_finite_real(t):
     with pytest.raises(DomainError, match="t must be a finite real number"):
         geodesic(np.eye(3), np.diag([1.0, -1.0, 0.0]), t)
+
+
+def test_geodesic_rejects_a_point_that_overflows():
+    # e^800 overflows: the point is not returned as NaN
+    with pytest.raises(DomainError, match="geodesic point has non-finite entries"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            geodesic(np.eye(3), np.diag([1.0, -1.0, 0.0]), 800.0)
 
 
 def test_geodesic_zero_velocity():
@@ -254,6 +262,39 @@ def test_check_tangent_rejects_non_finite_entries(bad):
     V[0, 1] = V[1, 0] = bad
     with pytest.raises(DomainError, match="non-finite"):
         check_tangent(np.eye(3), V)
+
+
+def test_check_tangent_checks_its_base_point():
+    V = np.diag([1.0, -1.0])
+    for base in (np.diag([2.0, 1.0]), np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.0, 1.0]]),
+                 np.eye(3)[:, :2]):
+        with pytest.raises(DomainError):
+            check_tangent(base, V)
+
+
+def _accepts(check, Sigma, V) -> bool:
+    try:
+        check(Sigma, V)
+    except UsageError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e6])
+def test_check_tangent_decides_as_the_lu_check(cond):
+    # the chart check reads tr(Sigma^-1 V) as tr(W^T (W V)), the reference by an LU solve;
+    # unit tangents moved off by (f / m) Sigma have |tr(Sigma^-1 V)| = f times the cutoff:
+    # both checks accept at f = 1e-3 and reject at f = 1e3, on either side
+    rng = np.random.default_rng(30)
+    for m in (2, 3, 5):
+        for _ in range(20):
+            S = scatter_with_condition(rng, m, cond)
+            V0 = random_unit_tangent(S, rng)
+            cutoff = TANGENT_TOL * max(1.0, np.abs(np.diag(np.linalg.solve(S, V0))).sum())
+            for f in (1e-3, -1e-3, 1e3, -1e3):
+                V = V0 + (f * cutoff / m) * S
+                assert _accepts(check_tangent, S, V) == _accepts(ref_check_tangent, S, V) \
+                    == (abs(f) < 1), (m, f)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
