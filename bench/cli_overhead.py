@@ -18,7 +18,9 @@ and then REPEATS times, and reports the median milliseconds of each phase per co
 * ``write <file>``: each output file, keyed by its name (``replay.json`` is the whole of
   ``cli._write_replay``, version lookups included);
 * ``mkdir``: ``cli._outdir``;
-* ``other``: the rest of ``cli.main`` (dispatch, report shaping, printing).
+* ``other``: the rest of ``cli.main`` (dispatch, report shaping, printing).  No
+  function of ``gradcheck``'s is wrapped, so its compute (the finite differences of
+  ``loglik``, ``grad`` and ``hess_quadform`` along geodesics) lands here too.
 
 Only the outermost wrapped call is timed, so a write made inside ``_write_replay``
 counts once, to ``write replay.json``.  The wrappers add about a microsecond per
@@ -53,6 +55,7 @@ COMMANDS = {
                           "--seed", "7", "--threads", "1", "--out", "{out}"],
     "small-mc clt(2,1)": ["clt", "--sigma", "{s2}", "--r", "1", "--n", "100", "--reps", "20",
                           "--ref-mc", "4000", "--seed", "7", "--threads", "1", "--out", "{out}"],
+    "gradcheck m=4": ["gradcheck", "--m", "4", "--trials", "5", "--out", "{out}"],
 }
 SOLVES = ("fixed_point_solve", "diagnose", "lln_experiment", "clt_experiment")
 

@@ -55,11 +55,8 @@ from .grassmann import (
     sample,
 )
 from .likelihood import (
-    covariant_deriv_grad,
     grad,
     grad_norm_sq,
-    grad_norm_sq_grad,
-    grad_point,
     hess_quadform,
     loglik,
     loglik_point,

@@ -37,13 +37,7 @@ from .errors import DegeneracyError, DomainError, ExistenceError, UsageError
 from .estimator import SolverOptions, diagnose, fixed_point_solve
 from .grassmann import Empirical, busemann, distinguished_ray_direction
 from .io import read_matrix_csv, read_measure_json, write_matrix_csv, write_report_json
-from .likelihood import (
-    covariant_deriv_grad,
-    grad_norm_sq,
-    grad_norm_sq_grad,
-    grad_point,
-    loglik_point,
-)
+from .likelihood import grad, hess_quadform, loglik
 from .manifold import geodesic, inner, random_scatter, random_unit_tangent
 
 LOW_POWER_REPS = {"lln": 50, "clt": 500}
@@ -284,7 +278,6 @@ def _cmd_clt(args) -> int:
 GRADCHECK_TOLS = {
     "first_order": 1e-6,
     "second_order": 1e-5,
-    "norm_gradient": 1e-5,
     "ray_normalization": 1e-8,
 }
 
@@ -308,37 +301,24 @@ def _cmd_gradcheck(args) -> int:
         )
         worst["ray_normalization"] = max(worst["ray_normalization"], e4)
         for _ in range(args.trials):
+            # one subspace is the one-atom measure: the dataset forms are checked
             Sigma = random_scatter(args.m, rng)
-            X = rng.standard_normal((args.m, r))
+            meas = Empirical(rng.standard_normal((1, args.m, r)))
             W = random_unit_tangent(Sigma, rng)
 
             def f(t):
-                return loglik_point(X, geodesic(Sigma, W, t))
+                return loglik(meas, geodesic(Sigma, W, t))
 
-            d1 = inner(Sigma, grad_point(X, Sigma), W)
+            d1 = inner(Sigma, grad(meas, Sigma), W)
             d1_fd = (f(h1) - f(-h1)) / (2.0 * h1)
-            d2 = inner(Sigma, covariant_deriv_grad(X, Sigma, W), W)
+            d2 = hess_quadform(meas, Sigma, W)
             d2_fd = (f(h2) - 2.0 * f(0.0) + f(-h2)) / h2**2
-
-            meas = Empirical(rng.standard_normal((args.m * r + 3, args.m, r)))
-            Gamma = random_scatter(args.m, rng)
-            V = random_unit_tangent(Gamma, rng)
-
-            def h(t):
-                return grad_norm_sq(meas, geodesic(Gamma, V, t))
-
-            d3 = inner(Gamma, grad_norm_sq_grad(meas, Gamma), V)
-            d3_fd = (h(h1) - h(-h1)) / (2.0 * h1)
 
             e1 = abs(d1_fd - d1) / max(1.0, abs(d1))
             e2 = abs(d2_fd - d2) / max(1.0, abs(d2))
-            e3 = abs(d3_fd - d3) / max(1.0, abs(d3))
             worst["first_order"] = max(worst["first_order"], e1)
             worst["second_order"] = max(worst["second_order"], e2)
-            worst["norm_gradient"] = max(worst["norm_gradient"], e3)
-            rows.append(
-                {"r": r, "first_order": e1, "second_order": e2, "norm_gradient": e3}
-            )
+            rows.append({"r": r, "first_order": e1, "second_order": e2})
     ok = all(worst[key] <= tol for key, tol in GRADCHECK_TOLS.items())
     outdir = _outdir(args)
     _write_replay(outdir, args)

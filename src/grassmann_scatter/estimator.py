@@ -522,7 +522,7 @@ def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], 
     """(lambda_min, report) of a converged solve: "unique", "limit" or the open case (see
     diagnose)."""
     c = _chart(result.estimate)
-    h, U = np.linalg.eigh(_hessian_at(meas.points, meas.weights, c)[1])
+    h, U = np.linalg.eigh(_hessian_at(meas.points, meas.weights, c))
     lam = float(h[0])
     if lam >= UNIQUE_HESSIAN and 0.5 * np.sqrt(result.residual) <= NEWTON_STEP * lam:
         return lam, _route_report(meas, "unique", spans, [], tol)
@@ -534,7 +534,7 @@ def _converged_route(meas: Empirical, result: GEResult, spans: list[Candidate], 
                                c)[0]
         if refined.residual < result.residual:
             c = _chart(refined.estimate)
-            U = np.linalg.eigh(_hessian_at(meas.points, meas.weights, c)[1])[1]
+            U = np.linalg.eigh(_hessian_at(meas.points, meas.weights, c))[1]
     # one eigh of V gives the flags of V and of -V, each subspace of one the complement
     # of one of the other
     mu, E = np.linalg.eigh(sym((_tangent_basis(meas.m) @ U[:, 0]).reshape(meas.m, meas.m)))

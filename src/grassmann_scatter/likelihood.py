@@ -8,15 +8,15 @@ log-likelihood contribution of U is
 and for a measure P the objective is the P-average.  Estimates of scatter are
 the minimizers.  The gradient is available in closed form,
 
-    grad_point(U, Sigma)  = (r/2m) Sigma - 1/2 X (X^T Sigma^-1 X)^-1 X^T,
+    grad(P, Sigma) = (r/2m) Sigma - 1/2 sum_j w_j X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T,
 
 and every second-order quantity comes from one formula, the whitened geodesic
 Hessian ``_hessian``: a d x d matrix, d = (m-1)(m+2)/2, in the coordinates
 z = B^T vec(W Z W^T) (W = F^-1, F F^T = Sigma, Z tangent) of the fixed orthonormal
 basis B of the symmetric trace-free matrices (``manifold._tangent_basis``).  The
-solver's Newton steps, the certificate of ``estimator.diagnose``, hess_quadform (its
-quadratic form, nonnegative by geodesic convexity), covariant_deriv_grad (one atom's
-H applied to Z) and grad_norm_sq_grad (twice H applied to the gradient) all read it.
+solver's Newton steps, the certificate of ``estimator.diagnose`` and hess_quadform (its
+quadratic form, nonnegative by geodesic convexity) all read it.  One subspace U is the
+one-atom measure delta_U: its derivatives are those of ``Empirical(X[None])``.
 
 The same data can be packaged through the whitened mean projector
 
@@ -25,7 +25,7 @@ The same data can be packaged through the whitened mean projector
 (g = sym_sqrt(Gamma)): it is symmetric PSD with trace r, satisfies
 r^2/m <= tr(M^2) <= r^2, and Gamma solves the estimating equation exactly
 when M = (r/m) Id.  The squared gradient norm is then
-grad_norm_sq = 1/4 || M - (r/m) Id ||_F^2, whose own gradient is grad_norm_sq_grad.
+grad_norm_sq = 1/4 || M - (r/m) Id ||_F^2.
 
 The measure-averaged functions take an empirical measure and are exact weighted
 sums, batched over atoms; a Gaussian law is sampled first (UsageError otherwise).
@@ -53,9 +53,8 @@ from .grassmann import (
     _logdet_ratio,
     _outer,
     _whiten,
-    check_basis,
 )
-from .manifold import _Chart, _check_scatter_for, _check_tangent, _tangent_basis, sym
+from .manifold import _Chart, _check_tangent, _tangent_basis, sym
 
 
 def _weighted_kernel_sum(points: np.ndarray, weights: np.ndarray, F: np.ndarray,
@@ -123,17 +122,11 @@ def _hessian(P: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     return 0.5 * (0.5 * sums - B.T @ _kron_mean(P, weights) @ B)
 
 
-def _hessian_at(points: np.ndarray, weights: np.ndarray, c: _Chart):
-    """(M, H): the whitened mean projector and ``_hessian`` at c.sigma, built as a one-entry
-    stack (the solver's layout), so ``diagnose`` reads the solver's H to the bit."""
+def _hessian_at(points: np.ndarray, weights: np.ndarray, c: _Chart) -> np.ndarray:
+    """``_hessian`` at c.sigma, built as a one-entry stack (the solver's layout), so
+    ``diagnose`` reads the solver's H to the bit."""
     M, _, U, _ = _weighted_kernel_sum(points, weights, c.F[None], c.W[None])
-    return M[0], _hessian(_outer(U), weights[None], M)[0]
-
-
-def _hessian_apply(c: _Chart, H: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """F unvec(B H B^T vec(V)) F^T: H at c.sigma applied to the whitened tangent V = W Z W^T."""
-    B = _tangent_basis(len(V))
-    return sym(c.F @ (B @ (H @ (B.T @ V.reshape(-1)))).reshape(V.shape) @ c.F.T)
+    return _hessian(_outer(U), weights[None], M)[0]
 
 
 def _centered(M: np.ndarray, r: int) -> np.ndarray:
@@ -165,38 +158,16 @@ def loglik(meas: Empirical, Sigma) -> float:
     return float(meas.weights @ (0.5 * _logdet_ratio(meas.points, W)))
 
 
-def _grad(points: np.ndarray, weights: np.ndarray, c: _Chart) -> np.ndarray:
-    S = _weighted_kernel_sum(points, weights, c.F, c.W)[1]
-    _, m, r = points.shape
-    return sym((0.5 * r / m) * c.sigma - 0.5 * S)
-
-
-def grad_point(X, Sigma) -> np.ndarray:
-    """Riemannian gradient (r/2m) Sigma - 1/2 X (X^T Sigma^-1 X)^-1 X^T.
-
-    A tangent vector at Sigma; its inner product against any tangent W
-    equals the derivative of loglik_point along the geodesic with velocity W.
-    """
-    X = check_basis(X)
-    return _grad(X[None], np.ones(1), _check_scatter_for(len(X), Sigma))
-
-
 def grad(meas: Empirical, Sigma) -> np.ndarray:
-    """Measure-averaged gradient; vanishes exactly at an estimate of scatter."""
-    c = _check_empirical(meas, "grad", Sigma)
-    return _grad(meas.points, meas.weights, c)
+    """Riemannian gradient (r/2m) Sigma - 1/2 sum_j w_j X_j (X_j^T Sigma^-1 X_j)^-1 X_j^T.
 
-
-def covariant_deriv_grad(X, Sigma, Z) -> np.ndarray:
-    """Covariant derivative of the gradient field of one atom along Z.
-
-    The one-atom Hessian ``_hessian`` applied to Z: 1/4 Z pi Sigma + 1/4 Sigma pi Z
-    - 1/2 Sigma pi Z pi Sigma with pi = Sigma^-1 projector(X, Sigma), again tangent at Sigma.
+    A tangent vector at Sigma that vanishes exactly at an estimate of scatter; its inner
+    product against any tangent W equals the derivative of loglik along the geodesic
+    with velocity W.
     """
-    X = check_basis(X)
-    c = _check_scatter_for(len(X), Sigma)
-    V = _check_tangent(c, Z)
-    return _hessian_apply(c, _hessian_at(X[None], np.ones(1), c)[1], V)
+    c = _check_empirical(meas, "grad", Sigma)
+    S = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[1]
+    return sym((0.5 * meas.r / meas.m) * c.sigma - 0.5 * S)
 
 
 def hess_quadform(meas: Empirical, Sigma, Z) -> float:
@@ -207,7 +178,7 @@ def hess_quadform(meas: Empirical, Sigma, Z) -> float:
     """
     c = _check_empirical(meas, "hess_quadform", Sigma)
     z = _tangent_basis(meas.m).T @ _check_tangent(c, Z).reshape(-1)
-    H = _hessian_at(meas.points, meas.weights, c)[1]
+    H = _hessian_at(meas.points, meas.weights, c)
     return float(z @ H @ z)
 
 
@@ -230,15 +201,3 @@ def grad_norm_sq(meas: Empirical, Gamma) -> float:
     c = _check_empirical(meas, "grad_norm_sq", Gamma)
     return 0.25 * float(_defect(_weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0],
                                 meas.r))
-
-
-def grad_norm_sq_grad(meas: Empirical, Gamma) -> np.ndarray:
-    """Gradient of grad_norm_sq: twice the Hessian ``_hessian`` applied to the gradient,
-    whose whitened form is -1/2 (M - (r/m) Id).
-
-    Tangent at Gamma; vanishes at critical points; matches central finite
-    differences of grad_norm_sq along geodesics, for any weights.
-    """
-    c = _check_empirical(meas, "grad_norm_sq_grad", Gamma)
-    M, H = _hessian_at(meas.points, meas.weights, c)
-    return -_hessian_apply(c, H, _centered(M, meas.r).reshape(M.shape))

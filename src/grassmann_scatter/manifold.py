@@ -232,12 +232,14 @@ def geodesic(Sigma, W, t: float) -> np.ndarray:
 
     Returns g expm(t V) g with g = sym_sqrt(Sigma) and V = g^-1 W g^-1 (computed
     in the eigen chart); renormalized to determinant one against rounding drift.
-    DomainError unless t is a finite real number and the point's entries are finite.
+    DomainError unless t is a finite real number and the point passes check_scatter
+    (finite entries first, then the COND_MAX guard), so every point returned is one
+    the package accepts.
     """
     if isinstance(t, bool) or not isinstance(t, Real) or not math.isfinite(t):
         raise DomainError(f"t must be a finite real number, got {t!r}")
     c = _check_scatter_for(None, Sigma)
-    return _as_square(_geodesic(c, _check_tangent(c, W), t), "geodesic point")
+    return check_scatter(_geodesic(c, _check_tangent(c, W), t), "geodesic point")
 
 
 def log_map(Sigma0, Sigma1) -> np.ndarray:

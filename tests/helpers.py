@@ -511,8 +511,7 @@ def ref_descent(meas: Empirical, Sigma0=None, options=None):
     is meant for sets that have an estimate.  Returns (status, estimate) with status
     "converged", "max_iterations" or "stalled" (the line search found no decrease).
     """
-    from grassmann_scatter import SolverOptions, geodesic, grad, loglik, residual
-    from grassmann_scatter.manifold import COND_MAX
+    from grassmann_scatter import DomainError, SolverOptions, geodesic, grad, loglik, residual
 
     opts = options or SolverOptions()
     step0 = 2.0 * meas.m / meas.r
@@ -527,9 +526,11 @@ def ref_descent(meas: Empirical, Sigma0=None, options=None):
             return "max_iterations", Sigma
         G, gn2, t = grad(meas, Sigma), 0.25 * res, step     # <G, G>_Sigma = res / 4
         for _ in range(60):
-            cand = geodesic(Sigma, -G, t)
-            lam = np.linalg.eigvalsh(cand)
-            if lam[-1] <= COND_MAX * lam[0] and (f_new := loglik(meas, cand)) <= f - 1e-4 * t * gn2:
+            try:
+                cand = geodesic(Sigma, -G, t)
+            except DomainError:                     # past the COND_MAX guard
+                cand = None
+            if cand is not None and (f_new := loglik(meas, cand)) <= f - 1e-4 * t * gn2:
                 break
             t *= 0.5
         else:

@@ -20,6 +20,7 @@ from grassmann_scatter import (
     check_scatter,
     diagnose,
 )
+from grassmann_scatter import cli
 from grassmann_scatter.cli import main
 from grassmann_scatter.diagnostics import INDEX_TOL
 from grassmann_scatter.io import (
@@ -467,17 +468,28 @@ def test_cli_experiment_with_deficient_span_exits_2_and_writes_nothing(tmp_path,
     assert not out.exists()
 
 
-def test_cli_gradcheck_default_seed_passes(tmp_path):
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cli_gradcheck_default_seed_passes(tmp_path, m):
     out = tmp_path / "out"
-    assert main(["gradcheck", "--m", "3", "--trials", "5", "--out", str(out)]) == 0
+    assert main(["gradcheck", "--m", str(m), "--trials", "5", "--out", str(out)]) == 0
     doc = load_json(out / "gradcheck.json")
     assert doc["passed"] is True
-    assert set(doc["max_errors"]) == {
-        "first_order", "second_order", "norm_gradient", "ray_normalization",
-    }
+    assert set(doc["max_errors"]) == {"first_order", "second_order", "ray_normalization"}
     for key, tol in doc["tolerances"].items():
         assert doc["max_errors"][key] <= tol
-    assert len(doc["rows"]) == 2 * 5  # both ranks, five trials each
+    assert len(doc["rows"]) == (m - 1) * 5  # every rank, five trials each
+
+
+@pytest.mark.parametrize("name, key", [("grad", "first_order"), ("hess_quadform", "second_order")])
+def test_cli_gradcheck_fails_on_a_wrong_derivative(monkeypatch, tmp_path, name, key):
+    # a derivative off by a relative 1e-3 is caught: exit 4 and "passed": false
+    exact = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: exact(*args) * (1.0 + 1e-3))
+    out = tmp_path / "out"
+    assert main(["gradcheck", "--m", "3", "--trials", "5", "--out", str(out)]) == 4
+    doc = load_json(out / "gradcheck.json")
+    assert doc["passed"] is False
+    assert doc["max_errors"][key] > doc["tolerances"][key]
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +644,9 @@ def test_public_namespace():
         "GrassmannScatterError", "LLNReport", "Measure", "SolverOptions", "UsageError",
         "VelocityFlag", "act", "act_measure", "asymptotic_slope", "busemann", "check_basis",
         "check_scatter", "check_tangent", "clt_experiment", "cocycle",
-        "covariant_deriv_grad", "decompose_velocity", "density_ratio", "diagnose",
-        "dim_intersection", "distance", "distinguished_ray_direction", "existence_index",
-        "fixed_point_solve", "geodesic", "grad", "grad_norm_sq", "grad_norm_sq_grad",
-        "grad_point", "hess_quadform", "inner", "limiting_covariance", "lln_experiment",
+        "decompose_velocity", "density_ratio", "diagnose", "dim_intersection", "distance",
+        "distinguished_ray_direction", "existence_index", "fixed_point_solve", "geodesic",
+        "grad", "grad_norm_sq", "hess_quadform", "inner", "limiting_covariance", "lln_experiment",
         "log_map", "loglik", "loglik_point", "manifold_dim", "mean_projector",
         "modular_parabolic", "normalize_det", "orthonormalize", "projector",
         "random_scatter", "random_unit_tangent", "residual", "sample", "sym_sqrt",

@@ -10,14 +10,11 @@ from grassmann_scatter import (
     UsageError,
     act_measure,
     busemann,
-    covariant_deriv_grad,
     density_ratio,
     fixed_point_solve,
     geodesic,
     grad,
     grad_norm_sq,
-    grad_norm_sq_grad,
-    grad_point,
     hess_quadform,
     inner,
     limiting_covariance,
@@ -90,8 +87,8 @@ def test_measure_functions_take_samples_not_laws():
     Z = np.diag([1.0, -1.0, 0.0])
     for call in (lambda: loglik(law, np.eye(3)), lambda: grad(law, np.eye(3)),
                  lambda: hess_quadform(law, np.eye(3), Z), lambda: mean_projector(law, np.eye(3)),
-                 lambda: grad_norm_sq(law, np.eye(3)), lambda: grad_norm_sq_grad(law, np.eye(3)),
-                 lambda: residual(law, np.eye(3)), lambda: limiting_covariance(law, np.eye(3))):
+                 lambda: grad_norm_sq(law, np.eye(3)), lambda: residual(law, np.eye(3)),
+                 lambda: limiting_covariance(law, np.eye(3))):
         with pytest.raises(UsageError, match="sample the law first"):
             call()
 
@@ -111,13 +108,17 @@ def test_loglik_geodesic_convexity():
             assert second >= -1e-10
 
 
+# the derivatives of one point's term loglik_point(X, .) are those of the one-atom
+# measure Empirical(X[None])
+
+
 def test_grad_point_canonical():
     for m, r in ((2, 1), (3, 2), (4, 2), (5, 3)):
         X = np.eye(m)[:, :r]
         expect = (0.5 * r / m) * np.eye(m) - 0.5 * np.diag(
             np.concatenate([np.ones(r), np.zeros(m - r)])
         )
-        assert np.allclose(grad_point(X, np.eye(m)), expect, atol=1e-12)
+        assert np.allclose(grad(Empirical(X[None]), np.eye(m)), expect, atol=1e-12)
 
 
 def test_grad_point_tangency():
@@ -127,7 +128,7 @@ def test_grad_point_tangency():
         r = int(rng.integers(1, m))
         X = rng.standard_normal((m, r))
         S = random_scatter(m, rng)
-        G = grad_point(X, S)
+        G = grad(Empirical(X[None]), S)
         assert np.allclose(G, G.T, atol=1e-12)
         assert abs(np.trace(np.linalg.solve(S, G))) <= 1e-10
 
@@ -140,7 +141,7 @@ def test_grad_point_matches_finite_differences():
         X = rng.standard_normal((m, r))
         S = random_scatter(m, rng, spread=0.7)
         W = random_tangent(rng, S, scale=1.0)
-        exact = inner(S, grad_point(X, S), W)
+        exact = inner(S, grad(Empirical(X[None]), S), W)
         fd = fd_first(lambda t: loglik_point(X, geodesic(S, W, t)))
         assert abs(exact - fd) <= 1e-6 * max(1.0, abs(fd))
 
@@ -165,7 +166,7 @@ def test_grad_gaussian_self_scatter_within_monte_carlo_error():
     mc_n = 4000
     draw_rng = np.random.default_rng(77)
     samples = [sample(meas, draw_rng) for _ in range(mc_n)]
-    grads = np.stack([grad_point(X, Sigma) for X in samples])
+    grads = np.stack([grad(Empirical(X[None]), Sigma) for X in samples])
     stderr = grads.std(axis=0, ddof=1) / np.sqrt(mc_n)
     pkg = grad(Empirical(np.stack(samples)), Sigma)
     assert np.allclose(pkg, grads.mean(axis=0), atol=1e-12)
@@ -189,8 +190,7 @@ def test_covariant_deriv_zero_direction():
     rng = np.random.default_rng(35)
     X = rng.standard_normal((3, 2))
     S = random_scatter(3, rng)
-    out = covariant_deriv_grad(X, S, np.zeros((3, 3)))
-    assert np.allclose(out, 0.0, atol=1e-15)
+    assert hess_quadform(Empirical(X[None]), S, np.zeros((3, 3))) == 0.0
 
 
 def test_covariant_deriv_quadform_closed_form():
@@ -201,7 +201,7 @@ def test_covariant_deriv_quadform_closed_form():
         X = rng.standard_normal((m, r))
         S = random_scatter(m, rng)
         Z = random_tangent(rng, S)
-        lhs = inner(S, covariant_deriv_grad(X, S, Z), Z)
+        lhs = hess_quadform(Empirical(X[None]), S, Z)        # <cov. deriv. of grad along Z, Z>
         Sinv = np.linalg.inv(S)
         pi = Sinv @ X @ np.linalg.solve(X.T @ Sinv @ X, X.T) @ Sinv
         rhs = 0.5 * np.trace((Sinv - pi) @ Z @ pi @ Z)
@@ -216,7 +216,7 @@ def test_covariant_deriv_matches_second_differences():
         X = rng.standard_normal((m, r))
         S = random_scatter(m, rng, spread=0.6)
         V = random_tangent(rng, S, scale=1.0)
-        exact = inner(S, covariant_deriv_grad(X, S, V), V)
+        exact = hess_quadform(Empirical(X[None]), S, V)
         fd = fd_second(lambda t: loglik_point(X, geodesic(S, V, t)))
         assert abs(exact - fd) <= 1e-5 * max(1.0, abs(fd))
 
@@ -323,29 +323,6 @@ def test_grad_norm_sq_is_gradient_norm():
         assert grad_norm_sq(meas, G) == pytest.approx(expect, abs=1e-10 * max(1.0, expect))
 
 
-def test_grad_norm_sq_grad_properties():
-    # any weights: half of the measures are weighted
-    rng = np.random.default_rng(44)
-    for trial in range(10):
-        m = int(rng.integers(2, 5))
-        r = int(rng.integers(1, m))
-        meas = random_measure(rng, m, r, n=3 + int(rng.integers(0, 5)), uniform=trial % 2 == 0)
-        G = random_scatter(m, rng, spread=0.6)
-        D = grad_norm_sq_grad(meas, G)
-        assert np.allclose(D, D.T, atol=1e-10)
-        assert abs(np.trace(np.linalg.solve(G, D))) <= 1e-10
-        W = random_tangent(rng, G, scale=1.0)
-        exact = inner(G, D, W)
-        fd = fd_first(lambda t: grad_norm_sq(meas, geodesic(G, W, t)))
-        assert abs(exact - fd) <= 1e-5 * max(1.0, abs(fd))
-
-
-def test_grad_norm_sq_grad_vanishes_at_critical_point():
-    meas = three_symmetric_lines()
-    D = grad_norm_sq_grad(meas, np.eye(2))
-    assert np.linalg.norm(D) <= 1e-8
-
-
 def test_critical_point_transported_by_congruence():
     rng = np.random.default_rng(45)
     axes_3d = Empirical(np.stack([np.eye(3)[:, [j]] for j in range(3)]))
@@ -391,7 +368,8 @@ def test_hessian_spectrum_matches_the_per_atom_reference():
                              (5, 2, 5, True), (3, 2, 25, False), (6, 3, 4, False)]:
         meas = random_measure(rng, m, r, n, uniform=uniform)
         c = _chart(random_scatter(m, rng, spread=0.8))
-        M, H = _hessian_at(meas.points, meas.weights, c)
+        M = _weighted_kernel_sum(meas.points, meas.weights, c.F, c.W)[0]
+        H = _hessian_at(meas.points, meas.weights, c)
         M_ref, H_ref = ref_hessian(meas, c.F)
         B = ref_tangent_basis(m)
         assert H.shape == (len(B.T), len(B.T))
@@ -407,7 +385,6 @@ WRONG_SIZE = {
     "hess_quadform": lambda meas, X, S, Z: hess_quadform(meas, S, Z),
     "mean_projector": lambda meas, X, S, Z: mean_projector(meas, S),
     "grad_norm_sq": lambda meas, X, S, Z: grad_norm_sq(meas, S),
-    "grad_norm_sq_grad": lambda meas, X, S, Z: grad_norm_sq_grad(meas, S),
     "residual": lambda meas, X, S, Z: residual(meas, S),
     "limiting_covariance": lambda meas, X, S, Z: limiting_covariance(meas, S),
     "fixed_point_solve": lambda meas, X, S, Z: fixed_point_solve(meas, S),
@@ -415,8 +392,6 @@ WRONG_SIZE = {
     "density_ratio": lambda meas, X, S, Z: density_ratio(X, S),
     "busemann": lambda meas, X, S, Z: busemann(X, S),
     "loglik_point": lambda meas, X, S, Z: loglik_point(X, S),
-    "grad_point": lambda meas, X, S, Z: grad_point(X, S),
-    "covariant_deriv_grad": lambda meas, X, S, Z: covariant_deriv_grad(X, S, Z),
 }
 
 

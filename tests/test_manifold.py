@@ -145,6 +145,17 @@ def test_geodesic_rejects_a_point_that_overflows():
             geodesic(np.eye(3), np.diag([1.0, -1.0, 0.0]), 800.0)
 
 
+def test_geodesic_returns_only_points_inside_the_conditioning_guard():
+    # the point of diag(1, -1) at t has condition e^(2t): 7.9e13 at t = 16 and 5.8e14 at
+    # t = 17, past COND_MAX = 1e14; a far base point reaching I is decided by I itself
+    check_scatter(geodesic(np.eye(2), np.diag([1.0, -1.0]), 16.0))
+    for t in (17.0, -17.0, 700.0):
+        with pytest.raises(DomainError, match="geodesic point (too ill-conditioned|is not pos)"):
+            geodesic(np.eye(2), np.diag([1.0, -1.0]), t)
+    S = np.diag([1e5, 1e-5])
+    assert np.allclose(geodesic(S, log_map(S, np.eye(2)), 1.0), np.eye(2), atol=1e-9)
+
+
 def test_geodesic_zero_velocity():
     for t in (-3.0, 0.0, 7.5):
         assert np.allclose(geodesic(np.eye(3), np.zeros((3, 3)), t), np.eye(3), atol=1e-14)

@@ -13,13 +13,12 @@ from grassmann_scatter import (
     Empirical,
     SolverOptions,
     check_tangent,
-    covariant_deriv_grad,
     decompose_velocity,
     diagnose,
     distance,
     fixed_point_solve,
     geodesic,
-    grad_norm_sq_grad,
+    grad,
     hess_quadform,
     inner,
     loglik,
@@ -229,23 +228,24 @@ LIMIT_DIAGNOSE = {"det": 4, "eigh": 3, "eigvalsh": 1, "qr": 17, "svd": 6}
 
 
 # a tangent at Sigma is checked and whitened in the chart of the eigh that checks Sigma
-# (no LU solve): geodesic adds the eigh of its velocity and reads its determinant off
-# both eigh's, decompose_velocity adds the eigh of the velocity and one qr per flag
-# subspace, and covariant_deriv_grad's basis check takes one det of its Gram screen.
-# The CLI's start is read as a matrix and checked once, by the solver, whose one
+# (no LU solve): geodesic adds the eigh of its velocity, reads its determinant off both
+# eigh's and checks its point by a third (check_scatter's), decompose_velocity adds the
+# eigh of the velocity and one qr per flag subspace, and hess_quadform builds its Hessian
+# in the chart, for a dataset or for the one atom that gradcheck checks (whose rank
+# Empirical checks when it is built).  The CLI's start is read as a matrix and checked once, by the solver, whose one
 # iteration is charted by one eigh (the distance to the start: one eigvalsh per
 # evaluation; the span check of the three lines: one det)
-CHART_BUDGETS = {"inner": {"eigh": 1}, "geodesic": {"eigh": 2}, "tangent_project": {"eigh": 1},
-                 "check_tangent": {"eigh": 1}, "decompose_velocity": {"eigh": 2, "qr": 2},
-                 "covariant_deriv_grad": {"eigh": 1, "det": 1}, "hess_quadform": {"eigh": 1},
+CHART_BUDGETS = {"inner": {"eigh": 1}, "geodesic": {"eigh": 3},
+                 "tangent_project": {"eigh": 1}, "check_tangent": {"eigh": 1},
+                 "decompose_velocity": {"eigh": 2, "qr": 2}, "hess_quadform": {"eigh": 1},
+                 "one-atom hess_quadform": {"eigh": 1},
                  "estimate --start": {"eigh": 2, "det": 1, "eigvalsh": 2}}
 
 
-@pytest.mark.parametrize("case, expected", [("loglik", {"eigh": 1}),
-                                            ("grad_norm_sq_grad", {"eigh": 1}),
+@pytest.mark.parametrize("case, expected", [("loglik", {"eigh": 1}), ("grad", {"eigh": 1}),
                                             ("limit diagnose", LIMIT_DIAGNOSE)]
                          + list(CHART_BUDGETS.items()),
-                         ids=["loglik", "grad_norm_sq_grad", "limit-diagnose"]
+                         ids=["loglik", "grad", "limit-diagnose"]
                          + [case.replace(" ", "") for case in CHART_BUDGETS])
 def test_lapack_budget_per_call(monkeypatch, tmp_path, case, expected):
     # a checked call decomposes its Sigma once: the eigh that validates it charts it
@@ -253,7 +253,7 @@ def test_lapack_budget_per_call(monkeypatch, tmp_path, case, expected):
     meas = Empirical(rng.standard_normal((25, 3, 2)))
     Sigma = random_scatter(3, rng)
     lines = _seeded_orthogonal_lines(0, 3)
-    X = rng.standard_normal((3, 2))
+    atom = Empirical(rng.standard_normal((1, 3, 2)))
     A, B = random_tangent(rng, Sigma), random_tangent(rng, Sigma)
     w = ray_form(Sigma, A)                          # the velocity whose ray has velocity A
     write_measure_json(tmp_path / "lines.json", three_symmetric_lines())
@@ -261,15 +261,15 @@ def test_lapack_budget_per_call(monkeypatch, tmp_path, case, expected):
     estimate = ["estimate", "--input", str(tmp_path / "lines.json"), "--start",
                 str(tmp_path / "start.csv"), "--max-iter", "1", "--out", str(tmp_path / "out")]
     run = {"loglik": lambda: loglik(meas, Sigma),
-           "grad_norm_sq_grad": lambda: grad_norm_sq_grad(meas, Sigma),
+           "grad": lambda: grad(meas, Sigma),
            "limit diagnose": lambda: diagnose(lines).verdict,
            "inner": lambda: inner(Sigma, A, B),
            "geodesic": lambda: geodesic(Sigma, A, 0.5),
            "tangent_project": lambda: tangent_project(Sigma, A + Sigma),
            "check_tangent": lambda: check_tangent(Sigma, A),
            "decompose_velocity": lambda: decompose_velocity(Sigma, w).pairs,
-           "covariant_deriv_grad": lambda: covariant_deriv_grad(X, Sigma, A),
            "hess_quadform": lambda: hess_quadform(meas, Sigma, A),
+           "one-atom hess_quadform": lambda: hess_quadform(atom, Sigma, A),
            "estimate --start": lambda: main(estimate)}[case]
     calls = _record_linalg(monkeypatch)
     out = run()
