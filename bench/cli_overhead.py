@@ -15,10 +15,13 @@ and then REPEATS times, and reports the median milliseconds of each phase per co
   ``set_defaults``, subparser and parse call (outermost call only);
 * ``read``: the ``read_*`` functions ``cli`` calls;
 * ``solve``: ``fixed_point_solve``, ``diagnose``, ``lln_experiment``, ``clt_experiment``;
-* ``write <file>``: each output file, keyed by its name (``replay.json`` is the whole of
-  ``cli._write_replay``, version lookups included);
+* ``write <file>``: each output file, keyed by its name.  ``cli._emit`` writes every
+  file through the ``write_*`` functions; a tree older than ``_emit`` has
+  ``cli._write_replay``, and there ``write replay.json`` is that whole function,
+  version lookups included;
 * ``mkdir``: ``cli._outdir``;
-* ``other``: the rest of ``cli.main`` (dispatch, report shaping, printing).  No
+* ``other``: the rest of ``cli.main`` (dispatch, report shaping, the replay document,
+  printing).  No
   function of ``gradcheck``'s is wrapped, so its compute (the finite differences of
   ``loglik``, ``grad`` and ``hess_quadform`` along geodesics) lands here too.
 
@@ -125,7 +128,8 @@ def _install(cli, phases: _Phases) -> None:
         elif name.startswith("write_"):
             setattr(cli, name, phases.wrap(
                 obj, lambda args, kwargs: f"write {Path(args[0]).name}"))
-    cli._write_replay = phases.wrap(cli._write_replay, "write replay.json")
+    if hasattr(cli, "_write_replay"):
+        cli._write_replay = phases.wrap(cli._write_replay, "write replay.json")
     cli._outdir = phases.wrap(cli._outdir, "mkdir")
 
 

@@ -15,8 +15,9 @@ run, deficient span, degenerate limit law), 3 input or I/O problem,
 4 inconclusive (verdict "inconclusive", iteration budget exhausted, failed
 gradcheck).
 
-Every run writes ``replay.json`` (the resolved options plus library
-versions) into the output directory so results can be reproduced exactly.
+Every command writes its output directory through one writer, ``_emit``, and only
+once it has finished: ``replay.json`` (the resolved options plus library versions, so
+results can be reproduced exactly) first, then the command's own files.
 The worker count comes from --threads, else the GRASSMANN_SCATTER_THREADS
 environment variable, else 1; a count below 1 exits 3.
 """
@@ -44,8 +45,9 @@ LOW_POWER_REPS = {"lln": 50, "clt": 500}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError instead of exiting.  ``add`` fills in the arguments on the
-    first parse, so a subcommand's parser costs nothing until a parse reaches it."""
+    """Raises UsageError instead of exiting.  ``add`` fills in a command's arguments, then
+    the --out every command writes to, on the first parse, so a subcommand's parser costs
+    nothing until a parse reaches it."""
 
     def __init__(self, *args, add=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -58,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
         if self._add is not None:
             add, self._add = self._add, None
             add(self)
+            self.add_argument("--out", default=".", help="output directory")
         return super().parse_known_args(args, namespace)
 
 
@@ -94,16 +97,26 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_replay(outdir: Path, args) -> None:
+def _emit(args, files: dict) -> Path:
+    """Make --out, write ``replay.json`` and then each entry of files in order (name -> a
+    dict, written as report JSON, or an array, written as matrix CSV); return --out.  The
+    writers are looked up when called, so wrappers installed on this module see each file."""
     import platform
 
-    write_report_json(outdir / "replay.json", {
+    outdir = _outdir(args)
+    replay = {
         "command": args.command,
         "options": vars(args),
         "package_version": _package_version(),
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
-    })
+    }
+    for name, content in {"replay.json": replay, **files}.items():
+        if isinstance(content, dict):
+            write_report_json(outdir / name, content)
+        else:
+            write_matrix_csv(outdir / name, content)
+    return outdir
 
 
 def _solver_options(args) -> SolverOptions:
@@ -116,47 +129,52 @@ def _flag_jsonable(flag):
     return [{"alpha": a, "dim": B.shape[1], "basis": B} for a, B in flag.pairs]
 
 
-def _non_converged_warning(status_counts) -> list[str]:
-    """``WARN`` line when some replications did not converge (one status count per grid)."""
+def _experiment_json(args, report, threads: int, warnings: list[str], status_counts) -> dict:
+    """An experiment's JSON: the report's fields less its arrays (written as CSV), threads
+    and the warnings: LOW_POWER below the command's LOW_POWER_REPS, the command's own, then
+    WARN when some replications did not converge (one status count per grid)."""
+    need = LOW_POWER_REPS[args.command]
+    if args.reps < need:
+        warnings = [f"LOW_POWER: {args.reps} replications (need {need}+)", *warnings]
     total = sum(sum(c.values()) for c in status_counts)
     bad = total - sum(c.get("converged", 0) for c in status_counts)
-    return [f"WARN: {bad} of {total} replications did not converge"] if bad else []
+    if bad:
+        warnings = [*warnings, f"WARN: {bad} of {total} replications did not converge"]
+    fields = {k: v for k, v in vars(report).items() if not isinstance(v, np.ndarray)}
+    return {**fields, "threads": threads, "warnings": warnings}
 
 
 def _cmd_estimate(args) -> int:
     meas = read_measure_json(args.input)
     start = read_matrix_csv(args.start) if args.start else None
-    try:
-        result = fixed_point_solve(meas, Sigma0=start, options=_solver_options(args))
-    except ExistenceError as exc:
-        outdir = _outdir(args)
-        _write_replay(outdir, args)
-        report = {
-            "status": "no_ge",
-            "reason": str(exc),
-            "witness": exc.witness,
-            "m": meas.m,
-            "r": meas.r,
-            "n": meas.n,
-        }
-        write_report_json(outdir / "report.json", report)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    outdir = _outdir(args)
-    _write_replay(outdir, args)
-    write_matrix_csv(outdir / "estimate.csv", result.estimate)
-    report = {
-        "status": result.status,
-        "residual": result.residual,
-        "iterations": result.iterations,
+    shape = {
         "m": meas.m,
         "r": meas.r,
         "n": meas.n,
-        "trace": result.trace,
-        "boundary": _flag_jsonable(result.boundary),
-        "slope": result.slope,
     }
-    write_report_json(outdir / "report.json", report)
+    try:
+        result = fixed_point_solve(meas, Sigma0=start, options=_solver_options(args))
+    except ExistenceError as exc:
+        _emit(args, {"report.json": {
+            "status": "no_ge",
+            "reason": str(exc),
+            "witness": exc.witness,
+            **shape,
+        }})
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    outdir = _emit(args, {
+        "estimate.csv": result.estimate,
+        "report.json": {
+            "status": result.status,
+            "residual": result.residual,
+            "iterations": result.iterations,
+            **shape,
+            "trace": result.trace,
+            "boundary": _flag_jsonable(result.boundary),
+            "slope": result.slope,
+        },
+    })
     print(
         f"{result.status}: residual {result.residual:.3e} "
         f"after {result.iterations} iterations -> {outdir / 'estimate.csv'}"
@@ -167,9 +185,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_diagnose(args) -> int:
     meas = read_measure_json(args.input)
     report = diagnose(meas, tol=args.tol)
-    outdir = _outdir(args)
-    _write_replay(outdir, args)
-    doc = {
+    _emit(args, {"report.json": {
         "verdict": report.verdict,
         "min_index": report.min_index,
         "witness": None
@@ -186,8 +202,7 @@ def _cmd_diagnose(args) -> int:
         "slope": report.slope,
         "n": meas.n,
         "unique_sample_threshold": unique_sample_threshold(meas.m, meas.r),
-    }
-    write_report_json(outdir / "report.json", doc)
+    }})
     print(f"{report.verdict}: min index {report.min_index:.3e} over {report.scanned} subspaces")
     return {"unique": 0, "limit": 1, "no_ge": 2}.get(report.verdict, 4)
 
@@ -210,29 +225,14 @@ def _cmd_lln(args) -> int:
         sigma, args.r, args.ns, args.reps, args.seed,
         threads=threads, options=_solver_options(args),
     )
-    outdir = _outdir(args)
-    _write_replay(outdir, args)
     warnings = []
-    if args.reps < LOW_POWER_REPS["lln"]:
-        warnings.append(f"LOW_POWER: {args.reps} replications (need {LOW_POWER_REPS['lln']}+)")
     if any(b >= a for a, b in zip(report.medians, report.medians[1:])):
         warnings.append("WARN: median distances are not strictly decreasing across sample sizes")
-    warnings += _non_converged_warning(report.status_counts)
-    doc = {
-        "ns": report.ns,
-        "reps": report.reps,
-        "seed": report.seed,
-        "medians": report.medians,
-        "quartiles": report.quartiles,
-        "slope": report.slope,
-        "status_counts": report.status_counts,
-        "iteration_quantiles": report.iteration_quantiles,
-        "threads": threads,
-        "warnings": warnings,
-    }
-    write_report_json(outdir / "lln.json", doc)
-    # one row per replicate, one column per sample size
-    write_matrix_csv(outdir / "distances.csv", report.distances.T)
+    _emit(args, {
+        "lln.json": _experiment_json(args, report, threads, warnings, report.status_counts),
+        # one row per replicate, one column per sample size
+        "distances.csv": report.distances.T,
+    })
     for n, med in zip(report.ns, report.medians):
         print(f"n = {n:6d}   median distance = {med:.6f}")
     print(f"log-log slope: {report.slope:.4f}")
@@ -246,27 +246,11 @@ def _cmd_clt(args) -> int:
         sigma, args.r, args.n, args.reps, args.seed,
         threads=threads, options=_solver_options(args), ref_mc_n=args.ref_mc,
     )
-    outdir = _outdir(args)
-    _write_replay(outdir, args)
-    warnings = []
-    if args.reps < LOW_POWER_REPS["clt"]:
-        warnings.append(f"LOW_POWER: {args.reps} replications (need {LOW_POWER_REPS['clt']}+)")
-    warnings += _non_converged_warning([report.status_counts])
-    doc = {
-        "n": report.n,
-        "reps": report.reps,
-        "seed": report.seed,
-        "annihilation": report.annihilation,
-        "rel_frobenius": report.rel_frobenius,
-        "max_skew": report.max_skew,
-        "status_counts": report.status_counts,
-        "iteration_quantiles": report.iteration_quantiles,
-        "threads": threads,
-        "warnings": warnings,
-    }
-    write_report_json(outdir / "clt.json", doc)
-    write_matrix_csv(outdir / "cov.csv", report.cov)
-    write_matrix_csv(outdir / "ref.csv", report.ref)
+    _emit(args, {
+        "clt.json": _experiment_json(args, report, threads, [], [report.status_counts]),
+        "cov.csv": report.cov,
+        "ref.csv": report.ref,
+    })
     print(
         f"annihilation {report.annihilation:.4f}   "
         f"rel. Frobenius error {report.rel_frobenius:.4f}   "
@@ -320,19 +304,14 @@ def _cmd_gradcheck(args) -> int:
             worst["second_order"] = max(worst["second_order"], e2)
             rows.append({"r": r, "first_order": e1, "second_order": e2})
     ok = all(worst[key] <= tol for key, tol in GRADCHECK_TOLS.items())
-    outdir = _outdir(args)
-    _write_replay(outdir, args)
-    write_report_json(
-        outdir / "gradcheck.json",
-        {
-            "m": args.m,
-            "trials": args.trials,
-            "max_errors": worst,
-            "tolerances": GRADCHECK_TOLS,
-            "passed": ok,
-            "rows": rows,
-        },
-    )
+    _emit(args, {"gradcheck.json": {
+        "m": args.m,
+        "trials": args.trials,
+        "max_errors": worst,
+        "tolerances": GRADCHECK_TOLS,
+        "passed": ok,
+        "rows": rows,
+    }})
     for key in GRADCHECK_TOLS:
         print(f"max {key.replace('_', ' ')} error {worst[key]:.3e} (tol {GRADCHECK_TOLS[key]:g})")
     print("ok" if ok else "FAILED")
@@ -354,13 +333,11 @@ def _add_estimate(p) -> None:
     p.add_argument("--input", required=True, help="dataset JSON ({m, r, points[, weights]})")
     p.add_argument("--start", default=None, help="starting scatter CSV (default: identity)")
     _add_solver_flags(p)
-    p.add_argument("--out", default=".", help="output directory")
 
 
 def _add_diagnose(p) -> None:
     p.add_argument("--input", required=True, help="dataset JSON")
     p.add_argument("--tol", type=float, default=INDEX_TOL, help="index zero-tolerance")
-    p.add_argument("--out", default=".", help="output directory")
 
 
 def _add_experiment_law(p) -> None:
@@ -379,7 +356,6 @@ def _add_lln(p) -> None:
     p.add_argument("--seed", type=int, default=0)
     _add_threads(p)
     _add_solver_flags(p)
-    p.add_argument("--out", default=".", help="output directory")
 
 
 def _add_clt(p) -> None:
@@ -391,7 +367,6 @@ def _add_clt(p) -> None:
                    help="Monte Carlo draws for the predicted covariance")
     _add_threads(p)
     _add_solver_flags(p)
-    p.add_argument("--out", default=".", help="output directory")
 
 
 def _add_gradcheck(p) -> None:
@@ -399,7 +374,6 @@ def _add_gradcheck(p) -> None:
     p.add_argument("--r", type=int, default=None, help="subspace dimension (default: all)")
     p.add_argument("--trials", type=int, default=20, help="random instances per rank")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".", help="output directory")
 
 
 # name -> (help, argument adder, handler)

@@ -63,7 +63,7 @@ chart (``manifold._chart``) of one eigh T = Q diag(lam) Q^T of the unnormalized
 update (``_guarded``, one batched call for the stack): the eigenvalues give the
 COND_MAX guard, the scaling Sigma = T exp(-mean log lam), F = Q diag(sqrt(lam~)),
 W = F^-1 (lam~ the eigenvalues of Sigma) and the distance from the start,
-|| log lam~ || from the identity (the default, charted in closed form).  A user start
+|| log lam~ || from the identity (the default).  A user start
 comes charted by its validation and adds one batched eigvalsh of the whitened iterates
 per iteration.  The raw atoms are whitened once per solve, into the start's chart; after
 that every lane carries the frames U_k of its iterate (orthonormal bases of the
@@ -333,9 +333,8 @@ def _solve_stack(points: np.ndarray, weights: np.ndarray, opts: SolverOptions,
     result does not depend on the other lanes of its stack.
     """
     B, n, m, r = points.shape
-    if start is None:                        # the identity's chart, in closed form
-        it, W0 = _chart(np.tile(np.eye(m), (B, 1, 1)), np.zeros((B, m)),
-                        np.tile(np.eye(m), (B, 1, 1))), None
+    if start is None:                        # the identity's chart
+        it, W0 = _chart(np.tile(np.eye(m), (B, 1, 1))), None
     else:                                    # a user start comes charted
         W0 = start.W
         it = _Chart(*(np.repeat(a[None], B, axis=0)

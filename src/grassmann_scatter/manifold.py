@@ -137,7 +137,8 @@ def normalize_det(M) -> np.ndarray:
 
 
 def check_tangent(Sigma, V) -> np.ndarray:
-    """Validate that V is tangent at the scatter matrix Sigma (symmetric, trace condition).
+    """Validate that V is tangent at the scatter matrix Sigma (symmetric, trace condition
+    |tr(Sigma^-1 V)| within TANGENT_TOL plus the rounding floor 64 eps cond(Sigma)).
 
     Raises DomainError unless Sigma is a scatter matrix (``check_scatter``) or on
     non-finite entries of V, and UsageError when V is not a tangent vector at Sigma.
@@ -161,8 +162,10 @@ def _check_tangent(c: _Chart, V) -> np.ndarray:
         raise UsageError("tangent vector is not symmetric")
     WV = c.W @ sym(V)
     T = c.W.T @ WV
-    tr_scale = max(1.0, float(np.abs(np.diag(T)).sum()))
-    if abs(np.trace(T)) > TANGENT_TOL * tr_scale:
+    # tr(Sigma^-1 V) is only determined to ~eps*kappa for a kappa-conditioned Sigma, so
+    # the tolerance carries the determinant check's slack
+    slack = TANGENT_TOL + 64.0 * np.finfo(float).eps * math.exp(c.loglam[-1] - c.loglam[0])
+    if abs(np.trace(T)) > slack * max(1.0, float(np.abs(np.diag(T)).sum())):
         raise UsageError(
             f"matrix is not tangent at the given base point (tr(Sigma^-1 V) = {np.trace(T):.3e})"
         )

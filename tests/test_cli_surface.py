@@ -1,4 +1,5 @@
-"""The command line's text surface, byte for byte: help texts, usage errors, replay.json.
+"""The command line's text surface, byte for byte: help texts, usage errors, replay.json,
+and the output layout (the files of each outcome, their write order, their JSON keys).
 
 The help texts are formatted for an 80-column terminal (COLUMNS=80).  The replay
 files are compared with the run's own paths and the interpreter's versions
@@ -12,9 +13,10 @@ from importlib.metadata import PackageNotFoundError, version
 import numpy as np
 import pytest
 
-from grassmann_scatter import Empirical
+from grassmann_scatter import Empirical, cli
 from grassmann_scatter.cli import main
 from grassmann_scatter.io import write_measure_json
+from helpers import no_ge_lines, planar_lines_in_3d, three_symmetric_lines
 
 TOP_HELP = """\
 usage: grassmann-scatter [-h] {estimate,diagnose,lln,clt,gradcheck} ...
@@ -217,3 +219,54 @@ def test_replay_bytes(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert (out / "replay.json").read_bytes() == _expected_replay(REPLAY_LLN, OUT=str(out))
     capsys.readouterr()
+
+
+REPLAY_KEYS = ["command", "options", "package_version", "numpy_version", "python_version"]
+ESTIMATE_KEYS = ["status", "residual", "iterations", "m", "r", "n", "trace", "boundary",
+                 "slope"]
+DIAGNOSE_KEYS = ["verdict", "min_index", "witness", "zeros", "complement_ok", "scanned",
+                 "lambda_min", "slope", "n", "unique_sample_threshold"]
+LLN_KEYS = ["ns", "reps", "seed", "medians", "quartiles", "slope", "status_counts",
+            "iteration_quantiles", "threads", "warnings"]
+CLT_KEYS = ["n", "reps", "seed", "annihilation", "rel_frobenius", "max_skew", "status_counts",
+            "iteration_quantiles", "threads", "warnings"]
+# outcome -> (argv before --input/--out, dataset or None, exit code, {file: JSON keys, or
+# None for a CSV} in write order, after the replay.json every outcome writes first)
+LAYOUTS = {
+    "estimate converged": (["estimate"], three_symmetric_lines, 0,
+                           {"estimate.csv": None, "report.json": ESTIMATE_KEYS}),
+    "estimate diverged": (["estimate"], lambda: no_ge_lines(3, 6), 2,
+                          {"estimate.csv": None, "report.json": ESTIMATE_KEYS}),
+    "estimate deficient span": (["estimate"], lambda: planar_lines_in_3d(np.random.default_rng(42)),
+                                2, {"report.json": ["status", "reason", "witness", "m", "r", "n"]}),
+    "diagnose": (["diagnose"], three_symmetric_lines, 0, {"report.json": DIAGNOSE_KEYS}),
+    "lln": (["lln", "--m", "2", "--r", "1", "--ns", "10,20", "--reps", "3"], None, 0,
+            {"lln.json": LLN_KEYS, "distances.csv": None}),
+    "clt": (["clt", "--m", "2", "--r", "1", "--n", "30", "--reps", "5", "--ref-mc", "200"],
+            None, 0, {"clt.json": CLT_KEYS, "cov.csv": None, "ref.csv": None}),
+    "gradcheck": (["gradcheck", "--m", "2", "--trials", "1"], None, 0,
+                  {"gradcheck.json": ["m", "trials", "max_errors", "tolerances", "passed",
+                                      "rows"]}),
+}
+
+
+@pytest.mark.parametrize("outcome", list(LAYOUTS))
+def test_output_layout(outcome, tmp_path, monkeypatch, capsys):
+    argv, dataset, code, files = LAYOUTS[outcome]
+    written = []
+    for name in ("write_report_json", "write_matrix_csv"):
+        def record(path, doc, write=getattr(cli, name)):
+            written.append(path.name)
+            write(path, doc)
+        monkeypatch.setattr(cli, name, record)
+    if dataset is not None:
+        argv = [*argv, "--input", str(tmp_path / "d.json")]
+        write_measure_json(tmp_path / "d.json", dataset())
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    capsys.readouterr()
+    assert written == ["replay.json", *files]
+    assert sorted(f.name for f in out.iterdir()) == sorted(written)
+    for name, keys in {"replay.json": REPLAY_KEYS, **files}.items():
+        if keys is not None:
+            assert list(json.loads((out / name).read_text())) == keys, name

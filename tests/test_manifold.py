@@ -308,6 +308,23 @@ def test_check_tangent_decides_as_the_lu_check(cond):
                     == (abs(f) < 1), (m, f)
 
 
+@pytest.mark.parametrize("cond", [1e3, 1e6, 1e9, 1e12])
+def test_check_tangent_slack_scales_with_conditioning(cond):
+    # tr(Sigma^-1 V) is computed to ~eps * cond, so the tolerance is TANGENT_TOL + 64 eps
+    # cond: exact tangents pass at every cond, and tangents moved off by (f / m) Sigma,
+    # |tr(Sigma^-1 V)| = f times that floor, are rejected at f = +-1e3
+    rng = np.random.default_rng(30)
+    slack = TANGENT_TOL + 64.0 * np.finfo(float).eps * cond
+    for m in (2, 3, 5):
+        for _ in range(200):
+            S = scatter_with_condition(rng, m, cond)
+            V0 = random_tangent(rng, S)
+            assert _accepts(check_tangent, S, V0), (m, cond)
+            floor = slack * max(1.0, np.abs(np.diag(np.linalg.solve(S, V0))).sum())
+            for f in (1e3, -1e3):
+                assert not _accepts(check_tangent, S, V0 + (f * floor / m) * S), (m, cond, f)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_tangent_project_rejects_non_finite_entries(bad):
     # a NaN matrix was projected to NaN

@@ -191,16 +191,17 @@ def test_lapack_budget_per_iteration(monkeypatch, with_start, data):
     assert not [c for c in calls if c[0] == "scipy"]
     names = Counter(name for _, name, _ in calls)
     # span check once: one det of the Gram screen, plus the svd of the columns where the
-    # screen cannot certify; the kernel solves nothing; one eigh charts each update (the
-    # identity start is charted in closed form), and a Newton iteration adds one batched
-    # eigh of the Hessians and one of the Newton velocities of the definite lanes
+    # screen cannot certify; the kernel solves nothing; one eigh charts the start (the
+    # identity, or a user start as validation checks it) and one each update, and a
+    # Newton iteration adds one batched eigh of the Hessians and one of the Newton
+    # velocities of the definite lanes
     expected = {"det": 1, "svd": int(data == "svd-fallback"),
-                "eigh": result.iterations + 2 * len(builds)}
+                "eigh": 1 + result.iterations + 2 * len(builds)}
     if with_start:
-        # validation's one eigh checks the start and gives its chart, for both the
-        # rescaled first iterate and the distance's whitening, then one eigvalsh of the
-        # start-whitened iterate per evaluation
-        expected.update(eigvalsh=evaluations, eigh=1 + expected["eigh"])
+        # validation's eigh gives the start's chart, for both the rescaled first iterate
+        # and the distance's whitening, then one eigvalsh of the start-whitened iterate
+        # per evaluation
+        expected.update(eigvalsh=evaluations)
     if data == "no_ge":
         # the escape flag: one eigh charts the last step's base and one decomposes the
         # step, whose eigenpairs give the flag; each flag subspace is orthonormalized
@@ -219,12 +220,12 @@ def _seeded_orthogonal_lines(seed, m):
     return Empirical((Q * rng.uniform(0.5, 2.0, m)).T[:, :, None])
 
 
-# the lines converge at iteration 0 with a null Hessian: one eigh charts the estimate
-# (also the start of the re-solve, whose trace distance is one eigvalsh), one decomposes
-# H and one V, whose eigenpairs give the flags of V and of -V; the pairing check ranks
-# each flag subspace against the atoms (one svd each), and so does the index of every
-# atom span and flag subspace (one svd per dimension)
-LIMIT_DIAGNOSE = {"det": 4, "eigh": 3, "eigvalsh": 1, "qr": 17, "svd": 6}
+# the lines converge at iteration 0 with a null Hessian: one eigh charts the identity
+# start, one the estimate (also the start of the re-solve, whose trace distance is one
+# eigvalsh), one decomposes H and one V, whose eigenpairs give the flags of V and of -V;
+# the pairing check ranks each flag subspace against the atoms (one svd each), and so
+# does the index of every atom span and flag subspace (one svd per dimension)
+LIMIT_DIAGNOSE = {"det": 4, "eigh": 4, "eigvalsh": 1, "qr": 17, "svd": 6}
 
 
 # a tangent at Sigma is checked and whitened in the chart of the eigh that checks Sigma
