@@ -49,7 +49,8 @@ import harness
 SEED = 20261019
 ROUNDS = 7
 REPEATS = 60
-# name -> argv after the input paths are filled in ({data}, {noge}, {s3}, {s2}, {out})
+# name -> argv after the input paths are filled in ({data}, {noge}, {s3}, {s2}, {out});
+# "default clt(2,1)" is small-mc's clt(2,1) without --ref-mc
 COMMANDS = {
     "scan estimate (5,2,5)": ["estimate", "--input", "{data}", "--out", "{out}"],
     "scan diagnose (5,2,5)": ["diagnose", "--input", "{data}", "--out", "{out}"],
@@ -58,6 +59,8 @@ COMMANDS = {
                           "--seed", "7", "--threads", "1", "--out", "{out}"],
     "small-mc clt(2,1)": ["clt", "--sigma", "{s2}", "--r", "1", "--n", "100", "--reps", "20",
                           "--ref-mc", "4000", "--seed", "7", "--threads", "1", "--out", "{out}"],
+    "default clt(2,1)": ["clt", "--sigma", "{s2}", "--r", "1", "--n", "100", "--reps", "20",
+                         "--seed", "7", "--threads", "1", "--out", "{out}"],
     "gradcheck m=4": ["gradcheck", "--m", "4", "--trials", "5", "--out", "{out}"],
 }
 SOLVES = ("fixed_point_solve", "diagnose", "lln_experiment", "clt_experiment")

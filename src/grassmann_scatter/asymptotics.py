@@ -22,8 +22,9 @@ d x d matrix B^T L0 B must be invertible; degenerate support makes it
 rank-deficient, raising DegeneracyError.  ``limiting_covariance`` checks a sample (an
 ``Empirical``) and the scatter Sigma, then calls the unchecked core ``_moments`` on
 (points, weights, chart of Sigma): exact weighted sums, the score covariance one GEMM.
-A law is sampled first: the CLT reference is drawn by ``clt_experiment``, checked by
-the rank screen as the replications are, and evaluated by that core.
+For the Gaussian family the limit is kappa B B^T for every Sigma, kappa = 2(m-1)(m+2)/
+(m r(m-r)) (Tyler's law at r = 1): the default CLT reference.  One of ``ref_mc_n`` draws
+of the law is checked by the rank screen as the replications are and evaluated by that core.
 
 All vec operations are column-major.  ``lln_experiment`` and
 ``clt_experiment`` reproduce both limits by Monte Carlo; replications use
@@ -206,12 +207,12 @@ def _run_blocks(task, c: _Chart, r: int, ns, reps: int, seed: int, opts, threads
 class LLNReport:
     """Consistency experiment: median estimation error against sample size.
 
-    distances has shape (len(ns), reps); quartiles[i] = (q25, q75) of the
-    distances for ns[i]; slope is the log-log fit of the medians against n
-    (about -1/2 at the parametric rate).  status_counts[i] counts the solver
-    statuses of the replications for ns[i] and iteration_quantiles[i] gives
-    the (median, q90, max) of their iteration counts; every estimate,
-    converged or not, enters the distances.
+    distances has shape (len(ns), reps); quartiles[i] = (q25, q75) of the distances for
+    ns[i]; slope is the log-log fit of the medians against n (about -1/2 at the parametric
+    rate), None unless ns holds two distinct sizes.  status_counts[i] counts the solver
+    statuses of the replications for ns[i] and iteration_quantiles[i] gives the (median,
+    q90, max) of their iteration counts; every estimate, converged or not, enters the
+    distances.
     """
 
     ns: list[int]
@@ -219,7 +220,7 @@ class LLNReport:
     seed: int
     medians: list[float]
     quartiles: list[tuple[float, float]]
-    slope: float
+    slope: float | None
     distances: np.ndarray = field(repr=False)
     status_counts: list[dict[str, int]]
     iteration_quantiles: list[tuple[float, float, float]]
@@ -248,10 +249,9 @@ def lln_experiment(
     medians = np.median(dists, axis=1)
     q = np.percentile(dists, [25.0, 75.0], axis=1)
     quartiles = [(float(a), float(b)) for a, b in zip(q[0], q[1])]
-    if len(ns) >= 2:
+    slope = None
+    if len(set(ns)) >= 2:
         slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
-    else:
-        slope = float("nan")
     return LLNReport(ns, reps, seed, [float(x) for x in medians], quartiles, slope, dists,
                      [c for c, _ in outcomes], [q for _, q in outcomes])
 
@@ -291,36 +291,34 @@ def clt_experiment(
     seed: int,
     threads: int = 1,
     options: SolverOptions | None = None,
-    ref: np.ndarray | None = None,
-    ref_mc_n: int = 200_000,
+    ref_mc_n: int | None = None,
 ) -> CLTReport:
     """Sample the normalized fluctuation sqrt(n) vec(C_n - Id) ``reps`` times.
 
-    Compares its empirical covariance with ``ref`` (when not supplied,
-    ``limiting_covariance`` of ``ref_mc_n`` draws of the law from the stream
-    SeedSequence(entropy=seed, spawn_key=(1,)), at sigma) and
-    reports the tangent-space annihilation defect and coordinate skewness.
-    Deterministic for fixed seed regardless of ``threads``.  UsageError unless a
-    supplied ``ref`` is a finite (m^2, m^2) array.
+    Compares its empirical covariance with the predicted limit: kappa B B^T, with
+    kappa = 2(m-1)(m+2)/(m r(m-r)) and B = ``manifold._tangent_basis(m)``, or, given
+    ``ref_mc_n``, ``limiting_covariance`` of that many draws of the law from the stream
+    SeedSequence(entropy=seed, spawn_key=(1,)), at sigma; and reports the tangent-space
+    annihilation defect and coordinate skewness.  Deterministic for fixed seed
+    regardless of ``threads``.
     """
-    c = _experiment_law(sigma, r, reps, seed, threads, n, ref_mc_n)
+    sizes = (n,) if ref_mc_n is None else (n, ref_mc_n)
+    c = _experiment_law(sigma, r, reps, seed, threads, *sizes)
     m = len(c.sigma)
-    if ref is not None:
-        ref = np.asarray(ref, dtype=float)
-        if ref.shape != (m * m, m * m) or not np.isfinite(ref).all():
-            raise UsageError(f"ref must be a finite {m * m} x {m * m} array, got shape "
-                             f"{ref.shape}")
     opts = options or SolverOptions()
     flat = _run_blocks(_clt_block, c, r, [n], reps, seed, opts, threads)
     Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)
     cov = Z.T @ Z / reps
-    if ref is None:
+    B = _tangent_basis(m)
+    Q = B @ B.T                                                  # tangent projector
+    if ref_mc_n is None:
+        ref = 2 * (m - 1) * (m + 2) / (m * r * (m - r)) * Q
+    else:
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         draws = _gaussian_bases(np.linalg.cholesky(c.sigma), r, ref_mc_n, ref_rng)
         _check_ranks(draws)
         ref = _limiting_covariance(draws, np.full(ref_mc_n, 1.0 / ref_mc_n), c)
-    B = _tangent_basis(m)
-    annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - B @ B.T), ord=2))
+    annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - Q), ord=2))
     rel_frob = float(np.linalg.norm(cov - ref) / np.linalg.norm(ref))
     Zc = Z - Z.mean(axis=0)
     sd = Zc.std(axis=0)

@@ -235,7 +235,8 @@ def _cmd_lln(args) -> int:
     })
     for n, med in zip(report.ns, report.medians):
         print(f"n = {n:6d}   median distance = {med:.6f}")
-    print(f"log-log slope: {report.slope:.4f}")
+    if report.slope is not None:
+        print(f"log-log slope: {report.slope:.4f}")
     return 0
 
 
@@ -363,8 +364,8 @@ def _add_clt(p) -> None:
     p.add_argument("--n", type=int, default=2000, help="sample size per replication")
     p.add_argument("--reps", type=int, default=4000, help="replications")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ref-mc", type=int, default=200_000,
-                   help="Monte Carlo draws for the predicted covariance")
+    p.add_argument("--ref-mc", type=int, default=None,
+                   help="Monte Carlo draws for the predicted covariance (default: closed form)")
     _add_threads(p)
     _add_solver_flags(p)
 

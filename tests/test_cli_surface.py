@@ -91,6 +91,7 @@ options:
   --reps REPS          replications
   --seed SEED
   --ref-mc REF_MC      Monte Carlo draws for the predicted covariance
+                       (default: closed form)
   --threads THREADS    workers (default: GRASSMANN_SCATTER_THREADS or 1)
   --tol TOL            residual tolerance
   --max-iter MAX_ITER  iteration budget

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from grassmann_scatter import (
     UsageError,
     check_scatter,
     diagnose,
+    tangent_vec_projector,
 )
 from grassmann_scatter import cli
 from grassmann_scatter.cli import main
@@ -431,6 +433,32 @@ def test_cli_clt_low_power_smoke(tmp_path):
     assert read_matrix_csv(out / "cov.csv").shape == (4, 4)
     assert read_matrix_csv(out / "ref.csv").shape == (4, 4)
     assert (out / "replay.json").exists()
+
+
+def test_cli_clt_writes_the_closed_form_reference_by_default(tmp_path):
+    out = tmp_path / "out"
+    assert main(["clt", "--m", "3", "--r", "2", "--n", "30", "--reps", "3",
+                 "--out", str(out)]) == 0
+    kappa = 2 * (3 - 1) * (3 + 2) / (3 * 2 * (3 - 2))
+    assert np.array_equal(read_matrix_csv(out / "ref.csv"), kappa * tangent_vec_projector(3))
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("ns", ["50", "40,40"])
+def test_cli_lln_with_one_distinct_size_writes_a_null_slope(tmp_path, capsys, ns):
+    # one size wrote "slope": NaN, which is not JSON; two equal sizes fitted a line over
+    # one x value (numpy's RankWarning) and reported its slope
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lln", "--m", "2", "--r", "1", "--ns", ns, "--reps", "3",
+                     "--out", str(out)]) == 0
+    doc = json.loads((out / "lln.json").read_text(), parse_constant=_no_constant)
+    assert doc["slope"] is None
+    assert "slope" not in capsys.readouterr().out
 
 
 def test_cli_experiments_count_non_converged_replications(tmp_path):
