@@ -34,9 +34,10 @@ They are solved in blocks: a block is a range of reps within one grid entry
 every worker gets a share.  Each rep's normals come from its own stream, and one
 product with sigma's Cholesky factor turns the block's into atoms.  The block is
 validated by the Gram screens of the atom ranks and of the spans (one batched det
-each, and an svd only of what a screen cannot certify), solved as one stack by the
+each, and an svd only of what a screen cannot certify), and solved as one stack by the
 estimator's fixed-point loop, in which a lane's result does not depend on the other
-lanes, and summarized as one stack (distances and C_n whitened by sigma's chart).
+lanes.  ``_replicate`` hands back every replication's estimate, and each experiment
+summarizes them all as one stack (distances and C_n whitened by sigma's chart).
 Results are therefore bit-identical for any worker count and any block size.
 """
 
@@ -142,34 +143,23 @@ def _blocks(ns, reps: int, m: int, r: int, threads: int):
             yield grid, n, range(a, min(a + size, reps))
 
 
-def _solve_block(c: _Chart, r: int, n: int, grid: int, reps: range, seed: int, opts):
-    """(estimates (len(reps), m, m), [(status, iterations)]) of the replications ``reps``:
+def _solve_block(args):
+    """(estimates (len(reps), m, m), statuses, iterations) of the replications ``reps``:
     n Gaussian draws at c.sigma each, from their own streams, validated and solved as one stack."""
+    c, r, n, grid, reps, seed, opts = args
     rngs = [_rep_rng(seed, grid, rep) for rep in reps]
     points = _gaussian_bases(np.linalg.cholesky(c.sigma), r, n, rngs)
     _check_ranks(points)
     _check_span(points)
     results = _solve_stack(points, np.full((len(reps), n), 1.0 / n), opts)
-    return np.stack([x.estimate for x in results]), [(x.status, x.iterations) for x in results]
+    return (np.stack([x.estimate for x in results]), [x.status for x in results],
+            [x.iterations for x in results])
 
 
-def _lln_block(args) -> list[tuple[float, str, int]]:
-    E, tags = _solve_block(*args)
-    return [(d, *t) for d, t in zip(_whitened_distance(args[0].W, E).tolist(), tags)]
-
-
-def _clt_block(args) -> list[tuple[np.ndarray, str, int]]:
-    c, n = args[0], args[2]
-    E, tags = _solve_block(*args)
-    D = _whiten_normalize(E, c) - np.eye(len(c.sigma))
-    Z = math.sqrt(n) * D.reshape(len(E), -1)     # vec of each C_n - Id (symmetric)
-    return [(z, *t) for z, t in zip(Z, tags)]
-
-
-def _outcomes(flat) -> tuple[dict[str, int], tuple[float, float, float]]:
+def _outcomes(statuses, iterations) -> tuple[dict[str, int], tuple[float, float, float]]:
     """Status counts (keys sorted) and iteration (median, q90, max) of a batch of replications."""
-    counts = dict(sorted(Counter(status for _, status, _ in flat).items()))
-    median, q90, top = np.percentile([k for _, _, k in flat], [50.0, 90.0, 100.0])
+    counts = dict(sorted(Counter(statuses).items()))
+    median, q90, top = np.percentile(iterations, [50.0, 90.0, 100.0])
     return counts, (float(median), float(q90), float(top))
 
 
@@ -189,18 +179,21 @@ def _experiment_law(sigma, r, reps, seed, threads, *sizes) -> _Chart:
     return c
 
 
-def _run_blocks(task, c: _Chart, r: int, ns, reps: int, seed: int, opts, threads: int):
-    """The replications' outcomes in (grid, rep) order, solved block by block, by at
-    most one worker per block (a fork pool starts all its workers at once)."""
+def _replicate(c: _Chart, r: int, ns, reps: int, seed: int, opts, threads: int):
+    """Estimates (len(ns) * reps, m, m), statuses and iteration counts of every
+    replication in (grid, rep) order, solved block by block, by at most one worker per
+    block (a fork pool starts all its workers at once)."""
     args = [(c, r, n, grid, block, seed, opts)
             for grid, n, block in _blocks(ns, reps, c.sigma.shape[0], r, threads)]
     workers = min(threads, len(args))
-    if workers <= 1:
-        return [x for a in args for x in task(a)]
-    from concurrent.futures import ProcessPoolExecutor      # loaded by pooled runs only
+    blocks = map(_solve_block, args)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor      # loaded by pooled runs only
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [x for block in pool.map(task, args) for x in block]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_solve_block, args))
+    E, statuses, iterations = zip(*blocks)
+    return np.concatenate(E), sum(statuses, []), sum(iterations, [])
 
 
 @dataclass
@@ -243,9 +236,10 @@ def lln_experiment(
     c = _experiment_law(sigma, r, reps, seed, threads, *ns)
     ns = [int(n) for n in ns]
     opts = options or SolverOptions()
-    flat = _run_blocks(_lln_block, c, r, ns, reps, seed, opts, threads)
-    dists = np.array([d for d, _, _ in flat]).reshape(len(ns), reps)
-    outcomes = [_outcomes(flat[i * reps:(i + 1) * reps]) for i in range(len(ns))]
+    E, statuses, iterations = _replicate(c, r, ns, reps, seed, opts, threads)
+    dists = _whitened_distance(c.W, E).reshape(len(ns), reps)
+    grids = [slice(i * reps, (i + 1) * reps) for i in range(len(ns))]
+    outcomes = [_outcomes(statuses[g], iterations[g]) for g in grids]
     medians = np.median(dists, axis=1)
     q = np.percentile(dists, [25.0, 75.0], axis=1)
     quartiles = [(float(a), float(b)) for a, b in zip(q[0], q[1])]
@@ -306,8 +300,9 @@ def clt_experiment(
     c = _experiment_law(sigma, r, reps, seed, threads, *sizes)
     m = len(c.sigma)
     opts = options or SolverOptions()
-    flat = _run_blocks(_clt_block, c, r, [n], reps, seed, opts, threads)
-    Z = np.array([z for z, _, _ in flat])                        # (reps, m^2)
+    E, statuses, iterations = _replicate(c, r, [n], reps, seed, opts, threads)
+    D = _whiten_normalize(E, c) - np.eye(m)
+    Z = math.sqrt(n) * D.reshape(reps, -1)      # vec of each C_n - Id (symmetric), (reps, m^2)
     cov = Z.T @ Z / reps
     B = _tangent_basis(m)
     Q = B @ B.T                                                  # tangent projector
@@ -315,7 +310,7 @@ def clt_experiment(
         ref = 2 * (m - 1) * (m + 2) / (m * r * (m - r)) * Q
     else:
         ref_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        draws = _gaussian_bases(np.linalg.cholesky(c.sigma), r, ref_mc_n, ref_rng)
+        draws = _gaussian_bases(np.linalg.cholesky(c.sigma), r, ref_mc_n, [ref_rng])[0]
         _check_ranks(draws)
         ref = _limiting_covariance(draws, np.full(ref_mc_n, 1.0 / ref_mc_n), c)
     annihilation = float(np.linalg.norm(cov @ (np.eye(m * m) - Q), ord=2))
@@ -325,4 +320,5 @@ def clt_experiment(
     live = sd > 1e-9 * max(sd.max(), 1e-300)
     skew = (Zc[:, live] ** 3).mean(axis=0) / sd[live] ** 3
     max_skew = float(np.abs(skew).max()) if live.any() else 0.0
-    return CLTReport(n, reps, seed, cov, ref, annihilation, rel_frob, max_skew, *_outcomes(flat))
+    return CLTReport(n, reps, seed, cov, ref, annihilation, rel_frob, max_skew,
+                     *_outcomes(statuses, iterations))

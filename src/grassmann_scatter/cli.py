@@ -18,15 +18,14 @@ gradcheck).
 Every command writes its output directory through one writer, ``_emit``, and only
 once it has finished: ``replay.json`` (the resolved options plus library versions, so
 results can be reproduced exactly) first, then the command's own files.
-The worker count comes from --threads, else the GRASSMANN_SCATTER_THREADS
-environment variable, else 1; a count below 1 exits 3.
+The experiments' worker count is --threads (default 1), checked by the library: a
+count below 1 exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -74,23 +73,6 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _resolve_threads(value) -> int:
-    """--threads, else GRASSMANN_SCATTER_THREADS, else 1; UsageError below 1."""
-    source = f"--threads {value}"
-    if value is None:
-        env = os.environ.get("GRASSMANN_SCATTER_THREADS")
-        if env is None:
-            return 1
-        source = f"GRASSMANN_SCATTER_THREADS={env!r}"
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"{source} is not an integer") from None
-    if value < 1:
-        raise UsageError(f"{source}: the worker count must be at least 1")
-    return value
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,8 +111,8 @@ def _flag_jsonable(flag):
     return [{"alpha": a, "dim": B.shape[1], "basis": B} for a, B in flag.pairs]
 
 
-def _experiment_json(args, report, threads: int, warnings: list[str], status_counts) -> dict:
-    """An experiment's JSON: the report's fields less its arrays (written as CSV), threads
+def _experiment_json(args, report, warnings: list[str], status_counts) -> dict:
+    """An experiment's JSON: the report's fields less its arrays (written as CSV), --threads
     and the warnings: LOW_POWER below the command's LOW_POWER_REPS, the command's own, then
     WARN when some replications did not converge (one status count per grid)."""
     need = LOW_POWER_REPS[args.command]
@@ -141,7 +123,7 @@ def _experiment_json(args, report, threads: int, warnings: list[str], status_cou
     if bad:
         warnings = [*warnings, f"WARN: {bad} of {total} replications did not converge"]
     fields = {k: v for k, v in vars(report).items() if not isinstance(v, np.ndarray)}
-    return {**fields, "threads": threads, "warnings": warnings}
+    return {**fields, "threads": args.threads, "warnings": warnings}
 
 
 def _cmd_estimate(args) -> int:
@@ -220,16 +202,17 @@ def _sigma_for_experiment(args) -> np.ndarray:
 
 def _cmd_lln(args) -> int:
     sigma = _sigma_for_experiment(args)
-    threads = _resolve_threads(args.threads)
     report = lln_experiment(
         sigma, args.r, args.ns, args.reps, args.seed,
-        threads=threads, options=_solver_options(args),
+        threads=args.threads, options=_solver_options(args),
     )
+    # each median must fall below those of all smaller sizes, in any order of --ns
+    sized = list(zip(report.ns, report.medians))
     warnings = []
-    if any(b >= a for a, b in zip(report.medians, report.medians[1:])):
+    if any(b >= a for n, a in sized for k, b in sized if k > n):
         warnings.append("WARN: median distances are not strictly decreasing across sample sizes")
     _emit(args, {
-        "lln.json": _experiment_json(args, report, threads, warnings, report.status_counts),
+        "lln.json": _experiment_json(args, report, warnings, report.status_counts),
         # one row per replicate, one column per sample size
         "distances.csv": report.distances.T,
     })
@@ -242,13 +225,12 @@ def _cmd_lln(args) -> int:
 
 def _cmd_clt(args) -> int:
     sigma = _sigma_for_experiment(args)
-    threads = _resolve_threads(args.threads)
     report = clt_experiment(
         sigma, args.r, args.n, args.reps, args.seed,
-        threads=threads, options=_solver_options(args), ref_mc_n=args.ref_mc,
+        threads=args.threads, options=_solver_options(args), ref_mc_n=args.ref_mc,
     )
     _emit(args, {
-        "clt.json": _experiment_json(args, report, threads, [], [report.status_counts]),
+        "clt.json": _experiment_json(args, report, [], [report.status_counts]),
         "cov.csv": report.cov,
         "ref.csv": report.ref,
     })
@@ -326,8 +308,7 @@ def _add_solver_flags(p) -> None:
 
 
 def _add_threads(p) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="workers (default: GRASSMANN_SCATTER_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="workers (default: 1)")
 
 
 def _add_estimate(p) -> None:

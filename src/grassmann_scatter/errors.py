@@ -23,7 +23,7 @@ class UsageError(GrassmannScatterError):
 
 
 class ExistenceError(GrassmannScatterError):
-    """No estimate can exist for the given data (atoms span a proper subspace).
+    """No estimate can exist for the given data (atoms of positive weight span a proper subspace).
 
     Carries the witness subspace basis in ``witness`` (m x k array).
     """

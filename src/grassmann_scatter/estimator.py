@@ -218,7 +218,7 @@ def _check_span(points: np.ndarray) -> None:
         U, s, _ = np.linalg.svd(A[b], full_matrices=False)
         rank = np.sum(s > RANK_TOL * s[0])
         raise ExistenceError(
-            "atoms are contained in a proper subspace (dimension "
+            "atoms of positive weight are contained in a proper subspace (dimension "
             f"{rank} of {m}); no estimate of scatter exists",
             witness=U[:, :rank],
         )
@@ -440,8 +440,8 @@ def fixed_point_solve(
 ) -> GEResult:
     """Iterate the scatter fixed-point update until the residual drops below tol.
 
-    Requires an empirical measure whose atoms jointly span the whole space
-    (otherwise ExistenceError, carrying a basis of the deficient span as
+    Requires an empirical measure whose atoms of positive weight jointly span the whole
+    space (otherwise ExistenceError, carrying a basis of their deficient span as
     witness).  Starts from Sigma0 (default: identity), checked before the span and
     charted by the check's one eigh, and moves to Newton steps once the update contracts
     slowly.  The one-lane call of the stacked loop ``_solve_stack``.
@@ -449,7 +449,7 @@ def fixed_point_solve(
     _check_empirical(meas, "fixed_point_solve")
     opts = options or SolverOptions()
     start = None if Sigma0 is None else _check_scatter_for(meas.m, Sigma0, "Sigma0")
-    _check_span(meas.points)
+    _check_span(meas.points[meas.weights > 0])
     return _solve_stack(meas.points[None], meas.weights[None], opts, start)[0]
 
 
@@ -465,9 +465,9 @@ def diagnose(meas: Empirical, tol: float = INDEX_TOL) -> ExistenceReport:
       flag subspaces of V and of -V (from one eigh of V, so each subspace of one flag
       is the complement of one of the other) are the zeros, each checked to have index
       within tol and to split every atom with its complement (integer meet dimensions).
-    * no_ge: the atoms span a proper subspace of index < -tol (the span is the
-      witness), or the run diverged along a flag of slope < -tol; the witness attains
-      the least index.
+    * no_ge: the atoms of positive weight span a proper subspace of index < -tol (the
+      span is the witness), or the run diverged along a flag of slope < -tol; the
+      witness attains the least index.
 
     Besides a deficient span, every route also evaluates the spans of the first
     SPAN_CHECKS atoms: one of index <= tol contradicts "unique", one < -tol contradicts

@@ -191,15 +191,13 @@ def _check_empirical(meas: Measure, op: str, Sigma=None):
     return None if Sigma is None else _check_scatter_for(meas.m, Sigma)
 
 
-def _gaussian_bases(chol: np.ndarray, r: int, n: int, rng) -> np.ndarray:
-    """n i.i.d. m x r bases with N(0, chol chol^T) columns, (n, m, r): the one sampler;
-    n from each of a list of B generators, (B, n, m, r), factored in one product.  The
-    same bits whether drawn in one batch or one at a time, from a generator alone or in
-    a list.  Ranks are checked by ``Empirical`` or ``_check_ranks``, not here."""
-    shape = (n, chol.shape[0], r)
-    Z = np.stack([g.standard_normal(shape) for g in rng]) if isinstance(rng, list) \
-        else rng.standard_normal(shape)
-    return np.einsum("ij,...njr->...nir", chol, Z)
+def _gaussian_bases(chol: np.ndarray, r: int, n: int, rngs: list) -> np.ndarray:
+    """n i.i.d. m x r bases with N(0, chol chol^T) columns from each of a list of B
+    generators, (B, n, m, r), factored in one product: the one sampler.  The same bits
+    whether drawn in one batch or one at a time.  Ranks are checked by ``Empirical`` or
+    ``_check_ranks``, not here."""
+    Z = np.stack([g.standard_normal((n, chol.shape[0], r)) for g in rngs])
+    return np.einsum("ij,bnjr->bnir", chol, Z)
 
 
 def sample(meas: Measure, rng: np.random.Generator) -> np.ndarray:
@@ -214,7 +212,7 @@ def sample(meas: Measure, rng: np.random.Generator) -> np.ndarray:
         return meas.points[j]
     L = np.linalg.cholesky(meas.sigma)
     while True:
-        X = _gaussian_bases(L, meas.r, 1, rng)[0]
+        X = _gaussian_bases(L, meas.r, 1, [rng])[0, 0]
         if not _rank_deficient(X):
             return X
 

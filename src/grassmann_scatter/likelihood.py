@@ -29,8 +29,8 @@ grad_norm_sq = 1/4 || M - (r/m) Id ||_F^2.
 
 The measure-averaged functions take an empirical measure and are exact weighted
 sums, batched over atoms; a Gaussian law is sampled first (UsageError otherwise).
-The one Monte Carlo evaluation of a law, the CLT reference, is drawn by
-``asymptotics.clt_experiment``.
+Only ``asymptotics.clt_experiment`` evaluates a law by Monte Carlo, and only when given
+``ref_mc_n``: its default CLT reference is a closed form.
 
 Everything here comes from the single whitened-frame core of ``grassmann`` (one
 product with the inverse W = F^-1 of a factor F F^T = Sigma whitens every atom,

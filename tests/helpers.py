@@ -270,7 +270,7 @@ def ref_span_error(points: np.ndarray):
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     ranks = np.sum(s > RANK_TOL * s[..., :1], axis=-1).reshape(-1)
     for b in np.flatnonzero(ranks < m)[:1]:
-        return ("atoms are contained in a proper subspace (dimension "
+        return ("atoms of positive weight are contained in a proper subspace (dimension "
                 f"{ranks[b]} of {m}); no estimate of scatter exists",
                 U.reshape((-1,) + U.shape[-2:])[b][:, :ranks[b]])
     return None

@@ -344,7 +344,7 @@ def test_closed_form_matches_the_limit_of_400k_draws(m, r, random):
     # the gaps are sampling error (about 1% at this size); a kappa 10% off misses
     rng = np.random.default_rng(7)
     sigma = law_scatter(m, rng, random)
-    draws = _gaussian_bases(np.linalg.cholesky(sigma), r, 400_000, rng)
+    draws = _gaussian_bases(np.linalg.cholesky(sigma), r, 400_000, [rng])[0]
     lim = limiting_covariance(Empirical(draws), sigma)
     for scale, close in ((1.0, True), (1.1, False)):
         ref = scale * kappa(m, r) * tangent_vec_projector(m)
@@ -509,27 +509,32 @@ def test_experiments_identical_for_any_worker_count_and_block_size(monkeypatch):
 
 
 def test_block_draws_and_summaries_match_the_replications_one_by_one(monkeypatch):
-    # a block is drawn from its replications' own streams, factored in one product,
-    # and summarized as one stack: its draws are each replication's to the bit, and
-    # its distances and CLT vectors are the per-replication forms to rounding
+    # a block is drawn from its replications' own streams and factored in one product,
+    # and each experiment summarizes the whole stack of estimates at once: the block's
+    # draws are each replication's to the bit, and the distances and CLT vectors are the
+    # per-replication forms to rounding
     sigma = random_scatter(3, np.random.default_rng(6), spread=0.5)
-    c, r, n, seed = _chart(sigma), 2, 20, 23
-    args = (c, r, n, 1, range(2, 8), seed, SolverOptions())
+    c, r, n, seed, opts = _chart(sigma), 2, 20, 23, SolverOptions()
     chol = np.linalg.cholesky(sigma)
-    alone = np.stack([_gaussian_bases(chol, r, n, asymptotics._rep_rng(seed, 1, k))
-                      for k in args[4]])
+    alone = np.stack([_gaussian_bases(chol, r, n, [asymptotics._rep_rng(seed, 0, k)])[0]
+                      for k in range(2, 8)])
     solve_stack, seen = asymptotics._solve_stack, []
     monkeypatch.setattr(asymptotics, "_solve_stack",
                         lambda points, *a: seen.append(points) or solve_stack(points, *a))
-    E = asymptotics._solve_block(*args)[0]
+    block = asymptotics._solve_block((c, r, n, 0, range(2, 8), seed, opts))[0]
     assert np.array_equal(seen[0], alone)
-    d = np.array([x for x, _, _ in asymptotics._lln_block(args)])
+    E = asymptotics._replicate(c, r, [n, 10], 8, seed, opts, 1)[0]      # (grid, rep) order
+    assert np.array_equal(E[2:8], block)
+    d = lln_experiment(sigma, r, [n, 10], 8, seed).distances.reshape(-1)
     d_ref = np.array([distance(e, sigma) for e in E])
     assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-14
-    Z = np.array([z for z, _, _ in asymptotics._clt_block(args)])
-    for z, e in zip(Z, E):
-        z_ref = np.sqrt(n) * vec(asymptotics._whiten_normalize(e, c) - np.eye(3))
+    Z = np.sqrt(n) * (asymptotics._whiten_normalize(E[:8], c) - np.eye(3)).reshape(8, -1)
+    Z_ref = np.stack([np.sqrt(n) * vec(asymptotics._whiten_normalize(e, c) - np.eye(3))
+                      for e in E[:8]])
+    for z, z_ref in zip(Z, Z_ref):
         assert np.max(np.abs(z - z_ref)) <= 1e-14 * np.max(np.abs(z_ref))
+    cov, cov_ref = clt_experiment(sigma, r, n, 8, seed).cov, Z_ref.T @ Z_ref / 8
+    assert np.max(np.abs(cov - cov_ref)) <= 1e-14 * np.max(np.abs(cov_ref))
 
 
 def test_clt_full_run_matches_predicted_covariance_within_ten_percent(clt_run):

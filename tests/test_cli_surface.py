@@ -71,7 +71,7 @@ options:
   --ns NS              comma-separated sample sizes
   --reps REPS          replications per sample size
   --seed SEED
-  --threads THREADS    workers (default: GRASSMANN_SCATTER_THREADS or 1)
+  --threads THREADS    workers (default: 1)
   --tol TOL            residual tolerance
   --max-iter MAX_ITER  iteration budget
   --out OUT            output directory
@@ -92,7 +92,7 @@ options:
   --seed SEED
   --ref-mc REF_MC      Monte Carlo draws for the predicted covariance
                        (default: closed form)
-  --threads THREADS    workers (default: GRASSMANN_SCATTER_THREADS or 1)
+  --threads THREADS    workers (default: 1)
   --tol TOL            residual tolerance
   --max-iter MAX_ITER  iteration budget
   --out OUT            output directory
@@ -152,7 +152,7 @@ REPLAY_LLN = """\
     ],
     "reps": 3,
     "seed": 0,
-    "threads": null,
+    "threads": 1,
     "tol": 1e-12,
     "max_iter": 500,
     "out": @OUT@

@@ -143,6 +143,24 @@ def test_fixed_point_rejects_deficient_span():
     assert existence_index(meas, W) < 0.0
 
 
+def test_zero_weight_atoms_do_not_count_toward_the_span(tmp_path):
+    # e1, e2, e3 with weights (1/2, 1/2, 0): the plane span(e1, e2) has index -1/3, so no
+    # estimate exists; counting e3 passed the span check into a guard breach reported as
+    # an escape with no flag, and diagnose found only a -1/6 index
+    meas = Empirical(np.eye(3)[:, :, None], weights=np.array([0.5, 0.5, 0.0]))
+    with pytest.raises(ExistenceError, match="atoms of positive weight are contained in a "
+                       r"proper subspace \(dimension 2 of 3\)") as exc:
+        fixed_point_solve(meas)
+    assert exc.value.witness.shape == (3, 2)
+    assert existence_index(meas, exc.value.witness) == pytest.approx(-1 / 3, abs=1e-12)
+    report = diagnose(meas)
+    assert report.verdict == "no_ge"
+    assert report.min_index == pytest.approx(-1 / 3, abs=1e-12)
+    path, out = tmp_path / "data.json", tmp_path / "out"
+    write_measure_json(path, meas)
+    assert main(["estimate", "--input", str(path), "--out", str(out)]) == 2
+
+
 def test_fixed_point_rejects_gaussian_measure():
     with pytest.raises(UsageError):
         fixed_point_solve(Gaussian(np.eye(3), 2))

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in it, every private module-level
-function of the package is called from outside its own definition, and no module calls
-``np.linalg.solve`` (no linter runs here)."""
+function of the package is called from outside its own definition, no module calls
+``np.linalg.solve`` and no module reads the process environment (no linter runs here)."""
 
 import ast
 from pathlib import Path
@@ -87,3 +87,26 @@ def test_module_applies_no_inverse_by_a_linear_solve(path):
 def test_guard_sees_a_linear_solve():
     tree = ast.parse("import numpy as np\nx = np.linalg.eigh(a)\ny = np.linalg.solve(a, b)\n")
     assert _linalg_solves(tree) == [3]
+
+
+def _environment_reads(tree: ast.Module) -> list[int]:
+    """Lines of the module's reads of the process environment: ``os.environ``,
+    ``os.getenv`` and ``os.environb``, as attributes or imported names."""
+    names = {"environ", "environb", "getenv"}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names]
+    lines += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module == "os" and names & {alias.name for alias in node.names}]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_module_reads_no_environment_variable(path):
+    # a run is set by its arguments alone, which replay.json records
+    assert _environment_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_guard_sees_an_environment_read():
+    tree = ast.parse("import os\nfrom os import getenv\nn = os.environ.get('N')\n"
+                     "m = os.getenv('M')\nk = os.cpu_count()\n")
+    assert _environment_reads(tree) == [2, 3, 4]

@@ -422,6 +422,20 @@ def test_cli_lln_low_power_and_non_monotone_warn(tmp_path):
     assert read_matrix_csv(out / "distances.csv").shape == (2, 2)  # replicate rows
 
 
+@pytest.mark.parametrize("ns, reps, seed, warns", [
+    ("400,25", "60", "3", False),       # medians 0.114 at n = 400, 0.486 at n = 25
+    ("40,40", "60", "3", False),        # one size twice: nothing to compare
+    ("41,40", "2", "2", True),          # medians 0.581 at n = 41, 0.329 at n = 40
+])
+def test_cli_lln_monotonicity_warning_follows_increasing_n(tmp_path, ns, reps, seed, warns):
+    # the medians are compared in order of increasing n, whatever order --ns lists it in
+    out = tmp_path / "out"
+    assert main(["lln", "--m", "2", "--r", "1", "--ns", ns, "--reps", reps, "--seed", seed,
+                 "--out", str(out)]) == 0
+    doc = load_json(out / "lln.json")
+    assert any("not strictly decreasing" in w for w in doc["warnings"]) == warns, doc["medians"]
+
+
 def test_cli_clt_low_power_smoke(tmp_path):
     out = tmp_path / "out"
     code = main(["clt", "--m", "2", "--r", "1", "--n", "80", "--reps", "10",
@@ -492,7 +506,8 @@ def test_cli_experiment_with_deficient_span_exits_2_and_writes_nothing(tmp_path,
     out = tmp_path / "out"
     assert main(argv + ["--seed", "1", "--threads", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: atoms are contained in a proper subspace (dimension 3 of 5)")
+    assert err.startswith("error: atoms of positive weight are contained in a proper subspace "
+                          "(dimension 3 of 5)")
     assert not out.exists()
 
 
@@ -565,30 +580,34 @@ def test_cli_replay_records_the_library_defaults(tmp_path):
             assert opts["tol"] == INDEX_TOL == 1e-9
 
 
-def test_cli_threads_env_var_and_flag_precedence(tmp_path, monkeypatch):
+def test_cli_threads_flag_sets_the_worker_count(tmp_path):
     argv = ["lln", "--m", "2", "--r", "1", "--ns", "30", "--reps", "2", "--seed", "4"]
-    out1 = tmp_path / "env"
-    monkeypatch.setenv("GRASSMANN_SCATTER_THREADS", "2")
-    assert main(argv + ["--out", str(out1)]) == 0
-    doc = load_json(out1 / "lln.json")
-    assert doc["threads"] == 2
-
-    out2 = tmp_path / "flag"
+    out1, out2 = tmp_path / "two", tmp_path / "one"
+    assert main(argv + ["--threads", "2", "--out", str(out1)]) == 0
+    assert load_json(out1 / "lln.json")["threads"] == 2
+    assert load_json(out1 / "replay.json")["options"]["threads"] == 2
     assert main(argv + ["--threads", "1", "--out", str(out2)]) == 0
     assert load_json(out2 / "lln.json")["threads"] == 1
     # worker count must not change the numbers
     assert load_json(out1 / "lln.json")["medians"] == load_json(out2 / "lln.json")["medians"]
 
-    # a worker count below 1, from the flag or the environment, is a usage error
-    for env in ("abc", "0", "-2"):
-        monkeypatch.setenv("GRASSMANN_SCATTER_THREADS", env)
-        assert main(argv + ["--out", str(tmp_path / "bad")]) == 3, env
-    monkeypatch.delenv("GRASSMANN_SCATTER_THREADS")
+    # a worker count below 1 is a usage error, found by the library before any output
     for flag in ("0", "-3"):
         assert main(argv + ["--threads", flag, "--out", str(tmp_path / "bad")]) == 3, flag
         assert main(["clt", "--m", "2", "--r", "1", "--n", "20", "--reps", "2", "--ref-mc", "50",
                      "--threads", flag, "--out", str(tmp_path / "bad")]) == 3, flag
     assert not (tmp_path / "bad").exists()
+
+
+def test_cli_worker_count_ignores_the_environment(tmp_path, monkeypatch):
+    # the worker count is --threads alone: a variable that used to set it, even an
+    # unparsable one, changes nothing, and the count run is the one replay.json records
+    monkeypatch.setenv("GRASSMANN_SCATTER_THREADS", "abc")
+    out = tmp_path / "out"
+    assert main(["lln", "--m", "2", "--r", "1", "--ns", "30", "--reps", "2", "--seed", "4",
+                 "--out", str(out)]) == 0
+    assert load_json(out / "lln.json")["threads"] == 1
+    assert load_json(out / "replay.json")["options"]["threads"] == 1
 
 
 def test_cli_argument_errors_exit_3(tmp_path, capsys):
